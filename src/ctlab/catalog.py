@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import GeometrySpec
-from .geometry import GeometryInstance
+from .geometry import GeometryInstance, point_scope
+from .identities import CERTIFICATION_TOL, structure_residual, worst_of
 from .jets import JetConfig
 
-CERTIFICATION_TOL = 1e-9
 CERTIFICATION_POINTS = 4
 CERTIFICATION_SEED = 20240
 
@@ -33,13 +33,11 @@ class StructureClaim:
     ``kind`` is one of einstein, gradient_soliton, generic_soliton,
     conformally_einstein, conformal_gradient_soliton,
     conformal_generic_soliton.  ``lam`` is the structure constant; the
-    fields u/f/X are taken from the geometry spec unless overridden here.
+    fields u/f/X are taken from the geometry spec.
     """
 
     kind: str
     lam: float
-    u: str | None = None
-    f: str | None = None
 
 
 @dataclass
@@ -434,21 +432,19 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
 
 def certify_entry(entry: CatalogEntry, tol: float = CERTIFICATION_TOL):
     """Check every claim's defining residual on a fixed sample grid, and
-    positive definiteness for claim-free (random) entries."""
-    from .identities import structure_residual  # late import, no cycle
-
-    points = entry.geometry.sample_points(CERTIFICATION_POINTS,
-                                          CERTIFICATION_SEED)
-    for claim in entry.claims:
-        worst = max(
-            structure_residual(entry.geometry, claim.kind, p, claim.lam,
-                               u_text=claim.u, f_text=claim.f)
-            for p in points
-        )
-        if not worst < tol:
+    positive definiteness for claim-free (random) entries.  Each point's
+    cache entries are released once its residuals are taken."""
+    g = entry.geometry
+    worst = [0.0] * len(entry.claims)
+    for p in g.sample_points(CERTIFICATION_POINTS, CERTIFICATION_SEED):
+        with point_scope(p, g):
+            g.state(p)  # raises MetricError if not positive definite
+            for i, claim in enumerate(entry.claims):
+                worst[i] = worst_of(worst[i], structure_residual(
+                    g, claim.kind, p, claim.lam))
+    for claim, w in zip(entry.claims, worst):
+        if not w < tol:
             raise CatalogError(
                 f"certification failed for {entry.name}: claim {claim.kind} "
-                f"has residual {worst:.3e} (tol {tol:.1e})"
+                f"has residual {w:.3e} (tol {tol:.1e})"
             )
-    for p in points:
-        entry.geometry.state(p)  # raises MetricError if not positive definite

@@ -1,8 +1,9 @@
 """Command-line harness: verify identity families / transformation laws,
 evaluate quantities at points, list or export the catalog.
 
-Exit codes: 0 all pass, 1 an identity failed its tolerance, 2 bad
-configuration or parse error, 3 a structural certification failed.
+Exit codes: 0 all pass, 1 an identity failed its tolerance (a non-finite
+residual fails), 2 bad configuration, parse error or arithmetic overflow,
+3 a structural certification failed.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
         print(f"certification error: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except (ParseError, JetError, MetricError, KeyError, OSError,
-            ValueError) as err:
+            ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

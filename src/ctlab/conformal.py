@@ -13,21 +13,22 @@ Conventions: both routes are compared in orthonormal-coframe components
 (the rescaled frame is ``e^u`` times the base one, which the Cholesky
 vielbein reproduces exactly), and each law carries the power ``k`` in
 ``e^{k u} * (rescaled quantity) = formula(base quantities)``.
+
+Each law is an :class:`~ctlab.identities.IdentityRecord` of family ``LAW``;
+``verify_transform`` runs them through the one driver,
+:func:`ctlab.identities.verify`, against the pair's rescaled geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .curvature import CurvatureBundle, bundle
+from .curvature import skew_on
 from .exprlang import GeometrySpec
 from .geometry import GeometryInstance
-from .jets import JetConfig
-
-TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
+from .identities import EvalContext, IdentityRecord, verify
 
 
 @dataclass
@@ -44,17 +45,7 @@ def _rescaled_spec(spec: GeometrySpec, u_text: str) -> GeometrySpec:
         [f"exp(2*({u_text}))*({e})" if e != "0" else "0" for e in row]
         for row in spec.metric
     ]
-    return GeometrySpec(
-        name=spec.name + "~",
-        dim=spec.dim,
-        coords=list(spec.coords),
-        domain=list(spec.domain),
-        metric=entries,
-        u=None,
-        f=spec.f,
-        x_components=list(spec.x_components) if spec.x_components else None,
-        lam=spec.lam,
-    )
+    return replace(spec, name=spec.name + "~", metric=entries, u=None)
 
 
 def rescale(geometry: GeometryInstance, u_text: str | None = None) -> ConformalPair:
@@ -69,65 +60,19 @@ def rescale(geometry: GeometryInstance, u_text: str | None = None) -> ConformalP
     if spec.u == u_text:
         base = geometry
     else:
-        base_spec = GeometrySpec(
-            name=spec.name,
-            dim=spec.dim,
-            coords=list(spec.coords),
-            domain=list(spec.domain),
-            metric=[list(r) for r in spec.metric],
-            u=u_text,
-            f=spec.f,
-            x_components=list(spec.x_components) if spec.x_components else None,
-            lam=spec.lam,
-        )
-        base = GeometryInstance(base_spec, geometry.config)
+        base = GeometryInstance(replace(spec, u=u_text), geometry.config)
     tilde = GeometryInstance(_rescaled_spec(base.spec, u_text), geometry.config)
     return ConformalPair(base, u_text, tilde)
 
 
-class PairContext:
-    """Both bundles of a conformal pair at one point."""
-
-    def __init__(self, pair: ConformalPair, point):
-        self.pair = pair
-        self.b: CurvatureBundle = bundle(pair.base, point)
-        self.t: CurvatureBundle = bundle(pair.tilde, point)
-        self.m = pair.base.dim
-        self.I = np.eye(self.m)
-
-    def e(self, k: float) -> float:
-        return self.b.scalar_exp(k)
-
-
-@dataclass(frozen=True)
-class LawRecord:
-    """One transformation law: id, formula label, ingredient requirements,
-    structural hypothesis (certified soliton side, if any), and evaluator
-    returning (prefactor * rescaled quantity, base-side formula)."""
-
-    id: str
-    eq: str
-    requires: frozenset[str]
-    structure: str | None
-    min_dim: int
-    min_order: int
-    tol_class: str
-    evaluate: Callable[[PairContext], tuple]
-
-
 def _d_form1(f1, ric, s, m):
     eye = np.eye(len(f1))
-    t = np.einsum("k,ij->ijk", f1, ric)
-    t1 = t - t.transpose(0, 2, 1)
     fr = np.einsum("t,tk->k", f1, ric)
-    t2 = np.einsum("k,ij->ijk", fr, eye)
-    t2 = t2 - t2.transpose(0, 2, 1)
-    t3 = np.einsum("k,ij->ijk", f1, eye)
-    t3 = t3 - t3.transpose(0, 2, 1)
-    return t1 / (m - 2) + t2 / ((m - 1) * (m - 2)) - s * t3 / ((m - 1) * (m - 2))
+    return (skew_on(f1, ric) / (m - 2) + skew_on(fr, eye) / ((m - 1) * (m - 2))
+            - s * skew_on(f1, eye) / ((m - 1) * (m - 2)))
 
 
-def _duf_correction(c: PairContext):
+def _duf_correction(c: EvalContext):
     """The u-correction added to the plain gradient-soliton 3-tensor in the
     transformation law of D (and shared by its reverse form)."""
     m, I = c.m, c.I
@@ -140,9 +85,7 @@ def _duf_correction(c: PairContext):
     fu2 = f1 @ u2
     out = e("i,k,j->ijk", u1, f1, u1) - e("i,j,k->ijk", u1, f1, u1)
     out += e("j,ik->ijk", f1, u2) - e("k,ij->ijk", f1, u2)
-    sk_f = e("k,ij->ijk", f1, I) - e("j,ik->ijk", f1, I)
-    sk_u = e("k,ij->ijk", u1, I) - e("j,ik->ijk", u1, I)
-    sk_fu2 = e("k,ij->ijk", fu2, I) - e("j,ik->ijk", fu2, I)
+    sk_f, sk_u, sk_fu2 = skew_on(f1, I), skew_on(u1, I), skew_on(fu2, I)
     out += (lap_u * sk_f - sk_fu2 + fu * sk_u - gu2 * sk_f) / (m - 1)
     return out
 
@@ -151,7 +94,7 @@ def _duf_correction(c: PairContext):
 # law evaluators (law_<id>): return (e^{ku} * rescaled, base formula)
 # ---------------------------------------------------------------------------
 
-def law_riemann04(c: PairContext):
+def law_riemann04(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -164,7 +107,7 @@ def law_riemann04(c: PairContext):
     return c.e(2) * c.t.on("riemann"), rhs
 
 
-def law_ricci(c: PairContext):
+def law_ricci(c: EvalContext):
     m, I = c.m, c.I
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
     gu2 = float(u1 @ u1)
@@ -173,7 +116,7 @@ def law_ricci(c: PairContext):
     return c.e(2) * c.t.on("ricci"), rhs
 
 
-def law_scalar(c: PairContext):
+def law_scalar(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
     rhs = (c.b.on("scalar") - 2 * (m - 1) * np.trace(u2)
@@ -181,7 +124,7 @@ def law_scalar(c: PairContext):
     return c.e(2) * c.t.on("scalar"), rhs
 
 
-def law_nabla_ricci(c: PairContext):
+def law_nabla_ricci(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     ric, r1 = c.b.on("ricci"), c.b.on("ricci", 1)
@@ -205,7 +148,7 @@ def law_nabla_ricci(c: PairContext):
     return c.e(3) * c.t.on("ricci", 1), rhs
 
 
-def law_nabla2_ricci(c: PairContext):
+def law_nabla2_ricci(c: EvalContext):
     """Second covariant derivative of the Ricci tensor, transcribed line by
     line from its closed form."""
     m, I = c.m, c.I
@@ -294,7 +237,7 @@ def law_nabla2_ricci(c: PairContext):
     return c.e(4) * c.t.on("ricci", 2), rhs
 
 
-def law_nabla_scalar(c: PairContext):
+def law_nabla_scalar(c: EvalContext):
     m = c.m
     e = np.einsum
     u1, u2, u3 = c.b.on("u", 1), c.b.on("u", 2), c.b.on("u", 3)
@@ -306,7 +249,7 @@ def law_nabla_scalar(c: PairContext):
     return c.e(3) * c.t.on("scalar", 1), rhs
 
 
-def law_hess_scalar(c: PairContext):
+def law_hess_scalar(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     u1, u2, u3, u4 = (c.b.on("u", 1), c.b.on("u", 2), c.b.on("u", 3),
@@ -328,7 +271,7 @@ def law_hess_scalar(c: PairContext):
     return c.e(4) * c.t.on("scalar", 2), rhs
 
 
-def law_lap_scalar(c: PairContext):
+def law_lap_scalar(c: EvalContext):
     m = c.m
     e = np.einsum
     u1, u2, u3, u4 = (c.b.on("u", 1), c.b.on("u", 2), c.b.on("u", 3),
@@ -348,20 +291,20 @@ def law_lap_scalar(c: PairContext):
     return c.e(4) * float(np.trace(c.t.on("scalar", 2))), rhs
 
 
-def law_hessian_f(c: PairContext):
+def law_hessian_f(c: EvalContext):
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
     rhs = f2 - (np.outer(f1, u1) + np.outer(u1, f1)) + float(f1 @ u1) * c.I
     return c.e(2) * c.t.on("f", 2), rhs
 
 
-def law_laplacian_f(c: PairContext):
+def law_laplacian_f(c: EvalContext):
     m = c.m
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
     rhs = float(np.trace(f2)) + (m - 2) * float(f1 @ u1)
     return c.e(2) * float(np.trace(c.t.on("f", 2))), rhs
 
 
-def law_third_f(c: PairContext):
+def law_third_f(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -383,7 +326,7 @@ def law_third_f(c: PairContext):
     return c.e(3) * c.t.on("f", 3), rhs
 
 
-def law_third_f_traced(c: PairContext):
+def law_third_f_traced(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
     f1, f2, f3 = c.b.on("f", 1), c.b.on("f", 2), c.b.on("f", 3)
@@ -392,7 +335,7 @@ def law_third_f_traced(c: PairContext):
     return c.e(3) * np.einsum("ttk->k", c.t.on("f", 3)), rhs
 
 
-def law_schouten(c: PairContext):
+def law_schouten(c: EvalContext):
     m, I = c.m, c.I
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
     rhs = (c.b.on("schouten") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
@@ -400,7 +343,7 @@ def law_schouten(c: PairContext):
     return c.e(2) * c.t.on("schouten"), rhs
 
 
-def law_nabla_schouten(c: PairContext):
+def law_nabla_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     a, a1 = c.b.on("schouten"), c.b.on("schouten", 1)
@@ -422,7 +365,7 @@ def law_nabla_schouten(c: PairContext):
     return c.e(3) * c.t.on("schouten", 1), rhs
 
 
-def law_nabla2_schouten(c: PairContext):
+def law_nabla2_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     a, a1, a2 = (c.b.on("schouten"), c.b.on("schouten", 1),
@@ -499,18 +442,18 @@ def law_nabla2_schouten(c: PairContext):
     return c.e(4) * c.t.on("schouten", 2), rhs
 
 
-def law_weyl13(c: PairContext):
+def law_weyl13(c: EvalContext):
     return c.e(2) * c.t.on("weyl"), c.b.on("weyl")
 
 
-def law_cotton(c: PairContext):
+def law_cotton(c: EvalContext):
     m = c.m
     rhs = c.b.on("cotton") - (m - 2) * np.einsum(
         "t,tijk->ijk", c.b.on("u", 1), c.b.on("weyl"))
     return c.e(3) * c.t.on("cotton"), rhs
 
 
-def law_bach(c: PairContext):
+def law_bach(c: EvalContext):
     m = c.m
     e = np.einsum
     u1 = c.b.on("u", 1)
@@ -521,14 +464,14 @@ def law_bach(c: PairContext):
     return c.e(4) * c.t.on("bach"), rhs
 
 
-def law_d_tensor(c: PairContext):
+def law_d_tensor(c: EvalContext):
     m = c.m
     rhs = _d_form1(c.b.on("f", 1), c.b.on("ricci"), c.b.on("scalar"), m)
     rhs = rhs + _duf_correction(c)
     return c.e(3) * c.t.on("d_tensor"), rhs
 
 
-def law_d_reverse(c: PairContext):
+def law_d_reverse(c: EvalContext):
     """The reverse direction: the gradient-soliton 3-tensor pattern built
     from rescaled ingredients, against base-side data (valid when the BASE
     carries the soliton structure).  Implemented exactly as printed: the
@@ -540,7 +483,7 @@ def law_d_reverse(c: PairContext):
     return lhs, rhs
 
 
-def law_nabla_d(c: PairContext):
+def law_nabla_d(c: EvalContext):
     """Covariant derivative of the gradient-soliton 3-tensor, the longest
     law in the registry; output slots [i,j,k,t]."""
     m, I = c.m, c.I
@@ -553,10 +496,6 @@ def law_nabla_d(c: PairContext):
     lap_u = float(np.trace(u2))
     fu = float(f1 @ u1)
     lam_du = lap_u - gu2
-
-    def sk2(ak, bij):  # a_k b_ij - a_j b_ik  -> [i,j,k]
-        t = e("k,ij->ijk", ak, bij)
-        return t - t.transpose(0, 2, 1)
 
     rhs = (e("kt,ij->ijkt", f2, ric) - e("jt,ik->ijkt", f2, ric)) / (m - 2)
     rhs += (e("k,ijt->ijkt", f1, r1) - e("j,ikt->ijkt", f1, r1)) / (m - 2)
@@ -572,17 +511,17 @@ def law_nabla_d(c: PairContext):
     grad_lap = e("sst->t", u3)
     rhs += (e("t,k,ij->ijkt", grad_lap, f1, I)
             - e("t,j,ik->ijkt", grad_lap, f1, I)) / (m - 1)
-    rhs -= 3 * e("ijk,t->ijkt", sk2(f1, ric), u1) / (m - 2)
+    rhs -= 3 * e("ijk,t->ijkt", skew_on(f1, ric), u1) / (m - 2)
     fu3 = e("s,skt->kt", f1, u3)           # f_s u_skt
     rhs -= (e("kt,ij->ijkt", fu3, I) - e("jt,ik->ijkt", fu3, I)) / (m - 1)
-    rhs -= e("ijk,t->ijkt", sk2(u1, ric), f1) / (m - 2)
+    rhs -= e("ijk,t->ijkt", skew_on(u1, ric), f1) / (m - 2)
     rhs += fu * (e("ij,kt->ijkt", ric, I) - e("ik,jt->ijkt", ric, I)) / (m - 2)
     ru = ric @ u1
     rhs += (e("i,k,jt->ijkt", ru, f1, I) - e("i,j,kt->ijkt", ru, f1, I)) / (m - 2)
     rhs += (e("s,it,k,sj->ijkt", u1, I, f1, ric)
             - e("s,it,j,sk->ijkt", u1, I, f1, ric)) / (m - 2)
-    rhs += 3 * e("ijk,t->ijkt", sk2(f1, u2), u1)
-    rhs += e("ijk,t->ijkt", sk2(u1, u2), f1)
+    rhs += 3 * e("ijk,t->ijkt", skew_on(f1, u2), u1)
+    rhs += e("ijk,t->ijkt", skew_on(u1, u2), f1)
     rhs -= fu * (e("ij,kt->ijkt", u2, I) - e("ik,jt->ijkt", u2, I))
     rhs += fu * (e("i,j,kt->ijkt", u1, u1, I) - e("i,k,jt->ijkt", u1, u1, I))
     rhs += lam_du * (e("kt,ij->ijkt", f2, I) - e("jt,ik->ijkt", f2, I)) / (m - 1)
@@ -639,32 +578,32 @@ def law_nabla_d(c: PairContext):
     return c.e(4) * c.t.on("d_tensor", 1), rhs
 
 
-def law_lie_metric(c: PairContext):
+def law_lie_metric(c: EvalContext):
     xu = float(c.b.on("X") @ c.b.on("u", 1))
     rhs = c.b.on("lie_metric") + 2 * xu * c.I
     return c.t.on("lie_metric"), rhs
 
 
-def law_nabla_x(c: PairContext):
+def law_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     rhs = x1 + np.outer(x, u1) + float(x @ u1) * c.I - np.outer(u1, x)
     return c.t.on("X", 1), rhs
 
 
-def law_sym_nabla_x(c: PairContext):
+def law_sym_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     tx1 = c.t.on("X", 1)
     rhs = x1 + x1.T + 2 * float(x @ u1) * c.I
     return tx1 + tx1.T, rhs
 
 
-def law_div_x(c: PairContext):
+def law_div_x(c: EvalContext):
     rhs = float(np.trace(c.b.on("X", 1))) + c.m * float(
         c.b.on("X") @ c.b.on("u", 1))
     return float(np.trace(c.t.on("X", 1))), rhs
 
 
-def law_nabla2_x(c: PairContext):
+def law_nabla2_x(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
     x, x1, x2 = c.b.on("X"), c.b.on("X", 1), c.b.on("X", 2)
@@ -681,7 +620,7 @@ def law_nabla2_x(c: PairContext):
     return c.e(1) * c.t.on("X", 2), rhs
 
 
-def law_nabla2_x_traced(c: PairContext):
+def law_nabla2_x_traced(c: EvalContext):
     m = c.m
     x2 = c.b.on("X", 2)
     rhs = np.einsum("ttk->k", x2) + m * (
@@ -691,11 +630,11 @@ def law_nabla2_x_traced(c: PairContext):
 
 def _law(id_, eq, fn, tol_class, requires=(), structure=None, min_dim=3,
          min_order=2):
-    return LawRecord(id_, eq, frozenset(requires), structure, min_dim,
-                     min_order, tol_class, fn)
+    return IdentityRecord(id_, "LAW", eq, frozenset(requires), structure,
+                          min_dim, min_order, tol_class, None, fn)
 
 
-LAW_REGISTRY: tuple[LawRecord, ...] = (
+LAW_REGISTRY: tuple[IdentityRecord, ...] = (
     _law("riemann04", "Riemannexp", law_riemann04, "A"),
     _law("ricci", "RicciexpComponents", law_ricci, "A"),
     _law("scalar", "scalarExp", law_scalar, "A"),
@@ -746,18 +685,18 @@ LAWS = {law.id: law for law in LAW_REGISTRY}
 def predict(pair: ConformalPair, law_id: str, point):
     """The law's base-side formula: the rescaled quantity (times its
     prefactor) assembled purely from base-metric data at ``point``."""
-    _, rhs = LAWS[law_id].evaluate(PairContext(pair, point))
+    _, rhs = LAWS[law_id].evaluate(EvalContext(pair.base, point, pair.tilde))
     return rhs
 
 
 def direct(pair: ConformalPair, law_id: str, point):
     """The same quantity by direct recomputation in the rescaled metric,
     multiplied by the law's prefactor; ``predict`` must match this."""
-    lhs, _ = LAWS[law_id].evaluate(PairContext(pair, point))
+    lhs, _ = LAWS[law_id].evaluate(EvalContext(pair.base, point, pair.tilde))
     return lhs
 
 
-def select_laws(ids: list[str] | None = None) -> list[LawRecord]:
+def select_laws(ids: list[str] | None = None) -> list[IdentityRecord]:
     if not ids:
         return list(LAW_REGISTRY)
     missing = [i for i in ids if i not in LAWS]
@@ -766,56 +705,10 @@ def select_laws(ids: list[str] | None = None) -> list[LawRecord]:
     return [LAWS[i] for i in ids]
 
 
-def verify_transform(pair: ConformalPair, laws: list[LawRecord],
+def verify_transform(pair: ConformalPair, laws: list[IdentityRecord],
                      points, tol_overrides: dict[str, float] | None = None):
     """Evaluate predicted-vs-direct agreement for each law at each point;
     one report row per law.  Laws whose structural hypothesis does not hold
     on this pair are reported as skipped."""
-    from .identities import residual, structure_residual, CERTIFICATION_TOL
-    from .report import ReportRow
-
-    spec = pair.base.spec
-    have = {"u"}
-    if spec.f is not None:
-        have.add("f")
-    if spec.x_exprs is not None:
-        have.add("X")
-    if spec.lam is not None:
-        have.add("lam")
-    cert_cache: dict[str, float] = {}
-    rows = []
-    for law in laws:
-        tol = law.tol_class if isinstance(law.tol_class, float) else None
-        tol = tol or (tol_overrides or {}).get(law.tol_class) or TOL_CLASS[law.tol_class]
-        if pair.base.dim < law.min_dim:
-            rows.append(ReportRow(law.id, "LAW", law.eq, None, tol,
-                                  f"skipped(needs dim >= {law.min_dim})"))
-            continue
-        missing = sorted(law.requires - have)
-        if missing:
-            rows.append(ReportRow(law.id, "LAW", law.eq, None, tol,
-                                  f"skipped(no {', '.join(missing)})"))
-            continue
-        if pair.base.config.order < law.min_order:
-            rows.append(ReportRow(law.id, "LAW", law.eq, None, tol,
-                                  f"skipped(needs jet order >= {law.min_order})"))
-            continue
-        if law.structure is not None:
-            if law.structure not in cert_cache:
-                cert_cache[law.structure] = max(
-                    structure_residual(pair.base, law.structure, p, spec.lam)
-                    for p in points
-                )
-            if not cert_cache[law.structure] < CERTIFICATION_TOL:
-                rows.append(ReportRow(
-                    law.id, "LAW", law.eq, None, tol,
-                    f"skipped(hypothesis {law.structure} not certified, "
-                    f"residual {cert_cache[law.structure]:.3e})"))
-                continue
-        worst = 0.0
-        for p in points:
-            lhs, rhs = law.evaluate(PairContext(pair, p))
-            worst = max(worst, residual(lhs, rhs))
-        status = "pass" if worst < tol else "fail"
-        rows.append(ReportRow(law.id, "LAW", law.eq, worst, tol, status))
-    return rows
+    return verify(pair.base, laws, points, tol_overrides,
+                  strict_certification=False)

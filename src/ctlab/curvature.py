@@ -6,7 +6,8 @@ plus the skew trace-free 3-tensors attached to soliton structures (D, the
 vector-field variant, and their conformal interpolations).  Identity
 evaluators pull orthonormal-frame value arrays out of it with
 :meth:`CurvatureBundle.on`, where plain ``np.einsum`` contractions against
-``delta`` reproduce moving-frame component formulas verbatim.
+``delta`` reproduce moving-frame component formulas verbatim.  A bundle
+lives in its geometry's per-point cache, next to the point's ``PointState``.
 
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
@@ -310,14 +311,8 @@ class CurvatureBundle:
 
 
 def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
-    """Memoised CurvatureBundle per (geometry, point)."""
-    cache = getattr(geometry, "_bundles", None)
-    if cache is None:
-        cache = geometry._bundles = {}
-    key = tuple(float(x) for x in np.asarray(point, float))
-    if key not in cache:
-        cache[key] = CurvatureBundle(geometry, key)
-    return cache[key]
+    """The point's CurvatureBundle, memoised in the geometry's cache."""
+    return geometry.cached(point, "bundle", CurvatureBundle)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +374,7 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
     )
 
 
-def _skew_on(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def skew_on(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i,j,k] = a_k b_ij - a_j b_ik on plain value arrays."""
     t = np.einsum("k,ij->ijk", a, b)
     return t - t.transpose(0, 2, 1)
@@ -402,23 +397,23 @@ def d_tensor(g: GeometryInstance, p, form: int = 1) -> TensorValue:
     if form == 2:
         s1 = b.on("scalar", 1)
         comp = (
-            _skew_on(f1, ric) / (m - 2)
-            + _skew_on(s1, eye) / (2 * (m - 1) * (m - 2))
-            - s * _skew_on(f1, eye) / ((m - 1) * (m - 2))
+            skew_on(f1, ric) / (m - 2)
+            + skew_on(s1, eye) / (2 * (m - 1) * (m - 2))
+            - s * skew_on(f1, eye) / ((m - 1) * (m - 2))
         )
     elif form == 3:
         a = b.on("schouten")
         e = b.on("einstein")
         ef = np.einsum("t,tk->k", f1, e)
-        comp = _skew_on(f1, a) / (m - 2) + _skew_on(ef, eye) / ((m - 1) * (m - 2))
+        comp = skew_on(f1, a) / (m - 2) + skew_on(ef, eye) / ((m - 1) * (m - 2))
     elif form == 4:
         f2 = b.on("f", 2)
         ff = np.einsum("t,tk->k", f1, f2)
         lap_f = np.trace(f2)
         comp = (
-            -_skew_on(f1, f2) / (m - 2)
-            - _skew_on(ff, eye) / ((m - 1) * (m - 2))
-            + lap_f * _skew_on(f1, eye) / ((m - 1) * (m - 2))
+            -skew_on(f1, f2) / (m - 2)
+            - skew_on(ff, eye) / ((m - 1) * (m - 2))
+            + lap_f * skew_on(f1, eye) / ((m - 1) * (m - 2))
         )
     else:
         raise ValueError(f"unknown form {form}")
@@ -446,12 +441,12 @@ def duf_tensor(g: GeometryInstance, p, form: str = "best") -> TensorValue:
     fu = float(f1 @ u1)
     lap_f = np.trace(f2)
     comp = (
-        (-_skew_on(ff, eye) + grad_f2 * _skew_on(u1, eye) - fu * _skew_on(f1, eye))
+        (-skew_on(ff, eye) + grad_f2 * skew_on(u1, eye) - fu * skew_on(f1, eye))
         / ((m - 1) * (m - 2))
-        - _skew_on(f1, f2) / (m - 2)
+        - skew_on(f1, f2) / (m - 2)
         - (np.einsum("i,k,j->ijk", f1, u1, f1)
            - np.einsum("i,j,k->ijk", f1, u1, f1)) / (m - 2)
-        + lap_f * _skew_on(f1, eye) / ((m - 1) * (m - 2))
+        + lap_f * skew_on(f1, eye) / ((m - 1) * (m - 2))
     )
     return TensorValue(comp, tuple(b.state.point), "orthonormal", 3)
 

@@ -22,13 +22,13 @@ because the converted objects are tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exprlang import Expr, GeometrySpec, eval_expr_jet, parse_expr
 from .jets import (
-    Jet,
     JetConfig,
     JetOrderError,
     jet_einsum,
@@ -253,13 +253,20 @@ class PointState:
         return out
 
 
+def point_key(point) -> tuple[float, ...]:
+    """The hashable form of a point, used as the per-point cache key."""
+    return tuple(float(x) for x in np.asarray(point, float))
+
+
 class GeometryInstance:
     """A validated chart plus jet configuration; immutable after parse."""
 
     def __init__(self, spec: GeometrySpec, config: JetConfig | None = None):
         self.spec = spec
         self.config = config or JetConfig()
-        self._states: dict[tuple[float, ...], PointState] = {}
+        # The one per-point cache: point key -> {"state": PointState,
+        # "bundle": CurvatureBundle}.  A point's entries live and die together.
+        self._points: dict[tuple[float, ...], dict[str, object]] = {}
 
     @property
     def dim(self) -> int:
@@ -269,11 +276,18 @@ class GeometryInstance:
     def name(self) -> str:
         return self.spec.name
 
+    def cached(self, point, kind: str, build):
+        """The ``kind`` entry of ``point`` in the per-point cache, made by
+        ``build(self, key)`` on first use."""
+        key = point_key(point)
+        value = self._points.get(key, {}).get(kind)
+        if value is None:
+            value = build(self, key)
+            self._points.setdefault(key, {})[kind] = value
+        return value
+
     def state(self, point) -> PointState:
-        key = tuple(float(x) for x in np.asarray(point, float))
-        if key not in self._states:
-            self._states[key] = PointState(self, np.array(key))
-        return self._states[key]
+        return self.cached(point, "state", PointState)
 
     # -- public chart operations ----------------------------------------------
 
@@ -330,9 +344,6 @@ class GeometryInstance:
         h = st.cov_deriv(self._field_jet(st, which), 2)
         return float(np.einsum("ab,ab->", st.ginv.value(), h.value()))
 
-    def gradient(self, which, point) -> TensorValue:
-        return self.covariant_derivative(which, point, times=1)
-
     def lie_derivative_metric(self, point, x_exprs: list[str] | None = None) -> TensorValue:
         """(L_X g)_ij = X_{i,j} + X_{j,i} with the index lowered."""
         st = self.state(point)
@@ -367,3 +378,16 @@ class GeometryInstance:
         hi = np.array([b for _, b in self.spec.domain])
         width = hi - lo
         return lo + width * (0.05 + 0.9 * rng.random((count, self.dim)))
+
+
+@contextmanager
+def point_scope(point, *geometries: GeometryInstance):
+    """Inside the block, cache entries that ``point`` gains on any of
+    ``geometries`` are dropped on exit; entries held before stay."""
+    key = point_key(point)
+    fresh = [g for g in geometries if key not in g._points]
+    try:
+        yield
+    finally:
+        for g in fresh:
+            g._points.pop(key, None)

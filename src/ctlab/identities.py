@@ -5,8 +5,9 @@ Bianchi-type identity, a soliton structure equation, or an integrability
 condition -- and carries evaluators that produce its two sides as
 orthonormal-frame arrays from a :class:`CurvatureBundle`.  The registry is
 data: families can be listed, filtered and dumped, and the verification
-driver treats every record uniformly (certify the structural hypothesis
-first, evaluate at sampled points, report the worst normalised residual).
+driver treats every record uniformly (at each sampled point in turn,
+certify the structural hypothesis and evaluate; report the worst
+normalised residual, where a NaN residual fails).
 
 Families:
 
@@ -17,6 +18,8 @@ Families:
 * GRS   -- generic-soliton (vector field) integrability conditions.
 * CGERS -- conformal generic soliton conditions.
 * HIGH  -- third and fourth order integrability conditions (dim >= 4).
+* LAW   -- the conformal transformation laws, registered in
+  :mod:`ctlab.conformal`; they compare the base geometry with its rescaling.
 
 Residuals are scale-normalised: ``max|L-R| / (1 + max(|L|, |R|))``, so an
 identity among huge and among tiny tensors is judged by the same yardstick.
@@ -30,8 +33,13 @@ from typing import Callable
 import numpy as np
 
 from .curvature import CurvatureBundle, bundle
-from .exprlang import GeometrySpec
-from .geometry import GeometryInstance, TensorValue
+from .geometry import (
+    GeometryInstance,
+    MetricError,
+    TensorValue,
+    point_key,
+    point_scope,
+)
 from .report import ReportRow, VerificationReport, geometry_hash, TOOL_VERSION
 
 TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
@@ -51,20 +59,31 @@ def residual(lhs, rhs) -> float:
     return num / den
 
 
+def worst_of(a: float, b: float) -> float:
+    """The larger residual, NaN if either is NaN.  Python's ``max`` keeps
+    its first argument when a comparison with NaN is false, so it would
+    drop a NaN that comes second and let a broken point pass."""
+    return float(np.maximum(a, b))
+
+
 # ---------------------------------------------------------------------------
 # evaluation context
 # ---------------------------------------------------------------------------
 
 class EvalContext:
-    """Point-local view handed to identity evaluators: the bundle, the
-    structure constant, and (lazily) the bundle of the rescaled metric."""
+    """Point-local view handed to record evaluators: the bundle ``b`` of
+    the geometry, the structure constant, and the bundle ``t`` of the
+    rescaled geometry ``tilde`` when one is given."""
 
-    def __init__(self, geometry: GeometryInstance, point):
+    def __init__(self, geometry: GeometryInstance, point,
+                 tilde: GeometryInstance | None = None):
         self.geometry = geometry
+        self.tilde = tilde
         self.b: CurvatureBundle = bundle(geometry, point)
-        self.point = tuple(float(x) for x in np.asarray(point, float))
+        self.point = point_key(point)
         self.m = geometry.dim
         self.I = np.eye(self.m)
+        self.I.setflags(write=False)  # one context serves every record at a point
         self.lam = geometry.spec.lam
 
     def on(self, name: str, d: int = 0):
@@ -74,12 +93,11 @@ class EvalContext:
         return self.b.scalar_exp(k)
 
     @property
-    def tilde(self) -> CurvatureBundle:
-        pair = getattr(self.geometry, "_pair", None)
-        if pair is None:
-            from .conformal import rescale
-            pair = self.geometry._pair = rescale(self.geometry)
-        return bundle(pair.tilde, self.point)
+    def t(self) -> CurvatureBundle:
+        if self.tilde is None:
+            raise MetricError(
+                f"no rescaled geometry given for {self.geometry.name!r}")
+        return bundle(self.tilde, self.point)
 
 
 @dataclass(frozen=True)
@@ -101,12 +119,6 @@ class IdentityRecord:
         if overrides and self.tol_class in overrides:
             return overrides[self.tol_class]
         return TOL_CLASS[self.tol_class]
-
-
-def _sk(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i,j,k] = a_k b_ij - a_j b_ik."""
-    t = np.einsum("k,ij->ijk", a, b)
-    return t - t.transpose(0, 2, 1)
 
 
 def _cyc_last3(t4: np.ndarray) -> np.ndarray:
@@ -140,7 +152,7 @@ def _ce_res(c: EvalContext, lam: float):
     lhs = c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
     rhs = (s - (m - 2) * lap_u + (m - 2) * gu2) / m * I
     traced = s - 2 * (m - 1) * lap_u - (m - 1) * (m - 2) * gu2
-    return max(residual(lhs, rhs), residual(traced, lam * m * c.e(2)))
+    return worst_of(residual(lhs, rhs), residual(traced, lam * m * c.e(2)))
 
 
 def _cgrs_res(c: EvalContext, lam: float):
@@ -155,7 +167,7 @@ def _cgrs_res(c: EvalContext, lam: float):
     rhs = (s - (m - 2) * (lap_u - gu2) + lap_f - 2 * fu) / m * I
     traced = (s - 2 * (m - 1) * lap_u - (m - 1) * (m - 2) * gu2 + lap_f
               + (m - 2) * fu)
-    return max(residual(lhs, rhs), residual(traced, lam * m * c.e(2)))
+    return worst_of(residual(lhs, rhs), residual(traced, lam * m * c.e(2)))
 
 
 def _cgers_res(c: EvalContext, lam: float):
@@ -172,7 +184,7 @@ def _cgers_res(c: EvalContext, lam: float):
     rhs = (s - (m - 2) * (lap_u - gu2) + e2u * div_x) / m * I
     traced = (s - 2 * (m - 1) * lap_u - (m - 1) * (m - 2) * gu2
               + e2u * (div_x + m * xu))
-    return max(residual(lhs, rhs), residual(traced, lam * m * e2u))
+    return worst_of(residual(lhs, rhs), residual(traced, lam * m * e2u))
 
 
 _STRUCTURES = {
@@ -189,24 +201,10 @@ _STRUCTURES = {
 
 
 def structure_residual(geometry: GeometryInstance, kind: str, point,
-                       lam: float, u_text: str | None = None,
-                       f_text: str | None = None) -> float:
+                       lam: float) -> float:
     """Normalised residual of the defining equation of ``kind`` at a point."""
     if kind not in _STRUCTURES:
         raise KeyError(f"unknown structure kind {kind!r}")
-    if u_text is not None or f_text is not None:
-        spec = geometry.spec
-        geometry = GeometryInstance(GeometrySpec(
-            name=spec.name + "#override",
-            dim=spec.dim,
-            coords=list(spec.coords),
-            domain=list(spec.domain),
-            metric=[list(r) for r in spec.metric],
-            u=u_text if u_text is not None else spec.u,
-            f=f_text if f_text is not None else spec.f,
-            x_components=list(spec.x_components) if spec.x_components else None,
-            lam=spec.lam,
-        ), geometry.config)
     fn, _needs = _STRUCTURES[kind]
     return fn(EvalContext(geometry, point), lam)
 
@@ -902,7 +900,7 @@ def cgrs_schouten_eq(c):
 
 
 def cgrs_duf_vs_tilde(c):
-    return c.on("duf_tensor"), c.e(3) * c.tilde.on("d_tensor")
+    return c.on("duf_tensor"), c.e(3) * c.t.on("d_tensor")
 
 
 def cgrs_first(c):
@@ -1050,7 +1048,7 @@ def cgers_schouten_eq(c):
 
 
 def cgers_dux_vs_tilde(c):
-    return c.on("dux_tensor"), c.e(3) * c.tilde.on("dx_tensor")
+    return c.on("dux_tensor"), c.e(3) * c.t.on("dx_tensor")
 
 
 def cgers_first(c):
@@ -1444,58 +1442,81 @@ def _available(geometry: GeometryInstance) -> set[str]:
     return have
 
 
+def _skip_reason(geometry: GeometryInstance, rec: IdentityRecord,
+                 have: set[str]) -> str | None:
+    if geometry.dim < rec.min_dim:
+        return f"needs dim >= {rec.min_dim}"
+    missing = sorted(rec.requires - have)
+    if missing:
+        return f"no {', '.join(missing)}"
+    if geometry.config.order < rec.min_order:
+        return f"needs jet order >= {rec.min_order}"
+    return None
+
+
+def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
+    """Why ``rec`` may not run, if its hypothesis is not certified."""
+    kind = rec.structure
+    if kind is None or cert[kind] < CERTIFICATION_TOL:
+        return None
+    return f"hypothesis {kind} not certified (residual {cert[kind]:.3e})"
+
+
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
            points: np.ndarray, tol_overrides: dict[str, float] | None = None,
            strict_certification: bool = True) -> list[ReportRow]:
     """Evaluate records at the given points; returns one row per record.
 
-    Conditional records run only after their structural hypothesis is
+    Conditional records count only after their structural hypothesis is
     certified at the same points (never a silent pass); with
     ``strict_certification`` a failed certification is a hard error,
-    otherwise those records are reported as skipped.
+    raised at the first point where the hypothesis fails; otherwise those
+    records are reported as skipped.  LAW records and the
+    ``*_vs_tilde`` conditions compare against the geometry rescaled by its
+    own u field; no point state of it is built unless a record reads it.
+
+    Evaluation is point-major: at each point every hypothesis is certified
+    and every runnable record evaluated, then the cache entries the point
+    gained are released, so memory does not grow with the number of points.
+    A NaN residual at any point makes the record fail.
     """
     have = _available(geometry)
-    cert_cache: dict[str, float] = {}
-    rows = []
-    for rec in records:
-        tol = rec.tolerance(tol_overrides)
-        if geometry.dim < rec.min_dim:
-            rows.append(ReportRow(rec.id, rec.family, rec.eq, None, tol,
-                                  f"skipped(needs dim >= {rec.min_dim})"))
-            continue
-        missing = sorted(rec.requires - have)
-        if missing:
-            rows.append(ReportRow(rec.id, rec.family, rec.eq, None, tol,
-                                  f"skipped(no {', '.join(missing)})"))
-            continue
-        if geometry.config.order < rec.min_order:
-            rows.append(ReportRow(
-                rec.id, rec.family, rec.eq, None, tol,
-                f"skipped(needs jet order >= {rec.min_order})"))
-            continue
-        if rec.structure is not None:
-            if rec.structure not in cert_cache:
-                cert_cache[rec.structure] = max(
-                    structure_residual(geometry, rec.structure, p,
-                                       geometry.spec.lam)
-                    for p in points
-                )
-            worst = cert_cache[rec.structure]
-            if not worst < CERTIFICATION_TOL:
-                msg = (f"hypothesis {rec.structure} not certified "
-                       f"(residual {worst:.3e})")
-                if strict_certification:
+    skips = [_skip_reason(geometry, rec, have) for rec in records]
+    runnable = [i for i, why in enumerate(skips) if why is None]
+    tilde = None
+    if geometry.spec.u is not None:
+        from .conformal import rescale  # late: conformal imports this module
+        tilde = rescale(geometry).tilde
+    cert = {records[i].structure: 0.0 for i in runnable
+            if records[i].structure is not None}
+    if cert and not len(points):
+        raise ValueError("certifying a hypothesis needs at least one point")
+    worst = dict.fromkeys(runnable, 0.0)
+    geometries = [g for g in (geometry, tilde) if g is not None]
+    for p in points if runnable else ():  # build no point state needlessly
+        with point_scope(p, *geometries):
+            for kind in cert:
+                cert[kind] = worst_of(cert[kind], structure_residual(
+                    geometry, kind, p, geometry.spec.lam))
+            c = EvalContext(geometry, p, tilde)
+            for i in runnable:
+                why = _uncertified(records[i], cert)
+                if why is None:
+                    lhs, rhs = records[i].evaluate(c)
+                    worst[i] = worst_of(worst[i], residual(lhs, rhs))
+                elif strict_certification:
                     raise CertificationError(
-                        f"{geometry.name}: {msg}; required by {rec.id}")
-                rows.append(ReportRow(rec.id, rec.family, rec.eq, None, tol,
-                                      f"skipped({msg})"))
-                continue
-        worst = 0.0
-        for p in points:
-            lhs, rhs = rec.evaluate(EvalContext(geometry, p))
-            worst = max(worst, residual(lhs, rhs))
-        status = "pass" if worst < tol else "fail"
-        rows.append(ReportRow(rec.id, rec.family, rec.eq, worst, tol, status))
+                        f"{geometry.name}: {why}; required by {records[i].id}")
+    rows = []
+    for i, rec in enumerate(records):
+        tol = rec.tolerance(tol_overrides)
+        why = skips[i] or _uncertified(rec, cert)
+        if why is not None:
+            rows.append(ReportRow(rec.id, rec.family, rec.eq, None, tol,
+                                  f"skipped({why})"))
+            continue
+        status = "pass" if worst[i] < tol else "fail"
+        rows.append(ReportRow(rec.id, rec.family, rec.eq, worst[i], tol, status))
     return rows
 
 

@@ -167,11 +167,6 @@ def jet_partial(a: np.ndarray, v: int, dim: int, order: int) -> np.ndarray:
     return a[t.dsrc[v]] * mul
 
 
-def jet_gradient(a: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Stack all partials as a trailing axis: (N', *shape, dim)."""
-    return np.stack([jet_partial(a, v, dim, order) for v in range(dim)], axis=-1)
-
-
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
     return a[: table(dim, order).size]
 

@@ -7,11 +7,10 @@ stated tolerance on its stated geometries.
 import time
 
 import numpy as np
-import pytest
 
 from ctlab import catalog, conformal, curvature, identities
-from ctlab.conformal import PairContext, rescale, verify_transform
-from ctlab.identities import EvalContext, residual, select_records, verify
+from ctlab.conformal import rescale, verify_transform
+from ctlab.identities import EvalContext, select_records, verify
 
 
 def _report(num, label, ok, detail=""):

@@ -78,7 +78,6 @@ def test_eval_cotton_tracefree(capsys):
     code, out, _ = run(capsys, "eval", "--catalog", "random", "--dim", "4",
                        "--quantity", "cotton", "--point", "0.1,0.2,0.3,0.0")
     assert code == 0
-    import numpy as np
     vals = {}
     for line in out.splitlines()[1:]:
         *idx, v = line.split()
@@ -163,3 +162,51 @@ def test_env_jet_order(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["jet_order"] == 4
+
+
+def _flat3_spec(tmp_path, f, domain=((-1, 1), (-1, 1), (-1, 1))):
+    spec = {
+        "name": "flat3",
+        "dim": 3,
+        "coords": ["x1", "x2", "x3"],
+        "domain": [list(d) for d in domain],
+        "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+        "f": f,
+    }
+    path = tmp_path / "flat3.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_residual_fails(capsys, tmp_path):
+    # the jets of f overflow to inf, so both sides of the scalar
+    # commutation rules turn into inf - inf = NaN
+    path = _flat3_spec(tmp_path, "1e307*x1^4")
+    code, out, _ = run(capsys, "verify", "--spec", path, "--suite", "COMM",
+                       "--points", "2", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["overall"] == "fail"
+    failed = [r for r in doc["rows"] if r["status"] == "fail"]
+    assert failed and all(r["max_residual"] != r["max_residual"]
+                          for r in failed)
+
+
+def test_overflow_is_a_config_error(capsys, tmp_path):
+    path = _flat3_spec(tmp_path, "exp(exp(exp(3*x1)))",
+                       domain=((0.9, 1), (-1, 1), (-1, 1)))
+    code, _, err = run(capsys, "verify", "--spec", path, "--suite", "COMM",
+                       "--points", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_zero_tolerance_override_applies_to_laws(capsys):
+    code, out, _ = run(capsys, "verify", "--catalog", "conformal_gaussian",
+                       "--dim", "3", "--law", "cotton", "--tol-class", "B=0",
+                       "--format", "json")
+    assert code == 1
+    (row,) = json.loads(out)["rows"]
+    assert row["tol"] == 0.0
+    assert row["status"] == "fail"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ctlab import catalog, conformal, curvature
-from ctlab.conformal import LAW_REGISTRY, PairContext, rescale, verify_transform
-from ctlab.identities import residual
+from ctlab.conformal import LAW_REGISTRY, rescale, verify_transform
+from ctlab.geometry import point_key
+from ctlab.identities import EvalContext, residual, select_records, verify
 
 
 def pair_for(name, u_text=None, **kw):
@@ -87,7 +88,7 @@ def test_d_reverse_on_base_soliton():
 def test_weyl13_invariance_random_m4():
     pair = pair_for("random", dim=4, seed=4)
     for p in pair.base.sample_points(2, 7):
-        c = PairContext(pair, p)
+        c = EvalContext(pair.base, p, pair.tilde)
         lhs, rhs = conformal.law_weyl13(c)
         assert residual(lhs, rhs) < 1e-9
 
@@ -95,7 +96,7 @@ def test_weyl13_invariance_random_m4():
 def test_hessian_f_constant_u():
     pair = pair_for("euclidean", u_text="0.7", dim=3)
     p = pair.base.sample_points(1, 1)[0]
-    c = PairContext(pair, p)
+    c = EvalContext(pair.base, p, pair.tilde)
     lhs, rhs = conformal.law_hessian_f(c)
     assert residual(lhs, rhs) < 1e-12
     # derivative terms vanish: prediction equals the base Hessian
@@ -124,7 +125,7 @@ def test_composition_of_rescalings():
 def test_traced_laws_equal_traces_of_untraced():
     pair = pair_for("conformal_gaussian_plus_killing", dim=4, seed=1)
     for p in pair.base.sample_points(2, 4):
-        c = PairContext(pair, p)
+        c = EvalContext(pair.base, p, pair.tilde)
         _, hess = conformal.law_hess_scalar(c)
         _, lap = conformal.law_lap_scalar(c)
         assert abs(np.trace(hess) - lap) / (1 + abs(lap)) < 1e-8
@@ -153,3 +154,24 @@ def test_law_registry_complete():
     assert len(ids) == len(LAW_REGISTRY) == 27
     with pytest.raises(KeyError):
         conformal.select_laws(["not_a_law"])
+
+
+def test_per_point_cache_is_released():
+    # the driver frees each sampled point once every record has run there,
+    # so what stays cached does not grow with the number of points
+    def cached_after(n):
+        g = catalog.load("conformal_gaussian", dim=3).geometry
+        pair = rescale(g)
+        geoms = (pair.base, pair.tilde)
+        attrs = [set(vars(x)) for x in geoms]
+        points = g.sample_points(n, 3)
+        rows = verify(g, select_records(["CGRS"]), points)
+        rows += verify_transform(pair, list(LAW_REGISTRY), points)
+        assert all(r.status != "fail" for r in rows)
+        keys = {point_key(p) for p in points}
+        for x, before in zip(geoms, attrs):
+            assert set(vars(x)) == before
+            assert not keys & set(x._points)
+        return sum(len(x._points) for x in geoms)
+
+    assert cached_after(2) == cached_after(8)

@@ -95,7 +95,6 @@ def test_schouten_flat_zero_and_trace():
 
 def test_schouten_needs_dim_3():
     spec = catalog.load("euclidean", dim=3, certify=False).spec
-    import dataclasses
     from ctlab.exprlang import GeometrySpec
     two = GeometrySpec(name="flat2", dim=2, coords=["x1", "x2"],
                        domain=[(-1, 1), (-1, 1)], metric=[["1"], ["0", "1"]])

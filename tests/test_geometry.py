@@ -5,7 +5,8 @@ import pytest
 
 from ctlab import catalog, jets
 from ctlab.exprlang import GeometrySpec
-from ctlab.geometry import GeometryInstance, MetricError
+from ctlab.curvature import bundle
+from ctlab.geometry import GeometryInstance, MetricError, point_key, point_scope
 from ctlab.jets import JetConfig, JetOrderError
 
 from oracles import christoffel_fd, hessian_fd, laplacian_fd, lie_metric_fd
@@ -205,3 +206,15 @@ def test_missing_field_errors():
         g.covariant_derivative("f", [0.1, 0.0, 0.0, 0.0])
     with pytest.raises(MetricError, match="no vector field"):
         g.lie_derivative_metric([0.1, 0.0, 0.0, 0.0])
+
+
+def test_point_scope_keeps_earlier_entries():
+    g = euclidean()
+    held, fresh = g.sample_points(2, 0)
+    g.state(held)
+    with point_scope(held, g), point_scope(fresh, g):
+        assert bundle(g, held).state is g.state(held)
+        bundle(g, fresh).on("ricci")
+        assert point_key(fresh) in g._points
+    assert point_key(held) in g._points
+    assert point_key(fresh) not in g._points

@@ -273,6 +273,24 @@ def test_certification_failure_raises():
     assert sum("not certified" in r.status for r in rows) >= 15
 
 
+def test_certification_failure_raises_at_first_point(monkeypatch):
+    # a hypothesis that fails at the first point stops the strict driver
+    # there, before any other point is evaluated
+    base = catalog.load("random", dim=3, seed=3, certify=False).spec
+    g = _with_fields(base, lam=0.5)
+    real = identities.structure_residual
+    seen = set()
+
+    def structure_residual(geometry, kind, point, lam):
+        seen.add(tuple(point))
+        return real(geometry, kind, point, lam)
+
+    monkeypatch.setattr(identities, "structure_residual", structure_residual)
+    with pytest.raises(CertificationError, match="required by sol."):
+        verify(g, select_records(["SOL"]), g.sample_points(4, 1))
+    assert len(seen) == 1
+
+
 def test_list_identities_registry():
     assert len(list_identities("HIGH")) == 4
     comm = list_identities("COMM")
@@ -299,3 +317,57 @@ def test_unknown_selection_errors():
         select_records(["NOPE"])
     with pytest.raises(KeyError):
         select_records(None, ["sol.not_here"])
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_nan_certification_residual_fails(monkeypatch, bad):
+    # a NaN hypothesis residual at the first or at the last point fails
+    # the certification, in the driver and in the catalog
+    e = catalog.load("euclidean", dim=3)
+    g = e.geometry
+    real = identities.structure_residual
+
+    def poison(points):
+        nan_at = tuple(points[bad])
+
+        def structure_residual(geometry, kind, point, lam):
+            if tuple(point) == nan_at:
+                return float("nan")
+            return real(geometry, kind, point, lam)
+        return structure_residual
+
+    points = g.sample_points(3, 5)
+    monkeypatch.setattr(identities, "structure_residual", poison(points))
+    with pytest.raises(CertificationError, match="residual nan"):
+        verify(g, select_records(["SOL"]), points)
+    rows = verify(g, select_records(["SOL"]), points,
+                  strict_certification=False)
+    assert all("not certified (residual nan)" in r.status for r in rows
+               if r.id.endswith("_gradient"))
+
+    cert_points = g.sample_points(catalog.CERTIFICATION_POINTS,
+                                  catalog.CERTIFICATION_SEED)
+    monkeypatch.setattr(catalog, "structure_residual", poison(cert_points))
+    with pytest.raises(catalog.CatalogError, match="residual nan"):
+        catalog.certify_entry(e)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_nan_residual_fails_and_round_trips(bad):
+    from dataclasses import replace
+    from ctlab.geometry import point_key
+    from ctlab.report import VerificationReport
+    g = catalog.load("euclidean", dim=3).geometry
+    rec = identities.BY_ID["comm.hess_sym"]
+    nan_at = point_key(g.sample_points(3, 5)[bad])
+
+    def evaluate(c):
+        lhs, rhs = rec.evaluate(c)
+        return (lhs * np.nan if c.point == nan_at else lhs), rhs
+
+    rep = verify_report(g, [replace(rec, evaluate=evaluate)], 3, 5)
+    (row,) = rep.rows
+    assert row.status == "fail" and np.isnan(row.max_residual)
+    back = VerificationReport.from_json(rep.to_json())
+    assert back.overall == "fail"
+    assert back.to_json() == rep.to_json()
