@@ -79,20 +79,23 @@ def _random_u(geometry: GeometryInstance, seed: int) -> str:
 def cmd_verify(args) -> int:
     geometry = _load_geometry(args)
     overrides = _tol_overrides(args.tol_class)
-    rows = []
     suites = args.suite.split(",") if args.suite else []
     ids = args.id.split(",") if args.id else []
     law_ids = args.law.split(",") if args.law else []
-    run_identities = bool(suites or ids) or not law_ids
-    points = geometry.sample_points(args.points, args.seed)
-    if run_identities:
+    records, laws = [], []
+    if suites or ids or not law_ids:
         records = identities.select_records(suites or None, ids or None)
-        rows += identities.verify(geometry, records, points, overrides)
     if law_ids:
         laws = conformal.select_laws(None if law_ids == ["all"] else law_ids)
-        u_text = geometry.spec.u or _random_u(geometry, args.seed)
-        pair = conformal.rescale(geometry, u_text)
-        rows += conformal.verify_transform(pair, laws, points, overrides)
+    points = geometry.sample_points(args.points, args.seed)
+    if laws and geometry.spec.u is None:
+        # the laws need a u field: they run on a copy carrying a random one
+        base = conformal.rescale(geometry, _random_u(geometry, args.seed)).base
+        rows = (identities.verify(geometry, records, points, overrides)
+                + identities.verify(base, laws, points, overrides))
+    else:
+        # one pass, so each point's states serve identities and laws alike
+        rows = identities.verify(geometry, records + laws, points, overrides)
     report = VerificationReport(
         tool_version=TOOL_VERSION,
         geometry=geometry.name,

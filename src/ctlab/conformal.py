@@ -710,5 +710,4 @@ def verify_transform(pair: ConformalPair, laws: list[IdentityRecord],
     """Evaluate predicted-vs-direct agreement for each law at each point;
     one report row per law.  Laws whose structural hypothesis does not hold
     on this pair are reported as skipped."""
-    return verify(pair.base, laws, points, tol_overrides,
-                  strict_certification=False)
+    return verify(pair.base, laws, points, tol_overrides)

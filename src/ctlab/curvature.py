@@ -193,12 +193,8 @@ class CurvatureBundle:
         m = self.m
         dc = self.state.cov_deriv(self.coord("cotton"))
         div_c = tj_einsum("kt,jikt->ij", self.state.ginv, dc)
-        ric_up = tj_einsum(
-            "ka,ab->kb", self.state.ginv,
-            tj_einsum("lb,ab->al", self.state.ginv, self.coord("ricci")),
-        )
-        rw = tj_einsum("kl,ikjl->ij", ric_up, self.coord("weyl"))
-        return tj_combine((1.0 / (m - 2), div_c), (1.0 / (m - 2), rw))
+        return tj_combine((1.0 / (m - 2), div_c),
+                          (1.0 / (m - 2), self._ricci_weyl()))
 
     def _build_bach_weyl_div(self) -> TensorJet:
         """Weyl-divergence form, the dim >= 4 cross-check route."""
@@ -207,12 +203,16 @@ class CurvatureBundle:
         d2w = self.state.cov_deriv(self.coord("weyl"), 2)
         t1 = tj_einsum("la,ikjlab->ikjb", self.state.ginv, d2w)
         t2 = tj_einsum("kb,ikjb->ij", self.state.ginv, t1)
+        return tj_combine((1.0 / (m - 3), t2),
+                          (1.0 / (m - 2), self._ricci_weyl()))
+
+    def _ricci_weyl(self) -> TensorJet:
+        """R^kl W_ikjl, the curvature term shared by both Bach routes."""
         ric_up = tj_einsum(
             "ka,ab->kb", self.state.ginv,
             tj_einsum("lb,ab->al", self.state.ginv, self.coord("ricci")),
         )
-        rw = tj_einsum("kl,ikjl->ij", ric_up, self.coord("weyl"))
-        return tj_combine((1.0 / (m - 3), t2), (1.0 / (m - 2), rw))
+        return tj_einsum("kl,ikjl->ij", ric_up, self.coord("weyl"))
 
     # -- soliton tensors -------------------------------------------------------------
 
@@ -319,17 +319,16 @@ def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
 # public point operations (orthonormal components, ready for checks)
 # ---------------------------------------------------------------------------
 
-def _tv(b: CurvatureBundle, name: str, base_rank: int, d: int = 0) -> TensorValue:
-    return TensorValue(np.asarray(b.on(name, d)), tuple(b.state.point),
-                       "orthonormal", base_rank, d)
+def _tv(b: CurvatureBundle, name: str) -> TensorValue:
+    return TensorValue(np.asarray(b.on(name)))
 
 
 def riemann(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "riemann", 4)
+    return _tv(bundle(g, p), "riemann")
 
 
 def ricci(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "ricci", 2)
+    return _tv(bundle(g, p), "ricci")
 
 
 def scalar(g: GeometryInstance, p) -> float:
@@ -337,27 +336,27 @@ def scalar(g: GeometryInstance, p) -> float:
 
 
 def schouten(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "schouten", 2)
+    return _tv(bundle(g, p), "schouten")
 
 
 def weyl(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "weyl", 4)
+    return _tv(bundle(g, p), "weyl")
 
 
 def einstein(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "einstein", 2)
+    return _tv(bundle(g, p), "einstein")
 
 
 def cotton(g: GeometryInstance, p, route: str = "schouten") -> TensorValue:
     b = bundle(g, p)
     name = {"schouten": "cotton", "weyl_div": "cotton_weyl_div"}[route]
-    return _tv(b, name, 3)
+    return _tv(b, name)
 
 
 def bach(g: GeometryInstance, p, route: str = "cotton") -> TensorValue:
     b = bundle(g, p)
     name = {"cotton": "bach", "weyl_div": "bach_weyl_div"}[route]
-    return _tv(b, name, 2)
+    return _tv(b, name)
 
 
 def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -389,7 +388,7 @@ def d_tensor(g: GeometryInstance, p, form: int = 1) -> TensorValue:
     b = bundle(g, p)
     m = b.m
     if form == 1:
-        return _tv(b, "d_tensor", 3)
+        return _tv(b, "d_tensor")
     eye = np.eye(m)
     f1 = b.on("f", 1)
     ric = b.on("ricci")
@@ -417,11 +416,11 @@ def d_tensor(g: GeometryInstance, p, form: int = 1) -> TensorValue:
         )
     else:
         raise ValueError(f"unknown form {form}")
-    return TensorValue(comp, tuple(b.state.point), "orthonormal", 3)
+    return TensorValue(comp)
 
 
 def dx_tensor(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "dx_tensor", 3)
+    return _tv(bundle(g, p), "dx_tensor")
 
 
 def duf_tensor(g: GeometryInstance, p, form: str = "best") -> TensorValue:
@@ -430,7 +429,7 @@ def duf_tensor(g: GeometryInstance, p, form: str = "best") -> TensorValue:
     b = bundle(g, p)
     m = b.m
     if form == "best":
-        return _tv(b, "duf_tensor", 3)
+        return _tv(b, "duf_tensor")
     if form != "alt":
         raise ValueError(f"unknown form {form!r}")
     eye = np.eye(m)
@@ -448,8 +447,8 @@ def duf_tensor(g: GeometryInstance, p, form: str = "best") -> TensorValue:
            - np.einsum("i,j,k->ijk", f1, u1, f1)) / (m - 2)
         + lap_f * skew_on(f1, eye) / ((m - 1) * (m - 2))
     )
-    return TensorValue(comp, tuple(b.state.point), "orthonormal", 3)
+    return TensorValue(comp)
 
 
 def dux_tensor(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "dux_tensor", 3)
+    return _tv(bundle(g, p), "dux_tensor")

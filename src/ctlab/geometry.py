@@ -46,22 +46,10 @@ class MetricError(ValueError):
 
 @dataclass
 class TensorValue:
-    """Dense point-local components with bookkeeping.
-
-    ``base_rank`` counts the tensor's own (covariant) slots, ``deriv_rank``
-    the trailing covariant-derivative slots appended by differentiation;
-    the comma convention puts derivative indices last, outermost last.
-    """
+    """Dense point-local components; the comma convention puts derivative
+    indices last, outermost last."""
 
     components: np.ndarray
-    point: tuple[float, ...]
-    frame: str  # "coordinate" | "orthonormal"
-    base_rank: int
-    deriv_rank: int = 0
-
-    @property
-    def rank(self) -> int:
-        return self.base_rank + self.deriv_rank
 
 
 @dataclass
@@ -293,8 +281,7 @@ class GeometryInstance:
 
     def christoffel(self, point) -> TensorValue:
         st = self.state(point)
-        return TensorValue(st.christoffel.value(), tuple(st.point),
-                           "coordinate", 3)
+        return TensorValue(st.christoffel.value())
 
     def _field_jet(self, st: PointState, which) -> TensorJet:
         if isinstance(which, str):
@@ -330,11 +317,8 @@ class GeometryInstance:
         """Covariant derivative of a named field ("metric", "u", "f", "X"),
         an expression, or a nested list of component expressions."""
         st = self.state(point)
-        t = self._field_jet(st, which)
-        base = t.rank
-        out = st.cov_deriv(t, times)
-        return TensorValue(out.value(), tuple(st.point), "coordinate",
-                           base, times)
+        out = st.cov_deriv(self._field_jet(st, which), times)
+        return TensorValue(out.value())
 
     def hessian(self, which, point) -> TensorValue:
         return self.covariant_derivative(which, point, times=2)
@@ -359,14 +343,7 @@ class GeometryInstance:
                 xc[:, i] = eval_expr_jet(e, st.point, k).coeffs
             xl = tj_einsum("ab,b->a", st.g, TensorJet(xc, st.m, k))
         dx = st.cov_deriv(xl).value()
-        return TensorValue(dx + dx.T, tuple(st.point), "coordinate", 2)
-
-    def to_orthonormal(self, tv: TensorValue) -> TensorValue:
-        if tv.frame == "orthonormal":
-            return tv
-        st = self.state(tv.point)
-        return TensorValue(st.to_orthonormal(tv.components), tv.point,
-                           "orthonormal", tv.base_rank, tv.deriv_rank)
+        return TensorValue(dx + dx.T)
 
     # -- sampling --------------------------------------------------------------
 

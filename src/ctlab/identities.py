@@ -127,88 +127,6 @@ def _cyc_last3(t4: np.ndarray) -> np.ndarray:
     return t4 + t4.transpose(0, 3, 1, 2) + t4.transpose(0, 2, 3, 1)
 
 
-# ---------------------------------------------------------------------------
-# structure (hypothesis) residuals
-# ---------------------------------------------------------------------------
-
-def _einstein_res(c: EvalContext, lam: float):
-    return residual(c.on("ricci"), lam * c.I)
-
-
-def _gradient_res(c: EvalContext, lam: float):
-    return residual(c.on("ricci") + c.on("f", 2), lam * c.I)
-
-
-def _generic_res(c: EvalContext, lam: float):
-    x1 = c.on("X", 1)
-    return residual(c.on("ricci") + 0.5 * (x1 + x1.T), lam * c.I)
-
-
-def _ce_res(c: EvalContext, lam: float):
-    m, I = c.m, c.I
-    u1, u2 = c.on("u", 1), c.on("u", 2)
-    s = c.on("scalar")
-    gu2, lap_u = float(u1 @ u1), float(np.trace(u2))
-    lhs = c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
-    rhs = (s - (m - 2) * lap_u + (m - 2) * gu2) / m * I
-    traced = s - 2 * (m - 1) * lap_u - (m - 1) * (m - 2) * gu2
-    return worst_of(residual(lhs, rhs), residual(traced, lam * m * c.e(2)))
-
-
-def _cgrs_res(c: EvalContext, lam: float):
-    m, I = c.m, c.I
-    u1, u2 = c.on("u", 1), c.on("u", 2)
-    f1, f2 = c.on("f", 1), c.on("f", 2)
-    s = c.on("scalar")
-    gu2, lap_u = float(u1 @ u1), float(np.trace(u2))
-    lap_f, fu = float(np.trace(f2)), float(f1 @ u1)
-    lhs = (c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1) + f2
-           - (np.outer(f1, u1) + np.outer(u1, f1)))
-    rhs = (s - (m - 2) * (lap_u - gu2) + lap_f - 2 * fu) / m * I
-    traced = (s - 2 * (m - 1) * lap_u - (m - 1) * (m - 2) * gu2 + lap_f
-              + (m - 2) * fu)
-    return worst_of(residual(lhs, rhs), residual(traced, lam * m * c.e(2)))
-
-
-def _cgers_res(c: EvalContext, lam: float):
-    m, I = c.m, c.I
-    u1, u2 = c.on("u", 1), c.on("u", 2)
-    x1 = c.on("X", 1)
-    s = c.on("scalar")
-    e2u = c.e(2)
-    gu2, lap_u = float(u1 @ u1), float(np.trace(u2))
-    div_x = float(np.trace(x1))
-    xu = float(c.on("X") @ u1)
-    lhs = (c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
-           + 0.5 * e2u * (x1 + x1.T))
-    rhs = (s - (m - 2) * (lap_u - gu2) + e2u * div_x) / m * I
-    traced = (s - 2 * (m - 1) * lap_u - (m - 1) * (m - 2) * gu2
-              + e2u * (div_x + m * xu))
-    return worst_of(residual(lhs, rhs), residual(traced, lam * m * e2u))
-
-
-_STRUCTURES = {
-    "einstein": (_einstein_res, ()),
-    "gradient_soliton": (_gradient_res, ("f",)),
-    "generic_soliton": (_generic_res, ("X",)),
-    "conformally_einstein": (_ce_res, ("u",)),
-    "conformal_gradient_soliton": (_cgrs_res, ("u", "f")),
-    "conformal_generic_soliton": (_cgers_res, ("u", "X")),
-    # aliases used by the transformation-law registry
-    "base_gradient_soliton": (_gradient_res, ("f",)),
-    "tilde_gradient_soliton": (_cgrs_res, ("u", "f")),
-}
-
-
-def structure_residual(geometry: GeometryInstance, kind: str, point,
-                       lam: float) -> float:
-    """Normalised residual of the defining equation of ``kind`` at a point."""
-    if kind not in _STRUCTURES:
-        raise KeyError(f"unknown structure kind {kind!r}")
-    fn, _needs = _STRUCTURES[kind]
-    return fn(EvalContext(geometry, point), lam)
-
-
 @dataclass(frozen=True)
 class SolitonData:
     """A soliton structure: the constant, exactly one generating field, and
@@ -224,38 +142,6 @@ class SolitonData:
         return ("conformal_" if self.conformal else "") + {
             "gradient": "gradient_soliton", "generic": "generic_soliton"
         }[self.flavor]
-
-
-def soliton_residual(geometry: GeometryInstance, soliton: SolitonData,
-                     point) -> TensorValue:
-    """LHS - RHS of the defining soliton equation as an orthonormal (0,2)
-    tensor; the scalar certification uses its max together with the traced
-    constraint."""
-    c = EvalContext(geometry, point)
-    m, I = c.m, c.I
-    lam = soliton.lam
-    if not soliton.conformal:
-        if soliton.flavor == "gradient":
-            comp = c.on("ricci") + c.on("f", 2) - lam * I
-        else:
-            x1 = c.on("X", 1)
-            comp = c.on("ricci") + 0.5 * (x1 + x1.T) - lam * I
-    else:
-        u1, u2 = c.on("u", 1), c.on("u", 2)
-        s = c.on("scalar")
-        gu2, lap_u = float(u1 @ u1), float(np.trace(u2))
-        base = c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
-        if soliton.flavor == "gradient":
-            f1, f2 = c.on("f", 1), c.on("f", 2)
-            lhs = base + f2 - (np.outer(f1, u1) + np.outer(u1, f1))
-            tr = (s - (m - 2) * (lap_u - gu2) + float(np.trace(f2))
-                  - 2 * float(f1 @ u1))
-        else:
-            x1 = c.on("X", 1)
-            lhs = base + 0.5 * c.e(2) * (x1 + x1.T)
-            tr = (s - (m - 2) * (lap_u - gu2) + c.e(2) * float(np.trace(x1)))
-        comp = lhs - tr / m * I
-    return TensorValue(comp, c.point, "orthonormal", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -887,6 +773,17 @@ def cgrs_ricci_eq(c):
     return lhs, rhs
 
 
+def _cgrs_traced(c):
+    # the trace constraint that fixes lambda in the CGRS structure equation
+    m = c.m
+    u1, u2 = c.on("u", 1), c.on("u", 2)
+    f1, f2 = c.on("f", 1), c.on("f", 2)
+    lhs = (c.on("scalar") - 2 * (m - 1) * float(np.trace(u2))
+           - (m - 1) * (m - 2) * float(u1 @ u1) + float(np.trace(f2))
+           + (m - 2) * float(f1 @ u1))
+    return lhs, c.lam * m * c.e(2)
+
+
 def cgrs_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1034,6 +931,17 @@ def cgers_ricci_eq(c):
     return lhs, rhs
 
 
+def _cgers_traced(c):
+    # the trace constraint that fixes lambda in the CGERS structure equation
+    m = c.m
+    u1, u2 = c.on("u", 1), c.on("u", 2)
+    e2u = c.e(2)
+    lhs = (c.on("scalar") - 2 * (m - 1) * float(np.trace(u2))
+           - (m - 1) * (m - 2) * float(u1 @ u1)
+           + e2u * (float(np.trace(c.on("X", 1))) + m * float(c.on("X") @ u1)))
+    return lhs, c.lam * m * e2u
+
+
 def cgers_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1130,6 +1038,59 @@ def high_fourth_2(c):
     rhs = (m - 4) / (m - 2) * float(np.einsum("itktki->",
                                               c.on("d_tensor", 3)))
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# structures: the defining equations of the certified hypotheses
+# ---------------------------------------------------------------------------
+
+def _einstein_eq(c):
+    return c.on("ricci"), c.lam * c.I
+
+
+# Each kind's defining equations, as registry evaluators; its residual is
+# the worst over them.  Einstein, gradient and generic solitons and the
+# conformally Einstein structure are the special cases of the conformal
+# solitons, so one table serves hypotheses, claims and records alike.
+_STRUCTURES = {
+    "einstein": (_einstein_eq,),
+    "gradient_soliton": (sol_defining_gradient,),
+    "generic_soliton": (sol_defining_generic,),
+    "conformally_einstein": (ce_ricci_eq, ce_traced_lambda),
+    "conformal_gradient_soliton": (cgrs_ricci_eq, _cgrs_traced),
+    "conformal_generic_soliton": (cgers_ricci_eq, _cgers_traced),
+}
+# aliases used by the transformation-law registry
+_STRUCTURES["base_gradient_soliton"] = _STRUCTURES["gradient_soliton"]
+_STRUCTURES["tilde_gradient_soliton"] = _STRUCTURES["conformal_gradient_soliton"]
+
+
+def _claim_context(geometry: GeometryInstance, point, lam: float):
+    c = EvalContext(geometry, point)
+    c.lam = lam  # the claim's constant, not necessarily the geometry's
+    return c
+
+
+def structure_residual(geometry: GeometryInstance, kind: str, point,
+                       lam: float) -> float:
+    """Normalised residual of the defining equations of ``kind`` at a
+    point: the worst over its equations, NaN if any is NaN."""
+    if kind not in _STRUCTURES:
+        raise KeyError(f"unknown structure kind {kind!r}")
+    c = _claim_context(geometry, point, lam)
+    worst = 0.0
+    for eq in _STRUCTURES[kind]:
+        worst = worst_of(worst, residual(*eq(c)))
+    return worst
+
+
+def soliton_residual(geometry: GeometryInstance, soliton: SolitonData,
+                     point) -> TensorValue:
+    """LHS - RHS of the defining soliton equation as an orthonormal (0,2)
+    tensor; the scalar certification also takes the traced constraint."""
+    lhs, rhs = _STRUCTURES[soliton.kind()][0](
+        _claim_context(geometry, point, soliton.lam))
+    return TensorValue(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -1463,15 +1424,16 @@ def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
 
 
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
-           points: np.ndarray, tol_overrides: dict[str, float] | None = None,
-           strict_certification: bool = True) -> list[ReportRow]:
+           points: np.ndarray, tol_overrides: dict[str, float] | None = None
+           ) -> list[ReportRow]:
     """Evaluate records at the given points; returns one row per record.
 
     Conditional records count only after their structural hypothesis is
-    certified at the same points (never a silent pass); with
-    ``strict_certification`` a failed certification is a hard error,
-    raised at the first point where the hypothesis fails; otherwise those
-    records are reported as skipped.  LAW records and the
+    certified at the same points (never a silent pass).  A failed
+    certification is a hard error for an identity, raised at the first
+    point where its hypothesis fails; a LAW record whose hypothesis fails
+    is reported as skipped.  Zero points is an error whenever a record can
+    run, since nothing would be checked.  LAW records and the
     ``*_vs_tilde`` conditions compare against the geometry rescaled by its
     own u field; no point state of it is built unless a record reads it.
 
@@ -1487,10 +1449,10 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     if geometry.spec.u is not None:
         from .conformal import rescale  # late: conformal imports this module
         tilde = rescale(geometry).tilde
+    if runnable and not len(points):
+        raise ValueError("verification needs at least one point")
     cert = {records[i].structure: 0.0 for i in runnable
             if records[i].structure is not None}
-    if cert and not len(points):
-        raise ValueError("certifying a hypothesis needs at least one point")
     worst = dict.fromkeys(runnable, 0.0)
     geometries = [g for g in (geometry, tilde) if g is not None]
     for p in points if runnable else ():  # build no point state needlessly
@@ -1504,7 +1466,7 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
                 if why is None:
                     lhs, rhs = records[i].evaluate(c)
                     worst[i] = worst_of(worst[i], residual(lhs, rhs))
-                elif strict_certification:
+                elif records[i].family != "LAW":
                     raise CertificationError(
                         f"{geometry.name}: {why}; required by {records[i].id}")
     rows = []
@@ -1521,11 +1483,9 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
 
 
 def verify_report(geometry: GeometryInstance, records, count: int, seed: int,
-                  tol_overrides=None,
-                  strict_certification: bool = True) -> VerificationReport:
+                  tol_overrides=None) -> VerificationReport:
     points = geometry.sample_points(count, seed)
-    rows = verify(geometry, records, points, tol_overrides,
-                  strict_certification)
+    rows = verify(geometry, records, points, tol_overrides)
     return VerificationReport(
         tool_version=TOOL_VERSION,
         geometry=geometry.name,

@@ -210,3 +210,34 @@ def test_zero_tolerance_override_applies_to_laws(capsys):
     (row,) = json.loads(out)["rows"]
     assert row["tol"] == 0.0
     assert row["status"] == "fail"
+
+
+def test_zero_points_is_a_config_error(capsys):
+    # nothing would be checked, so no row may pass
+    for extra in (["--suite", "COMM"], ["--law", "all"]):
+        code, out, err = run(capsys, "verify", "--catalog", "euclidean",
+                             "--dim", "3", "--points", "0", *extra)
+        assert code == 2
+        assert out == ""
+        assert "at least one point" in err
+
+
+def test_identities_and_laws_share_point_states(capsys, monkeypatch):
+    # one driver pass: 4 certification points at load, then 8 base and 8
+    # rescaled states; a second pass for the laws would build 16 more
+    from ctlab.geometry import PointState
+    built = []
+    init = PointState.__init__
+
+    def counting_init(self, geometry, point):
+        built.append(geometry.name)
+        init(self, geometry, point)
+
+    monkeypatch.setattr(PointState, "__init__", counting_init)
+    code, out, _ = run(capsys, "verify", "--catalog", "conformal_gaussian",
+                       "--dim", "4", "--suite", "CGRS", "--law", "all",
+                       "--points", "8")
+    assert code == 0
+    assert "overall: pass" in out
+    assert len(built) == 20
+    assert sum(name.endswith("~") for name in built) == 8

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ctlab import catalog, identities
+from ctlab.conformal import select_laws
 from ctlab.identities import (
     CertificationError,
     EvalContext,
@@ -262,15 +263,22 @@ def test_jet_order_guard_reported():
 
 def test_certification_failure_raises():
     # f present but not a soliton potential: conditional family is a hard
-    # certification error, never a silent pass
+    # certification error, never a silent pass, also when laws whose own
+    # hypotheses fail ride in the same call
     base = catalog.load("random", dim=3, seed=3, certify=False).spec
     g = _with_fields(base, lam=0.5)
     with pytest.raises(CertificationError):
         verify(g, select_records(["SOL"]), g.sample_points(1, 1))
-    rows = verify(g, select_records(["SOL"]), g.sample_points(1, 1),
-                  strict_certification=False)
-    assert all(r.status.startswith("skipped") for r in rows)
-    assert sum("not certified" in r.status for r in rows) >= 15
+    gu = _with_fields(base, lam=0.5, u="0.1*x1*x2")
+    with pytest.raises(CertificationError, match="required by sol."):
+        verify(gu, select_laws() + select_records(["SOL"]),
+               gu.sample_points(1, 1))
+    rows = {r.id: r.status for r in verify(gu, select_laws(),
+                                           gu.sample_points(1, 1))}
+    for law in ("d_tensor", "d_reverse", "nabla_d"):
+        assert rows[law].startswith("skipped(hypothesis ")
+        assert "not certified (residual " in rows[law]
+    assert rows["cotton"] == "pass"
 
 
 def test_certification_failure_raises_at_first_point(monkeypatch):
@@ -340,10 +348,17 @@ def test_nan_certification_residual_fails(monkeypatch, bad):
     monkeypatch.setattr(identities, "structure_residual", poison(points))
     with pytest.raises(CertificationError, match="residual nan"):
         verify(g, select_records(["SOL"]), points)
-    rows = verify(g, select_records(["SOL"]), points,
-                  strict_certification=False)
-    assert all("not certified (residual nan)" in r.status for r in rows
-               if r.id.endswith("_gradient"))
+    # a LAW record is skipped instead: laws need a u and a soliton potential
+    gc = catalog.load("conformal_gaussian", dim=3).geometry
+    points = gc.sample_points(3, 5)
+    monkeypatch.setattr(identities, "structure_residual", poison(points))
+    rows = {r.id: r.status for r in verify(gc, select_laws(), points)}
+    for law, kind in (("d_tensor", "tilde_gradient_soliton"),
+                      ("d_reverse", "base_gradient_soliton"),
+                      ("nabla_d", "tilde_gradient_soliton")):
+        assert rows[law] == (f"skipped(hypothesis {kind} not certified "
+                             f"(residual nan))")
+    assert rows["cotton"] == "pass"
 
     cert_points = g.sample_points(catalog.CERTIFICATION_POINTS,
                                   catalog.CERTIFICATION_SEED)
