@@ -15,8 +15,12 @@ import numpy as np
 
 from .exprlang import GeometrySpec
 from .geometry import GeometryInstance, point_scope
-from .identities import CERTIFICATION_TOL, structure_residual, worst_of
-from .jets import JetConfig
+from .identities import (
+    CERTIFICATION_TOL,
+    STRUCTURE_ORDER,
+    structure_residual,
+    worst_of,
+)
 
 CERTIFICATION_POINTS = 4
 CERTIFICATION_SEED = 20240
@@ -424,7 +428,7 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
         )
     entry = _BUILDERS[name](**params)
     if jet_order is not None:
-        entry.geometry = GeometryInstance(entry.spec, JetConfig(jet_order))
+        entry.geometry = entry.geometry.at_order(jet_order)
     if certify:
         certify_entry(entry)
     return entry
@@ -432,9 +436,11 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
 
 def certify_entry(entry: CatalogEntry, tol: float = CERTIFICATION_TOL):
     """Check every claim's defining residual on a fixed sample grid, and
-    positive definiteness for claim-free (random) entries.  Each point's
+    positive definiteness for claim-free (random) entries, at jet order
+    ``STRUCTURE_ORDER`` (or the configured order, if lower).  Each point's
     cache entries are released once its residuals are taken."""
-    g = entry.geometry
+    g = entry.geometry.at_order(min(STRUCTURE_ORDER,
+                                    entry.geometry.config.order))
     worst = [0.0] * len(entry.claims)
     for p in g.sample_points(CERTIFICATION_POINTS, CERTIFICATION_SEED):
         with point_scope(p, g):

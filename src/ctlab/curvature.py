@@ -12,7 +12,10 @@ lives in its geometry's per-point cache, next to the point's ``PointState``.
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
 can still afford is available; conversion to the orthonormal coframe happens
-only on extracted values.
+only on extracted values.  ``K`` is the order of the bundle's geometry: in a
+verification pass the working order, the largest ``min_order`` of the
+records that run (order 2 for catalog certification), never more than the
+configured order.
 """
 
 from __future__ import annotations

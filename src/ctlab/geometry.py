@@ -12,7 +12,9 @@ covariant derivative is a handful of vectorised einsums.  Every covariant
 derivative consumes one jet order; derived objects therefore carry exactly
 ``config.order - (metric derivative depth)`` orders, and requests past that
 depth raise :class:`~ctlab.jets.JetOrderError` instead of silently
-truncating.
+truncating.  A verification pass works on :meth:`GeometryInstance.at_order`
+of the chart, at the lowest order its records need, so ``config.order``
+there is the working order; the configured order is the cap.
 
 Orthonormal-frame components are produced by contracting value arrays with
 the inverse Cholesky factor of the metric at the point (the vielbein); this
@@ -255,6 +257,17 @@ class GeometryInstance:
         # The one per-point cache: point key -> {"state": PointState,
         # "bundle": CurvatureBundle}.  A point's entries live and die together.
         self._points: dict[tuple[float, ...], dict[str, object]] = {}
+
+    def at_order(self, order: int) -> "GeometryInstance":
+        """This chart at jet order ``order``: ``self`` at the configured
+        order, else a fresh instance with its own empty cache.  Truncation
+        is a prefix of the graded enumeration, so every quantity the lower
+        order still carries has the same jet coefficients: bit for bit when
+        the jet-ring inverse takes as many Newton steps at both orders (2
+        for orders 2-3, 3 for 4-7, 4 for 8), else up to the last bits."""
+        if order == self.config.order:
+            return self
+        return GeometryInstance(self.spec, JetConfig(order))
 
     @property
     def dim(self) -> int:

@@ -1052,6 +1052,9 @@ def _einstein_eq(c):
 # the worst over them.  Einstein, gradient and generic solitons and the
 # conformally Einstein structure are the special cases of the conformal
 # solitons, so one table serves hypotheses, claims and records alike.
+# Every equation is second order in the metric and the fields, so the
+# structures are certified at jet order STRUCTURE_ORDER.
+STRUCTURE_ORDER = 2
 _STRUCTURES = {
     "einstein": (_einstein_eq,),
     "gradient_soliton": (sol_defining_gradient,),
@@ -1437,6 +1440,10 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     ``*_vs_tilde`` conditions compare against the geometry rescaled by its
     own u field; no point state of it is built unless a record reads it.
 
+    Point states of both geometries are built at the working order, the
+    largest ``min_order`` of the runnable records; the configured order
+    only caps it, through the ``needs jet order`` skips.
+
     Evaluation is point-major: at each point every hypothesis is certified
     and every runnable record evaluated, then the cache entries the point
     gained are released, so memory does not grow with the number of points.
@@ -1445,12 +1452,14 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
     runnable = [i for i, why in enumerate(skips) if why is None]
+    if runnable and not len(points):
+        raise ValueError("verification needs at least one point")
+    geometry = geometry.at_order(max((records[i].min_order for i in runnable),
+                                     default=geometry.config.order))
     tilde = None
     if geometry.spec.u is not None:
         from .conformal import rescale  # late: conformal imports this module
         tilde = rescale(geometry).tilde
-    if runnable and not len(points):
-        raise ValueError("verification needs at least one point")
     cert = {records[i].structure: 0.0 for i in runnable
             if records[i].structure is not None}
     worst = dict.fromkeys(runnable, 0.0)

@@ -95,9 +95,6 @@ class MultiIndexTable:
         self.size = len(alphas)
         self.size_by_order = size_by_order
         self.degree = self.alphas.sum(axis=1)
-        self.factorial = np.array(
-            [math.prod(math.factorial(int(e)) for e in a) for a in alphas], float
-        )
 
         tri = []
         for i, ai in enumerate(alphas):
@@ -233,9 +230,8 @@ class Jet:
 
     def derivative(self, alpha: tuple[int, ...]) -> float:
         """The actual partial derivative d^alpha h (coefficient * alpha!)."""
-        t = table(self.dim, self.order)
-        k = t.index[tuple(alpha)]
-        return float(self.coeffs[k] * t.factorial[k])
+        return self.coefficient(alpha) * math.prod(
+            math.factorial(e) for e in alpha)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:

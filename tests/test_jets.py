@@ -202,3 +202,12 @@ def test_order_guards():
     with pytest.raises(JetOrderError):
         from ctlab.jets import jet_partial
         jet_partial(np.ones(1), 0, 2, 0)
+
+
+def test_index_beyond_order_raises_jet_order_error():
+    jet = random_jet(2, 3, 4)
+    for read in (jet.coefficient, jet.derivative):
+        with pytest.raises(JetOrderError,
+                           match=r"^multi-index \(4, 0\) beyond order 3$"):
+            read((4, 0))
+    assert jet.derivative((2, 1)) == 2.0 * jet.coefficient((2, 1))
