@@ -77,6 +77,9 @@ def _random_u(geometry: GeometryInstance, seed: int) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points {args.points}: verification needs at "
+                         f"least one point")
     geometry = _load_geometry(args)
     overrides = _tol_overrides(args.tol_class)
     suites = args.suite.split(",") if args.suite else []

@@ -8,11 +8,11 @@ of arbitrary fully-covariant tensor fields.
 
 Tensor fields at a point are held as :class:`TensorJet` values whose leading
 axis enumerates multi-index coefficients (see :mod:`ctlab.jets`), so one
-covariant derivative is a handful of vectorised einsums.  Every covariant
-derivative consumes one jet order; derived objects therefore carry exactly
-``config.order - (metric derivative depth)`` orders, and requests past that
-depth raise :class:`~ctlab.jets.JetOrderError` instead of silently
-truncating.  A verification pass works on :meth:`GeometryInstance.at_order`
+covariant derivative is a partial derivative plus one jet product per slot,
+each a batched GEMM.  Every covariant derivative consumes one jet order;
+derived objects therefore carry exactly ``config.order - (metric
+derivative depth)`` orders, and requests past that depth raise
+:class:`~ctlab.jets.JetOrderError` instead of silently truncating.  A verification pass works on :meth:`GeometryInstance.at_order`
 of the chart, at the lowest order its records need, so ``config.order``
 there is the working order; the configured order is the cap.
 
@@ -234,13 +234,14 @@ class PointState:
 
     def to_orthonormal(self, arr: np.ndarray) -> np.ndarray:
         """Contract every slot with the inverse Cholesky factor, turning
-        coordinate components into orthonormal-coframe components."""
-        out = np.asarray(arr, float)
-        for s in range(out.ndim):
-            out = np.moveaxis(
-                np.tensordot(self.vielbein_inv, out, axes=(1, s)), 0, s
-            )
-        return out
+        coordinate components into orthonormal-coframe components.  Each
+        step contracts the leading slot in one GEMM and rotates it to the
+        back, so after one step per slot the slots are back in order."""
+        x = np.asarray(arr, float)
+        shape = x.shape
+        for _ in range(x.ndim):
+            x = (self.vielbein_inv @ x.reshape(self.m, -1)).T.reshape(self.m, -1)
+        return x.reshape(shape)
 
 
 def point_key(point) -> tuple[float, ...]:

@@ -148,6 +148,21 @@ class SolitonData:
 # COMM family
 # ---------------------------------------------------------------------------
 
+def _with_delta(spec: str, a, b, delta):
+    """``np.einsum(spec, a, b, delta)`` for a Kronecker delta as the last
+    operand, as 2-operand contractions: a delta index that is summed
+    renames its partner in ``a`` and ``b``, and a delta on two output
+    indices is an outer factor after ``a`` and ``b`` are contracted."""
+    lhs, out = spec.split("->")
+    sa, sb, (p, q) = lhs.split(",")
+    if p in out and q in out:
+        mid = "".join(x for x in out if x not in (p, q))
+        ab = np.einsum(f"{sa},{sb}->{mid}", a, b)
+        return np.einsum(f"{mid},{p}{q}->{out}", ab, delta)
+    old, new = (p, q) if q in out else (q, p)
+    return np.einsum(f"{sa},{sb}->{out}".replace(old, new), a, b)
+
+
 def comm_hess_sym(c):
     f2 = c.on("f", 2)
     return f2, f2.T
@@ -391,14 +406,15 @@ def comm_weyl_second_expanded(c):
     rhs = (e("rjkl,rist->ijklst", w, w) + e("irkl,rjst->ijklst", w, w)
            + e("ijrl,rkst->ijklst", w, w) + e("ijkr,rlst->ijklst", w, w))
     # four Ricci blocks, one per Weyl slot
-    rhs += (e("rjkl,rs,it->ijklst", w, ric, I) - e("rjkl,rt,is->ijklst", w, ric, I)
-            + e("rjkl,it,rs->ijklst", w, ric, I) - e("rjkl,is,rt->ijklst", w, ric, I)
-            + e("irkl,rs,jt->ijklst", w, ric, I) - e("irkl,rt,js->ijklst", w, ric, I)
-            + e("irkl,jt,rs->ijklst", w, ric, I) - e("irkl,js,rt->ijklst", w, ric, I)
-            + e("ijrl,rs,kt->ijklst", w, ric, I) - e("ijrl,rt,ks->ijklst", w, ric, I)
-            + e("ijrl,kt,rs->ijklst", w, ric, I) - e("ijrl,ks,rt->ijklst", w, ric, I)
-            + e("ijkr,rs,lt->ijklst", w, ric, I) - e("ijkr,rt,ls->ijklst", w, ric, I)
-            + e("ijkr,lt,rs->ijklst", w, ric, I) - e("ijkr,ls,rt->ijklst", w, ric, I)
+    d = _with_delta
+    rhs += (d("rjkl,rs,it->ijklst", w, ric, I) - d("rjkl,rt,is->ijklst", w, ric, I)
+            + d("rjkl,it,rs->ijklst", w, ric, I) - d("rjkl,is,rt->ijklst", w, ric, I)
+            + d("irkl,rs,jt->ijklst", w, ric, I) - d("irkl,rt,js->ijklst", w, ric, I)
+            + d("irkl,jt,rs->ijklst", w, ric, I) - d("irkl,js,rt->ijklst", w, ric, I)
+            + d("ijrl,rs,kt->ijklst", w, ric, I) - d("ijrl,rt,ks->ijklst", w, ric, I)
+            + d("ijrl,kt,rs->ijklst", w, ric, I) - d("ijrl,ks,rt->ijklst", w, ric, I)
+            + d("ijkr,rs,lt->ijklst", w, ric, I) - d("ijkr,rt,ls->ijklst", w, ric, I)
+            + d("ijkr,lt,rs->ijklst", w, ric, I) - d("ijkr,ls,rt->ijklst", w, ric, I)
             ) / (m - 2)
     rhs -= s * (
         e("sjkl,it->ijklst", w, I) - e("tjkl,is->ijklst", w, I)
@@ -418,8 +434,8 @@ def comm_weyl_second_traced(c):
     rhs = e("st,tjkl->jkls", ric, w)
     rhs += (e("trkl,rjst->jkls", w, w) + e("tjrl,rkst->jkls", w, w)
             + e("tjkr,rlst->jkls", w, w))
-    rhs += (e("tr,tjrk,ls->jkls", ric, w, c.I)
-            - e("tr,tjrl,ks->jkls", ric, w, c.I)) / (m - 2)
+    rhs += (_with_delta("tr,tjrk,ls->jkls", ric, w, c.I)
+            - _with_delta("tr,tjrl,ks->jkls", ric, w, c.I)) / (m - 2)
     rhs += (e("tk,tjsl->jkls", ric, w) + e("tl,tjks->jkls", ric, w)
             + e("tj,tskl->jkls", ric, w)) / (m - 2)
     return lhs, rhs
@@ -450,13 +466,14 @@ def comm_weyl_third_expanded(c):
         ("vjklt", "i"), ("ivklt", "j"), ("ijvlt", "k"), ("ijkvt", "l"),
         ("ijklv", "t"),
     )
+    d = _with_delta
     for sub, x in blocks:
-        rhs += (e(f"{sub},vr,{x}s->ijkltrs", w1, ric, I)
-                - e(f"{sub},vs,{x}r->ijkltrs", w1, ric, I)
-                + e(f"{sub},{x}s,vr->ijkltrs", w1, ric, I)
-                - e(f"{sub},{x}r,vs->ijkltrs", w1, ric, I)) / (m - 2)
-        rhs -= s * (e(f"{sub},vr,{x}s->ijkltrs", w1, I, I)
-                    - e(f"{sub},vs,{x}r->ijkltrs", w1, I, I)) / ((m - 1) * (m - 2))
+        rhs += (d(f"{sub},vr,{x}s->ijkltrs", w1, ric, I)
+                - d(f"{sub},vs,{x}r->ijkltrs", w1, ric, I)
+                + d(f"{sub},{x}s,vr->ijkltrs", w1, ric, I)
+                - d(f"{sub},{x}r,vs->ijkltrs", w1, ric, I)) / (m - 2)
+        rhs -= s * (d(f"{sub},vr,{x}s->ijkltrs", w1, I, I)
+                    - d(f"{sub},vs,{x}r->ijkltrs", w1, I, I)) / ((m - 1) * (m - 2))
     return lhs, rhs
 
 

@@ -16,6 +16,16 @@ Two layers live here:
   layer stores whole tensor fields this way and gets vectorised jet
   arithmetic across all components at once.
 
+A product of two jets is a convolution of their coefficients: output
+coefficient ``p`` sums ``a[i] * b[j]`` over the pairs with
+``alpha_i + alpha_j = alpha_p``.  :func:`jet_einsum` does that convolution
+and the tensor contraction in one batched matrix product.  Each operand is
+laid out as ``[coeff, contracted, free]`` with a zero row appended and
+gathered along the table's padded pair lists (``pad_i``, ``pad_j``), so
+for each output coefficient the pairs and the contracted indices together
+form the inner dimension of one GEMM.  A scalar :class:`Jet` has no tensor
+axes and multiplies by the plain Cauchy product over the pair list.
+
 Multi-indices are enumerated in graded order (degree first), so the
 enumeration for a lower truncation order is always a prefix of the
 enumeration for a higher one and truncation is a plain slice.
@@ -66,9 +76,14 @@ class MultiIndexTable:
     ----------
     alphas : (N, dim) int array, graded enumeration of multi-indices.
     size_by_order : size_by_order[q] = number of alphas with |alpha| <= q.
-    mul_i, mul_j, mul_out : convolution triples alpha_i + alpha_j = alpha_out
-        for every pair with |alpha_i| + |alpha_j| <= order, sorted by out.
+    mul_i, mul_j : convolution triples alpha_i + alpha_j = alpha_out for
+        every pair with |alpha_i| + |alpha_j| <= order, sorted by out.
     seg_starts : first triple position of each out index (for reduceat).
+    pad_i, pad_j : (N, w) int arrays, the same triples as one row per out
+        index: row p lists the pairs (i, j) with alpha_i + alpha_j =
+        alpha_p, and w is the largest pair count of any out index.  Unused
+        slots hold N, the index of the zero row that :func:`jet_einsum`
+        appends to each operand.
     dsrc, dmul : per-variable differentiation maps; the coefficient of
         d/dx_v at alpha is ``coeffs[dsrc[v, k]] * dmul[v, k]``.
     """
@@ -103,18 +118,14 @@ class MultiIndexTable:
                 out = self.index[tuple(x + y for x, y in zip(ai, alphas[j]))]
                 tri.append((out, i, j))
         tri.sort()
-        t = np.array(tri, dtype=np.int64)
-        self.mul_out = t[:, 0]
-        self.mul_i = t[:, 1]
-        self.mul_j = t[:, 2]
-        # graded enumeration => triples with out < size_by_order[q] are a prefix
-        self.mul_count_by_order = [
-            int(np.searchsorted(self.mul_out, size_by_order[q]))
-            for q in range(order + 1)
-        ]
-        self.seg_starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(self.mul_out)) + 1)
-        )
+        out, self.mul_i, self.mul_j = np.array(tri, dtype=np.int64).T
+        self.seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(out)) + 1))
+        slot = np.arange(len(out)) - self.seg_starts[out]
+        width = int(slot.max()) + 1
+        self.pad_i = np.full((self.size, width), self.size, dtype=np.int64)
+        self.pad_j = self.pad_i.copy()
+        self.pad_i[out, slot] = self.mul_i
+        self.pad_j[out, slot] = self.mul_j
 
         if order >= 1:
             nprev = size_by_order[order - 1]
@@ -137,22 +148,79 @@ def table(dim: int, order: int) -> MultiIndexTable:
 # coefficient-array kernels (leading axis = multi-index)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Layout:
+    """One operand of :func:`jet_einsum` as ``[coeff, contracted, free]``:
+    the axis permutation, the sizes of the tensor axes in that order, and
+    the flat sizes (contracted, free)."""
+
+    perm: tuple[int, ...]
+    tail: tuple[int, ...]
+    flat: tuple[int, int]
+
+    def gather(self, x: np.ndarray, n: int, pad: np.ndarray) -> np.ndarray:
+        """``x[:n]`` in this layout with a zero row appended, gathered
+        along ``pad``: shape (n, w * contracted, free)."""
+        nc, nf = self.flat
+        buf = np.zeros((n + 1, nc, nf))
+        buf.reshape((n + 1,) + self.tail)[:n] = x[:n].transpose(self.perm)
+        return buf[pad].reshape(n, -1, nf)
+
+
+@dataclass(frozen=True)
+class _EinsumPlan:
+    a: _Layout
+    b: _Layout
+    free: tuple[int, ...]   # sizes of the product's axes after the coeff axis
+    perm: tuple[int, ...]   # product axes -> (coeff, *out)
+
+
+@lru_cache(maxsize=None)
+def _einsum_plan(spec: str, a_shape: tuple[int, ...],
+                 b_shape: tuple[int, ...]) -> _EinsumPlan:
+    lhs, out = spec.split("->")
+    sa, sb = lhs.split(",")
+    if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb)
+            or len(set(out)) < len(out)
+            or set(out) != set(sa) ^ set(sb)):
+        raise ValueError(
+            f"jet_einsum spec {spec!r}: each index must occur once per "
+            f"operand and be either contracted or an output of one operand")
+    size = dict(zip(sa, a_shape))
+    size.update(zip(sb, b_shape))
+    contracted = [c for c in sa if c in sb]
+    free_a = [c for c in out if c in sa]
+    free_b = [c for c in out if c in sb]
+
+    def layout(sub: str, free: list[str]) -> _Layout:
+        axes = contracted + free
+        return _Layout((0,) + tuple(1 + sub.index(c) for c in axes),
+                       tuple(size[c] for c in axes),
+                       (math.prod(size[c] for c in contracted),
+                        math.prod(size[c] for c in free)))
+
+    axes = ["#"] + free_a + free_b
+    return _EinsumPlan(layout(sa, free_a), layout(sb, free_b),
+                       tuple(size[c] for c in free_a + free_b),
+                       tuple(axes.index(c) for c in "#" + out))
+
+
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, dim: int,
                order_a: int, order_b: int) -> np.ndarray:
     """Jet-valued einsum: contract trailing tensor axes per ``spec`` while
     convolving the leading coefficient axes.  Output order is
-    ``min(order_a, order_b)`` (the truncation a product can support)."""
+    ``min(order_a, order_b)`` (the truncation a product can support).
+
+    Every index occurs once per operand, and an index of both operands is
+    contracted.  One batched GEMM over the output coefficients sums the
+    pairs of the convolution and the contracted indices together."""
     q = min(order_a, order_b)
     t = table(dim, q)
     n = t.size
-    cnt = t.mul_count_by_order[q]
-    lhs, out_sub = spec.split("->")
-    sa, sb = lhs.split(",")
-    ag = a[: n][t.mul_i[:cnt]]
-    bg = b[: n][t.mul_j[:cnt]]
-    prod = np.einsum(f"p{sa},p{sb}->p{out_sub}", ag, bg)
-    starts = t.seg_starts[:n]
-    return np.add.reduceat(prod, starts, axis=0)
+    plan = _einsum_plan(spec, a.shape[1:], b.shape[1:])
+    prod = np.matmul(plan.a.gather(a, n, t.pad_i).swapaxes(-1, -2),
+                     plan.b.gather(b, n, t.pad_j))
+    return prod.reshape((n,) + plan.free).transpose(plan.perm)
 
 
 def jet_partial(a: np.ndarray, v: int, dim: int, order: int) -> np.ndarray:
@@ -264,8 +332,9 @@ class Jet:
         if isinstance(other, (int, float)):
             return self._like(self.coeffs * float(other))
         o = self._coerce(other)
-        out = jet_einsum(",->", self.coeffs, o.coeffs, self.dim, self.order, self.order)
-        return self._like(out)
+        t = table(self.dim, self.order)
+        return self._like(np.add.reduceat(
+            self.coeffs[t.mul_i] * o.coeffs[t.mul_j], t.seg_starts))
 
     __rmul__ = __mul__
 

@@ -222,6 +222,18 @@ def test_zero_points_is_a_config_error(capsys):
         assert "at least one point" in err
 
 
+def test_negative_points_is_a_config_error(capsys):
+    # rejected before any geometry is built, with one line on stderr
+    for points in ("-1", "-8"):
+        code, out, err = run(capsys, "verify", "--catalog", "euclidean",
+                             "--dim", "3", "--suite", "COMM",
+                             "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --points {points}: verification needs at "
+                       f"least one point\n")
+
+
 def test_identities_and_laws_share_point_states(capsys, monkeypatch):
     # one driver pass: 4 certification points at load, then 8 base and 8
     # rescaled states; a second pass for the laws would build 16 more

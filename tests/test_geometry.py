@@ -178,6 +178,22 @@ def test_frame_conversion_involutive():
     assert np.abs(back - arr).max() < 1e-11
 
 
+def test_orthonormal_matches_per_slot_contraction():
+    # reference: contract one slot at a time with the inverse Cholesky factor
+    g = catalog.load("random", dim=4, seed=9, certify=False).geometry
+    st = g.state(g.sample_points(1, 2)[0])
+    rng = np.random.default_rng(5)
+    for rank in range(7):
+        arr = rng.standard_normal((4,) * rank)
+        want = arr
+        for s in range(rank):
+            want = np.moveaxis(
+                np.tensordot(st.vielbein_inv, want, axes=(1, s)), 0, s)
+        got = st.to_orthonormal(arr)
+        assert got.shape == arr.shape
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
 def test_positive_definiteness_enforced():
     spec = GeometrySpec(name="bad", dim=2, coords=["x1", "x2"],
                         domain=[(-2.0, 2.0), (-2.0, 2.0)],

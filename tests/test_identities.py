@@ -386,3 +386,18 @@ def test_nan_residual_fails_and_round_trips(bad):
     back = VerificationReport.from_json(rep.to_json())
     assert back.overall == "fail"
     assert back.to_json() == rep.to_json()
+
+
+def test_delta_contraction_matches_three_operand_einsum():
+    # the delta is an outer factor, renames a summed index, or both (I, I)
+    rng = np.random.default_rng(2)
+    m = 4
+    eye = np.eye(m)
+    w = rng.standard_normal((m,) * 5)
+    ric = rng.standard_normal((m, m))
+    cases = (("vjklt,vr,is->ijkltrs", w, ric), ("vjklt,is,vr->ijkltrs", w, ric),
+             ("vjklt,vr,is->ijkltrs", w, eye), ("tr,tjrk,ls->jkls", ric, w[..., 0]))
+    for spec, a, b in cases:
+        want = np.einsum(spec, a, b, eye)
+        got = identities._with_delta(spec, a, b, eye)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -1,11 +1,14 @@
 """Jet arithmetic against finite-difference oracles and ring axioms."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ctlab
 from ctlab import jets
 from ctlab.jets import Jet, JetDomainError, JetError, JetOrderError, table
 
@@ -211,3 +214,125 @@ def test_index_beyond_order_raises_jet_order_error():
                            match=r"^multi-index \(4, 0\) beyond order 3$"):
             read((4, 0))
     assert jet.derivative((2, 1)) == 2.0 * jet.coefficient((2, 1))
+
+
+# ---------------------------------------------------------------------------
+# the GEMM kernel against the gather / einsum / reduceat kernel it replaced
+# ---------------------------------------------------------------------------
+
+def reference_einsum(spec, a, b, dim, order_a, order_b):
+    """The convolution as it was computed before the padded GEMM: gather
+    both operands per coefficient triple, multiply and contract per triple,
+    then sum each output coefficient's triples."""
+    q = min(order_a, order_b)
+    t = table(dim, q)
+    n = t.size
+    lhs, out = spec.split("->")
+    sa, sb = lhs.split(",")
+    prod = np.einsum(f"p{sa},p{sb}->p{out}", a[:n][t.mul_i], b[:n][t.mul_j])
+    return np.add.reduceat(prod, t.seg_starts, axis=0)
+
+
+def ctlab_specs():
+    """Every spec ctlab passes to ``tj_einsum``: the string literals at its
+    call sites, plus the covariant-derivative slot specs up to rank 6 (the
+    one call site that builds its spec)."""
+    calls, literal = 0, []
+    for path in sorted(pathlib.Path(ctlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        calls += len(re.findall(r"(?<!def )\btj_einsum\(", text))
+        literal += re.findall(r'\btj_einsum\(\s*"([^"]*)"', text)
+    assert calls - len(literal) == 1, "a tj_einsum spec this test cannot see"
+    slots = []
+    for rank in range(7):
+        sub = "abcdefg"[:rank]
+        slots += [f"y{sub[s]}z,{sub[:s]}y{sub[s + 1:]}->{sub}z"
+                  for s in range(rank)]
+    return sorted(set(literal)) + slots
+
+
+KERNEL_SPECS = ctlab_specs()
+KERNEL_BUDGET = 2_000_000  # elements of the reference's per-triple product
+KERNEL_RTOL = 1e-13
+
+
+def kernel_cases():
+    for spec in KERNEL_SPECS:
+        lhs, _ = spec.split("->")
+        sa, sb = lhs.split(",")
+        for dim in range(1, 7):
+            for order in range(9):
+                triples = len(table(dim, order).mul_i)
+                if triples * dim ** len(set(sa + sb)) <= KERNEL_BUDGET:
+                    yield spec, dim, order
+
+
+def kernel_operands(spec, dim, order, seed):
+    lhs, _ = spec.split("->")
+    sa, sb = lhs.split(",")
+    rng = np.random.default_rng(seed)
+    # b carries one order more than the product can use, as truncated
+    # operands do in the geometry layer
+    a = rng.standard_normal((table(dim, order).size,) + (dim,) * len(sa))
+    b = rng.standard_normal((table(dim, min(order + 1, jets.MAX_ORDER)).size,)
+                            + (dim,) * len(sb))
+    return a, b
+
+
+def test_kernel_specs_cover_every_size():
+    cases = list(kernel_cases())
+    assert "iks,slj->ijkl" in KERNEL_SPECS
+    assert "yaz,ybcdef->abcdefz" in KERNEL_SPECS
+    for spec in KERNEL_SPECS:
+        assert {(d, o) for s, d, o in cases if s == spec} >= {
+            (d, o) for d in range(1, 4) for o in range(5)}, spec
+    assert {d for _, d, _ in cases} == set(range(1, 7))
+    assert {o for _, _, o in cases} == set(range(9))
+
+
+def test_gemm_kernel_matches_reference():
+    for k, (spec, dim, order) in enumerate(kernel_cases()):
+        a, b = kernel_operands(spec, dim, order, k)
+        want = reference_einsum(spec, a, b, dim, order, order + 1)
+        got = jets.jet_einsum(spec, a, b, dim, order, order + 1)
+        assert got.shape == want.shape, (spec, dim, order)
+        err = np.abs(got - want).max()
+        assert err <= KERNEL_RTOL * np.abs(want).max(), (spec, dim, order, err)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gemm_kernel_propagates_non_finite_like_reference(bad):
+    rng = np.random.default_rng(3)
+    for spec in KERNEL_SPECS:
+        for dim, order in ((2, 3), (3, 2)):
+            a, b = kernel_operands(spec, dim, order, 0)
+            n = table(dim, order).size
+            # row 0 pairs with every output coefficient
+            for x, row in ((a, 0), (b, 0), (a, rng.integers(n)),
+                           (b, rng.integers(n))):
+                spot = (row,) + tuple(rng.integers(dim, size=x.ndim - 1))
+                saved = x[spot]
+                x[spot] = bad
+                with np.errstate(invalid="ignore"):
+                    want = reference_einsum(spec, a, b, dim, order, order + 1)
+                    got = jets.jet_einsum(spec, a, b, dim, order, order + 1)
+                x[spot] = saved
+                assert not np.isfinite(want).all(), spec
+                for mask in (np.isnan, np.isposinf, np.isneginf):
+                    assert (mask(got) == mask(want)).all(), (spec, spot)
+                fin = np.isfinite(want)
+                assert np.abs(got[fin] - want[fin]).max(initial=0.0) <= (
+                    KERNEL_RTOL * np.abs(want[fin]).max(initial=1.0))
+
+
+def test_gemm_kernel_output_orders_and_bad_specs():
+    dim, order = 3, 4
+    for spec in ("ab,bc->ca", "a,b->ba", "ab,->ba", "abc,dc->bda"):
+        a, b = kernel_operands(spec, dim, order, 1)
+        want = reference_einsum(spec, a, b, dim, order, order)
+        got = jets.jet_einsum(spec, a, b, dim, order, order)
+        assert np.abs(got - want).max() <= KERNEL_RTOL * np.abs(want).max()
+    for spec in ("ii,i->i", "ab,b->", "a,b->ac", "ia,ja->ija"):
+        a, b = kernel_operands(spec, dim, order, 1)
+        with pytest.raises(ValueError, match="jet_einsum spec"):
+            jets.jet_einsum(spec, a, b, dim, order, order)
