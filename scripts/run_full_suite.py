@@ -5,15 +5,22 @@ full transformation-law suite, and print a compact summary table.
 This is the long-form laboratory run; the pytest acceptance module covers
 the same ground with pinned tolerances.  Exit code 0 iff nothing failed.
 
+With ``--json-dir DIR`` each entry's report is also written to
+``DIR/NN-<geometry>-<suite>.json`` (``VerificationReport.to_json()``), so
+two trees can be compared byte for byte with ``diff -r``.
+
 Usage:
-    python scripts/run_full_suite.py [--points N] [--seed N]
+    python scripts/run_full_suite.py [--points N] [--seed N] [--json-dir DIR]
 """
 
 import argparse
+import re
 import sys
 import time
+from pathlib import Path
 
 from ctlab import catalog, conformal, identities
+from ctlab.report import TOOL_VERSION, VerificationReport, geometry_hash
 
 SCHEDULE = [
     # entry, kwargs, identity families
@@ -42,17 +49,38 @@ LAW_SCHEDULE = [
 ]
 
 
+def write_report(args, k, geometry, suite, rows):
+    """Write entry ``k``'s report as ``<json-dir>/NN-<geometry>-<suite>.json``."""
+    report = VerificationReport(
+        tool_version=TOOL_VERSION,
+        geometry=geometry.name,
+        geometry_hash=geometry_hash(geometry.spec.to_json()),
+        dim=geometry.dim,
+        jet_order=geometry.config.order,
+        seed=args.seed,
+        points=args.points,
+        rows=rows,
+    )
+    slug = re.sub(r"[^A-Za-z0-9]+", "_", geometry.name).strip("_")
+    path = Path(args.json_dir) / f"{k:02d}-{slug}-{suite}.json"
+    path.write_text(report.to_json() + "\n")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--points", type=int, default=4)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json-dir", help="also write each entry's report JSON "
+                                       "to a file in this directory")
     args = ap.parse_args()
+    if args.json_dir:
+        Path(args.json_dir).mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
     failures = 0
     print(f"{'geometry':46} {'suite':6} {'pass':>4} {'skip':>4} "
           f"{'fail':>4} {'worst residual':>14}")
-    for name, kw, fams in SCHEDULE:
+    for k, (name, kw, fams) in enumerate(SCHEDULE):
         entry = catalog.load(name, **kw)
         rows = identities.verify(
             entry.geometry, identities.select_records(fams),
@@ -63,13 +91,15 @@ def main() -> int:
         nskip = sum(r.status.startswith("skipped") for r in rows)
         nfail = sum(r.status == "fail" for r in rows)
         failures += nfail
+        if args.json_dir:
+            write_report(args, k, entry.geometry, "+".join(fams), rows)
         print(f"{entry.name:46} {'+'.join(fams):6} {npass:>4} {nskip:>4} "
               f"{nfail:>4} {worst:>14.3e}")
         for r in rows:
             if r.status == "fail":
                 print(f"    FAIL {r.id}: {r.max_residual:.3e} > {r.tol:.1e}")
 
-    for name, kw in LAW_SCHEDULE:
+    for k, (name, kw) in enumerate(LAW_SCHEDULE, start=len(SCHEDULE)):
         entry = catalog.load(name, **kw)
         pair = conformal.rescale(entry.geometry)
         rows = conformal.verify_transform(
@@ -81,6 +111,8 @@ def main() -> int:
         nskip = sum(r.status.startswith("skipped") for r in rows)
         nfail = sum(r.status == "fail" for r in rows)
         failures += nfail
+        if args.json_dir:
+            write_report(args, k, pair.base, "LAW", rows)
         print(f"{entry.name:46} {'LAW':6} {npass:>4} {nskip:>4} "
               f"{nfail:>4} {worst:>14.3e}")
         for r in rows:

@@ -113,23 +113,27 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if report.overall == "pass" else EXIT_FAIL
 
 
+# each quantity with the metric derivative depth it reads, so that
+# ``ctlab eval`` builds its point at no more jet order than it needs
 _QUANTITIES = {
-    "riemann": lambda g, p: curvature.riemann(g, p).components,
-    "ricci": lambda g, p: curvature.ricci(g, p).components,
-    "scalar": lambda g, p: curvature.scalar(g, p),
-    "schouten": lambda g, p: curvature.schouten(g, p).components,
-    "weyl": lambda g, p: curvature.weyl(g, p).components,
-    "einstein": lambda g, p: curvature.einstein(g, p).components,
-    "cotton": lambda g, p: curvature.cotton(g, p).components,
-    "cotton_weyl_div": lambda g, p: curvature.cotton(g, p, "weyl_div").components,
-    "bach": lambda g, p: curvature.bach(g, p).components,
-    "bach_weyl_div": lambda g, p: curvature.bach(g, p, "weyl_div").components,
-    "d_tensor": lambda g, p: curvature.d_tensor(g, p).components,
-    "dx_tensor": lambda g, p: curvature.dx_tensor(g, p).components,
-    "duf_tensor": lambda g, p: curvature.duf_tensor(g, p).components,
-    "dux_tensor": lambda g, p: curvature.dux_tensor(g, p).components,
-    "christoffel": lambda g, p: g.christoffel(p).components,
-    "lie_metric": lambda g, p: curvature.bundle(g, p).on("lie_metric"),
+    "riemann": (2, lambda g, p: curvature.riemann(g, p).components),
+    "ricci": (2, lambda g, p: curvature.ricci(g, p).components),
+    "scalar": (2, lambda g, p: curvature.scalar(g, p)),
+    "schouten": (2, lambda g, p: curvature.schouten(g, p).components),
+    "weyl": (2, lambda g, p: curvature.weyl(g, p).components),
+    "einstein": (2, lambda g, p: curvature.einstein(g, p).components),
+    "cotton": (3, lambda g, p: curvature.cotton(g, p).components),
+    "cotton_weyl_div": (
+        3, lambda g, p: curvature.cotton(g, p, "weyl_div").components),
+    "bach": (4, lambda g, p: curvature.bach(g, p).components),
+    "bach_weyl_div": (
+        4, lambda g, p: curvature.bach(g, p, "weyl_div").components),
+    "d_tensor": (2, lambda g, p: curvature.d_tensor(g, p).components),
+    "dx_tensor": (2, lambda g, p: curvature.dx_tensor(g, p).components),
+    "duf_tensor": (2, lambda g, p: curvature.duf_tensor(g, p).components),
+    "dux_tensor": (2, lambda g, p: curvature.dux_tensor(g, p).components),
+    "christoffel": (1, lambda g, p: g.christoffel(p).components),
+    "lie_metric": (1, lambda g, p: curvature.bundle(g, p).on("lie_metric")),
 }
 
 
@@ -149,7 +153,8 @@ def cmd_eval(args) -> int:
     if len(point) != geometry.dim:
         raise ParseError(
             f"point has {len(point)} components, chart has {geometry.dim}", 0)
-    value = _QUANTITIES[args.quantity](geometry, point)
+    depth, quantity = _QUANTITIES[args.quantity]
+    value = quantity(geometry.at_depth(depth), point)
     lines = [f"# {args.quantity} on {geometry.name} at "
              f"({', '.join(_fmt(x) for x in point)})"]
     arr = np.asarray(value)

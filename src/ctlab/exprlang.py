@@ -12,6 +12,16 @@ Names resolve to chart coordinates; ``pi`` is a literal; the callable
 names are exp, log, sin, cos, sinh, cosh, sqrt.  Exponents must be numeric
 literals (optionally signed), which keeps evaluation closed over jets.
 The parser is whitespace-insensitive and reports byte offsets on errors.
+
+Jets of expressions come from a :class:`Tape`: the expressions compiled
+into one list of jet operations in which every unique subtree is one op,
+so a subtree shared by several entries (the ``exp(2*(u))`` of a rescaled
+metric, a monomial of a random chart) is evaluated once per point.  A
+:class:`GeometrySpec` compiles its tape once, over the metric's lower
+triangle and then u, f and X; the metric's ops form a prefix, which the
+geometry layer evaluates and checks for positive definiteness before it
+evaluates the fields.  Each op applies the same :class:`~ctlab.jets.Jet`
+operation a walk of its tree would, so the jets are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -263,37 +273,104 @@ def eval_expr(e: Expr, point: np.ndarray) -> float:
     raise TypeError(e)
 
 
+class Tape:
+    """Expressions compiled into one shared list of jet operations.
+
+    Each op is one unique subtree, keyed by its operator and the indices of
+    its operands (literals by their exact bits, so ``0.0`` and ``-0.0``
+    stay apart), and stored after its operands: the post-order of first
+    occurrence, root by root.  Equal subtrees, within one expression or
+    across several, are therefore one op, evaluated once per point.  The
+    ops the first ``r`` roots need form a prefix, ``ops[:ends[r]]``, so a
+    caller can evaluate some roots, check them, and then continue.
+
+    Ops are tuples: ``("num", value)``, ``("coord", slot)``, ``("neg", a)``,
+    ``(op, a, b)`` for ``op`` in ``+ - * /``, ``("pow", a, exponent)`` and
+    ``(fn, a)`` for the names in ``FUNCTION_NAMES``, where ``a`` and ``b``
+    are op indices.
+    """
+
+    __slots__ = ("ops", "roots", "ends")
+
+    def __init__(self, exprs):
+        ops: list[tuple] = []
+        index: dict[tuple, int] = {}
+
+        def intern(op: tuple, key: tuple) -> int:
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(ops)
+                ops.append(op)
+            return k
+
+        def visit(node: Expr) -> int:
+            match node:
+                case Num(v):
+                    return intern(("num", v), ("num", float(v).hex()))
+                case Coord(slot, _):
+                    op = ("coord", slot)
+                case Neg(a):
+                    op = ("neg", visit(a))
+                case Bin(o, a, b):
+                    op = (o, visit(a), visit(b))
+                case Pow(base, r):
+                    a = visit(base)
+                    return intern(("pow", a, r), ("pow", a, float(r).hex()))
+                case Call(fn, a):
+                    op = (fn, visit(a))
+                case _:
+                    raise TypeError(node)
+            return intern(op, op)
+
+        roots, ends = [], [0]
+        for e in exprs:
+            roots.append(visit(e))
+            ends.append(len(ops))
+        self.ops = tuple(ops)
+        self.roots = tuple(roots)
+        self.ends = tuple(ends)
+
+    def evaluate(self, point: np.ndarray, order: int,
+                 values: list[Jet] | None = None,
+                 upto: int | None = None) -> list[Jet]:
+        """Jets of the ops at ``point``: the ops the first ``upto`` roots
+        need (all roots by default), appended to ``values``, the jets of a
+        prefix already evaluated at this point.  Root ``r`` is then
+        ``values[roots[r]]``."""
+        values = [] if values is None else values
+        stop = self.ends[len(self.roots) if upto is None else upto]
+        dim = len(point)
+        try:
+            for op in self.ops[len(values):stop]:
+                code = op[0]
+                if code == "num":
+                    v = Jet.lift(op[1], dim, order)
+                elif code == "coord":
+                    v = Jet.lift(float(point[op[1]]), dim, order, slot=op[1])
+                elif code == "neg":
+                    v = -values[op[1]]
+                elif code == "+":
+                    v = values[op[1]] + values[op[2]]
+                elif code == "-":
+                    v = values[op[1]] - values[op[2]]
+                elif code == "*":
+                    v = values[op[1]] * values[op[2]]
+                elif code == "/":
+                    v = values[op[1]] / values[op[2]]
+                elif code == "pow":
+                    v = jets.power(values[op[1]], op[2])
+                else:
+                    v = jets.FUNCTIONS[code](values[op[1]])
+                values.append(v)
+        except JetDomainError as err:
+            raise EvalDomainError(str(err)) from err
+        return values
+
+
 def eval_expr_jet(e: Expr, point: np.ndarray, order: int) -> Jet:
     """Exact jet of the expression at ``point`` to the given order."""
-    dim = len(point)
-
-    def rec(node: Expr) -> Jet:
-        match node:
-            case Num(v):
-                return Jet.lift(v, dim, order)
-            case Coord(slot, _):
-                return Jet.lift(float(point[slot]), dim, order, slot=slot)
-            case Neg(a):
-                return -rec(a)
-            case Bin(op, a, b):
-                x, y = rec(a), rec(b)
-                if op == "+":
-                    return x + y
-                if op == "-":
-                    return x - y
-                if op == "*":
-                    return x * y
-                return x / y
-            case Pow(base, r):
-                return jets.power(rec(base), r)
-            case Call(fn, a):
-                return jets.FUNCTIONS[fn](rec(a))
-        raise TypeError(node)
-
-    try:
-        return rec(e)
-    except JetDomainError as err:
-        raise EvalDomainError(str(err)) from err
+    tape = Tape([e])
+    return tape.evaluate(point, order)[tape.roots[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +384,9 @@ class GeometrySpec:
     Metric entries are expression source strings; the lower triangle is
     required and mirrored, so the parsed matrix is symmetric by
     construction.  ``x_components`` are contravariant (the geometry layer
-    lowers the index internally).
+    lowers the index internally).  ``tape`` compiles the metric's lower
+    triangle (row by row), then u, f and the X components, whichever are
+    present, so the metric's ops are a prefix of it.
     """
 
     name: str
@@ -323,6 +402,7 @@ class GeometrySpec:
     u_expr: Expr | None = field(default=None, repr=False)
     f_expr: Expr | None = field(default=None, repr=False)
     x_exprs: list[Expr] | None = field(default=None, repr=False)
+    tape: Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -344,6 +424,10 @@ class GeometrySpec:
             if len(self.x_components) != self.dim:
                 raise ParseError("X must have one component per coordinate", 0)
             self.x_exprs = [parse_expr(t, self.coords) for t in self.x_components]
+        lower = [row[:i + 1] for i, row in enumerate(self.metric_exprs)]
+        fields = [e for e in (self.u_expr, self.f_expr) if e is not None]
+        self.tape = Tape([e for row in lower for e in row] + fields
+                         + (self.x_exprs or []))
 
     # -- JSON wire format ----------------------------------------------------
 

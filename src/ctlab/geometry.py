@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, GeometrySpec, eval_expr_jet, parse_expr
+from .exprlang import Expr, GeometrySpec, Tape, eval_expr_jet, parse_expr
 from .jets import (
     JetConfig,
     JetOrderError,
@@ -125,11 +125,16 @@ class PointState:
                 f"point {tuple(self.point)} outside the domain box of {spec.name!r}"
             )
 
+        # the metric's ops are a prefix of the chart's tape: evaluate and
+        # check them before any op of u, f or X can raise
         m, k = self.m, self.order
+        tape = spec.tape
+        values = tape.evaluate(self.point, k, upto=m * (m + 1) // 2)
+        roots = iter(tape.roots)
         g = np.zeros((table(m, k).size, m, m))
         for i in range(m):
             for j in range(i + 1):
-                jet = eval_expr_jet(spec.metric_exprs[i][j], self.point, k)
+                jet = values[next(roots)]
                 g[:, i, j] = jet.coeffs
                 g[:, j, i] = jet.coeffs
         self.g = TensorJet(g, m, k)
@@ -148,23 +153,18 @@ class PointState:
         self.ginv = self._invert(self.g)
         self._christoffel: TensorJet | None = None
 
-        self.u = self._scalar(spec.u_expr)
-        self.f = self._scalar(spec.f_expr)
+        tape.evaluate(self.point, k, values)
+        self.u, self.f = [
+            None if e is None else TensorJet(values[next(roots)].coeffs, m, k)
+            for e in (spec.u_expr, spec.f_expr)
+        ]
         if spec.x_exprs is not None:
-            xc = np.zeros((table(m, k).size, m))
-            for i, e in enumerate(spec.x_exprs):
-                xc[:, i] = eval_expr_jet(e, self.point, k).coeffs
-            self.x_contra = TensorJet(xc, m, k)
+            self.x_contra = TensorJet(
+                _columns([values[next(roots)] for _ in range(m)]), m, k)
             self.x_lower = tj_einsum("ab,b->a", self.g, self.x_contra)
         else:
             self.x_contra = None
             self.x_lower = None
-
-    def _scalar(self, expr: Expr | None) -> TensorJet | None:
-        if expr is None:
-            return None
-        jet = eval_expr_jet(expr, self.point, self.order)
-        return TensorJet(jet.coeffs, self.m, self.order)
 
     def _invert(self, g: TensorJet) -> TensorJet:
         """Jet-ring inverse by Newton iteration; exact after ceil(log2(K+1))
@@ -244,6 +244,19 @@ class PointState:
         return x.reshape(shape)
 
 
+def _columns(scalars: list) -> np.ndarray:
+    """The coefficient arrays of scalar jets as the columns of one array."""
+    return np.stack([j.coeffs for j in scalars], axis=-1)
+
+
+def _tape_columns(st: PointState, exprs: list[Expr]) -> np.ndarray:
+    """Jet coefficients of ``exprs`` at the state's point, as columns, from
+    one tape over all of them."""
+    tape = Tape(exprs)
+    values = tape.evaluate(st.point, st.order)
+    return _columns([values[r] for r in tape.roots])
+
+
 def point_key(point) -> tuple[float, ...]:
     """The hashable form of a point, used as the per-point cache key."""
     return tuple(float(x) for x in np.asarray(point, float))
@@ -261,15 +274,28 @@ class GeometryInstance:
 
     def at_order(self, order: int) -> "GeometryInstance":
         """This chart at jet order ``order``: ``self`` at the configured
-        order, else a fresh instance with its own empty cache.  Truncation
-        is a prefix of the graded enumeration, so every quantity the lower
-        order still carries has the same jet coefficients: bit for bit when
-        the jet-ring inverse takes as many Newton steps at both orders (2
-        for orders 2-3, 3 for 4-7, 4 for 8), else up to the last bits."""
+        order, else a fresh instance on the same spec (and so the same
+        tape) with its own empty cache.  Truncation is a prefix of the
+        graded enumeration, so every quantity the lower order still carries
+        has the same jet coefficients up to the last bits; see
+        :meth:`at_depth` for when they agree bit for bit."""
         if order == self.config.order:
             return self
         return GeometryInstance(self.spec, JetConfig(order))
 
+    def at_depth(self, depth: int) -> "GeometryInstance":
+        """This chart at the lowest order that reads a quantity of metric
+        derivative depth ``depth`` bit for bit as the configured order
+        does.  Two things can move the last bits: the jet-ring inverse
+        takes ceil(log2(order + 1)) Newton steps, and a quantity read at its
+        own top order comes out of the narrowest padded GEMMs, whose sums
+        round differently.  So only a configured order of 4 to 7 (3 steps)
+        is lowered, to ``max(depth + 1, 4)``; any other is kept, and a
+        depth past the configured order still raises as it did."""
+        k = self.config.order
+        if 4 <= k <= 7:
+            return self.at_order(min(k, max(depth + 1, 4)))
+        return self
     @property
     def dim(self) -> int:
         return self.spec.dim
@@ -317,15 +343,9 @@ class GeometryInstance:
             return TensorJet(jet.coeffs, st.m, st.order)
         # nested lists of expression strings: a fully covariant tensor field
         arr = np.asarray(which, dtype=object)
-        first = eval_expr_jet(parse_expr(arr.flat[0], self.spec.coords),
-                              st.point, st.order)
-        coeffs = np.zeros((len(first.coeffs),) + arr.shape)
-        for idx in np.ndindex(arr.shape):
-            e = parse_expr(arr[idx], self.spec.coords)
-            coeffs[(slice(None),) + idx] = eval_expr_jet(
-                e, st.point, st.order
-            ).coeffs
-        return TensorJet(coeffs, st.m, st.order)
+        coeffs = _tape_columns(st, [parse_expr(t, self.spec.coords)
+                                    for t in arr.flat])
+        return TensorJet(coeffs.reshape((-1,) + arr.shape), st.m, st.order)
 
     def covariant_derivative(self, which, point, times: int = 1) -> TensorValue:
         """Covariant derivative of a named field ("metric", "u", "f", "X"),
@@ -351,11 +371,8 @@ class GeometryInstance:
             xl = st.x_lower
         else:
             exprs = [parse_expr(t, self.spec.coords) for t in x_exprs]
-            k = st.order
-            xc = np.zeros((table(st.m, k).size, st.m))
-            for i, e in enumerate(exprs):
-                xc[:, i] = eval_expr_jet(e, st.point, k).coeffs
-            xl = tj_einsum("ab,b->a", st.g, TensorJet(xc, st.m, k))
+            xc = _tape_columns(st, exprs)
+            xl = tj_einsum("ab,b->a", st.g, TensorJet(xc, st.m, st.order))
         dx = st.cov_deriv(xl).value()
         return TensorValue(dx + dx.T)
 

@@ -1,11 +1,53 @@
 """Independent numerical oracles for the test suite.
 
-Everything here avoids the jet engine on purpose: derivatives come from
-central finite differences, flows from explicit RK4 integration.  These are
-the second opinions the exact machinery is checked against.
+Everything here but the reference expression walker avoids the jet engine
+on purpose: derivatives come from central finite differences, flows from
+explicit RK4 integration.  These are the second opinions the exact
+machinery is checked against.  ``eval_expr_jet_reference`` is the tree
+walker the expression tape replaced: the same jet operation per node, with
+no node shared, so the tape must match it bit for bit.
 """
 
 import numpy as np
+
+
+def eval_expr_jet_reference(e, point, order: int):
+    """Jet of expression ``e`` at ``point``, walking the tree recursively and
+    evaluating every node where it occurs."""
+    from ctlab import jets
+    from ctlab.exprlang import (Bin, Call, Coord, EvalDomainError, Neg, Num,
+                                Pow)
+    from ctlab.jets import Jet, JetDomainError
+
+    dim = len(point)
+
+    def rec(node):
+        match node:
+            case Num(v):
+                return Jet.lift(v, dim, order)
+            case Coord(slot, _):
+                return Jet.lift(float(point[slot]), dim, order, slot=slot)
+            case Neg(a):
+                return -rec(a)
+            case Bin(op, a, b):
+                x, y = rec(a), rec(b)
+                if op == "+":
+                    return x + y
+                if op == "-":
+                    return x - y
+                if op == "*":
+                    return x * y
+                return x / y
+            case Pow(base, r):
+                return jets.power(rec(base), r)
+            case Call(fn, a):
+                return jets.FUNCTIONS[fn](rec(a))
+        raise TypeError(node)
+
+    try:
+        return rec(e)
+    except JetDomainError as err:
+        raise EvalDomainError(str(err)) from err
 
 
 def fd1(fn, x, v, h=1e-3):

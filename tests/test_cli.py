@@ -2,9 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from ctlab.cli import main
+from ctlab import catalog, geometry
+from ctlab.cli import _QUANTITIES, main
+from ctlab.curvature import DimensionError
+from ctlab.jets import JetOrderError
 
 
 def run(capsys, *argv):
@@ -85,6 +89,53 @@ def test_eval_cotton_tracefree(capsys):
     trace = sum(vals[(i, i, k)] for i in range(1, 5) for k in range(1, 5)
                 if (i, i, k) in vals)
     assert abs(trace) < 1e-9
+
+
+@pytest.mark.parametrize("quantity", sorted(_QUANTITIES))
+def test_eval_quantity_depth(quantity):
+    # the table's depth is exactly what the quantity reads, and at_depth
+    # gives the configured order's values bit for bit (at one of these
+    # points Bach read at order 4, its own depth, differs from order 6 in
+    # the last bits)
+    depth, value = _QUANTITIES[quantity]
+
+    def outcome(g, p):
+        try:
+            return np.asarray(value(g, p)).tobytes()
+        except DimensionError as err:  # Weyl-divergence routes at dim 3
+            return str(err)
+
+    for dim in (3, 4):
+        g = catalog.load("random", dim=dim, seed=3, certify=False).geometry
+        for p in g.sample_points(2, 1):
+            assert outcome(g.at_depth(depth), p) == outcome(g, p)
+    value(g.at_order(depth), p)
+    with pytest.raises(JetOrderError):
+        value(g.at_order(depth - 1), p)
+
+
+def test_eval_builds_its_point_at_the_quantity_depth(capsys, monkeypatch):
+    orders = []
+    init = geometry.PointState.__init__
+
+    def spy(self, geom, point):
+        if list(point) == [0.1, 0.2, 0.3]:  # not a certification point
+            orders.append(geom.config.order)
+        init(self, geom, point)
+
+    monkeypatch.setattr(geometry.PointState, "__init__", spy)
+    for jet_order, want in [("6", 4), ("8", 8), ("3", 3), ("5", 4)]:
+        orders.clear()
+        code, out, _ = run(capsys, "eval", "--catalog", "random", "--dim",
+                           "3", "--quantity", "cotton", "--point",
+                           "0.1,0.2,0.3", "--jet-order", jet_order)
+        assert code == 0
+        assert orders == [want]
+    code, _, err = run(capsys, "eval", "--catalog", "random", "--dim", "3",
+                       "--quantity", "bach", "--point", "0.1,0.2,0.3",
+                       "--jet-order", "3")
+    assert code == 2
+    assert "jet order exhausted" in err
 
 
 def test_catalog_list(capsys):
@@ -200,6 +251,28 @@ def test_overflow_is_a_config_error(capsys, tmp_path):
                        "--points", "1")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_metric_error_precedes_u_domain_error(capsys, tmp_path):
+    # at every sample point g_11 = x1 < 0 and log(x1) fails too; the
+    # metric is checked before u is evaluated, so the run reports the metric
+    spec = {
+        "name": "notpd",
+        "dim": 3,
+        "coords": ["x1", "x2", "x3"],
+        "domain": [[-1, -0.5], [-1, 1], [-1, 1]],
+        "metric": [["x1"], ["0", "1"], ["0", "0", "1"]],
+        "u": "log(x1)",
+    }
+    path = tmp_path / "notpd.json"
+    path.write_text(json.dumps(spec))
+    for extra in (["--law", "all"], ["--suite", "COMM"]):
+        code, out, err = run(capsys, "verify", "--spec", str(path),
+                             "--points", "1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: metric of 'notpd' not positive "
+                              "definite at (")
 
 
 def test_zero_tolerance_override_applies_to_laws(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctlab.exprlang import (
     Bin,
@@ -13,16 +13,18 @@ from ctlab.exprlang import (
     Coord,
     EvalDomainError,
     GeometrySpec,
+    Neg,
     Num,
     ParseError,
     Pow,
+    Tape,
     eval_expr,
     eval_expr_jet,
     parse_expr,
     pretty,
 )
 
-from oracles import fd_multi
+from oracles import eval_expr_jet_reference, fd_multi
 
 
 def test_sum_of_squares_tree():
@@ -159,6 +161,84 @@ def test_order_zero_matches_plain_eval(seed):
         return
     jet = eval_expr_jet(tree, p, 0)
     assert abs(jet.value - plain) <= 1e-15 * max(1.0, abs(plain))
+
+
+# ---------------------------------------------------------------------------
+# the tape against the recursive reference walker
+# ---------------------------------------------------------------------------
+
+def shared_exprs(rng, coords):
+    """Random trees built from a small pool of shared subtrees, some under a
+    domain guard (log, sqrt, division, fractional and negative powers),
+    some multiplied by 0.0 or -0.0, so that both zero signs occur, and some
+    scaled until their jets overflow to inf and NaN or ``exp`` overflows."""
+    pool = [fix_coord_names(random_tree(rng, coords, 3), coords)
+            for _ in range(3)]
+    exprs = []
+    for _ in range(5):
+        a, b = (pool[int(i)] for i in rng.integers(len(pool), size=2))
+        exprs.append([
+            Bin("*", a, b),
+            Bin("/", a, b),
+            Call(["log", "sqrt"][int(rng.integers(2))], a),
+            Pow(b, float(rng.choice([-2.0, -1.5, 0.5, 3.0]))),
+            Bin("-", Bin("*", a, Num(-0.0)), Bin("*", b, Num(0.0))),
+            Neg(Bin("+", a, b)),
+            Bin("-", Bin("*", Num(1e308), a), Bin("*", Num(1e308), b)),
+            Call("exp", Bin("*", Num(700.0), a)),
+        ][int(rng.integers(8))])
+    return exprs
+
+
+def _outcome(fn):
+    """The jet's coefficient bytes, or the type and message it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn().coeffs.tobytes()
+    except (EvalDomainError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 6))
+def test_tape_matches_reference_walker(seed, dim, order):
+    # bit for bit, sign bits of zeros and non-finite entries included; a
+    # root past the first failing one must raise what the walker raises
+    # for the first failing expression
+    coords = [f"x{i + 1}" for i in range(dim)]
+    rng = np.random.default_rng(seed)
+    exprs = shared_exprs(rng, coords)
+    p = rng.uniform(-1.0, 1.0, dim)
+    tape = Tape(exprs)
+    want = [_outcome(lambda e=e: eval_expr_jet_reference(e, p, order))
+            for e in exprs]
+    first_error = next((w for w in want if isinstance(w, tuple)), None)
+    for r, e in enumerate(exprs):
+        assert _outcome(lambda e=e: eval_expr_jet(e, p, order)) == want[r]
+        got = _outcome(lambda r=r: tape.evaluate(p, order, upto=r + 1)[
+            tape.roots[r]])
+        failed = [w for w in want[:r + 1] if isinstance(w, tuple)]
+        assert got == (failed[0] if failed else want[r])
+    whole = _outcome(lambda: tape.evaluate(p, order)[tape.roots[-1]])
+    assert whole == (first_error or want[-1])
+
+
+def test_tape_interns_equal_subtrees_once():
+    coords = ["x1", "x2"]
+    e2u = "exp(2*(x1*x2))"
+    exprs = [parse_expr(t, coords) for t in
+             (f"{e2u}*(1+x1)", f"{e2u}*(x2)", "x1*x2", "0.0*x1")]
+    tape = Tape(exprs + [Bin("*", Num(-0.0), Coord(0, "x1"))])
+    ops = [op[0] for op in tape.ops]
+    assert ops.count("exp") == 1
+    assert ops.count("coord") == 2
+    # the literals 0.0 and -0.0 compare equal but are kept apart
+    assert sorted(op[1] for op in tape.ops if op[0] == "num") == \
+        [-0.0, 0.0, 1.0, 2.0]
+    # the second entry adds one op, x1*x2 none: it is interned inside exp
+    assert tape.ends[2:4] == (tape.ends[1] + 1, tape.ends[1] + 1)
+    assert tape.roots[2] < tape.ends[1]
+    assert tape.ends[-1] == len(tape.ops)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
 """Chart-level operators against hand values and FD/flow oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ctlab import catalog, jets
-from ctlab.exprlang import GeometrySpec
+from ctlab import catalog, conformal, jets
+from ctlab.exprlang import EvalDomainError, GeometrySpec
 from ctlab.curvature import bundle
 from ctlab.geometry import GeometryInstance, MetricError, point_key, point_scope
 from ctlab.jets import JetConfig, JetOrderError
 
-from oracles import christoffel_fd, hessian_fd, laplacian_fd, lie_metric_fd
+from oracles import (
+    christoffel_fd,
+    eval_expr_jet_reference,
+    hessian_fd,
+    laplacian_fd,
+    lie_metric_fd,
+)
 
 
 def euclidean(dim=3):
@@ -234,3 +242,94 @@ def test_point_scope_keeps_earlier_entries():
         assert point_key(fresh) in g._points
     assert point_key(held) in g._points
     assert point_key(fresh) not in g._points
+
+
+# ---------------------------------------------------------------------------
+# the chart's tape: shared nodes, shared tapes, error order
+# ---------------------------------------------------------------------------
+
+def test_point_state_evaluates_each_exp_once(monkeypatch):
+    # the rescaled conformal_gaussian entries are exp(2*(u))*(exp(-2*(u))*(1))
+    # on the diagonal: 2 distinct exp nodes, 8 exp calls when each entry's
+    # tree is walked on its own
+    base = catalog.load("conformal_gaussian", dim=4, certify=False).geometry
+    spec = conformal.rescale(base).tilde.spec
+    p = base.sample_points(1, 0)[0]
+    calls = []
+    exp = jets.FUNCTIONS["exp"]
+    monkeypatch.setitem(jets.FUNCTIONS, "exp",
+                        lambda a: calls.append(1) or exp(a))
+    for i in range(4):
+        for j in range(i + 1):
+            eval_expr_jet_reference(spec.metric_exprs[i][j], p, 4)
+    assert len(calls) == 8
+    calls.clear()
+    GeometryInstance(spec, JetConfig(4)).state(p)
+    assert len(calls) == 2
+    assert sum(op[0] == "exp" for op in spec.tape.ops) == 2
+
+
+def test_point_state_matches_reference_walker():
+    base = catalog.load("random", dim=4, seed=5, certify=False).geometry
+    g = conformal.rescale(base).base
+    p = g.sample_points(1, 0)[0]
+    st = g.state(p)
+    k = g.config.order
+    spec = g.spec
+
+    def ref(e):
+        return eval_expr_jet_reference(e, p, k).coeffs.tobytes()
+
+    for i in range(4):
+        for j in range(4):
+            assert st.g.coeffs[:, i, j].tobytes() == ref(spec.metric_exprs[i][j])
+    assert st.u.coeffs.tobytes() == ref(spec.u_expr)
+    assert st.f.coeffs.tobytes() == ref(spec.f_expr)
+    for i, e in enumerate(spec.x_exprs):
+        assert st.x_contra.coeffs[:, i].tobytes() == ref(e)
+
+
+def test_at_order_shares_the_spec_tape():
+    g = catalog.load("random", dim=3, seed=1, certify=False).geometry
+    assert g.at_order(4).spec.tape is g.spec.tape
+    copy = dataclasses.replace(g.spec)
+    assert copy.tape is not g.spec.tape
+    assert copy.tape.ops == g.spec.tape.ops
+    assert copy == g.spec
+    rescaled = dataclasses.replace(g.spec, metric=[["2"], ["0", "1"],
+                                                   ["0", "0", "x1+2"]])
+    assert len(rescaled.tape.ops) < len(g.spec.tape.ops)
+
+
+def test_at_depth_orders():
+    spec = catalog.load("random", dim=3, seed=1, certify=False).spec
+    for configured, depth, want in [(6, 1, 4), (6, 3, 4), (6, 4, 5), (7, 4, 5),
+                                    (5, 4, 5), (4, 4, 4), (6, 6, 6), (6, 7, 6),
+                                    (8, 2, 8), (3, 1, 3), (2, 4, 2), (0, 2, 0)]:
+        g = GeometryInstance(spec, JetConfig(configured))
+        assert g.at_depth(depth).config.order == want
+
+
+def _flat_with(metric, **fields):
+    return GeometryInstance(GeometrySpec(
+        name="chart", dim=2, coords=["x1", "x2"],
+        domain=[(-2.0, 2.0), (-2.0, 2.0)], metric=metric, **fields))
+
+
+def test_metric_error_precedes_field_domain_errors():
+    # at x1 = -1 the metric is not positive definite and every field raises
+    # a domain error; the metric is checked first
+    g = _flat_with([["x1"], ["0", "1"]], u="log(x1)", f="sqrt(x1)",
+                   x_components=["x1^0.5", "1"])
+    with pytest.raises(MetricError, match="not positive definite"):
+        g.state([-1.0, 0.0])
+    # with a positive metric the fields raise in the order u, f, X
+    for fields, message in [
+        (dict(u="log(x1)", f="sqrt(x1)"), "log of non-positive"),
+        (dict(f="sqrt(x1)", x_components=["log(x1)", "1"]),
+         "sqrt of non-positive"),
+        (dict(x_components=["1", "x1^0.5"]), "fractional power"),
+    ]:
+        g = _flat_with([["1"], ["0", "1"]], **fields)
+        with pytest.raises(EvalDomainError, match=message):
+            g.state([-1.0, 0.0])
