@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import GeometrySpec
-from .geometry import GeometryInstance, point_scope
+from .geometry import GeometryInstance, point_blocks, point_scope
 from .identities import (
     CERTIFICATION_TOL,
     STRUCTURE_ORDER,
@@ -438,11 +438,14 @@ def certify_entry(entry: CatalogEntry, tol: float = CERTIFICATION_TOL):
     """Check every claim's defining residual on a fixed sample grid, and
     positive definiteness for claim-free (random) entries, at jet order
     ``STRUCTURE_ORDER`` (or the configured order, if lower).  Each point's
-    cache entries are released once its residuals are taken."""
+    cache entries are released once its residuals are taken.  The chart's
+    expressions are evaluated over the grid a block of points at a time
+    (:func:`~ctlab.geometry.point_blocks`)."""
     g = entry.geometry.at_order(min(STRUCTURE_ORDER,
                                     entry.geometry.config.order))
     worst = [0.0] * len(entry.claims)
-    for p in g.sample_points(CERTIFICATION_POINTS, CERTIFICATION_SEED):
+    for p in point_blocks(g.sample_points(CERTIFICATION_POINTS,
+                                         CERTIFICATION_SEED), g):
         with point_scope(p, g):
             g.state(p)  # raises MetricError if not positive definite
             for i, claim in enumerate(entry.claims):

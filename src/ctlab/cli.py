@@ -9,6 +9,7 @@ residual fails), 2 bad configuration, parse error or arithmetic overflow,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -52,6 +53,9 @@ def _load_geometry(args) -> GeometryInstance:
 
 
 def _tol_overrides(text: str | None) -> dict[str, float]:
+    """Class tolerances from ``A=1e-8,B=1e-6``.  Each must be positive and
+    finite: a tolerance of 0, below 0 or NaN fails every row, and one of
+    inf passes every row, so no check could go the other way."""
     if not text:
         return {}
     out = {}
@@ -59,7 +63,11 @@ def _tol_overrides(text: str | None) -> dict[str, float]:
         key, _, val = part.partition("=")
         if key not in ("A", "B", "C") or not val:
             raise ParseError(f"bad tolerance override {part!r}", 0)
-        out[key] = float(val)
+        tol = float(val)
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ParseError(f"tolerance override {part!r} must be a positive "
+                             f"finite number", 0)
+        out[key] = tol
     return out
 
 
@@ -93,9 +101,9 @@ def cmd_verify(args) -> int:
     points = geometry.sample_points(args.points, args.seed)
     if laws and geometry.spec.u is None:
         # the laws need a u field: they run on a copy carrying a random one
-        base = conformal.rescale(geometry, _random_u(geometry, args.seed)).base
+        pair = conformal.rescale(geometry, _random_u(geometry, args.seed))
         rows = (identities.verify(geometry, records, points, overrides)
-                + identities.verify(base, laws, points, overrides))
+                + conformal.verify_transform(pair, laws, points, overrides))
     else:
         # one pass, so each point's states serve identities and laws alike
         rows = identities.verify(geometry, records + laws, points, overrides)

@@ -631,7 +631,8 @@ def law_nabla2_x_traced(c: EvalContext):
 def _law(id_, eq, fn, tol_class, requires=(), structure=None, min_dim=3,
          min_order=2):
     return IdentityRecord(id_, "LAW", eq, frozenset(requires), structure,
-                          min_dim, min_order, tol_class, None, fn)
+                          min_dim, min_order, tol_class, None, fn,
+                          reads_tilde=True)
 
 
 LAW_REGISTRY: tuple[IdentityRecord, ...] = (
@@ -709,5 +710,6 @@ def verify_transform(pair: ConformalPair, laws: list[IdentityRecord],
                      points, tol_overrides: dict[str, float] | None = None):
     """Evaluate predicted-vs-direct agreement for each law at each point;
     one report row per law.  Laws whose structural hypothesis does not hold
-    on this pair are reported as skipped."""
-    return verify(pair.base, laws, points, tol_overrides)
+    on this pair are reported as skipped.  The laws read the pair's own
+    rescaled geometry, so its metric is not parsed again."""
+    return verify(pair.base, laws, points, tol_overrides, pair.tilde)

@@ -22,6 +22,10 @@ triangle and then u, f and X; the metric's ops form a prefix, which the
 geometry layer evaluates and checks for positive definiteness before it
 evaluates the fields.  Each op applies the same :class:`~ctlab.jets.Jet`
 operation a walk of its tree would, so the jets are the same bit for bit.
+A tape also evaluates a block of points in one sweep, with one column per
+point in every jet; a verification pass builds its point states that way
+(:func:`ctlab.geometry.point_blocks`), and each column is bit for bit the
+jet of its point alone.
 """
 
 from __future__ import annotations
@@ -284,13 +288,20 @@ class Tape:
     ops the first ``r`` roots need form a prefix, ``ops[:ends[r]]``, so a
     caller can evaluate some roots, check them, and then continue.
 
+    :meth:`evaluate` takes one point or a block of points.  For a block,
+    every jet holds one column per point, and each op runs once for all of
+    them, doing column by column the arithmetic it does for one point, so
+    each column is bit for bit that point's jet.  The value of an op that
+    is not a root is dropped after the last op that reads it (``frees``),
+    so a block keeps few op values alive at once.
+
     Ops are tuples: ``("num", value)``, ``("coord", slot)``, ``("neg", a)``,
     ``(op, a, b)`` for ``op`` in ``+ - * /``, ``("pow", a, exponent)`` and
     ``(fn, a)`` for the names in ``FUNCTION_NAMES``, where ``a`` and ``b``
     are op indices.
     """
 
-    __slots__ = ("ops", "roots", "ends")
+    __slots__ = ("ops", "roots", "ends", "frees")
 
     def __init__(self, exprs):
         ops: list[tuple] = []
@@ -329,24 +340,39 @@ class Tape:
         self.ops = tuple(ops)
         self.roots = tuple(roots)
         self.ends = tuple(ends)
+        last = {}  # op index -> index of the last op that reads it
+        for i, op in enumerate(ops):
+            if op[0] not in ("num", "coord"):
+                for a in op[1:2] if op[0] == "pow" else op[1:]:
+                    last[a] = i
+        frees: list[list[int]] = [[] for _ in ops]
+        for a in last.keys() - set(roots):
+            frees[last[a]].append(a)
+        self.frees = tuple(tuple(f) for f in frees)
 
-    def evaluate(self, point: np.ndarray, order: int,
-                 values: list[Jet] | None = None,
-                 upto: int | None = None) -> list[Jet]:
-        """Jets of the ops at ``point``: the ops the first ``upto`` roots
-        need (all roots by default), appended to ``values``, the jets of a
-        prefix already evaluated at this point.  Root ``r`` is then
-        ``values[roots[r]]``."""
+    def evaluate(self, points: np.ndarray, order: int,
+                 values: list[Jet | None] | None = None,
+                 upto: int | None = None) -> list[Jet | None]:
+        """Jets of the ops at one point (shape ``(dim,)``), or at a block of
+        P points (shape ``(P, dim)``) as jets with coefficient arrays of
+        shape ``(ncoeff, P)``: the ops the first ``upto`` roots need (all
+        roots by default), appended to ``values``, the jets of a prefix
+        already evaluated at these points.  Root ``r`` is then
+        ``values[roots[r]]``; an op that is no root reads ``None`` once
+        the last op that needs it has run."""
         values = [] if values is None else values
         stop = self.ends[len(self.roots) if upto is None else upto]
-        dim = len(point)
+        x = np.asarray(points, float)
+        dim = x.shape[-1]
+        block = x.shape[:-1]  # () for one point, (P,) for a block
         try:
-            for op in self.ops[len(values):stop]:
+            start = len(values)
+            for op, free in zip(self.ops[start:stop], self.frees[start:stop]):
                 code = op[0]
                 if code == "num":
-                    v = Jet.lift(op[1], dim, order)
+                    v = Jet.lift(np.full(block, op[1]), dim, order)
                 elif code == "coord":
-                    v = Jet.lift(float(point[op[1]]), dim, order, slot=op[1])
+                    v = Jet.lift(x[..., op[1]], dim, order, slot=op[1])
                 elif code == "neg":
                     v = -values[op[1]]
                 elif code == "+":
@@ -362,6 +388,8 @@ class Tape:
                 else:
                     v = jets.FUNCTIONS[code](values[op[1]])
                 values.append(v)
+                for a in free:
+                    values[a] = None
         except JetDomainError as err:
             raise EvalDomainError(str(err)) from err
         return values

@@ -112,7 +112,14 @@ def tj_skew_pair(a: TensorJet, b: TensorJet) -> TensorJet:
 
 
 class PointState:
-    """All metric-level jet data of one geometry at one point."""
+    """All metric-level jet data of one geometry at one point.
+
+    The jets of the chart's expressions come from its tape: from one
+    evaluation over a block of points when the point is in the geometry's
+    current :func:`point_blocks` block, else from the tape evaluated here
+    alone.  Either way they are the same bit for bit, and the Cholesky
+    check, the jet-ring inverse and the Christoffel symbols are per point.
+    """
 
     def __init__(self, geometry: "GeometryInstance", point: np.ndarray):
         spec = geometry.spec
@@ -125,18 +132,14 @@ class PointState:
                 f"point {tuple(self.point)} outside the domain box of {spec.name!r}"
             )
 
-        # the metric's ops are a prefix of the chart's tape: evaluate and
-        # check them before any op of u, f or X can raise
         m, k = self.m, self.order
-        tape = spec.tape
-        values = tape.evaluate(self.point, k, upto=m * (m + 1) // 2)
-        roots = iter(tape.roots)
+        roots = _root_coeffs(geometry, self.point)
         g = np.zeros((table(m, k).size, m, m))
         for i in range(m):
             for j in range(i + 1):
-                jet = values[next(roots)]
-                g[:, i, j] = jet.coeffs
-                g[:, j, i] = jet.coeffs
+                c = next(roots)
+                g[:, i, j] = c
+                g[:, j, i] = c
         self.g = TensorJet(g, m, k)
 
         g0 = g[0]
@@ -153,14 +156,13 @@ class PointState:
         self.ginv = self._invert(self.g)
         self._christoffel: TensorJet | None = None
 
-        tape.evaluate(self.point, k, values)
         self.u, self.f = [
-            None if e is None else TensorJet(values[next(roots)].coeffs, m, k)
+            None if e is None else TensorJet(next(roots), m, k)
             for e in (spec.u_expr, spec.f_expr)
         ]
         if spec.x_exprs is not None:
             self.x_contra = TensorJet(
-                _columns([values[next(roots)] for _ in range(m)]), m, k)
+                np.stack([next(roots) for _ in range(m)], axis=-1), m, k)
             self.x_lower = tj_einsum("ab,b->a", self.g, self.x_contra)
         else:
             self.x_contra = None
@@ -244,9 +246,25 @@ class PointState:
         return x.reshape(shape)
 
 
-def _columns(scalars: list) -> np.ndarray:
-    """The coefficient arrays of scalar jets as the columns of one array."""
-    return np.stack([j.coeffs for j in scalars], axis=-1)
+def _root_coeffs(geometry: "GeometryInstance", point: np.ndarray):
+    """The coefficient arrays of the chart's tape roots at ``point``, the
+    metric's lower triangle first.  They come from the geometry's current
+    block when it holds the point; else the tape is evaluated here, and the
+    ops of u, f and X only once a root of theirs is asked for, so that a
+    caller checks the metric before any of them can raise."""
+    block = geometry._block.pop(point_key(point), None)
+    if block is not None:
+        yield from block
+        return
+    tape = geometry.spec.tape
+    m = geometry.dim
+    metric = m * (m + 1) // 2
+    values = tape.evaluate(point, geometry.config.order, upto=metric)
+    for r in tape.roots[:metric]:
+        yield values[r].coeffs
+    tape.evaluate(point, geometry.config.order, values)
+    for r in tape.roots[metric:]:
+        yield values[r].coeffs
 
 
 def _tape_columns(st: PointState, exprs: list[Expr]) -> np.ndarray:
@@ -254,7 +272,7 @@ def _tape_columns(st: PointState, exprs: list[Expr]) -> np.ndarray:
     one tape over all of them."""
     tape = Tape(exprs)
     values = tape.evaluate(st.point, st.order)
-    return _columns([values[r] for r in tape.roots])
+    return np.stack([values[r].coeffs for r in tape.roots], axis=-1)
 
 
 def point_key(point) -> tuple[float, ...]:
@@ -271,6 +289,9 @@ class GeometryInstance:
         # The one per-point cache: point key -> {"state": PointState,
         # "bundle": CurvatureBundle}.  A point's entries live and die together.
         self._points: dict[tuple[float, ...], dict[str, object]] = {}
+        # The current block of point_blocks: point key -> the coefficient
+        # arrays of the tape's roots there, taken by the point's PointState.
+        self._block: dict[tuple[float, ...], list[np.ndarray]] = {}
 
     def at_order(self, order: int) -> "GeometryInstance":
         """This chart at jet order ``order``: ``self`` at the configured
@@ -386,6 +407,67 @@ class GeometryInstance:
         hi = np.array([b for _, b in self.spec.domain])
         width = hi - lo
         return lo + width * (0.05 + 0.9 * rng.random((count, self.dim)))
+
+
+# Largest number of (point, convolution triple) pairs in one block: a jet
+# product over a block gathers and multiplies arrays of this many floats,
+# which stay in cache up to about 16k (128 kB); scripts/tape_block_bench.py
+# measures block sizes on both sides of it against point by point.
+BLOCK_TRIPLES = 16384
+
+
+def block_size(dim: int, order: int) -> int:
+    """Points per block of :func:`point_blocks` for jets of ``(dim,
+    order)``: as many as keep a block's jet products within
+    ``BLOCK_TRIPLES``, at least one."""
+    return max(1, BLOCK_TRIPLES // len(table(dim, order).mul_i))
+
+
+def _evaluate_block(geometry: GeometryInstance, points: np.ndarray) -> dict:
+    """Point key -> the coefficient arrays of the tape's roots at that
+    point, from one evaluation of the tape over ``points``; empty if that
+    evaluation raises or would warn, so that every point then evaluates
+    its own tape and raises or warns at its own turn."""
+    tape = geometry.spec.tape
+    err = {k: "ignore" if v == "ignore" else "raise"
+           for k, v in np.geterr().items()}
+    try:
+        with np.errstate(**err):
+            values = tape.evaluate(points, geometry.config.order)
+    except Exception:  # whatever it is, its point raises it again alone
+        return {}
+    # one copy per op, so that roots sharing an op share an array, as the
+    # tape evaluated at one point gives them
+    ops = set(tape.roots)
+    out = {}
+    for j, p in enumerate(points):
+        cols = {r: values[r].coeffs[:, j].copy() for r in ops}
+        out[point_key(p)] = [cols[r] for r in tape.roots]
+    return out
+
+
+def point_blocks(points, *geometries: GeometryInstance):
+    """Yield ``points`` in order, a block at a time.  On entering a block,
+    each geometry's tape is evaluated over the block's points at once, and
+    a :class:`PointState` built at one of them takes its root jets from
+    there instead of evaluating the tape alone; Cholesky, the jet-ring
+    inverse and Christoffel stay per point.  The jets are the same bit for
+    bit.  If the block's evaluation raises or would warn, each point
+    evaluates its own tape, so errors and warnings come at the same point
+    and in the same order.  The block size comes from the first geometry's
+    jet table (:func:`block_size`)."""
+    size = block_size(geometries[0].dim, geometries[0].config.order)
+    for start in range(0, len(points), size):
+        block = points[start:start + size]
+        if size > 1:
+            xs = np.asarray(block, float)
+            for g in geometries:
+                g._block = _evaluate_block(g, xs)
+        try:
+            yield from block
+        finally:
+            for g in geometries:
+                g._block = {}
 
 
 @contextmanager

@@ -37,6 +37,7 @@ from .geometry import (
     GeometryInstance,
     MetricError,
     TensorValue,
+    point_blocks,
     point_key,
     point_scope,
 )
@@ -112,6 +113,7 @@ class IdentityRecord:
     tol_class: str
     tol: float | None              # explicit override of the class default
     evaluate: Callable[[EvalContext], tuple]
+    reads_tilde: bool = False      # reads the rescaled geometry (``c.t``)
 
     def tolerance(self, overrides: dict[str, float] | None = None) -> float:
         if self.tol is not None:
@@ -1118,9 +1120,9 @@ def soliton_residual(geometry: GeometryInstance, soliton: SolitonData,
 # ---------------------------------------------------------------------------
 
 def _rec(id_, family, eq, fn, tol_class, requires=(), structure=None,
-         min_dim=2, min_order=2, tol=None):
+         min_dim=2, min_order=2, tol=None, reads_tilde=False):
     return IdentityRecord(id_, family, eq, frozenset(requires), structure,
-                          min_dim, min_order, tol_class, tol, fn)
+                          min_dim, min_order, tol_class, tol, fn, reads_tilde)
 
 
 REGISTRY: tuple[IdentityRecord, ...] = (
@@ -1294,7 +1296,8 @@ REGISTRY: tuple[IdentityRecord, ...] = (
          structure="conformal_gradient_soliton", min_dim=3, tol=1e-7),
     _rec("cgrs.duf_vs_tilde", "CGRS", "CGRS_D_ufvsTildeD", cgrs_duf_vs_tilde,
          "A", requires=("u", "f", "lam"),
-         structure="conformal_gradient_soliton", min_dim=3, tol=1e-7),
+         structure="conformal_gradient_soliton", min_dim=3, tol=1e-7,
+         reads_tilde=True),
     _rec("cgrs.first", "CGRS", "Eq_FirstCondition_CGRSCompNewD", cgrs_first,
          "B", requires=("u", "f", "lam"),
          structure="conformal_gradient_soliton", min_dim=3, min_order=3,
@@ -1335,7 +1338,8 @@ REGISTRY: tuple[IdentityRecord, ...] = (
          structure="conformal_generic_soliton", min_dim=3, tol=1e-7),
     _rec("cgers.dux_vs_tilde", "CGERS", "CGeRS_EqDuXe3uDX",
          cgers_dux_vs_tilde, "A", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, tol=1e-7),
+         structure="conformal_generic_soliton", min_dim=3, tol=1e-7,
+         reads_tilde=True),
     _rec("cgers.first", "CGERS", "Eq_FirstCondition_CGenericRSComponents",
          cgers_first, "B", requires=("u", "X", "lam"),
          structure="conformal_generic_soliton", min_dim=3, min_order=3,
@@ -1444,8 +1448,8 @@ def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
 
 
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
-           points: np.ndarray, tol_overrides: dict[str, float] | None = None
-           ) -> list[ReportRow]:
+           points: np.ndarray, tol_overrides: dict[str, float] | None = None,
+           tilde: GeometryInstance | None = None) -> list[ReportRow]:
     """Evaluate records at the given points; returns one row per record.
 
     Conditional records count only after their structural hypothesis is
@@ -1454,8 +1458,11 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     point where its hypothesis fails; a LAW record whose hypothesis fails
     is reported as skipped.  Zero points is an error whenever a record can
     run, since nothing would be checked.  LAW records and the
-    ``*_vs_tilde`` conditions compare against the geometry rescaled by its
-    own u field; no point state of it is built unless a record reads it.
+    ``*_vs_tilde`` conditions (``reads_tilde``) compare against the
+    geometry rescaled by its own u field: ``tilde`` when the caller has it
+    (a :class:`~ctlab.conformal.ConformalPair`'s), else built here, and
+    only when a runnable record reads it; no point state of it is built
+    unless a record reads it.
 
     Point states of both geometries are built at the working order, the
     largest ``min_order`` of the runnable records; the configured order
@@ -1464,6 +1471,9 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     Evaluation is point-major: at each point every hypothesis is certified
     and every runnable record evaluated, then the cache entries the point
     gained are released, so memory does not grow with the number of points.
+    The points are taken in blocks (:func:`~ctlab.geometry.point_blocks`):
+    each geometry's chart expressions are evaluated once per block, and
+    each point's state takes its jets from there, bit for bit as alone.
     A NaN residual at any point makes the record fail.
     """
     have = _available(geometry)
@@ -1471,17 +1481,23 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     runnable = [i for i, why in enumerate(skips) if why is None]
     if runnable and not len(points):
         raise ValueError("verification needs at least one point")
-    geometry = geometry.at_order(max((records[i].min_order for i in runnable),
-                                     default=geometry.config.order))
-    tilde = None
-    if geometry.spec.u is not None:
+    order = max((records[i].min_order for i in runnable),
+                default=geometry.config.order)
+    geometry = geometry.at_order(order)
+    if (geometry.spec.u is None
+            or not any(records[i].reads_tilde for i in runnable)):
+        tilde = None
+    elif tilde is None:
         from .conformal import rescale  # late: conformal imports this module
         tilde = rescale(geometry).tilde
+    else:
+        tilde = tilde.at_order(order)
     cert = {records[i].structure: 0.0 for i in runnable
             if records[i].structure is not None}
     worst = dict.fromkeys(runnable, 0.0)
     geometries = [g for g in (geometry, tilde) if g is not None]
-    for p in points if runnable else ():  # build no point state needlessly
+    # build no point state needlessly
+    for p in point_blocks(points, *geometries) if runnable else ():
         with point_scope(p, *geometries):
             for kind in cert:
                 cert[kind] = worst_of(cert[kind], structure_residual(

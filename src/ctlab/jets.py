@@ -10,7 +10,9 @@ never from finite differencing and never from symbolic manipulation.
 Two layers live here:
 
 * :class:`Jet` -- a scalar jet with operator overloading, used by the
-  expression evaluator and exposed to users.
+  expression evaluator and exposed to users.  One ``Jet`` may also hold a
+  block of P jets, one column per base point, so that the expression tape
+  walks its ops once for many points (vector-mode Taylor arithmetic).
 * coefficient-array kernels (:func:`jet_einsum`, :func:`jet_partial`, ...)
   that act on arrays shaped ``(ncoeffs, *tensor_shape)``.  The geometry
   layer stores whole tensor fields this way and gets vectorised jet
@@ -118,7 +120,9 @@ class MultiIndexTable:
                 out = self.index[tuple(x + y for x, y in zip(ai, alphas[j]))]
                 tri.append((out, i, j))
         tri.sort()
-        out, self.mul_i, self.mul_j = np.array(tri, dtype=np.int64).T
+        # copied so that each row is contiguous: a gather by a strided
+        # index array pays for it on every jet product
+        out, self.mul_i, self.mul_j = np.array(tri, dtype=np.int64).T.copy()
         self.seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(out)) + 1))
         slot = np.arange(len(out)) - self.seg_starts[out]
         width = int(slot.max()) + 1
@@ -247,6 +251,14 @@ class Jet:
     graded enumeration; in particular ``coeffs[0]`` is the plain value.
     Jets are immutable; all arithmetic returns fresh jets of the same
     ``(dim, order)``.
+
+    ``coeffs`` may also have shape ``(ncoeff, P)``: a block of P jets of
+    one function, column ``p`` at the p-th of P base points.  Every
+    operation then does, column by column, the arithmetic it does on one
+    jet: the same Cauchy product, the same lifted constants, and each
+    point's constant term through the same ``math`` calls, so each column
+    is bit for bit the jet its point gives alone.  :attr:`value` and
+    :meth:`coefficient` read one jet only.
     """
 
     __slots__ = ("dim", "order", "coeffs")
@@ -259,10 +271,12 @@ class Jet:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def lift(value: float, dim: int, order: int, slot: int | None = None) -> "Jet":
-        """Constant jet, or the jet of the coordinate function ``x_slot``."""
+    def lift(value, dim: int, order: int, slot: int | None = None) -> "Jet":
+        """Constant jet, or the jet of the coordinate function ``x_slot``;
+        ``value`` is one float, or a 1-D array of one per point of a block."""
         t = table(dim, order)
-        c = np.zeros(t.size)
+        value = np.asarray(value)
+        c = np.zeros((t.size,) + value.shape)
         c[0] = value
         if slot is not None:
             if not 0 <= slot < dim:
@@ -274,6 +288,13 @@ class Jet:
     def _like(self, coeffs: np.ndarray) -> "Jet":
         return Jet(self.dim, self.order, coeffs)
 
+    def _const(self, value) -> "Jet":
+        """The constant jet ``value`` (one float, or one per column), shaped
+        like this one."""
+        c = np.zeros(self.coeffs.shape)
+        c[0] = value
+        return self._like(c)
+
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             if (other.dim, other.order) != (self.dim, self.order):
@@ -282,7 +303,17 @@ class Jet:
                     f"({other.dim},{other.order})"
                 )
             return other
-        return Jet.lift(float(other), self.dim, self.order)
+        return self._const(float(other))
+
+    def _series(self, terms) -> np.ndarray:
+        """``terms(a0)``, the univariate Taylor coefficients of an outer
+        function at a constant term ``a0`` as a list of ``order + 1``
+        floats, at this jet's constant term; for a block, at each column's,
+        as the columns of an ``(order + 1, P)`` array."""
+        a0 = self.coeffs[0]
+        if a0.ndim == 0:
+            return np.array(terms(float(a0)))
+        return np.array([terms(float(x)) for x in a0]).T
 
     # -- inspection ---------------------------------------------------------
 
@@ -307,6 +338,9 @@ class Jet:
         return Jet(self.dim, order, truncate_coeffs(self.coeffs, self.dim, order))
 
     def __repr__(self):
+        if self.coeffs.ndim > 1:
+            return (f"Jet(dim={self.dim}, order={self.order}, "
+                    f"block of {self.coeffs.shape[1]})")
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value:.6g})"
 
     # -- ring operations ----------------------------------------------------
@@ -333,8 +367,10 @@ class Jet:
             return self._like(self.coeffs * float(other))
         o = self._coerce(other)
         t = table(self.dim, self.order)
+        # take copies whole rows of a block, where indexing goes by entry
         return self._like(np.add.reduceat(
-            self.coeffs[t.mul_i] * o.coeffs[t.mul_j], t.seg_starts))
+            self.coeffs.take(t.mul_i, axis=0) * o.coeffs.take(t.mul_j, axis=0),
+            t.seg_starts))
 
     __rmul__ = __mul__
 
@@ -355,80 +391,87 @@ class Jet:
         """Horner evaluation of ``sum_n series[n] * (self - value)^n``.
 
         ``series`` holds the univariate Taylor coefficients of the outer
-        function at the jet's value; this is the standard recurrence-free
-        form of univariate composition for truncated series.
+        function at the jet's value (for a block, one column per point);
+        this is the standard recurrence-free form of univariate composition
+        for truncated series.
         """
         hat = self.coeffs.copy()
         hat[0] = 0.0
         hat_jet = self._like(hat)
-        out = Jet.lift(float(series[self.order]), self.dim, self.order)
+        out = self._const(series[self.order])
         for n in range(self.order - 1, -1, -1):
-            out = out * hat_jet + float(series[n])
+            out = out * hat_jet + self._const(series[n])
         return out
 
     def reciprocal(self) -> "Jet":
-        a0 = self.value
-        if a0 == 0.0:
-            raise JetDomainError("division by a jet with zero constant term")
-        series = np.array([(-1.0) ** n / a0 ** (n + 1) for n in range(self.order + 1)])
-        return self.compose(series)
+        def terms(a0):
+            if a0 == 0.0:
+                raise JetDomainError("division by a jet with zero constant term")
+            return [(-1.0) ** n / a0 ** (n + 1) for n in range(self.order + 1)]
+        return self.compose(self._series(terms))
 
 
 # -- elementary functions ----------------------------------------------------
 
+def _check_positive(a: Jet, what: str) -> None:
+    """Raise at the first constant term of ``a`` that is zero or below."""
+    if (a.coeffs[0] <= 0.0).any():
+        x = next(x for x in np.ravel(a.coeffs[0]) if x <= 0.0)
+        raise JetDomainError(f"{what} of non-positive value {float(x)}")
+
+
 def exp(a: Jet) -> Jet:
-    e = math.exp(a.value)
-    series = np.array([e / math.factorial(n) for n in range(a.order + 1)])
-    return a.compose(series)
+    def terms(x):
+        e = math.exp(x)
+        return [e / math.factorial(n) for n in range(a.order + 1)]
+    return a.compose(a._series(terms))
 
 
 def log(a: Jet) -> Jet:
-    if a.value <= 0.0:
-        raise JetDomainError(f"log of non-positive value {a.value}")
-    series = np.empty(a.order + 1)
-    series[0] = math.log(a.value)
-    for n in range(1, a.order + 1):
-        series[n] = (-1.0) ** (n + 1) / (n * a.value ** n)
-    return a.compose(series)
+    _check_positive(a, "log")
+    return a.compose(a._series(lambda x: [math.log(x)] + [
+        (-1.0) ** (n + 1) / (n * x ** n) for n in range(1, a.order + 1)]))
 
 
-def _trig(a: Jet, f0: float, f1: float, f2: float, f3: float) -> Jet:
-    cycle = [f0, f1, f2, f3]
-    series = np.array(
-        [cycle[n % 4] / math.factorial(n) for n in range(a.order + 1)]
-    )
-    return a.compose(series)
+def _trig(a: Jet, cycle) -> Jet:
+    """Compose with a function whose derivatives at ``x`` repeat with
+    period 4 as ``cycle(x)``."""
+    def terms(x):
+        f = cycle(x)
+        return [f[n % 4] / math.factorial(n) for n in range(a.order + 1)]
+    return a.compose(a._series(terms))
 
 
 def sin(a: Jet) -> Jet:
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _trig(a, s, c, -s, -c)
+    def cycle(x):
+        s, c = math.sin(x), math.cos(x)
+        return s, c, -s, -c
+    return _trig(a, cycle)
 
 
 def cos(a: Jet) -> Jet:
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _trig(a, c, -s, -c, s)
+    def cycle(x):
+        s, c = math.sin(x), math.cos(x)
+        return c, -s, -c, s
+    return _trig(a, cycle)
 
 
 def sinh(a: Jet) -> Jet:
-    s, c = math.sinh(a.value), math.cosh(a.value)
-    series = np.array(
-        [(s if n % 2 == 0 else c) / math.factorial(n) for n in range(a.order + 1)]
-    )
-    return a.compose(series)
+    def cycle(x):
+        s, c = math.sinh(x), math.cosh(x)
+        return s, c, s, c
+    return _trig(a, cycle)
 
 
 def cosh(a: Jet) -> Jet:
-    s, c = math.sinh(a.value), math.cosh(a.value)
-    series = np.array(
-        [(c if n % 2 == 0 else s) / math.factorial(n) for n in range(a.order + 1)]
-    )
-    return a.compose(series)
+    def cycle(x):
+        s, c = math.sinh(x), math.cosh(x)
+        return c, s, c, s
+    return _trig(a, cycle)
 
 
 def sqrt(a: Jet) -> Jet:
-    if a.value <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive value {a.value}")
+    _check_positive(a, "sqrt")
     return power(a, 0.5)
 
 
@@ -438,23 +481,22 @@ def power(a: Jet, r: float) -> Jet:
         r = int(r)
     if isinstance(r, int):
         if r == 0:
-            return Jet.lift(1.0, a.dim, a.order)
+            return a._const(1.0)
         base = a if r > 0 else a.reciprocal()
         out = base
         for _ in range(abs(r) - 1):
             out = out * base
         return out
-    if a.value <= 0.0:
-        raise JetDomainError(
-            f"fractional power of non-positive value {a.value}"
-        )
-    series = np.empty(a.order + 1)
-    series[0] = a.value ** r
-    coef = 1.0
-    for n in range(1, a.order + 1):
-        coef *= (r - (n - 1)) / n
-        series[n] = coef * a.value ** (r - n)
-    return a.compose(series)
+    _check_positive(a, "fractional power")
+
+    def terms(x):
+        series = [x ** r]
+        coef = 1.0
+        for n in range(1, a.order + 1):
+            coef *= (r - (n - 1)) / n
+            series.append(coef * x ** (r - n))
+        return series
+    return a.compose(a._series(terms))
 
 
 FUNCTIONS = {

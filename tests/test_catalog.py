@@ -84,6 +84,26 @@ def test_certification_failure_is_hard_error():
         certify_entry(broken)
 
 
+def test_certification_error_comes_at_its_grid_point():
+    # the grid is certified in blocks; a metric that is not positive
+    # definite at the third grid point only raises that point's error
+    from ctlab.catalog import (CERTIFICATION_POINTS, CERTIFICATION_SEED,
+                               CatalogEntry, certify_entry)
+    from ctlab.geometry import GeometryInstance, MetricError
+    from ctlab.jets import JetConfig
+    g = GeometryInstance(GeometrySpec(
+        name="pinched", dim=2, coords=["x1", "x2"],
+        domain=[(-2.0, 2.0), (-2.0, 2.0)],
+        metric=[["x1*x1 - 0.01"], ["0", "1"]]), JetConfig(2))
+    grid = g.sample_points(CERTIFICATION_POINTS, CERTIFICATION_SEED)
+    assert [p[0] ** 2 > 0.01 for p in grid[:3]] == [True, True, False]
+    with pytest.raises(MetricError) as alone:
+        g.state(grid[2])
+    with pytest.raises(MetricError) as got:
+        certify_entry(CatalogEntry(name="pinched", geometry=g, claims=()))
+    assert str(got.value) == str(alone.value)
+
+
 def test_conformal_entries_flatten_back():
     from ctlab import conformal, curvature
     e = catalog.load("conformal_gaussian", dim=3, seed=4)

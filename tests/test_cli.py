@@ -275,14 +275,29 @@ def test_metric_error_precedes_u_domain_error(capsys, tmp_path):
                               "definite at (")
 
 
-def test_zero_tolerance_override_applies_to_laws(capsys):
+def test_tolerance_override_applies_to_laws(capsys):
     code, out, _ = run(capsys, "verify", "--catalog", "conformal_gaussian",
-                       "--dim", "3", "--law", "cotton", "--tol-class", "B=0",
-                       "--format", "json")
+                       "--dim", "3", "--law", "cotton", "--tol-class",
+                       "B=1e-300", "--format", "json")
     assert code == 1
     (row,) = json.loads(out)["rows"]
-    assert row["tol"] == 0.0
+    assert row["tol"] == 1e-300
     assert row["status"] == "fail"
+
+
+@pytest.mark.parametrize("override", ["A=inf,B=inf", "A=nan", "A=0", "A=-1"])
+def test_tolerance_override_that_decides_every_row_is_rejected(capsys,
+                                                              override):
+    # inf would pass every row and write "tol": Infinity; 0, -1 and nan
+    # would fail every row
+    code, out, err = run(capsys, "verify", "--catalog", "euclidean", "--dim",
+                         "3", "--suite", "COMM", "--points", "1",
+                         "--tol-class", override)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance override ")
+    assert "must be a positive finite number" in err
+    assert err.count("\n") == 1
 
 
 def test_zero_points_is_a_config_error(capsys):

@@ -223,6 +223,51 @@ def test_tape_matches_reference_walker(seed, dim, order):
     assert whole == (first_error or want[-1])
 
 
+def _column_outcomes(fn):
+    """Each column's coefficient bytes, or the type and message raised."""
+    try:
+        with np.errstate(all="ignore"):
+            c = fn().coeffs
+        return [c[:, j].tobytes() for j in range(c.shape[1])]
+    except (EvalDomainError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 6),
+       st.sampled_from([1, 2, 7]))
+def test_tape_block_matches_each_point(seed, dim, order, size):
+    # each column of a block is bit for bit its point's jet, sign bits of
+    # zeros and non-finite entries included; a block whose point raises
+    # raises what one of its points raises
+    coords = [f"x{i + 1}" for i in range(dim)]
+    rng = np.random.default_rng(seed)
+    exprs = shared_exprs(rng, coords)
+    points = rng.uniform(-1.0, 1.0, (size, dim))
+    tape = Tape(exprs)
+    for r in range(len(exprs)):
+        alone = [_outcome(lambda p=p: tape.evaluate(p, order, upto=r + 1)[
+            tape.roots[r]]) for p in points]
+        got = _column_outcomes(lambda: tape.evaluate(points, order, upto=r + 1)[
+            tape.roots[r]])
+        errors = [a for a in alone if isinstance(a, tuple)]
+        if errors:
+            assert got in errors
+        else:
+            assert got == alone
+
+
+def test_tape_drops_op_values_after_their_last_use():
+    coords = ["x1", "x2"]
+    exprs = [parse_expr(t, coords) for t in ("exp(x1*x2)+x1", "x1*x2")]
+    tape = Tape(exprs)
+    values = tape.evaluate(np.array([[0.1, 0.2], [0.3, 0.4]]), 3)
+    kept = {i for i, v in enumerate(values) if v is not None}
+    # the roots stay, and so does x1*x2, which is the second root
+    assert kept == set(tape.roots)
+    assert values[tape.roots[0]].coeffs.shape == (10, 2)
+
+
 def test_tape_interns_equal_subtrees_once():
     coords = ["x1", "x2"]
     e2u = "exp(2*(x1*x2))"

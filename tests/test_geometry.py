@@ -1,6 +1,8 @@
 """Chart-level operators against hand values and FD/flow oracles."""
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,17 @@ import pytest
 from ctlab import catalog, conformal, jets
 from ctlab.exprlang import EvalDomainError, GeometrySpec
 from ctlab.curvature import bundle
-from ctlab.geometry import GeometryInstance, MetricError, point_key, point_scope
+from ctlab.geometry import (
+    GeometryInstance,
+    MetricError,
+    point_blocks,
+    point_key,
+    point_scope,
+)
 from ctlab.jets import JetConfig, JetOrderError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from run_full_suite import LAW_SCHEDULE, SCHEDULE  # noqa: E402
 
 from oracles import (
     christoffel_fd,
@@ -333,3 +344,51 @@ def test_metric_error_precedes_field_domain_errors():
         g = _flat_with([["1"], ["0", "1"]], **fields)
         with pytest.raises(EvalDomainError, match=message):
             g.state([-1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# blocks of points
+# ---------------------------------------------------------------------------
+
+# every chart of the full suite once, each with its rescaling if it has u
+_CHARTS = list({(name, tuple(sorted(params.items()))): (name, params)
+                for name, params, *_ in SCHEDULE + LAW_SCHEDULE}.values())
+
+
+@pytest.mark.parametrize("name, params", _CHARTS,
+                         ids=[f"{n}-{p}" for n, p in _CHARTS])
+def test_block_roots_match_each_point(name, params):
+    base = catalog.load(name, certify=False, **params).geometry
+    specs = [base.spec]
+    if base.spec.u is not None:
+        specs.append(conformal.rescale(base).tilde.spec)
+    points = base.sample_points(32, 0)
+    for spec in specs:
+        tape = spec.tape
+        for order in range(2, 7):
+            alone = [[v[r].coeffs.tobytes() for r in tape.roots]
+                     for v in (tape.evaluate(p, order) for p in points)]
+            for size in (1, 2, 7, 32):
+                values = tape.evaluate(points[:size], order)
+                for j in range(size):
+                    assert [values[r].coeffs[:, j].tobytes()
+                            for r in tape.roots] == alone[j]
+
+
+def test_point_states_in_blocks_match_states_alone():
+    base = catalog.load("random", dim=4, seed=5, certify=False).geometry
+    g = conformal.rescale(base).base
+    points = g.sample_points(9, 1)
+    alone = GeometryInstance(g.spec, JetConfig(4))
+    blocked = GeometryInstance(g.spec, JetConfig(4))
+    seen = []
+    for p in point_blocks(points, blocked):
+        assert point_key(p) in blocked._block
+        a, b = alone.state(p), blocked.state(p)
+        assert point_key(p) not in blocked._block  # taken by the state
+        for name in ("g", "ginv", "u", "f", "x_contra", "x_lower"):
+            assert getattr(a, name).coeffs.tobytes() == \
+                getattr(b, name).coeffs.tobytes(), name
+        seen.append(point_key(p))
+    assert seen == [point_key(p) for p in points]
+    assert blocked._block == {}

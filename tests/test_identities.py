@@ -1,14 +1,20 @@
 """The identity registry: families on their certified geometries, the
 degeneration lattice, and the verification driver's bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ctlab import catalog, identities
+from ctlab import catalog, conformal, identities
 from ctlab.conformal import select_laws
+from ctlab.exprlang import EvalDomainError, GeometrySpec
+from ctlab.geometry import GeometryInstance, MetricError
+from ctlab.jets import JetConfig
 from ctlab.identities import (
     CertificationError,
     EvalContext,
+    IdentityRecord,
     SolitonData,
     list_identities,
     residual,
@@ -401,3 +407,89 @@ def test_delta_contraction_matches_three_operand_einsum():
         want = np.einsum(spec, a, b, eye)
         got = identities._with_delta(spec, a, b, eye)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# blocks of points: errors and warnings at their own point
+# ---------------------------------------------------------------------------
+
+def _spy(note):
+    """A record that runs everywhere and records ``note(context)``."""
+    seen = []
+
+    def evaluate(c):
+        seen.append(note(c))
+        return np.zeros(1), np.zeros(1)
+    return IdentityRecord("spy", "COMM", "spy", frozenset(), None, 2, 2, "A",
+                          None, evaluate), seen
+
+
+def _chart(metric=(("1",), ("0", "1")), **fields):
+    """A flat-by-default chart at the spy's working order, 2."""
+    return GeometryInstance(GeometrySpec(
+        name="chart", dim=2, coords=["x1", "x2"],
+        domain=[(-2.0, 2.0), (-2.0, 2.0)],
+        metric=[list(row) for row in metric], **fields), JetConfig(2))
+
+
+@pytest.mark.parametrize("fields, points, error, message", [
+    # the block evaluates; the third point's state fails Cholesky
+    (dict(metric=(("x1",), ("0", "1"))),
+     [[1.0, 0.0], [0.5, 0.1], [-1.0, 0.0], [1.0, 1.0]], MetricError,
+     "metric of 'chart' not positive definite at"),
+    # the block raises, so each point evaluates alone
+    (dict(f="log(x1)"), [[1.0, 0.0], [-0.5, 0.0], [1.0, 1.0]],
+     EvalDomainError, "log of non-positive value -0.5"),
+    (dict(u="exp(1000*x1)"), [[0.5, 0.0], [1.0, 0.0], [0.2, 1.0]],
+     OverflowError, "math range error"),
+])
+def test_block_error_comes_at_its_point(fields, points, error, message):
+    alone = [_error(lambda p=p: _chart(**fields).state(p)) for p in points]
+    bad = next(k for k, e in enumerate(alone) if e is not None)
+    assert alone[bad][0] is error and message in alone[bad][1]
+    spy, seen = _spy(lambda c: c.point)
+    assert _error(lambda: verify(_chart(**fields), [spy],
+                                 np.array(points))) == alone[bad]
+    assert seen == [tuple(p) for p in points[:bad]]
+
+
+def _error(fn):
+    """The type and message ``fn`` raises, or None."""
+    try:
+        fn()
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+    return None
+
+
+def test_block_warnings_come_at_their_point():
+    # exp(700)^2 overflows in the jet product at x1 = 1 only
+    fields = dict(f="exp(700*x1)*exp(700*x1)")
+    points = np.array([[0.1, 0.0], [1.0, 0.0], [0.2, 1.0]])
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        _chart(**fields).state(points[1])
+    assert alone and all(w.category is RuntimeWarning for w in alone)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spy, seen = _spy(lambda c: len(caught))
+        verify(_chart(**fields), [spy], points)
+    assert seen == [0, len(alone), len(alone)]
+    assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
+
+
+def test_rescaled_spec_compiled_only_when_a_record_reads_it(monkeypatch):
+    g = catalog.load("random", dim=4, seed=2, certify=False).geometry
+    assert g.spec.u is not None
+    compiled = []
+    init = GeometrySpec.__post_init__
+    monkeypatch.setattr(GeometrySpec, "__post_init__",
+                        lambda self: compiled.append(self.name) or init(self))
+    points = g.sample_points(1, 0)
+    verify(g, select_records(["COMM"]), points)
+    assert compiled == []
+    pair = conformal.rescale(g)
+    assert compiled == [pair.tilde.name]
+    rows = conformal.verify_transform(pair, select_laws(["ricci"]), points)
+    assert compiled == [pair.tilde.name]
+    assert rows[0].status == "pass"

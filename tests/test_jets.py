@@ -42,6 +42,13 @@ def test_lift_slot_out_of_range():
         Jet.lift(1.0, 2, 2, slot=3)
 
 
+def test_repr_of_one_jet_and_of_a_block():
+    assert repr(Jet.lift(1.5, 2, 3)) == "Jet(dim=2, order=3, value=1.5)"
+    block = Jet.lift(np.array([1.5, 2.0, 0.5]), 2, 3, slot=1)
+    assert block.coeffs.shape == (10, 3)
+    assert repr(block) == "Jet(dim=2, order=3, block of 3)"
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
