@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Compare two report trees written by ``run_full_suite.py --json-dir``.
+
+Rows are matched by file and position.  The script prints how many rows it
+compared, every status change, and how many residuals moved and by how much
+at most.  It exits 1 on any status change or on trees whose rows do not
+match (a file, a row id or a tolerance present on one side only, or no
+rows at all), and with ``--exact`` also when any residual moved; else it
+exits 0.
+
+Usage:
+    python scripts/compare_reports.py A B [--exact]
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+
+def _rows(tree: Path) -> dict[tuple[str, int], dict]:
+    return {(path.name, k): row
+            for path in sorted(tree.glob("*.json"))
+            for k, row in enumerate(json.loads(path.read_text())["rows"])}
+
+
+def compare(a: Path, b: Path) -> dict:
+    """Rows compared, mismatches, status changes and moved residuals
+    (as |delta|) of tree ``b`` against tree ``a``."""
+    ra, rb = _rows(a), _rows(b)
+    out = {"compared": 0, "with_residual": 0, "mismatches": [],
+           "status_changes": [], "moved": []}
+    for key in sorted(ra.keys() | rb.keys()):
+        x, y = ra.get(key), rb.get(key)
+        where = f"{key[0]}:{(x or y)['id']}"
+        if x is None or y is None or (x["id"], x["tol"]) != (y["id"], y["tol"]):
+            out["mismatches"].append(where)
+            continue
+        out["compared"] += 1
+        if x["status"] != y["status"]:
+            out["status_changes"].append(
+                f"{where}: {x['status']} -> {y['status']}")
+        if x["max_residual"] is None and y["max_residual"] is None:
+            continue
+        if x["max_residual"] is None or y["max_residual"] is None:
+            out["mismatches"].append(where)
+            continue
+        out["with_residual"] += 1
+        delta = abs(y["max_residual"] - x["max_residual"])
+        if delta:
+            out["moved"].append(delta)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("a", type=Path)
+    ap.add_argument("b", type=Path)
+    ap.add_argument("--exact", action="store_true",
+                    help="also fail when any residual moved")
+    args = ap.parse_args(argv)
+    res = compare(args.a, args.b)
+    for where in res["mismatches"]:
+        print(f"MISMATCH {where}")
+    for change in res["status_changes"]:
+        print(f"STATUS {change}")
+    print(f"rows compared: {res['compared']} "
+          f"({res['with_residual']} with residuals)")
+    print(f"status changes: {len(res['status_changes'])}")
+    print(f"residuals moved: {len(res['moved'])}; "
+          f"max |delta|: {max(res['moved'], default=0.0):.3e}")
+    bad = (not res["compared"] or res["mismatches"] or res["status_changes"]
+           or (args.exact and res["moved"]))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -34,6 +34,7 @@ from .jets import (
     JetConfig,
     JetOrderError,
     jet_einsum,
+    jet_inverse,
     jet_partial,
     table,
     truncate_coeffs,
@@ -129,7 +130,8 @@ class PointState:
         self.order = geometry.config.order
         if not spec.contains(self.point):
             raise MetricError(
-                f"point {tuple(self.point)} outside the domain box of {spec.name!r}"
+                f"point {point_key(self.point)} outside the domain box of "
+                f"{spec.name!r}"
             )
 
         m, k = self.m, self.order
@@ -148,12 +150,12 @@ class PointState:
         except np.linalg.LinAlgError as err:
             raise MetricError(
                 f"metric of {spec.name!r} not positive definite at "
-                f"{tuple(self.point)}"
+                f"{point_key(self.point)}"
             ) from err
         self.cholesky = chol
         self.vielbein_inv = np.linalg.inv(chol)
 
-        self.ginv = self._invert(self.g)
+        self.ginv = TensorJet(jet_inverse(g, m, k), m, k)
         self._christoffel: TensorJet | None = None
 
         self.u, self.f = [
@@ -167,23 +169,6 @@ class PointState:
         else:
             self.x_contra = None
             self.x_lower = None
-
-    def _invert(self, g: TensorJet) -> TensorJet:
-        """Jet-ring inverse by Newton iteration; exact after ceil(log2(K+1))
-        doubling steps because the residual has no constant term."""
-        m, k = self.m, self.order
-        y = np.zeros_like(g.coeffs)
-        y[0] = np.linalg.inv(g.coeffs[0])
-        yj = TensorJet(y, m, k)
-        steps = 0
-        while (1 << steps) < k + 1:
-            steps += 1
-        for _ in range(steps):
-            gy = tj_einsum("ab,bc->ac", g, yj)
-            t = -gy.coeffs
-            t[0] += 2.0 * np.eye(m)
-            yj = tj_einsum("ab,bc->ac", yj, TensorJet(t, m, k))
-        return yj
 
     # -- connection ----------------------------------------------------------
 
@@ -307,16 +292,15 @@ class GeometryInstance:
     def at_depth(self, depth: int) -> "GeometryInstance":
         """This chart at the lowest order that reads a quantity of metric
         derivative depth ``depth`` bit for bit as the configured order
-        does.  Two things can move the last bits: the jet-ring inverse
-        takes ceil(log2(order + 1)) Newton steps, and a quantity read at its
-        own top order comes out of the narrowest padded GEMMs, whose sums
-        round differently.  So only a configured order of 4 to 7 (3 steps)
-        is lowered, to ``max(depth + 1, 4)``; any other is kept, and a
+        does: ``max(depth + 1, 4)``, capped at the configured order.  The
+        jet-ring inverse is truncation-exact, but a jet product's padded
+        GEMM is as wide as its order's largest pair count, and a narrower
+        one can sum the same terms in another order: a quantity read at its
+        own top order moves in its last bits, and so can one built at order
+        3 (``duf_tensor``, which vanishes identically on some charts).  A
         depth past the configured order still raises as it did."""
-        k = self.config.order
-        if 4 <= k <= 7:
-            return self.at_order(min(k, max(depth + 1, 4)))
-        return self
+        return self.at_order(min(self.config.order, max(depth + 1, 4)))
+
     @property
     def dim(self) -> int:
         return self.spec.dim

@@ -13,10 +13,11 @@ Two layers live here:
   expression evaluator and exposed to users.  One ``Jet`` may also hold a
   block of P jets, one column per base point, so that the expression tape
   walks its ops once for many points (vector-mode Taylor arithmetic).
-* coefficient-array kernels (:func:`jet_einsum`, :func:`jet_partial`, ...)
-  that act on arrays shaped ``(ncoeffs, *tensor_shape)``.  The geometry
-  layer stores whole tensor fields this way and gets vectorised jet
-  arithmetic across all components at once.
+* coefficient-array kernels (:func:`jet_einsum`, :func:`jet_inverse`,
+  :func:`jet_partial`, ...) that act on arrays shaped
+  ``(ncoeffs, *tensor_shape)``.  The geometry layer stores whole tensor
+  fields this way and gets vectorised jet arithmetic across all components
+  at once.
 
 A product of two jets is a convolution of their coefficients: output
 coefficient ``p`` sums ``a[i] * b[j]`` over the pairs with
@@ -86,6 +87,8 @@ class MultiIndexTable:
         alpha_p, and w is the largest pair count of any out index.  Unused
         slots hold N, the index of the zero row that :func:`jet_einsum`
         appends to each operand.
+    width_by_order : width_by_order[d] = the largest pair count of any out
+        index of degree d; the same in every table of order >= d.
     dsrc, dmul : per-variable differentiation maps; the coefficient of
         d/dx_v at alpha is ``coeffs[dsrc[v, k]] * dmul[v, k]``.
     """
@@ -130,6 +133,9 @@ class MultiIndexTable:
         self.pad_j = self.pad_i.copy()
         self.pad_i[out, slot] = self.mul_i
         self.pad_j[out, slot] = self.mul_j
+        count = np.bincount(out)
+        self.width_by_order = [int(count[lo:hi].max()) for lo, hi in
+                               zip([0] + size_by_order, size_by_order)]
 
         if order >= 1:
             nprev = size_by_order[order - 1]
@@ -168,7 +174,8 @@ class _Layout:
         nc, nf = self.flat
         buf = np.zeros((n + 1, nc, nf))
         buf.reshape((n + 1,) + self.tail)[:n] = x[:n].transpose(self.perm)
-        return buf[pad].reshape(n, -1, nf)
+        # take copies whole rows, where indexing goes entry by entry
+        return buf.take(pad.ravel(), axis=0).reshape(n, -1, nf)
 
 
 @dataclass(frozen=True)
@@ -225,6 +232,34 @@ def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, dim: int,
     prod = np.matmul(plan.a.gather(a, n, t.pad_i).swapaxes(-1, -2),
                      plan.b.gather(b, n, t.pad_j))
     return prod.reshape((n,) + plan.free).transpose(plan.perm)
+
+
+def jet_inverse(g: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Jet-ring inverse of a jet of invertible matrices, (N, m, m).
+
+    The graded Taylor recurrence: with ``Y_0 = G_0^-1`` and
+    ``H_i = Y_0 G_i``, each coefficient ``p`` of degree d is
+    ``Y_p = -sum H_i Y_j`` over the pairs ``alpha_i + alpha_j = alpha_p``
+    with ``|alpha_i| >= 1``, which reads only rows of Y of lower degree.
+    Each degree is one padded GEMM over its rows, laid out as in
+    :func:`jet_einsum`, with H's constant row zero and the pad trimmed to
+    the degree's own largest pair count.  A degree's rows, pairs and width
+    are the same in every table of order >= d, so the inverse at order K
+    truncated to K' is the inverse at K' bit for bit."""
+    t = table(dim, order)
+    n = t.size
+    m = g.shape[-1]
+    y = np.zeros((n + 1, m, m))
+    y[0] = np.linalg.inv(g[0])
+    h = np.zeros((n + 1, m, m))  # H_i transposed: [coeff, contracted, free]
+    for d in range(1, order + 1):
+        lo, hi = t.size_by_order[d - 1], t.size_by_order[d]
+        w = t.width_by_order[d]
+        h[lo:hi] = (y[0] @ g[lo:hi]).swapaxes(-1, -2)
+        a = h.take(t.pad_i[lo:hi, :w].ravel(), axis=0).reshape(hi - lo, -1, m)
+        b = y.take(t.pad_j[lo:hi, :w].ravel(), axis=0).reshape(hi - lo, -1, m)
+        y[lo:hi] = -(a.swapaxes(-1, -2) @ b)
+    return y[:n]
 
 
 def jet_partial(a: np.ndarray, v: int, dim: int, order: int) -> np.ndarray:

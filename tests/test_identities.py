@@ -447,6 +447,7 @@ def test_block_error_comes_at_its_point(fields, points, error, message):
     alone = [_error(lambda p=p: _chart(**fields).state(p)) for p in points]
     bad = next(k for k, e in enumerate(alone) if e is not None)
     assert alone[bad][0] is error and message in alone[bad][1]
+    assert not any("np.float64" in e[1] for e in alone if e is not None)
     spy, seen = _spy(lambda c: c.point)
     assert _error(lambda: verify(_chart(**fields), [spy],
                                  np.array(points))) == alone[bad]

@@ -343,3 +343,41 @@ def test_gemm_kernel_output_orders_and_bad_specs():
         a, b = kernel_operands(spec, dim, order, 1)
         with pytest.raises(ValueError, match="jet_einsum spec"):
             jets.jet_einsum(spec, a, b, dim, order, order)
+
+
+# ---------------------------------------------------------------------------
+# jet-ring inverse (graded recurrence)
+# ---------------------------------------------------------------------------
+
+def spd_metric_jet(dim, order, seed):
+    """A symmetric matrix jet whose constant term is positive definite and
+    whose degree-d coefficients shrink like 2^-d, as a chart's do inside
+    its radius of convergence."""
+    t = table(dim, order)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.5, 0.5, (t.size, dim, dim))
+    g = (a + a.swapaxes(-1, -2)) * 0.5 ** t.degree[:, None, None]
+    g[0] = a[0] @ a[0].T + np.eye(dim)
+    return g
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 8))
+def test_inverse_times_metric_is_the_identity_jet(seed, dim, order):
+    g = spd_metric_jet(dim, order, seed)
+    y = jets.jet_inverse(g, dim, order)
+    for spec, a, b in (("ab,bc->ac", g, y), ("ab,bc->ac", y, g)):
+        prod = jets.jet_einsum(spec, a, b, dim, order, order)
+        prod[0] -= np.eye(dim)
+        assert np.abs(prod).max() < 1e-13, (dim, order)
+
+
+def test_inverse_is_truncation_exact():
+    # each degree's GEMM has the same rows, pairs and width at every order
+    # that carries it, so a lower order is a prefix bit for bit
+    for dim in range(1, 6):
+        for order in range(9):
+            g = spd_metric_jet(dim, order, 10 * dim + order)
+            y = jets.jet_inverse(g, dim, order)
+            for low in range(order):
+                n = table(dim, low).size
+                assert np.array_equal(y[:n], jets.jet_inverse(g[:n], dim, low))
