@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from ctlab import catalog, conformal, identities
-from ctlab.report import TOOL_VERSION, VerificationReport, geometry_hash
+from ctlab.report import VerificationReport
 
 SCHEDULE = [
     # entry, kwargs, identity families
@@ -51,16 +51,8 @@ LAW_SCHEDULE = [
 
 def write_report(args, k, geometry, suite, rows):
     """Write entry ``k``'s report as ``<json-dir>/NN-<geometry>-<suite>.json``."""
-    report = VerificationReport(
-        tool_version=TOOL_VERSION,
-        geometry=geometry.name,
-        geometry_hash=geometry_hash(geometry.spec.to_json()),
-        dim=geometry.dim,
-        jet_order=geometry.config.order,
-        seed=args.seed,
-        points=args.points,
-        rows=rows,
-    )
+    report = VerificationReport.for_geometry(geometry, args.seed,
+                                             args.points, rows)
     slug = re.sub(r"[^A-Za-z0-9]+", "_", geometry.name).strip("_")
     path = Path(args.json_dir) / f"{k:02d}-{slug}-{suite}.json"
     path.write_text(report.to_json() + "\n")

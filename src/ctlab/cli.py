@@ -20,7 +20,7 @@ from .catalog import CatalogError
 from .exprlang import GeometrySpec, ParseError
 from .geometry import GeometryInstance, MetricError
 from .jets import JetConfig, JetError
-from .report import VerificationReport, geometry_hash, TOOL_VERSION
+from .report import VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -107,42 +107,28 @@ def cmd_verify(args) -> int:
     else:
         # one pass, so each point's states serve identities and laws alike
         rows = identities.verify(geometry, records + laws, points, overrides)
-    report = VerificationReport(
-        tool_version=TOOL_VERSION,
-        geometry=geometry.name,
-        geometry_hash=geometry_hash(geometry.spec.to_json()),
-        dim=geometry.dim,
-        jet_order=geometry.config.order,
-        seed=args.seed,
-        points=args.points,
-        rows=rows,
-    )
+    report = VerificationReport.for_geometry(geometry, args.seed,
+                                             args.points, rows)
     _emit(args, report.to_json() if args.format == "json" else report.table())
     return EXIT_PASS if report.overall == "pass" else EXIT_FAIL
 
 
+def _reader(name: str):
+    """How ``ctlab eval`` reads ``name``: from the point's curvature bundle,
+    except the Christoffel symbols, which are not a tensor."""
+    if name == "christoffel":
+        return lambda g, p: g.christoffel(p).components
+    return lambda g, p: curvature.bundle(g, p).on(name)
+
+
 # each quantity with the metric derivative depth it reads, so that
 # ``ctlab eval`` builds its point at no more jet order than it needs
-_QUANTITIES = {
-    "riemann": (2, lambda g, p: curvature.riemann(g, p).components),
-    "ricci": (2, lambda g, p: curvature.ricci(g, p).components),
-    "scalar": (2, lambda g, p: curvature.scalar(g, p)),
-    "schouten": (2, lambda g, p: curvature.schouten(g, p).components),
-    "weyl": (2, lambda g, p: curvature.weyl(g, p).components),
-    "einstein": (2, lambda g, p: curvature.einstein(g, p).components),
-    "cotton": (3, lambda g, p: curvature.cotton(g, p).components),
-    "cotton_weyl_div": (
-        3, lambda g, p: curvature.cotton(g, p, "weyl_div").components),
-    "bach": (4, lambda g, p: curvature.bach(g, p).components),
-    "bach_weyl_div": (
-        4, lambda g, p: curvature.bach(g, p, "weyl_div").components),
-    "d_tensor": (2, lambda g, p: curvature.d_tensor(g, p).components),
-    "dx_tensor": (2, lambda g, p: curvature.dx_tensor(g, p).components),
-    "duf_tensor": (2, lambda g, p: curvature.duf_tensor(g, p).components),
-    "dux_tensor": (2, lambda g, p: curvature.dux_tensor(g, p).components),
-    "christoffel": (1, lambda g, p: g.christoffel(p).components),
-    "lie_metric": (1, lambda g, p: curvature.bundle(g, p).on("lie_metric")),
-}
+_QUANTITIES = {name: (depth, _reader(name)) for name, depth in {
+    "riemann": 2, "ricci": 2, "scalar": 2, "schouten": 2, "weyl": 2,
+    "einstein": 2, "cotton": 3, "cotton_weyl_div": 3, "bach": 4,
+    "bach_weyl_div": 4, "d_tensor": 2, "dx_tensor": 2, "duf_tensor": 2,
+    "dux_tensor": 2, "christoffel": 1, "lie_metric": 1,
+}.items()}
 
 
 def _fmt(v: float) -> str:
@@ -224,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run identity families or law suites")
     common(v)
     v.add_argument("--suite", help="comma-separated families "
-                                   "(COMM,SOL,CE,CGRS,GRS,CGERS,HIGH)")
+                                   f"({','.join(identities.FAMILIES)})")
     v.add_argument("--id", help="comma-separated identity ids")
     v.add_argument("--law", help="comma-separated law ids, or 'all'")
     v.add_argument("--points", type=int, default=8)

@@ -14,9 +14,10 @@ Conventions: both routes are compared in orthonormal-coframe components
 vielbein reproduces exactly), and each law carries the power ``k`` in
 ``e^{k u} * (rescaled quantity) = formula(base quantities)``.
 
-Each law is an :class:`~ctlab.identities.IdentityRecord` of family ``LAW``;
-``verify_transform`` runs them through the one driver,
-:func:`ctlab.identities.verify`, against the pair's rescaled geometry.
+Each law is an :class:`~ctlab.identities.IdentityRecord` of family ``LAW``,
+declared by ``@_law`` on its evaluator; ``verify_transform`` runs them
+through the one driver, :func:`ctlab.identities.verify`, against the pair's
+rescaled geometry.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .curvature import skew_on
 from .exprlang import GeometrySpec
 from .geometry import GeometryInstance
-from .identities import EvalContext, IdentityRecord, verify
+from .identities import EvalContext, IdentityRecord, declare, verify
 
 
 @dataclass
@@ -94,6 +95,17 @@ def _duf_correction(c: EvalContext):
 # law evaluators (law_<id>): return (e^{ku} * rescaled, base formula)
 # ---------------------------------------------------------------------------
 
+_DECLARED: list[IdentityRecord] = []
+
+
+def _law(id_: str, eq: str, tol_class: str, **meta):
+    """Declare the decorated evaluator as law ``id_``: family LAW, dim >= 3,
+    reading the rescaled geometry; ``meta`` as for :func:`declare`."""
+    return declare(_DECLARED, id_, "LAW", eq, tol_class, min_dim=3,
+                   reads_tilde=True, **meta)
+
+
+@_law("riemann04", "Riemannexp", "A")
 def law_riemann04(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -107,6 +119,7 @@ def law_riemann04(c: EvalContext):
     return c.e(2) * c.t.on("riemann"), rhs
 
 
+@_law("ricci", "RicciexpComponents", "A")
 def law_ricci(c: EvalContext):
     m, I = c.m, c.I
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -116,6 +129,7 @@ def law_ricci(c: EvalContext):
     return c.e(2) * c.t.on("ricci"), rhs
 
 
+@_law("scalar", "scalarExp", "A")
 def law_scalar(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -124,6 +138,7 @@ def law_scalar(c: EvalContext):
     return c.e(2) * c.t.on("scalar"), rhs
 
 
+@_law("nabla_ricci", "NablaRicciexpComponents", "B", min_order=3)
 def law_nabla_ricci(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -148,6 +163,7 @@ def law_nabla_ricci(c: EvalContext):
     return c.e(3) * c.t.on("ricci", 1), rhs
 
 
+@_law("nabla2_ricci", "ExpochangenablasquaredRicci", "B", min_order=4)
 def law_nabla2_ricci(c: EvalContext):
     """Second covariant derivative of the Ricci tensor, transcribed line by
     line from its closed form."""
@@ -237,6 +253,7 @@ def law_nabla2_ricci(c: EvalContext):
     return c.e(4) * c.t.on("ricci", 2), rhs
 
 
+@_law("nabla_scalar", "NablascalarExp", "B", min_order=3)
 def law_nabla_scalar(c: EvalContext):
     m = c.m
     e = np.einsum
@@ -249,6 +266,7 @@ def law_nabla_scalar(c: EvalContext):
     return c.e(3) * c.t.on("scalar", 1), rhs
 
 
+@_law("hess_scalar", "HessianscalarExp", "B", min_order=4)
 def law_hess_scalar(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -271,6 +289,7 @@ def law_hess_scalar(c: EvalContext):
     return c.e(4) * c.t.on("scalar", 2), rhs
 
 
+@_law("lap_scalar", "LaplacianscalarExp", "B", min_order=4)
 def law_lap_scalar(c: EvalContext):
     m = c.m
     e = np.einsum
@@ -291,12 +310,14 @@ def law_lap_scalar(c: EvalContext):
     return c.e(4) * float(np.trace(c.t.on("scalar", 2))), rhs
 
 
+@_law("hessian_f", "HessianExpComp", "A", requires=("f",))
 def law_hessian_f(c: EvalContext):
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
     rhs = f2 - (np.outer(f1, u1) + np.outer(u1, f1)) + float(f1 @ u1) * c.I
     return c.e(2) * c.t.on("f", 2), rhs
 
 
+@_law("laplacian_f", "LaplacianExpComp", "A", requires=("f",))
 def law_laplacian_f(c: EvalContext):
     m = c.m
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
@@ -304,6 +325,7 @@ def law_laplacian_f(c: EvalContext):
     return c.e(2) * float(np.trace(c.t.on("f", 2))), rhs
 
 
+@_law("third_f", "thirdDerivFunctExpComp", "B", requires=("f",), min_order=3)
 def law_third_f(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -326,6 +348,8 @@ def law_third_f(c: EvalContext):
     return c.e(3) * c.t.on("f", 3), rhs
 
 
+@_law("third_f_traced", "thirdDerivFunctExpCompTraced", "B", requires=("f",),
+      min_order=3)
 def law_third_f_traced(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -335,6 +359,7 @@ def law_third_f_traced(c: EvalContext):
     return c.e(3) * np.einsum("ttk->k", c.t.on("f", 3)), rhs
 
 
+@_law("schouten", "SchoutenexpComponents", "A")
 def law_schouten(c: EvalContext):
     m, I = c.m, c.I
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -343,6 +368,7 @@ def law_schouten(c: EvalContext):
     return c.e(2) * c.t.on("schouten"), rhs
 
 
+@_law("nabla_schouten", "ExpochangenablaSchouten", "B", min_order=3)
 def law_nabla_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -365,6 +391,7 @@ def law_nabla_schouten(c: EvalContext):
     return c.e(3) * c.t.on("schouten", 1), rhs
 
 
+@_law("nabla2_schouten", "ExpochangenablasquaredSchouten", "B", min_order=4)
 def law_nabla2_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -442,10 +469,12 @@ def law_nabla2_schouten(c: EvalContext):
     return c.e(4) * c.t.on("schouten", 2), rhs
 
 
+@_law("weyl13", "Weylexp", "A")
 def law_weyl13(c: EvalContext):
     return c.e(2) * c.t.on("weyl"), c.b.on("weyl")
 
 
+@_law("cotton", "Cottonlexp", "B", min_order=3)
 def law_cotton(c: EvalContext):
     m = c.m
     rhs = c.b.on("cotton") - (m - 2) * np.einsum(
@@ -453,6 +482,7 @@ def law_cotton(c: EvalContext):
     return c.e(3) * c.t.on("cotton"), rhs
 
 
+@_law("bach", "BachExpComp", "B", min_order=4)
 def law_bach(c: EvalContext):
     m = c.m
     e = np.einsum
@@ -464,6 +494,7 @@ def law_bach(c: EvalContext):
     return c.e(4) * c.t.on("bach"), rhs
 
 
+@_law("d_tensor", "DExpComp", "A", structure="tilde_gradient_soliton")
 def law_d_tensor(c: EvalContext):
     m = c.m
     rhs = _d_form1(c.b.on("f", 1), c.b.on("ricci"), c.b.on("scalar"), m)
@@ -471,6 +502,8 @@ def law_d_tensor(c: EvalContext):
     return c.e(3) * c.t.on("d_tensor"), rhs
 
 
+@_law("d_reverse", "DExpCompStartingFrom", "A",
+      structure="base_gradient_soliton")
 def law_d_reverse(c: EvalContext):
     """The reverse direction: the gradient-soliton 3-tensor pattern built
     from rescaled ingredients, against base-side data (valid when the BASE
@@ -483,6 +516,8 @@ def law_d_reverse(c: EvalContext):
     return lhs, rhs
 
 
+@_law("nabla_d", "CovDerivDExpComp", "B", structure="tilde_gradient_soliton",
+      min_order=4)
 def law_nabla_d(c: EvalContext):
     """Covariant derivative of the gradient-soliton 3-tensor, the longest
     law in the registry; output slots [i,j,k,t]."""
@@ -578,18 +613,21 @@ def law_nabla_d(c: EvalContext):
     return c.e(4) * c.t.on("d_tensor", 1), rhs
 
 
+@_law("lie_metric", "eq_conformalchangeLieDeriv", "A", requires=("X",))
 def law_lie_metric(c: EvalContext):
     xu = float(c.b.on("X") @ c.b.on("u", 1))
     rhs = c.b.on("lie_metric") + 2 * xu * c.I
     return c.t.on("lie_metric"), rhs
 
 
+@_law("nabla_X", "tildeXik", "A", requires=("X",))
 def law_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     rhs = x1 + np.outer(x, u1) + float(x @ u1) * c.I - np.outer(u1, x)
     return c.t.on("X", 1), rhs
 
 
+@_law("sym_nabla_X", "tildeXiktildeXki", "A", requires=("X",))
 def law_sym_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     tx1 = c.t.on("X", 1)
@@ -597,12 +635,14 @@ def law_sym_nabla_x(c: EvalContext):
     return tx1 + tx1.T, rhs
 
 
+@_law("div_X", "divergenzatilde", "A", requires=("X",))
 def law_div_x(c: EvalContext):
     rhs = float(np.trace(c.b.on("X", 1))) + c.m * float(
         c.b.on("X") @ c.b.on("u", 1))
     return float(np.trace(c.t.on("X", 1))), rhs
 
 
+@_law("nabla2_X", "secondCovDerivVFExp", "B", requires=("X",), min_order=3)
 def law_nabla2_x(c: EvalContext):
     m, I = c.m, c.I
     e = np.einsum
@@ -620,6 +660,8 @@ def law_nabla2_x(c: EvalContext):
     return c.e(1) * c.t.on("X", 2), rhs
 
 
+@_law("nabla2_X_traced", "secondCovDerivVFExpTraced", "B", requires=("X",),
+      min_order=3)
 def law_nabla2_x_traced(c: EvalContext):
     m = c.m
     x2 = c.b.on("X", 2)
@@ -628,58 +670,8 @@ def law_nabla2_x_traced(c: EvalContext):
     return c.e(1) * np.einsum("ttk->k", c.t.on("X", 2)), rhs
 
 
-def _law(id_, eq, fn, tol_class, requires=(), structure=None, min_dim=3,
-         min_order=2):
-    return IdentityRecord(id_, "LAW", eq, frozenset(requires), structure,
-                          min_dim, min_order, tol_class, None, fn,
-                          reads_tilde=True)
-
-
-LAW_REGISTRY: tuple[IdentityRecord, ...] = (
-    _law("riemann04", "Riemannexp", law_riemann04, "A"),
-    _law("ricci", "RicciexpComponents", law_ricci, "A"),
-    _law("scalar", "scalarExp", law_scalar, "A"),
-    _law("nabla_ricci", "NablaRicciexpComponents", law_nabla_ricci, "B",
-         min_order=3),
-    _law("nabla2_ricci", "ExpochangenablasquaredRicci", law_nabla2_ricci, "B",
-         min_order=4),
-    _law("nabla_scalar", "NablascalarExp", law_nabla_scalar, "B", min_order=3),
-    _law("hess_scalar", "HessianscalarExp", law_hess_scalar, "B", min_order=4),
-    _law("lap_scalar", "LaplacianscalarExp", law_lap_scalar, "B", min_order=4),
-    _law("hessian_f", "HessianExpComp", law_hessian_f, "A", requires=("f",)),
-    _law("laplacian_f", "LaplacianExpComp", law_laplacian_f, "A",
-         requires=("f",)),
-    _law("third_f", "thirdDerivFunctExpComp", law_third_f, "B",
-         requires=("f",), min_order=3),
-    _law("third_f_traced", "thirdDerivFunctExpCompTraced", law_third_f_traced,
-         "B", requires=("f",), min_order=3),
-    _law("schouten", "SchoutenexpComponents", law_schouten, "A"),
-    _law("nabla_schouten", "ExpochangenablaSchouten", law_nabla_schouten, "B",
-         min_order=3),
-    _law("nabla2_schouten", "ExpochangenablasquaredSchouten",
-         law_nabla2_schouten, "B", min_order=4),
-    _law("weyl13", "Weylexp", law_weyl13, "A"),
-    _law("cotton", "Cottonlexp", law_cotton, "B", min_order=3),
-    _law("bach", "BachExpComp", law_bach, "B", min_order=4),
-    _law("d_tensor", "DExpComp", law_d_tensor, "A", requires=("f", "lam"),
-         structure="tilde_gradient_soliton"),
-    _law("d_reverse", "DExpCompStartingFrom", law_d_reverse, "A",
-         requires=("f", "lam"), structure="base_gradient_soliton"),
-    _law("nabla_d", "CovDerivDExpComp", law_nabla_d, "B",
-         requires=("f", "lam"), structure="tilde_gradient_soliton",
-         min_order=4),
-    _law("lie_metric", "eq_conformalchangeLieDeriv", law_lie_metric, "A",
-         requires=("X",)),
-    _law("nabla_X", "tildeXik", law_nabla_x, "A", requires=("X",)),
-    _law("sym_nabla_X", "tildeXiktildeXki", law_sym_nabla_x, "A",
-         requires=("X",)),
-    _law("div_X", "divergenzatilde", law_div_x, "A", requires=("X",)),
-    _law("nabla2_X", "secondCovDerivVFExp", law_nabla2_x, "B",
-         requires=("X",), min_order=3),
-    _law("nabla2_X_traced", "secondCovDerivVFExpTraced", law_nabla2_x_traced,
-         "B", requires=("X",), min_order=3),
-)
-
+# every law, in the order its evaluator is declared above
+LAW_REGISTRY: tuple[IdentityRecord, ...] = tuple(_DECLARED)
 LAWS = {law.id: law for law in LAW_REGISTRY}
 
 

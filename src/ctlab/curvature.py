@@ -240,7 +240,7 @@ class CurvatureBundle:
             (-1.0 / ((m - 1) * (m - 2)), tj_skew_pair(sf, g)),
         )
 
-    def _dx_core(self) -> TensorJet:
+    def _build_dx_tensor(self) -> TensorJet:
         """The vector-field soliton 3-tensor before any conformal factor."""
         m = self.m
         g = self.state.g
@@ -264,9 +264,6 @@ class CurvatureBundle:
             (1.0 / (2 * (m - 1)),
              tj_skew_pair(tj_combine((1.0, u1), (-1.0, u2)), g)),
         )
-
-    def _build_dx_tensor(self) -> TensorJet:
-        return self._dx_core()
 
     def _build_duf_tensor(self) -> TensorJet:
         """Conformal-gradient interpolation tensor (the jet-level form)."""
@@ -303,7 +300,7 @@ class CurvatureBundle:
         ux = tj_einsum("t,tk->k", self._raise1(u1), sym)
         div_x = tj_einsum("ab,ab->", self.state.ginv, x1)
         inner = tj_combine(
-            (1.0, self._dx_core()),
+            (1.0, self.coord("dx_tensor")),
             (-0.5, tj_skew_pair(u1, sym)),
             (-1.0 / (2 * (m - 1)), tj_skew_pair(ux, g)),
             (1.0 / (m - 1), tj_skew_pair(tj_einsum(",k->k", div_x, u1), g)),

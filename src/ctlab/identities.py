@@ -3,11 +3,15 @@
 Each :class:`IdentityRecord` names one identity -- a commutation rule, a
 Bianchi-type identity, a soliton structure equation, or an integrability
 condition -- and carries evaluators that produce its two sides as
-orthonormal-frame arrays from a :class:`CurvatureBundle`.  The registry is
-data: families can be listed, filtered and dumped, and the verification
-driver treats every record uniformly (at each sampled point in turn,
-certify the structural hypothesis and evaluate; report the worst
-normalised residual, where a NaN residual fails).
+orthonormal-frame arrays from a :class:`CurvatureBundle`.  Each record is
+declared once, by a decorator on its evaluator (``@_rec(id, eq, tol_class,
+...)``); the id's prefix names the family, which supplies the hypothesis,
+dimension floor and tolerance, and the hypothesis supplies the fields the
+record requires.  The registry is data: families can be listed, filtered
+and dumped, and the verification driver treats every record uniformly (at
+each sampled point in turn, certify the structural hypothesis and
+evaluate; report the worst normalised residual, where a NaN residual
+fails).
 
 Families:
 
@@ -36,12 +40,11 @@ from .curvature import CurvatureBundle, bundle
 from .geometry import (
     GeometryInstance,
     MetricError,
-    TensorValue,
     point_blocks,
     point_key,
     point_scope,
 )
-from .report import ReportRow, VerificationReport, geometry_hash, TOOL_VERSION
+from .report import ReportRow, VerificationReport
 
 TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
 CERTIFICATION_TOL = 1e-9
@@ -129,21 +132,64 @@ def _cyc_last3(t4: np.ndarray) -> np.ndarray:
     return t4 + t4.transpose(0, 3, 1, 2) + t4.transpose(0, 2, 3, 1)
 
 
-@dataclass(frozen=True)
-class SolitonData:
-    """A soliton structure: the constant, exactly one generating field, and
-    an optional conformal exponent."""
+# ---------------------------------------------------------------------------
+# declaring records
+# ---------------------------------------------------------------------------
 
-    lam: float
-    flavor: str                   # "gradient" | "generic"
-    conformal: bool = False
+# The fields (and constant) each hypothesis reads: a conditional record
+# requires them.  A law's base always carries u, the rescaling, so the law
+# hypotheses do not list it.
+_HYPOTHESIS_FIELDS = {
+    "gradient_soliton": ("f", "lam"),
+    "generic_soliton": ("X", "lam"),
+    "conformally_einstein": ("u", "lam"),
+    "conformal_gradient_soliton": ("u", "f", "lam"),
+    "conformal_generic_soliton": ("u", "X", "lam"),
+    "base_gradient_soliton": ("f", "lam"),
+    "tilde_gradient_soliton": ("f", "lam"),
+}
 
-    def kind(self) -> str:
-        if self.flavor not in ("gradient", "generic"):
-            raise ValueError(f"unknown soliton flavor {self.flavor!r}")
-        return ("conformal_" if self.conformal else "") + {
-            "gradient": "gradient_soliton", "generic": "generic_soliton"
-        }[self.flavor]
+# id prefix -> (family, default hypothesis, dimension floor, pinned tolerance)
+_FAMILY = {
+    "comm": ("COMM", None, 2, None),
+    "sol": ("SOL", "gradient_soliton", 2, 1e-8),
+    "ce": ("CE", "conformally_einstein", 3, 1e-7),
+    "cgrs": ("CGRS", "conformal_gradient_soliton", 3, 1e-7),
+    "grs": ("GRS", "generic_soliton", 3, 1e-7),
+    "cgers": ("CGERS", "conformal_generic_soliton", 3, 1e-7),
+    "high": ("HIGH", "gradient_soliton", 4, 1e-6),
+}
+FAMILIES = tuple(family for family, *_ in _FAMILY.values())
+
+
+def declare(into: list, id_: str, family: str, eq: str, tol_class: str, *,
+            min_dim: int, structure: str | None = None,
+            min_order: int = 2, tol: float | None = None,
+            requires: tuple[str, ...] | None = None,
+            reads_tilde: bool = False):
+    """Decorator that appends the evaluator's :class:`IdentityRecord` to
+    ``into``; ``requires`` defaults to the fields its hypothesis reads."""
+    if requires is None:
+        requires = _HYPOTHESIS_FIELDS.get(structure, ())
+
+    def register(fn):
+        into.append(IdentityRecord(id_, family, eq, frozenset(requires),
+                                   structure, min_dim, min_order, tol_class,
+                                   tol, fn, reads_tilde))
+        return fn
+    return register
+
+
+_DECLARED: list[IdentityRecord] = []
+
+
+def _rec(id_: str, eq: str, tol_class: str, **meta):
+    """Declare the decorated evaluator as identity ``id_``.  The id's prefix
+    names its family, which supplies the hypothesis, dimension floor and
+    tolerance; ``meta`` overrides them where the record differs."""
+    family, structure, min_dim, tol = _FAMILY[id_.split(".")[0]]
+    return declare(_DECLARED, id_, family, eq, tol_class, **{
+        "structure": structure, "min_dim": min_dim, "tol": tol, **meta})
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +211,21 @@ def _with_delta(spec: str, a, b, delta):
     return np.einsum(f"{sa},{sb}->{out}".replace(old, new), a, b)
 
 
+@_rec("comm.hess_sym", "SecondDerivFunction", "A", requires=("f",))
 def comm_hess_sym(c):
     f2 = c.on("f", 2)
     return f2, f2.T
 
 
+@_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B", requires=("f",),
+      min_order=3)
 def comm_third_first_pair(c):
     f3 = c.on("f", 3)
     return f3, f3.transpose(1, 0, 2)
 
 
+@_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B", requires=("f",),
+      min_order=3)
 def comm_third_riemann(c):
     f3 = c.on("f", 3)
     rhs = f3.transpose(0, 2, 1) + np.einsum("t,tijk->ijk", c.on("f", 1),
@@ -182,6 +233,8 @@ def comm_third_riemann(c):
     return f3, rhs
 
 
+@_rec("comm.third_weyl", "ThirdDerivFunctionWeyl", "B", requires=("f",),
+      min_dim=3, min_order=3)
 def comm_third_weyl(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -195,6 +248,8 @@ def comm_third_weyl(c):
     return f3, rhs
 
 
+@_rec("comm.third_weyl_schouten", "commutatioThirdDerFunctWeilSchouten", "B",
+      requires=("f",), min_dim=3, min_order=3)
 def comm_third_weyl_schouten(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -207,6 +262,8 @@ def comm_third_weyl_schouten(c):
     return f3, rhs
 
 
+@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B", requires=("f",),
+      min_order=4)
 def comm_fourth_last_pair(c):
     e = np.einsum
     f2, f4 = c.on("f", 2), c.on("f", 4)
@@ -216,6 +273,8 @@ def comm_fourth_last_pair(c):
     return f4, rhs
 
 
+@_rec("comm.fourth_23", "ThirdDerivinfourth", "B", requires=("f",),
+      min_order=4)
 def comm_fourth_23(c):
     e = np.einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -224,6 +283,8 @@ def comm_fourth_23(c):
     return f4, rhs
 
 
+@_rec("comm.fourth_12_34", "Function12with34", "B", requires=("f",),
+      min_order=4)
 def comm_fourth_12_34(c):
     e = np.einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -235,6 +296,8 @@ def comm_fourth_12_34(c):
     return f4, rhs
 
 
+@_rec("comm.traced_third", "TracedThirdDerivFunctionRicci", "B",
+      requires=("f",), min_order=3)
 def comm_traced_third(c):
     f1, f3 = c.on("f", 1), c.on("f", 3)
     lhs = np.einsum("itt->i", f3)
@@ -242,6 +305,8 @@ def comm_traced_third(c):
     return lhs, rhs
 
 
+@_rec("comm.traced_fourth", "TracedFourthDerivFct", "B", requires=("f",),
+      min_order=4)
 def comm_traced_fourth(c):
     e = np.einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -254,6 +319,8 @@ def comm_traced_fourth(c):
     return lhs, rhs
 
 
+@_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion", "B",
+      requires=("f",), min_order=4)
 def comm_traced_fourth_v2(c):
     e = np.einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -267,6 +334,8 @@ def comm_traced_fourth_v2(c):
     return lhs, rhs
 
 
+@_rec("comm.vec_third", "VectorFieldThirdComm", "B", requires=("X",),
+      min_order=3)
 def comm_vec_third(c):
     x2 = c.on("X", 2)
     rhs = x2.transpose(0, 2, 1) + np.einsum("t,tijk->ijk", c.on("X"),
@@ -274,6 +343,8 @@ def comm_vec_third(c):
     return x2, rhs
 
 
+@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B", requires=("X",),
+      min_order=4)
 def comm_vec_fourth_23(c):
     e = np.einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -283,6 +354,8 @@ def comm_vec_fourth_23(c):
     return lhs, rhs
 
 
+@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B", requires=("X",),
+      min_order=4)
 def comm_vec_fourth_34(c):
     e = np.einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -292,17 +365,20 @@ def comm_vec_fourth_34(c):
     return lhs, rhs
 
 
+@_rec("comm.bianchi1", "FirstBianchiRiem", "A")
 def comm_bianchi1(c):
     r4 = c.on("riemann")
     return r4 + r4.transpose(0, 2, 3, 1) + r4.transpose(0, 3, 1, 2), 0.0 * r4
 
 
+@_rec("comm.bianchi2", "SecondBianchiRiem", "B", min_order=3)
 def comm_bianchi2(c):
     r1 = c.on("riemann", 1)
     lhs = r1 + r1.transpose(0, 1, 3, 4, 2) + r1.transpose(0, 1, 4, 2, 3)
     return lhs, 0.0 * lhs
 
 
+@_rec("comm.riem_second", "SecondDerivRiem", "B", min_order=4)
 def comm_riem_second(c):
     e = np.einsum
     r4, r2 = c.on("riemann"), c.on("riemann", 2)
@@ -312,6 +388,7 @@ def comm_riem_second(c):
     return lhs, rhs
 
 
+@_rec("comm.riem_third", "ThirdDerivRiem", "C", min_order=5)
 def comm_riem_third(c):
     e = np.einsum
     r4, r1, r3 = c.on("riemann"), c.on("riemann", 1), c.on("riemann", 3)
@@ -322,6 +399,7 @@ def comm_riem_third(c):
     return lhs, rhs
 
 
+@_rec("comm.ricci_first", "RicciFirstComm", "B", min_order=3)
 def comm_ricci_first(c):
     r1 = c.on("ricci", 1)
     lhs = r1 - r1.transpose(0, 2, 1)
@@ -329,6 +407,7 @@ def comm_ricci_first(c):
     return lhs, rhs
 
 
+@_rec("comm.ricci_second", "RicciSecondComm", "B", min_order=4)
 def comm_ricci_second(c):
     e = np.einsum
     ric, r4 = c.on("ricci"), c.on("riemann")
@@ -338,6 +417,7 @@ def comm_ricci_second(c):
     return lhs, rhs
 
 
+@_rec("comm.ricci_third", "RicciThirdComm", "C", min_order=5)
 def comm_ricci_third(c):
     e = np.einsum
     r1, r4 = c.on("ricci", 1), c.on("riemann")
@@ -348,17 +428,22 @@ def comm_ricci_third(c):
     return lhs, rhs
 
 
+@_rec("comm.schur", "SchurIdentity", "B", min_order=3)
 def comm_schur(c):
     """Contracted second Bianchi: the divergence of Ricci is half the
     scalar gradient."""
     return c.on("scalar", 1), 2 * np.einsum("ikk->i", c.on("ricci", 1))
 
 
+@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B", min_dim=3,
+      min_order=3)
 def comm_schouten_codazzi(c):
     a1 = c.on("schouten", 1)
     return a1 - a1.transpose(0, 2, 1), c.on("cotton")
 
 
+@_rec("comm.schouten_second", "SchoutenSecondComm", "B", min_dim=3,
+      min_order=4)
 def comm_schouten_second(c):
     e = np.einsum
     a, r4 = c.on("schouten"), c.on("riemann")
@@ -368,6 +453,7 @@ def comm_schouten_second(c):
     return lhs, rhs
 
 
+@_rec("comm.schouten_third", "SchoutenThirdComm", "C", min_dim=3, min_order=5)
 def comm_schouten_third(c):
     e = np.einsum
     a1, r4 = c.on("schouten", 1), c.on("riemann")
@@ -378,6 +464,8 @@ def comm_schouten_third(c):
     return lhs, rhs
 
 
+@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl", "B", min_dim=3,
+      min_order=3)
 def comm_weyl_deriv_cyclic(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -389,6 +477,8 @@ def comm_weyl_deriv_cyclic(c):
     return lhs, rhs
 
 
+@_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B", min_dim=3,
+      min_order=4)
 def comm_weyl_second(c):
     e = np.einsum
     w, r4 = c.on("weyl"), c.on("riemann")
@@ -399,6 +489,8 @@ def comm_weyl_second(c):
     return lhs, rhs
 
 
+@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B", min_dim=3,
+      min_order=4)
 def comm_weyl_second_expanded(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -427,6 +519,8 @@ def comm_weyl_second_expanded(c):
     return lhs, rhs
 
 
+@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced", "B", min_dim=3,
+      min_order=4)
 def comm_weyl_second_traced(c):
     m = c.m
     e = np.einsum
@@ -443,6 +537,8 @@ def comm_weyl_second_traced(c):
     return lhs, rhs
 
 
+@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C", min_dim=3,
+      min_order=5)
 def comm_weyl_third(c):
     e = np.einsum
     w1, r4 = c.on("weyl", 1), c.on("riemann")
@@ -454,6 +550,8 @@ def comm_weyl_third(c):
     return lhs, rhs
 
 
+@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C", min_dim=3,
+      min_order=5)
 def comm_weyl_third_expanded(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -479,12 +577,14 @@ def comm_weyl_third_expanded(c):
     return lhs, rhs
 
 
+@_rec("comm.cotton_cyclic", "PermutCiclCotton", "B", min_dim=3, min_order=3)
 def comm_cotton_cyclic(c):
     ct = c.on("cotton")
     lhs = ct + ct.transpose(2, 0, 1) + ct.transpose(1, 2, 0)
     return lhs, 0.0 * lhs
 
 
+@_rec("comm.cotton_divergence", "DiverCotton", "B", min_dim=3, min_order=4)
 def comm_cotton_divergence(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -497,16 +597,20 @@ def comm_cotton_divergence(c):
     return lhs, rhs
 
 
+@_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B", min_dim=3,
+      min_order=4)
 def comm_cotton_div_symmetric(c):
     div = np.einsum("ijkk->ij", c.on("cotton", 1))
     return div, div.T
 
 
+@_rec("comm.cotton_null_div", "NullDiverCotton", "B", min_dim=3, min_order=4)
 def comm_cotton_null_div(c):
     lhs = np.einsum("kijk->ij", c.on("cotton", 1))
     return lhs, 0.0 * lhs
 
 
+@_rec("comm.bach_divergence", "diverBach", "C", min_dim=4, min_order=5)
 def comm_bach_divergence(c):
     m = c.m
     lhs = np.einsum("ijj->i", c.on("bach", 1))
@@ -519,18 +623,22 @@ def comm_bach_divergence(c):
 # SOL family
 # ---------------------------------------------------------------------------
 
+@_rec("sol.defining_gradient", "eq1g", "A")
 def sol_defining_gradient(c):
     return c.on("ricci") + c.on("f", 2), c.lam * c.I
 
 
+@_rec("sol.trace_gradient", "eq2g", "A")
 def sol_trace_gradient(c):
     return c.on("scalar") + np.trace(c.on("f", 2)), c.m * c.lam
 
 
+@_rec("sol.scalar_gradient", "eq3g", "B", min_order=3)
 def sol_scalar_gradient(c):
     return c.on("scalar", 1), 2 * (c.on("f", 1) @ c.on("ricci"))
 
 
+@_rec("sol.ricci_skew_gradient", "eq6g", "B", min_order=3)
 def sol_ricci_skew_gradient(c):
     # gradient specialisation of the vector-field skew rule; the printed
     # form pairs this right side with the R_ij,k - R_kj,i pattern, which
@@ -542,6 +650,7 @@ def sol_ricci_skew_gradient(c):
     return lhs, rhs
 
 
+@_rec("sol.hamilton", "HamiltonId", "B", min_order=3)
 def sol_hamilton(c):
     # gradient form of the conserved quantity: its gradient vanishes
     lhs = (c.on("scalar", 1) + 2 * (c.on("f", 1) @ c.on("f", 2))
@@ -549,6 +658,7 @@ def sol_hamilton(c):
     return lhs, 0.0 * lhs
 
 
+@_rec("sol.scalar_evolution_gradient", "scalGrad", "B", min_order=4)
 def sol_scalar_evolution_gradient(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
@@ -557,25 +667,31 @@ def sol_scalar_evolution_gradient(c):
     return lhs, rhs
 
 
+@_rec("sol.defining_generic", "eq1", "A", structure="generic_soliton")
 def sol_defining_generic(c):
     x1 = c.on("X", 1)
     return c.on("ricci") + 0.5 * (x1 + x1.T), c.lam * c.I
 
 
+@_rec("sol.trace_generic", "eq2", "A", structure="generic_soliton")
 def sol_trace_generic(c):
     return c.on("scalar") + np.trace(c.on("X", 1)), c.m * c.lam
 
 
+@_rec("sol.div_nabla_x", "eq3", "B", structure="generic_soliton", min_order=3)
 def sol_div_nabla_x(c):
     return c.on("scalar", 1), -np.einsum("iik->k", c.on("X", 2))
 
 
+@_rec("sol.ric_x", "eq4", "B", structure="generic_soliton", min_order=3)
 def sol_ric_x(c):
     lhs = c.on("X") @ c.on("ricci")
     rhs = -np.einsum("ktt->k", c.on("X", 2))
     return lhs, rhs
 
 
+@_rec("sol.ricci_skew_x1", "eq5", "B", structure="generic_soliton",
+      min_order=3)
 def sol_ricci_skew_x1(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
@@ -585,6 +701,8 @@ def sol_ricci_skew_x1(c):
     return lhs, rhs
 
 
+@_rec("sol.ricci_skew_x2", "eq6", "B", structure="generic_soliton",
+      min_order=3)
 def sol_ricci_skew_x2(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
@@ -594,6 +712,8 @@ def sol_ricci_skew_x2(c):
     return lhs, rhs
 
 
+@_rec("sol.scalar_evolution_generic", "scalGen", "B",
+      structure="generic_soliton", min_order=4)
 def sol_scalar_evolution_generic(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
@@ -602,11 +722,13 @@ def sol_scalar_evolution_generic(c):
     return lhs, rhs
 
 
+@_rec("sol.cao_chen_first", "firstCaoChen", "B", min_dim=3, min_order=3)
 def sol_cao_chen_first(c):
     lhs = c.on("cotton") + np.einsum("t,tijk->ijk", c.on("f", 1), c.on("weyl"))
     return lhs, c.on("d_tensor")
 
 
+@_rec("sol.cao_chen_second", "secondCaoChen", "B", min_dim=3, min_order=4)
 def sol_cao_chen_second(c):
     m = c.m
     rhs = (np.einsum("ijkk->ij", c.on("d_tensor", 1))
@@ -615,6 +737,7 @@ def sol_cao_chen_second(c):
     return c.on("bach"), rhs
 
 
+@_rec("sol.fc_equals_fd", "fCfD_remark", "B", min_dim=3, min_order=3)
 def sol_fc_equals_fd(c):
     f1 = c.on("f", 1)
     lhs = np.einsum("t,tij->ij", f1, c.on("cotton"))
@@ -622,12 +745,15 @@ def sol_fc_equals_fd(c):
     return lhs, rhs
 
 
+@_rec("sol.d_cyclic", "D_lemma_cyclic", "A", min_dim=3)
 def sol_d_cyclic(c):
     d = c.on("d_tensor")
     lhs = d + d.transpose(2, 0, 1) + d.transpose(1, 2, 0)
     return lhs, 0.0 * lhs
 
 
+@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C", "B", min_dim=3,
+      min_order=3)
 def sol_d_deriv_cyclic_cotton(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -640,6 +766,8 @@ def sol_d_deriv_cyclic_cotton(c):
     return lhs, rhs
 
 
+@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D", "B", min_dim=3,
+      min_order=3)
 def sol_d_deriv_cyclic_d(c):
     m, I = c.m, c.I
     e = np.einsum
@@ -653,6 +781,8 @@ def sol_d_deriv_cyclic_d(c):
     return lhs, rhs
 
 
+@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B", min_dim=3,
+      min_order=4)
 def sol_cotton_deriv_cyclic(c):
     e = np.einsum
     ric, w = c.on("ricci"), c.on("weyl")
@@ -662,6 +792,8 @@ def sol_cotton_deriv_cyclic(c):
     return lhs, rhs
 
 
+@_rec("sol.d_deriv_cyclic_mixed", "D_lemma_div_cyclic_mixed", "B", min_dim=4,
+      min_order=4)
 def sol_d_deriv_cyclic_mixed(c):
     m = c.m
     e = np.einsum
@@ -679,6 +811,7 @@ def sol_d_deriv_cyclic_mixed(c):
 # CE family
 # ---------------------------------------------------------------------------
 
+@_rec("ce.ricci_eq", "CE_comp_Riccii", "A")
 def ce_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -688,6 +821,7 @@ def ce_ricci_eq(c):
     return lhs, rhs
 
 
+@_rec("ce.traced_lambda", "CE_tracedlambda", "A")
 def ce_traced_lambda(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -696,6 +830,7 @@ def ce_traced_lambda(c):
     return lhs, c.lam * m * c.e(2)
 
 
+@_rec("ce.single_eq", "CE_singleEq", "A")
 def ce_single_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -704,6 +839,7 @@ def ce_single_eq(c):
     return lhs, rhs
 
 
+@_rec("ce.first_gn", "FirstCond_GN", "B", min_order=3)
 def ce_first_gn(c):
     m = c.m
     lhs = c.on("cotton") - (m - 2) * np.einsum("t,tijk->ijk", c.on("u", 1),
@@ -711,6 +847,7 @@ def ce_first_gn(c):
     return lhs, 0.0 * lhs
 
 
+@_rec("ce.second_gn", "SecondCond_GN", "B", min_order=4)
 def ce_second_gn(c):
     m = c.m
     u1 = c.on("u", 1)
@@ -719,6 +856,7 @@ def ce_second_gn(c):
     return lhs, 0.0 * lhs
 
 
+@_rec("ce.nabla_delta_u", "CE_nablaDeltau", "B", min_order=3)
 def ce_nabla_delta_u(c):
     m = c.m
     u1, u3 = c.on("u", 1), c.on("u", 3)
@@ -732,6 +870,7 @@ def ce_nabla_delta_u(c):
     return lhs, rhs
 
 
+@_rec("ce.grad_u_grad_lap_u", "CE_gnablaunabladeltau", "B", min_order=3)
 def ce_grad_u_grad_lap_u(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -746,6 +885,7 @@ def ce_grad_u_grad_lap_u(c):
     return lhs, rhs
 
 
+@_rec("ce.lap_scalar", "CE_LaplacianScalarEq", "B", min_order=4)
 def ce_lap_scalar(c):
     m = c.m
     e = np.einsum
@@ -762,6 +902,8 @@ def ce_lap_scalar(c):
     return lhs, rhs
 
 
+@_rec("ce.lap_scalar_lambda", "CE_LaplacianScalarEqwithLambda", "B",
+      min_order=4)
 def ce_lap_scalar_lambda(c):
     m = c.m
     e = np.einsum
@@ -781,6 +923,7 @@ def ce_lap_scalar_lambda(c):
 # CGRS family
 # ---------------------------------------------------------------------------
 
+@_rec("cgrs.ricci_eq", "CGRS_comp_Ricci", "A")
 def cgrs_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -803,6 +946,7 @@ def _cgrs_traced(c):
     return lhs, c.lam * m * c.e(2)
 
 
+@_rec("cgrs.schouten_eq", "CGRS_comp_Schouten", "A")
 def cgrs_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -815,10 +959,12 @@ def cgrs_schouten_eq(c):
     return lhs, rhs
 
 
+@_rec("cgrs.duf_vs_tilde", "CGRS_D_ufvsTildeD", "A", reads_tilde=True)
 def cgrs_duf_vs_tilde(c):
     return c.on("duf_tensor"), c.e(3) * c.t.on("d_tensor")
 
 
+@_rec("cgrs.first", "Eq_FirstCondition_CGRSCompNewD", "B", min_order=3)
 def cgrs_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.on("f", 1)
@@ -826,6 +972,7 @@ def cgrs_first(c):
     return lhs, c.on("duf_tensor")
 
 
+@_rec("cgrs.second", "Eq_SecondConditionBach", "B", min_order=4)
 def cgrs_second(c):
     m = c.m
     e = np.einsum
@@ -839,6 +986,8 @@ def cgrs_second(c):
     return c.on("bach"), rhs
 
 
+@_rec("cgrs.second_equivalent", "Eq_SecondConditionBach_equivalent", "B",
+      min_order=4)
 def cgrs_second_equivalent(c):
     m = c.m
     e = np.einsum
@@ -854,6 +1003,7 @@ def cgrs_second_equivalent(c):
     return c.on("bach"), rhs
 
 
+@_rec("cgrs.sk_uttk_fttk", "CGRS_SkUttkFttk", "B", min_order=3)
 def cgrs_sk_uttk_fttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -870,6 +1020,7 @@ def cgrs_sk_uttk_fttk(c):
     return lhs, rhs
 
 
+@_rec("cgrs.fttk", "CGRS_Fttk", "B", min_order=3)
 def cgrs_fttk(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -888,6 +1039,7 @@ def cgrs_fttk(c):
     return lhs, rhs
 
 
+@_rec("cgrs.uttk", "CGRS_Uttk", "B", min_order=3)
 def cgrs_uttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -912,11 +1064,13 @@ def cgrs_uttk(c):
 # GRS family
 # ---------------------------------------------------------------------------
 
+@_rec("grs.first", "firstGenericRSIntCondition", "B", min_order=3)
 def grs_first(c):
     lhs = c.on("cotton") + np.einsum("t,tijk->ijk", c.on("X"), c.on("weyl"))
     return lhs, c.on("dx_tensor")
 
 
+@_rec("grs.second", "secondGenericRSIntCondition", "B", min_order=4)
 def grs_second(c):
     m = c.m
     e = np.einsum
@@ -927,6 +1081,7 @@ def grs_second(c):
     return c.on("bach"), rhs
 
 
+@_rec("grs.xc_equals_xd", "XCXD_remark", "B", min_order=3)
 def grs_xc_equals_xd(c):
     x = c.on("X")
     lhs = np.einsum("t,tij->ij", x, c.on("cotton"))
@@ -938,6 +1093,7 @@ def grs_xc_equals_xd(c):
 # CGERS family
 # ---------------------------------------------------------------------------
 
+@_rec("cgers.ricci_eq", "CGenericRS_comp_Ricci", "A")
 def cgers_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -961,6 +1117,7 @@ def _cgers_traced(c):
     return lhs, c.lam * m * e2u
 
 
+@_rec("cgers.schouten_eq", "CGenericRS_comp_Schouten", "A")
 def cgers_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -974,10 +1131,13 @@ def cgers_schouten_eq(c):
     return lhs, rhs
 
 
+@_rec("cgers.dux_vs_tilde", "CGeRS_EqDuXe3uDX", "A", reads_tilde=True)
 def cgers_dux_vs_tilde(c):
     return c.on("dux_tensor"), c.e(3) * c.t.on("dx_tensor")
 
 
+@_rec("cgers.first", "Eq_FirstCondition_CGenericRSComponents", "B",
+      min_order=3)
 def cgers_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.e(2) * c.on("X")
@@ -985,6 +1145,7 @@ def cgers_first(c):
     return lhs, c.on("dux_tensor")
 
 
+@_rec("cgers.second", "Eq_SecondConditionBach_GENERIC", "B", min_order=4)
 def cgers_second(c):
     m = c.m
     e = np.einsum
@@ -1000,6 +1161,7 @@ def cgers_second(c):
     return c.on("bach"), rhs
 
 
+@_rec("cgers.sk_uttk_xttk", "CGeRS_SkUttkXttk", "B", min_order=3)
 def cgers_sk_uttk_xttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1026,6 +1188,7 @@ def cgers_sk_uttk_xttk(c):
 # HIGH family
 # ---------------------------------------------------------------------------
 
+@_rec("high.third_1", "thirdCond1", "C", min_order=4)
 def high_third_1(c):
     m = c.m
     lhs = np.einsum("kt,kti->i", c.on("ricci"), c.on("cotton"))
@@ -1033,6 +1196,7 @@ def high_third_1(c):
     return lhs, rhs
 
 
+@_rec("high.third_2", "thirdCond2", "C", min_order=5)
 def high_third_2(c):
     m = c.m
     lhs = np.einsum("ikk->i", c.on("bach", 1))
@@ -1040,6 +1204,7 @@ def high_third_2(c):
     return lhs, rhs
 
 
+@_rec("high.fourth_1", "fourthCond1", "C", min_order=5)
 def high_fourth_1(c):
     m = c.m
     e = np.einsum
@@ -1051,6 +1216,7 @@ def high_fourth_1(c):
     return lhs, rhs
 
 
+@_rec("high.fourth_2", "fourthCond2", "C", min_order=6)
 def high_fourth_2(c):
     m = c.m
     lhs = float(np.einsum("ikki->", c.on("bach", 2)))
@@ -1087,287 +1253,26 @@ _STRUCTURES["base_gradient_soliton"] = _STRUCTURES["gradient_soliton"]
 _STRUCTURES["tilde_gradient_soliton"] = _STRUCTURES["conformal_gradient_soliton"]
 
 
-def _claim_context(geometry: GeometryInstance, point, lam: float):
-    c = EvalContext(geometry, point)
-    c.lam = lam  # the claim's constant, not necessarily the geometry's
-    return c
-
-
 def structure_residual(geometry: GeometryInstance, kind: str, point,
                        lam: float) -> float:
     """Normalised residual of the defining equations of ``kind`` at a
     point: the worst over its equations, NaN if any is NaN."""
     if kind not in _STRUCTURES:
         raise KeyError(f"unknown structure kind {kind!r}")
-    c = _claim_context(geometry, point, lam)
+    c = EvalContext(geometry, point)
+    c.lam = lam  # the claim's constant, not necessarily the geometry's
     worst = 0.0
     for eq in _STRUCTURES[kind]:
         worst = worst_of(worst, residual(*eq(c)))
     return worst
 
 
-def soliton_residual(geometry: GeometryInstance, soliton: SolitonData,
-                     point) -> TensorValue:
-    """LHS - RHS of the defining soliton equation as an orthonormal (0,2)
-    tensor; the scalar certification also takes the traced constraint."""
-    lhs, rhs = _STRUCTURES[soliton.kind()][0](
-        _claim_context(geometry, point, soliton.lam))
-    return TensorValue(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-def _rec(id_, family, eq, fn, tol_class, requires=(), structure=None,
-         min_dim=2, min_order=2, tol=None, reads_tilde=False):
-    return IdentityRecord(id_, family, eq, frozenset(requires), structure,
-                          min_dim, min_order, tol_class, tol, fn, reads_tilde)
-
-
-REGISTRY: tuple[IdentityRecord, ...] = (
-    # ---- COMM: scalar commutation rules -----------------------------------
-    _rec("comm.hess_sym", "COMM", "SecondDerivFunction", comm_hess_sym, "A",
-         requires=("f",)),
-    _rec("comm.third_first_pair", "COMM", "CovDerivSecondDerivFct",
-         comm_third_first_pair, "B", requires=("f",), min_order=3),
-    _rec("comm.third_riemann", "COMM", "ThirdDerivFunctionRiem",
-         comm_third_riemann, "B", requires=("f",), min_order=3),
-    _rec("comm.third_weyl", "COMM", "ThirdDerivFunctionWeyl", comm_third_weyl,
-         "B", requires=("f",), min_dim=3, min_order=3),
-    _rec("comm.third_weyl_schouten", "COMM",
-         "commutatioThirdDerFunctWeilSchouten", comm_third_weyl_schouten, "B",
-         requires=("f",), min_dim=3, min_order=3),
-    _rec("comm.fourth_last_pair", "COMM", "FourthDerivFunctionRiem",
-         comm_fourth_last_pair, "B", requires=("f",), min_order=4),
-    _rec("comm.fourth_23", "COMM", "ThirdDerivinfourth", comm_fourth_23, "B",
-         requires=("f",), min_order=4),
-    _rec("comm.fourth_12_34", "COMM", "Function12with34", comm_fourth_12_34,
-         "B", requires=("f",), min_order=4),
-    _rec("comm.traced_third", "COMM", "TracedThirdDerivFunctionRicci",
-         comm_traced_third, "B", requires=("f",), min_order=3),
-    _rec("comm.traced_fourth", "COMM", "TracedFourthDerivFct",
-         comm_traced_fourth, "B", requires=("f",), min_order=4),
-    _rec("comm.traced_fourth_v2", "COMM", "TracedFourthDerivFctSecondVersion",
-         comm_traced_fourth_v2, "B", requires=("f",), min_order=4),
-    # ---- COMM: vector-field commutation rules ------------------------------
-    _rec("comm.vec_third", "COMM", "VectorFieldThirdComm", comm_vec_third,
-         "B", requires=("X",), min_order=3),
-    _rec("comm.vec_fourth_23", "COMM", "VectorFieldFourthComm23",
-         comm_vec_fourth_23, "B", requires=("X",), min_order=4),
-    _rec("comm.vec_fourth_34", "COMM", "VectorFieldFourthComm34",
-         comm_vec_fourth_34, "B", requires=("X",), min_order=4),
-    # ---- COMM: curvature commutation rules ---------------------------------
-    _rec("comm.bianchi1", "COMM", "FirstBianchiRiem", comm_bianchi1, "A"),
-    _rec("comm.bianchi2", "COMM", "SecondBianchiRiem", comm_bianchi2, "B",
-         min_order=3),
-    _rec("comm.riem_second", "COMM", "SecondDerivRiem", comm_riem_second, "B",
-         min_order=4),
-    _rec("comm.riem_third", "COMM", "ThirdDerivRiem", comm_riem_third, "C",
-         min_order=5),
-    _rec("comm.ricci_first", "COMM", "RicciFirstComm", comm_ricci_first, "B",
-         min_order=3),
-    _rec("comm.ricci_second", "COMM", "RicciSecondComm", comm_ricci_second,
-         "B", min_order=4),
-    _rec("comm.ricci_third", "COMM", "RicciThirdComm", comm_ricci_third, "C",
-         min_order=5),
-    _rec("comm.schur", "COMM", "SchurIdentity", comm_schur, "B", min_order=3),
-    _rec("comm.schouten_codazzi", "COMM", "SchoutenCodazziCotton",
-         comm_schouten_codazzi, "B", min_dim=3, min_order=3),
-    _rec("comm.schouten_second", "COMM", "SchoutenSecondComm",
-         comm_schouten_second, "B", min_dim=3, min_order=4),
-    _rec("comm.schouten_third", "COMM", "SchoutenThirdComm",
-         comm_schouten_third, "C", min_dim=3, min_order=5),
-    _rec("comm.weyl_deriv_cyclic", "COMM", "fake2ndBianchiWeyl",
-         comm_weyl_deriv_cyclic, "B", min_dim=3, min_order=3),
-    _rec("comm.weyl_second", "COMM", "SecondDerivWeylusingRiem",
-         comm_weyl_second, "B", min_dim=3, min_order=4),
-    _rec("comm.weyl_second_expanded", "COMM", "SecondDerivWeylExpanded",
-         comm_weyl_second_expanded, "B", min_dim=3, min_order=4),
-    _rec("comm.weyl_second_traced", "COMM", "SecondDerivWeylTraced",
-         comm_weyl_second_traced, "B", min_dim=3, min_order=4),
-    _rec("comm.weyl_third", "COMM", "ThirdDerivWeylusingRiem",
-         comm_weyl_third, "C", min_dim=3, min_order=5),
-    _rec("comm.weyl_third_expanded", "COMM", "ThirdDerivWeylExpanded",
-         comm_weyl_third_expanded, "C", min_dim=3, min_order=5),
-    _rec("comm.cotton_cyclic", "COMM", "PermutCiclCotton", comm_cotton_cyclic,
-         "B", min_dim=3, min_order=3),
-    _rec("comm.cotton_divergence", "COMM", "DiverCotton",
-         comm_cotton_divergence, "B", min_dim=3, min_order=4),
-    _rec("comm.cotton_div_symmetric", "COMM", "SymmDivCotton",
-         comm_cotton_div_symmetric, "B", min_dim=3, min_order=4),
-    _rec("comm.cotton_null_div", "COMM", "NullDiverCotton",
-         comm_cotton_null_div, "B", min_dim=3, min_order=4),
-    _rec("comm.bach_divergence", "COMM", "diverBach", comm_bach_divergence,
-         "C", min_dim=4, min_order=5),
-    # ---- SOL ----------------------------------------------------------------
-    _rec("sol.defining_gradient", "SOL", "eq1g", sol_defining_gradient, "A",
-         requires=("f", "lam"), structure="gradient_soliton", tol=1e-8),
-    _rec("sol.trace_gradient", "SOL", "eq2g", sol_trace_gradient, "A",
-         requires=("f", "lam"), structure="gradient_soliton", tol=1e-8),
-    _rec("sol.scalar_gradient", "SOL", "eq3g", sol_scalar_gradient, "B",
-         requires=("f", "lam"), structure="gradient_soliton", min_order=3,
-         tol=1e-8),
-    _rec("sol.ricci_skew_gradient", "SOL", "eq6g", sol_ricci_skew_gradient,
-         "B", requires=("f", "lam"), structure="gradient_soliton",
-         min_order=3, tol=1e-8),
-    _rec("sol.hamilton", "SOL", "HamiltonId", sol_hamilton, "B",
-         requires=("f", "lam"), structure="gradient_soliton", min_order=3,
-         tol=1e-8),
-    _rec("sol.scalar_evolution_gradient", "SOL", "scalGrad",
-         sol_scalar_evolution_gradient, "B", requires=("f", "lam"),
-         structure="gradient_soliton", min_order=4, tol=1e-8),
-    _rec("sol.defining_generic", "SOL", "eq1", sol_defining_generic, "A",
-         requires=("X", "lam"), structure="generic_soliton", tol=1e-8),
-    _rec("sol.trace_generic", "SOL", "eq2", sol_trace_generic, "A",
-         requires=("X", "lam"), structure="generic_soliton", tol=1e-8),
-    _rec("sol.div_nabla_x", "SOL", "eq3", sol_div_nabla_x, "B",
-         requires=("X", "lam"), structure="generic_soliton", min_order=3,
-         tol=1e-8),
-    _rec("sol.ric_x", "SOL", "eq4", sol_ric_x, "B", requires=("X", "lam"),
-         structure="generic_soliton", min_order=3, tol=1e-8),
-    _rec("sol.ricci_skew_x1", "SOL", "eq5", sol_ricci_skew_x1, "B",
-         requires=("X", "lam"), structure="generic_soliton", min_order=3,
-         tol=1e-8),
-    _rec("sol.ricci_skew_x2", "SOL", "eq6", sol_ricci_skew_x2, "B",
-         requires=("X", "lam"), structure="generic_soliton", min_order=3,
-         tol=1e-8),
-    _rec("sol.scalar_evolution_generic", "SOL", "scalGen",
-         sol_scalar_evolution_generic, "B", requires=("X", "lam"),
-         structure="generic_soliton", min_order=4, tol=1e-8),
-    _rec("sol.cao_chen_first", "SOL", "firstCaoChen", sol_cao_chen_first, "B",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=3,
-         min_order=3, tol=1e-8),
-    _rec("sol.cao_chen_second", "SOL", "secondCaoChen", sol_cao_chen_second,
-         "B", requires=("f", "lam"), structure="gradient_soliton", min_dim=3,
-         min_order=4, tol=1e-8),
-    _rec("sol.fc_equals_fd", "SOL", "fCfD_remark", sol_fc_equals_fd, "B",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=3,
-         min_order=3, tol=1e-8),
-    _rec("sol.d_cyclic", "SOL", "D_lemma_cyclic", sol_d_cyclic, "A",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=3,
-         tol=1e-8),
-    _rec("sol.d_deriv_cyclic_cotton", "SOL", "D_lemma_div_cyclic_C",
-         sol_d_deriv_cyclic_cotton, "B", requires=("f", "lam"),
-         structure="gradient_soliton", min_dim=3, min_order=3, tol=1e-8),
-    _rec("sol.d_deriv_cyclic_d", "SOL", "D_lemma_div_cyclic_D",
-         sol_d_deriv_cyclic_d, "B", requires=("f", "lam"),
-         structure="gradient_soliton", min_dim=3, min_order=3, tol=1e-8),
-    _rec("sol.cotton_deriv_cyclic", "SOL", "C_div_cyclic_RW",
-         sol_cotton_deriv_cyclic, "B", requires=("f", "lam"),
-         structure="gradient_soliton", min_dim=3, min_order=4, tol=1e-8),
-    _rec("sol.d_deriv_cyclic_mixed", "SOL", "D_lemma_div_cyclic_mixed",
-         sol_d_deriv_cyclic_mixed, "B", requires=("f", "lam"),
-         structure="gradient_soliton", min_dim=4, min_order=4, tol=1e-8),
-    # ---- CE -----------------------------------------------------------------
-    _rec("ce.ricci_eq", "CE", "CE_comp_Riccii", ce_ricci_eq, "A",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         tol=1e-7),
-    _rec("ce.traced_lambda", "CE", "CE_tracedlambda", ce_traced_lambda, "A",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         tol=1e-7),
-    _rec("ce.single_eq", "CE", "CE_singleEq", ce_single_eq, "A",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         tol=1e-7),
-    _rec("ce.first_gn", "CE", "FirstCond_GN", ce_first_gn, "B",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         min_order=3, tol=1e-7),
-    _rec("ce.second_gn", "CE", "SecondCond_GN", ce_second_gn, "B",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         min_order=4, tol=1e-7),
-    _rec("ce.nabla_delta_u", "CE", "CE_nablaDeltau", ce_nabla_delta_u, "B",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         min_order=3, tol=1e-7),
-    _rec("ce.grad_u_grad_lap_u", "CE", "CE_gnablaunabladeltau",
-         ce_grad_u_grad_lap_u, "B", requires=("u", "lam"),
-         structure="conformally_einstein", min_dim=3, min_order=3, tol=1e-7),
-    _rec("ce.lap_scalar", "CE", "CE_LaplacianScalarEq", ce_lap_scalar, "B",
-         requires=("u", "lam"), structure="conformally_einstein", min_dim=3,
-         min_order=4, tol=1e-7),
-    _rec("ce.lap_scalar_lambda", "CE", "CE_LaplacianScalarEqwithLambda",
-         ce_lap_scalar_lambda, "B", requires=("u", "lam"),
-         structure="conformally_einstein", min_dim=3, min_order=4, tol=1e-7),
-    # ---- CGRS ---------------------------------------------------------------
-    _rec("cgrs.ricci_eq", "CGRS", "CGRS_comp_Ricci", cgrs_ricci_eq, "A",
-         requires=("u", "f", "lam"), structure="conformal_gradient_soliton",
-         min_dim=3, tol=1e-7),
-    _rec("cgrs.schouten_eq", "CGRS", "CGRS_comp_Schouten", cgrs_schouten_eq,
-         "A", requires=("u", "f", "lam"),
-         structure="conformal_gradient_soliton", min_dim=3, tol=1e-7),
-    _rec("cgrs.duf_vs_tilde", "CGRS", "CGRS_D_ufvsTildeD", cgrs_duf_vs_tilde,
-         "A", requires=("u", "f", "lam"),
-         structure="conformal_gradient_soliton", min_dim=3, tol=1e-7,
-         reads_tilde=True),
-    _rec("cgrs.first", "CGRS", "Eq_FirstCondition_CGRSCompNewD", cgrs_first,
-         "B", requires=("u", "f", "lam"),
-         structure="conformal_gradient_soliton", min_dim=3, min_order=3,
-         tol=1e-7),
-    _rec("cgrs.second", "CGRS", "Eq_SecondConditionBach", cgrs_second, "B",
-         requires=("u", "f", "lam"), structure="conformal_gradient_soliton",
-         min_dim=3, min_order=4, tol=1e-7),
-    _rec("cgrs.second_equivalent", "CGRS", "Eq_SecondConditionBach_equivalent",
-         cgrs_second_equivalent, "B", requires=("u", "f", "lam"),
-         structure="conformal_gradient_soliton", min_dim=3, min_order=4,
-         tol=1e-7),
-    _rec("cgrs.sk_uttk_fttk", "CGRS", "CGRS_SkUttkFttk", cgrs_sk_uttk_fttk,
-         "B", requires=("u", "f", "lam"),
-         structure="conformal_gradient_soliton", min_dim=3, min_order=3,
-         tol=1e-7),
-    _rec("cgrs.fttk", "CGRS", "CGRS_Fttk", cgrs_fttk, "B",
-         requires=("u", "f", "lam"), structure="conformal_gradient_soliton",
-         min_dim=3, min_order=3, tol=1e-7),
-    _rec("cgrs.uttk", "CGRS", "CGRS_Uttk", cgrs_uttk, "B",
-         requires=("u", "f", "lam"), structure="conformal_gradient_soliton",
-         min_dim=3, min_order=3, tol=1e-7),
-    # ---- GRS ----------------------------------------------------------------
-    _rec("grs.first", "GRS", "firstGenericRSIntCondition", grs_first, "B",
-         requires=("X", "lam"), structure="generic_soliton", min_dim=3,
-         min_order=3, tol=1e-7),
-    _rec("grs.second", "GRS", "secondGenericRSIntCondition", grs_second, "B",
-         requires=("X", "lam"), structure="generic_soliton", min_dim=3,
-         min_order=4, tol=1e-7),
-    _rec("grs.xc_equals_xd", "GRS", "XCXD_remark", grs_xc_equals_xd, "B",
-         requires=("X", "lam"), structure="generic_soliton", min_dim=3,
-         min_order=3, tol=1e-7),
-    # ---- CGERS --------------------------------------------------------------
-    _rec("cgers.ricci_eq", "CGERS", "CGenericRS_comp_Ricci", cgers_ricci_eq,
-         "A", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, tol=1e-7),
-    _rec("cgers.schouten_eq", "CGERS", "CGenericRS_comp_Schouten",
-         cgers_schouten_eq, "A", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, tol=1e-7),
-    _rec("cgers.dux_vs_tilde", "CGERS", "CGeRS_EqDuXe3uDX",
-         cgers_dux_vs_tilde, "A", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, tol=1e-7,
-         reads_tilde=True),
-    _rec("cgers.first", "CGERS", "Eq_FirstCondition_CGenericRSComponents",
-         cgers_first, "B", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, min_order=3,
-         tol=1e-7),
-    _rec("cgers.second", "CGERS", "Eq_SecondConditionBach_GENERIC",
-         cgers_second, "B", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, min_order=4,
-         tol=1e-7),
-    _rec("cgers.sk_uttk_xttk", "CGERS", "CGeRS_SkUttkXttk",
-         cgers_sk_uttk_xttk, "B", requires=("u", "X", "lam"),
-         structure="conformal_generic_soliton", min_dim=3, min_order=3,
-         tol=1e-7),
-    # ---- HIGH ---------------------------------------------------------------
-    _rec("high.third_1", "HIGH", "thirdCond1", high_third_1, "C",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=4,
-         min_order=4, tol=1e-6),
-    _rec("high.third_2", "HIGH", "thirdCond2", high_third_2, "C",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=4,
-         min_order=5, tol=1e-6),
-    _rec("high.fourth_1", "HIGH", "fourthCond1", high_fourth_1, "C",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=4,
-         min_order=5, tol=1e-6),
-    _rec("high.fourth_2", "HIGH", "fourthCond2", high_fourth_2, "C",
-         requires=("f", "lam"), structure="gradient_soliton", min_dim=4,
-         min_order=6, tol=1e-6),
-)
-
-FAMILIES = ("COMM", "SOL", "CE", "CGRS", "GRS", "CGERS", "HIGH")
+# every identity, in the order its evaluator is declared above
+REGISTRY: tuple[IdentityRecord, ...] = tuple(_DECLARED)
 BY_ID = {r.id: r for r in REGISTRY}
 
 
@@ -1526,15 +1431,6 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
 
 def verify_report(geometry: GeometryInstance, records, count: int, seed: int,
                   tol_overrides=None) -> VerificationReport:
-    points = geometry.sample_points(count, seed)
-    rows = verify(geometry, records, points, tol_overrides)
-    return VerificationReport(
-        tool_version=TOOL_VERSION,
-        geometry=geometry.name,
-        geometry_hash=geometry_hash(geometry.spec.to_json()),
-        dim=geometry.dim,
-        jet_order=geometry.config.order,
-        seed=seed,
-        points=count,
-        rows=rows,
-    )
+    rows = verify(geometry, records, geometry.sample_points(count, seed),
+                  tol_overrides)
+    return VerificationReport.for_geometry(geometry, seed, count, rows)

@@ -367,11 +367,6 @@ class Jet:
         return self.coefficient(alpha) * math.prod(
             math.factorial(e) for e in alpha)
 
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise JetOrderError(f"cannot extend order {self.order} to {order}")
-        return Jet(self.dim, order, truncate_coeffs(self.coeffs, self.dim, order))
-
     def __repr__(self):
         if self.coeffs.ndim > 1:
             return (f"Jet(dim={self.dim}, order={self.order}, "

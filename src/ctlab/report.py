@@ -37,6 +37,15 @@ class VerificationReport:
     points: int
     rows: list[ReportRow] = field(default_factory=list)
 
+    @classmethod
+    def for_geometry(cls, geometry, seed: int, points: int,
+                     rows: list[ReportRow]) -> "VerificationReport":
+        """The report of ``rows``, verified on ``geometry`` at ``points``
+        sample points drawn with ``seed``."""
+        return cls(TOOL_VERSION, geometry.name,
+                   geometry_hash(geometry.spec.to_json()), geometry.dim,
+                   geometry.config.order, seed, points, rows)
+
     @property
     def overall(self) -> str:
         return "fail" if any(r.status == "fail" for r in self.rows) else "pass"

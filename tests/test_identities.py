@@ -15,11 +15,9 @@ from ctlab.identities import (
     CertificationError,
     EvalContext,
     IdentityRecord,
-    SolitonData,
     list_identities,
     residual,
     select_records,
-    soliton_residual,
     structure_residual,
     verify,
     verify_report,
@@ -205,28 +203,33 @@ def test_degeneration_grs_gradient_field_matches_sol():
 # structure residuals / soliton data
 # ---------------------------------------------------------------------------
 
+def _gradient_soliton_defect(g, p, lam):
+    """max|L - R| of the registry's defining gradient-soliton equation at
+    ``p``, taken with the constant ``lam``."""
+    c = EvalContext(g, p)
+    c.lam = lam
+    lhs, rhs = identities.sol_defining_gradient(c)
+    return np.abs(lhs - rhs).max()
+
+
 def test_soliton_residual_gaussian():
     e = catalog.load("euclidean", dim=3)
-    sol = SolitonData(lam=0.5, flavor="gradient")
     for p in e.geometry.sample_points(2, 1):
-        r = soliton_residual(e.geometry, sol, p)
-        assert np.abs(r.components).max() < 1e-13
+        assert _gradient_soliton_defect(e.geometry, p, 0.5) < 1e-13
 
 
 def test_soliton_residual_trivial_einstein():
     # sphere with constant potential: trivial soliton iff lam matches
     base = catalog.load("sphere", dim=3).spec
     g = _with_fields(base, f="0")
-    sol = SolitonData(lam=2.0, flavor="gradient")
     for p in g.sample_points(2, 2):
-        assert np.abs(soliton_residual(g, sol, p).components).max() < 1e-9
+        assert _gradient_soliton_defect(g, p, 2.0) < 1e-9
 
 
 def test_soliton_residual_cigar():
     e = catalog.load("cigar_x_line")
-    sol = SolitonData(lam=0.0, flavor="gradient")
     for p in e.geometry.sample_points(3, 3):
-        assert np.abs(soliton_residual(e.geometry, sol, p).components).max() < 1e-9
+        assert _gradient_soliton_defect(e.geometry, p, 0.0) < 1e-9
 
 
 def test_structure_residual_detects_non_soliton():
@@ -315,6 +318,39 @@ def test_list_identities_registry():
     everything = list_identities()
     assert [r["id"] for r in everything] == [r.id for r in identities.REGISTRY]
     assert len({r["id"] for r in everything}) == len(everything)
+    # one record of each family and two laws, as declared before records
+    # took their defaults from the family: a wrong default fails here
+    # (id, requires, structure, min_dim, min_order, tol, reads_tilde)
+    want = [
+        ("comm.bianchi2", [], None, 2, 3, 1e-7, False),
+        ("sol.scalar_gradient", ["f", "lam"], "gradient_soliton", 2, 3,
+         1e-8, False),
+        ("ce.first_gn", ["lam", "u"], "conformally_einstein", 3, 3, 1e-7,
+         False),
+        ("cgrs.first", ["f", "lam", "u"], "conformal_gradient_soliton", 3, 3,
+         1e-7, False),
+        ("grs.second", ["X", "lam"], "generic_soliton", 3, 4, 1e-7, False),
+        ("cgers.second", ["X", "lam", "u"], "conformal_generic_soliton", 3,
+         4, 1e-7, False),
+        ("high.third_1", ["f", "lam"], "gradient_soliton", 4, 4, 1e-6,
+         False),
+    ]
+    dumped = {r["id"]: r for r in everything}
+    for id_, requires, structure, min_dim, min_order, tol, tilde in want:
+        r = dumped[id_]
+        assert (r["requires"], r["structure"], r["min_dim"],
+                r["min_jet_order"], r["tol"]) == (
+            requires, structure, min_dim, min_order, tol), id_
+        assert identities.BY_ID[id_].reads_tilde is tilde, id_
+    assert {r.family for r in identities.REGISTRY} == set(identities.FAMILIES)
+    for id_, requires, structure, min_dim, min_order, tol in (
+            ("d_tensor", ["f", "lam"], "tilde_gradient_soliton", 3, 2, 1e-9),
+            ("nabla2_X", ["X"], None, 3, 3, 1e-7)):
+        law = conformal.LAWS[id_]
+        assert (sorted(law.requires), law.structure, law.min_dim,
+                law.min_order, law.tolerance(), law.family,
+                law.reads_tilde) == (requires, structure, min_dim, min_order,
+                                     tol, "LAW", True), id_
 
 
 def test_verify_report_round_trip():
