@@ -118,14 +118,8 @@ class CurvatureBundle:
         st = self.state
         m = self.m
         gam = st.christoffel
-        dgam = TensorJet(
-            np.stack(
-                [jets.jet_partial(gam.coeffs, v, m, gam.order) for v in range(m)],
-                axis=-1,
-            ),
-            m,
-            gam.order - 1,
-        )  # [u, l1, l2, v] = d_v Gamma^u_{l1 l2}
+        dgam = TensorJet(jets.jet_gradient(gam.coeffs, m, gam.order), m,
+                         gam.order - 1)  # [u, l1, l2, v] = d_v Gamma^u_{l1 l2}
         d1 = tj_transpose(dgam, (0, 2, 3, 1))  # [i,j,k,l] = d_k Gamma^i_{lj}
         d2 = tj_transpose(dgam, (0, 2, 1, 3))  # [i,j,k,l] = d_l Gamma^i_{kj}
         p1 = tj_einsum("iks,slj->ijkl", gam, gam)

@@ -8,13 +8,16 @@ of arbitrary fully-covariant tensor fields.
 
 Tensor fields at a point are held as :class:`TensorJet` values whose leading
 axis enumerates multi-index coefficients (see :mod:`ctlab.jets`), so one
-covariant derivative is a partial derivative plus one jet product per slot,
-each a batched GEMM.  Every covariant derivative consumes one jet order;
-derived objects therefore carry exactly ``config.order - (metric
-derivative depth)`` orders, and requests past that depth raise
-:class:`~ctlab.jets.JetOrderError` instead of silently truncating.  A verification pass works on :meth:`GeometryInstance.at_order`
-of the chart, at the lowest order its records need, so ``config.order``
-there is the working order; the configured order is the cap.
+covariant derivative is one call of :func:`~ctlab.jets.jet_cov_deriv`: all
+partials in one gather, then one batched GEMM per slot against a
+Christoffel operand gathered once.  Every covariant derivative consumes
+one jet order; derived objects therefore carry exactly ``config.order -
+(metric derivative depth)`` orders, and requests past that depth raise
+:class:`~ctlab.jets.JetOrderError` instead of silently truncating.
+
+A verification pass works on :meth:`GeometryInstance.at_order` of the
+chart, at the lowest order its records need, so ``config.order`` there is
+the working order; the configured order is the cap.
 
 Orthonormal-frame components are produced by contracting value arrays with
 the inverse Cholesky factor of the metric at the point (the vielbein); this
@@ -33,14 +36,13 @@ from .exprlang import Expr, GeometrySpec, Tape, eval_expr_jet, parse_expr
 from .jets import (
     JetConfig,
     JetOrderError,
+    jet_cov_deriv,
     jet_einsum,
+    jet_gradient,
     jet_inverse,
-    jet_partial,
     table,
     truncate_coeffs,
 )
-
-_LETTERS = "abcdefgh"
 
 
 class MetricError(ValueError):
@@ -69,16 +71,6 @@ class TensorJet:
 
     def value(self) -> np.ndarray:
         return np.array(self.coeffs[0])
-
-    def trunc(self, order: int) -> "TensorJet":
-        if order > self.order:
-            raise JetOrderError(
-                f"cannot extend tensor jet of order {self.order} to {order}"
-            )
-        if order == self.order:
-            return self
-        return TensorJet(truncate_coeffs(self.coeffs, self.dim, order),
-                         self.dim, order)
 
 
 def tj_combine(*pairs: tuple[float, TensorJet]) -> TensorJet:
@@ -177,9 +169,7 @@ class PointState:
         """Gamma^l_{jk} as a jet field of order K-1 (axes [l, j, k])."""
         if self._christoffel is None:
             m, k = self.m, self.order
-            dg = np.stack(
-                [jet_partial(self.g.coeffs, v, m, k) for v in range(m)], axis=-1
-            )  # [a, b, v] = d_v g_ab
+            dg = jet_gradient(self.g.coeffs, m, k)  # [a, b, v] = d_v g_ab
             # d_j g_rk + d_k g_rj - d_r g_jk  as [r, j, k]
             b = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
             self._christoffel = tj_combine(
@@ -202,20 +192,8 @@ class PointState:
                 "jet order exhausted: raise the configured jet order for this "
                 "derivative depth"
             )
-        m = self.m
-        q = t.order - 1
-        out = np.stack(
-            [jet_partial(t.coeffs, v, m, t.order) for v in range(m)], axis=-1
-        )
-        rank = t.rank
-        sub = _LETTERS[:rank]
-        tq = t.trunc(q)
-        gam = self.christoffel.trunc(q)
-        for s in range(rank):
-            tsub = sub[:s] + "y" + sub[s + 1:]
-            corr = tj_einsum(f"y{sub[s]}z,{tsub}->{sub}z", gam, tq)
-            out -= corr.coeffs
-        return TensorJet(out, m, q)
+        out = jet_cov_deriv(t.coeffs, self.christoffel.coeffs, self.m, t.order)
+        return TensorJet(out, self.m, t.order - 1)
 
     # -- frames ---------------------------------------------------------------
 

@@ -17,7 +17,12 @@ Two layers live here:
   :func:`jet_partial`, ...) that act on arrays shaped
   ``(ncoeffs, *tensor_shape)``.  The geometry layer stores whole tensor
   fields this way and gets vectorised jet arithmetic across all components
-  at once.
+  at once.  :func:`jet_gradient` takes every partial of an array in one
+  gather, the derivative axis last, and :func:`jet_cov_deriv` is one
+  covariant derivative: that gradient minus each slot's Christoffel term,
+  the Christoffel operand gathered once for all slots and each term the
+  GEMM :func:`jet_einsum` would run for it, so the result is bit for bit
+  the per-variable, per-slot computation.
 
 A product of two jets is a convolution of their coefficients: output
 coefficient ``p`` sums ``a[i] * b[j]`` over the pairs with
@@ -89,8 +94,10 @@ class MultiIndexTable:
         appends to each operand.
     width_by_order : width_by_order[d] = the largest pair count of any out
         index of degree d; the same in every table of order >= d.
-    dsrc, dmul : per-variable differentiation maps; the coefficient of
-        d/dx_v at alpha is ``coeffs[dsrc[v, k]] * dmul[v, k]``.
+    dsrc, dmul : (size_by_order[order - 1], dim) differentiation maps;
+        the coefficient of d/dx_v at the k-th alpha is
+        ``coeffs[dsrc[k, v]] * dmul[k, v]``, so row k gathers every
+        partial of one output coefficient.
     """
 
     def __init__(self, dim: int, order: int):
@@ -139,14 +146,14 @@ class MultiIndexTable:
 
         if order >= 1:
             nprev = size_by_order[order - 1]
-            self.dsrc = np.empty((dim, nprev), dtype=np.int64)
-            self.dmul = np.empty((dim, nprev), float)
-            for v in range(dim):
-                for k in range(nprev):
+            self.dsrc = np.empty((nprev, dim), dtype=np.int64)
+            self.dmul = np.empty((nprev, dim), float)
+            for k in range(nprev):
+                for v in range(dim):
                     a = list(alphas[k])
                     a[v] += 1
-                    self.dsrc[v, k] = self.index[tuple(a)]
-                    self.dmul[v, k] = a[v]
+                    self.dsrc[k, v] = self.index[tuple(a)]
+                    self.dmul[k, v] = a[v]
 
 
 @lru_cache(maxsize=None)
@@ -267,8 +274,68 @@ def jet_partial(a: np.ndarray, v: int, dim: int, order: int) -> np.ndarray:
     if order < 1:
         raise JetOrderError("jet order exhausted: cannot differentiate order-0 jet")
     t = table(dim, order)
-    mul = t.dmul[v].reshape((-1,) + (1,) * (a.ndim - 1))
-    return a[t.dsrc[v]] * mul
+    mul = t.dmul[:, v].reshape((-1,) + (1,) * (a.ndim - 1))
+    return a[t.dsrc[:, v]] * mul
+
+
+def _gradient_view(a: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Every partial of a jet array, ``[coeff, *tensor, v]``, as a view: one
+    ``take`` gathers the rows of all ``dim`` partials as ``[coeff, v,
+    *tensor]``, multiplied in place, and a plain transpose puts ``v``
+    last."""
+    if order < 1:
+        raise JetOrderError("jet order exhausted: cannot differentiate order-0 jet")
+    t = table(dim, order)
+    rows = a.take(t.dsrc, axis=0)
+    rows *= t.dmul.reshape(t.dmul.shape + (1,) * (a.ndim - 1))
+    return rows.transpose((0,) + tuple(range(2, a.ndim + 1)) + (1,))
+
+
+def jet_gradient(a: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Every partial of a jet array at once, the derivative axis last:
+    ``out[..., v]`` is :func:`jet_partial` of ``a`` along ``v`` bit for bit,
+    and C-contiguous, as their stack would be."""
+    return np.ascontiguousarray(_gradient_view(a, dim, order))
+
+
+@lru_cache(maxsize=None)
+def _slot_plans(a_shape: tuple[int, ...],
+                gamma_shape: tuple[int, ...]) -> tuple[_EinsumPlan, ...]:
+    """The :func:`jet_einsum` plan of each slot's connection term in
+    :func:`jet_cov_deriv`: ``y{s}z,{a with slot s as y}->{a}z``."""
+    sub = "abcdefghijklmnopqrstuvwx"[:len(a_shape)]
+    return tuple(_einsum_plan(f"y{c}z,{sub[:s]}y{sub[s + 1:]}->{sub}z",
+                              gamma_shape, a_shape)
+                 for s, c in enumerate(sub))
+
+
+def jet_cov_deriv(a: np.ndarray, gamma: np.ndarray, dim: int,
+                  order: int) -> np.ndarray:
+    """Covariant derivative of a fully covariant tensor jet ``a`` of order
+    ``order``, with Christoffel symbols ``gamma`` as ``[l, j, k] =
+    Gamma^l_{jk}`` of order ``order - 1`` or more: the gradient minus, slot
+    by slot, ``Gamma^y_{a_s z}`` times ``a`` with slot ``s`` as ``y``.
+    Output order is ``order - 1``, derivative slot last, C-contiguous.
+
+    Each slot's term is the product :func:`jet_einsum` makes for its spec,
+    on the same operands and in the same GEMM, subtracted in slot order, so
+    the result is bit for bit :func:`jet_gradient` minus the per-slot
+    ``jet_einsum``.  Gamma's layout ``[coeff, y | a_s, z]`` is the same in
+    every slot, so it is gathered once per call, and the first subtraction
+    writes the gradient's view into the output's layout."""
+    out = _gradient_view(a, dim, order)
+    plans = _slot_plans(a.shape[1:], gamma.shape[1:])
+    if not plans:
+        return np.ascontiguousarray(out)
+    t = table(dim, order - 1)
+    n = t.size
+    g = plans[0].a.gather(gamma, n, t.pad_i).swapaxes(-1, -2)
+    dst = np.empty(out.shape)
+    for plan in plans:
+        prod = np.matmul(g, plan.b.gather(a, n, t.pad_j))
+        out = np.subtract(out, prod.reshape((n,) + plan.free).transpose(plan.perm),
+                          out=dst)
+    return out
 
 
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Independent numerical oracles for the test suite.
 
-Everything here but the reference expression walker avoids the jet engine
+Everything here but the reference expression walkers avoids the jet engine
 on purpose: derivatives come from central finite differences, flows from
 explicit RK4 integration.  These are the second opinions the exact
 machinery is checked against.  ``eval_expr_jet_reference`` is the tree
 walker the expression tape replaced: the same jet operation per node, with
 no node shared, so the tape must match it bit for bit.
+``eval_expr_order0`` is the ring's order-0 arithmetic in plain floats.
 """
 
 import numpy as np
@@ -48,6 +49,67 @@ def eval_expr_jet_reference(e, point, order: int):
         return rec(e)
     except JetDomainError as err:
         raise EvalDomainError(str(err)) from err
+
+
+def eval_expr_order0(e, point) -> float:
+    """Value of expression ``e`` at ``point`` by the jet ring's order-0
+    arithmetic in plain floats: ``x / y`` as ``x * (1 / y)``, an integer
+    power as repeated products (of ``1 / x`` for a negative one), ``sqrt``
+    and every other fractional power as ``x ** r``.  The jet's value must
+    equal it bit for bit.  Raises ``EvalDomainError`` where the ring does,
+    and ``OverflowError`` where a ``math`` call or ``**`` overflows."""
+    import math
+
+    from ctlab.exprlang import Bin, Call, Coord, EvalDomainError, Neg, Num, Pow
+
+    def reciprocal(x):
+        if x == 0.0:
+            raise EvalDomainError("division by a jet with zero constant term")
+        return 1.0 / x
+
+    def power(x, r):
+        if float(r).is_integer():
+            r = int(r)
+            if r == 0:
+                return 1.0
+            base = x if r > 0 else reciprocal(x)
+            out = base
+            for _ in range(abs(r) - 1):
+                out = out * base
+            return out
+        if x <= 0.0:
+            raise EvalDomainError(f"fractional power of non-positive value {x}")
+        return x ** r
+
+    def rec(node):
+        match node:
+            case Num(v):
+                return float(v)
+            case Coord(slot, _):
+                return float(point[slot])
+            case Neg(a):
+                return -rec(a)
+            case Bin(op, a, b):
+                x, y = rec(a), rec(b)
+                if op == "+":
+                    return x + y
+                if op == "-":
+                    return x - y
+                if op == "*":
+                    return x * y
+                return x * reciprocal(y)
+            case Pow(base, r):
+                return power(rec(base), r)
+            case Call(fn, a):
+                x = rec(a)
+                if fn in ("log", "sqrt") and x <= 0.0:
+                    raise EvalDomainError(f"{fn} of non-positive value {x}")
+                if fn == "sqrt":
+                    return x ** 0.5
+                return getattr(math, fn)(x)
+        raise TypeError(node)
+
+    return rec(e)
 
 
 def fd1(fn, x, v, h=1e-3):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctlab.exprlang import (
     Bin,
@@ -24,7 +24,7 @@ from ctlab.exprlang import (
     pretty,
 )
 
-from oracles import eval_expr_jet_reference, fd_multi
+from oracles import eval_expr_jet_reference, eval_expr_order0, fd_multi
 
 
 def test_sum_of_squares_tree():
@@ -147,20 +147,33 @@ def test_pretty_reparse_round_trip():
         assert parse_expr(pretty(tree), coords) == tree
 
 
+# seeds where ``eval_expr`` rounds differently from the ring (x**n as
+# repeated products, x/y as x*(1/y), amplified by an outer sin, sinh or
+# exp), and seeds where it overflows
 @given(st.integers(0, 5000))
+@example(992)
+@example(1419)
+@example(1828)
+@example(1867)
+@example(2220)
+@example(3710)
+@example(3794)
+@example(4273)
+@example(1836)
+@example(2583)
 def test_order_zero_matches_plain_eval(seed):
     coords = ["x1", "x2"]
     rng = np.random.default_rng(seed)
     tree = fix_coord_names(random_tree(rng, coords, 3), coords)
     p = rng.uniform(0.1, 0.9, 2)
     try:
-        plain = eval_expr(tree, p)
-    except EvalDomainError:
+        plain = eval_expr_order0(tree, p)
+    except (EvalDomainError, OverflowError):
+        with pytest.raises((EvalDomainError, OverflowError)):
+            eval_expr_jet(tree, p, 0)
         return
-    if abs(plain) > 1e12:
-        return
-    jet = eval_expr_jet(tree, p, 0)
-    assert abs(jet.value - plain) <= 1e-15 * max(1.0, abs(plain))
+    value = eval_expr_jet(tree, p, 0).value
+    assert value == plain or (math.isnan(value) and math.isnan(plain))
 
 
 # ---------------------------------------------------------------------------

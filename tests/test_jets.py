@@ -240,25 +240,28 @@ def reference_einsum(spec, a, b, dim, order_a, order_b):
     return np.add.reduceat(prod, t.seg_starts, axis=0)
 
 
-def ctlab_specs():
-    """Every spec ctlab passes to ``tj_einsum``: the string literals at its
-    call sites, plus the covariant-derivative slot specs up to rank 6 (the
-    one call site that builds its spec)."""
+def tj_einsum_sites():
+    """The number of ``tj_einsum`` calls in ctlab and the spec string
+    literals at them."""
     calls, literal = 0, []
     for path in sorted(pathlib.Path(ctlab.__file__).parent.glob("*.py")):
         text = path.read_text()
         calls += len(re.findall(r"(?<!def )\btj_einsum\(", text))
         literal += re.findall(r'\btj_einsum\(\s*"([^"]*)"', text)
-    assert calls - len(literal) == 1, "a tj_einsum spec this test cannot see"
-    slots = []
-    for rank in range(7):
-        sub = "abcdefg"[:rank]
-        slots += [f"y{sub[s]}z,{sub[:s]}y{sub[s + 1:]}->{sub}z"
-                  for s in range(rank)]
-    return sorted(set(literal)) + slots
+    return calls, literal
 
 
-KERNEL_SPECS = ctlab_specs()
+def slot_specs(rank):
+    """The spec of each slot's connection term in a covariant derivative of
+    a rank-``rank`` tensor, as ``jets.jet_cov_deriv`` builds it."""
+    sub = "abcdefg"[:rank]
+    return [f"y{sub[s]}z,{sub[:s]}y{sub[s + 1:]}->{sub}z" for s in range(rank)]
+
+
+# every spec ctlab passes to ``tj_einsum``, plus the covariant-derivative
+# slot specs up to rank 6
+KERNEL_SPECS = sorted(set(tj_einsum_sites()[1])) + [
+    spec for rank in range(7) for spec in slot_specs(rank)]
 KERNEL_BUDGET = 2_000_000  # elements of the reference's per-triple product
 KERNEL_RTOL = 1e-13
 
@@ -284,6 +287,12 @@ def kernel_operands(spec, dim, order, seed):
     b = rng.standard_normal((table(dim, min(order + 1, jets.MAX_ORDER)).size,)
                             + (dim,) * len(sb))
     return a, b
+
+
+def test_kernel_specs_see_every_tj_einsum_call_site():
+    calls, literal = tj_einsum_sites()
+    assert literal
+    assert calls == len(literal), "a tj_einsum spec this test cannot see"
 
 
 def test_kernel_specs_cover_every_size():
@@ -343,6 +352,124 @@ def test_gemm_kernel_output_orders_and_bad_specs():
         a, b = kernel_operands(spec, dim, order, 1)
         with pytest.raises(ValueError, match="jet_einsum spec"):
             jets.jet_einsum(spec, a, b, dim, order, order)
+
+
+# ---------------------------------------------------------------------------
+# the gradient and covariant-derivative kernels against the per-variable
+# partials and the per-slot jet_einsum they replace
+# ---------------------------------------------------------------------------
+
+DERIV_BUDGET = 200_000  # elements of a rank-r operand times its rank + 1
+
+
+def deriv_cases():
+    for dim in range(1, 7):
+        for order in range(1, 9):
+            for rank in range(7):
+                size = table(dim, order).size * dim ** rank
+                if size * (rank + 1) <= DERIV_BUDGET:
+                    yield dim, order, rank
+
+
+def stacked_partials(a, dim, order):
+    return np.stack([jets.jet_partial(a, v, dim, order) for v in range(dim)],
+                    axis=-1)
+
+
+def reference_cov_deriv(a, gamma, dim, order):
+    """The covariant derivative as the geometry layer took it before: the
+    stacked partials minus one ``jet_einsum`` per slot."""
+    out = stacked_partials(a, dim, order)
+    q = order - 1
+    n = table(dim, q).size
+    for spec in slot_specs(a.ndim - 1):
+        out -= jets.jet_einsum(spec, gamma[:n], a[:n], dim, q, q)
+    return out
+
+
+def deriv_operands(dim, order, rank, seed):
+    """A rank-``rank`` jet of order ``order`` and a Christoffel jet of
+    order ``order - 1`` or, as a point's Gamma is for a truncated tensor,
+    of one order more."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((table(dim, order).size,) + (dim,) * rank)
+    gam_order = order - 1 + seed % 2
+    gamma = rng.standard_normal((table(dim, gam_order).size,) + (dim,) * 3)
+    return a, gamma
+
+
+def test_derivative_kernel_cases_cover_every_size():
+    cases = list(deriv_cases())
+    assert {d for d, _, _ in cases} == set(range(1, 7))
+    assert {o for _, o, _ in cases} == set(range(1, 9))
+    assert {r for _, _, r in cases} == set(range(7))
+    assert {(d, o, r) for d in range(1, 4) for o in range(1, 5)
+            for r in range(4)} <= set(cases)
+
+
+def test_gradient_is_the_stacked_partials():
+    for k, (dim, order, rank) in enumerate(deriv_cases()):
+        a, _ = deriv_operands(dim, order, rank, k)
+        got = jets.jet_gradient(a, dim, order)
+        assert np.array_equal(got, stacked_partials(a, dim, order)), (
+            dim, order, rank)
+        assert got.flags.c_contiguous
+
+
+def test_cov_deriv_kernel_is_partials_minus_slot_einsums():
+    for k, (dim, order, rank) in enumerate(deriv_cases()):
+        a, gamma = deriv_operands(dim, order, rank, k)
+        got = jets.jet_cov_deriv(a, gamma, dim, order)
+        assert np.array_equal(got, reference_cov_deriv(a, gamma, dim, order)), (
+            dim, order, rank)
+        assert got.flags.c_contiguous
+
+
+def test_cov_deriv_kernel_on_strided_operands():
+    # the geometry layer differentiates transposed views as they come
+    a, gamma = deriv_operands(3, 4, 3, 1)
+    a = a.transpose(0, 3, 1, 2)
+    gamma = gamma.transpose(0, 1, 3, 2)
+    assert np.array_equal(jets.jet_cov_deriv(a, gamma, 3, 4),
+                          reference_cov_deriv(a, gamma, 3, 4))
+    assert np.array_equal(jets.jet_gradient(a, 3, 4),
+                          stacked_partials(a, 3, 4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_derivative_kernels_propagate_non_finite_like_reference(bad):
+    rng = np.random.default_rng(4)
+    for dim, order, rank in ((2, 3, 2), (3, 2, 1), (3, 3, 0)):
+        a, gamma = deriv_operands(dim, order, rank, dim)
+        # row 0 of ``a`` reaches no partial but pairs with every product;
+        # the rows of gamma past order - 1 are never read
+        read = (table(dim, order - 1).size,) + gamma.shape[1:]
+        spots = [(a, (0,) + (0,) * rank)] + [
+            (x, tuple(rng.integers(s) for s in shape))
+            for x, shape in ((a, a.shape), (a, a.shape), (gamma, read),
+                             (gamma, read))]
+        for x, spot in spots:
+            saved = x[spot]
+            x[spot] = bad
+            with np.errstate(invalid="ignore"):
+                pairs = [(jets.jet_gradient(a, dim, order),
+                          stacked_partials(a, dim, order)),
+                         (jets.jet_cov_deriv(a, gamma, dim, order),
+                          reference_cov_deriv(a, gamma, dim, order))]
+            x[spot] = saved
+            for got, want in pairs:
+                assert np.array_equal(got, want, equal_nan=True), (dim, spot)
+            if rank and (x is gamma or spot[0] == 0):
+                assert not np.isfinite(pairs[1][1]).all(), (dim, spot)
+
+
+def test_derivative_kernels_refuse_order_zero():
+    a = np.ones((1, 3, 3))
+    gamma = np.ones((1, 3, 3, 3))
+    with pytest.raises(JetOrderError, match="jet order exhausted"):
+        jets.jet_gradient(a, 3, 0)
+    with pytest.raises(JetOrderError, match="jet order exhausted"):
+        jets.jet_cov_deriv(a, gamma, 3, 0)
 
 
 # ---------------------------------------------------------------------------
