@@ -3,10 +3,10 @@
 
 Rows are matched by file and position.  The script prints how many rows it
 compared, every status change, and how many residuals moved and by how much
-at most.  It exits 1 on any status change or on trees whose rows do not
-match (a file, a row id or a tolerance present on one side only, or no
-rows at all), and with ``--exact`` also when any residual moved; else it
-exits 0.
+at most.  It exits 1 on any status change or on trees whose reports do not
+match (a file, a row id or a tolerance present on one side only, a report
+header field of ``HEADER`` that differs, or no rows at all), and with
+``--exact`` also when any residual moved; else it exits 0.
 
 Usage:
     python scripts/compare_reports.py A B [--exact]
@@ -18,18 +18,33 @@ import sys
 from pathlib import Path
 
 
-def _rows(tree: Path) -> dict[tuple[str, int], dict]:
-    return {(path.name, k): row
-            for path in sorted(tree.glob("*.json"))
-            for k, row in enumerate(json.loads(path.read_text())["rows"])}
+# the report header fields that name what was verified and how; the tool
+# version is left out, so that a version bump alone is no mismatch
+HEADER = ("geometry", "geometry_hash", "dim", "jet_order", "seed", "points")
+
+
+def _reports(tree: Path) -> dict[str, dict]:
+    return {path.name: json.loads(path.read_text())
+            for path in sorted(tree.glob("*.json"))}
+
+
+def _rows(reports: dict[str, dict]) -> dict[tuple[str, int], dict]:
+    return {(name, k): row for name, doc in reports.items()
+            for k, row in enumerate(doc["rows"])}
 
 
 def compare(a: Path, b: Path) -> dict:
     """Rows compared, mismatches, status changes and moved residuals
     (as |delta|) of tree ``b`` against tree ``a``."""
-    ra, rb = _rows(a), _rows(b)
+    da, db = _reports(a), _reports(b)
+    ra, rb = _rows(da), _rows(db)
     out = {"compared": 0, "with_residual": 0, "mismatches": [],
            "status_changes": [], "moved": []}
+    for name in sorted(da.keys() & db.keys()):
+        for key in HEADER:
+            if da[name][key] != db[name][key]:
+                out["mismatches"].append(
+                    f"{name}:{key} {da[name][key]!r} -> {db[name][key]!r}")
     for key in sorted(ra.keys() | rb.keys()):
         x, y = ra.get(key), rb.get(key)
         where = f"{key[0]}:{(x or y)['id']}"

@@ -49,13 +49,26 @@ LAW_SCHEDULE = [
 ]
 
 
-def write_report(args, k, geometry, suite, rows):
-    """Write entry ``k``'s report as ``<json-dir>/NN-<geometry>-<suite>.json``."""
-    report = VerificationReport.for_geometry(geometry, args.seed,
-                                             args.points, rows)
-    slug = re.sub(r"[^A-Za-z0-9]+", "_", geometry.name).strip("_")
-    path = Path(args.json_dir) / f"{k:02d}-{slug}-{suite}.json"
-    path.write_text(report.to_json() + "\n")
+def summarise(args, k, geometry, suite, rows) -> int:
+    """Print entry ``k``'s summary line and its failures, write its report
+    if ``--json-dir`` is given, and return how many rows failed."""
+    worst = max((r.max_residual for r in rows
+                 if r.max_residual is not None), default=0.0)
+    npass = sum(r.status == "pass" for r in rows)
+    nskip = sum(r.status.startswith("skipped") for r in rows)
+    nfail = sum(r.status == "fail" for r in rows)
+    if args.json_dir:
+        report = VerificationReport.for_geometry(geometry, args.seed,
+                                                 args.points, rows)
+        slug = re.sub(r"[^A-Za-z0-9]+", "_", geometry.name).strip("_")
+        path = Path(args.json_dir) / f"{k:02d}-{slug}-{suite}.json"
+        path.write_text(report.to_json() + "\n")
+    print(f"{geometry.name:46} {suite:6} {npass:>4} {nskip:>4} "
+          f"{nfail:>4} {worst:>14.3e}")
+    for r in rows:
+        if r.status == "fail":
+            print(f"    FAIL {r.id}: {r.max_residual:.3e} > {r.tol:.1e}")
+    return nfail
 
 
 def main() -> int:
@@ -73,43 +86,17 @@ def main() -> int:
     print(f"{'geometry':46} {'suite':6} {'pass':>4} {'skip':>4} "
           f"{'fail':>4} {'worst residual':>14}")
     for k, (name, kw, fams) in enumerate(SCHEDULE):
-        entry = catalog.load(name, **kw)
-        rows = identities.verify(
-            entry.geometry, identities.select_records(fams),
-            entry.geometry.sample_points(args.points, args.seed))
-        worst = max((r.max_residual for r in rows
-                     if r.max_residual is not None), default=0.0)
-        npass = sum(r.status == "pass" for r in rows)
-        nskip = sum(r.status.startswith("skipped") for r in rows)
-        nfail = sum(r.status == "fail" for r in rows)
-        failures += nfail
-        if args.json_dir:
-            write_report(args, k, entry.geometry, "+".join(fams), rows)
-        print(f"{entry.name:46} {'+'.join(fams):6} {npass:>4} {nskip:>4} "
-              f"{nfail:>4} {worst:>14.3e}")
-        for r in rows:
-            if r.status == "fail":
-                print(f"    FAIL {r.id}: {r.max_residual:.3e} > {r.tol:.1e}")
+        g = catalog.load(name, **kw).geometry
+        rows = identities.verify(g, identities.select_records(fams),
+                                 g.sample_points(args.points, args.seed))
+        failures += summarise(args, k, g, "+".join(fams), rows)
 
     for k, (name, kw) in enumerate(LAW_SCHEDULE, start=len(SCHEDULE)):
-        entry = catalog.load(name, **kw)
-        pair = conformal.rescale(entry.geometry)
+        pair = conformal.rescale(catalog.load(name, **kw).geometry)
         rows = conformal.verify_transform(
             pair, conformal.select_laws(),
             pair.base.sample_points(args.points, args.seed))
-        worst = max((r.max_residual for r in rows
-                     if r.max_residual is not None), default=0.0)
-        npass = sum(r.status == "pass" for r in rows)
-        nskip = sum(r.status.startswith("skipped") for r in rows)
-        nfail = sum(r.status == "fail" for r in rows)
-        failures += nfail
-        if args.json_dir:
-            write_report(args, k, pair.base, "LAW", rows)
-        print(f"{entry.name:46} {'LAW':6} {npass:>4} {nskip:>4} "
-              f"{nfail:>4} {worst:>14.3e}")
-        for r in rows:
-            if r.status == "fail":
-                print(f"    FAIL {r.id}: {r.max_residual:.3e} > {r.tol:.1e}")
+        failures += summarise(args, k, pair.base, "LAW", rows)
 
     print(f"\ntotal time {time.time() - t0:.1f}s; "
           f"{'ALL PASS' if failures == 0 else f'{failures} FAILURES'}")

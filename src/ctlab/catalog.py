@@ -3,21 +3,33 @@
 Each entry packages a chart (metric expressions, domain box) together with
 the scalar/vector fields that realise a claimed structure: Einstein,
 gradient or generic soliton, or one of their conformal counterparts.
-``load`` re-certifies every claim numerically before handing the entry out,
-so a broken catalog entry is a hard error, never a silently wrong baseline.
+
+Every entry is built by the one constructor ``_entry``: a builder states
+only its chart, its fields and its claims, and ``_entry`` derives the
+dimension, the coordinates and the domain box.  A builder's signature is
+its parameter list: ``parameters`` reads it, and ``load`` rejects a
+parameter the entry does not take with :class:`CatalogError`, so no
+parameter is dropped silently.  ``load`` re-certifies every claim
+numerically before handing the entry out, so a broken catalog entry is a
+hard error (:class:`~ctlab.identities.CertificationError`), never a
+silently wrong baseline.
 """
 
 from __future__ import annotations
 
+import inspect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import stretched_metric
 from .exprlang import GeometrySpec
 from .geometry import GeometryInstance, point_blocks, point_scope
 from .identities import (
     CERTIFICATION_TOL,
     STRUCTURE_ORDER,
+    CertificationError,
     structure_residual,
     worst_of,
 )
@@ -27,7 +39,8 @@ CERTIFICATION_SEED = 20240
 
 
 class CatalogError(ValueError):
-    """Unknown entry name or a certification failure at load time."""
+    """An unknown entry name or parameter, or a parameter value the entry
+    cannot take."""
 
 
 @dataclass(frozen=True)
@@ -55,30 +68,16 @@ class CatalogEntry:
     def spec(self) -> GeometrySpec:
         return self.geometry.spec
 
-    def claim(self, kind: str) -> StructureClaim | None:
-        for c in self.claims:
-            if c.kind == kind:
-                return c
-        return None
-
 
 # ---------------------------------------------------------------------------
 # random polynomial fields
 # ---------------------------------------------------------------------------
 
 def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, remaining, slot):
-        if slot == dim:
-            if sum(prefix) >= 1:
-                out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
-    rec([], degree, 0)
-    return out
+    """Exponent tuples of the non-constant monomials up to ``degree``, in
+    lexicographic order."""
+    return [e for e in itertools.product(range(degree + 1), repeat=dim)
+            if 1 <= sum(e) <= degree]
 
 
 def _poly_text(rng: np.random.Generator, coords: list[str], degree: int,
@@ -98,305 +97,200 @@ def _poly_text(rng: np.random.Generator, coords: list[str], degree: int,
     return " + ".join(parts)
 
 
+def random_u(coords: list[str], seed: int) -> str:
+    """A random quadratic conformal exponent u on ``coords``, fixed by
+    ``seed``."""
+    return _poly_text(np.random.default_rng(seed), coords, degree=2, scale=0.3)
+
+
+# ---------------------------------------------------------------------------
+# shared charts and fields
+# ---------------------------------------------------------------------------
+
 def _coords(dim: int) -> list[str]:
     return [f"x{i + 1}" for i in range(dim)]
 
 
-def _box(dim: int, half: float) -> list[tuple[float, float]]:
-    return [(-half, half) for _ in range(dim)]
-
-
-def _diag(entries: list[str], dim: int) -> list[list[str]]:
-    return [[entries[i] if i == j else "0" for j in range(i + 1)] for i in range(dim)]
+def _diag(entries: list[str]) -> list[list[str]]:
+    return [[e if i == j else "0" for j in range(i + 1)]
+            for i, e in enumerate(entries)]
 
 
 def _norm2(coords: list[str]) -> str:
     return "+".join(f"{c}^2" for c in coords)
 
 
-def _conformal_entries(u_text: str, rows: list[list[str]]) -> list[list[str]]:
-    return [
-        [f"exp(-2*({u_text}))*({e})" if e != "0" else "0" for e in row]
-        for row in rows
-    ]
+def _flat(dim: int) -> list[list[str]]:
+    return _diag(["1"] * dim)
+
+
+def _sphere_metric(dim: int, radius: float) -> list[list[str]]:
+    """The round sphere of ``radius`` in a stereographic chart."""
+    conf = f"(4*{radius * radius!r})/(1+{_norm2(_coords(dim))})^2"
+    return _diag([conf] * dim)
+
+
+_S2XS2 = _diag(["4/(1+x1^2+x2^2)^2"] * 2 + ["4/(1+x3^2+x4^2)^2"] * 2)
+
+
+def _gaussian_f(coords: list[str], lam: float) -> str:
+    """The shrinking Gaussian soliton's potential f = lam |x|^2 / 2."""
+    return f"({lam / 2!r})*({_norm2(coords)})"
+
+
+def _gaussian_grad(coords: list[str], lam: float) -> list[str]:
+    """grad f = lam x of the Gaussian potential."""
+    return [f"({lam!r})*{c}" for c in coords]
+
+
+def _killing(dim: int, grad: list[str] | None = None) -> list[str]:
+    """The rotation -x2 d/dx1 + x1 d/dx2, a Killing field of every chart
+    here that uses it, added to the vector field ``grad`` if one is given."""
+    if grad is None:
+        return ["-x2", "x1"] + ["0"] * (dim - 2)
+    return [f"{grad[0]} - x2", f"{grad[1]} + x1"] + grad[2:]
+
+
+def _entry(name: str, metric: list[list[str]], claims, note: str,
+           half: float = 1.0, **fields) -> CatalogEntry:
+    """The entry ``name`` on the box [-half, half]^m, with the metric's
+    dimension m, coordinates x1..xm, the spec ``fields`` (u, f,
+    x_components, lam) and ``claims`` as (kind, lam) pairs."""
+    dim = len(metric)
+    spec = GeometrySpec(name=name, dim=dim, coords=_coords(dim),
+                        domain=[(-half, half)] * dim, metric=metric, **fields)
+    return CatalogEntry(name, GeometryInstance(spec),
+                        tuple(StructureClaim(k, lam) for k, lam in claims),
+                        note)
 
 
 # ---------------------------------------------------------------------------
-# entry constructors
+# entry builders: each signature is the entry's parameter list
 # ---------------------------------------------------------------------------
 
-def _euclidean(dim: int = 3, lam: float = 0.5, **_) -> CatalogEntry:
+def _euclidean(dim: int = 3, lam: float = 0.5) -> CatalogEntry:
     cs = _coords(dim)
-    spec = GeometrySpec(
-        name=f"euclidean(dim={dim})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 1.0),
-        metric=_diag(["1"] * dim, dim),
-        f=f"({lam / 2!r})*({_norm2(cs)})",
-        x_components=[f"({lam!r})*{c}" for c in cs],
-        lam=lam,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(
-            StructureClaim("einstein", 0.0),
-            StructureClaim("gradient_soliton", lam),
-            StructureClaim("generic_soliton", lam),
-        ),
-        note="flat chart; the shrinking Gaussian soliton potential",
-    )
+    return _entry(
+        f"euclidean(dim={dim})", _flat(dim),
+        [("einstein", 0.0), ("gradient_soliton", lam),
+         ("generic_soliton", lam)],
+        "flat chart; the shrinking Gaussian soliton potential",
+        x_components=_gaussian_grad(cs, lam), f=_gaussian_f(cs, lam), lam=lam)
 
 
-def _sphere(dim: int = 3, radius: float = 1.0, **_) -> CatalogEntry:
-    cs = _coords(dim)
-    n2 = _norm2(cs)
-    entry = f"(4*{radius * radius!r})/(1+{n2})^2"
+def _sphere(dim: int = 3, radius: float = 1.0) -> CatalogEntry:
+    return _entry(
+        f"sphere(dim={dim},r={radius!r})", _sphere_metric(dim, radius),
+        [("einstein", (dim - 1) / radius**2), ("conformally_einstein", 0.0)],
+        "round sphere in a stereographic chart; rescaling by u flattens it",
+        half=0.9, u=f"log((1+{_norm2(_coords(dim))})/(2*{radius!r}))",
+        lam=0.0)
+
+
+def _sphere_killing(dim: int = 3, radius: float = 1.0) -> CatalogEntry:
     lam = (dim - 1) / radius**2
-    spec = GeometrySpec(
-        name=f"sphere(dim={dim},r={radius!r})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 0.9),
-        metric=_diag([entry] * dim, dim),
-        u=f"log((1+{n2})/(2*{radius!r}))",
-        lam=0.0,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(
-            StructureClaim("einstein", lam),
-            StructureClaim("conformally_einstein", 0.0),
-        ),
-        note="round sphere in a stereographic chart; rescaling by u flattens it",
-    )
+    return _entry(
+        f"sphere_killing(dim={dim},r={radius!r})", _sphere_metric(dim, radius),
+        [("einstein", lam), ("generic_soliton", lam)],
+        "trivial generic soliton: Einstein metric plus a rotational "
+        "Killing field (sign falsifier for the vector-field conditions)",
+        half=0.9, x_components=_killing(dim), lam=lam)
 
 
-def _sphere_killing(dim: int = 3, radius: float = 1.0, **_) -> CatalogEntry:
-    base = _sphere(dim=dim, radius=radius)
-    cs = _coords(dim)
-    lam = (dim - 1) / radius**2
-    spec = GeometrySpec(
-        name=f"sphere_killing(dim={dim},r={radius!r})",
-        dim=dim,
-        coords=cs,
-        domain=base.spec.domain,
-        metric=base.spec.metric,
-        x_components=["-x2", "x1"] + ["0"] * (dim - 2),
-        lam=lam,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(
-            StructureClaim("einstein", lam),
-            StructureClaim("generic_soliton", lam),
-        ),
-        note="trivial generic soliton: Einstein metric plus a rotational "
-             "Killing field (sign falsifier for the vector-field conditions)",
-    )
+def _hyperbolic(dim: int = 3) -> CatalogEntry:
+    n2 = _norm2(_coords(dim))
+    return _entry(
+        f"hyperbolic(dim={dim})", _diag([f"4/(1-({n2}))^2"] * dim),
+        [("einstein", -(dim - 1)), ("conformally_einstein", 0.0)],
+        "Poincare ball patch", half=0.3, u=f"log((1-({n2}))/2)", lam=0.0)
 
 
-def _hyperbolic(dim: int = 3, **_) -> CatalogEntry:
-    cs = _coords(dim)
-    n2 = _norm2(cs)
-    lam = -(dim - 1)
-    spec = GeometrySpec(
-        name=f"hyperbolic(dim={dim})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 0.3),
-        metric=_diag([f"4/(1-({n2}))^2"] * dim, dim),
-        u=f"log((1-({n2}))/2)",
-        lam=0.0,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(
-            StructureClaim("einstein", lam),
-            StructureClaim("conformally_einstein", 0.0),
-        ),
-        note="Poincare ball patch",
-    )
+def _s2xs2() -> CatalogEntry:
+    return _entry(
+        "s2xs2", _S2XS2, [("einstein", 1.0)],
+        "product of two unit 2-spheres: Einstein with nonzero Weyl",
+        half=0.9, lam=1.0)
 
 
-def _s2xs2(**_) -> CatalogEntry:
-    cs = _coords(4)
-    b1 = "4/(1+x1^2+x2^2)^2"
-    b2 = "4/(1+x3^2+x4^2)^2"
-    spec = GeometrySpec(
-        name="s2xs2",
-        dim=4,
-        coords=cs,
-        domain=_box(4, 0.9),
-        metric=_diag([b1, b1, b2, b2], 4),
-        lam=1.0,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(StructureClaim("einstein", 1.0),),
-        note="product of two unit 2-spheres: Einstein with nonzero Weyl",
-    )
+def _conformal_s2xs2(seed: int = 0) -> CatalogEntry:
+    u = random_u(_coords(4), seed)
+    return _entry(
+        f"conformal_s2xs2(seed={seed})", stretched_metric(_S2XS2, u, -2),
+        [("conformally_einstein", 1.0)],
+        "random conformal deformation of s2xs2; rescaling by u restores it",
+        half=0.9, u=u, lam=1.0)
 
 
-def _conformal_s2xs2(seed: int = 0, **_) -> CatalogEntry:
-    base = _s2xs2()
-    rng = np.random.default_rng(seed)
-    cs = _coords(4)
-    u = _poly_text(rng, cs, degree=2, scale=0.3)
-    spec = GeometrySpec(
-        name=f"conformal_s2xs2(seed={seed})",
-        dim=4,
-        coords=cs,
-        domain=base.spec.domain,
-        metric=_conformal_entries(u, base.spec.metric),
-        u=u,
-        lam=1.0,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(StructureClaim("conformally_einstein", 1.0),),
-        note="random conformal deformation of s2xs2; rescaling by u restores it",
-    )
-
-
-def _cigar_x_flat(dim: int = 3, **_) -> CatalogEntry:
+def _cigar_x_flat(dim: int = 3) -> CatalogEntry:
     if dim < 3:
         raise CatalogError("cigar_x_flat needs dim >= 3")
-    cs = _coords(dim)
     bowl = "1+x1^2+x2^2"
-    entries = [f"1/({bowl})", f"1/({bowl})"] + ["1"] * (dim - 2)
-    spec = GeometrySpec(
-        name=f"cigar_x_flat(dim={dim})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 1.0),
-        metric=_diag(entries, dim),
-        f=f"-log({bowl})",
-        x_components=["-2*x1", "-2*x2"] + ["0"] * (dim - 2),
-        lam=0.0,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(
-            StructureClaim("gradient_soliton", 0.0),
-            StructureClaim("generic_soliton", 0.0),
-        ),
-        note="steady soliton: cigar surface times a flat factor; "
-             "X is the gradient of the potential in closed form",
-    )
+    return _entry(
+        f"cigar_x_flat(dim={dim})",
+        _diag([f"1/({bowl})"] * 2 + ["1"] * (dim - 2)),
+        [("gradient_soliton", 0.0), ("generic_soliton", 0.0)],
+        "steady soliton: cigar surface times a flat factor; "
+        "X is the gradient of the potential in closed form",
+        f=f"-log({bowl})", x_components=["-2*x1", "-2*x2"] + ["0"] * (dim - 2),
+        lam=0.0)
 
 
-def _cigar_x_line(**kw) -> CatalogEntry:
+def _cigar_x_line() -> CatalogEntry:
     return _cigar_x_flat(dim=3)
 
 
-def _conformal_gaussian(dim: int = 4, seed: int = 0, lam: float = 0.5, **_) -> CatalogEntry:
-    rng = np.random.default_rng(seed)
+def _conformal_gaussian(dim: int = 4, seed: int = 0,
+                        lam: float = 0.5) -> CatalogEntry:
     cs = _coords(dim)
-    u = _poly_text(rng, cs, degree=2, scale=0.3)
-    spec = GeometrySpec(
-        name=f"conformal_gaussian(dim={dim},seed={seed})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 1.0),
-        metric=_conformal_entries(u, _diag(["1"] * dim, dim)),
-        u=u,
-        f=f"({lam / 2!r})*({_norm2(cs)})",
-        lam=lam,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(StructureClaim("conformal_gradient_soliton", lam),),
-        note="rescaling by u gives the flat Gaussian soliton",
-    )
+    u = random_u(cs, seed)
+    return _entry(
+        f"conformal_gaussian(dim={dim},seed={seed})",
+        stretched_metric(_flat(dim), u, -2),
+        [("conformal_gradient_soliton", lam)],
+        "rescaling by u gives the flat Gaussian soliton",
+        u=u, f=_gaussian_f(cs, lam), lam=lam)
 
 
-def _gaussian_plus_killing(dim: int = 3, lam: float = 0.5, **_) -> CatalogEntry:
+def _gaussian_plus_killing(dim: int = 3, lam: float = 0.5) -> CatalogEntry:
     cs = _coords(dim)
-    x = [f"({lam!r})*x1 - x2", f"({lam!r})*x2 + x1"] + [
-        f"({lam!r})*{c}" for c in cs[2:]
-    ]
-    spec = GeometrySpec(
-        name=f"gaussian_plus_killing(dim={dim})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 1.0),
-        metric=_diag(["1"] * dim, dim),
-        f=f"({lam / 2!r})*({_norm2(cs)})",
-        x_components=x,
-        lam=lam,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(StructureClaim("generic_soliton", lam),
-                StructureClaim("gradient_soliton", lam)),
-        note="Gaussian gradient field plus a rotational Killing field",
-    )
+    return _entry(
+        f"gaussian_plus_killing(dim={dim})", _flat(dim),
+        [("generic_soliton", lam), ("gradient_soliton", lam)],
+        "Gaussian gradient field plus a rotational Killing field",
+        x_components=_killing(dim, _gaussian_grad(cs, lam)),
+        f=_gaussian_f(cs, lam), lam=lam)
 
 
 def _conformal_gaussian_plus_killing(dim: int = 3, seed: int = 0,
-                                     lam: float = 0.5, **_) -> CatalogEntry:
-    base = _gaussian_plus_killing(dim=dim, lam=lam)
-    rng = np.random.default_rng(seed + 17)
+                                     lam: float = 0.5) -> CatalogEntry:
     cs = _coords(dim)
-    u = _poly_text(rng, cs, degree=2, scale=0.3)
-    spec = GeometrySpec(
-        name=f"conformal_gaussian_plus_killing(dim={dim},seed={seed})",
-        dim=dim,
-        coords=cs,
-        domain=base.spec.domain,
-        metric=_conformal_entries(u, base.spec.metric),
-        u=u,
-        f=base.spec.f,
-        x_components=base.spec.x_components,
-        lam=lam,
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(StructureClaim("conformal_generic_soliton", lam),
-                StructureClaim("conformal_gradient_soliton", lam)),
-        note="rescaling by u gives the flat generic Gaussian-plus-rotation soliton",
-    )
+    u = random_u(cs, seed + 17)
+    return _entry(
+        f"conformal_gaussian_plus_killing(dim={dim},seed={seed})",
+        stretched_metric(_flat(dim), u, -2),
+        [("conformal_generic_soliton", lam),
+         ("conformal_gradient_soliton", lam)],
+        "rescaling by u gives the flat generic Gaussian-plus-rotation soliton",
+        u=u, x_components=_killing(dim, _gaussian_grad(cs, lam)),
+        f=_gaussian_f(cs, lam), lam=lam)
 
 
 def _random(dim: int = 4, seed: int = 0, degree: int = 4,
-            eps: float = 0.05, **_) -> CatalogEntry:
+            eps: float = 0.05) -> CatalogEntry:
     rng = np.random.default_rng(seed)
     cs = _coords(dim)
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(i + 1):
-            q = _poly_text(rng, cs, degree=degree, scale=1.0)
-            row.append(f"{'1' if i == j else '0'} + ({eps!r})*({q})")
-        rows.append(row)
-    spec = GeometrySpec(
-        name=f"random(dim={dim},seed={seed})",
-        dim=dim,
-        coords=cs,
-        domain=_box(dim, 1.0),
-        metric=rows,
-        u=_poly_text(rng, cs, degree=3, scale=0.4),
-        f=_poly_text(rng, cs, degree=3, scale=0.6),
-        x_components=[_poly_text(rng, cs, degree=3, scale=0.6) for _ in cs],
-    )
-    return CatalogEntry(
-        name=spec.name,
-        geometry=GeometryInstance(spec),
-        claims=(),
-        note="near-flat polynomial metric with generic smooth u, f, X fields "
-             "for the unconditional commutation rules",
-    )
+    metric = [[f"{'1' if i == j else '0'} + ({eps!r})*"
+               f"({_poly_text(rng, cs, degree, 1.0)})" for j in range(i + 1)]
+              for i in range(dim)]
+    # the fields draw from the same generator, after the metric, in order
+    u = _poly_text(rng, cs, 3, 0.4)
+    f = _poly_text(rng, cs, 3, 0.6)
+    x = [_poly_text(rng, cs, 3, 0.6) for _ in cs]
+    return _entry(
+        f"random(dim={dim},seed={seed})", metric, [],
+        "near-flat polynomial metric with generic smooth u, f, X fields "
+        "for the unconditional commutation rules",
+        u=u, f=f, x_components=x)
 
 
 _BUILDERS = {
@@ -419,12 +313,25 @@ def names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def load(name: str, certify: bool = True, jet_order: int | None = None,
-         **params) -> CatalogEntry:
-    """Build a catalog entry and re-certify every claim it carries."""
+def parameters(name: str) -> tuple[str, ...]:
+    """The parameters entry ``name`` takes: its builder's signature."""
     if name not in _BUILDERS:
         raise CatalogError(
             f"unknown catalog entry {name!r}; known: {', '.join(names())}"
+        )
+    return tuple(inspect.signature(_BUILDERS[name]).parameters)
+
+
+def load(name: str, certify: bool = True, jet_order: int | None = None,
+         **params) -> CatalogEntry:
+    """Build a catalog entry and re-certify every claim it carries.  A
+    parameter the entry does not take is a :class:`CatalogError`."""
+    takes = parameters(name)
+    extra = [p for p in params if p not in takes]
+    if extra:
+        raise CatalogError(
+            f"catalog entry {name!r} does not take {', '.join(extra)}; "
+            f"its parameters: {', '.join(takes) or 'none'}"
         )
     entry = _BUILDERS[name](**params)
     if jet_order is not None:
@@ -434,13 +341,14 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
     return entry
 
 
-def certify_entry(entry: CatalogEntry, tol: float = CERTIFICATION_TOL):
+def certify_entry(entry: CatalogEntry):
     """Check every claim's defining residual on a fixed sample grid, and
     positive definiteness for claim-free (random) entries, at jet order
     ``STRUCTURE_ORDER`` (or the configured order, if lower).  Each point's
     cache entries are released once its residuals are taken.  The chart's
     expressions are evaluated over the grid a block of points at a time
-    (:func:`~ctlab.geometry.point_blocks`)."""
+    (:func:`~ctlab.geometry.point_blocks`).  A claim whose residual is not
+    below ``CERTIFICATION_TOL`` raises :class:`CertificationError`."""
     g = entry.geometry.at_order(min(STRUCTURE_ORDER,
                                     entry.geometry.config.order))
     worst = [0.0] * len(entry.claims)
@@ -452,8 +360,8 @@ def certify_entry(entry: CatalogEntry, tol: float = CERTIFICATION_TOL):
                 worst[i] = worst_of(worst[i], structure_residual(
                     g, claim.kind, p, claim.lam))
     for claim, w in zip(entry.claims, worst):
-        if not w < tol:
-            raise CatalogError(
+        if not w < CERTIFICATION_TOL:
+            raise CertificationError(
                 f"certification failed for {entry.name}: claim {claim.kind} "
-                f"has residual {w:.3e} (tol {tol:.1e})"
+                f"has residual {w:.3e} (tol {CERTIFICATION_TOL:.1e})"
             )

@@ -2,7 +2,8 @@
 evaluate quantities at points, list or export the catalog.
 
 Exit codes: 0 all pass, 1 an identity failed its tolerance (a non-finite
-residual fails), 2 bad configuration, parse error or arithmetic overflow,
+residual fails), 2 bad configuration (an unknown catalog entry, or a
+parameter the entry does not take), parse error or arithmetic overflow,
 3 a structural certification failed.
 """
 
@@ -35,20 +36,32 @@ def _jet_order(args) -> int:
     return int(env) if env else 6
 
 
+def _entry_params(name: str, args) -> dict:
+    """The parameters of catalog entry ``name`` given on the command line.
+    ``--dim`` and ``--radius`` go to the entry as given, so one it does not
+    take is an error; ``--seed`` goes only to an entry that takes a seed,
+    and is otherwise just the sampling seed."""
+    params = {k: getattr(args, k) for k in ("dim", "radius")
+              if getattr(args, k, None) is not None}
+    if getattr(args, "seed", None) is not None \
+            and "seed" in catalog.parameters(name):
+        params["seed"] = args.seed
+    return params
+
+
 def _load_geometry(args) -> GeometryInstance:
     order = _jet_order(args)
     if args.spec:
+        given = [f"--{k}" for k in ("dim", "radius")
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"a --spec file fixes its own chart; "
+                             f"{' and '.join(given)} cannot be given with it")
         with open(args.spec) as fh:
             spec = GeometrySpec.from_json(fh.read())
         return GeometryInstance(spec, JetConfig(order))
-    params = {}
-    if args.dim is not None:
-        params["dim"] = args.dim
-    if args.radius is not None:
-        params["radius"] = args.radius
-    if getattr(args, "seed", None) is not None:
-        params["seed"] = args.seed
-    entry = catalog.load(args.catalog, jet_order=order, **params)
+    entry = catalog.load(args.catalog, jet_order=order,
+                         **_entry_params(args.catalog, args))
     return entry.geometry
 
 
@@ -79,11 +92,6 @@ def _emit(args, text: str):
         print(text)
 
 
-def _random_u(geometry: GeometryInstance, seed: int) -> str:
-    rng = np.random.default_rng(seed + 99)
-    return catalog._poly_text(rng, geometry.spec.coords, degree=2, scale=0.3)
-
-
 def cmd_verify(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points {args.points}: verification needs at "
@@ -101,7 +109,8 @@ def cmd_verify(args) -> int:
     points = geometry.sample_points(args.points, args.seed)
     if laws and geometry.spec.u is None:
         # the laws need a u field: they run on a copy carrying a random one
-        pair = conformal.rescale(geometry, _random_u(geometry, args.seed))
+        pair = conformal.rescale(
+            geometry, catalog.random_u(geometry.spec.coords, args.seed + 99))
         rows = (identities.verify(geometry, records, points, overrides)
                 + conformal.verify_transform(pair, laws, points, overrides))
     else:
@@ -163,8 +172,7 @@ def cmd_eval(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.export:
-        entry = catalog.load(args.export, dim=args.dim) if args.dim \
-            else catalog.load(args.export)
+        entry = catalog.load(args.export, **_entry_params(args.export, args))
         _emit(args, entry.spec.to_json())
         return EXIT_PASS
     if args.list_identities:
@@ -242,11 +250,11 @@ def main(argv=None) -> int:
             ap.error("provide exactly one of --catalog or --spec")
     try:
         return args.fn(args)
-    except (CatalogError, identities.CertificationError) as err:
+    except identities.CertificationError as err:
         print(f"certification error: {err}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except (ParseError, JetError, MetricError, KeyError, OSError,
-            ValueError, ArithmeticError) as err:
+    except (CatalogError, ParseError, JetError, MetricError, KeyError,
+            OSError, ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

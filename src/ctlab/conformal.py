@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curvature import skew_on
-from .exprlang import GeometrySpec
 from .geometry import GeometryInstance
 from .identities import EvalContext, IdentityRecord, declare, verify
 
@@ -41,12 +40,12 @@ class ConformalPair:
     tilde: GeometryInstance
 
 
-def _rescaled_spec(spec: GeometrySpec, u_text: str) -> GeometrySpec:
-    entries = [
-        [f"exp(2*({u_text}))*({e})" if e != "0" else "0" for e in row]
-        for row in spec.metric
-    ]
-    return replace(spec, name=spec.name + "~", metric=entries, u=None)
+def stretched_metric(metric: list[list[str]], u_text: str,
+                     power: int) -> list[list[str]]:
+    """The metric entries times ``exp(power*u)``: ``power`` 2 rescales a
+    base metric, -2 undoes a rescaling."""
+    return [[f"exp({power}*({u_text}))*({e})" if e != "0" else "0"
+             for e in row] for row in metric]
 
 
 def rescale(geometry: GeometryInstance, u_text: str | None = None) -> ConformalPair:
@@ -62,7 +61,10 @@ def rescale(geometry: GeometryInstance, u_text: str | None = None) -> ConformalP
         base = geometry
     else:
         base = GeometryInstance(replace(spec, u=u_text), geometry.config)
-    tilde = GeometryInstance(_rescaled_spec(base.spec, u_text), geometry.config)
+    tilde = GeometryInstance(
+        replace(base.spec, name=base.spec.name + "~", u=None,
+                metric=stretched_metric(base.spec.metric, u_text, 2)),
+        geometry.config)
     return ConformalPair(base, u_text, tilde)
 
 

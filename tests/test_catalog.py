@@ -6,6 +6,7 @@ import pytest
 from ctlab import catalog
 from ctlab.catalog import CatalogError
 from ctlab.exprlang import GeometrySpec
+from ctlab.identities import CertificationError
 
 
 def test_all_entries_certify():
@@ -17,6 +18,28 @@ def test_all_entries_certify():
 def test_unknown_entry():
     with pytest.raises(CatalogError, match="unknown catalog entry"):
         catalog.load("klein_bottle")
+    with pytest.raises(CatalogError, match="unknown catalog entry"):
+        catalog.parameters("klein_bottle")
+
+
+def test_every_entry_rejects_an_unknown_parameter():
+    for name in catalog.names():
+        with pytest.raises(CatalogError, match=f"{name!r} does not take "
+                                               "colour"):
+            catalog.load(name, certify=False, colour=3)
+
+
+def test_parameters_are_the_builder_signatures():
+    assert catalog.parameters("random") == ("dim", "seed", "degree", "eps")
+    assert catalog.parameters("sphere") == ("dim", "radius")
+    assert catalog.parameters("s2xs2") == ()
+    # a parameter of another entry is no parameter of this one
+    with pytest.raises(CatalogError, match="does not take seed; its "
+                                           "parameters: dim, radius"):
+        catalog.load("sphere", seed=4)
+    with pytest.raises(CatalogError, match="does not take dim; its "
+                                           "parameters: none"):
+        catalog.load("s2xs2", dim=3)
 
 
 def test_euclidean_claims():
@@ -27,8 +50,8 @@ def test_euclidean_claims():
 
 def test_cigar_claim_kinds():
     e = catalog.load("cigar_x_line")
-    assert e.claim("gradient_soliton") is not None
-    assert e.claim("gradient_soliton").lam == 0.0
+    claims = {c.kind: c.lam for c in e.claims}
+    assert claims["gradient_soliton"] == 0.0
     assert e.geometry.dim == 3
 
 
@@ -80,7 +103,7 @@ def test_certification_failure_is_hard_error():
     from ctlab.catalog import CatalogEntry, StructureClaim, certify_entry
     broken = CatalogEntry(name="broken", geometry=e.geometry,
                           claims=(StructureClaim("einstein", 1.0),))
-    with pytest.raises(CatalogError, match="certification failed"):
+    with pytest.raises(CertificationError, match="certification failed"):
         certify_entry(broken)
 
 

@@ -175,13 +175,53 @@ def test_catalog_identity_dump(capsys):
 def test_exit_config_error(capsys):
     code, _, err = run(capsys, "verify", "--catalog", "not_an_entry",
                        "--suite", "COMM")
-    assert code == 3  # unknown catalog name surfaces as certification-layer error
+    assert code == 2
     code, _, err = run(capsys, "verify", "--catalog", "euclidean", "--dim",
                        "3", "--suite", "NOPE")
     assert code == 2
     code, _, err = run(capsys, "eval", "--catalog", "euclidean", "--dim",
                        "3", "--quantity", "scalar", "--point", "0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--catalog", "s2xs2", "--dim", "3"], "dim"),
+    (["verify", "--catalog", "euclidean", "--radius", "7"], "radius"),
+    (["verify", "--catalog", "cigar_x_line", "--dim", "5"], "dim"),
+    (["verify", "--catalog", "nosuch"], "nosuch"),
+    (["catalog", "--export", "euclidean", "--dim", "0"], "dim"),
+    (["eval", "--catalog", "s2xs2", "--radius", "2", "--quantity", "scalar",
+      "--point", "0,0,0,0"], "radius"),
+])
+def test_parameter_the_entry_does_not_take_exits_2(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err
+
+
+def test_spec_with_entry_parameters_exits_2(capsys, tmp_path):
+    path = tmp_path / "chart.json"
+    path.write_text(catalog.load("euclidean", dim=3).spec.to_json())
+    for flag, value in (("--dim", "3"), ("--radius", "2")):
+        code, out, err = run(capsys, "verify", "--spec", str(path), flag,
+                             value, "--suite", "COMM", "--points", "1")
+        assert code == 2
+        assert out == "" and flag in err
+
+
+def test_seed_goes_to_the_entry_only_if_it_takes_one(capsys):
+    # sphere takes no seed: --seed is then only the sampling seed
+    code, out, _ = run(capsys, "verify", "--catalog", "sphere", "--seed", "4",
+                       "--suite", "CE", "--points", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["geometry"], doc["seed"]) == ("sphere(dim=3,r=1.0)", 4)
+    code, out, _ = run(capsys, "verify", "--catalog", "conformal_s2xs2",
+                       "--seed", "4", "--suite", "CE", "--points", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["geometry"] == "conformal_s2xs2(seed=4)"
 
 
 def test_exit_identity_failure(capsys):
@@ -208,6 +248,18 @@ def test_exit_certification_failure(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--spec", str(path), "--suite", "SOL")
     assert code == 3
     assert "not certified" in err
+
+
+def test_catalog_claim_failing_certification_exits_3(capsys, monkeypatch):
+    # a claim of a catalog entry that fails at load is a certification
+    # failure, like a hypothesis that fails in the driver
+    monkeypatch.setattr(catalog, "structure_residual",
+                        lambda g, kind, p, lam: 1.0)
+    code, out, err = run(capsys, "verify", "--catalog", "euclidean",
+                         "--suite", "COMM", "--points", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("certification error: certification failed for "
+                          "euclidean(dim=3): claim einstein")
 
 
 def test_env_jet_order(capsys, monkeypatch):

@@ -9,11 +9,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from compare_reports import main  # noqa: E402
 
 
-def _tree(path, rows_by_file):
+def _tree(path, rows_by_file, **header):
     path.mkdir(parents=True)
     for name, rows in rows_by_file.items():
         report = VerificationReport("0", "chart", "h", 3, 6, 0, 2,
                                     [ReportRow(*row) for row in rows])
+        for key, value in header.items():
+            setattr(report, key, value)
         (path / name).write_text(report.to_json() + "\n")
     return path
 
@@ -72,3 +74,25 @@ def test_no_rows_fail(capsys, tmp_path):
     empty = _tree(tmp_path / "empty", {})
     assert main([str(empty), str(empty)]) == 1
     assert "rows compared: 0" in capsys.readouterr().out
+
+
+def test_header_changes_fail(capsys, tmp_path):
+    # a renamed chart with a new hash and the same rows is a different run
+    a = _tree(tmp_path / "a", BASE)
+    for k, header in enumerate([{"geometry": "chart2", "geometry_hash": "h2"},
+                                {"dim": 4}, {"jet_order": 5}, {"seed": 1},
+                                {"points": 3}]):
+        b = _tree(tmp_path / f"b{k}", BASE, **header)
+        assert main([str(a), str(b), "--exact"]) == 1, header
+        out = capsys.readouterr().out
+        for key in header:
+            assert f"MISMATCH 00-a-COMM.json:{key} " in out, header
+            assert f"MISMATCH 01-b-LAW.json:{key} " in out, header
+        assert "rows compared: 3 (2 with residuals)" in out, header
+
+
+def test_tool_version_change_passes(capsys, tmp_path):
+    a = _tree(tmp_path / "a", BASE)
+    b = _tree(tmp_path / "b", BASE, tool_version="0.2.0")
+    assert main([str(a), str(b), "--exact"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out

@@ -405,7 +405,7 @@ def test_nan_certification_residual_fails(monkeypatch, bad):
     cert_points = g.sample_points(catalog.CERTIFICATION_POINTS,
                                   catalog.CERTIFICATION_SEED)
     monkeypatch.setattr(catalog, "structure_residual", poison(cert_points))
-    with pytest.raises(catalog.CatalogError, match="residual nan"):
+    with pytest.raises(CertificationError, match="residual nan"):
         catalog.certify_entry(e)
 
 
