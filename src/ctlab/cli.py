@@ -33,7 +33,10 @@ def _jet_order(args) -> int:
     if args.jet_order is not None:
         return args.jet_order
     env = os.environ.get("CTL_JET_ORDER")
-    return int(env) if env else 6
+    try:
+        return int(env) if env else 6
+    except ValueError:
+        raise ValueError(f"CTL_JET_ORDER={env!r} is not an integer") from None
 
 
 def _entry_params(name: str, args) -> dict:
@@ -74,7 +77,7 @@ def _tol_overrides(text: str | None) -> dict[str, float]:
     out = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
-        if key not in ("A", "B", "C") or not val:
+        if key not in identities.TOL_CLASS or not val:
             raise ParseError(f"bad tolerance override {part!r}", 0)
         tol = float(val)
         if not (math.isfinite(tol) and tol > 0.0):
@@ -255,7 +258,8 @@ def main(argv=None) -> int:
         return EXIT_CERTIFICATION
     except (CatalogError, ParseError, JetError, MetricError, KeyError,
             OSError, ValueError, ArithmeticError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        msg = err.args[0] if isinstance(err, KeyError) else err
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
 
 

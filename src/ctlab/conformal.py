@@ -677,20 +677,6 @@ LAW_REGISTRY: tuple[IdentityRecord, ...] = tuple(_DECLARED)
 LAWS = {law.id: law for law in LAW_REGISTRY}
 
 
-def predict(pair: ConformalPair, law_id: str, point):
-    """The law's base-side formula: the rescaled quantity (times its
-    prefactor) assembled purely from base-metric data at ``point``."""
-    _, rhs = LAWS[law_id].evaluate(EvalContext(pair.base, point, pair.tilde))
-    return rhs
-
-
-def direct(pair: ConformalPair, law_id: str, point):
-    """The same quantity by direct recomputation in the rescaled metric,
-    multiplied by the law's prefactor; ``predict`` must match this."""
-    lhs, _ = LAWS[law_id].evaluate(EvalContext(pair.base, point, pair.tilde))
-    return lhs
-
-
 def select_laws(ids: list[str] | None = None) -> list[IdentityRecord]:
     if not ids:
         return list(LAW_REGISTRY)

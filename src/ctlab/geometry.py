@@ -4,7 +4,8 @@ A :class:`GeometryInstance` turns a parsed :class:`~ctlab.exprlang.GeometrySpec`
 into evaluable data: at each requested point it builds jets of the metric
 entries and of the optional scalar/vector fields, inverts the metric in the
 jet ring, forms Christoffel symbols, and exposes covariant differentiation
-of arbitrary fully-covariant tensor fields.
+of tensor jets (:meth:`PointState.cov_deriv`).  The fields are the chart's
+own; read their derivatives as ``curvature.bundle(g, p).coord("f", k)``.
 
 Tensor fields at a point are held as :class:`TensorJet` values whose leading
 axis enumerates multi-index coefficients (see :mod:`ctlab.jets`), so one
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, GeometrySpec, Tape, eval_expr_jet, parse_expr
+from .exprlang import GeometrySpec
 from .jets import (
     JetConfig,
     JetOrderError,
@@ -230,14 +231,6 @@ def _root_coeffs(geometry: "GeometryInstance", point: np.ndarray):
         yield values[r].coeffs
 
 
-def _tape_columns(st: PointState, exprs: list[Expr]) -> np.ndarray:
-    """Jet coefficients of ``exprs`` at the state's point, as columns, from
-    one tape over all of them."""
-    tape = Tape(exprs)
-    values = tape.evaluate(st.point, st.order)
-    return np.stack([values[r].coeffs for r in tape.roots], axis=-1)
-
-
 def point_key(point) -> tuple[float, ...]:
     """The hashable form of a point, used as the per-point cache key."""
     return tuple(float(x) for x in np.asarray(point, float))
@@ -305,59 +298,6 @@ class GeometryInstance:
     def christoffel(self, point) -> TensorValue:
         st = self.state(point)
         return TensorValue(st.christoffel.value())
-
-    def _field_jet(self, st: PointState, which) -> TensorJet:
-        if isinstance(which, str):
-            named = {
-                "metric": st.g,
-                "u": st.u,
-                "f": st.f,
-                "X": st.x_lower,
-            }
-            if which in named:
-                t = named[which]
-                if t is None:
-                    raise MetricError(
-                        f"geometry {self.name!r} has no field {which!r}")
-                return t
-            which = parse_expr(which, self.spec.coords)
-        if isinstance(which, Expr):
-            jet = eval_expr_jet(which, st.point, st.order)
-            return TensorJet(jet.coeffs, st.m, st.order)
-        # nested lists of expression strings: a fully covariant tensor field
-        arr = np.asarray(which, dtype=object)
-        coeffs = _tape_columns(st, [parse_expr(t, self.spec.coords)
-                                    for t in arr.flat])
-        return TensorJet(coeffs.reshape((-1,) + arr.shape), st.m, st.order)
-
-    def covariant_derivative(self, which, point, times: int = 1) -> TensorValue:
-        """Covariant derivative of a named field ("metric", "u", "f", "X"),
-        an expression, or a nested list of component expressions."""
-        st = self.state(point)
-        out = st.cov_deriv(self._field_jet(st, which), times)
-        return TensorValue(out.value())
-
-    def hessian(self, which, point) -> TensorValue:
-        return self.covariant_derivative(which, point, times=2)
-
-    def laplacian(self, which, point) -> float:
-        st = self.state(point)
-        h = st.cov_deriv(self._field_jet(st, which), 2)
-        return float(np.einsum("ab,ab->", st.ginv.value(), h.value()))
-
-    def lie_derivative_metric(self, point, x_exprs: list[str] | None = None) -> TensorValue:
-        """(L_X g)_ij = X_{i,j} + X_{j,i} with the index lowered."""
-        st = self.state(point)
-        if x_exprs is None:
-            if st.x_lower is None:
-                raise MetricError(f"geometry {self.name!r} has no vector field X")
-            xl = st.x_lower
-        else:
-            exprs = [parse_expr(t, self.spec.coords) for t in x_exprs]
-            xc = _tape_columns(st, exprs)
-            xl = tj_einsum("ab,b->a", st.g, TensorJet(xc, st.m, st.order))
-        dx = st.cov_deriv(xl).value()
-        return TensorValue(dx + dx.T)
 
     # -- sampling --------------------------------------------------------------
 

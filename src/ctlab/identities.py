@@ -44,7 +44,7 @@ from .geometry import (
     point_key,
     point_scope,
 )
-from .report import ReportRow, VerificationReport
+from .report import ReportRow
 
 TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
 CERTIFICATION_TOL = 1e-9
@@ -119,10 +119,11 @@ class IdentityRecord:
     reads_tilde: bool = False      # reads the rescaled geometry (``c.t``)
 
     def tolerance(self, overrides: dict[str, float] | None = None) -> float:
-        if self.tol is not None:
-            return self.tol
+        """A class override first, then the family's pin, then the class."""
         if overrides and self.tol_class in overrides:
             return overrides[self.tol_class]
+        if self.tol is not None:
+            return self.tol
         return TOL_CLASS[self.tol_class]
 
 
@@ -1428,9 +1429,3 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
         rows.append(ReportRow(rec.id, rec.family, rec.eq, worst[i], tol, status))
     return rows
 
-
-def verify_report(geometry: GeometryInstance, records, count: int, seed: int,
-                  tol_overrides=None) -> VerificationReport:
-    rows = verify(geometry, records, geometry.sample_points(count, seed),
-                  tol_overrides)
-    return VerificationReport.for_geometry(geometry, seed, count, rows)

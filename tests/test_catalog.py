@@ -1,11 +1,14 @@
 """Catalog entries: certification, claims, determinism, export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ctlab import catalog
+from ctlab import catalog, curvature
 from ctlab.catalog import CatalogError
 from ctlab.exprlang import GeometrySpec
+from ctlab.geometry import GeometryInstance
 from ctlab.identities import CertificationError
 
 
@@ -60,10 +63,11 @@ def test_gaussian_plus_killing_rotation_is_killing():
     # part is Killing
     e = catalog.load("gaussian_plus_killing", dim=3)
     g = e.geometry
+    grad = GeometryInstance(dataclasses.replace(
+        g.spec, x_components=[f"0.5*{c}" for c in g.spec.coords]), g.config)
     for p in g.sample_points(2, 1):
-        lie_x = g.lie_derivative_metric(p).components
-        lie_grad = g.lie_derivative_metric(
-            p, x_exprs=[f"0.5*{c}" for c in g.spec.coords]).components
+        lie_x = curvature.bundle(g, p).coord("lie_metric").value()
+        lie_grad = curvature.bundle(grad, p).coord("lie_metric").value()
         assert np.abs(0.5 * lie_x - 0.5 * lie_grad).max() < 1e-11
 
 

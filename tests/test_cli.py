@@ -1,6 +1,9 @@
 """Command-line harness: flags, exit codes, formats, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +274,23 @@ def test_env_jet_order(capsys, monkeypatch):
     assert json.loads(out)["jet_order"] == 4
 
 
+def test_env_jet_order_that_is_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CTL_JET_ORDER", "x")
+    code, out, err = run(capsys, "verify", "--catalog", "euclidean", "--dim",
+                         "3", "--suite", "COMM", "--points", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: CTL_JET_ORDER='x' is not an integer\n"
+
+
+def test_unknown_id_error_line_has_no_repr_quotes(capsys):
+    code, out, err = run(capsys, "verify", "--catalog", "conformal_gaussian",
+                         "--dim", "3", "--law", "nosuch")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown law ids: ['nosuch']\n"
+
+
 def _flat3_spec(tmp_path, f, domain=((-1, 1), (-1, 1), (-1, 1))):
     spec = {
         "name": "flat3",
@@ -341,6 +361,22 @@ def test_tolerance_override_applies_to_laws(capsys):
     assert row["status"] == "fail"
 
 
+def test_tolerance_override_applies_to_pinned_families(capsys):
+    # SOL pins its own tolerance, but a class override still replaces it
+    code, out, _ = run(capsys, "verify", "--catalog", "cigar_x_line",
+                       "--suite", "SOL", "--points", "2", "--tol-class",
+                       "A=1e-300,B=1e-300", "--format", "json")
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 21 and all(r["tol"] == 1e-300 for r in rows)
+    # one row is exactly 0 (sol.d_cyclic) and one needs dim >= 4
+    assert sum(r["status"] == "fail" for r in rows) == 19
+    code, out, _ = run(capsys, "verify", "--catalog", "cigar_x_line",
+                       "--suite", "SOL", "--points", "2", "--format", "json")
+    assert code == 0
+    assert {r["tol"] for r in json.loads(out)["rows"]} == {1e-8}
+
+
 @pytest.mark.parametrize("override", ["A=inf,B=inf", "A=nan", "A=0", "A=-1"])
 def test_tolerance_override_that_decides_every_row_is_rejected(capsys,
                                                               override):
@@ -397,3 +433,23 @@ def test_identities_and_laws_share_point_states(capsys, monkeypatch):
     assert "overall: pass" in out
     assert len(built) == 20
     assert sum(name.endswith("~") for name in built) == 8
+
+
+def _readme_block(readme: str, heading: str, lang: str = "") -> str:
+    """The first fenced code block after ``heading`` in the README."""
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spec = json.loads(_readme_block(readme, "## Geometry files", "json"))
+    (tmp_path / f"{spec['name']}.json").write_text(json.dumps(spec))
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line, comments=True)
+             for line in _readme_block(readme, "## Command line").splitlines()]
+    assert len(lines) >= 8
+    for argv in lines:
+        assert argv[0] == "ctlab"
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)

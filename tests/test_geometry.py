@@ -35,6 +35,22 @@ def euclidean(dim=3):
     return catalog.load("euclidean", dim=dim, certify=False).geometry
 
 
+def with_fields(geometry, **fields):
+    """``geometry``'s chart with ``fields`` (``f``, ``x_components``) in
+    place of its own."""
+    return GeometryInstance(dataclasses.replace(geometry.spec, **fields),
+                            geometry.config)
+
+
+def hessian(geometry, p):
+    return bundle(geometry, p).coord("f", 2).value()
+
+
+def laplacian(geometry, p):
+    return float(np.einsum("ab,ab->", geometry.state(p).ginv.value(),
+                           hessian(geometry, p)))
+
+
 def test_christoffel_flat_vanishes():
     g = euclidean()
     gam = g.christoffel([0.2, -0.1, 0.5]).components
@@ -65,33 +81,37 @@ def test_metric_compatibility():
                      ("random", {"dim": 5, "seed": 3})):
         g = catalog.load(name, certify=False, **kw).geometry
         for p in g.sample_points(2, 8):
-            dg = g.covariant_derivative("metric", p).components
+            st = g.state(p)
+            dg = st.cov_deriv(st.g).value()
             assert np.abs(dg).max() < 1e-11
 
 
 def test_hessian_flat_cases():
-    g = euclidean()
-    h = g.hessian("x1", [0.3, 0.1, 0.2])
-    assert np.abs(h.components).max() == 0.0
-    assert g.laplacian("x1", [0.3, 0.1, 0.2]) == 0.0
-    h2 = g.hessian("x1^2/2 + x2^2/2 + x3^2/2", [0.3, 0.1, 0.2])
-    assert np.abs(h2.components - np.eye(3)).max() < 1e-14
-    assert abs(g.laplacian("x1^2+x2^2+x3^2", [0.5, -0.2, 0.4]) - 6.0) < 1e-13
+    g = with_fields(euclidean(), f="x1")
+    h = hessian(g, [0.3, 0.1, 0.2])
+    assert np.abs(h).max() == 0.0
+    assert laplacian(g, [0.3, 0.1, 0.2]) == 0.0
+    g = with_fields(euclidean(), f="x1^2/2 + x2^2/2 + x3^2/2")
+    h2 = hessian(g, [0.3, 0.1, 0.2])
+    assert np.abs(h2 - np.eye(3)).max() < 1e-14
+    g = with_fields(euclidean(), f="x1^2+x2^2+x3^2")
+    assert abs(laplacian(g, [0.5, -0.2, 0.4]) - 6.0) < 1e-13
 
 
 def test_laplacian_log_bowl():
-    g = euclidean()
     text = "log(1+x1^2+x2^2+x3^2)"
-    assert abs(g.laplacian(text, [0.0, 0.0, 0.0]) - 6.0) < 1e-13
+    g = with_fields(euclidean(), f=text)
+    assert abs(laplacian(g, [0.0, 0.0, 0.0]) - 6.0) < 1e-13
     p = np.array([0.6, 0.0, 0.0])  # interior point of the chart box
-    assert abs(g.laplacian(text, p) - laplacian_fd(g, p, text)) < 1e-8
+    assert abs(laplacian(g, p) - laplacian_fd(g, p, text)) < 1e-8
 
 
 def test_hessian_sphere_vs_fd_oracle():
-    g = catalog.load("sphere", dim=3, certify=False).geometry
-    p = np.array([0.15, 0.25, -0.1])
     text = "x1*x2 + sin(x3)"
-    exact = g.hessian(text, p).components
+    g = with_fields(catalog.load("sphere", dim=3, certify=False).geometry,
+                    f=text)
+    p = np.array([0.15, 0.25, -0.1])
+    exact = hessian(g, p)
     assert np.abs(exact - hessian_fd(g, p, text)).max() < 1e-7
     assert np.abs(exact - exact.T).max() < 1e-11  # torsion-free
 
@@ -99,28 +119,26 @@ def test_hessian_sphere_vs_fd_oracle():
 def test_hessian_symmetry_random_metric():
     g = catalog.load("random", dim=4, seed=5, certify=False).geometry
     for p in g.sample_points(2, 3):
-        h = g.hessian("f", p).components
+        h = hessian(g, p)
         assert np.abs(h - h.T).max() < 1e-11
 
 
 def test_lie_derivative_gradient_field():
-    g = euclidean()
-    lie = g.lie_derivative_metric([0.2, 0.4, -0.3],
-                                  x_exprs=["x1", "x2", "x3"])
-    assert np.abs(lie.components - 2 * np.eye(3)).max() < 1e-13
+    g = with_fields(euclidean(), x_components=["x1", "x2", "x3"])
+    lie = bundle(g, [0.2, 0.4, -0.3]).coord("lie_metric").value()
+    assert np.abs(lie - 2 * np.eye(3)).max() < 1e-13
 
 
 def test_lie_derivative_rotation_is_killing():
-    g = euclidean()
-    lie = g.lie_derivative_metric([0.2, 0.4, -0.3],
-                                  x_exprs=["-x2", "x1", "0"])
-    assert np.abs(lie.components).max() < 1e-13
+    g = with_fields(euclidean(), x_components=["-x2", "x1", "0"])
+    lie = bundle(g, [0.2, 0.4, -0.3]).coord("lie_metric").value()
+    assert np.abs(lie).max() < 1e-13
 
 
 def test_lie_derivative_vs_flow_oracle():
     g = catalog.load("random", dim=3, seed=11, certify=False).geometry
     p = np.array([0.2, -0.3, 0.4])
-    exact = g.lie_derivative_metric(p).components
+    exact = bundle(g, p).coord("lie_metric").value()
     from ctlab.exprlang import eval_expr
     x_fn = lambda y: np.array([eval_expr(e, y) for e in g.spec.x_exprs])
     oracle = lie_metric_fd(g, p, x_fn)
@@ -231,16 +249,18 @@ def test_point_outside_domain():
 def test_jet_order_exhaustion_fails_fast():
     g = GeometryInstance(catalog.load("sphere", dim=3, certify=False).spec,
                          JetConfig(2))
+    st = g.state([0.1, 0.0, 0.0])
     with pytest.raises(JetOrderError, match="exhausted"):
-        g.covariant_derivative("metric", [0.1, 0.0, 0.0], times=3)
+        st.cov_deriv(st.g, 3)
 
 
 def test_missing_field_errors():
     g = catalog.load("s2xs2", certify=False).geometry
-    with pytest.raises(MetricError, match="no field"):
-        g.covariant_derivative("f", [0.1, 0.0, 0.0, 0.0])
-    with pytest.raises(MetricError, match="no vector field"):
-        g.lie_derivative_metric([0.1, 0.0, 0.0, 0.0])
+    b = bundle(g, [0.1, 0.0, 0.0, 0.0])
+    with pytest.raises(MetricError, match="no field f"):
+        b.coord("f", 1)
+    with pytest.raises(MetricError, match="no field X"):
+        b.coord("lie_metric")
 
 
 def test_point_scope_keeps_earlier_entries():

@@ -20,8 +20,8 @@ from ctlab.identities import (
     select_records,
     structure_residual,
     verify,
-    verify_report,
 )
+from ctlab.report import VerificationReport
 
 
 def run_family(entry_name, families, n=2, seed=4, **kw):
@@ -354,10 +354,10 @@ def test_list_identities_registry():
 
 
 def test_verify_report_round_trip():
-    e = catalog.load("euclidean", dim=3)
-    rep = verify_report(e.geometry, select_records(["SOL"]), 2, 11)
+    g = catalog.load("euclidean", dim=3).geometry
+    rows = verify(g, select_records(["SOL"]), g.sample_points(2, 11))
+    rep = VerificationReport.for_geometry(g, 11, 2, rows)
     assert rep.overall == "pass"
-    from ctlab.report import VerificationReport
     back = VerificationReport.from_json(rep.to_json())
     assert back.to_json() == rep.to_json()
 
@@ -413,7 +413,6 @@ def test_nan_certification_residual_fails(monkeypatch, bad):
 def test_nan_residual_fails_and_round_trips(bad):
     from dataclasses import replace
     from ctlab.geometry import point_key
-    from ctlab.report import VerificationReport
     g = catalog.load("euclidean", dim=3).geometry
     rec = identities.BY_ID["comm.hess_sym"]
     nan_at = point_key(g.sample_points(3, 5)[bad])
@@ -422,7 +421,8 @@ def test_nan_residual_fails_and_round_trips(bad):
         lhs, rhs = rec.evaluate(c)
         return (lhs * np.nan if c.point == nan_at else lhs), rhs
 
-    rep = verify_report(g, [replace(rec, evaluate=evaluate)], 3, 5)
+    rows = verify(g, [replace(rec, evaluate=evaluate)], g.sample_points(3, 5))
+    rep = VerificationReport.for_geometry(g, 5, 3, rows)
     (row,) = rep.rows
     assert row.status == "fail" and np.isnan(row.max_residual)
     back = VerificationReport.from_json(rep.to_json())
