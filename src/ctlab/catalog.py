@@ -25,7 +25,7 @@ import numpy as np
 
 from .conformal import stretched_metric
 from .exprlang import GeometrySpec
-from .geometry import GeometryInstance, point_blocks, point_scope
+from .geometry import GeometryInstance, point_blocks
 from .identities import (
     CERTIFICATION_TOL,
     STRUCTURE_ORDER,
@@ -344,21 +344,21 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
 def certify_entry(entry: CatalogEntry):
     """Check every claim's defining residual on a fixed sample grid, and
     positive definiteness for claim-free (random) entries, at jet order
-    ``STRUCTURE_ORDER`` (or the configured order, if lower).  Each point's
-    cache entries are released once its residuals are taken.  The chart's
-    expressions are evaluated over the grid a block of points at a time
-    (:func:`~ctlab.geometry.point_blocks`).  A claim whose residual is not
-    below ``CERTIFICATION_TOL`` raises :class:`CertificationError`."""
+    ``STRUCTURE_ORDER`` (or the configured order, if lower).  The grid is
+    walked by :func:`~ctlab.geometry.point_blocks`, which evaluates the
+    chart's expressions a block of points at a time and releases each
+    point's cache entries once its residuals are taken.  A claim whose
+    residual is not below ``CERTIFICATION_TOL`` raises
+    :class:`CertificationError`."""
     g = entry.geometry.at_order(min(STRUCTURE_ORDER,
                                     entry.geometry.config.order))
     worst = [0.0] * len(entry.claims)
     for p in point_blocks(g.sample_points(CERTIFICATION_POINTS,
                                          CERTIFICATION_SEED), g):
-        with point_scope(p, g):
-            g.state(p)  # raises MetricError if not positive definite
-            for i, claim in enumerate(entry.claims):
-                worst[i] = worst_of(worst[i], structure_residual(
-                    g, claim.kind, p, claim.lam))
+        g.state(p)  # raises MetricError if not positive definite
+        for i, claim in enumerate(entry.claims):
+            worst[i] = worst_of(worst[i], structure_residual(
+                g, claim.kind, p, claim.lam))
     for claim, w in zip(entry.claims, worst):
         if not w < CERTIFICATION_TOL:
             raise CertificationError(

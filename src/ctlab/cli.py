@@ -79,7 +79,10 @@ def _tol_overrides(text: str | None) -> dict[str, float]:
         key, _, val = part.partition("=")
         if key not in identities.TOL_CLASS or not val:
             raise ParseError(f"bad tolerance override {part!r}", 0)
-        tol = float(val)
+        try:
+            tol = float(val)
+        except ValueError:
+            raise ParseError(f"bad tolerance override {part!r}", 0) from None
         if not (math.isfinite(tol) and tol > 0.0):
             raise ParseError(f"tolerance override {part!r} must be a positive "
                              f"finite number", 0)
@@ -155,7 +158,10 @@ def cmd_eval(args) -> int:
         raise ParseError(
             f"unknown quantity {args.quantity!r}; known: "
             f"{', '.join(sorted(_QUANTITIES))}", 0)
-    point = np.array([float(x) for x in args.point.split(",")])
+    try:
+        point = np.array([float(x) for x in args.point.split(",")])
+    except ValueError:
+        raise ParseError(f"bad --point {args.point!r}", 0) from None
     if len(point) != geometry.dim:
         raise ParseError(
             f"point has {len(point)} components, chart has {geometry.dim}", 0)
@@ -180,8 +186,10 @@ def cmd_catalog(args) -> int:
         return EXIT_PASS
     if args.list_identities:
         import json
-        fam = None if args.list_identities == "all" else args.list_identities
-        _emit(args, json.dumps(identities.list_identities(fam), indent=2))
+        fam = args.list_identities
+        records = (conformal.select_laws() if fam == "LAW" else
+                   identities.select_records(None if fam == "all" else [fam]))
+        _emit(args, json.dumps(identities.list_identities(records), indent=2))
         return EXIT_PASS
     lines = []
     rows = []
@@ -239,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--export", help="dump one entry as a GeometrySpec JSON")
     c.add_argument("--dim", type=int)
     c.add_argument("--list-identities", metavar="FAMILY",
-                   help="dump the identity registry (a family name or 'all')")
+                   help="dump the identity registry (a family name, 'all', "
+                        "or LAW for the transformation laws)")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_catalog)
     return ap

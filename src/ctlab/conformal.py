@@ -33,10 +33,10 @@ from .identities import EvalContext, IdentityRecord, declare, verify
 
 @dataclass
 class ConformalPair:
-    """A base geometry, the rescaling exponent u, and the rescaled geometry."""
+    """A base geometry carrying the rescaling exponent u as its u field,
+    and the rescaled geometry."""
 
     base: GeometryInstance
-    u_text: str
     tilde: GeometryInstance
 
 
@@ -65,7 +65,7 @@ def rescale(geometry: GeometryInstance, u_text: str | None = None) -> ConformalP
         replace(base.spec, name=base.spec.name + "~", u=None,
                 metric=stretched_metric(base.spec.metric, u_text, 2)),
         geometry.config)
-    return ConformalPair(base, u_text, tilde)
+    return ConformalPair(base, tilde)
 
 
 def _d_form1(f1, ric, s, m):

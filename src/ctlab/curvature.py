@@ -90,9 +90,6 @@ class CurvatureBundle:
 
     # -- metric level ------------------------------------------------------------
 
-    def _build_metric(self) -> TensorJet:
-        return self.state.g
-
     def _build_u(self) -> TensorJet:
         if self.state.u is None:
             raise MetricError(f"geometry {self.geometry.name!r} has no field u")

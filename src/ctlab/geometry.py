@@ -18,7 +18,8 @@ one jet order; derived objects therefore carry exactly ``config.order -
 
 A verification pass works on :meth:`GeometryInstance.at_order` of the
 chart, at the lowest order its records need, so ``config.order`` there is
-the working order; the configured order is the cap.
+the working order; the configured order is the cap.  It walks its points
+with :func:`point_blocks`, which scopes each point's cache entries.
 
 Orthonormal-frame components are produced by contracting value arrays with
 the inverse Cholesky factor of the metric at the point (the vielbein); this
@@ -28,7 +29,6 @@ because the converted objects are tensors.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +109,10 @@ class PointState:
     """All metric-level jet data of one geometry at one point.
 
     The jets of the chart's expressions come from its tape: from one
-    evaluation over a block of points when the point is in the geometry's
-    current :func:`point_blocks` block, else from the tape evaluated here
-    alone.  Either way they are the same bit for bit, and the Cholesky
-    check, the jet-ring inverse and the Christoffel symbols are per point.
+    evaluation over a block of points when :func:`point_blocks` left them
+    in the point's cache entry, else from the tape evaluated here alone.
+    Either way they are the same bit for bit, and the Cholesky check, the
+    jet-ring inverse and the Christoffel symbols are per point.
     """
 
     def __init__(self, geometry: "GeometryInstance", point: np.ndarray):
@@ -212,13 +212,14 @@ class PointState:
 
 def _root_coeffs(geometry: "GeometryInstance", point: np.ndarray):
     """The coefficient arrays of the chart's tape roots at ``point``, the
-    metric's lower triangle first.  They come from the geometry's current
-    block when it holds the point; else the tape is evaluated here, and the
-    ops of u, f and X only once a root of theirs is asked for, so that a
-    caller checks the metric before any of them can raise."""
-    block = geometry._block.pop(point_key(point), None)
-    if block is not None:
-        yield from block
+    metric's lower triangle first.  They are the ``"roots"`` of the point's
+    cache entry when :func:`point_blocks` left them there; else the tape is
+    evaluated here, and the ops of u, f and X only once a root of theirs is
+    asked for, so that a caller checks the metric before any of them can
+    raise."""
+    roots = geometry._points.get(point_key(point), {}).pop("roots", None)
+    if roots is not None:
+        yield from roots
         return
     tape = geometry.spec.tape
     m = geometry.dim
@@ -243,11 +244,10 @@ class GeometryInstance:
         self.spec = spec
         self.config = config or JetConfig()
         # The one per-point cache: point key -> {"state": PointState,
-        # "bundle": CurvatureBundle}.  A point's entries live and die together.
+        # "bundle": CurvatureBundle}, and, from point_blocks until the
+        # point's PointState takes them, "roots": the coefficient arrays of
+        # the tape's roots there.  A point's entries live and die together.
         self._points: dict[tuple[float, ...], dict[str, object]] = {}
-        # The current block of point_blocks: point key -> the coefficient
-        # arrays of the tape's roots there, taken by the point's PointState.
-        self._block: dict[tuple[float, ...], list[np.ndarray]] = {}
 
     def at_order(self, order: int) -> "GeometryInstance":
         """This chart at jet order ``order``: ``self`` at the configured
@@ -325,11 +325,12 @@ def block_size(dim: int, order: int) -> int:
     return max(1, BLOCK_TRIPLES // len(table(dim, order).mul_i))
 
 
-def _evaluate_block(geometry: GeometryInstance, points: np.ndarray) -> dict:
-    """Point key -> the coefficient arrays of the tape's roots at that
-    point, from one evaluation of the tape over ``points``; empty if that
-    evaluation raises or would warn, so that every point then evaluates
-    its own tape and raises or warns at its own turn."""
+def _evaluate_block(geometry: GeometryInstance,
+                    points: np.ndarray) -> list[list[np.ndarray]] | None:
+    """The coefficient arrays of the tape's roots at each of ``points``, in
+    point order, from one evaluation of the tape over them; ``None`` if
+    that evaluation raises or would warn, so that every point then
+    evaluates its own tape and raises or warns at its own turn."""
     tape = geometry.spec.tape
     err = {k: "ignore" if v == "ignore" else "raise"
            for k, v in np.geterr().items()}
@@ -337,49 +338,46 @@ def _evaluate_block(geometry: GeometryInstance, points: np.ndarray) -> dict:
         with np.errstate(**err):
             values = tape.evaluate(points, geometry.config.order)
     except Exception:  # whatever it is, its point raises it again alone
-        return {}
+        return None
     # one copy per op, so that roots sharing an op share an array, as the
     # tape evaluated at one point gives them
     ops = set(tape.roots)
-    out = {}
-    for j, p in enumerate(points):
+    out = []
+    for j in range(len(points)):
         cols = {r: values[r].coeffs[:, j].copy() for r in ops}
-        out[point_key(p)] = [cols[r] for r in tape.roots]
+        out.append([cols[r] for r in tape.roots])
     return out
 
 
 def point_blocks(points, *geometries: GeometryInstance):
-    """Yield ``points`` in order, a block at a time.  On entering a block,
-    each geometry's tape is evaluated over the block's points at once, and
-    a :class:`PointState` built at one of them takes its root jets from
-    there instead of evaluating the tape alone; Cholesky, the jet-ring
-    inverse and Christoffel stay per point.  The jets are the same bit for
-    bit.  If the block's evaluation raises or would warn, each point
-    evaluates its own tape, so errors and warnings come at the same point
-    and in the same order.  The block size comes from the first geometry's
-    jet table (:func:`block_size`)."""
+    """Yield ``points`` in order, each in its own scope: the cache entries
+    a point gains on any of ``geometries`` are dropped when the walk moves
+    on or stops, and entries held before stay.  The points are taken a
+    block at a time: on entering a block, each geometry's tape is
+    evaluated over the block's points at once, and a geometry that holds
+    no entry for a point yet gets one whose ``"roots"`` are the point's
+    root jets, which its :class:`PointState` takes instead of evaluating
+    the tape alone; Cholesky, the jet-ring inverse and Christoffel stay
+    per point.  The jets are the same bit for bit.  If the block's
+    evaluation raises or would warn, each point evaluates its own tape, so
+    errors and warnings come at the same point and in the same order.  The
+    block size comes from the first geometry's jet table
+    (:func:`block_size`)."""
     size = block_size(geometries[0].dim, geometries[0].config.order)
     for start in range(0, len(points), size):
         block = points[start:start + size]
-        if size > 1:
-            xs = np.asarray(block, float)
-            for g in geometries:
-                g._block = _evaluate_block(g, xs)
-        try:
-            yield from block
-        finally:
-            for g in geometries:
-                g._block = {}
-
-
-@contextmanager
-def point_scope(point, *geometries: GeometryInstance):
-    """Inside the block, cache entries that ``point`` gains on any of
-    ``geometries`` are dropped on exit; entries held before stay."""
-    key = point_key(point)
-    fresh = [g for g in geometries if key not in g._points]
-    try:
-        yield
-    finally:
-        for g in fresh:
-            g._points.pop(key, None)
+        rows = [_evaluate_block(g, np.asarray(block, float))
+                for g in geometries]
+        for p in block:
+            key = point_key(p)
+            # taken off the block, so that it holds no root of a walked point
+            roots = [r.pop(0) if r else None for r in rows]
+            fresh = [(g, r) for g, r in zip(geometries, roots)
+                     if key not in g._points]
+            for g, r in fresh:
+                g._points[key] = {} if r is None else {"roots": r}
+            try:
+                yield p
+            finally:
+                for g, _ in fresh:
+                    g._points.pop(key, None)

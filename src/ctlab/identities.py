@@ -42,7 +42,6 @@ from .geometry import (
     MetricError,
     point_blocks,
     point_key,
-    point_scope,
 )
 from .report import ReportRow
 
@@ -1277,27 +1276,19 @@ REGISTRY: tuple[IdentityRecord, ...] = tuple(_DECLARED)
 BY_ID = {r.id: r for r in REGISTRY}
 
 
-def list_identities(family: str | None = None,
-                    requires: str | None = None) -> list[dict]:
-    """Stable-ordered registry dump (the coverage ledger)."""
-    out = []
-    for r in REGISTRY:
-        if family and r.family != family:
-            continue
-        if requires and requires not in r.requires:
-            continue
-        out.append({
-            "id": r.id,
-            "family": r.family,
-            "eq": r.eq,
-            "requires": sorted(r.requires),
-            "structure": r.structure,
-            "min_dim": r.min_dim,
-            "min_jet_order": r.min_order,
-            "tol_class": r.tol_class,
-            "tol": r.tolerance(),
-        })
-    return out
+def list_identities(records: list[IdentityRecord]) -> list[dict]:
+    """The dump of ``records``, in their order (the coverage ledger)."""
+    return [{
+        "id": r.id,
+        "family": r.family,
+        "eq": r.eq,
+        "requires": sorted(r.requires),
+        "structure": r.structure,
+        "min_dim": r.min_dim,
+        "min_jet_order": r.min_order,
+        "tol_class": r.tol_class,
+        "tol": r.tolerance(),
+    } for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -1374,13 +1365,13 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     largest ``min_order`` of the runnable records; the configured order
     only caps it, through the ``needs jet order`` skips.
 
-    Evaluation is point-major: at each point every hypothesis is certified
-    and every runnable record evaluated, then the cache entries the point
-    gained are released, so memory does not grow with the number of points.
-    The points are taken in blocks (:func:`~ctlab.geometry.point_blocks`):
-    each geometry's chart expressions are evaluated once per block, and
-    each point's state takes its jets from there, bit for bit as alone.
-    A NaN residual at any point makes the record fail.
+    Evaluation is point-major: :func:`~ctlab.geometry.point_blocks` walks
+    the points, at each of them every hypothesis is certified and every
+    runnable record evaluated, and the walker then releases the cache
+    entries the point gained, so memory does not grow with the number of
+    points.  It evaluates each geometry's chart expressions once per block
+    of points, bit for bit as alone.  A NaN residual at any point makes the
+    record fail.
     """
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
@@ -1404,19 +1395,18 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     geometries = [g for g in (geometry, tilde) if g is not None]
     # build no point state needlessly
     for p in point_blocks(points, *geometries) if runnable else ():
-        with point_scope(p, *geometries):
-            for kind in cert:
-                cert[kind] = worst_of(cert[kind], structure_residual(
-                    geometry, kind, p, geometry.spec.lam))
-            c = EvalContext(geometry, p, tilde)
-            for i in runnable:
-                why = _uncertified(records[i], cert)
-                if why is None:
-                    lhs, rhs = records[i].evaluate(c)
-                    worst[i] = worst_of(worst[i], residual(lhs, rhs))
-                elif records[i].family != "LAW":
-                    raise CertificationError(
-                        f"{geometry.name}: {why}; required by {records[i].id}")
+        for kind in cert:
+            cert[kind] = worst_of(cert[kind], structure_residual(
+                geometry, kind, p, geometry.spec.lam))
+        c = EvalContext(geometry, p, tilde)
+        for i in runnable:
+            why = _uncertified(records[i], cert)
+            if why is None:
+                lhs, rhs = records[i].evaluate(c)
+                worst[i] = worst_of(worst[i], residual(lhs, rhs))
+            elif records[i].family != "LAW":
+                raise CertificationError(
+                    f"{geometry.name}: {why}; required by {records[i].id}")
     rows = []
     for i, rec in enumerate(records):
         tol = rec.tolerance(tol_overrides)

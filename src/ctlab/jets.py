@@ -66,7 +66,7 @@ class JetOrderError(JetError):
 
 @dataclass(frozen=True)
 class JetConfig:
-    """Global differentiation settings: truncation order plus cost guards."""
+    """Global differentiation settings: the jet truncation order."""
 
     order: int = 6
 

@@ -175,6 +175,41 @@ def test_catalog_identity_dump(capsys):
     assert len(json.loads(out)) == 4
 
 
+def test_catalog_law_dump(capsys):
+    code, out, _ = run(capsys, "catalog", "--list-identities", "LAW")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 27
+    assert {r["family"] for r in rows} == {"LAW"}
+
+
+def test_catalog_dump_of_an_unknown_family_exits_2(capsys):
+    code, out, err = run(capsys, "catalog", "--list-identities", "NOPE")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown families: ['NOPE']\n"
+
+
+def test_malformed_tolerance_override_names_its_flag(capsys):
+    code, out, err = run(capsys, "verify", "--catalog", "euclidean", "--dim",
+                         "3", "--suite", "COMM", "--points", "1",
+                         "--tol-class", "A=abc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad tolerance override 'A=abc'")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("point", ["0,x,0", "0,,0"])
+def test_malformed_point_names_its_flag(capsys, point):
+    code, out, err = run(capsys, "eval", "--catalog", "euclidean", "--dim",
+                         "3", "--quantity", "scalar", "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad --point {point!r}")
+    assert err.count("\n") == 1
+
+
 def test_exit_config_error(capsys):
     code, _, err = run(capsys, "verify", "--catalog", "not_an_entry",
                        "--suite", "COMM")

@@ -15,7 +15,6 @@ from ctlab.geometry import (
     MetricError,
     point_blocks,
     point_key,
-    point_scope,
 )
 from ctlab.jets import JetConfig, JetOrderError
 
@@ -263,16 +262,30 @@ def test_missing_field_errors():
         b.coord("lie_metric")
 
 
-def test_point_scope_keeps_earlier_entries():
+def test_point_blocks_keep_earlier_entries():
     g = euclidean()
     held, fresh = g.sample_points(2, 0)
     g.state(held)
-    with point_scope(held, g), point_scope(fresh, g):
+    for p in point_blocks([held, fresh], g):
         assert bundle(g, held).state is g.state(held)
-        bundle(g, fresh).on("ricci")
-        assert point_key(fresh) in g._points
+        bundle(g, p).on("ricci")
+        assert point_key(p) in g._points
     assert point_key(held) in g._points
     assert point_key(fresh) not in g._points
+
+
+def test_point_blocks_give_roots_only_to_fresh_geometries():
+    held, fresh = euclidean(), euclidean()
+    p = held.sample_points(1, 0)[0]
+    key = point_key(p)
+    state = held.state(p)
+    for q in point_blocks([p], held, fresh):
+        assert "roots" not in held._points[key]
+        assert "roots" in fresh._points[key]
+        fresh.state(q)
+        assert "roots" not in fresh._points[key]  # taken by the state
+    assert held._points[key] == {"state": state}
+    assert key not in fresh._points
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +417,12 @@ def test_point_states_in_blocks_match_states_alone():
     blocked = GeometryInstance(g.spec, JetConfig(4))
     seen = []
     for p in point_blocks(points, blocked):
-        assert point_key(p) in blocked._block
+        assert "roots" in blocked._points[point_key(p)]
         a, b = alone.state(p), blocked.state(p)
-        assert point_key(p) not in blocked._block  # taken by the state
+        assert "roots" not in blocked._points[point_key(p)]  # taken by the state
         for name in ("g", "ginv", "u", "f", "x_contra", "x_lower"):
             assert getattr(a, name).coeffs.tobytes() == \
                 getattr(b, name).coeffs.tobytes(), name
         seen.append(point_key(p))
     assert seen == [point_key(p) for p in points]
-    assert blocked._block == {}
+    assert blocked._points == {}

@@ -9,7 +9,7 @@ import pytest
 from ctlab import catalog, conformal, identities
 from ctlab.conformal import select_laws
 from ctlab.exprlang import EvalDomainError, GeometrySpec
-from ctlab.geometry import GeometryInstance, MetricError
+from ctlab.geometry import GeometryInstance, MetricError, point_key
 from ctlab.jets import JetConfig
 from ctlab.identities import (
     CertificationError,
@@ -308,14 +308,39 @@ def test_certification_failure_raises_at_first_point(monkeypatch):
     assert len(seen) == 1
 
 
+def test_certification_error_mid_walk_leaves_no_entries(monkeypatch):
+    # the walker releases the entries of every point it has taken, also
+    # when the pass stops at its second point; the geometry is already at
+    # the working order of SOL, so the walk runs on the caller's instance
+    g = catalog.load("euclidean", dim=3, jet_order=4).geometry
+    points = g.sample_points(3, 1)
+    real = identities.structure_residual
+    walked = []
+
+    def structure_residual(geometry, kind, point, lam):
+        assert geometry is g
+        walked.append(point_key(point))
+        if walked[-1] == point_key(points[1]):
+            return 1.0
+        return real(geometry, kind, point, lam)
+
+    monkeypatch.setattr(identities, "structure_residual", structure_residual)
+    with pytest.raises(CertificationError, match="required by sol."):
+        verify(g, select_records(["SOL"]), points)
+    assert walked[-1] == point_key(points[1])
+    assert point_key(points[2]) not in walked
+    assert not set(g._points) & {point_key(p) for p in points}
+
+
 def test_list_identities_registry():
-    assert len(list_identities("HIGH")) == 4
-    comm = list_identities("COMM")
+    assert len(list_identities(select_records(["HIGH"]))) == 4
+    comm = list_identities(select_records(["COMM"]))
     assert len(comm) == 36
-    need_f = list_identities(requires="f")
+    need_f = list_identities([r for r in identities.REGISTRY
+                              if "f" in r.requires])
     assert all("f" in r["requires"] for r in need_f)
     assert not any(r["family"] == "CE" for r in need_f)
-    everything = list_identities()
+    everything = list_identities(identities.REGISTRY)
     assert [r["id"] for r in everything] == [r.id for r in identities.REGISTRY]
     assert len({r["id"] for r in everything}) == len(everything)
     # one record of each family and two laws, as declared before records
@@ -412,7 +437,6 @@ def test_nan_certification_residual_fails(monkeypatch, bad):
 @pytest.mark.parametrize("bad", [0, -1])
 def test_nan_residual_fails_and_round_trips(bad):
     from dataclasses import replace
-    from ctlab.geometry import point_key
     g = catalog.load("euclidean", dim=3).geometry
     rec = identities.BY_ID["comm.hess_sym"]
     nan_at = point_key(g.sample_points(3, 5)[bad])
