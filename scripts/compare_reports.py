@@ -5,11 +5,12 @@ Rows are matched by file and position.  The script prints how many rows it
 compared, every status change, and how many residuals moved and by how much
 at most.  It exits 1 on any status change or on trees whose reports do not
 match (a file, a row id or a tolerance present on one side only, a report
-header field of ``HEADER`` that differs, or no rows at all), and with
-``--exact`` also when any residual moved; else it exits 0.
+header field of ``HEADER`` that differs, or no rows at all); with
+``--exact`` also when any residual moved, and with ``--max-delta D`` when
+any residual moved by more than ``D``; else it exits 0.
 
 Usage:
-    python scripts/compare_reports.py A B [--exact]
+    python scripts/compare_reports.py A B [--exact] [--max-delta D]
 """
 
 import argparse
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
     ap.add_argument("b", type=Path)
     ap.add_argument("--exact", action="store_true",
                     help="also fail when any residual moved")
+    ap.add_argument("--max-delta", type=float, default=None, metavar="D",
+                    help="also fail when any residual moved by more than D")
     args = ap.parse_args(argv)
     res = compare(args.a, args.b)
     for where in res["mismatches"]:
@@ -84,8 +87,13 @@ def main(argv=None) -> int:
     print(f"status changes: {len(res['status_changes'])}")
     print(f"residuals moved: {len(res['moved'])}; "
           f"max |delta|: {max(res['moved'], default=0.0):.3e}")
+    over = []
+    if args.max_delta is not None:
+        over = [d for d in res["moved"] if not d <= args.max_delta]
+        print(f"residuals moved by more than {args.max_delta:.3e}: "
+              f"{len(over)}")
     bad = (not res["compared"] or res["mismatches"] or res["status_changes"]
-           or (args.exact and res["moved"]))
+           or (args.exact and res["moved"]) or over)
     return 1 if bad else 0
 
 

@@ -17,6 +17,7 @@ silently wrong baseline.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 from dataclasses import dataclass
@@ -73,11 +74,12 @@ class CatalogEntry:
 # random polynomial fields
 # ---------------------------------------------------------------------------
 
-def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _monomials(dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the non-constant monomials up to ``degree``, in
-    lexicographic order."""
-    return [e for e in itertools.product(range(degree + 1), repeat=dim)
-            if 1 <= sum(e) <= degree]
+    lexicographic order; memoised, as every random field draws from them."""
+    return tuple(e for e in itertools.product(range(degree + 1), repeat=dim)
+                 if 1 <= sum(e) <= degree)
 
 
 def _poly_text(rng: np.random.Generator, coords: list[str], degree: int,

@@ -78,14 +78,14 @@ def _tol_overrides(text: str | None) -> dict[str, float]:
     for part in text.split(","):
         key, _, val = part.partition("=")
         if key not in identities.TOL_CLASS or not val:
-            raise ParseError(f"bad tolerance override {part!r}", 0)
+            raise ValueError(f"bad tolerance override {part!r}")
         try:
             tol = float(val)
         except ValueError:
-            raise ParseError(f"bad tolerance override {part!r}", 0) from None
+            raise ValueError(f"bad tolerance override {part!r}") from None
         if not (math.isfinite(tol) and tol > 0.0):
-            raise ParseError(f"tolerance override {part!r} must be a positive "
-                             f"finite number", 0)
+            raise ValueError(f"tolerance override {part!r} must be a positive "
+                             f"finite number")
         out[key] = tol
     return out
 
@@ -155,16 +155,16 @@ def _fmt(v: float) -> str:
 def cmd_eval(args) -> int:
     geometry = _load_geometry(args)
     if args.quantity not in _QUANTITIES:
-        raise ParseError(
+        raise ValueError(
             f"unknown quantity {args.quantity!r}; known: "
-            f"{', '.join(sorted(_QUANTITIES))}", 0)
+            f"{', '.join(sorted(_QUANTITIES))}")
     try:
         point = np.array([float(x) for x in args.point.split(",")])
     except ValueError:
-        raise ParseError(f"bad --point {args.point!r}", 0) from None
+        raise ValueError(f"bad --point {args.point!r}") from None
     if len(point) != geometry.dim:
-        raise ParseError(
-            f"point has {len(point)} components, chart has {geometry.dim}", 0)
+        raise ValueError(
+            f"point has {len(point)} components, chart has {geometry.dim}")
     depth, quantity = _QUANTITIES[args.quantity]
     value = quantity(geometry.at_depth(depth), point)
     lines = [f"# {args.quantity} on {geometry.name} at "

@@ -4,10 +4,11 @@
 whole tower Riemann -> Ricci -> scalar -> Schouten -> Weyl -> Cotton -> Bach
 plus the skew trace-free 3-tensors attached to soliton structures (D, the
 vector-field variant, and their conformal interpolations).  Identity
-evaluators pull orthonormal-frame value arrays out of it with
-:meth:`CurvatureBundle.on`, where plain ``np.einsum`` contractions against
-``delta`` reproduce moving-frame component formulas verbatim.  A bundle
-lives in its geometry's per-point cache, next to the point's ``PointState``.
+evaluators read orthonormal-frame value arrays out of it with
+:meth:`CurvatureBundle.on`, stacked over a block of points with the point
+axis last, where :func:`einsum` contractions against ``delta`` reproduce
+moving-frame component formulas verbatim.  A bundle lives in its
+geometry's per-point cache, next to the point's ``PointState``.
 
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
@@ -67,8 +68,14 @@ class CurvatureBundle:
         return self._coord[key]
 
     def on(self, name: str, d: int = 0):
-        """Orthonormal-coframe components (floats for rank 0).  Cached
-        arrays are frozen; callers must copy before mutating."""
+        """Orthonormal-coframe components at this one point (floats for
+        rank 0).  Cached arrays are frozen; callers must copy before
+        mutating.  Record evaluators do not call this: their context
+        (:class:`~ctlab.identities.EvalContext`) hands them these values
+        for a block of points, each with a trailing point axis (a view of
+        this array for a block of one), so they contract them with
+        :func:`einsum`, :func:`dot` and :func:`tp`, never with ``@``,
+        ``.T`` or ``float``."""
         key = (name, d)
         if key not in self._on:
             t = self.coord(name, d)
@@ -307,6 +314,62 @@ def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
 
 
 # ---------------------------------------------------------------------------
+# frame values of a block of points
+# ---------------------------------------------------------------------------
+
+# Record evaluators take the frame values of a block of points at once:
+# :meth:`CurvatureBundle.on` gives one point's, and the evaluation context
+# of :mod:`ctlab.identities` stacks them with the point axis last, a
+# rank-r tensor as ``(m,) * r + (P,)`` and a scalar as ``(P,)``.  The
+# helpers below contract and permute tensor axes only, so an evaluator
+# keeps the index strings of its formulas and the point axis rides along.
+# ``einsum`` and ``tp`` also act on plain one-point arrays, as their numpy
+# namesakes; ``dot`` takes block values only.
+
+_SPECS: dict[str, tuple[str, int]] = {}
+_DOTS: dict[tuple[int, int], str] = {}
+
+
+def einsum(spec: str, *operands) -> np.ndarray:
+    """``np.einsum(spec, *operands)`` with ``...`` appended to every
+    operand and to the output, so that trailing axes broadcast along.  A
+    result over several points is stored point-major, as its operands
+    are: numpy lays out the product of a block value and a constant (the
+    delta's point axis has length 1) in an order of its own, and sums of
+    arrays in different orders run several times slower."""
+    plan = _SPECS.get(spec)
+    if plan is None:
+        lhs, out = spec.split("->")
+        plan = _SPECS[spec] = (
+            ",".join(s + "..." for s in lhs.split(",")) + "->" + out + "...",
+            len(out))
+    full, rank = plan
+    out = np.einsum(full, *operands)
+    if out.ndim > rank and out.shape[-1] > 1 and out.strides[-1] < max(
+            out.strides):
+        out = np.moveaxis(np.ascontiguousarray(np.moveaxis(out, -1, 0)), 0, -1)
+    return out
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on block values: the last tensor axis of ``a`` contracted
+    with the first of ``b``, point by point."""
+    ranks = (np.ndim(a) - 1, np.ndim(b) - 1)
+    spec = _DOTS.get(ranks)
+    if spec is None:
+        ra, rb = ranks
+        ia, ib = "abcdefgh"[:ra], "abcdefgh"[ra - 1:ra + rb - 1]
+        spec = _DOTS[ranks] = f"{ia},{ib}->{ia[:-1]}{ib[1:]}"
+    return einsum(spec, a, b)
+
+
+def tp(x: np.ndarray, *perm: int) -> np.ndarray:
+    """``x.transpose(*perm)`` on the leading ``len(perm)`` axes; the axes
+    after them (a block's point axis) stay where they are."""
+    return x.transpose(*perm, *range(len(perm), x.ndim))
+
+
+# ---------------------------------------------------------------------------
 # public point operations (orthonormal components, ready for checks)
 # ---------------------------------------------------------------------------
 
@@ -365,9 +428,10 @@ def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def skew_on(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i,j,k] = a_k b_ij - a_j b_ik on plain value arrays."""
-    t = np.einsum("k,ij->ijk", a, b)
-    return t - t.transpose(0, 2, 1)
+    """out[i,j,k] = a_k b_ij - a_j b_ik on frame values of one point or of
+    a block of points."""
+    t = einsum("k,ij->ijk", a, b)
+    return t - tp(t, 0, 2, 1)
 
 
 def d_tensor(g: GeometryInstance, p, form: int = 1) -> TensorValue:

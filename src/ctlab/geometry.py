@@ -325,6 +325,13 @@ def block_size(dim: int, order: int) -> int:
     return max(1, BLOCK_TRIPLES // len(table(dim, order).mul_i))
 
 
+def strict_errstate():
+    """``np.errstate`` under which every floating-point error that would
+    warn (or worse) raises, and those set to be ignored stay ignored."""
+    return np.errstate(**{k: "ignore" if v == "ignore" else "raise"
+                          for k, v in np.geterr().items()})
+
+
 def _evaluate_block(geometry: GeometryInstance,
                     points: np.ndarray) -> list[list[np.ndarray]] | None:
     """The coefficient arrays of the tape's roots at each of ``points``, in
@@ -332,10 +339,8 @@ def _evaluate_block(geometry: GeometryInstance,
     that evaluation raises or would warn, so that every point then
     evaluates its own tape and raises or warns at its own turn."""
     tape = geometry.spec.tape
-    err = {k: "ignore" if v == "ignore" else "raise"
-           for k, v in np.geterr().items()}
     try:
-        with np.errstate(**err):
+        with strict_errstate():
             values = tape.evaluate(points, geometry.config.order)
     except Exception:  # whatever it is, its point raises it again alone
         return None

@@ -2,16 +2,31 @@
 
 Each :class:`IdentityRecord` names one identity -- a commutation rule, a
 Bianchi-type identity, a soliton structure equation, or an integrability
-condition -- and carries evaluators that produce its two sides as
-orthonormal-frame arrays from a :class:`CurvatureBundle`.  Each record is
+condition -- and carries an evaluator that produces its two sides as
+orthonormal-frame arrays from an :class:`EvalContext`.  Each record is
 declared once, by a decorator on its evaluator (``@_rec(id, eq, tol_class,
 ...)``); the id's prefix names the family, which supplies the hypothesis,
 dimension floor and tolerance, and the hypothesis supplies the fields the
 record requires.  The registry is data: families can be listed, filtered
-and dumped, and the verification driver treats every record uniformly (at
-each sampled point in turn, certify the structural hypothesis and
-evaluate; report the worst normalised residual, where a NaN residual
-fails).
+and dumped, and the verification driver treats every record uniformly
+(certify the structural hypothesis at each sampled point in turn, evaluate
+a block of points at a time, and report the worst normalised residual,
+where a NaN residual fails).
+
+Evaluators work on a block of points at once.  Every frame value of the
+context (``c.on``, ``c.b.on``, ``c.t.on``) carries the point axis last: a
+rank-r tensor is ``(m,) * r + (P,)``, a scalar and ``c.e(k)`` are
+``(P,)``, and ``c.I`` is the Kronecker delta with a trailing axis of
+length 1.  A formula keeps the index strings of its moving-frame
+components: :func:`~ctlab.curvature.einsum` appends ``...`` to every
+operand and to the output, :func:`~ctlab.curvature.dot` stands for ``@``
+and :func:`~ctlab.curvature.tp` for ``.T`` and ``.transpose``, all on the
+tensor axes only; ``float`` is never taken of a frame value.  To add a
+record, decorate such an evaluator with ``@_rec`` and return its two
+sides, of one shape up to broadcasting: :func:`residuals` reduces them
+over the tensor axes, one residual per point.  The driver evaluates the
+first point of a pass alone and the later ones in blocks of
+``max(1, BLOCK_BYTES // the bytes of the values the first one read)``.
 
 Families:
 
@@ -31,35 +46,54 @@ identity among huge and among tiny tensors is judged by the same yardstick.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .curvature import CurvatureBundle, bundle
+from .curvature import CurvatureBundle, bundle, dot, einsum, tp
 from .geometry import (
     GeometryInstance,
     MetricError,
     point_blocks,
     point_key,
+    strict_errstate,
 )
 from .report import ReportRow
 
 TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
 CERTIFICATION_TOL = 1e-9
 
+# Bytes of frame values that one block of points holds: a pass evaluates
+# its later points in blocks of max(1, BLOCK_BYTES // the bytes its first
+# point's values take).
+BLOCK_BYTES = 1 << 20
+
 
 class CertificationError(ValueError):
     """A requested structural hypothesis failed its defining residual."""
 
 
+def _top(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the last."""
+    return np.abs(x).max(axis=tuple(range(x.ndim - 1)), initial=0.0)
+
+
+def residuals(lhs, rhs) -> np.ndarray:
+    """``max|L-R| / (1 + max(|L|, |R|))`` at each point of a block: the
+    maxima run over the tensor axes only, so the point axis (the last)
+    stays.  A side without a point axis, or with one of length 1, is the
+    same at every point."""
+    l, r = np.asarray(lhs, float), np.asarray(rhs, float)
+    return _top(l - r) / (1.0 + np.maximum(_top(l), _top(r)))
+
+
 def residual(lhs, rhs) -> float:
-    l = np.asarray(lhs, float)
-    r = np.asarray(rhs, float)
-    num = float(np.max(np.abs(l - r))) if l.size else 0.0
-    den = 1.0 + max(float(np.max(np.abs(l))) if l.size else 0.0,
-                    float(np.max(np.abs(r))) if r.size else 0.0)
-    return num / den
+    """The normalised residual of two arrays taken whole: one number,
+    whatever their axes are."""
+    return float(residuals(np.asarray(lhs, float)[..., None],
+                           np.asarray(rhs, float)[..., None])[0])
 
 
 def worst_of(a: float, b: float) -> float:
@@ -73,34 +107,135 @@ def worst_of(a: float, b: float) -> float:
 # evaluation context
 # ---------------------------------------------------------------------------
 
+def _as_block(values: list) -> np.ndarray:
+    """One value per point, stacked point-major and viewed with the point
+    axis last, read-only; a block of one is a view of its value."""
+    if len(values) == 1:
+        return np.asarray(values[0], float)[..., None]
+    out = np.moveaxis(np.stack(values), 0, -1)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _delta(m: int) -> np.ndarray:
+    """The Kronecker delta as a block value; read-only, as every context
+    of dimension ``m`` shares it."""
+    out = np.eye(m)[..., None]
+    out.flags.writeable = False
+    return out
+
+
+# A frame value's key is (side, name, d): ``b.on(name, d)`` of the
+# geometry's bundle (side "b") or of the rescaled one's (side "t"), and
+# ``scalar_exp(d)`` when ``name`` is None.
+
+def _value(b: CurvatureBundle, key: tuple):
+    """One point's value of ``key``, read from its bundle ``b``."""
+    _, name, d = key
+    return b.scalar_exp(d) if name is None else b.on(name, d)
+
+
+def _values_at(geometry: GeometryInstance, tilde: GeometryInstance | None,
+               point, keys: list[tuple]) -> list:
+    """The values of ``keys`` at ``point``, in their order.  The point's
+    bundle is built even when nothing is read, as a context's is."""
+    bundles = {"b": bundle(geometry, point)}
+    values = []
+    for key in keys:
+        if key[0] not in bundles:
+            bundles[key[0]] = bundle(tilde, point)
+        values.append(_value(bundles[key[0]], key))
+    return values
+
+
+class _Frames:
+    """One side's frame values over a block of points, from ``values``
+    (key -> block value, shared by a context's sides).  With a live
+    ``bundle`` (a block of one) a value is read from it when first asked
+    for, so ``values`` then holds what the evaluators read, in order."""
+
+    def __init__(self, side: str, values: dict, b: CurvatureBundle = None):
+        self.side, self.values, self.bundle = side, values, b
+
+    def on(self, name: str, d: int = 0) -> np.ndarray:
+        return self._get((self.side, name, d))
+
+    def e(self, k: float) -> np.ndarray:
+        """e^{k u} (1 when the geometry has no u field)."""
+        return self._get((self.side, None, k))
+
+    def _get(self, key: tuple) -> np.ndarray:
+        out = self.values.get(key)
+        if out is None:
+            if self.bundle is None:
+                side, name, d = key
+                what = (f"c.{side}.e({d!r})" if name is None
+                        else f"c.{side}.on({name!r}, {d})")
+                raise RuntimeError(
+                    f"internal error: {what} was not read at the first "
+                    f"point of the pass, so no later point handed it over")
+            out = self.values[key] = _as_block([_value(self.bundle, key)])
+        return out
+
+
 class EvalContext:
-    """Point-local view handed to record evaluators: the bundle ``b`` of
-    the geometry, the structure constant, and the bundle ``t`` of the
-    rescaled geometry ``tilde`` when one is given."""
+    """The view handed to record evaluators: over a block of points, the
+    frame values of the geometry (``b``, with ``on`` and ``e`` as its
+    shorthands) and of the rescaled geometry ``tilde`` (``t``), each with
+    the point axis last; with the dimension ``m``, the Kronecker delta
+    ``I`` (a trailing axis of length 1) and the structure constant
+    ``lam``.  ``points`` are the block's point keys.
+
+    ``EvalContext(geometry, point[, tilde])`` is one point, a block of
+    one read from its live bundles; ``values`` then holds what its
+    evaluators read.  :meth:`stacked` is a block of later points, made
+    from their values of those keys."""
 
     def __init__(self, geometry: GeometryInstance, point,
                  tilde: GeometryInstance | None = None):
+        self._start(geometry, tilde, [point_key(point)], {})
+        self.b = _Frames("b", self.values, bundle(geometry, point))
+        self._t = None
+
+    @classmethod
+    def stacked(cls, geometry: GeometryInstance,
+                tilde: GeometryInstance | None, points: list,
+                keys: list[tuple], rows: list[list]) -> "EvalContext":
+        """The block of ``points``; ``rows[j][n]`` is point ``j``'s value
+        of ``keys[n]``."""
+        c = cls.__new__(cls)
+        c._start(geometry, tilde, points, {
+            key: _as_block([row[n] for row in rows])
+            for n, key in enumerate(keys)})
+        c.b, c._t = _Frames("b", c.values), _Frames("t", c.values)
+        return c
+
+    def _start(self, geometry, tilde, points, values):
         self.geometry = geometry
         self.tilde = tilde
-        self.b: CurvatureBundle = bundle(geometry, point)
-        self.point = point_key(point)
+        self.points = points
+        self.values = values
         self.m = geometry.dim
-        self.I = np.eye(self.m)
-        self.I.setflags(write=False)  # one context serves every record at a point
+        self.I = _delta(self.m)
         self.lam = geometry.spec.lam
 
-    def on(self, name: str, d: int = 0):
+    def on(self, name: str, d: int = 0) -> np.ndarray:
         return self.b.on(name, d)
 
-    def e(self, k: float) -> float:
-        return self.b.scalar_exp(k)
+    def e(self, k: float) -> np.ndarray:
+        """e^{k u} (1 when the geometry has no u field)."""
+        return self.b.e(k)
 
     @property
-    def t(self) -> CurvatureBundle:
+    def t(self) -> _Frames:
         if self.tilde is None:
             raise MetricError(
                 f"no rescaled geometry given for {self.geometry.name!r}")
-        return bundle(self.tilde, self.point)
+        if self._t is None:
+            self._t = _Frames("t", self.values,
+                              bundle(self.tilde, self.points[0]))
+        return self._t
 
 
 @dataclass(frozen=True)
@@ -129,7 +264,7 @@ class IdentityRecord:
 def _cyc_last3(t4: np.ndarray) -> np.ndarray:
     """T_ijk,t + T_ikt,j + T_itj,k for a [i,j,k,deriv] array: the summed
     cyclic permutation over the last three slots."""
-    return t4 + t4.transpose(0, 3, 1, 2) + t4.transpose(0, 2, 3, 1)
+    return t4 + tp(t4, 0, 3, 1, 2) + tp(t4, 0, 2, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +332,7 @@ def _rec(id_: str, eq: str, tol_class: str, **meta):
 # ---------------------------------------------------------------------------
 
 def _with_delta(spec: str, a, b, delta):
-    """``np.einsum(spec, a, b, delta)`` for a Kronecker delta as the last
+    """``einsum(spec, a, b, delta)`` for a Kronecker delta as the last
     operand, as 2-operand contractions: a delta index that is summed
     renames its partner in ``a`` and ``b``, and a delta on two output
     indices is an outer factor after ``a`` and ``b`` are contracted."""
@@ -205,30 +340,30 @@ def _with_delta(spec: str, a, b, delta):
     sa, sb, (p, q) = lhs.split(",")
     if p in out and q in out:
         mid = "".join(x for x in out if x not in (p, q))
-        ab = np.einsum(f"{sa},{sb}->{mid}", a, b)
-        return np.einsum(f"{mid},{p}{q}->{out}", ab, delta)
+        ab = einsum(f"{sa},{sb}->{mid}", a, b)
+        return einsum(f"{mid},{p}{q}->{out}", ab, delta)
     old, new = (p, q) if q in out else (q, p)
-    return np.einsum(f"{sa},{sb}->{out}".replace(old, new), a, b)
+    return einsum(f"{sa},{sb}->{out}".replace(old, new), a, b)
 
 
 @_rec("comm.hess_sym", "SecondDerivFunction", "A", requires=("f",))
 def comm_hess_sym(c):
     f2 = c.on("f", 2)
-    return f2, f2.T
+    return f2, tp(f2, 1, 0)
 
 
 @_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B", requires=("f",),
       min_order=3)
 def comm_third_first_pair(c):
     f3 = c.on("f", 3)
-    return f3, f3.transpose(1, 0, 2)
+    return f3, tp(f3, 1, 0, 2)
 
 
 @_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B", requires=("f",),
       min_order=3)
 def comm_third_riemann(c):
     f3 = c.on("f", 3)
-    rhs = f3.transpose(0, 2, 1) + np.einsum("t,tijk->ijk", c.on("f", 1),
+    rhs = tp(f3, 0, 2, 1) + einsum("t,tijk->ijk", c.on("f", 1),
                                             c.on("riemann"))
     return f3, rhs
 
@@ -237,11 +372,11 @@ def comm_third_riemann(c):
       min_dim=3, min_order=3)
 def comm_third_weyl(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     f1, f3 = c.on("f", 1), c.on("f", 3)
     ric, s, w = c.on("ricci"), c.on("scalar"), c.on("weyl")
-    fr = f1 @ ric
-    rhs = f3.transpose(0, 2, 1) + e("t,tijk->ijk", f1, w)
+    fr = dot(f1, ric)
+    rhs = tp(f3, 0, 2, 1) + e("t,tijk->ijk", f1, w)
     rhs += (e("j,ik->ijk", fr, I) - e("k,ij->ijk", fr, I)
             + e("j,ik->ijk", f1, ric) - e("k,ij->ijk", f1, ric)) / (m - 2)
     rhs -= s * (e("j,ik->ijk", f1, I) - e("k,ij->ijk", f1, I)) / ((m - 1) * (m - 2))
@@ -252,11 +387,11 @@ def comm_third_weyl(c):
       requires=("f",), min_dim=3, min_order=3)
 def comm_third_weyl_schouten(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     f1, f3 = c.on("f", 1), c.on("f", 3)
     a, w = c.on("schouten"), c.on("weyl")
-    fa = f1 @ a
-    rhs = f3.transpose(0, 2, 1) + e("t,tijk->ijk", f1, w)
+    fa = dot(f1, a)
+    rhs = tp(f3, 0, 2, 1) + e("t,tijk->ijk", f1, w)
     rhs += (e("j,ik->ijk", fa, I) - e("k,ij->ijk", fa, I)
             + e("j,ik->ijk", f1, a) - e("k,ij->ijk", f1, a)) / (m - 2)
     return f3, rhs
@@ -265,10 +400,10 @@ def comm_third_weyl_schouten(c):
 @_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B", requires=("f",),
       min_order=4)
 def comm_fourth_last_pair(c):
-    e = np.einsum
+    e = einsum
     f2, f4 = c.on("f", 2), c.on("f", 4)
     r4 = c.on("riemann")
-    rhs = (f4.transpose(0, 1, 3, 2) + e("il,ljkt->ijkt", f2, r4)
+    rhs = (tp(f4, 0, 1, 3, 2) + e("il,ljkt->ijkt", f2, r4)
            + e("jl,likt->ijkt", f2, r4))
     return f4, rhs
 
@@ -276,9 +411,9 @@ def comm_fourth_last_pair(c):
 @_rec("comm.fourth_23", "ThirdDerivinfourth", "B", requires=("f",),
       min_order=4)
 def comm_fourth_23(c):
-    e = np.einsum
+    e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
-    rhs = (f4.transpose(0, 2, 1, 3) + e("st,sijk->ijkt", f2, c.on("riemann"))
+    rhs = (tp(f4, 0, 2, 1, 3) + e("st,sijk->ijkt", f2, c.on("riemann"))
            + e("s,sijkt->ijkt", f1, c.on("riemann", 1)))
     return f4, rhs
 
@@ -286,10 +421,10 @@ def comm_fourth_23(c):
 @_rec("comm.fourth_12_34", "Function12with34", "B", requires=("f",),
       min_order=4)
 def comm_fourth_12_34(c):
-    e = np.einsum
+    e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
     r4, r41 = c.on("riemann"), c.on("riemann", 1)
-    rhs = f4.transpose(2, 3, 0, 1).copy()
+    rhs = tp(f4, 2, 3, 0, 1).copy()
     rhs += (e("is,skjt->ijkt", f2, r4) + e("js,skit->ijkt", f2, r4)
             + e("ks,sijt->ijkt", f2, r4) + e("ts,sijk->ijkt", f2, r4))
     rhs += e("s,sijkt->ijkt", f1, r41) - e("s,sktij->ijkt", f1, r41)
@@ -300,19 +435,19 @@ def comm_fourth_12_34(c):
       requires=("f",), min_order=3)
 def comm_traced_third(c):
     f1, f3 = c.on("f", 1), c.on("f", 3)
-    lhs = np.einsum("itt->i", f3)
-    rhs = np.einsum("tti->i", f3) + f1 @ c.on("ricci")
+    lhs = einsum("itt->i", f3)
+    rhs = einsum("tti->i", f3) + dot(f1, c.on("ricci"))
     return lhs, rhs
 
 
 @_rec("comm.traced_fourth", "TracedFourthDerivFct", "B", requires=("f",),
       min_order=4)
 def comm_traced_fourth(c):
-    e = np.einsum
+    e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
     ric, r1, r4 = c.on("ricci"), c.on("ricci", 1), c.on("riemann")
     lhs = e("ijtt->ij", f4)
-    rhs = e("ttij->ij", f4) + f2 @ ric + (f2 @ ric).T
+    rhs = e("ttij->ij", f4) + dot(f2, ric) + tp(dot(f2, ric), 1, 0)
     rhs -= 2 * e("st,isjt->ij", f2, r4)
     rhs += e("t,tji->ij", f1, r1) + e("t,tij->ij", f1, r1)
     rhs -= e("t,ijt->ij", f1, r1)
@@ -322,12 +457,12 @@ def comm_traced_fourth(c):
 @_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion", "B",
       requires=("f",), min_order=4)
 def comm_traced_fourth_v2(c):
-    e = np.einsum
+    e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
     ric, r1 = c.on("ricci"), c.on("ricci", 1)
     r4, r41 = c.on("riemann"), c.on("riemann", 1)
     lhs = e("ijtt->ij", f4)
-    rhs = e("ttij->ij", f4) + f2 @ ric + (f2 @ ric).T
+    rhs = e("ttij->ij", f4) + dot(f2, ric) + tp(dot(f2, ric), 1, 0)
     rhs -= 2 * e("st,isjt->ij", f2, r4)
     rhs += e("t,ijt->ij", f1, r1)
     rhs -= e("t,sitjs->ij", f1, r41) + e("t,sjtis->ij", f1, r41)
@@ -338,7 +473,7 @@ def comm_traced_fourth_v2(c):
       min_order=3)
 def comm_vec_third(c):
     x2 = c.on("X", 2)
-    rhs = x2.transpose(0, 2, 1) + np.einsum("t,tijk->ijk", c.on("X"),
+    rhs = tp(x2, 0, 2, 1) + einsum("t,tijk->ijk", c.on("X"),
                                             c.on("riemann"))
     return x2, rhs
 
@@ -346,9 +481,9 @@ def comm_vec_third(c):
 @_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B", requires=("X",),
       min_order=4)
 def comm_vec_fourth_23(c):
-    e = np.einsum
+    e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
-    lhs = x3 - x3.transpose(0, 2, 1, 3)
+    lhs = x3 - tp(x3, 0, 2, 1, 3)
     rhs = (e("tijk,tl->ijkl", c.on("riemann"), x1)
            + e("tijkl,t->ijkl", c.on("riemann", 1), c.on("X")))
     return lhs, rhs
@@ -357,10 +492,10 @@ def comm_vec_fourth_23(c):
 @_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B", requires=("X",),
       min_order=4)
 def comm_vec_fourth_34(c):
-    e = np.einsum
+    e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
     r4 = c.on("riemann")
-    lhs = x3 - x3.transpose(0, 1, 3, 2)
+    lhs = x3 - tp(x3, 0, 1, 3, 2)
     rhs = e("tikl,tj->ijkl", r4, x1) + e("tjkl,it->ijkl", r4, x1)
     return lhs, rhs
 
@@ -368,21 +503,21 @@ def comm_vec_fourth_34(c):
 @_rec("comm.bianchi1", "FirstBianchiRiem", "A")
 def comm_bianchi1(c):
     r4 = c.on("riemann")
-    return r4 + r4.transpose(0, 2, 3, 1) + r4.transpose(0, 3, 1, 2), 0.0 * r4
+    return r4 + tp(r4, 0, 2, 3, 1) + tp(r4, 0, 3, 1, 2), 0.0 * r4
 
 
 @_rec("comm.bianchi2", "SecondBianchiRiem", "B", min_order=3)
 def comm_bianchi2(c):
     r1 = c.on("riemann", 1)
-    lhs = r1 + r1.transpose(0, 1, 3, 4, 2) + r1.transpose(0, 1, 4, 2, 3)
+    lhs = r1 + tp(r1, 0, 1, 3, 4, 2) + tp(r1, 0, 1, 4, 2, 3)
     return lhs, 0.0 * lhs
 
 
 @_rec("comm.riem_second", "SecondDerivRiem", "B", min_order=4)
 def comm_riem_second(c):
-    e = np.einsum
+    e = einsum
     r4, r2 = c.on("riemann"), c.on("riemann", 2)
-    lhs = r2 - r2.transpose(0, 1, 2, 3, 5, 4)
+    lhs = r2 - tp(r2, 0, 1, 2, 3, 5, 4)
     rhs = (e("sjkt,silr->ijktlr", r4, r4) + e("iskt,sjlr->ijktlr", r4, r4)
            + e("ijst,sklr->ijktlr", r4, r4) + e("ijks,stlr->ijktlr", r4, r4))
     return lhs, rhs
@@ -390,9 +525,9 @@ def comm_riem_second(c):
 
 @_rec("comm.riem_third", "ThirdDerivRiem", "C", min_order=5)
 def comm_riem_third(c):
-    e = np.einsum
+    e = einsum
     r4, r1, r3 = c.on("riemann"), c.on("riemann", 1), c.on("riemann", 3)
-    lhs = r3 - r3.transpose(0, 1, 2, 3, 4, 6, 5)
+    lhs = r3 - tp(r3, 0, 1, 2, 3, 4, 6, 5)
     rhs = (e("vjktl,virs->ijktlrs", r1, r4) + e("ivktl,vjrs->ijktlrs", r1, r4)
            + e("ijvtl,vkrs->ijktlrs", r1, r4) + e("ijkvl,vtrs->ijktlrs", r1, r4)
            + e("ijktv,vlrs->ijktlrs", r1, r4))
@@ -402,27 +537,27 @@ def comm_riem_third(c):
 @_rec("comm.ricci_first", "RicciFirstComm", "B", min_order=3)
 def comm_ricci_first(c):
     r1 = c.on("ricci", 1)
-    lhs = r1 - r1.transpose(0, 2, 1)
-    rhs = -np.einsum("tijkt->ijk", c.on("riemann", 1))
+    lhs = r1 - tp(r1, 0, 2, 1)
+    rhs = -einsum("tijkt->ijk", c.on("riemann", 1))
     return lhs, rhs
 
 
 @_rec("comm.ricci_second", "RicciSecondComm", "B", min_order=4)
 def comm_ricci_second(c):
-    e = np.einsum
+    e = einsum
     ric, r4 = c.on("ricci"), c.on("riemann")
     r2 = c.on("ricci", 2)
-    lhs = r2 - r2.transpose(0, 1, 3, 2)
+    lhs = r2 - tp(r2, 0, 1, 3, 2)
     rhs = e("likt,lj->ijkt", r4, ric) + e("ljkt,li->ijkt", r4, ric)
     return lhs, rhs
 
 
 @_rec("comm.ricci_third", "RicciThirdComm", "C", min_order=5)
 def comm_ricci_third(c):
-    e = np.einsum
+    e = einsum
     r1, r4 = c.on("ricci", 1), c.on("riemann")
     r3 = c.on("ricci", 3)
-    lhs = r3 - r3.transpose(0, 1, 2, 4, 3)
+    lhs = r3 - tp(r3, 0, 1, 2, 4, 3)
     rhs = (e("sjk,sitl->ijktl", r1, r4) + e("isk,sjtl->ijktl", r1, r4)
            + e("ijs,sktl->ijktl", r1, r4))
     return lhs, rhs
@@ -432,33 +567,33 @@ def comm_ricci_third(c):
 def comm_schur(c):
     """Contracted second Bianchi: the divergence of Ricci is half the
     scalar gradient."""
-    return c.on("scalar", 1), 2 * np.einsum("ikk->i", c.on("ricci", 1))
+    return c.on("scalar", 1), 2 * einsum("ikk->i", c.on("ricci", 1))
 
 
 @_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B", min_dim=3,
       min_order=3)
 def comm_schouten_codazzi(c):
     a1 = c.on("schouten", 1)
-    return a1 - a1.transpose(0, 2, 1), c.on("cotton")
+    return a1 - tp(a1, 0, 2, 1), c.on("cotton")
 
 
 @_rec("comm.schouten_second", "SchoutenSecondComm", "B", min_dim=3,
       min_order=4)
 def comm_schouten_second(c):
-    e = np.einsum
+    e = einsum
     a, r4 = c.on("schouten"), c.on("riemann")
     a2 = c.on("schouten", 2)
-    lhs = a2 - a2.transpose(0, 1, 3, 2)
+    lhs = a2 - tp(a2, 0, 1, 3, 2)
     rhs = e("likt,lj->ijkt", r4, a) + e("ljkt,li->ijkt", r4, a)
     return lhs, rhs
 
 
 @_rec("comm.schouten_third", "SchoutenThirdComm", "C", min_dim=3, min_order=5)
 def comm_schouten_third(c):
-    e = np.einsum
+    e = einsum
     a1, r4 = c.on("schouten", 1), c.on("riemann")
     a3 = c.on("schouten", 3)
-    lhs = a3 - a3.transpose(0, 1, 2, 4, 3)
+    lhs = a3 - tp(a3, 0, 1, 2, 4, 3)
     rhs = (e("sjk,sitl->ijktl", a1, r4) + e("isk,sjtl->ijktl", a1, r4)
            + e("ijs,sktl->ijktl", a1, r4))
     return lhs, rhs
@@ -468,9 +603,9 @@ def comm_schouten_third(c):
       min_order=3)
 def comm_weyl_deriv_cyclic(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     w1, ct = c.on("weyl", 1), c.on("cotton")
-    lhs = w1 + w1.transpose(0, 1, 3, 4, 2) + w1.transpose(0, 1, 4, 2, 3)
+    lhs = w1 + tp(w1, 0, 1, 3, 4, 2) + tp(w1, 0, 1, 4, 2, 3)
     rhs = (e("itl,jk->ijktl", ct, I) + e("ilk,jt->ijktl", ct, I)
            + e("ikt,jl->ijktl", ct, I) - e("jtl,ik->ijktl", ct, I)
            - e("jlk,it->ijktl", ct, I) - e("jkt,il->ijktl", ct, I)) / (m - 2)
@@ -480,10 +615,10 @@ def comm_weyl_deriv_cyclic(c):
 @_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B", min_dim=3,
       min_order=4)
 def comm_weyl_second(c):
-    e = np.einsum
+    e = einsum
     w, r4 = c.on("weyl"), c.on("riemann")
     w2 = c.on("weyl", 2)
-    lhs = w2 - w2.transpose(0, 1, 2, 3, 5, 4)
+    lhs = w2 - tp(w2, 0, 1, 2, 3, 5, 4)
     rhs = (e("rjkl,rist->ijklst", w, r4) + e("irkl,rjst->ijklst", w, r4)
            + e("ijrl,rkst->ijklst", w, r4) + e("ijkr,rlst->ijklst", w, r4))
     return lhs, rhs
@@ -493,10 +628,10 @@ def comm_weyl_second(c):
       min_order=4)
 def comm_weyl_second_expanded(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     w, ric, s = c.on("weyl"), c.on("ricci"), c.on("scalar")
     w2 = c.on("weyl", 2)
-    lhs = w2 - w2.transpose(0, 1, 2, 3, 5, 4)
+    lhs = w2 - tp(w2, 0, 1, 2, 3, 5, 4)
     rhs = (e("rjkl,rist->ijklst", w, w) + e("irkl,rjst->ijklst", w, w)
            + e("ijrl,rkst->ijklst", w, w) + e("ijkr,rlst->ijklst", w, w))
     # four Ricci blocks, one per Weyl slot
@@ -523,7 +658,7 @@ def comm_weyl_second_expanded(c):
       min_order=4)
 def comm_weyl_second_traced(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     w, ric = c.on("weyl"), c.on("ricci")
     w2 = c.on("weyl", 2)
     lhs = e("tjklst->jkls", w2) - e("tjklts->jkls", w2)
@@ -540,10 +675,10 @@ def comm_weyl_second_traced(c):
 @_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C", min_dim=3,
       min_order=5)
 def comm_weyl_third(c):
-    e = np.einsum
+    e = einsum
     w1, r4 = c.on("weyl", 1), c.on("riemann")
     w3 = c.on("weyl", 3)
-    lhs = w3 - w3.transpose(0, 1, 2, 3, 4, 6, 5)
+    lhs = w3 - tp(w3, 0, 1, 2, 3, 4, 6, 5)
     rhs = (e("vjklt,virs->ijkltrs", w1, r4) + e("ivklt,vjrs->ijkltrs", w1, r4)
            + e("ijvlt,vkrs->ijkltrs", w1, r4) + e("ijkvt,vlrs->ijkltrs", w1, r4)
            + e("ijklv,vtrs->ijkltrs", w1, r4))
@@ -554,11 +689,11 @@ def comm_weyl_third(c):
       min_order=5)
 def comm_weyl_third_expanded(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     w, w1 = c.on("weyl"), c.on("weyl", 1)
     ric, s = c.on("ricci"), c.on("scalar")
     w3 = c.on("weyl", 3)
-    lhs = w3 - w3.transpose(0, 1, 2, 3, 4, 6, 5)
+    lhs = w3 - tp(w3, 0, 1, 2, 3, 4, 6, 5)
     rhs = (e("vjklt,virs->ijkltrs", w1, w) + e("ivklt,vjrs->ijkltrs", w1, w)
            + e("ijvlt,vkrs->ijkltrs", w1, w) + e("ijkvt,vlrs->ijkltrs", w1, w)
            + e("ijklv,vtrs->ijkltrs", w1, w))
@@ -580,19 +715,19 @@ def comm_weyl_third_expanded(c):
 @_rec("comm.cotton_cyclic", "PermutCiclCotton", "B", min_dim=3, min_order=3)
 def comm_cotton_cyclic(c):
     ct = c.on("cotton")
-    lhs = ct + ct.transpose(2, 0, 1) + ct.transpose(1, 2, 0)
+    lhs = ct + tp(ct, 2, 0, 1) + tp(ct, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
 @_rec("comm.cotton_divergence", "DiverCotton", "B", min_dim=3, min_order=4)
 def comm_cotton_divergence(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     ric, r2 = c.on("ricci"), c.on("ricci", 2)
     s2 = c.on("scalar", 2)
     lhs = e("ijkk->ij", c.on("cotton", 1))
     rhs = e("ijkk->ij", r2) - (m - 2) / (2 * (m - 1)) * s2
-    rhs += e("tk,itjk->ij", ric, c.on("riemann")) - ric @ ric
+    rhs += e("tk,itjk->ij", ric, c.on("riemann")) - dot(ric, ric)
     rhs -= np.trace(s2) / (2 * (m - 1)) * I
     return lhs, rhs
 
@@ -600,21 +735,21 @@ def comm_cotton_divergence(c):
 @_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B", min_dim=3,
       min_order=4)
 def comm_cotton_div_symmetric(c):
-    div = np.einsum("ijkk->ij", c.on("cotton", 1))
-    return div, div.T
+    div = einsum("ijkk->ij", c.on("cotton", 1))
+    return div, tp(div, 1, 0)
 
 
 @_rec("comm.cotton_null_div", "NullDiverCotton", "B", min_dim=3, min_order=4)
 def comm_cotton_null_div(c):
-    lhs = np.einsum("kijk->ij", c.on("cotton", 1))
+    lhs = einsum("kijk->ij", c.on("cotton", 1))
     return lhs, 0.0 * lhs
 
 
 @_rec("comm.bach_divergence", "diverBach", "C", min_dim=4, min_order=5)
 def comm_bach_divergence(c):
     m = c.m
-    lhs = np.einsum("ijj->i", c.on("bach", 1))
-    rhs = (m - 4) / (m - 2) ** 2 * np.einsum("kt,kti->i", c.on("ricci"),
+    lhs = einsum("ijj->i", c.on("bach", 1))
+    rhs = (m - 4) / (m - 2) ** 2 * einsum("kt,kti->i", c.on("ricci"),
                                              c.on("cotton"))
     return lhs, rhs
 
@@ -635,7 +770,7 @@ def sol_trace_gradient(c):
 
 @_rec("sol.scalar_gradient", "eq3g", "B", min_order=3)
 def sol_scalar_gradient(c):
-    return c.on("scalar", 1), 2 * (c.on("f", 1) @ c.on("ricci"))
+    return c.on("scalar", 1), 2 * dot(c.on("f", 1), c.on("ricci"))
 
 
 @_rec("sol.ricci_skew_gradient", "eq6g", "B", min_order=3)
@@ -645,15 +780,15 @@ def sol_ricci_skew_gradient(c):
     # does not close (checked numerically), so the Codazzi-type pattern
     # matching the right side is used
     r1 = c.on("ricci", 1)
-    lhs = r1 - r1.transpose(0, 2, 1)
-    rhs = -np.einsum("t,tijk->ijk", c.on("f", 1), c.on("riemann"))
+    lhs = r1 - tp(r1, 0, 2, 1)
+    rhs = -einsum("t,tijk->ijk", c.on("f", 1), c.on("riemann"))
     return lhs, rhs
 
 
 @_rec("sol.hamilton", "HamiltonId", "B", min_order=3)
 def sol_hamilton(c):
     # gradient form of the conserved quantity: its gradient vanishes
-    lhs = (c.on("scalar", 1) + 2 * (c.on("f", 1) @ c.on("f", 2))
+    lhs = (c.on("scalar", 1) + 2 * dot(c.on("f", 1), c.on("f", 2))
            - 2 * c.lam * c.on("f", 1))
     return lhs, 0.0 * lhs
 
@@ -662,15 +797,15 @@ def sol_hamilton(c):
 def sol_scalar_evolution_gradient(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
-    rhs = (0.5 * float(c.on("f", 1) @ c.on("scalar", 1)) + c.lam * c.on("scalar")
-           - float(np.einsum("ij,ij->", ric, ric)))
+    rhs = (0.5 * dot(c.on("f", 1), c.on("scalar", 1)) + c.lam * c.on("scalar")
+           - einsum("ij,ij->", ric, ric))
     return lhs, rhs
 
 
 @_rec("sol.defining_generic", "eq1", "A", structure="generic_soliton")
 def sol_defining_generic(c):
     x1 = c.on("X", 1)
-    return c.on("ricci") + 0.5 * (x1 + x1.T), c.lam * c.I
+    return c.on("ricci") + 0.5 * (x1 + tp(x1, 1, 0)), c.lam * c.I
 
 
 @_rec("sol.trace_generic", "eq2", "A", structure="generic_soliton")
@@ -680,13 +815,13 @@ def sol_trace_generic(c):
 
 @_rec("sol.div_nabla_x", "eq3", "B", structure="generic_soliton", min_order=3)
 def sol_div_nabla_x(c):
-    return c.on("scalar", 1), -np.einsum("iik->k", c.on("X", 2))
+    return c.on("scalar", 1), -einsum("iik->k", c.on("X", 2))
 
 
 @_rec("sol.ric_x", "eq4", "B", structure="generic_soliton", min_order=3)
 def sol_ric_x(c):
-    lhs = c.on("X") @ c.on("ricci")
-    rhs = -np.einsum("ktt->k", c.on("X", 2))
+    lhs = dot(c.on("X"), c.on("ricci"))
+    rhs = -einsum("ktt->k", c.on("X", 2))
     return lhs, rhs
 
 
@@ -695,9 +830,9 @@ def sol_ric_x(c):
 def sol_ricci_skew_x1(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
-    lhs = r1 - r1.transpose(0, 2, 1)
-    rhs = (-0.5 * np.einsum("lijk,l->ijk", c.on("riemann"), c.on("X"))
-           + 0.5 * (x2.transpose(1, 2, 0) - x2.transpose(1, 0, 2)))
+    lhs = r1 - tp(r1, 0, 2, 1)
+    rhs = (-0.5 * einsum("lijk,l->ijk", c.on("riemann"), c.on("X"))
+           + 0.5 * (tp(x2, 1, 2, 0) - tp(x2, 1, 0, 2)))
     return lhs, rhs
 
 
@@ -706,9 +841,9 @@ def sol_ricci_skew_x1(c):
 def sol_ricci_skew_x2(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
-    lhs = r1 - r1.transpose(2, 1, 0)
-    rhs = (0.5 * np.einsum("ljki,l->ijk", c.on("riemann"), c.on("X"))
-           + 0.5 * (x2.transpose(2, 1, 0) - x2))
+    lhs = r1 - tp(r1, 2, 1, 0)
+    rhs = (0.5 * einsum("ljki,l->ijk", c.on("riemann"), c.on("X"))
+           + 0.5 * (tp(x2, 2, 1, 0) - x2))
     return lhs, rhs
 
 
@@ -717,22 +852,22 @@ def sol_ricci_skew_x2(c):
 def sol_scalar_evolution_generic(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
-    rhs = (0.5 * float(c.on("X") @ c.on("scalar", 1)) + c.lam * c.on("scalar")
-           - float(np.einsum("ij,ij->", ric, ric)))
+    rhs = (0.5 * dot(c.on("X"), c.on("scalar", 1)) + c.lam * c.on("scalar")
+           - einsum("ij,ij->", ric, ric))
     return lhs, rhs
 
 
 @_rec("sol.cao_chen_first", "firstCaoChen", "B", min_dim=3, min_order=3)
 def sol_cao_chen_first(c):
-    lhs = c.on("cotton") + np.einsum("t,tijk->ijk", c.on("f", 1), c.on("weyl"))
+    lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("f", 1), c.on("weyl"))
     return lhs, c.on("d_tensor")
 
 
 @_rec("sol.cao_chen_second", "secondCaoChen", "B", min_dim=3, min_order=4)
 def sol_cao_chen_second(c):
     m = c.m
-    rhs = (np.einsum("ijkk->ij", c.on("d_tensor", 1))
-           + (m - 3) / (m - 2) * np.einsum("t,jit->ij", c.on("f", 1),
+    rhs = (einsum("ijkk->ij", c.on("d_tensor", 1))
+           + (m - 3) / (m - 2) * einsum("t,jit->ij", c.on("f", 1),
                                            c.on("cotton"))) / (m - 2)
     return c.on("bach"), rhs
 
@@ -740,15 +875,15 @@ def sol_cao_chen_second(c):
 @_rec("sol.fc_equals_fd", "fCfD_remark", "B", min_dim=3, min_order=3)
 def sol_fc_equals_fd(c):
     f1 = c.on("f", 1)
-    lhs = np.einsum("t,tij->ij", f1, c.on("cotton"))
-    rhs = np.einsum("t,tij->ij", f1, c.on("d_tensor"))
+    lhs = einsum("t,tij->ij", f1, c.on("cotton"))
+    rhs = einsum("t,tij->ij", f1, c.on("d_tensor"))
     return lhs, rhs
 
 
 @_rec("sol.d_cyclic", "D_lemma_cyclic", "A", min_dim=3)
 def sol_d_cyclic(c):
     d = c.on("d_tensor")
-    lhs = d + d.transpose(2, 0, 1) + d.transpose(1, 2, 0)
+    lhs = d + tp(d, 2, 0, 1) + tp(d, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
@@ -756,7 +891,7 @@ def sol_d_cyclic(c):
       min_order=3)
 def sol_d_deriv_cyclic_cotton(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     f1, ct = c.on("f", 1), c.on("cotton")
     lhs = _cyc_last3(c.on("d_tensor", 1))
     rhs = (e("l,lkt,ij->ijkt", f1, ct, I) + e("l,ltj,ik->ijkt", f1, ct, I)
@@ -770,7 +905,7 @@ def sol_d_deriv_cyclic_cotton(c):
       min_order=3)
 def sol_d_deriv_cyclic_d(c):
     m, I = c.m, c.I
-    e = np.einsum
+    e = einsum
     f1, d, w = c.on("f", 1), c.on("d_tensor"), c.on("weyl")
     lhs = _cyc_last3(c.on("d_tensor", 1))
     rhs = (e("l,lkt,ij->ijkt", f1, d, I) + e("l,ltj,ik->ijkt", f1, d, I)
@@ -784,7 +919,7 @@ def sol_d_deriv_cyclic_d(c):
 @_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B", min_dim=3,
       min_order=4)
 def sol_cotton_deriv_cyclic(c):
-    e = np.einsum
+    e = einsum
     ric, w = c.on("ricci"), c.on("weyl")
     lhs = _cyc_last3(c.on("cotton", 1))
     rhs = (e("sj,sikt->ijkt", ric, w) + e("sk,sitj->ijkt", ric, w)
@@ -796,7 +931,7 @@ def sol_cotton_deriv_cyclic(c):
       min_order=4)
 def sol_d_deriv_cyclic_mixed(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     ric, w = c.on("ricci"), c.on("weyl")
     lhs = _cyc_last3(c.on("d_tensor", 1))
     cyc_c = _cyc_last3(c.on("cotton", 1))
@@ -815,9 +950,9 @@ def sol_d_deriv_cyclic_mixed(c):
 def ce_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
-    lhs = c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
+    lhs = c.on("ricci") - (m - 2) * u2 + (m - 2) * einsum("i,j->ij", u1, u1)
     rhs = (c.on("scalar") - (m - 2) * np.trace(u2)
-           + (m - 2) * float(u1 @ u1)) / m * I
+           + (m - 2) * dot(u1, u1)) / m * I
     return lhs, rhs
 
 
@@ -826,7 +961,7 @@ def ce_traced_lambda(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
     lhs = (c.on("scalar") - 2 * (m - 1) * np.trace(u2)
-           - (m - 1) * (m - 2) * float(u1 @ u1))
+           - (m - 1) * (m - 2) * dot(u1, u1))
     return lhs, c.lam * m * c.e(2)
 
 
@@ -834,15 +969,15 @@ def ce_traced_lambda(c):
 def ce_single_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
-    lhs = c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
-    rhs = (np.trace(u2) + (m - 2) * float(u1 @ u1) + c.lam * c.e(2)) * I
+    lhs = c.on("ricci") - (m - 2) * u2 + (m - 2) * einsum("i,j->ij", u1, u1)
+    rhs = (np.trace(u2) + (m - 2) * dot(u1, u1) + c.lam * c.e(2)) * I
     return lhs, rhs
 
 
 @_rec("ce.first_gn", "FirstCond_GN", "B", min_order=3)
 def ce_first_gn(c):
     m = c.m
-    lhs = c.on("cotton") - (m - 2) * np.einsum("t,tijk->ijk", c.on("u", 1),
+    lhs = c.on("cotton") - (m - 2) * einsum("t,tijk->ijk", c.on("u", 1),
                                                c.on("weyl"))
     return lhs, 0.0 * lhs
 
@@ -851,7 +986,7 @@ def ce_first_gn(c):
 def ce_second_gn(c):
     m = c.m
     u1 = c.on("u", 1)
-    lhs = c.on("bach") - (m - 4) * np.einsum("t,k,itjk->ij", u1, u1,
+    lhs = c.on("bach") - (m - 4) * einsum("t,k,itjk->ij", u1, u1,
                                              c.on("weyl"))
     return lhs, 0.0 * lhs
 
@@ -861,10 +996,10 @@ def ce_nabla_delta_u(c):
     m = c.m
     u1, u3 = c.on("u", 1), c.on("u", 3)
     s = c.on("scalar")
-    gu2 = float(u1 @ u1)
-    lap_u = float(np.trace(c.on("u", 2)))
-    lhs = np.einsum("ttk->k", u3)
-    rhs = (c.on("scalar", 1) / (2 * (m - 1)) - u1 @ c.on("ricci")
+    gu2 = dot(u1, u1)
+    lap_u = np.trace(c.on("u", 2))
+    lhs = einsum("ttk->k", u3)
+    rhs = (c.on("scalar", 1) / (2 * (m - 1)) - dot(u1, c.on("ricci"))
            - s * u1 / (m * (m - 1)) + (m + 2) / m * lap_u * u1
            + (m - 2) / m * gu2 * u1)
     return lhs, rhs
@@ -875,11 +1010,11 @@ def ce_grad_u_grad_lap_u(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
     s = c.on("scalar")
-    gu2 = float(u1 @ u1)
-    lap_u = float(np.trace(u2))
-    lhs = float(u1 @ np.einsum("ttk->k", u3))
-    rhs = (float(c.on("scalar", 1) @ u1) / (2 * (m - 1))
-           - float(np.einsum("ab,a,b->", c.on("ricci"), u1, u1))
+    gu2 = dot(u1, u1)
+    lap_u = np.trace(u2)
+    lhs = dot(u1, einsum("ttk->k", u3))
+    rhs = (dot(c.on("scalar", 1), u1) / (2 * (m - 1))
+           - einsum("ab,a,b->", c.on("ricci"), u1, u1)
            - s * gu2 / (m * (m - 1)) + (m + 2) / m * lap_u * gu2
            + (m - 2) / m * gu2 ** 2)
     return lhs, rhs
@@ -888,14 +1023,14 @@ def ce_grad_u_grad_lap_u(c):
 @_rec("ce.lap_scalar", "CE_LaplacianScalarEq", "B", min_order=4)
 def ce_lap_scalar(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     u1, u2, u4 = c.on("u", 1), c.on("u", 2), c.on("u", 4)
     s, s1, s2 = c.on("scalar"), c.on("scalar", 1), c.on("scalar", 2)
-    gu2 = float(u1 @ u1)
-    lap_u = float(np.trace(u2))
-    lhs = 0.5 * (np.trace(s2) - (m - 2) * float(s1 @ u1))
-    rhs = ((m - 1) * float(e("sskk->", u4))
-           + (m - 1) * (m - 2) * float(e("ab,ab->", u2, u2))
+    gu2 = dot(u1, u1)
+    lap_u = np.trace(u2)
+    lhs = 0.5 * (np.trace(s2) - (m - 2) * dot(s1, u1))
+    rhs = ((m - 1) * e("sskk->", u4)
+           + (m - 1) * (m - 2) * e("ab,ab->", u2, u2)
            + s * lap_u - 2 * (m - 1) * lap_u ** 2
            + (m + 2) / m * gu2 * (s - 2 * (m - 1) * lap_u
                                   - (m - 1) * (m - 2) * gu2))
@@ -906,15 +1041,15 @@ def ce_lap_scalar(c):
       min_order=4)
 def ce_lap_scalar_lambda(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     u1, u2, u4 = c.on("u", 1), c.on("u", 2), c.on("u", 4)
     s, s1, s2 = c.on("scalar"), c.on("scalar", 1), c.on("scalar", 2)
-    gu2 = float(u1 @ u1)
-    lap_u = float(np.trace(u2))
-    lhs = 0.5 * (np.trace(s2) - (m - 2) * float(s1 @ u1))
+    gu2 = dot(u1, u1)
+    lap_u = np.trace(u2)
+    lhs = 0.5 * (np.trace(s2) - (m - 2) * dot(s1, u1))
     rhs = (s * lap_u - 2 * (m - 1) * lap_u ** 2
-           + (m - 1) * float(e("sskk->", u4))
-           + (m - 1) * (m - 2) * float(e("ab,ab->", u2, u2))
+           + (m - 1) * e("sskk->", u4)
+           + (m - 1) * (m - 2) * e("ab,ab->", u2, u2)
            + (m + 2) * c.lam * c.e(2) * gu2)
     return lhs, rhs
 
@@ -928,10 +1063,11 @@ def cgrs_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
     f1, f2 = c.on("f", 1), c.on("f", 2)
-    lhs = (c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1) + f2
-           - (np.outer(f1, u1) + np.outer(u1, f1)))
-    rhs = (c.on("scalar") - (m - 2) * (np.trace(u2) - float(u1 @ u1))
-           + np.trace(f2) - 2 * float(f1 @ u1)) / m * I
+    lhs = (c.on("ricci") - (m - 2) * u2
+           + (m - 2) * einsum("i,j->ij", u1, u1) + f2
+           - (einsum("i,j->ij", f1, u1) + einsum("i,j->ij", u1, f1)))
+    rhs = (c.on("scalar") - (m - 2) * (np.trace(u2) - dot(u1, u1))
+           + np.trace(f2) - 2 * dot(f1, u1)) / m * I
     return lhs, rhs
 
 
@@ -940,9 +1076,9 @@ def _cgrs_traced(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
     f1, f2 = c.on("f", 1), c.on("f", 2)
-    lhs = (c.on("scalar") - 2 * (m - 1) * float(np.trace(u2))
-           - (m - 1) * (m - 2) * float(u1 @ u1) + float(np.trace(f2))
-           + (m - 2) * float(f1 @ u1))
+    lhs = (c.on("scalar") - 2 * (m - 1) * np.trace(u2)
+           - (m - 1) * (m - 2) * dot(u1, u1) + np.trace(f2)
+           + (m - 2) * dot(f1, u1))
     return lhs, c.lam * m * c.e(2)
 
 
@@ -951,11 +1087,12 @@ def cgrs_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
     f1, f2 = c.on("f", 1), c.on("f", 2)
-    lhs = (c.on("schouten") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1) + f2
-           - (np.outer(f1, u1) + np.outer(u1, f1)))
+    lhs = (c.on("schouten") - (m - 2) * u2
+           + (m - 2) * einsum("i,j->ij", u1, u1) + f2
+           - (einsum("i,j->ij", f1, u1) + einsum("i,j->ij", u1, f1)))
     rhs = ((m - 2) / (2 * (m - 1)) * c.on("scalar")
-           - (m - 2) * (np.trace(u2) - float(u1 @ u1))
-           + np.trace(f2) - 2 * float(f1 @ u1)) / m * I
+           - (m - 2) * (np.trace(u2) - dot(u1, u1))
+           + np.trace(f2) - 2 * dot(f1, u1)) / m * I
     return lhs, rhs
 
 
@@ -968,18 +1105,18 @@ def cgrs_duf_vs_tilde(c):
 def cgrs_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.on("f", 1)
-    lhs = c.on("cotton") - np.einsum("t,tijk->ijk", v, c.on("weyl"))
+    lhs = c.on("cotton") - einsum("t,tijk->ijk", v, c.on("weyl"))
     return lhs, c.on("duf_tensor")
 
 
 @_rec("cgrs.second", "Eq_SecondConditionBach", "B", min_order=4)
 def cgrs_second(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     u1, f1 = c.on("u", 1), c.on("f", 1)
     v = (m - 2) * u1 - f1
-    mat = (np.outer(f1, u1) + np.outer(u1, f1)
-           - (m - 2) * np.outer(u1, u1))
+    mat = (e("i,j->ij", f1, u1) + e("i,j->ij", u1, f1)
+           - (m - 2) * e("i,j->ij", u1, u1))
     rhs = (e("ijkk->ij", c.on("duf_tensor", 1))
            - (m - 3) / (m - 2) * e("t,jit->ij", v, c.on("cotton"))
            + e("tk,itjk->ij", mat, c.on("weyl"))) / (m - 2)
@@ -990,13 +1127,13 @@ def cgrs_second(c):
       min_order=4)
 def cgrs_second_equivalent(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     u1, f1 = c.on("u", 1), c.on("f", 1)
     duf = c.on("duf_tensor")
     v = (m - 2) * u1 - f1
-    mat = ((m - 2) * (m - 4) * np.outer(u1, u1)
-           - (m - 4) * (np.outer(f1, u1) + np.outer(u1, f1))
-           + (m - 3) / (m - 2) * np.outer(f1, f1))
+    mat = ((m - 2) * (m - 4) * e("i,j->ij", u1, u1)
+           - (m - 4) * (e("i,j->ij", f1, u1) + e("i,j->ij", u1, f1))
+           + (m - 3) / (m - 2) * e("i,j->ij", f1, f1))
     rhs = (e("tk,itjk->ij", mat, c.on("weyl"))
            - (m - 3) / (m - 2) * e("t,jit->ij", v, duf)
            + e("ijtt->ij", c.on("duf_tensor", 1))) / (m - 2)
@@ -1009,12 +1146,12 @@ def cgrs_sk_uttk_fttk(c):
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
     f1, f2, f3 = c.on("f", 1), c.on("f", 2), c.on("f", 3)
     ric = c.on("ricci")
-    lap_u, lap_f = float(np.trace(u2)), float(np.trace(f2))
-    lhs = (c.on("scalar", 1) / (2 * (m - 1)) - np.einsum("ttk->k", u3)
-           + np.einsum("ttk->k", f3) / (m - 2))
-    rhs = (m / (m - 1) * (u1 @ ric - (f1 @ ric) / (m - 2))
-           - (m - 2) / (m - 1) * (u1 @ u2)
-           + (u1 @ f2 + f1 @ u2) / (m - 1)
+    lap_u, lap_f = np.trace(u2), np.trace(f2)
+    lhs = (c.on("scalar", 1) / (2 * (m - 1)) - einsum("ttk->k", u3)
+           + einsum("ttk->k", f3) / (m - 2))
+    rhs = (m / (m - 1) * (dot(u1, ric) - dot(f1, ric) / (m - 2))
+           - (m - 2) / (m - 1) * dot(u1, u2)
+           + (dot(u1, f2) + dot(f1, u2)) / (m - 1)
            - m / (m - 1) * lap_u * u1
            + m / ((m - 1) * (m - 2)) * (lap_f * u1 + lap_u * f1))
     return lhs, rhs
@@ -1026,12 +1163,12 @@ def cgrs_fttk(c):
     u1, u2 = c.on("u", 1), c.on("u", 2)
     f1, f2, f3 = c.on("f", 1), c.on("f", 2), c.on("f", 3)
     ric, s = c.on("ricci"), c.on("scalar")
-    gu2 = float(u1 @ u1)
-    gf2 = float(f1 @ f1)
-    fu = float(f1 @ u1)
-    lap_u, lap_f = float(np.trace(u2)), float(np.trace(f2))
-    lhs = np.einsum("ttk->k", f3)
-    rhs = (f1 @ f2 - f1 @ ric - (m - 2) * (u1 @ f2)
+    gu2 = dot(u1, u1)
+    gf2 = dot(f1, f1)
+    fu = dot(f1, u1)
+    lap_u, lap_f = np.trace(u2), np.trace(f2)
+    lhs = einsum("ttk->k", f3)
+    rhs = (dot(f1, f2) - dot(f1, ric) - (m - 2) * dot(u1, f2)
            + (m - 2) * (2 * m - 1) / m * gu2 * f1
            + 2 * lap_f * u1 + (3 * m - 2) / m * lap_u * f1
            + (m - 2) * fu * u1 - gf2 * u1 - (s + lap_f) / m * f1
@@ -1045,13 +1182,13 @@ def cgrs_uttk(c):
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
     f1, f2 = c.on("f", 1), c.on("f", 2)
     ric, s = c.on("ricci"), c.on("scalar")
-    gu2 = float(u1 @ u1)
-    gf2 = float(f1 @ f1)
-    fu = float(f1 @ u1)
-    lap_u, lap_f = float(np.trace(u2)), float(np.trace(f2))
-    lhs = np.einsum("ttk->k", u3)
-    rhs = (c.on("scalar", 1) / (2 * (m - 1)) - u1 @ ric - u1 @ f2
-           + (f1 @ f2) / (m - 1)
+    gu2 = dot(u1, u1)
+    gf2 = dot(f1, f1)
+    fu = dot(f1, u1)
+    lap_u, lap_f = np.trace(u2), np.trace(f2)
+    lhs = einsum("ttk->k", u3)
+    rhs = (c.on("scalar", 1) / (2 * (m - 1)) - dot(u1, ric) - dot(u1, f2)
+           + dot(f1, f2) / (m - 1)
            + (m - 2) / m * gu2 * u1 + (m - 2) / m * fu * u1
            - s * (u1 + f1) / (m * (m - 1)) + (m + 2) / m * lap_u * u1
            - gf2 * u1 / (m - 1) + lap_f * u1 / m
@@ -1066,26 +1203,26 @@ def cgrs_uttk(c):
 
 @_rec("grs.first", "firstGenericRSIntCondition", "B", min_order=3)
 def grs_first(c):
-    lhs = c.on("cotton") + np.einsum("t,tijk->ijk", c.on("X"), c.on("weyl"))
+    lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("X"), c.on("weyl"))
     return lhs, c.on("dx_tensor")
 
 
 @_rec("grs.second", "secondGenericRSIntCondition", "B", min_order=4)
 def grs_second(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     x1 = c.on("X", 1)
     rhs = (e("ijkk->ij", c.on("dx_tensor", 1))
            + (m - 3) / (m - 2) * e("t,jit->ij", c.on("X"), c.on("cotton"))
-           + 0.5 * e("tk,itjk->ij", x1 - x1.T, c.on("weyl"))) / (m - 2)
+           + 0.5 * e("tk,itjk->ij", x1 - tp(x1, 1, 0), c.on("weyl"))) / (m - 2)
     return c.on("bach"), rhs
 
 
 @_rec("grs.xc_equals_xd", "XCXD_remark", "B", min_order=3)
 def grs_xc_equals_xd(c):
     x = c.on("X")
-    lhs = np.einsum("t,tij->ij", x, c.on("cotton"))
-    rhs = np.einsum("t,tij->ij", x, c.on("dx_tensor"))
+    lhs = einsum("t,tij->ij", x, c.on("cotton"))
+    rhs = einsum("t,tij->ij", x, c.on("dx_tensor"))
     return lhs, rhs
 
 
@@ -1099,9 +1236,9 @@ def cgers_ricci_eq(c):
     u1, u2 = c.on("u", 1), c.on("u", 2)
     x1 = c.on("X", 1)
     e2u = c.e(2)
-    lhs = (c.on("ricci") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
-           + 0.5 * e2u * (x1 + x1.T))
-    rhs = (c.on("scalar") - (m - 2) * (np.trace(u2) - float(u1 @ u1))
+    lhs = (c.on("ricci") - (m - 2) * u2 + (m - 2) * einsum("i,j->ij", u1, u1)
+           + 0.5 * e2u * (x1 + tp(x1, 1, 0)))
+    rhs = (c.on("scalar") - (m - 2) * (np.trace(u2) - dot(u1, u1))
            + e2u * np.trace(x1)) / m * I
     return lhs, rhs
 
@@ -1111,9 +1248,9 @@ def _cgers_traced(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
     e2u = c.e(2)
-    lhs = (c.on("scalar") - 2 * (m - 1) * float(np.trace(u2))
-           - (m - 1) * (m - 2) * float(u1 @ u1)
-           + e2u * (float(np.trace(c.on("X", 1))) + m * float(c.on("X") @ u1)))
+    lhs = (c.on("scalar") - 2 * (m - 1) * np.trace(u2)
+           - (m - 1) * (m - 2) * dot(u1, u1)
+           + e2u * (np.trace(c.on("X", 1)) + m * dot(c.on("X"), u1)))
     return lhs, c.lam * m * e2u
 
 
@@ -1123,10 +1260,11 @@ def cgers_schouten_eq(c):
     u1, u2 = c.on("u", 1), c.on("u", 2)
     x1 = c.on("X", 1)
     e2u = c.e(2)
-    lhs = (c.on("schouten") - (m - 2) * u2 + (m - 2) * np.outer(u1, u1)
-           + 0.5 * e2u * (x1 + x1.T))
+    lhs = (c.on("schouten") - (m - 2) * u2
+           + (m - 2) * einsum("i,j->ij", u1, u1)
+           + 0.5 * e2u * (x1 + tp(x1, 1, 0)))
     rhs = ((m - 2) / (2 * (m - 1)) * c.on("scalar")
-           - (m - 2) * (np.trace(u2) - float(u1 @ u1))
+           - (m - 2) * (np.trace(u2) - dot(u1, u1))
            + e2u * np.trace(x1)) / m * I
     return lhs, rhs
 
@@ -1141,20 +1279,20 @@ def cgers_dux_vs_tilde(c):
 def cgers_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.e(2) * c.on("X")
-    lhs = c.on("cotton") - np.einsum("t,tijk->ijk", v, c.on("weyl"))
+    lhs = c.on("cotton") - einsum("t,tijk->ijk", v, c.on("weyl"))
     return lhs, c.on("dux_tensor")
 
 
 @_rec("cgers.second", "Eq_SecondConditionBach_GENERIC", "B", min_order=4)
 def cgers_second(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     u1, x = c.on("u", 1), c.on("X")
     x1 = c.on("X", 1)
     e2u = c.e(2)
     v = (m - 2) * u1 - e2u * x
-    mat = (0.5 * e2u * (x1 - x1.T) + 2 * e2u * np.outer(x, u1)
-           - (m - 2) * np.outer(u1, u1))
+    mat = (0.5 * e2u * (x1 - tp(x1, 1, 0)) + 2 * e2u * e("i,j->ij", x, u1)
+           - (m - 2) * e("i,j->ij", u1, u1))
     rhs = (e("ijkk->ij", c.on("dux_tensor", 1))
            - (m - 3) / (m - 2) * e("t,jit->ij", v, c.on("cotton"))
            + e("tk,itjk->ij", mat, c.on("weyl"))) / (m - 2)
@@ -1168,19 +1306,19 @@ def cgers_sk_uttk_xttk(c):
     x, x1, x2 = c.on("X"), c.on("X", 1), c.on("X", 2)
     ric = c.on("ricci")
     e2u = c.e(2)
-    lap_u = float(np.trace(u2))
-    div_x = float(np.trace(x1))
+    lap_u = np.trace(u2)
+    div_x = np.trace(x1)
     lhs = ((m - 2) / (2 * (m - 1)) * c.on("scalar", 1)
-           - (m - 2) * np.einsum("ttk->k", u3)
-           + e2u * np.einsum("ttk->k", x2))
-    sym = x1 + x1.T
-    rhs = (m / (m - 1) * (((m - 2) * u1 - e2u * x) @ ric)
-           - (m - 2) ** 2 / (m - 1) * (u1 @ u2)
+           - (m - 2) * einsum("ttk->k", u3)
+           + e2u * einsum("ttk->k", x2))
+    sym = x1 + tp(x1, 1, 0)
+    rhs = (m / (m - 1) * dot((m - 2) * u1 - e2u * x, ric)
+           - (m - 2) ** 2 / (m - 1) * dot(u1, u2)
            + 2 / (m - 1) * e2u * div_x * u1
            - m * (m - 2) / (m - 1) * lap_u * u1
-           - m / (m - 1) * e2u * (u1 @ sym)
+           - m / (m - 1) * e2u * dot(u1, sym)
            + m / (2 * (m - 1)) * e2u
-           * (np.einsum("tkt->k", x2) - np.einsum("ktt->k", x2)))
+           * (einsum("tkt->k", x2) - einsum("ktt->k", x2)))
     return lhs, rhs
 
 
@@ -1191,37 +1329,37 @@ def cgers_sk_uttk_xttk(c):
 @_rec("high.third_1", "thirdCond1", "C", min_order=4)
 def high_third_1(c):
     m = c.m
-    lhs = np.einsum("kt,kti->i", c.on("ricci"), c.on("cotton"))
-    rhs = (m - 2) * np.einsum("itktk->i", c.on("d_tensor", 2))
+    lhs = einsum("kt,kti->i", c.on("ricci"), c.on("cotton"))
+    rhs = (m - 2) * einsum("itktk->i", c.on("d_tensor", 2))
     return lhs, rhs
 
 
 @_rec("high.third_2", "thirdCond2", "C", min_order=5)
 def high_third_2(c):
     m = c.m
-    lhs = np.einsum("ikk->i", c.on("bach", 1))
-    rhs = (m - 4) / (m - 2) * np.einsum("itktk->i", c.on("d_tensor", 2))
+    lhs = einsum("ikk->i", c.on("bach", 1))
+    rhs = (m - 4) / (m - 2) * einsum("itktk->i", c.on("d_tensor", 2))
     return lhs, rhs
 
 
 @_rec("high.fourth_1", "fourthCond1", "C", min_order=5)
 def high_fourth_1(c):
     m = c.m
-    e = np.einsum
+    e = einsum
     ct, ric = c.on("cotton"), c.on("ricci")
-    lhs = (0.5 * float(e("ijk,ijk->", ct, ct))
-           + (m - 2) * float(e("ij,ij->", ric, c.on("bach")))
-           - float(e("ij,kt,ikjt->", ric, ric, c.on("weyl"))))
-    rhs = (m - 2) * float(e("itktki->", c.on("d_tensor", 3)))
+    lhs = (0.5 * e("ijk,ijk->", ct, ct)
+           + (m - 2) * e("ij,ij->", ric, c.on("bach"))
+           - e("ij,kt,ikjt->", ric, ric, c.on("weyl")))
+    rhs = (m - 2) * e("itktki->", c.on("d_tensor", 3))
     return lhs, rhs
 
 
 @_rec("high.fourth_2", "fourthCond2", "C", min_order=6)
 def high_fourth_2(c):
     m = c.m
-    lhs = float(np.einsum("ikki->", c.on("bach", 2)))
-    rhs = (m - 4) / (m - 2) * float(np.einsum("itktki->",
-                                              c.on("d_tensor", 3)))
+    lhs = einsum("ikki->", c.on("bach", 2))
+    rhs = (m - 4) / (m - 2) * einsum("itktki->",
+                                              c.on("d_tensor", 3))
     return lhs, rhs
 
 
@@ -1366,12 +1504,17 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     only caps it, through the ``needs jet order`` skips.
 
     Evaluation is point-major: :func:`~ctlab.geometry.point_blocks` walks
-    the points, at each of them every hypothesis is certified and every
-    runnable record evaluated, and the walker then releases the cache
-    entries the point gained, so memory does not grow with the number of
-    points.  It evaluates each geometry's chart expressions once per block
-    of points, bit for bit as alone.  A NaN residual at any point makes the
-    record fail.
+    the points and scopes each one's cache entries, so memory does not
+    grow with the number of points.  At each point in turn every
+    hypothesis is certified, and a failed one stops the walk there.  The
+    records are evaluated a block of points at a time: the first point
+    alone, from its live bundles, and every later point hands over the
+    frame values that the first one read, so its jets are released as the
+    walk moves on.  A block holds ``max(1, BLOCK_BYTES // the bytes of
+    those values)`` points, and its results are the same bit for bit as
+    point by point.  An error or warning raised at a point comes after
+    every earlier point was evaluated.  A NaN residual at any point makes
+    the record fail.
     """
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
@@ -1393,20 +1536,76 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
             if records[i].structure is not None}
     worst = dict.fromkeys(runnable, 0.0)
     geometries = [g for g in (geometry, tilde) if g is not None]
-    # build no point state needlessly
-    for p in point_blocks(points, *geometries) if runnable else ():
-        for kind in cert:
-            cert[kind] = worst_of(cert[kind], structure_residual(
-                geometry, kind, p, geometry.spec.lam))
-        c = EvalContext(geometry, p, tilde)
+
+    def certify(p):
+        return {kind: structure_residual(geometry, kind, p, geometry.spec.lam)
+                for kind in cert}
+
+    def may_run(found: dict) -> list[int]:
+        """The records certified once ``found`` joins the running worst;
+        one that is not raises, unless it is a law, once the points
+        before this one are evaluated."""
+        for kind, r in found.items():
+            cert[kind] = worst_of(cert[kind], r)
+        out = []
         for i in runnable:
             why = _uncertified(records[i], cert)
             if why is None:
-                lhs, rhs = records[i].evaluate(c)
-                worst[i] = worst_of(worst[i], residual(lhs, rhs))
+                out.append(i)
             elif records[i].family != "LAW":
+                flush()
                 raise CertificationError(
                     f"{geometry.name}: {why}; required by {records[i].id}")
+        return out
+
+    def run(c: EvalContext):
+        for i in active:
+            lhs, rhs = records[i].evaluate(c)
+            worst[i] = worst_of(worst[i], np.max(residuals(lhs, rhs)))
+
+    def first(p) -> tuple[list[tuple], int]:
+        """Evaluate the first point alone, from its live bundles; the keys
+        of the values it read, and the points a block of them may hold."""
+        c = EvalContext(geometry, p, tilde)
+        run(c)
+        nbytes = sum(v.nbytes for v in c.values.values())
+        return list(c.values), max(1, BLOCK_BYTES // max(1, nbytes))
+
+    def flush():
+        if pending:
+            c = EvalContext.stacked(geometry, tilde, [k for k, _ in pending],
+                                    keys, [v for _, v in pending])
+            pending.clear()  # the stacked copies are all the block keeps
+            run(c)
+
+    def at_turn(step):
+        """``step()``, raising or warning only once the points before it
+        are evaluated: tried with floating-point warnings raised, and on
+        any error again after the pending points are flushed."""
+        if not pending:
+            return step()
+        try:
+            with strict_errstate():
+                return step()
+        except Exception:  # whatever it is, it comes again at its turn
+            flush()
+            return step()
+
+    active, pending, keys = None, [], None
+    # build no point state needlessly
+    for p in point_blocks(points, *geometries) if runnable else ():
+        now = may_run(at_turn(lambda: certify(p)))
+        if now != active:
+            flush()
+            active = now
+        if keys is None:
+            keys, size = first(p)
+            continue
+        pending.append((point_key(p), at_turn(
+            lambda: _values_at(geometry, tilde, p, keys))))
+        if len(pending) == size:
+            flush()
+    flush()
     rows = []
     for i, rec in enumerate(records):
         tol = rec.tolerance(tol_overrides)

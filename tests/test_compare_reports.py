@@ -49,6 +49,23 @@ def test_moved_residual_counts_and_fails_only_when_exact(capsys, tmp_path):
     assert main([str(tmp_path / "a"), str(tmp_path / "b"), "--exact"]) == 1
 
 
+def test_residual_drift_beyond_max_delta_fails(capsys, tmp_path):
+    # BASE's LAW row moves by 3e-16, then by about 5e-13
+    small = dict(BASE, **{"01-b-LAW.json": [
+        ("z", "LAW", "z", 5e-16, 1e-10, "pass")]})
+    code, out = _run(capsys, tmp_path / "small", small, "--max-delta", "1e-15")
+    assert code == 0
+    assert "residuals moved by more than 1.000e-15: 0" in out
+    big = dict(BASE, **{"01-b-LAW.json": [
+        ("z", "LAW", "z", 5e-13, 1e-10, "pass")]})
+    code, out = _run(capsys, tmp_path / "big", big, "--max-delta", "1e-15")
+    assert code == 1
+    assert "residuals moved by more than 1.000e-15: 1" in out
+    a, b = tmp_path / "big" / "a", tmp_path / "big" / "b"
+    assert main([str(a), str(b), "--max-delta", "1e-12"]) == 0
+    assert main([str(a), str(b)]) == 0
+
+
 def test_status_change_fails(capsys, tmp_path):
     failed = dict(BASE, **{"01-b-LAW.json": [
         ("z", "LAW", "z", 2e-9, 1e-10, "fail")]})

@@ -1,12 +1,13 @@
 """The identity registry: families on their certified geometries, the
 degeneration lattice, and the verification driver's bookkeeping."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from ctlab import catalog, conformal, identities
+from ctlab import catalog, conformal, curvature, identities
 from ctlab.conformal import select_laws
 from ctlab.exprlang import EvalDomainError, GeometrySpec
 from ctlab.geometry import GeometryInstance, MetricError, point_key
@@ -443,7 +444,8 @@ def test_nan_residual_fails_and_round_trips(bad):
 
     def evaluate(c):
         lhs, rhs = rec.evaluate(c)
-        return (lhs * np.nan if c.point == nan_at else lhs), rhs
+        at = np.array([p == nan_at for p in c.points])
+        return np.where(at, lhs * np.nan, lhs), rhs
 
     rows = verify(g, [replace(rec, evaluate=evaluate)], g.sample_points(3, 5))
     rep = VerificationReport.for_geometry(g, 5, 3, rows)
@@ -474,11 +476,12 @@ def test_delta_contraction_matches_three_operand_einsum():
 # ---------------------------------------------------------------------------
 
 def _spy(note):
-    """A record that runs everywhere and records ``note(context)``."""
+    """A record that runs everywhere and records ``note(context)``, one
+    entry per point of the block it is called on."""
     seen = []
 
     def evaluate(c):
-        seen.append(note(c))
+        seen.extend(note(c))
         return np.zeros(1), np.zeros(1)
     return IdentityRecord("spy", "COMM", "spy", frozenset(), None, 2, 2, "A",
                           None, evaluate), seen
@@ -508,7 +511,7 @@ def test_block_error_comes_at_its_point(fields, points, error, message):
     bad = next(k for k, e in enumerate(alone) if e is not None)
     assert alone[bad][0] is error and message in alone[bad][1]
     assert not any("np.float64" in e[1] for e in alone if e is not None)
-    spy, seen = _spy(lambda c: c.point)
+    spy, seen = _spy(lambda c: c.points)
     assert _error(lambda: verify(_chart(**fields), [spy],
                                  np.array(points))) == alone[bad]
     assert seen == [tuple(p) for p in points[:bad]]
@@ -533,7 +536,7 @@ def test_block_warnings_come_at_their_point():
     assert alone and all(w.category is RuntimeWarning for w in alone)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        spy, seen = _spy(lambda c: len(caught))
+        spy, seen = _spy(lambda c: [len(caught)] * len(c.points))
         verify(_chart(**fields), [spy], points)
     assert seen == [0, len(alone), len(alone)]
     assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
@@ -554,3 +557,136 @@ def test_rescaled_spec_compiled_only_when_a_record_reads_it(monkeypatch):
     rows = conformal.verify_transform(pair, select_laws(["ricci"]), points)
     assert compiled == [pair.tilde.name]
     assert rows[0].status == "pass"
+
+
+# ---------------------------------------------------------------------------
+# blocks of points: the same sides, the same semantics, the block sizes
+# ---------------------------------------------------------------------------
+
+# one chart per family, with the records it runs and whether they read the
+# rescaled geometry
+BLOCK_CHARTS = [
+    ("random", dict(dim=4, seed=5), ["COMM"]),
+    ("cigar_x_flat", dict(dim=4), ["SOL", "GRS", "HIGH"]),
+    ("conformal_s2xs2", dict(seed=0), ["CE"]),
+    ("conformal_gaussian", dict(dim=4), ["CGRS"]),
+    ("conformal_gaussian_plus_killing", dict(dim=3), ["CGERS", "LAW"]),
+]
+
+
+@pytest.mark.parametrize("name, params, families", BLOCK_CHARTS)
+def test_block_sides_match_blocks_of_one(name, params, families):
+    # every point of a block of 5 gets the two sides that 5 blocks of one
+    # give it, bit for bit
+    g = catalog.load(name, **params).geometry
+    records = [r for r in select_laws() if "LAW" in families]
+    records += select_records([f for f in families if f != "LAW"])
+    records = [r for r in records if identities._skip_reason(
+        g, r, identities._available(g)) is None]
+    g = g.at_order(max(r.min_order for r in records))
+    tilde = conformal.rescale(g).tilde if g.spec.u else None
+    points = g.sample_points(5, 3)
+    ones = [EvalContext(g, p, tilde) for p in points]
+    alone = [[r.evaluate(c) for r in records] for c in ones]
+    keys = list(ones[0].values)
+    block = EvalContext.stacked(
+        g, tilde, [point_key(p) for p in points], keys,
+        [identities._values_at(g, tilde, p, keys) for p in points])
+    compared = 0
+    for r, sides in zip(records, zip(*alone)):
+        for got, want in zip(r.evaluate(block), zip(*sides)):
+            for j, w in enumerate(want):
+                # a side may be a constant, the same at every point
+                w = np.asarray(w)[..., 0] if np.ndim(w) else w
+                full = np.broadcast_to(got, np.shape(w) + (5,))
+                assert np.array_equal(full[..., j], w), (r.id, j)
+                compared += 1
+    assert compared == 10 * len(records)
+
+
+def test_certification_error_names_the_running_worst(monkeypatch):
+    # the hypothesis fails at the third point; the error names the worst
+    # up to it, not the block's, after the points before it are evaluated
+    g = catalog.load("euclidean", dim=3).geometry
+    points = g.sample_points(5, 2)
+    found = dict(zip((point_key(p) for p in points),
+                     (1e-12, 2e-10, 5e-9, 1.0, 3e-10)))
+    certified = []
+
+    def structure_residual(geometry, kind, point, lam):
+        certified.append(point_key(point))
+        return found[point_key(point)]
+
+    monkeypatch.setattr(identities, "structure_residual", structure_residual)
+    spy, seen = _spy(lambda c: c.points)
+    spy = dataclasses.replace(spy, family="SOL", structure="gradient_soliton")
+    with pytest.raises(CertificationError,
+                       match=r"residual 5\.000e-09\); required by spy"):
+        verify(g, [spy], points)
+    assert seen == certified[:2] == [point_key(p) for p in points[:2]]
+    assert certified == [point_key(p) for p in points[:3]]
+
+
+def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
+    built = []
+    init = curvature.CurvatureBundle.__init__
+
+    def spy_init(self, geometry, point):
+        built.append(point_key(point))
+        init(self, geometry, point)
+
+    monkeypatch.setattr(curvature.CurvatureBundle, "__init__", spy_init)
+    spy, seen = _spy(lambda c: c.points)
+    points = np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 1.5], [-1.2, 0.7]])
+    verify(_chart(), [spy], points)
+    assert built == seen == [point_key(p) for p in points]
+
+
+def test_value_the_first_point_never_read_is_an_internal_error():
+    def evaluate(c):
+        if len(c.points) > 1:
+            c.on("ricci")
+        return np.zeros(1), np.zeros(1)
+
+    rec = IdentityRecord("late", "COMM", "late", frozenset(), None, 2, 2,
+                         "A", None, evaluate)
+    with pytest.raises(RuntimeError, match=r"internal error: "
+                       r"c\.b\.on\('ricci', 0\) was not read at the first"):
+        verify(_chart(), [rec], np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
+
+
+def test_block_of_one_is_a_view():
+    g = _chart(f="x1*x2")
+    p = (0.3, 0.4)
+    b = curvature.bundle(g, p)
+    c = EvalContext(g, p)
+    assert np.shares_memory(c.on("f", 2), b.on("f", 2))
+    assert c.on("f", 2).shape == (2, 2, 1) and c.on("scalar").shape == (1,)
+    keys = list(c.values)
+    one = EvalContext.stacked(g, None, [p], keys,
+                              [identities._values_at(g, None, p, keys)])
+    assert np.shares_memory(one.on("f", 2), b.on("f", 2))
+
+
+def test_block_sizes():
+    # a dim-3 law pair: the first point alone, then the other 31 at once
+    e = catalog.load("conformal_gaussian_plus_killing", dim=3)
+    pair = conformal.rescale(e.geometry)
+    spy, seen = _spy(lambda c: [len(c.points)])
+    rows = conformal.verify_transform(pair, select_laws() + [spy],
+                                      pair.base.sample_points(32, 1))
+    assert seen == [1, 31]
+    assert [r.id for r in rows if r.status != "pass"] == ["d_reverse"]
+    # COMM at dim 5: one point's values exceed BLOCK_BYTES, so every point
+    # is a block of one, a view of the values it handed over
+    g = catalog.load("random", dim=5, seed=3, certify=False).geometry
+
+    def views(c):
+        b = curvature.bundle(c.geometry, c.points[0])
+        return [np.shares_memory(c.on("riemann", 3), b.on("riemann", 3))]
+
+    spy, seen = _spy(views)
+    spy = dataclasses.replace(spy, min_order=5)
+    rows = verify(g, select_records(["COMM"]) + [spy], g.sample_points(3, 1))
+    assert seen == [True, True, True]
+    assert all(r.status == "pass" for r in rows)
