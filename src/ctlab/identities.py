@@ -331,19 +331,18 @@ def _rec(id_: str, eq: str, tol_class: str, **meta):
 # COMM family
 # ---------------------------------------------------------------------------
 
-def _with_delta(spec: str, a, b, delta):
-    """``einsum(spec, a, b, delta)`` for a Kronecker delta as the last
-    operand, as 2-operand contractions: a delta index that is summed
-    renames its partner in ``a`` and ``b``, and a delta on two output
-    indices is an outer factor after ``a`` and ``b`` are contracted."""
-    lhs, out = spec.split("->")
-    sa, sb, (p, q) = lhs.split(",")
-    if p in out and q in out:
-        mid = "".join(x for x in out if x not in (p, q))
-        ab = einsum(f"{sa},{sb}->{mid}", a, b)
-        return einsum(f"{mid},{p}{q}->{out}", ab, delta)
-    old, new = (p, q) if q in out else (q, p)
-    return einsum(f"{sa},{sb}->{out}".replace(old, new), a, b)
+def _riemann_split(c):
+    """Riemann as the paper splits it, W + (Ric o g)/(m-2)
+    - s (g o g)/(2(m-1)(m-2)) with o the Kulkarni-Nomizu product: the
+    block value Q_vxrs below.  The expanded Weyl commutation rules
+    contract the derivatives of W with it once per slot."""
+    m, I = c.m, c.I
+    e = einsum
+    w, ric, s = c.on("weyl"), c.on("ricci"), c.on("scalar")
+    kn_ric = (e("vr,xs->vxrs", ric, I) - e("vs,xr->vxrs", ric, I)
+              + e("xs,vr->vxrs", ric, I) - e("xr,vs->vxrs", ric, I))
+    s_gg = e(",vr,xs->vxrs", s, I, I) - e(",vs,xr->vxrs", s, I, I)
+    return w + kn_ric / (m - 2) - s_gg / ((m - 1) * (m - 2))
 
 
 @_rec("comm.hess_sym", "SecondDerivFunction", "A", requires=("f",))
@@ -627,30 +626,12 @@ def comm_weyl_second(c):
 @_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B", min_dim=3,
       min_order=4)
 def comm_weyl_second_expanded(c):
-    m, I = c.m, c.I
     e = einsum
-    w, ric, s = c.on("weyl"), c.on("ricci"), c.on("scalar")
+    w, q = c.on("weyl"), _riemann_split(c)
     w2 = c.on("weyl", 2)
     lhs = w2 - tp(w2, 0, 1, 2, 3, 5, 4)
-    rhs = (e("rjkl,rist->ijklst", w, w) + e("irkl,rjst->ijklst", w, w)
-           + e("ijrl,rkst->ijklst", w, w) + e("ijkr,rlst->ijklst", w, w))
-    # four Ricci blocks, one per Weyl slot
-    d = _with_delta
-    rhs += (d("rjkl,rs,it->ijklst", w, ric, I) - d("rjkl,rt,is->ijklst", w, ric, I)
-            + d("rjkl,it,rs->ijklst", w, ric, I) - d("rjkl,is,rt->ijklst", w, ric, I)
-            + d("irkl,rs,jt->ijklst", w, ric, I) - d("irkl,rt,js->ijklst", w, ric, I)
-            + d("irkl,jt,rs->ijklst", w, ric, I) - d("irkl,js,rt->ijklst", w, ric, I)
-            + d("ijrl,rs,kt->ijklst", w, ric, I) - d("ijrl,rt,ks->ijklst", w, ric, I)
-            + d("ijrl,kt,rs->ijklst", w, ric, I) - d("ijrl,ks,rt->ijklst", w, ric, I)
-            + d("ijkr,rs,lt->ijklst", w, ric, I) - d("ijkr,rt,ls->ijklst", w, ric, I)
-            + d("ijkr,lt,rs->ijklst", w, ric, I) - d("ijkr,ls,rt->ijklst", w, ric, I)
-            ) / (m - 2)
-    rhs -= s * (
-        e("sjkl,it->ijklst", w, I) - e("tjkl,is->ijklst", w, I)
-        + e("iskl,jt->ijklst", w, I) - e("itkl,js->ijklst", w, I)
-        + e("ijsl,kt->ijklst", w, I) - e("ijtl,ks->ijklst", w, I)
-        + e("ijks,lt->ijklst", w, I) - e("ijkt,ls->ijklst", w, I)
-    ) / ((m - 1) * (m - 2))
+    rhs = (e("rjkl,rist->ijklst", w, q) + e("irkl,rjst->ijklst", w, q)
+           + e("ijrl,rkst->ijklst", w, q) + e("ijkr,rlst->ijklst", w, q))
     return lhs, rhs
 
 
@@ -665,8 +646,8 @@ def comm_weyl_second_traced(c):
     rhs = e("st,tjkl->jkls", ric, w)
     rhs += (e("trkl,rjst->jkls", w, w) + e("tjrl,rkst->jkls", w, w)
             + e("tjkr,rlst->jkls", w, w))
-    rhs += (_with_delta("tr,tjrk,ls->jkls", ric, w, c.I)
-            - _with_delta("tr,tjrl,ks->jkls", ric, w, c.I)) / (m - 2)
+    rw = e("tr,tjrk->jk", ric, w)
+    rhs += (e("jk,ls->jkls", rw, c.I) - e("jl,ks->jkls", rw, c.I)) / (m - 2)
     rhs += (e("tk,tjsl->jkls", ric, w) + e("tl,tjks->jkls", ric, w)
             + e("tj,tskl->jkls", ric, w)) / (m - 2)
     return lhs, rhs
@@ -688,27 +669,13 @@ def comm_weyl_third(c):
 @_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C", min_dim=3,
       min_order=5)
 def comm_weyl_third_expanded(c):
-    m, I = c.m, c.I
     e = einsum
-    w, w1 = c.on("weyl"), c.on("weyl", 1)
-    ric, s = c.on("ricci"), c.on("scalar")
+    w1, q = c.on("weyl", 1), _riemann_split(c)
     w3 = c.on("weyl", 3)
     lhs = w3 - tp(w3, 0, 1, 2, 3, 4, 6, 5)
-    rhs = (e("vjklt,virs->ijkltrs", w1, w) + e("ivklt,vjrs->ijkltrs", w1, w)
-           + e("ijvlt,vkrs->ijkltrs", w1, w) + e("ijkvt,vlrs->ijkltrs", w1, w)
-           + e("ijklv,vtrs->ijkltrs", w1, w))
-    blocks = (
-        ("vjklt", "i"), ("ivklt", "j"), ("ijvlt", "k"), ("ijkvt", "l"),
-        ("ijklv", "t"),
-    )
-    d = _with_delta
-    for sub, x in blocks:
-        rhs += (d(f"{sub},vr,{x}s->ijkltrs", w1, ric, I)
-                - d(f"{sub},vs,{x}r->ijkltrs", w1, ric, I)
-                + d(f"{sub},{x}s,vr->ijkltrs", w1, ric, I)
-                - d(f"{sub},{x}r,vs->ijkltrs", w1, ric, I)) / (m - 2)
-        rhs -= s * (d(f"{sub},vr,{x}s->ijkltrs", w1, I, I)
-                    - d(f"{sub},vs,{x}r->ijkltrs", w1, I, I)) / ((m - 1) * (m - 2))
+    rhs = (e("vjklt,virs->ijkltrs", w1, q) + e("ivklt,vjrs->ijkltrs", w1, q)
+           + e("ijvlt,vkrs->ijkltrs", w1, q) + e("ijkvt,vlrs->ijkltrs", w1, q)
+           + e("ijklv,vtrs->ijkltrs", w1, q))
     return lhs, rhs
 
 

@@ -45,6 +45,7 @@ def test_moved_residual_counts_and_fails_only_when_exact(capsys, tmp_path):
         ("z", "LAW", "z", 5e-16, 1e-10, "pass")]})
     code, out = _run(capsys, tmp_path, moved)
     assert code == 0
+    assert "MOVED b-LAW.json:z: 2.000000e-16 -> 5.000000e-16" in out
     assert "residuals moved: 1; max |delta|: 3.000e-16" in out
     assert main([str(tmp_path / "a"), str(tmp_path / "b"), "--exact"]) == 1
 
@@ -71,7 +72,7 @@ def test_status_change_fails(capsys, tmp_path):
         ("z", "LAW", "z", 2e-9, 1e-10, "fail")]})
     code, out = _run(capsys, tmp_path, failed)
     assert code == 1
-    assert "STATUS 01-b-LAW.json:z: pass -> fail" in out
+    assert "STATUS b-LAW.json:z: pass -> fail" in out
     assert "status changes: 1" in out
 
 
@@ -84,7 +85,24 @@ def test_row_mismatches_fail(capsys, tmp_path):
                 ("z", "LAW", "z", None, 1e-10, "pass")]})]):
         code, out = _run(capsys, tmp_path / str(k), changed)
         assert code == 1, k
-        assert "MISMATCH 01-b-LAW.json:" in out, k
+        assert "MISMATCH b-LAW.json:" in out, k
+
+
+def test_files_match_by_geometry_and_suite(capsys, tmp_path):
+    # an entry scheduled before both renumbers them; they still match
+    renumbered = {"03-a-COMM.json": BASE["00-a-COMM.json"],
+                  "04-b-LAW.json": BASE["01-b-LAW.json"]}
+    code, out = _run(capsys, tmp_path, renumbered, "--exact")
+    assert code == 0
+    assert "MISMATCH" not in out
+    assert "rows compared: 3 (2 with residuals)" in out
+
+
+def test_files_sharing_a_key_fail(capsys, tmp_path):
+    twice = dict(BASE, **{"05-a-COMM.json": BASE["00-a-COMM.json"]})
+    code, out = _run(capsys, tmp_path, twice)
+    assert code == 1
+    assert "00-a-COMM.json and 05-a-COMM.json are both a-COMM.json" in out
 
 
 def test_no_rows_fail(capsys, tmp_path):
@@ -103,8 +121,8 @@ def test_header_changes_fail(capsys, tmp_path):
         assert main([str(a), str(b), "--exact"]) == 1, header
         out = capsys.readouterr().out
         for key in header:
-            assert f"MISMATCH 00-a-COMM.json:{key} " in out, header
-            assert f"MISMATCH 01-b-LAW.json:{key} " in out, header
+            assert f"MISMATCH a-COMM.json:{key} " in out, header
+            assert f"MISMATCH b-LAW.json:{key} " in out, header
         assert "rows compared: 3 (2 with residuals)" in out, header
 
 

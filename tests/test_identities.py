@@ -456,19 +456,31 @@ def test_nan_residual_fails_and_round_trips(bad):
     assert back.to_json() == rep.to_json()
 
 
-def test_delta_contraction_matches_three_operand_einsum():
-    # the delta is an outer factor, renames a summed index, or both (I, I)
-    rng = np.random.default_rng(2)
-    m = 4
-    eye = np.eye(m)
-    w = rng.standard_normal((m,) * 5)
-    ric = rng.standard_normal((m, m))
-    cases = (("vjklt,vr,is->ijkltrs", w, ric), ("vjklt,is,vr->ijkltrs", w, ric),
-             ("vjklt,vr,is->ijkltrs", w, eye), ("tr,tjrk,ls->jkls", ric, w[..., 0]))
-    for spec, a, b in cases:
-        want = np.einsum(spec, a, b, eye)
-        got = identities._with_delta(spec, a, b, eye)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+@pytest.mark.parametrize("dim, seed", [(3, 1), (4, 2), (5, 3)])
+def test_riemann_split_rebuilds_riemann(dim, seed):
+    # W + (Ric o g)/(m-2) - s (g o g)/(2(m-1)(m-2)), the operand of the
+    # expanded Weyl commutation rules, is Riemann itself
+    g = catalog.load("random", dim=dim, seed=seed, certify=False).geometry
+    for p in g.sample_points(2, 0):
+        c = EvalContext(g, p)
+        riem = c.on("riemann")
+        q = identities._riemann_split(c)
+        assert q.shape == riem.shape
+        assert np.abs(q - riem).max() <= 1e-12 * np.abs(riem).max()
+
+
+def test_expanded_weyl_rules_fail_without_the_split(monkeypatch):
+    # with W alone as the operand, the dropped Ricci and scalar terms are
+    # not small on random dim 5, so both expanded rules must fail there
+    g = catalog.load("random", dim=5, seed=3, certify=False).geometry
+    ids = ("comm.weyl_second_expanded", "comm.weyl_third_expanded")
+    records = [identities.BY_ID[i] for i in ids]
+    points = g.sample_points(2, 0)
+    c = EvalContext(g.at_order(4), points[0])
+    assert np.abs(identities._riemann_split(c) - c.on("weyl")).max() > 1e-3
+    assert [r.status for r in verify(g, records, points)] == ["pass", "pass"]
+    monkeypatch.setattr(identities, "_riemann_split", lambda c: c.on("weyl"))
+    assert [r.status for r in verify(g, records, points)] == ["fail", "fail"]
 
 
 # ---------------------------------------------------------------------------
