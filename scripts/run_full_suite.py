@@ -3,7 +3,8 @@
 full transformation-law suite, and print a compact summary table.
 
 This is the long-form laboratory run; the pytest acceptance module covers
-the same ground with pinned tolerances.  Exit code 0 iff nothing failed.
+the same ground.  Both use the records' own tolerances, pinned per family
+in ``identities._FAMILY``.  Exit code 0 iff nothing failed.
 
 With ``--json-dir DIR`` each entry's report is also written to
 ``DIR/NN-<geometry>-<suite>.json`` (``VerificationReport.to_json()``), so

@@ -8,7 +8,9 @@ evaluators read orthonormal-frame value arrays out of it with
 :meth:`CurvatureBundle.on`, stacked over a block of points with the point
 axis last, where :func:`einsum` contractions against ``delta`` reproduce
 moving-frame component formulas verbatim.  A bundle lives in its
-geometry's per-point cache, next to the point's ``PointState``.
+geometry's per-point cache, next to the point's ``PointState``;
+``bundle(g, p).on(name)`` is the one read path for curvature values (the
+point wrappers at the module's end serve ctbench's checks only).
 
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
@@ -369,64 +371,6 @@ def tp(x: np.ndarray, *perm: int) -> np.ndarray:
     return x.transpose(*perm, *range(len(perm), x.ndim))
 
 
-# ---------------------------------------------------------------------------
-# public point operations (orthonormal components, ready for checks)
-# ---------------------------------------------------------------------------
-
-def _tv(b: CurvatureBundle, name: str) -> TensorValue:
-    return TensorValue(np.asarray(b.on(name)))
-
-
-def riemann(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "riemann")
-
-
-def ricci(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "ricci")
-
-
-def scalar(g: GeometryInstance, p) -> float:
-    return bundle(g, p).on("scalar")
-
-
-def schouten(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "schouten")
-
-
-def weyl(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "weyl")
-
-
-def einstein(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "einstein")
-
-
-def cotton(g: GeometryInstance, p, route: str = "schouten") -> TensorValue:
-    b = bundle(g, p)
-    name = {"schouten": "cotton", "weyl_div": "cotton_weyl_div"}[route]
-    return _tv(b, name)
-
-
-def bach(g: GeometryInstance, p, route: str = "cotton") -> TensorValue:
-    b = bundle(g, p)
-    name = {"cotton": "bach", "weyl_div": "bach_weyl_div"}[route]
-    return _tv(b, name)
-
-
-def kulkarni_nomizu(h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(h ^ k)_ijkt = h_ik k_jt - h_it k_jk + h_jt k_ik - h_jk k_it."""
-    h = np.asarray(h, float)
-    k = np.asarray(k, float)
-    if h.shape != k.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("Kulkarni-Nomizu factors must be square matrices of equal size")
-    return (
-        np.einsum("ik,jt->ijkt", h, k)
-        - np.einsum("it,jk->ijkt", h, k)
-        + np.einsum("jt,ik->ijkt", h, k)
-        - np.einsum("jk,it->ijkt", h, k)
-    )
-
-
 def skew_on(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i,j,k] = a_k b_ij - a_j b_ik on frame values of one point or of
     a block of points."""
@@ -434,76 +378,29 @@ def skew_on(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return t - tp(t, 0, 2, 1)
 
 
-def d_tensor(g: GeometryInstance, p, form: int = 1) -> TensorValue:
-    """The gradient-soliton 3-tensor in one of its four presentations.
+# ---------------------------------------------------------------------------
+# point wrappers for ctbench's independent checks only (ROADMAP item 3)
+# ---------------------------------------------------------------------------
 
-    Form 1 is definitional; forms 2-4 use the gradient-soliton relations
-    and agree with form 1 only on an actual soliton structure.
-    """
-    b = bundle(g, p)
-    m = b.m
-    if form == 1:
-        return _tv(b, "d_tensor")
-    eye = np.eye(m)
-    f1 = b.on("f", 1)
-    ric = b.on("ricci")
-    s = b.on("scalar")
-    if form == 2:
-        s1 = b.on("scalar", 1)
-        comp = (
-            skew_on(f1, ric) / (m - 2)
-            + skew_on(s1, eye) / (2 * (m - 1) * (m - 2))
-            - s * skew_on(f1, eye) / ((m - 1) * (m - 2))
-        )
-    elif form == 3:
-        a = b.on("schouten")
-        e = b.on("einstein")
-        ef = np.einsum("t,tk->k", f1, e)
-        comp = skew_on(f1, a) / (m - 2) + skew_on(ef, eye) / ((m - 1) * (m - 2))
-    elif form == 4:
-        f2 = b.on("f", 2)
-        ff = np.einsum("t,tk->k", f1, f2)
-        lap_f = np.trace(f2)
-        comp = (
-            -skew_on(f1, f2) / (m - 2)
-            - skew_on(ff, eye) / ((m - 1) * (m - 2))
-            + lap_f * skew_on(f1, eye) / ((m - 1) * (m - 2))
-        )
-    else:
-        raise ValueError(f"unknown form {form}")
-    return TensorValue(comp)
+def riemann(g: GeometryInstance, p) -> TensorValue:
+    return TensorValue(bundle(g, p).on("riemann"))
 
 
-def dx_tensor(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "dx_tensor")
+def ricci(g: GeometryInstance, p) -> TensorValue:
+    return TensorValue(bundle(g, p).on("ricci"))
 
 
-def duf_tensor(g: GeometryInstance, p, form: str = "best") -> TensorValue:
-    """Conformal-gradient tensor; ``alt`` is the presentation valid only
-    under the conformal-gradient structure equation."""
-    b = bundle(g, p)
-    m = b.m
-    if form == "best":
-        return _tv(b, "duf_tensor")
-    if form != "alt":
-        raise ValueError(f"unknown form {form!r}")
-    eye = np.eye(m)
-    f1, u1 = b.on("f", 1), b.on("u", 1)
-    f2 = b.on("f", 2)
-    ff = np.einsum("t,tk->k", f1, f2)
-    grad_f2 = float(f1 @ f1)
-    fu = float(f1 @ u1)
-    lap_f = np.trace(f2)
-    comp = (
-        (-skew_on(ff, eye) + grad_f2 * skew_on(u1, eye) - fu * skew_on(f1, eye))
-        / ((m - 1) * (m - 2))
-        - skew_on(f1, f2) / (m - 2)
-        - (np.einsum("i,k,j->ijk", f1, u1, f1)
-           - np.einsum("i,j,k->ijk", f1, u1, f1)) / (m - 2)
-        + lap_f * skew_on(f1, eye) / ((m - 1) * (m - 2))
-    )
-    return TensorValue(comp)
+def scalar(g: GeometryInstance, p) -> float:
+    return bundle(g, p).on("scalar")
 
 
-def dux_tensor(g: GeometryInstance, p) -> TensorValue:
-    return _tv(bundle(g, p), "dux_tensor")
+def weyl(g: GeometryInstance, p) -> TensorValue:
+    return TensorValue(bundle(g, p).on("weyl"))
+
+
+def cotton(g: GeometryInstance, p) -> TensorValue:
+    return TensorValue(bundle(g, p).on("cotton"))
+
+
+def bach(g: GeometryInstance, p) -> TensorValue:
+    return TensorValue(bundle(g, p).on("bach"))

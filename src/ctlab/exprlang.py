@@ -220,6 +220,8 @@ class _Parser:
 
 def parse_expr(text: str, coords: list[str]) -> Expr:
     """Parse ``text`` over the given coordinate names."""
+    if not isinstance(text, str):
+        raise ValueError(f"an expression must be a string, got {text!r}")
     return _Parser(text, list(coords)).parse()
 
 
@@ -480,6 +482,17 @@ class GeometrySpec:
     @staticmethod
     def from_json(text: str) -> "GeometrySpec":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a geometry file must hold one JSON object")
+        for key in ("name", "dim", "coords", "domain", "metric"):
+            if key not in doc:
+                raise ValueError(f"geometry file has no {key!r} field")
+        for key, types, what in (("dim", (int,), "an integer"),
+                                 ("lambda", (int, float), "a number"),
+                                 ("X", (list,), "a list of expressions")):
+            if doc.get(key) is not None and type(doc[key]) not in types:
+                raise ValueError(f"geometry field {key!r} must be {what}, "
+                                 f"got {doc[key]!r}")
         return GeometrySpec(
             name=doc["name"],
             dim=doc["dim"],

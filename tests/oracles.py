@@ -1,12 +1,15 @@
 """Independent numerical oracles for the test suite.
 
-Everything here but the reference expression walkers avoids the jet engine
-on purpose: derivatives come from central finite differences, flows from
+Everything here but the reference expression walkers and the soliton
+presentations avoids the jet engine on purpose: derivatives come from central finite differences, flows from
 explicit RK4 integration.  These are the second opinions the exact
 machinery is checked against.  ``eval_expr_jet_reference`` is the tree
 walker the expression tape replaced: the same jet operation per node, with
 no node shared, so the tape must match it bit for bit.
 ``eval_expr_order0`` is the ring's order-0 arithmetic in plain floats.
+The soliton presentations at the end read a point's frame values from its
+``CurvatureBundle`` and recombine them in plain numpy: they equal the
+bundle's D and D^{u,f} only on an actual soliton structure.
 """
 
 import numpy as np
@@ -204,3 +207,73 @@ def lie_metric_fd(geometry, p, x_fn, t=1e-3, hx=1e-4):
         return np.einsum("kl,ki,lj->ij", g_at, jac, jac)
 
     return (pullback(t) - pullback(-t)) / (2 * t)
+
+
+# ---------------------------------------------------------------------------
+# algebraic references: Kulkarni-Nomizu and the soliton presentations
+# ---------------------------------------------------------------------------
+
+def kulkarni_nomizu(h, k):
+    """(h ^ k)_ijkt = h_ik k_jt - h_it k_jk + h_jt k_ik - h_jk k_it."""
+    h = np.asarray(h, float)
+    k = np.asarray(k, float)
+    if h.shape != k.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("Kulkarni-Nomizu factors must be square matrices of equal size")
+    return (
+        np.einsum("ik,jt->ijkt", h, k)
+        - np.einsum("it,jk->ijkt", h, k)
+        + np.einsum("jt,ik->ijkt", h, k)
+        - np.einsum("jk,it->ijkt", h, k)
+    )
+
+
+def _skew(a, b):
+    """out[i,j,k] = a_k b_ij - a_j b_ik."""
+    return np.einsum("k,ij->ijk", a, b) - np.einsum("j,ik->ijk", a, b)
+
+
+def d_tensor_form(b, form: int):
+    """The gradient-soliton 3-tensor D in presentation 2, 3 or 4, from the
+    frame values of bundle ``b``.  Each uses the gradient-soliton relations,
+    so it agrees with ``b.on("d_tensor")`` (the definitional form 1) only on
+    a soliton structure."""
+    m = b.m
+    eye = np.eye(m)
+    f1 = b.on("f", 1)
+    if form == 2:
+        s = b.on("scalar")
+        return (_skew(f1, b.on("ricci")) / (m - 2)
+                + _skew(b.on("scalar", 1), eye) / (2 * (m - 1) * (m - 2))
+                - s * _skew(f1, eye) / ((m - 1) * (m - 2)))
+    if form == 3:
+        ef = np.einsum("t,tk->k", f1, b.on("einstein"))
+        return (_skew(f1, b.on("schouten")) / (m - 2)
+                + _skew(ef, eye) / ((m - 1) * (m - 2)))
+    if form == 4:
+        f2 = b.on("f", 2)
+        ff = np.einsum("t,tk->k", f1, f2)
+        return (-_skew(f1, f2) / (m - 2)
+                - _skew(ff, eye) / ((m - 1) * (m - 2))
+                + np.trace(f2) * _skew(f1, eye) / ((m - 1) * (m - 2)))
+    raise ValueError(f"unknown form {form}")
+
+
+def duf_tensor_alt(b):
+    """The conformal-gradient tensor D^{u,f} in the presentation that holds
+    only under the conformal-gradient structure equation, from the frame
+    values of bundle ``b``."""
+    m = b.m
+    eye = np.eye(m)
+    f1, u1 = b.on("f", 1), b.on("u", 1)
+    f2 = b.on("f", 2)
+    ff = np.einsum("t,tk->k", f1, f2)
+    grad_f2 = float(f1 @ f1)
+    fu = float(f1 @ u1)
+    return (
+        (-_skew(ff, eye) + grad_f2 * _skew(u1, eye) - fu * _skew(f1, eye))
+        / ((m - 1) * (m - 2))
+        - _skew(f1, f2) / (m - 2)
+        - (np.einsum("i,k,j->ijk", f1, u1, f1)
+           - np.einsum("i,j,k->ijk", f1, u1, f1)) / (m - 2)
+        + np.trace(f2) * _skew(f1, eye) / ((m - 1) * (m - 2))
+    )

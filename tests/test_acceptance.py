@@ -269,12 +269,12 @@ def test_criterion_9_known_values():
     for dim, radius in ((3, 1.0), (4, 2.0)):
         g = catalog.load("sphere", dim=dim, radius=radius).geometry
         expect = dim * (dim - 1) / radius**2
-        rel = max(abs(curvature.scalar(g, p) / expect - 1)
+        rel = max(abs(curvature.bundle(g, p).on("scalar") / expect - 1)
                   for p in g.sample_points(8, 13))
         detail.append(f"S({dim},{radius})rel={rel:.1e}")
         ok &= rel < 1e-9
     g3 = catalog.load("random", dim=3, seed=5, certify=False).geometry
-    wmax = max(np.abs(curvature.weyl(g3, p).components).max()
+    wmax = max(np.abs(curvature.bundle(g3, p).on("weyl")).max()
                for p in g3.sample_points(8, 14))
     detail.append(f"weyl3={wmax:.1e}")
     ok &= wmax < 1e-10
@@ -285,7 +285,7 @@ def test_criterion_9_known_values():
                   "einstein"):
             arr = np.asarray(curvature.bundle(flat, p).on(q))
             fmax = max(fmax, float(np.abs(arr).max()))
-        fmax = max(fmax, abs(curvature.scalar(flat, p)))
+        fmax = max(fmax, abs(curvature.bundle(flat, p).on("scalar")))
     detail.append(f"flat={fmax:.1e}")
     ok &= fmax < 1e-12
     _report(9, "known values (sphere S, Weyl=0 in 3d, flat stack)", ok,

@@ -136,5 +136,5 @@ def test_conformal_entries_flatten_back():
     e = catalog.load("conformal_gaussian", dim=3, seed=4)
     pair = conformal.rescale(e.geometry)
     for p in e.geometry.sample_points(2, 2):
-        r = curvature.riemann(pair.tilde, p).components
+        r = curvature.bundle(pair.tilde, p).on("riemann")
         assert np.abs(r).max() < 1e-10  # rescaled metric is flat

@@ -286,6 +286,38 @@ def test_exit_certification_failure(capsys, tmp_path):
     assert "not certified" in err
 
 
+_GAUSSIAN3 = {
+    "name": "gaussian3",
+    "dim": 3,
+    "coords": ["x1", "x2", "x3"],
+    "domain": [[-1, 1], [-1, 1], [-1, 1]],
+    "metric": [["1"], ["0", "1"], ["0", "0", "1"]],
+    "f": "(x1^2+x2^2+x3^2)/4",
+    "lambda": 0.5,
+}
+
+
+@pytest.mark.parametrize("doc,line", [
+    ({**_GAUSSIAN3, "lambda": "half"},
+     "geometry field 'lambda' must be a number, got 'half'"),
+    ({**_GAUSSIAN3, "dim": "3"},
+     "geometry field 'dim' must be an integer, got '3'"),
+    ([_GAUSSIAN3], "a geometry file must hold one JSON object"),
+    ({k: v for k, v in _GAUSSIAN3.items() if k != "metric"},
+     "geometry file has no 'metric' field"),
+    ({**_GAUSSIAN3, "u": 5},
+     "an expression must be a string, got 5"),
+], ids=["lambda", "dim", "list", "no-metric", "number-for-expression"])
+def test_malformed_spec_file_exits_2(capsys, tmp_path, doc, line):
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--spec", str(path), "--suite",
+                         "SOL", "--points", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {line}\n"
+
+
 def test_catalog_claim_failing_certification_exits_3(capsys, monkeypatch):
     # a claim of a catalog entry that fails at load is a certification
     # failure, like a hypothesis that fails in the driver

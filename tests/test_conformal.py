@@ -26,7 +26,7 @@ def test_rescale_u_zero_is_identity():
 def test_rescale_constant_scalar_law():
     pair = pair_for("sphere", u_text="0.3", dim=3)
     for p in pair.base.sample_points(2, 2):
-        s_tilde = curvature.scalar(pair.tilde, p)
+        s_tilde = curvature.bundle(pair.tilde, p).on("scalar")
         assert abs(s_tilde - np.exp(-0.6) * 6.0) < 1e-9
 
 
@@ -34,7 +34,7 @@ def test_stereographic_rescale_gives_sphere():
     # flat chart stretched by log(2/(1+|x|^2)) becomes the unit round sphere
     pair = pair_for("euclidean", u_text="log(2/(1+x1^2+x2^2+x3^2))", dim=3)
     for p in pair.base.sample_points(2, 3):
-        assert abs(curvature.scalar(pair.tilde, p) - 6.0) < 1e-9
+        assert abs(curvature.bundle(pair.tilde, p).on("scalar") - 6.0) < 1e-9
 
 
 def test_rescale_requires_u():
@@ -112,8 +112,8 @@ def test_composition_of_rescalings():
     once = rescale(rescale(base, u).tilde, v).tilde
     direct = rescale(base, both).tilde
     for p in base.sample_points(2, 3):
-        s1 = curvature.scalar(once, p)
-        s2 = curvature.scalar(direct, p)
+        s1 = curvature.bundle(once, p).on("scalar")
+        s2 = curvature.bundle(direct, p).on("scalar")
         assert abs(s1 - s2) / (1 + abs(s2)) < 1e-8
         r1 = curvature.bundle(once, tuple(p)).on("ricci")
         r2 = curvature.bundle(direct, tuple(p)).on("ricci")
