@@ -348,8 +348,9 @@ def certify_entry(entry: CatalogEntry):
     positive definiteness for claim-free (random) entries, at jet order
     ``STRUCTURE_ORDER`` (or the configured order, if lower).  The grid is
     walked by :func:`~ctlab.geometry.point_blocks`, which evaluates the
-    chart's expressions a block of points at a time and releases each
-    point's cache entries once its residuals are taken.  A claim whose
+    chart's expressions a block of points at a time, builds the point
+    states and the quantities the claims read a chunk of points at a time,
+    and releases each point's cache entries once its residuals are taken.  A claim whose
     residual is not below ``CERTIFICATION_TOL`` raises
     :class:`CertificationError`."""
     g = entry.geometry.at_order(min(STRUCTURE_ORDER,

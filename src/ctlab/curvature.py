@@ -1,21 +1,26 @@
 """The curvature stack and the soliton tensors.
 
-:class:`CurvatureBundle` caches, per (geometry, point), jet fields for the
-whole tower Riemann -> Ricci -> scalar -> Schouten -> Weyl -> Cotton -> Bach
-plus the skew trace-free 3-tensors attached to soliton structures (D, the
-vector-field variant, and their conformal interpolations).  Identity
-evaluators read orthonormal-frame value arrays out of it with
-:meth:`CurvatureBundle.on`, stacked over a block of points with the point
-axis last, where :func:`einsum` contractions against ``delta`` reproduce
-moving-frame component formulas verbatim.  A bundle lives in its
-geometry's per-point cache, next to the point's ``PointState``;
-``bundle(g, p).on(name)`` is the one read path for curvature values (the
-point wrappers at the module's end serve ctbench's checks only).
+:class:`CurvatureBundle` caches, per (geometry, chunk of points), jet fields
+for the whole tower Riemann -> Ricci -> scalar -> Schouten -> Weyl -> Cotton
+-> Bach plus the skew trace-free 3-tensors attached to soliton structures
+(D, the vector-field variant, and their conformal interpolations), every
+array with the point axis first.  ``bundle(g, p)`` is one point's bundle,
+in its geometry's per-point cache next to the point's ``PointState``:
+while :func:`~ctlab.geometry.point_blocks` walks the point in a chunk, a
+one-point view of the chunk's shared bundle, so each quantity is built once
+per chunk; else the point's own.  Identity evaluators read
+orthonormal-frame value arrays out of it with :meth:`CurvatureBundle.on`,
+stacked over a block of points with the point axis last, where
+:func:`einsum` contractions against ``delta`` reproduce moving-frame
+component formulas verbatim.  ``bundle(g, p).on(name)`` is the one read
+path for curvature values (the point wrappers at the module's end serve
+ctbench's checks only).
 
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
-can still afford is available; conversion to the orthonormal coframe happens
-only on extracted values.  ``K`` is the order of the bundle's geometry: in a
+can still afford is available, and each product in the tower at the order
+its result keeps; conversion to the orthonormal coframe happens only on
+extracted values.  ``K`` is the order of the bundle's geometry: in a
 verification pass the working order, the largest ``min_order`` of the
 records that run (order 2 for catalog certification), never more than the
 configured order.
@@ -27,8 +32,10 @@ import numpy as np
 
 from . import jets
 from .geometry import (
+    Chunk,
     GeometryInstance,
     MetricError,
+    PointState,
     TensorJet,
     TensorValue,
     tj_combine,
@@ -49,25 +56,89 @@ def _need_dim(m: int, least: int, what: str):
 
 
 class CurvatureBundle:
-    """Per-point cache of curvature and soliton tensors as jet fields."""
+    """Cache of curvature and soliton tensors as jet fields at a chunk of
+    points, every array with the point axis first.
+
+    ``CurvatureBundle(g, p)``, memoised as :func:`bundle`, is one point's.
+    While :func:`~ctlab.geometry.point_blocks` walks the point in a chunk,
+    it is a one-point view of the chunk's shared bundle: each quantity,
+    and its frame values, is built there once for all the chunk's points,
+    and the point reads its row.  If such a build raises or would warn,
+    the chunk stops (:class:`~ctlab.geometry.Chunk`) and the point builds
+    the quantity itself, from its own view of the point state."""
 
     def __init__(self, geometry: GeometryInstance, point):
-        self.geometry = geometry
-        self.state = geometry.state(point)
-        self.m = geometry.dim
+        self._start(geometry.state(point))
+        self._chunk = self.state._chunk
+
+    @classmethod
+    def shared(cls, chunk: Chunk) -> "CurvatureBundle":
+        """The bundle of every point of ``chunk`` at once."""
+        if chunk.bundle is None:
+            chunk.bundle = b = cls.__new__(cls)
+            b._start(chunk.state)
+            b._chunk = None
+        return chunk.bundle
+
+    def _start(self, state: PointState):
+        self.geometry = state.geometry
+        self.state = state
+        self.m = self.geometry.dim
         self._coord: dict[tuple[str, int], TensorJet] = {}
+        self._frames: dict[tuple[str, int], np.ndarray] = {}
         self._on: dict[tuple[str, int], np.ndarray | float] = {}
+
+    def _from_chunk(self, read, cache: str, key: tuple):
+        """``read(shared bundle, row)`` for this one-point view of a chunk's
+        bundle, or None if this bundle is its point's own or the chunk has
+        stopped building.  A value the shared bundle's ``cache`` holds at
+        ``key`` is read as it is, anything else through a build."""
+        if self._chunk is None:
+            return None
+        chunk, j = self._chunk
+        if chunk.bundle is not None and key in getattr(chunk.bundle, cache):
+            return read(chunk.bundle, j)
+        out = chunk.build(lambda c: read(CurvatureBundle.shared(c), j))
+        if out is None:
+            self._chunk = None
+        return out
+
+    def arrays(self):
+        """Every array this bundle and its state hold, for
+        :func:`~ctlab.geometry.held_bytes`."""
+        yield from (t.coeffs for t in self._coord.values())
+        yield from self._frames.values()
+        yield from (v for v in self._on.values() if isinstance(v, np.ndarray))
+        yield from self.state.arrays()
 
     # -- access ----------------------------------------------------------------
 
     def coord(self, name: str, d: int = 0) -> TensorJet:
         key = (name, d)
-        if key not in self._coord:
-            if d > 0:
-                self._coord[key] = self.state.cov_deriv(self.coord(name, d - 1))
-            else:
-                self._coord[key] = getattr(self, f"_build_{name}")()
-        return self._coord[key]
+        t = self._coord.get(key)
+        if t is None:
+            t = self._from_chunk(lambda b, j: b.coord(name, d).row(j),
+                                 "_coord", key)
+            if t is None and d > 0:
+                t = self.state.cov_deriv(self.coord(name, d - 1))
+            elif t is None:
+                t = getattr(self, f"_build_{name}")()
+            self._coord[key] = t
+        return t
+
+    def frames(self, name: str, d: int = 0) -> np.ndarray:
+        """Orthonormal-coframe components at every point of the bundle,
+        the point axis first, read-only."""
+        key = (name, d)
+        out = self._frames.get(key)
+        if out is None:
+            t = self.coord(name, d)
+            out = t.value()
+            if t.rank:
+                out = self.state.to_orthonormal(out)
+            out.setflags(write=False)
+            self._frames[key] = out
+        return out
 
     def on(self, name: str, d: int = 0):
         """Orthonormal-coframe components at this one point (floats for
@@ -79,23 +150,23 @@ class CurvatureBundle:
         :func:`einsum`, :func:`dot` and :func:`tp`, never with ``@``,
         ``.T`` or ``float``."""
         key = (name, d)
-        if key not in self._on:
-            t = self.coord(name, d)
-            v = t.value()
-            if t.rank == 0:
-                self._on[key] = float(v)
-            else:
-                arr = self.state.to_orthonormal(v)
-                arr.setflags(write=False)
-                self._on[key] = arr
-        return self._on[key]
+        out = self._on.get(key)
+        if out is None:
+            out = self._from_chunk(lambda b, j: b.frames(name, d)[j],
+                                   "_frames", key)
+            if out is None:
+                out = self.frames(name, d)[0]
+            if out.ndim == 0:
+                out = float(out)
+            self._on[key] = out
+        return out
 
     def scalar_exp(self, k: float) -> float:
         """e^{k u} at the point (u = 0 when the geometry has no u field)."""
         st = self.state
         if st.u is None:
             return 1.0
-        return float(np.exp(k * st.u.value()))
+        return float(np.exp(k * st.u.coeffs[0, 0]))
 
     # -- metric level ------------------------------------------------------------
 
@@ -128,6 +199,7 @@ class CurvatureBundle:
                          gam.order - 1)  # [u, l1, l2, v] = d_v Gamma^u_{l1 l2}
         d1 = tj_transpose(dgam, (0, 2, 3, 1))  # [i,j,k,l] = d_k Gamma^i_{lj}
         d2 = tj_transpose(dgam, (0, 2, 1, 3))  # [i,j,k,l] = d_l Gamma^i_{kj}
+        gam = gam.truncate(dgam.order)  # the order the sum keeps
         p1 = tj_einsum("iks,slj->ijkl", gam, gam)
         p2 = tj_einsum("ils,skj->ijkl", gam, gam)
         return tj_combine((1.0, d1), (-1.0, d2), (1.0, p1), (-1.0, p2))
@@ -139,7 +211,7 @@ class CurvatureBundle:
     def _build_ricci(self) -> TensorJet:
         r13 = self.coord("riemann13")
         return TensorJet(
-            np.einsum("pijil->pjl", r13.coeffs), self.m, r13.order
+            np.einsum("zpijil->zpjl", r13.coeffs), self.m, r13.order
         )
 
     def _build_scalar(self) -> TensorJet:
@@ -164,6 +236,7 @@ class CurvatureBundle:
             (1.0, tj_transpose(t1, (1, 0, 3, 2))),
             (-1.0, tj_transpose(t2, (1, 0, 3, 2))),
         )
+        g = g.truncate(s.order)  # the order the sum keeps
         gg = tj_einsum("ik,jt->ijkt", g, g)
         g_part = tj_combine((1.0, gg), (-1.0, tj_transpose(gg, (0, 1, 3, 2))))
         s_part = tj_einsum(",ijkt->ijkt", s, g_part)
@@ -197,7 +270,7 @@ class CurvatureBundle:
         dc = self.state.cov_deriv(self.coord("cotton"))
         div_c = tj_einsum("kt,jikt->ij", self.state.ginv, dc)
         return tj_combine((1.0 / (m - 2), div_c),
-                          (1.0 / (m - 2), self._ricci_weyl()))
+                          (1.0 / (m - 2), self._ricci_weyl(div_c.order)))
 
     def _build_bach_weyl_div(self) -> TensorJet:
         """Weyl-divergence form, the dim >= 4 cross-check route."""
@@ -207,15 +280,18 @@ class CurvatureBundle:
         t1 = tj_einsum("la,ikjlab->ikjb", self.state.ginv, d2w)
         t2 = tj_einsum("kb,ikjb->ij", self.state.ginv, t1)
         return tj_combine((1.0 / (m - 3), t2),
-                          (1.0 / (m - 2), self._ricci_weyl()))
+                          (1.0 / (m - 2), self._ricci_weyl(t2.order)))
 
-    def _ricci_weyl(self) -> TensorJet:
-        """R^kl W_ikjl, the curvature term shared by both Bach routes."""
+    def _ricci_weyl(self, order: int) -> TensorJet:
+        """R^kl W_ikjl, the curvature term shared by both Bach routes, at
+        jet order ``order`` (the order of the route's divergence term)."""
         ric_up = tj_einsum(
             "ka,ab->kb", self.state.ginv,
-            tj_einsum("lb,ab->al", self.state.ginv, self.coord("ricci")),
+            tj_einsum("lb,ab->al", self.state.ginv,
+                      self.coord("ricci").truncate(order)),
         )
-        return tj_einsum("kl,ikjl->ij", ric_up, self.coord("weyl"))
+        return tj_einsum("kl,ikjl->ij", ric_up,
+                         self.coord("weyl").truncate(order))
 
     # -- soliton tensors -------------------------------------------------------------
 
@@ -305,8 +381,9 @@ class CurvatureBundle:
             (-1.0 / (2 * (m - 1)), tj_skew_pair(ux, g)),
             (1.0 / (m - 1), tj_skew_pair(tj_einsum(",k->k", div_x, u1), g)),
         )
-        uj = Jet(self.m, self.state.order, self.coord("u").coeffs)
-        e2u = TensorJet(jets.exp(uj * 2.0).coeffs, self.m, self.state.order)
+        # a block of scalar jets holds one column per point
+        uj = Jet(self.m, self.state.order, self.coord("u").coeffs.T)
+        e2u = TensorJet(jets.exp(uj * 2.0).coeffs.T, self.m, self.state.order)
         return tj_einsum(",ijk->ijk", e2u, inner)
 
 

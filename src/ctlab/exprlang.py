@@ -487,12 +487,30 @@ class GeometrySpec:
         for key in ("name", "dim", "coords", "domain", "metric"):
             if key not in doc:
                 raise ValueError(f"geometry file has no {key!r} field")
-        for key, types, what in (("dim", (int,), "an integer"),
+        for key, types, what in (("name", (str,), "a string"),
+                                 ("dim", (int,), "an integer"),
                                  ("lambda", (int, float), "a number"),
                                  ("X", (list,), "a list of expressions")):
             if doc.get(key) is not None and type(doc[key]) not in types:
                 raise ValueError(f"geometry field {key!r} must be {what}, "
                                  f"got {doc[key]!r}")
+        dim = doc["dim"]
+
+        def dim_list(x, item) -> bool:
+            return (isinstance(x, list) and len(x) == dim
+                    and all(item(e) for e in x))
+
+        def number(x) -> bool:
+            return type(x) in (int, float)
+
+        for key, item, what in (
+                ("coords", lambda c: isinstance(c, str), "strings"),
+                ("domain", lambda d: (isinstance(d, list) and len(d) == 2
+                                      and all(map(number, d))),
+                 "pairs of numbers")):
+            if not dim_list(doc[key], item):
+                raise ValueError(f"geometry field {key!r} must be {dim} "
+                                 f"{what}, got {doc[key]!r}")
         return GeometrySpec(
             name=doc["name"],
             dim=doc["dim"],

@@ -7,24 +7,32 @@ jet ring, forms Christoffel symbols, and exposes covariant differentiation
 of tensor jets (:meth:`PointState.cov_deriv`).  The fields are the chart's
 own; read their derivatives as ``curvature.bundle(g, p).coord("f", k)``.
 
-Tensor fields at a point are held as :class:`TensorJet` values whose leading
-axis enumerates multi-index coefficients (see :mod:`ctlab.jets`), so one
-covariant derivative is one call of :func:`~ctlab.jets.jet_cov_deriv`: all
-partials in one gather, then one batched GEMM per slot against a
-Christoffel operand gathered once.  Every covariant derivative consumes
-one jet order; derived objects therefore carry exactly ``config.order -
-(metric derivative depth)`` orders, and requests past that depth raise
-:class:`~ctlab.jets.JetOrderError` instead of silently truncating.
+Tensor fields are held as :class:`TensorJet` values at a chunk of points,
+``(P, ncoeff, m, ..., m)``: the point axis first, then the multi-index
+coefficients (see :mod:`ctlab.jets`).  A single point is a chunk of one,
+so one covariant derivative is one call of
+:func:`~ctlab.jets.jet_cov_deriv` for any number of points: all partials in
+one gather, then one batched GEMM per slot and point against a Christoffel
+operand gathered once, the GEMM each point runs alone.  Every covariant
+derivative consumes one jet order; derived objects therefore carry exactly
+``config.order - (metric derivative depth)`` orders, and requests past that
+depth raise :class:`~ctlab.jets.JetOrderError` instead of silently
+truncating.
 
 A verification pass works on :meth:`GeometryInstance.at_order` of the
 chart, at the lowest order its records need, so ``config.order`` there is
 the working order; the configured order is the cap.  It walks its points
-with :func:`point_blocks`, which scopes each point's cache entries.
+with :func:`point_blocks`, which evaluates the chart's tape a block of
+points at a time, builds one point state (and, through
+:mod:`ctlab.curvature`, one curvature bundle) per :class:`Chunk` of a block,
+gives each point one-point views of them, and scopes each point's cache
+entries.  A chunk holds ``max(1, BLOCK_BYTES // the bytes of the walk's
+first point's state and bundle)`` points.
 
 Orthonormal-frame components are produced by contracting value arrays with
-the inverse Cholesky factor of the metric at the point (the vielbein); this
-happens only after all covariant derivatives are taken, which is legitimate
-because the converted objects are tensors.
+the inverse Cholesky factor of the metric at each point (the vielbein);
+this happens only after all covariant derivatives are taken, which is
+legitimate because the converted objects are tensors.
 """
 
 from __future__ import annotations
@@ -60,7 +68,8 @@ class TensorValue:
 
 @dataclass
 class TensorJet:
-    """A tensor field's jet coefficients at a point: (ncoeff, m, ..., m)."""
+    """A tensor field's jet coefficients at a chunk of points:
+    (P, ncoeff, m, ..., m)."""
 
     coeffs: np.ndarray
     dim: int
@@ -68,10 +77,20 @@ class TensorJet:
 
     @property
     def rank(self) -> int:
-        return self.coeffs.ndim - 1
+        return self.coeffs.ndim - 2
 
     def value(self) -> np.ndarray:
-        return np.array(self.coeffs[0])
+        """The field's values at the chunk's points, (P, m, ..., m)."""
+        return np.array(self.coeffs[:, 0])
+
+    def row(self, j: int) -> "TensorJet":
+        """Point ``j`` of the chunk as a chunk of one, a view."""
+        return TensorJet(self.coeffs[j:j + 1], self.dim, self.order)
+
+    def truncate(self, order: int) -> "TensorJet":
+        """The same field at jet order ``order`` or lower, a view."""
+        q = min(order, self.order)
+        return TensorJet(truncate_coeffs(self.coeffs, self.dim, q), self.dim, q)
 
 
 def tj_combine(*pairs: tuple[float, TensorJet]) -> TensorJet:
@@ -87,14 +106,14 @@ def tj_combine(*pairs: tuple[float, TensorJet]) -> TensorJet:
 
 def tj_einsum(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
     q = min(a.order, b.order)
-    out = jet_einsum(spec, a.coeffs[: table(a.dim, q).size],
-                     b.coeffs[: table(b.dim, q).size], a.dim, q, q)
+    out = jet_einsum(spec, truncate_coeffs(a.coeffs, a.dim, q),
+                     truncate_coeffs(b.coeffs, b.dim, q), a.dim, q, q)
     return TensorJet(out, a.dim, q)
 
 
 def tj_transpose(a: TensorJet, perm: tuple[int, ...]) -> TensorJet:
     """Permute trailing tensor axes (perm indexes trailing axes only)."""
-    full = (0,) + tuple(p + 1 for p in perm)
+    full = (0, 1) + tuple(p + 2 for p in perm)
     return TensorJet(np.transpose(a.coeffs, full), a.dim, a.order)
 
 
@@ -105,46 +124,76 @@ def tj_skew_pair(a: TensorJet, b: TensorJet) -> TensorJet:
     return tj_combine((1.0, t), (-1.0, tj_transpose(t, (0, 2, 1))))
 
 
-class PointState:
-    """All metric-level jet data of one geometry at one point.
+def held_bytes(*objects) -> int:
+    """Bytes of the distinct arrays that point states and curvature bundles
+    hold: their jets, values and frames, each base array counted once."""
+    bases = {}
+    for obj in objects:
+        for x in (obj.arrays() if obj is not None else ()):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            bases[id(x)] = x.nbytes
+    return sum(bases.values())
 
-    The jets of the chart's expressions come from its tape: from one
-    evaluation over a block of points when :func:`point_blocks` left them
-    in the point's cache entry, else from the tape evaluated here alone.
-    Either way they are the same bit for bit, and the Cholesky check, the
-    jet-ring inverse and the Christoffel symbols are per point.
+
+class PointState:
+    """All metric-level jet data of one geometry at a chunk of points.
+
+    ``point`` is one point, a chunk of one, or a ``(P, dim)`` array of
+    points; every jet array carries the point axis first.  The jets of the
+    chart's expressions are ``roots``, the tape's root jets at the points
+    as ``(P, ncoeff)`` arrays when :func:`point_blocks` hands them over from
+    its tape block, else the tape evaluated here.  Either way they are the
+    same bit for bit, and so are the Cholesky factors, the jet-ring inverse
+    and the Christoffel symbols, which every point gets from the kernels as
+    it would alone.
+
+    :meth:`row` is one point of a chunk as a state of its own, a view; its
+    Christoffel symbols are the chunk's, built on first use
+    (:class:`Chunk`), or its own if the chunk stopped building.
     """
 
-    def __init__(self, geometry: "GeometryInstance", point: np.ndarray):
+    def __init__(self, geometry: "GeometryInstance", point: np.ndarray,
+                 roots=None):
         spec = geometry.spec
         self.geometry = geometry
         self.point = np.asarray(point, float)
         self.m = spec.dim
         self.order = geometry.config.order
-        if not spec.contains(self.point):
-            raise MetricError(
-                f"point {point_key(self.point)} outside the domain box of "
-                f"{spec.name!r}"
-            )
-
+        self._chunk = None
         m, k = self.m, self.order
-        roots = _root_coeffs(geometry, self.point)
-        g = np.zeros((table(m, k).size, m, m))
+        points = self.point.reshape(-1, m)
+        for x in points:
+            if not spec.contains(x):
+                raise MetricError(
+                    f"point {point_key(x)} outside the domain box of "
+                    f"{spec.name!r}"
+                )
+
+        roots = (_root_coeffs(geometry, self.point) if roots is None
+                 else iter(roots))
+        g = np.zeros((len(points), table(m, k).size, m, m))
         for i in range(m):
             for j in range(i + 1):
                 c = next(roots)
-                g[:, i, j] = c
-                g[:, j, i] = c
+                g[:, :, i, j] = c
+                g[:, :, j, i] = c
         self.g = TensorJet(g, m, k)
 
-        g0 = g[0]
+        g0 = g[:, 0]
         try:
             chol = np.linalg.cholesky(g0)
-        except np.linalg.LinAlgError as err:
-            raise MetricError(
-                f"metric of {spec.name!r} not positive definite at "
-                f"{point_key(self.point)}"
-            ) from err
+        except np.linalg.LinAlgError:
+            # the first point whose metric is not positive definite
+            for x, a in zip(points, g0):
+                try:
+                    np.linalg.cholesky(a)
+                except np.linalg.LinAlgError as err:
+                    raise MetricError(
+                        f"metric of {spec.name!r} not positive definite at "
+                        f"{point_key(x)}"
+                    ) from err
+            raise
         self.cholesky = chol
         self.vielbein_inv = np.linalg.inv(chol)
 
@@ -152,7 +201,8 @@ class PointState:
         self._christoffel: TensorJet | None = None
 
         self.u, self.f = [
-            None if e is None else TensorJet(next(roots), m, k)
+            None if e is None else TensorJet(np.ascontiguousarray(next(roots)),
+                                             m, k)
             for e in (spec.u_expr, spec.f_expr)
         ]
         if spec.x_exprs is not None:
@@ -163,19 +213,49 @@ class PointState:
             self.x_contra = None
             self.x_lower = None
 
+    def row(self, j: int, chunk: "Chunk") -> "PointState":
+        """Point ``j`` of this chunk's state as a chunk of one: views of
+        its arrays, with ``chunk`` the :class:`Chunk` they belong to."""
+        out = object.__new__(PointState)
+        out.geometry, out.m, out.order = self.geometry, self.m, self.order
+        out.point = self.point[j]
+        out._chunk = (chunk, j)
+        for name in ("g", "ginv", "u", "f", "x_contra", "x_lower"):
+            t = getattr(self, name)
+            setattr(out, name, None if t is None else t.row(j))
+        out.cholesky = self.cholesky[j:j + 1]
+        out.vielbein_inv = self.vielbein_inv[j:j + 1]
+        out._christoffel = None
+        return out
+
+    def arrays(self):
+        """Every array this state holds, for :func:`held_bytes`."""
+        yield from (self.cholesky, self.vielbein_inv)
+        for t in (self.g, self.ginv, self.u, self.f, self.x_contra,
+                  self.x_lower, self._christoffel):
+            if t is not None:
+                yield t.coeffs
+
     # -- connection ----------------------------------------------------------
 
     @property
     def christoffel(self) -> TensorJet:
         """Gamma^l_{jk} as a jet field of order K-1 (axes [l, j, k])."""
         if self._christoffel is None:
-            m, k = self.m, self.order
-            dg = jet_gradient(self.g.coeffs, m, k)  # [a, b, v] = d_v g_ab
-            # d_j g_rk + d_k g_rj - d_r g_jk  as [r, j, k]
-            b = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
-            self._christoffel = tj_combine(
-                (0.5, tj_einsum("lr,rjk->ljk", self.ginv, TensorJet(b, m, k - 1)))
-            )
+            got = None
+            if self._chunk is not None:
+                chunk, j = self._chunk
+                got = chunk.build(lambda c: c.state.christoffel.row(j))
+            if got is None:
+                m, k = self.m, self.order
+                dg = jet_gradient(self.g.coeffs, m, k)  # [a, b, v] = d_v g_ab
+                # d_j g_rk + d_k g_rj - d_r g_jk  as [r, j, k]
+                b = (dg.transpose(0, 1, 2, 4, 3) + dg
+                     - dg.transpose(0, 1, 4, 2, 3))
+                got = tj_combine(
+                    (0.5, tj_einsum("lr,rjk->ljk", self.ginv,
+                                    TensorJet(b, m, k - 1))))
+            self._christoffel = got
         return self._christoffel
 
     # -- covariant differentiation -------------------------------------------
@@ -199,37 +279,40 @@ class PointState:
     # -- frames ---------------------------------------------------------------
 
     def to_orthonormal(self, arr: np.ndarray) -> np.ndarray:
-        """Contract every slot with the inverse Cholesky factor, turning
-        coordinate components into orthonormal-coframe components.  Each
-        step contracts the leading slot in one GEMM and rotates it to the
-        back, so after one step per slot the slots are back in order."""
+        """Contract every slot of ``arr``, values at this state's points as
+        ``(P, m, ..., m)``, with each point's inverse Cholesky factor,
+        turning coordinate components into orthonormal-coframe components.
+        Each step contracts the leading slot in one GEMM per point and
+        rotates it to the back, so after one step per slot the slots are
+        back in order."""
         x = np.asarray(arr, float)
         shape = x.shape
-        for _ in range(x.ndim):
-            x = (self.vielbein_inv @ x.reshape(self.m, -1)).T.reshape(self.m, -1)
+        p, m = shape[0], self.m
+        for _ in range(x.ndim - 1):
+            x = (self.vielbein_inv @ x.reshape(p, m, -1)).swapaxes(-1, -2)
+            x = x.reshape(p, m, -1)
         return x.reshape(shape)
 
 
 def _root_coeffs(geometry: "GeometryInstance", point: np.ndarray):
-    """The coefficient arrays of the chart's tape roots at ``point``, the
-    metric's lower triangle first.  They are the ``"roots"`` of the point's
-    cache entry when :func:`point_blocks` left them there; else the tape is
-    evaluated here, and the ops of u, f and X only once a root of theirs is
-    asked for, so that a caller checks the metric before any of them can
-    raise."""
-    roots = geometry._points.get(point_key(point), {}).pop("roots", None)
-    if roots is not None:
-        yield from roots
-        return
+    """The coefficient arrays of the chart's tape roots at ``point`` (one
+    point, or a ``(P, dim)`` array) as ``(P, ncoeff)``, the metric's lower
+    triangle first.  The ops of u, f and X are evaluated only once a root
+    of theirs is asked for, so that a caller checks the metric before any
+    of them can raise."""
     tape = geometry.spec.tape
     m = geometry.dim
     metric = m * (m + 1) // 2
+
+    def coeffs(jet):
+        return jet.coeffs[None] if point.ndim == 1 else jet.coeffs.T
+
     values = tape.evaluate(point, geometry.config.order, upto=metric)
     for r in tape.roots[:metric]:
-        yield values[r].coeffs
+        yield coeffs(values[r])
     tape.evaluate(point, geometry.config.order, values)
     for r in tape.roots[metric:]:
-        yield values[r].coeffs
+        yield coeffs(values[r])
 
 
 def point_key(point) -> tuple[float, ...]:
@@ -244,9 +327,9 @@ class GeometryInstance:
         self.spec = spec
         self.config = config or JetConfig()
         # The one per-point cache: point key -> {"state": PointState,
-        # "bundle": CurvatureBundle}, and, from point_blocks until the
-        # point's PointState takes them, "roots": the coefficient arrays of
-        # the tape's roots there.  A point's entries live and die together.
+        # "bundle": CurvatureBundle}, and, while point_blocks walks the
+        # point in a chunk, "chunk": (the Chunk, the point's row in it).  A
+        # point's entries live and die together.
         self._points: dict[tuple[float, ...], dict[str, object]] = {}
 
     def at_order(self, order: int) -> "GeometryInstance":
@@ -291,13 +374,15 @@ class GeometryInstance:
         return value
 
     def state(self, point) -> PointState:
-        return self.cached(point, "state", PointState)
+        """The point's :class:`PointState`: a one-point view of its chunk's
+        when it is walked in one, else its own."""
+        return self.cached(point, "state", _point_state)
 
     # -- public chart operations ----------------------------------------------
 
     def christoffel(self, point) -> TensorValue:
         st = self.state(point)
-        return TensorValue(st.christoffel.value())
+        return TensorValue(st.christoffel.value()[0])
 
     # -- sampling --------------------------------------------------------------
 
@@ -311,15 +396,36 @@ class GeometryInstance:
         return lo + width * (0.05 + 0.9 * rng.random((count, self.dim)))
 
 
-# Largest number of (point, convolution triple) pairs in one block: a jet
-# product over a block gathers and multiplies arrays of this many floats,
-# which stay in cache up to about 16k (128 kB); scripts/tape_block_bench.py
-# measures block sizes on both sides of it against point by point.
+def _point_state(geometry: GeometryInstance, key) -> PointState:
+    """The state of the point ``key``: from its chunk while
+    :func:`point_blocks` walks it in one that still builds (the chunk's own
+    if it holds this one point), else built here for the point alone."""
+    link = geometry._points.get(key, {}).get("chunk")
+    if link is not None:
+        chunk, j = link
+        state = chunk.build(lambda c: c.state.row(j, c) if len(c.points) > 1
+                            else c.state)
+        if state is not None:
+            return state
+    return PointState(geometry, key)
+
+
+# Largest number of (point, convolution triple) pairs in one tape block: a
+# jet product over a block gathers and multiplies arrays of this many
+# floats, which stay in cache up to about 16k (128 kB);
+# scripts/tape_block_bench.py measures block sizes on both sides of it
+# against point by point.
 BLOCK_TRIPLES = 16384
+
+# Bytes of point-state and bundle arrays (jets, values, frames) that one
+# chunk of points holds per geometry, and of frame values that one block of
+# records holds: after the first point of a walk, the later ones go in
+# chunks and blocks of max(1, BLOCK_BYTES // what the first one held).
+BLOCK_BYTES = 1 << 20
 
 
 def block_size(dim: int, order: int) -> int:
-    """Points per block of :func:`point_blocks` for jets of ``(dim,
+    """Points per tape block of :func:`point_blocks` for jets of ``(dim,
     order)``: as many as keep a block's jet products within
     ``BLOCK_TRIPLES``, at least one."""
     return max(1, BLOCK_TRIPLES // len(table(dim, order).mul_i))
@@ -332,57 +438,126 @@ def strict_errstate():
                           for k, v in np.geterr().items()})
 
 
-def _evaluate_block(geometry: GeometryInstance,
-                    points: np.ndarray) -> list[list[np.ndarray]] | None:
-    """The coefficient arrays of the tape's roots at each of ``points``, in
-    point order, from one evaluation of the tape over them; ``None`` if
-    that evaluation raises or would warn, so that every point then
-    evaluates its own tape and raises or warns at its own turn."""
-    tape = geometry.spec.tape
+class Chunk:
+    """Consecutive points of a walk on one geometry that share one
+    :class:`PointState` and, through :func:`ctlab.curvature.bundle`, one
+    curvature bundle; each point's own are one-point views of them.
+
+    The state is built from the root jets of the points' tape block when a
+    point first needs it, and every quantity of the shared bundle when a
+    point first reads it, each time for all the points at once (vector-mode
+    Taylor arithmetic over many base points) and under
+    :func:`strict_errstate`.  A build that raises or would warn stops the
+    chunk: from then on its points build their own, so every error and
+    warning comes at its own point, as it would point by point."""
+
+    def __init__(self, geometry: GeometryInstance, points: np.ndarray, roots):
+        self.geometry = geometry
+        self.points = points
+        self.roots = roots
+        self.state: PointState | None = None
+        self.bundle = None  # the shared CurvatureBundle, made by curvature
+        self.failed = False
+
+    def build(self, read):
+        """``read(self)`` with the state built, under
+        :func:`strict_errstate`; None, and a stopped chunk, if it raises."""
+        if self.failed:
+            return None
+        try:
+            with strict_errstate():
+                if self.state is None:
+                    self.state = PointState(self.geometry, self.points,
+                                            self.roots)
+                    self.roots = None
+                return read(self)
+        except Exception:  # whatever it is, its point raises it again alone
+            self.failed = True
+            self.roots = self.state = self.bundle = None
+            return None
+
+
+def _evaluate_block(geometry: GeometryInstance, points: np.ndarray):
+    """The jets of the tape's ops over ``points`` from one evaluation of
+    the tape, coefficient arrays ``(ncoeff, P)``; ``None`` if that
+    evaluation raises or would warn, so that every point then evaluates its
+    own tape and raises or warns at its own turn."""
     try:
         with strict_errstate():
-            values = tape.evaluate(points, geometry.config.order)
+            return geometry.spec.tape.evaluate(points, geometry.config.order)
     except Exception:  # whatever it is, its point raises it again alone
         return None
-    # one copy per op, so that roots sharing an op share an array, as the
-    # tape evaluated at one point gives them
-    ops = set(tape.roots)
-    out = []
-    for j in range(len(points)):
-        cols = {r: values[r].coeffs[:, j].copy() for r in ops}
-        out.append([cols[r] for r in tape.roots])
-    return out
+
+
+def _chunk_at(geometry: GeometryInstance, block: np.ndarray, start: int,
+              size: int, values) -> tuple[Chunk, list]:
+    """The chunk of ``block`` from point ``start``: up to ``size``
+    consecutive points that ``geometry`` holds no entry for, with distinct
+    keys, and their root jets from the block's tape evaluation."""
+    keys = []
+    for p in block[start:start + size]:
+        key = point_key(p)
+        if key in geometry._points or key in keys:
+            break
+        keys.append(key)
+    stop = start + len(keys)
+    roots = [values[r].coeffs[:, start:stop].T
+             for r in geometry.spec.tape.roots]
+    return Chunk(geometry, block[start:stop], roots), keys
+
+
+def _chunk_size(geometry: GeometryInstance, key) -> int:
+    """Points per chunk once the walk leaves its first point ``key``:
+    ``BLOCK_BYTES`` over the bytes of that point's state and bundle, at
+    least one."""
+    entry = geometry._points.get(key, {})
+    nbytes = held_bytes(entry.get("state"), entry.get("bundle"))
+    return max(1, BLOCK_BYTES // max(1, nbytes))
 
 
 def point_blocks(points, *geometries: GeometryInstance):
     """Yield ``points`` in order, each in its own scope: the cache entries
     a point gains on any of ``geometries`` are dropped when the walk moves
-    on or stops, and entries held before stay.  The points are taken a
-    block at a time: on entering a block, each geometry's tape is
-    evaluated over the block's points at once, and a geometry that holds
-    no entry for a point yet gets one whose ``"roots"`` are the point's
-    root jets, which its :class:`PointState` takes instead of evaluating
-    the tape alone; Cholesky, the jet-ring inverse and Christoffel stay
-    per point.  The jets are the same bit for bit.  If the block's
-    evaluation raises or would warn, each point evaluates its own tape, so
-    errors and warnings come at the same point and in the same order.  The
-    block size comes from the first geometry's jet table
-    (:func:`block_size`)."""
+    on or stops, and entries held before stay.
+
+    The points are taken a tape block at a time: on entering a block, each
+    geometry's tape is evaluated over the block's points at once (a block
+    holds :func:`block_size` points of the first geometry's jet table).
+    Each geometry then walks the block's fresh points in chunks
+    (:class:`Chunk`) that share one point state and one curvature bundle,
+    each point reading a one-point view of them.  The first point of the
+    walk is a chunk of its own; once the walk leaves it, a geometry's
+    chunks hold ``max(1, BLOCK_BYTES // the bytes of that point's state
+    and bundle)`` points, so a chunk holds no more than ``BLOCK_BYTES``
+    unless one point already does.  Every point's jets, values and frames
+    are the same bit for bit as point by point.  If a block's evaluation
+    or a chunk's build raises or would warn, each of its points builds
+    alone, so errors and warnings come at the same point and in the same
+    order."""
     size = block_size(geometries[0].dim, geometries[0].config.order)
+    chunk_size = [1] * len(geometries)
+    first = True
     for start in range(0, len(points), size):
-        block = points[start:start + size]
-        rows = [_evaluate_block(g, np.asarray(block, float))
-                for g in geometries]
-        for p in block:
+        block = np.asarray(points[start:start + size], float)
+        values = [_evaluate_block(g, block) for g in geometries]
+        links = [{} for _ in geometries]  # point key -> (chunk, row)
+        for i, p in enumerate(block):
             key = point_key(p)
-            # taken off the block, so that it holds no root of a walked point
-            roots = [r.pop(0) if r else None for r in rows]
-            fresh = [(g, r) for g, r in zip(geometries, roots)
+            fresh = [n for n, g in enumerate(geometries)
                      if key not in g._points]
-            for g, r in fresh:
-                g._points[key] = {} if r is None else {"roots": r}
+            for n in fresh:
+                g = geometries[n]
+                if key not in links[n] and values[n] is not None:
+                    chunk, keys = _chunk_at(g, block, i, chunk_size[n],
+                                            values[n])
+                    links[n] = {k: (chunk, j) for j, k in enumerate(keys)}
+                link = links[n].pop(key, None)
+                g._points[key] = {} if link is None else {"chunk": link}
             try:
                 yield p
             finally:
-                for g, _ in fresh:
-                    g._points.pop(key, None)
+                if first:
+                    first = False
+                    chunk_size = [_chunk_size(g, key) for g in geometries]
+                for n in fresh:
+                    geometries[n]._points.pop(key, None)

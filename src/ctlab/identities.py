@@ -27,6 +27,11 @@ sides, of one shape up to broadcasting: :func:`residuals` reduces them
 over the tensor axes, one residual per point.  The driver evaluates the
 first point of a pass alone and the later ones in blocks of
 ``max(1, BLOCK_BYTES // the bytes of the values the first one read)``.
+The values themselves, and the ones a hypothesis is certified on, come
+from the point's curvature bundle, a view of its chunk's
+(:func:`~ctlab.geometry.point_blocks`), so each quantity is built once per
+chunk of points while every point is still certified and read at its own
+turn.
 
 Families:
 
@@ -54,6 +59,7 @@ import numpy as np
 
 from .curvature import CurvatureBundle, bundle, dot, einsum, tp
 from .geometry import (
+    BLOCK_BYTES,
     GeometryInstance,
     MetricError,
     point_blocks,
@@ -64,12 +70,6 @@ from .report import ReportRow
 
 TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
 CERTIFICATION_TOL = 1e-9
-
-# Bytes of frame values that one block of points holds: a pass evaluates
-# its later points in blocks of max(1, BLOCK_BYTES // the bytes its first
-# point's values take).
-BLOCK_BYTES = 1 << 20
-
 
 class CertificationError(ValueError):
     """A requested structural hypothesis failed its defining residual."""
@@ -1471,7 +1471,8 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     only caps it, through the ``needs jet order`` skips.
 
     Evaluation is point-major: :func:`~ctlab.geometry.point_blocks` walks
-    the points and scopes each one's cache entries, so memory does not
+    the points, builds their point states and bundles a chunk of points
+    at a time and scopes each one's cache entries, so memory does not
     grow with the number of points.  At each point in turn every
     hypothesis is certified, and a failed one stops the walk there.  The
     records are evaluated a block of points at a time: the first point

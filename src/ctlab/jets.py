@@ -14,25 +14,30 @@ Two layers live here:
   block of P jets, one column per base point, so that the expression tape
   walks its ops once for many points (vector-mode Taylor arithmetic).
 * coefficient-array kernels (:func:`jet_einsum`, :func:`jet_inverse`,
-  :func:`jet_partial`, ...) that act on arrays shaped
-  ``(ncoeffs, *tensor_shape)``.  The geometry layer stores whole tensor
-  fields this way and gets vectorised jet arithmetic across all components
-  at once.  :func:`jet_gradient` takes every partial of an array in one
-  gather, the derivative axis last, and :func:`jet_cov_deriv` is one
+  :func:`jet_gradient`, :func:`jet_cov_deriv`) that act on the jets of a
+  chunk of points, arrays shaped ``(P, ncoeffs, *tensor_shape)``.  The
+  geometry layer stores whole tensor fields this way and gets vectorised
+  jet arithmetic across all components and points at once; a single point
+  is a chunk of one.  :func:`jet_gradient` takes every partial of an array
+  in one gather, the derivative axis last, and :func:`jet_cov_deriv` is one
   covariant derivative: that gradient minus each slot's Christoffel term,
   the Christoffel operand gathered once for all slots and each term the
   GEMM :func:`jet_einsum` would run for it, so the result is bit for bit
-  the per-variable, per-slot computation.
+  the per-variable, per-slot computation.  :func:`jet_partial` is the one
+  partial of one point's array, ``(ncoeffs, *tensor_shape)``.
 
 A product of two jets is a convolution of their coefficients: output
 coefficient ``p`` sums ``a[i] * b[j]`` over the pairs with
 ``alpha_i + alpha_j = alpha_p``.  :func:`jet_einsum` does that convolution
 and the tensor contraction in one batched matrix product.  Each operand is
-laid out as ``[coeff, contracted, free]`` with a zero row appended and
-gathered along the table's padded pair lists (``pad_i``, ``pad_j``), so
-for each output coefficient the pairs and the contracted indices together
-form the inner dimension of one GEMM.  A scalar :class:`Jet` has no tensor
-axes and multiplies by the plain Cauchy product over the pair list.
+laid out as ``[point, coeff, contracted, free]`` with a zero row appended
+to each point's coefficients and gathered along the table's padded pair
+lists (``pad_i``, ``pad_j``), so for each point and output coefficient the
+pairs and the contracted indices together form the inner dimension of one
+GEMM.  That GEMM is the one the point runs alone, so a chunk's values are
+bit for bit those of its points taken one at a time.  A scalar
+:class:`Jet` has no tensor axes and multiplies by the plain Cauchy product
+over the pair list.
 
 Multi-indices are enumerated in graded order (degree first), so the
 enumeration for a lower truncation order is always a prefix of the
@@ -162,40 +167,47 @@ def table(dim: int, order: int) -> MultiIndexTable:
 
 
 # ---------------------------------------------------------------------------
-# coefficient-array kernels (leading axis = multi-index)
+# coefficient-array kernels (axes = point, multi-index, tensor slots)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Layout:
-    """One operand of :func:`jet_einsum` as ``[coeff, contracted, free]``:
-    the axis permutation, the sizes of the tensor axes in that order, and
-    the flat sizes (contracted, free)."""
+class _Operand:
+    """One operand of :func:`jet_einsum` at one shape, laid out as
+    ``[point, coeff, contracted, free]``: the rows it reads, the axis
+    permutation, the buffer with a zero row appended to each point's
+    coefficients, that buffer's view in tensor axes, and the padded pair
+    list it is gathered along.  Every shape but the number of points is
+    fixed here, so a call only allocates and copies, and one plan serves
+    chunks of any size."""
 
+    rows: tuple[slice, slice]
     perm: tuple[int, ...]
-    tail: tuple[int, ...]
-    flat: tuple[int, int]
+    buf: tuple[int, ...]        # one point's buffer
+    view: tuple[int, ...]
+    pad: np.ndarray
+    gathered: tuple[int, ...]
 
-    def gather(self, x: np.ndarray, n: int, pad: np.ndarray) -> np.ndarray:
-        """``x[:n]`` in this layout with a zero row appended, gathered
-        along ``pad``: shape (n, w * contracted, free)."""
-        nc, nf = self.flat
-        buf = np.zeros((n + 1, nc, nf))
-        buf.reshape((n + 1,) + self.tail)[:n] = x[:n].transpose(self.perm)
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """``x[:, :n]`` in this layout, gathered along the pair list: shape
+        (P, n, w * contracted, free), each point's block as it would be
+        alone."""
+        buf = np.zeros((len(x),) + self.buf)
+        buf.reshape(self.view)[self.rows] = x[self.rows].transpose(self.perm)
         # take copies whole rows, where indexing goes entry by entry
-        return buf.take(pad.ravel(), axis=0).reshape(n, -1, nf)
+        return buf.take(self.pad, axis=1).reshape(self.gathered)
 
 
 @dataclass(frozen=True)
 class _EinsumPlan:
-    a: _Layout
-    b: _Layout
-    free: tuple[int, ...]   # sizes of the product's axes after the coeff axis
-    perm: tuple[int, ...]   # product axes -> (coeff, *out)
+    a: _Operand
+    b: _Operand
+    shape: tuple[int, ...]  # the product as (-1, n, *free_a, *free_b)
+    perm: tuple[int, ...]   # product axes -> (point, coeff, *out)
 
 
 @lru_cache(maxsize=None)
-def _einsum_plan(spec: str, a_shape: tuple[int, ...],
-                 b_shape: tuple[int, ...]) -> _EinsumPlan:
+def _einsum_plan(spec: str, a_shape: tuple[int, ...], b_shape: tuple[int, ...],
+                 dim: int, order: int) -> _EinsumPlan:
     lhs, out = spec.split("->")
     sa, sb = lhs.split(",")
     if (len(set(sa)) < len(sa) or len(set(sb)) < len(sb)
@@ -204,73 +216,79 @@ def _einsum_plan(spec: str, a_shape: tuple[int, ...],
         raise ValueError(
             f"jet_einsum spec {spec!r}: each index must occur once per "
             f"operand and be either contracted or an output of one operand")
-    size = dict(zip(sa, a_shape))
-    size.update(zip(sb, b_shape))
+    t = table(dim, order)
+    n = t.size
+    size = dict(zip(sa, a_shape[1:]))
+    size.update(zip(sb, b_shape[1:]))
     contracted = [c for c in sa if c in sb]
     free_a = [c for c in out if c in sa]
     free_b = [c for c in out if c in sb]
 
-    def layout(sub: str, free: list[str]) -> _Layout:
+    def operand(sub: str, free: list[str], pad: np.ndarray) -> _Operand:
         axes = contracted + free
-        return _Layout((0,) + tuple(1 + sub.index(c) for c in axes),
-                       tuple(size[c] for c in axes),
-                       (math.prod(size[c] for c in contracted),
-                        math.prod(size[c] for c in free)))
+        nc = math.prod(size[c] for c in contracted)
+        nf = math.prod(size[c] for c in free)
+        return _Operand((slice(None), slice(None, n)),
+                        (0, 1) + tuple(2 + sub.index(c) for c in axes),
+                        (n + 1, nc, nf),
+                        (-1, n + 1) + tuple(size[c] for c in axes),
+                        pad.ravel(), (-1, n, pad.shape[1] * nc, nf))
 
-    axes = ["#"] + free_a + free_b
-    return _EinsumPlan(layout(sa, free_a), layout(sb, free_b),
-                       tuple(size[c] for c in free_a + free_b),
-                       tuple(axes.index(c) for c in "#" + out))
+    axes = ["@", "#"] + free_a + free_b
+    return _EinsumPlan(operand(sa, free_a, t.pad_i), operand(sb, free_b, t.pad_j),
+                       (-1, n) + tuple(size[c] for c in free_a + free_b),
+                       tuple(axes.index(c) for c in "@#" + out))
 
 
 def jet_einsum(spec: str, a: np.ndarray, b: np.ndarray, dim: int,
                order_a: int, order_b: int) -> np.ndarray:
-    """Jet-valued einsum: contract trailing tensor axes per ``spec`` while
-    convolving the leading coefficient axes.  Output order is
+    """Jet-valued einsum over a chunk of points: ``a`` and ``b`` are
+    ``(P, ncoeff, *tensor)``; contract their tensor axes per ``spec`` while
+    convolving the coefficient axes, point by point.  Output order is
     ``min(order_a, order_b)`` (the truncation a product can support).
 
     Every index occurs once per operand, and an index of both operands is
-    contracted.  One batched GEMM over the output coefficients sums the
-    pairs of the convolution and the contracted indices together."""
-    q = min(order_a, order_b)
-    t = table(dim, q)
-    n = t.size
-    plan = _einsum_plan(spec, a.shape[1:], b.shape[1:])
-    prod = np.matmul(plan.a.gather(a, n, t.pad_i).swapaxes(-1, -2),
-                     plan.b.gather(b, n, t.pad_j))
-    return prod.reshape((n,) + plan.free).transpose(plan.perm)
+    contracted.  One batched GEMM per point and output coefficient sums the
+    pairs of the convolution and the contracted indices together, the GEMM
+    each point would run alone, so each point's product is bit for bit its
+    product as a chunk of one."""
+    plan = _einsum_plan(spec, a.shape[1:], b.shape[1:], dim,
+                        min(order_a, order_b))
+    prod = np.matmul(plan.a.gather(a).swapaxes(-1, -2), plan.b.gather(b))
+    return prod.reshape(plan.shape).transpose(plan.perm)
 
 
 def jet_inverse(g: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Jet-ring inverse of a jet of invertible matrices, (N, m, m).
+    """Jet-ring inverse of jets of invertible matrices, (P, N, m, m).
 
     The graded Taylor recurrence: with ``Y_0 = G_0^-1`` and
     ``H_i = Y_0 G_i``, each coefficient ``p`` of degree d is
     ``Y_p = -sum H_i Y_j`` over the pairs ``alpha_i + alpha_j = alpha_p``
     with ``|alpha_i| >= 1``, which reads only rows of Y of lower degree.
-    Each degree is one padded GEMM over its rows, laid out as in
+    Each degree is one padded GEMM per point over its rows, laid out as in
     :func:`jet_einsum`, with H's constant row zero and the pad trimmed to
     the degree's own largest pair count.  A degree's rows, pairs and width
     are the same in every table of order >= d, so the inverse at order K
     truncated to K' is the inverse at K' bit for bit."""
     t = table(dim, order)
     n = t.size
-    m = g.shape[-1]
-    y = np.zeros((n + 1, m, m))
-    y[0] = np.linalg.inv(g[0])
-    h = np.zeros((n + 1, m, m))  # H_i transposed: [coeff, contracted, free]
+    p, m = len(g), g.shape[-1]
+    y = np.zeros((p, n + 1, m, m))
+    y[:, 0] = np.linalg.inv(g[:, 0])
+    h = np.zeros((p, n + 1, m, m))  # H_i transposed: [coeff, contracted, free]
     for d in range(1, order + 1):
         lo, hi = t.size_by_order[d - 1], t.size_by_order[d]
         w = t.width_by_order[d]
-        h[lo:hi] = (y[0] @ g[lo:hi]).swapaxes(-1, -2)
-        a = h.take(t.pad_i[lo:hi, :w].ravel(), axis=0).reshape(hi - lo, -1, m)
-        b = y.take(t.pad_j[lo:hi, :w].ravel(), axis=0).reshape(hi - lo, -1, m)
-        y[lo:hi] = -(a.swapaxes(-1, -2) @ b)
-    return y[:n]
+        h[:, lo:hi] = (y[:, :1] @ g[:, lo:hi]).swapaxes(-1, -2)
+        a = h.take(t.pad_i[lo:hi, :w].ravel(), axis=1).reshape(p, hi - lo, -1, m)
+        b = y.take(t.pad_j[lo:hi, :w].ravel(), axis=1).reshape(p, hi - lo, -1, m)
+        y[:, lo:hi] = -(a.swapaxes(-1, -2) @ b)
+    return y[:, :n]
 
 
 def jet_partial(a: np.ndarray, v: int, dim: int, order: int) -> np.ndarray:
-    """Coefficients of d/dx_v of a jet array; output order drops by one."""
+    """Coefficients of d/dx_v of one point's jet array, ``(ncoeff,
+    *tensor)``; output order drops by one."""
     if order < 1:
         raise JetOrderError("jet order exhausted: cannot differentiate order-0 jet")
     t = table(dim, order)
@@ -279,67 +297,67 @@ def jet_partial(a: np.ndarray, v: int, dim: int, order: int) -> np.ndarray:
 
 
 def _gradient_view(a: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Every partial of a jet array, ``[coeff, *tensor, v]``, as a view: one
-    ``take`` gathers the rows of all ``dim`` partials as ``[coeff, v,
-    *tensor]``, multiplied in place, and a plain transpose puts ``v``
-    last."""
+    """Every partial of a chunk's jet array, ``[point, coeff, *tensor, v]``,
+    as a view: one ``take`` gathers the rows of all ``dim`` partials as
+    ``[point, coeff, v, *tensor]``, multiplied in place, and a plain
+    transpose puts ``v`` last."""
     if order < 1:
         raise JetOrderError("jet order exhausted: cannot differentiate order-0 jet")
     t = table(dim, order)
-    rows = a.take(t.dsrc, axis=0)
-    rows *= t.dmul.reshape(t.dmul.shape + (1,) * (a.ndim - 1))
-    return rows.transpose((0,) + tuple(range(2, a.ndim + 1)) + (1,))
+    rows = a.take(t.dsrc, axis=1)
+    rows *= t.dmul.reshape(t.dmul.shape + (1,) * (a.ndim - 2))
+    return rows.transpose((0, 1) + tuple(range(3, a.ndim + 1)) + (2,))
 
 
 def jet_gradient(a: np.ndarray, dim: int, order: int) -> np.ndarray:
-    """Every partial of a jet array at once, the derivative axis last:
-    ``out[..., v]`` is :func:`jet_partial` of ``a`` along ``v`` bit for bit,
-    and C-contiguous, as their stack would be."""
+    """Every partial of a chunk's jet array at once, the derivative axis
+    last: ``out[j, ..., v]`` is :func:`jet_partial` of ``a[j]`` along ``v``
+    bit for bit, and C-contiguous, as their stack would be."""
     return np.ascontiguousarray(_gradient_view(a, dim, order))
 
 
 @lru_cache(maxsize=None)
-def _slot_plans(a_shape: tuple[int, ...],
-                gamma_shape: tuple[int, ...]) -> tuple[_EinsumPlan, ...]:
+def _slot_plans(a_shape: tuple[int, ...], gamma_shape: tuple[int, ...],
+                dim: int, order: int) -> tuple[_EinsumPlan, ...]:
     """The :func:`jet_einsum` plan of each slot's connection term in
     :func:`jet_cov_deriv`: ``y{s}z,{a with slot s as y}->{a}z``."""
-    sub = "abcdefghijklmnopqrstuvwx"[:len(a_shape)]
+    sub = "abcdefghijklmnopqrstuvwx"[:len(a_shape) - 1]
     return tuple(_einsum_plan(f"y{c}z,{sub[:s]}y{sub[s + 1:]}->{sub}z",
-                              gamma_shape, a_shape)
+                              gamma_shape, a_shape, dim, order)
                  for s, c in enumerate(sub))
 
 
 def jet_cov_deriv(a: np.ndarray, gamma: np.ndarray, dim: int,
                   order: int) -> np.ndarray:
     """Covariant derivative of a fully covariant tensor jet ``a`` of order
-    ``order``, with Christoffel symbols ``gamma`` as ``[l, j, k] =
-    Gamma^l_{jk}`` of order ``order - 1`` or more: the gradient minus, slot
-    by slot, ``Gamma^y_{a_s z}`` times ``a`` with slot ``s`` as ``y``.
-    Output order is ``order - 1``, derivative slot last, C-contiguous.
+    ``order`` over a chunk of points, with Christoffel symbols ``gamma`` as
+    ``[point, coeff, l, j, k] = Gamma^l_{jk}`` of order ``order - 1`` or
+    more: the gradient minus, slot by slot, ``Gamma^y_{a_s z}`` times ``a``
+    with slot ``s`` as ``y``.  Output order is ``order - 1``, derivative
+    slot last, C-contiguous.
 
     Each slot's term is the product :func:`jet_einsum` makes for its spec,
     on the same operands and in the same GEMM, subtracted in slot order, so
     the result is bit for bit :func:`jet_gradient` minus the per-slot
-    ``jet_einsum``.  Gamma's layout ``[coeff, y | a_s, z]`` is the same in
-    every slot, so it is gathered once per call, and the first subtraction
-    writes the gradient's view into the output's layout."""
+    ``jet_einsum``.  Gamma's layout ``[point, coeff, y | a_s, z]`` is the
+    same in every slot, so it is gathered once per call, and the first
+    subtraction writes the gradient's view into the output's layout."""
     out = _gradient_view(a, dim, order)
-    plans = _slot_plans(a.shape[1:], gamma.shape[1:])
+    plans = _slot_plans(a.shape[1:], gamma.shape[1:], dim, order - 1)
     if not plans:
         return np.ascontiguousarray(out)
-    t = table(dim, order - 1)
-    n = t.size
-    g = plans[0].a.gather(gamma, n, t.pad_i).swapaxes(-1, -2)
+    g = plans[0].a.gather(gamma).swapaxes(-1, -2)
     dst = np.empty(out.shape)
     for plan in plans:
-        prod = np.matmul(g, plan.b.gather(a, n, t.pad_j))
-        out = np.subtract(out, prod.reshape((n,) + plan.free).transpose(plan.perm),
+        prod = np.matmul(g, plan.b.gather(a))
+        out = np.subtract(out, prod.reshape(plan.shape).transpose(plan.perm),
                           out=dst)
     return out
 
 
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
-    return a[: table(dim, order).size]
+    """A chunk's jet array truncated to ``order``: a view."""
+    return a[:, : table(dim, order).size]
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,15 @@ _GAUSSIAN3 = {
      "geometry file has no 'metric' field"),
     ({**_GAUSSIAN3, "u": 5},
      "an expression must be a string, got 5"),
-], ids=["lambda", "dim", "list", "no-metric", "number-for-expression"])
+    ({**_GAUSSIAN3, "domain": [[-1], [-1, 1], [-1, 1]]},
+     "geometry field 'domain' must be 3 pairs of numbers, "
+     "got [[-1], [-1, 1], [-1, 1]]"),
+    ({**_GAUSSIAN3, "coords": ["x1", "x2", 3]},
+     "geometry field 'coords' must be 3 strings, got ['x1', 'x2', 3]"),
+    ({**_GAUSSIAN3, "name": 5},
+     "geometry field 'name' must be a string, got 5"),
+], ids=["lambda", "dim", "list", "no-metric", "number-for-expression",
+        "domain", "coords", "name"])
 def test_malformed_spec_file_exits_2(capsys, tmp_path, doc, line):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(doc))

@@ -18,8 +18,8 @@ def pair_for(name, u_text=None, **kw):
 def test_rescale_u_zero_is_identity():
     pair = pair_for("random", u_text="0", dim=3, seed=1)
     p = pair.base.sample_points(1, 1)[0]
-    g0 = pair.base.state(p).g.value()
-    g1 = pair.tilde.state(p).g.value()
+    g0 = pair.base.state(p).g.value()[0]
+    g1 = pair.tilde.state(p).g.value()[0]
     assert np.abs(g0 - g1).max() < 1e-15
 
 

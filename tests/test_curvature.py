@@ -4,9 +4,10 @@ tensors and their degenerations."""
 import numpy as np
 import pytest
 
-from ctlab import catalog, curvature
+from ctlab import catalog, conformal, curvature
 from ctlab.curvature import DimensionError, bundle
-from ctlab.geometry import GeometryInstance
+from ctlab.geometry import Chunk, GeometryInstance, MetricError, point_key
+from ctlab.jets import JetOrderError
 from ctlab.identities import residual
 from oracles import d_tensor_form, duf_tensor_alt, kulkarni_nomizu
 
@@ -314,7 +315,7 @@ def test_duf_rescaled_metric_oracle():
     pair = conformal.rescale(e.geometry)
     for p in pts(e.geometry, 2, 7):
         duf = bundle(e.geometry, p).on("duf_tensor")
-        u_val = e.geometry.state(p).u.value()
+        u_val = e.geometry.state(p).u.value()[0]
         d_tilde = bundle(pair.tilde, tuple(p)).on("d_tensor")
         assert residual(duf, np.exp(3 * u_val) * d_tilde) < 1e-7
 
@@ -350,7 +351,7 @@ def test_dux_rescaled_metric_oracle():
     pair = conformal.rescale(e.geometry)
     for p in pts(e.geometry, 2, 2):
         dux = bundle(e.geometry, p).on("dux_tensor")
-        u_val = e.geometry.state(p).u.value()
+        u_val = e.geometry.state(p).u.value()[0]
         dx_tilde = bundle(pair.tilde, tuple(p)).on("dx_tensor")
         assert residual(dux, np.exp(3 * u_val) * dx_tilde) < 1e-9
 
@@ -386,3 +387,63 @@ def test_point_wrappers_are_bundle_reads():
             got = getattr(curvature, name)(g, p).components
             assert np.array_equal(got, b.on(name)), name
         assert curvature.scalar(g, p) == b.on("scalar")
+
+
+# ---------------------------------------------------------------------------
+# chunks of points
+# ---------------------------------------------------------------------------
+
+QUANTITIES = [name[len("_build_"):] for name in vars(curvature.CurvatureBundle)
+              if name.startswith("_build_")]
+
+
+def _chunk_bundles(g, points):
+    """The one-point bundles of one chunk of ``points``, as
+    ``point_blocks`` hands them out."""
+    chunk = Chunk(g, np.asarray(points), None)
+    for j, p in enumerate(points):
+        g._points[point_key(p)] = {"chunk": (chunk, j)}
+    return [bundle(g, p) for p in points]
+
+
+def _chunk_charts():
+    """random at dims 3, 4 and 5, and both sides of a conformal pair."""
+    for dim, seed, order in ((3, 1, 5), (4, 2, 4), (5, 3, 4)):
+        yield entry("random", dim=dim, seed=seed, jet_order=order).geometry
+    pair = conformal.rescale(entry("conformal_gaussian_plus_killing",
+                                   dim=3, jet_order=5).geometry)
+    yield pair.base
+    yield pair.tilde
+
+
+@pytest.mark.parametrize("g", list(_chunk_charts()), ids=lambda g: g.name)
+def test_chunks_equal_chunks_of_one_bit_for_bit(g):
+    # every quantity at every derivative count the order allows: each
+    # point of a chunk of 1, 2 or 7 reads what a fresh one-point bundle of
+    # its own gives it
+    points = g.sample_points(7, 11)
+    compared = 0
+    for size in (1, 2, 7):
+        fresh = GeometryInstance(g.spec, g.config)
+        chunked = GeometryInstance(g.spec, g.config)
+        views = _chunk_bundles(chunked, points[:size])
+        assert views[0].state.g.coeffs.shape[0] == 1
+        errors = []
+        for name in QUANTITIES:
+            for d in range(g.config.order + 1):
+                try:
+                    want = [bundle(fresh, p).on(name, d) for p in points[:size]]
+                except (DimensionError, MetricError, JetOrderError) as err:
+                    errors.append((name, d, type(err)))
+                    break
+                for b, w in zip(views, want):
+                    assert np.array_equal(b.on(name, d), w), (name, d, size)
+                    compared += 1
+        if size > 1:  # every value came from the chunk
+            assert not views[0]._chunk[0].failed
+        for name, d, error in errors:
+            with pytest.raises(error):
+                views[-1].on(name, d)
+        for p, b in zip(points[:size], views):
+            assert b.scalar_exp(-2.0) == bundle(fresh, p).scalar_exp(-2.0)
+    assert compared > 100

@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctlab import catalog, conformal, jets
+from ctlab import catalog, conformal, identities, jets
 from ctlab.exprlang import EvalDomainError, GeometrySpec
 from ctlab.curvature import bundle
 from ctlab.geometry import (
+    BLOCK_BYTES,
+    Chunk,
     GeometryInstance,
     MetricError,
+    held_bytes,
     point_blocks,
     point_key,
 )
@@ -42,11 +45,11 @@ def with_fields(geometry, **fields):
 
 
 def hessian(geometry, p):
-    return bundle(geometry, p).coord("f", 2).value()
+    return bundle(geometry, p).coord("f", 2).value()[0]
 
 
 def laplacian(geometry, p):
-    return float(np.einsum("ab,ab->", geometry.state(p).ginv.value(),
+    return float(np.einsum("ab,ab->", geometry.state(p).ginv.value()[0],
                            hessian(geometry, p)))
 
 
@@ -81,7 +84,7 @@ def test_metric_compatibility():
         g = catalog.load(name, certify=False, **kw).geometry
         for p in g.sample_points(2, 8):
             st = g.state(p)
-            dg = st.cov_deriv(st.g).value()
+            dg = st.cov_deriv(st.g).value()[0]
             assert np.abs(dg).max() < 1e-11
 
 
@@ -124,20 +127,20 @@ def test_hessian_symmetry_random_metric():
 
 def test_lie_derivative_gradient_field():
     g = with_fields(euclidean(), x_components=["x1", "x2", "x3"])
-    lie = bundle(g, [0.2, 0.4, -0.3]).coord("lie_metric").value()
+    lie = bundle(g, [0.2, 0.4, -0.3]).coord("lie_metric").value()[0]
     assert np.abs(lie - 2 * np.eye(3)).max() < 1e-13
 
 
 def test_lie_derivative_rotation_is_killing():
     g = with_fields(euclidean(), x_components=["-x2", "x1", "0"])
-    lie = bundle(g, [0.2, 0.4, -0.3]).coord("lie_metric").value()
+    lie = bundle(g, [0.2, 0.4, -0.3]).coord("lie_metric").value()[0]
     assert np.abs(lie).max() < 1e-13
 
 
 def test_lie_derivative_vs_flow_oracle():
     g = catalog.load("random", dim=3, seed=11, certify=False).geometry
     p = np.array([0.2, -0.3, 0.4])
-    exact = bundle(g, p).coord("lie_metric").value()
+    exact = bundle(g, p).coord("lie_metric").value()[0]
     from ctlab.exprlang import eval_expr
     x_fn = lambda y: np.array([eval_expr(e, y) for e in g.spec.x_exprs])
     oracle = lie_metric_fd(g, p, x_fn)
@@ -151,8 +154,8 @@ def test_divergence_is_trace_of_nabla_x():
     g = catalog.load("random", dim=3, seed=4, certify=False).geometry
     p = g.sample_points(1, 2)[0]
     st = g.state(p)
-    dx = st.cov_deriv(st.x_lower).value()
-    div_trace = float(np.einsum("ab,ab->", st.ginv.value(), dx))
+    dx = st.cov_deriv(st.x_lower).value()[0]
+    div_trace = float(np.einsum("ab,ab->", st.ginv.value()[0], dx))
 
     order = 2
     entries = [[eval_expr_jet(g.spec.metric_exprs[i][j], p, order)
@@ -173,13 +176,13 @@ def test_orthonormal_euclidean_is_identity():
     g = euclidean()
     st = g.state([0.1, 0.2, 0.3])
     arr = np.arange(27.0).reshape(3, 3, 3)
-    assert np.abs(st.to_orthonormal(arr) - arr).max() < 1e-14
+    assert np.abs(st.to_orthonormal(arr[None])[0] - arr).max() < 1e-14
 
 
 def test_orthonormal_metric_is_delta():
     g = catalog.load("random", dim=4, seed=9, certify=False).geometry
     st = g.state(g.sample_points(1, 1)[0])
-    assert np.abs(st.to_orthonormal(st.g.value()) - np.eye(4)).max() < 1e-13
+    assert np.abs(st.to_orthonormal(st.g.value())[0] - np.eye(4)).max() < 1e-13
 
 
 def test_orthonormal_preserves_invariants():
@@ -187,8 +190,8 @@ def test_orthonormal_preserves_invariants():
     g = catalog.load("random", dim=4, seed=9, certify=False).geometry
     p = g.sample_points(1, 6)[0]
     b = curvature.bundle(g, p)
-    ric_coord = b.coord("ricci").value()
-    ginv = g.state(p).ginv.value()
+    ric_coord = b.coord("ricci").value()[0]
+    ginv = g.state(p).ginv.value()[0]
     inv_coord = np.einsum("ij,kl,ik,jl->", ric_coord, ric_coord, ginv, ginv)
     ric_on = b.on("ricci")
     assert abs(inv_coord - np.sum(ric_on ** 2)) < 1e-10
@@ -197,8 +200,8 @@ def test_orthonormal_preserves_invariants():
 def test_vielbein_inverse_relation():
     g = catalog.load("random", dim=5, seed=1, certify=False).geometry
     st = g.state(g.sample_points(1, 3)[0])
-    e = st.cholesky.T  # coframe rows
-    ginv = st.ginv.value()
+    e = st.cholesky[0].T  # coframe rows
+    ginv = st.ginv.value()[0]
     assert np.abs(e @ ginv @ e.T - np.eye(5)).max() < 1e-12
 
 
@@ -207,10 +210,10 @@ def test_frame_conversion_involutive():
     st = g.state(g.sample_points(1, 4)[0])
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((3, 3))
-    on = st.to_orthonormal(arr)
+    on = st.to_orthonormal(arr[None])[0]
     back = on
     for s in range(2):
-        back = np.moveaxis(np.tensordot(st.cholesky.T, back, axes=(0, s)), 0, s)
+        back = np.moveaxis(np.tensordot(st.cholesky[0].T, back, axes=(0, s)), 0, s)
     assert np.abs(back - arr).max() < 1e-11
 
 
@@ -224,8 +227,8 @@ def test_orthonormal_matches_per_slot_contraction():
         want = arr
         for s in range(rank):
             want = np.moveaxis(
-                np.tensordot(st.vielbein_inv, want, axes=(1, s)), 0, s)
-        got = st.to_orthonormal(arr)
+                np.tensordot(st.vielbein_inv[0], want, axes=(1, s)), 0, s)
+        got = st.to_orthonormal(arr[None])[0]
         assert got.shape == arr.shape
         assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
@@ -274,16 +277,17 @@ def test_point_blocks_keep_earlier_entries():
     assert point_key(fresh) not in g._points
 
 
-def test_point_blocks_give_roots_only_to_fresh_geometries():
+def test_point_blocks_give_chunks_only_to_fresh_geometries():
     held, fresh = euclidean(), euclidean()
     p = held.sample_points(1, 0)[0]
     key = point_key(p)
     state = held.state(p)
     for q in point_blocks([p], held, fresh):
-        assert "roots" not in held._points[key]
-        assert "roots" in fresh._points[key]
-        fresh.state(q)
-        assert "roots" not in fresh._points[key]  # taken by the state
+        assert "chunk" not in held._points[key]
+        chunk, row = fresh._points[key]["chunk"]
+        assert (len(chunk.points), row) == (1, 0)
+        # the first point is a chunk of its own, whose state is its point's
+        assert fresh.state(q) is chunk.state
     assert held._points[key] == {"state": state}
     assert key not in fresh._points
 
@@ -326,11 +330,11 @@ def test_point_state_matches_reference_walker():
 
     for i in range(4):
         for j in range(4):
-            assert st.g.coeffs[:, i, j].tobytes() == ref(spec.metric_exprs[i][j])
-    assert st.u.coeffs.tobytes() == ref(spec.u_expr)
-    assert st.f.coeffs.tobytes() == ref(spec.f_expr)
+            assert st.g.coeffs[0, :, i, j].tobytes() == ref(spec.metric_exprs[i][j])
+    assert st.u.coeffs[0].tobytes() == ref(spec.u_expr)
+    assert st.f.coeffs[0].tobytes() == ref(spec.f_expr)
     for i, e in enumerate(spec.x_exprs):
-        assert st.x_contra.coeffs[:, i].tobytes() == ref(e)
+        assert st.x_contra.coeffs[0, :, i].tobytes() == ref(e)
 
 
 def test_at_order_shares_the_spec_tape():
@@ -415,14 +419,47 @@ def test_point_states_in_blocks_match_states_alone():
     points = g.sample_points(9, 1)
     alone = GeometryInstance(g.spec, JetConfig(4))
     blocked = GeometryInstance(g.spec, JetConfig(4))
-    seen = []
+    seen, sizes = [], []
     for p in point_blocks(points, blocked):
-        assert "roots" in blocked._points[point_key(p)]
+        chunk, row = blocked._points[point_key(p)]["chunk"]
         a, b = alone.state(p), blocked.state(p)
-        assert "roots" not in blocked._points[point_key(p)]  # taken by the state
-        for name in ("g", "ginv", "u", "f", "x_contra", "x_lower"):
+        for name in ("g", "ginv", "u", "f", "x_contra", "x_lower",
+                     "christoffel"):
             assert getattr(a, name).coeffs.tobytes() == \
                 getattr(b, name).coeffs.tobytes(), name
+        assert a.vielbein_inv.tobytes() == b.vielbein_inv.tobytes()
         seen.append(point_key(p))
+        sizes.append(len(chunk.points))
     assert seen == [point_key(p) for p in points]
+    assert sizes == [1] + [8] * 8  # the first point alone, then one chunk
     assert blocked._points == {}
+
+
+def test_chunks_hold_at_most_block_bytes(monkeypatch):
+    # each geometry's chunk holds no more than BLOCK_BYTES of state and
+    # bundle arrays, unless it is one point that alone holds more
+    held = []
+    build = Chunk.build
+
+    def spy(self, read):
+        out = build(self, read)
+        held.append((self.geometry.name, len(self.points),
+                     held_bytes(self.state, self.bundle)))
+        return out
+
+    monkeypatch.setattr(Chunk, "build", spy)
+    laws = conformal.select_laws()
+    pair = conformal.rescale(catalog.load("conformal_gaussian", dim=4).geometry)
+    rows = conformal.verify_transform(pair, laws,
+                                      pair.base.sample_points(32, 1))
+    comm = catalog.load("random", dim=5, seed=3, certify=False).geometry
+    rows += identities.verify(comm, identities.select_records(["COMM"]),
+                              comm.sample_points(3, 1))
+    assert all(r.status != "fail" for r in rows)
+    sizes = {(name, n) for name, n, _ in held}
+    # the laws pair walks chunks of several points on both sides
+    assert {n for name, n in sizes if name.startswith("conformal")} > {1}
+    # a COMM point at dim 5 holds more than BLOCK_BYTES, so it is alone
+    assert {n for name, n in sizes if name == comm.name} == {1}
+    for name, n, nbytes in held:
+        assert n == 1 or nbytes <= BLOCK_BYTES, (name, n, nbytes)

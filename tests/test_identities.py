@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctlab import catalog, conformal, curvature, identities
+from ctlab import catalog, conformal, curvature, geometry, identities
 from ctlab.conformal import select_laws
 from ctlab.exprlang import EvalDomainError, GeometrySpec
 from ctlab.geometry import GeometryInstance, MetricError, point_key
@@ -702,3 +702,60 @@ def test_block_sizes():
     rows = verify(g, select_records(["COMM"]) + [spy], g.sample_points(3, 1))
     assert seen == [True, True, True]
     assert all(r.status == "pass" for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# chunks of points: a build that fails at one point of a chunk
+# ---------------------------------------------------------------------------
+
+def _chart3(metric=(("1",), ("0", "1"), ("0", "0", "1")), **fields):
+    """A flat-by-default dim-3 chart at jet order 2."""
+    return GeometryInstance(GeometrySpec(
+        name="chart", dim=3, coords=["x1", "x2", "x3"],
+        domain=[(-2.0, 2.0)] * 3, metric=[list(row) for row in metric],
+        **fields), JetConfig(2))
+
+
+@pytest.mark.parametrize("fields, read, error", [
+    # the fifth point's metric is not positive definite, so the chunk's
+    # point state cannot be built
+    (dict(metric=[["x1"], ["0", "1"], ["0", "0", "1"]]), "ricci",
+     MetricError),
+    # the chunk's point state builds, but e^{2u} of dux_tensor overflows
+    # at the fifth point, in the chunk's bundle
+    (dict(u="400*x1", x_components=["1", "0", "0"]), "dux_tensor",
+     OverflowError),
+])
+def test_chunk_error_comes_at_its_point(monkeypatch, fields, read, error):
+    points = np.array([[0.1, 0.0, 0.0], [0.2, 0.1, 0.0], [0.3, 0.2, 0.1],
+                       [0.4, 0.3, 0.2], [-0.5, 0.0, 0.0], [0.5, 0.5, 0.5],
+                       [0.6, 0.6, 0.6]])
+    if error is OverflowError:
+        points[4, 0] = 0.95
+    alone = [_error(lambda p=p: curvature.bundle(_chart3(**fields), p).on(read))
+             for p in points]
+    assert [e is None for e in alone] == [True] * 4 + [False, True, True]
+    assert alone[4][0] is error
+    built = []
+    init = geometry.PointState.__init__
+
+    def spy_init(self, g, point, *args):
+        built.append(np.shape(point))
+        init(self, g, point, *args)
+
+    monkeypatch.setattr(geometry.PointState, "__init__", spy_init)
+    seen = []
+
+    def evaluate(c):
+        c.on(read)
+        seen.extend(c.points)
+        return np.zeros(1), np.zeros(1)
+
+    rec = IdentityRecord("reads", "COMM", "reads", frozenset(), None, 2, 2,
+                         "A", None, evaluate)
+    assert _error(lambda: verify(_chart3(**fields), [rec], points)) == alone[4]
+    assert seen == [point_key(p) for p in points[:4]]
+    # the first point is a chunk of its own and the other six one chunk,
+    # whose build fails; its points then build their own states
+    assert built[:2] == [(1, 3), (6, 3)]
+    assert set(built[2:]) == {(3,)}

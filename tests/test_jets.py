@@ -227,6 +227,24 @@ def test_index_beyond_order_raises_jet_order_error():
 # the GEMM kernel against the gather / einsum / reduceat kernel it replaced
 # ---------------------------------------------------------------------------
 
+# the chunk kernels on one point's arrays, as a chunk of one
+
+def einsum1(spec, a, b, dim, order_a, order_b):
+    return jets.jet_einsum(spec, a[None], b[None], dim, order_a, order_b)[0]
+
+
+def gradient1(a, dim, order):
+    return jets.jet_gradient(a[None], dim, order)[0]
+
+
+def cov_deriv1(a, gamma, dim, order):
+    return jets.jet_cov_deriv(a[None], gamma[None], dim, order)[0]
+
+
+def inverse1(g, dim, order):
+    return jets.jet_inverse(g[None], dim, order)[0]
+
+
 def reference_einsum(spec, a, b, dim, order_a, order_b):
     """The convolution as it was computed before the padded GEMM: gather
     both operands per coefficient triple, multiply and contract per triple,
@@ -310,7 +328,7 @@ def test_gemm_kernel_matches_reference():
     for k, (spec, dim, order) in enumerate(kernel_cases()):
         a, b = kernel_operands(spec, dim, order, k)
         want = reference_einsum(spec, a, b, dim, order, order + 1)
-        got = jets.jet_einsum(spec, a, b, dim, order, order + 1)
+        got = einsum1(spec, a, b, dim, order, order + 1)
         assert got.shape == want.shape, (spec, dim, order)
         err = np.abs(got - want).max()
         assert err <= KERNEL_RTOL * np.abs(want).max(), (spec, dim, order, err)
@@ -331,7 +349,7 @@ def test_gemm_kernel_propagates_non_finite_like_reference(bad):
                 x[spot] = bad
                 with np.errstate(invalid="ignore"):
                     want = reference_einsum(spec, a, b, dim, order, order + 1)
-                    got = jets.jet_einsum(spec, a, b, dim, order, order + 1)
+                    got = einsum1(spec, a, b, dim, order, order + 1)
                 x[spot] = saved
                 assert not np.isfinite(want).all(), spec
                 for mask in (np.isnan, np.isposinf, np.isneginf):
@@ -346,12 +364,12 @@ def test_gemm_kernel_output_orders_and_bad_specs():
     for spec in ("ab,bc->ca", "a,b->ba", "ab,->ba", "abc,dc->bda"):
         a, b = kernel_operands(spec, dim, order, 1)
         want = reference_einsum(spec, a, b, dim, order, order)
-        got = jets.jet_einsum(spec, a, b, dim, order, order)
+        got = einsum1(spec, a, b, dim, order, order)
         assert np.abs(got - want).max() <= KERNEL_RTOL * np.abs(want).max()
     for spec in ("ii,i->i", "ab,b->", "a,b->ac", "ia,ja->ija"):
         a, b = kernel_operands(spec, dim, order, 1)
         with pytest.raises(ValueError, match="jet_einsum spec"):
-            jets.jet_einsum(spec, a, b, dim, order, order)
+            einsum1(spec, a, b, dim, order, order)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +401,7 @@ def reference_cov_deriv(a, gamma, dim, order):
     q = order - 1
     n = table(dim, q).size
     for spec in slot_specs(a.ndim - 1):
-        out -= jets.jet_einsum(spec, gamma[:n], a[:n], dim, q, q)
+        out -= einsum1(spec, gamma[:n], a[:n], dim, q, q)
     return out
 
 
@@ -410,7 +428,7 @@ def test_derivative_kernel_cases_cover_every_size():
 def test_gradient_is_the_stacked_partials():
     for k, (dim, order, rank) in enumerate(deriv_cases()):
         a, _ = deriv_operands(dim, order, rank, k)
-        got = jets.jet_gradient(a, dim, order)
+        got = gradient1(a, dim, order)
         assert np.array_equal(got, stacked_partials(a, dim, order)), (
             dim, order, rank)
         assert got.flags.c_contiguous
@@ -419,7 +437,7 @@ def test_gradient_is_the_stacked_partials():
 def test_cov_deriv_kernel_is_partials_minus_slot_einsums():
     for k, (dim, order, rank) in enumerate(deriv_cases()):
         a, gamma = deriv_operands(dim, order, rank, k)
-        got = jets.jet_cov_deriv(a, gamma, dim, order)
+        got = cov_deriv1(a, gamma, dim, order)
         assert np.array_equal(got, reference_cov_deriv(a, gamma, dim, order)), (
             dim, order, rank)
         assert got.flags.c_contiguous
@@ -430,9 +448,9 @@ def test_cov_deriv_kernel_on_strided_operands():
     a, gamma = deriv_operands(3, 4, 3, 1)
     a = a.transpose(0, 3, 1, 2)
     gamma = gamma.transpose(0, 1, 3, 2)
-    assert np.array_equal(jets.jet_cov_deriv(a, gamma, 3, 4),
+    assert np.array_equal(cov_deriv1(a, gamma, 3, 4),
                           reference_cov_deriv(a, gamma, 3, 4))
-    assert np.array_equal(jets.jet_gradient(a, 3, 4),
+    assert np.array_equal(gradient1(a, 3, 4),
                           stacked_partials(a, 3, 4))
 
 
@@ -452,9 +470,9 @@ def test_derivative_kernels_propagate_non_finite_like_reference(bad):
             saved = x[spot]
             x[spot] = bad
             with np.errstate(invalid="ignore"):
-                pairs = [(jets.jet_gradient(a, dim, order),
+                pairs = [(gradient1(a, dim, order),
                           stacked_partials(a, dim, order)),
-                         (jets.jet_cov_deriv(a, gamma, dim, order),
+                         (cov_deriv1(a, gamma, dim, order),
                           reference_cov_deriv(a, gamma, dim, order))]
             x[spot] = saved
             for got, want in pairs:
@@ -491,9 +509,9 @@ def spd_metric_jet(dim, order, seed):
 @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(0, 8))
 def test_inverse_times_metric_is_the_identity_jet(seed, dim, order):
     g = spd_metric_jet(dim, order, seed)
-    y = jets.jet_inverse(g, dim, order)
+    y = inverse1(g, dim, order)
     for spec, a, b in (("ab,bc->ac", g, y), ("ab,bc->ac", y, g)):
-        prod = jets.jet_einsum(spec, a, b, dim, order, order)
+        prod = einsum1(spec, a, b, dim, order, order)
         prod[0] -= np.eye(dim)
         assert np.abs(prod).max() < 1e-13, (dim, order)
 
@@ -504,7 +522,44 @@ def test_inverse_is_truncation_exact():
     for dim in range(1, 6):
         for order in range(9):
             g = spd_metric_jet(dim, order, 10 * dim + order)
-            y = jets.jet_inverse(g, dim, order)
+            y = inverse1(g, dim, order)
             for low in range(order):
                 n = table(dim, low).size
-                assert np.array_equal(y[:n], jets.jet_inverse(g[:n], dim, low))
+                assert np.array_equal(y[:n], inverse1(g[:n], dim, low))
+
+
+# ---------------------------------------------------------------------------
+# chunks of points
+# ---------------------------------------------------------------------------
+
+def test_chunk_kernels_are_chunks_of_one_bit_for_bit():
+    # every point of a chunk gets the GEMMs it runs alone, so its jets are
+    # those of a chunk of one, bit for bit
+    rng = np.random.default_rng(7)
+    for dim, order in ((3, 4), (4, 3), (5, 2)):
+        for size in (2, 7):
+            n = table(dim, order).size
+            for spec in ("iks,slj->ijkl", "ab,b->a", ",ab->ab", "kl,ikjl->ij",
+                         "k,ij->ijk", "jl,jl->"):
+                lhs, _ = spec.split("->")
+                sa, sb = lhs.split(",")
+                a = rng.standard_normal((size, n) + (dim,) * len(sa))
+                b = rng.standard_normal((size, n) + (dim,) * len(sb))
+                got = jets.jet_einsum(spec, a, b, dim, order, order)
+                for j in range(size):
+                    assert np.array_equal(got[j], einsum1(
+                        spec, a[j], b[j], dim, order, order)), (spec, j)
+            gamma = rng.standard_normal((size, n, dim, dim, dim))
+            for rank in range(4):
+                a = rng.standard_normal((size, n) + (dim,) * rank)
+                grad = jets.jet_gradient(a, dim, order)
+                cov = jets.jet_cov_deriv(a, gamma, dim, order)
+                for j in range(size):
+                    assert np.array_equal(grad[j], gradient1(a[j], dim, order))
+                    assert np.array_equal(cov[j], cov_deriv1(a[j], gamma[j],
+                                                             dim, order))
+            g = np.stack([spd_metric_jet(dim, order, 100 * size + j)
+                          for j in range(size)])
+            y = jets.jet_inverse(g, dim, order)
+            for j in range(size):
+                assert np.array_equal(y[j], inverse1(g[j], dim, order))
