@@ -6,11 +6,10 @@ each pass it reads, at one point, the frame values its records read, to
 learn which quantities those are and how many points the walker puts in a
 chunk (``BLOCK_BYTES`` over the bytes of that point's state and bundle,
 marked ``*``).  It then builds, from the tape's root jets, the point state
-and the shared bundle of chunks of 1 to 32 points and every one of those
-values for all their points, as ``geometry.point_blocks`` does.  It prints
-the time per point of a chunk of one and each larger chunk's speed-up
-over it.  A
-chunk whose arrays would exceed ``MAX_BYTES`` is not built (``-``).  Each
+and the bundle of chunks of 1 to 32 points (``geometry.Chunk``) and every
+one of those values for all their points, as ``geometry.point_blocks``
+does.  It prints the time per point of a chunk of one and each larger
+chunk's speed-up over it.  A chunk whose arrays would exceed ``MAX_BYTES`` is not built (``-``).  Each
 time is the best of ``--repeat`` runs.  The passes are the 27 laws on a
 conformal pair (both sides) at dims 3 and 4, and COMM on ``random`` at dims
 3, 4 and 5.
@@ -23,8 +22,7 @@ import argparse
 import time
 
 from ctlab import catalog, conformal, identities
-from ctlab.curvature import CurvatureBundle
-from ctlab.geometry import BLOCK_BYTES, _chunk_at, held_bytes
+from ctlab.geometry import BLOCK_BYTES, Chunk, held_bytes
 from ctlab.identities import EvalContext, select_records
 
 PASSES = [
@@ -75,15 +73,10 @@ def setup(suite: str, name: str, params: dict):
 
 def build(g, block, size: int, values, reads) -> None:
     """Every read value of a chunk of ``size`` points, from its roots."""
-    chunk, _ = _chunk_at(g, block, 0, size, values)
-
-    def read(c):
-        b = CurvatureBundle.shared(c)
-        for quantity, d in reads:
-            b.frames(quantity, d)
-        return True
-    if chunk.build(read) is None:
-        raise RuntimeError(f"{g.name}: a chunk of {size} failed to build")
+    roots = [values[r].coeffs[:, :size].T for r in g.spec.tape.roots]
+    b = Chunk([g], block[:size], [roots]).bundle()
+    for quantity, d in reads:
+        b.frames(quantity, d)
 
 
 def main() -> None:

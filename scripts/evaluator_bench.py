@@ -6,8 +6,9 @@ it is timed.  For each ``random`` chart of the full-suite schedule (dims
 3, 4 and 5) it evaluates the COMM records once at one point, to learn
 which frame values they read and how many points a block holds
 (``identities.BLOCK_BYTES`` over the bytes of those values, as the
-verification driver sizes it).  It then stacks those values for a block
-of that many points and times every record's evaluator on the block.  It
+verification driver sizes it).  It then reads those values for a chunk
+of that many points (``geometry.Chunk``), as one block, and times every
+record's evaluator on the block.  It
 prints each record's time per point in ms, the best of ``--repeat``
 runs, one column per dim, and the sum of each column.
 
@@ -19,7 +20,7 @@ import argparse
 import time
 
 from ctlab import catalog, identities
-from ctlab.geometry import point_key
+from ctlab.geometry import Chunk
 from ctlab.identities import EvalContext, select_records
 
 CHARTS = [(3, 1), (4, 2), (5, 3)]   # (dim, entry seed) of ``random``
@@ -47,10 +48,10 @@ def per_point_ms(dim: int, seed: int, repeat: int) -> tuple[int, dict]:
     keys = list(first.values)
     nbytes = sum(v.nbytes for v in first.values.values())
     size = max(1, identities.BLOCK_BYTES // nbytes)
-    points = g.sample_points(size, 1)
-    block = EvalContext.stacked(
-        g, None, [point_key(p) for p in points], keys,
-        [identities._values_at(g, None, p, keys) for p in points])
+    block = EvalContext.of(Chunk([g], g.sample_points(size, 1)))
+    for r in records:
+        r.evaluate(block)  # reads the chunk's values, warm from now on
+    assert list(block.values) == keys
     return size, {r.id: 1e3 * best(lambda: r.evaluate(block), repeat) / size
                   for r in records}
 

@@ -20,18 +20,20 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import stretched_metric
 from .exprlang import GeometrySpec
-from .geometry import GeometryInstance, point_blocks
+from .geometry import GeometryInstance, walk_chunks
 from .identities import (
     CERTIFICATION_TOL,
     STRUCTURE_ORDER,
     CertificationError,
-    structure_residual,
+    EvalContext,
+    structure_residuals,
     worst_of,
 )
 
@@ -128,6 +130,9 @@ def _flat(dim: int) -> list[list[str]]:
 
 def _sphere_metric(dim: int, radius: float) -> list[list[str]]:
     """The round sphere of ``radius`` in a stereographic chart."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise CatalogError(
+            f"radius must be a positive finite number, got {radius!r}")
     conf = f"(4*{radius * radius!r})/(1+{_norm2(_coords(dim))})^2"
     return _diag([conf] * dim)
 
@@ -190,9 +195,10 @@ def _sphere(dim: int = 3, radius: float = 1.0) -> CatalogEntry:
 
 
 def _sphere_killing(dim: int = 3, radius: float = 1.0) -> CatalogEntry:
+    metric = _sphere_metric(dim, radius)
     lam = (dim - 1) / radius**2
     return _entry(
-        f"sphere_killing(dim={dim},r={radius!r})", _sphere_metric(dim, radius),
+        f"sphere_killing(dim={dim},r={radius!r})", metric,
         [("einstein", lam), ("generic_soliton", lam)],
         "trivial generic soliton: Einstein metric plus a rotational "
         "Killing field (sign falsifier for the vector-field conditions)",
@@ -347,21 +353,24 @@ def certify_entry(entry: CatalogEntry):
     """Check every claim's defining residual on a fixed sample grid, and
     positive definiteness for claim-free (random) entries, at jet order
     ``STRUCTURE_ORDER`` (or the configured order, if lower).  The grid is
-    walked by :func:`~ctlab.geometry.point_blocks`, which evaluates the
-    chart's expressions a block of points at a time, builds the point
-    states and the quantities the claims read a chunk of points at a time,
-    and releases each point's cache entries once its residuals are taken.  A claim whose
-    residual is not below ``CERTIFICATION_TOL`` raises
-    :class:`CertificationError`."""
+    walked in chunks of points (:func:`~ctlab.geometry.walk_chunks`), and
+    each claim is checked for a whole chunk in one evaluator call, one
+    residual per point.  A claim whose worst residual over the grid is not
+    below ``CERTIFICATION_TOL`` raises :class:`CertificationError`."""
     g = entry.geometry.at_order(min(STRUCTURE_ORDER,
                                     entry.geometry.config.order))
+
+    def read(chunk):
+        c = EvalContext.of(chunk)  # raises MetricError if not positive definite
+        return [structure_residuals(c, claim.kind, claim.lam)
+                for claim in entry.claims]
+
+    def take(chunk, found):
+        worst[:] = [worst_of(w, r.max()) for w, r in zip(worst, found)]
+
     worst = [0.0] * len(entry.claims)
-    for p in point_blocks(g.sample_points(CERTIFICATION_POINTS,
-                                         CERTIFICATION_SEED), g):
-        g.state(p)  # raises MetricError if not positive definite
-        for i, claim in enumerate(entry.claims):
-            worst[i] = worst_of(worst[i], structure_residual(
-                g, claim.kind, p, claim.lam))
+    walk_chunks(g.sample_points(CERTIFICATION_POINTS, CERTIFICATION_SEED),
+                [g], read, take)
     for claim, w in zip(entry.claims, worst):
         if not w < CERTIFICATION_TOL:
             raise CertificationError(

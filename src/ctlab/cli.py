@@ -112,7 +112,11 @@ def cmd_verify(args) -> int:
         records = identities.select_records(suites or None, ids or None)
     if law_ids:
         laws = conformal.select_laws(None if law_ids == ["all"] else law_ids)
-    points = geometry.sample_points(args.points, args.seed)
+    try:
+        points = geometry.sample_points(args.points, args.seed)
+    except MemoryError as err:
+        raise ValueError(f"--points {args.points}: "
+                         f"{err or 'not enough memory'}") from None
     if laws and geometry.spec.u is None:
         # the laws need a u field: they run on a copy carrying a random one
         pair = conformal.rescale(

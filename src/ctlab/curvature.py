@@ -4,17 +4,18 @@
 for the whole tower Riemann -> Ricci -> scalar -> Schouten -> Weyl -> Cotton
 -> Bach plus the skew trace-free 3-tensors attached to soliton structures
 (D, the vector-field variant, and their conformal interpolations), every
-array with the point axis first.  ``bundle(g, p)`` is one point's bundle,
-in its geometry's per-point cache next to the point's ``PointState``:
-while :func:`~ctlab.geometry.point_blocks` walks the point in a chunk, a
-one-point view of the chunk's shared bundle, so each quantity is built once
-per chunk; else the point's own.  Identity evaluators read
-orthonormal-frame value arrays out of it with :meth:`CurvatureBundle.on`,
-stacked over a block of points with the point axis last, where
-:func:`einsum` contractions against ``delta`` reproduce moving-frame
-component formulas verbatim.  ``bundle(g, p).on(name)`` is the one read
-path for curvature values (the point wrappers at the module's end serve
-ctbench's checks only).
+array with the point axis first.  A walk of
+:func:`~ctlab.geometry.point_blocks` builds one per chunk and geometry, so
+each quantity is built once for all the chunk's points, and
+:meth:`CurvatureBundle.frames` reads a quantity's orthonormal-frame values
+at all of them.  ``bundle(g, p)`` is a lone point's, a chunk of one built
+by the same constructor, memoised in the geometry's per-point cache next
+to the point's ``PointState``; ``bundle(g, p).on(name)`` reads its values.
+Identity evaluators get frame values from their evaluation context
+(:mod:`ctlab.identities`), stacked over a block of points with the point
+axis last, where :func:`einsum` contractions against ``delta`` reproduce
+moving-frame component formulas verbatim.  The point wrappers at the
+module's end serve ctbench's checks only.
 
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
@@ -32,7 +33,6 @@ import numpy as np
 
 from . import jets
 from .geometry import (
-    Chunk,
     GeometryInstance,
     MetricError,
     PointState,
@@ -56,59 +56,23 @@ def _need_dim(m: int, least: int, what: str):
 
 
 class CurvatureBundle:
-    """Cache of curvature and soliton tensors as jet fields at a chunk of
-    points, every array with the point axis first.
+    """Cache of curvature and soliton tensors as jet fields at the points
+    of a :class:`~ctlab.geometry.PointState`, a chunk of points, every
+    array with the point axis first: :func:`bundle` for a lone point,
+    :meth:`~ctlab.geometry.Chunk.bundle` for a walk's chunk."""
 
-    ``CurvatureBundle(g, p)``, memoised as :func:`bundle`, is one point's.
-    While :func:`~ctlab.geometry.point_blocks` walks the point in a chunk,
-    it is a one-point view of the chunk's shared bundle: each quantity,
-    and its frame values, is built there once for all the chunk's points,
-    and the point reads its row.  If such a build raises or would warn,
-    the chunk stops (:class:`~ctlab.geometry.Chunk`) and the point builds
-    the quantity itself, from its own view of the point state."""
-
-    def __init__(self, geometry: GeometryInstance, point):
-        self._start(geometry.state(point))
-        self._chunk = self.state._chunk
-
-    @classmethod
-    def shared(cls, chunk: Chunk) -> "CurvatureBundle":
-        """The bundle of every point of ``chunk`` at once."""
-        if chunk.bundle is None:
-            chunk.bundle = b = cls.__new__(cls)
-            b._start(chunk.state)
-            b._chunk = None
-        return chunk.bundle
-
-    def _start(self, state: PointState):
+    def __init__(self, state: PointState):
         self.geometry = state.geometry
         self.state = state
         self.m = self.geometry.dim
         self._coord: dict[tuple[str, int], TensorJet] = {}
         self._frames: dict[tuple[str, int], np.ndarray] = {}
-        self._on: dict[tuple[str, int], np.ndarray | float] = {}
-
-    def _from_chunk(self, read, cache: str, key: tuple):
-        """``read(shared bundle, row)`` for this one-point view of a chunk's
-        bundle, or None if this bundle is its point's own or the chunk has
-        stopped building.  A value the shared bundle's ``cache`` holds at
-        ``key`` is read as it is, anything else through a build."""
-        if self._chunk is None:
-            return None
-        chunk, j = self._chunk
-        if chunk.bundle is not None and key in getattr(chunk.bundle, cache):
-            return read(chunk.bundle, j)
-        out = chunk.build(lambda c: read(CurvatureBundle.shared(c), j))
-        if out is None:
-            self._chunk = None
-        return out
 
     def arrays(self):
         """Every array this bundle and its state hold, for
         :func:`~ctlab.geometry.held_bytes`."""
         yield from (t.coeffs for t in self._coord.values())
         yield from self._frames.values()
-        yield from (v for v in self._on.values() if isinstance(v, np.ndarray))
         yield from self.state.arrays()
 
     # -- access ----------------------------------------------------------------
@@ -117,11 +81,9 @@ class CurvatureBundle:
         key = (name, d)
         t = self._coord.get(key)
         if t is None:
-            t = self._from_chunk(lambda b, j: b.coord(name, d).row(j),
-                                 "_coord", key)
-            if t is None and d > 0:
+            if d > 0:
                 t = self.state.cov_deriv(self.coord(name, d - 1))
-            elif t is None:
+            else:
                 t = getattr(self, f"_build_{name}")()
             self._coord[key] = t
         return t
@@ -141,32 +103,23 @@ class CurvatureBundle:
         return out
 
     def on(self, name: str, d: int = 0):
-        """Orthonormal-coframe components at this one point (floats for
-        rank 0).  Cached arrays are frozen; callers must copy before
-        mutating.  Record evaluators do not call this: their context
-        (:class:`~ctlab.identities.EvalContext`) hands them these values
-        for a block of points, each with a trailing point axis (a view of
-        this array for a block of one), so they contract them with
-        :func:`einsum`, :func:`dot` and :func:`tp`, never with ``@``,
-        ``.T`` or ``float``."""
-        key = (name, d)
-        out = self._on.get(key)
-        if out is None:
-            out = self._from_chunk(lambda b, j: b.frames(name, d)[j],
-                                   "_frames", key)
-            if out is None:
-                out = self.frames(name, d)[0]
-            if out.ndim == 0:
-                out = float(out)
-            self._on[key] = out
-        return out
+        """Orthonormal-coframe components at the bundle's first point, its
+        only one for a lone point's (a float for rank 0), a read-only view.
+        Record evaluators do not call this: their context
+        (:class:`~ctlab.identities.EvalContext`) hands them :meth:`frames`
+        for a block of points, each with a trailing point axis, so they
+        contract them with :func:`einsum`, :func:`dot` and :func:`tp`,
+        never with ``@``, ``.T`` or ``float``."""
+        out = self.frames(name, d)[0]
+        return float(out) if out.ndim == 0 else out
 
-    def scalar_exp(self, k: float) -> float:
-        """e^{k u} at the point (u = 0 when the geometry has no u field)."""
-        st = self.state
-        if st.u is None:
-            return 1.0
-        return float(np.exp(k * st.u.coeffs[0, 0]))
+    def scalar_exp(self, k: float) -> np.ndarray:
+        """e^{k u} at every point of the bundle, ``(P,)`` (1 when the
+        geometry has no u field)."""
+        u = self.state.u
+        if u is None:
+            return np.ones(len(self.state.g.coeffs))
+        return np.exp(k * u.coeffs[:, 0])
 
     # -- metric level ------------------------------------------------------------
 
@@ -388,8 +341,10 @@ class CurvatureBundle:
 
 
 def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
-    """The point's CurvatureBundle, memoised in the geometry's cache."""
-    return geometry.cached(point, "bundle", CurvatureBundle)
+    """The lone point's CurvatureBundle, a chunk of one, memoised in the
+    geometry's per-point cache."""
+    return geometry.cached(point, "bundle",
+                           lambda g, key: CurvatureBundle(g.state(key)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +352,7 @@ def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
 # ---------------------------------------------------------------------------
 
 # Record evaluators take the frame values of a block of points at once:
-# :meth:`CurvatureBundle.on` gives one point's, and the evaluation context
+# :meth:`CurvatureBundle.frames` gives a chunk's, and the evaluation context
 # of :mod:`ctlab.identities` stacks them with the point axis last, a
 # rank-r tensor as ``(m,) * r + (P,)`` and a scalar as ``(P,)``.  The
 # helpers below contract and permute tensor axes only, so an evaluator

@@ -22,12 +22,14 @@ truncating.
 A verification pass works on :meth:`GeometryInstance.at_order` of the
 chart, at the lowest order its records need, so ``config.order`` there is
 the working order; the configured order is the cap.  It walks its points
-with :func:`point_blocks`, which evaluates the chart's tape a block of
-points at a time, builds one point state (and, through
-:mod:`ctlab.curvature`, one curvature bundle) per :class:`Chunk` of a block,
-gives each point one-point views of them, and scopes each point's cache
-entries.  A chunk holds ``max(1, BLOCK_BYTES // the bytes of the walk's
-first point's state and bundle)`` points.
+in chunks (:func:`point_blocks`): the chart's tape is evaluated a block of
+points at a time, and each chunk of a block builds one point state (and,
+through :mod:`ctlab.curvature`, one curvature bundle) per geometry for all
+its points at once.  After the walk's first point, a chunk holds
+``max(1, BLOCK_BYTES // the bytes of that point's states and bundles)``
+points.  :func:`walk_chunks` holds the walk's one failure rule, under
+which every error and warning comes at its own point.  A lone point is a
+chunk of one, kept in the geometry's per-point cache.
 
 Orthonormal-frame components are produced by contracting value arrays with
 the inverse Cholesky factor of the metric at each point (the vielbein);
@@ -83,10 +85,6 @@ class TensorJet:
         """The field's values at the chunk's points, (P, m, ..., m)."""
         return np.array(self.coeffs[:, 0])
 
-    def row(self, j: int) -> "TensorJet":
-        """Point ``j`` of the chunk as a chunk of one, a view."""
-        return TensorJet(self.coeffs[j:j + 1], self.dim, self.order)
-
     def truncate(self, order: int) -> "TensorJet":
         """The same field at jet order ``order`` or lower, a view."""
         q = min(order, self.order)
@@ -139,30 +137,24 @@ def held_bytes(*objects) -> int:
 class PointState:
     """All metric-level jet data of one geometry at a chunk of points.
 
-    ``point`` is one point, a chunk of one, or a ``(P, dim)`` array of
-    points; every jet array carries the point axis first.  The jets of the
-    chart's expressions are ``roots``, the tape's root jets at the points
-    as ``(P, ncoeff)`` arrays when :func:`point_blocks` hands them over from
+    ``point`` is one point or a ``(P, dim)`` array of points; every jet
+    array carries the point axis first.  The jets of the chart's
+    expressions are ``roots``, the tape's root jets at the points as
+    ``(P, ncoeff)`` arrays when :func:`point_blocks` hands them over from
     its tape block, else the tape evaluated here.  Either way they are the
     same bit for bit, and so are the Cholesky factors, the jet-ring inverse
     and the Christoffel symbols, which every point gets from the kernels as
     it would alone.
-
-    :meth:`row` is one point of a chunk as a state of its own, a view; its
-    Christoffel symbols are the chunk's, built on first use
-    (:class:`Chunk`), or its own if the chunk stopped building.
     """
 
     def __init__(self, geometry: "GeometryInstance", point: np.ndarray,
                  roots=None):
         spec = geometry.spec
         self.geometry = geometry
-        self.point = np.asarray(point, float)
         self.m = spec.dim
         self.order = geometry.config.order
-        self._chunk = None
         m, k = self.m, self.order
-        points = self.point.reshape(-1, m)
+        points = np.asarray(point, float).reshape(-1, m)
         for x in points:
             if not spec.contains(x):
                 raise MetricError(
@@ -170,7 +162,7 @@ class PointState:
                     f"{spec.name!r}"
                 )
 
-        roots = (_root_coeffs(geometry, self.point) if roots is None
+        roots = (_root_coeffs(geometry, points) if roots is None
                  else iter(roots))
         g = np.zeros((len(points), table(m, k).size, m, m))
         for i in range(m):
@@ -213,21 +205,6 @@ class PointState:
             self.x_contra = None
             self.x_lower = None
 
-    def row(self, j: int, chunk: "Chunk") -> "PointState":
-        """Point ``j`` of this chunk's state as a chunk of one: views of
-        its arrays, with ``chunk`` the :class:`Chunk` they belong to."""
-        out = object.__new__(PointState)
-        out.geometry, out.m, out.order = self.geometry, self.m, self.order
-        out.point = self.point[j]
-        out._chunk = (chunk, j)
-        for name in ("g", "ginv", "u", "f", "x_contra", "x_lower"):
-            t = getattr(self, name)
-            setattr(out, name, None if t is None else t.row(j))
-        out.cholesky = self.cholesky[j:j + 1]
-        out.vielbein_inv = self.vielbein_inv[j:j + 1]
-        out._christoffel = None
-        return out
-
     def arrays(self):
         """Every array this state holds, for :func:`held_bytes`."""
         yield from (self.cholesky, self.vielbein_inv)
@@ -242,20 +219,13 @@ class PointState:
     def christoffel(self) -> TensorJet:
         """Gamma^l_{jk} as a jet field of order K-1 (axes [l, j, k])."""
         if self._christoffel is None:
-            got = None
-            if self._chunk is not None:
-                chunk, j = self._chunk
-                got = chunk.build(lambda c: c.state.christoffel.row(j))
-            if got is None:
-                m, k = self.m, self.order
-                dg = jet_gradient(self.g.coeffs, m, k)  # [a, b, v] = d_v g_ab
-                # d_j g_rk + d_k g_rj - d_r g_jk  as [r, j, k]
-                b = (dg.transpose(0, 1, 2, 4, 3) + dg
-                     - dg.transpose(0, 1, 4, 2, 3))
-                got = tj_combine(
-                    (0.5, tj_einsum("lr,rjk->ljk", self.ginv,
-                                    TensorJet(b, m, k - 1))))
-            self._christoffel = got
+            m, k = self.m, self.order
+            dg = jet_gradient(self.g.coeffs, m, k)  # [a, b, v] = d_v g_ab
+            # d_j g_rk + d_k g_rj - d_r g_jk  as [r, j, k]
+            b = dg.transpose(0, 1, 2, 4, 3) + dg - dg.transpose(0, 1, 4, 2, 3)
+            self._christoffel = tj_combine(
+                (0.5, tj_einsum("lr,rjk->ljk", self.ginv,
+                                TensorJet(b, m, k - 1))))
         return self._christoffel
 
     # -- covariant differentiation -------------------------------------------
@@ -294,25 +264,21 @@ class PointState:
         return x.reshape(shape)
 
 
-def _root_coeffs(geometry: "GeometryInstance", point: np.ndarray):
-    """The coefficient arrays of the chart's tape roots at ``point`` (one
-    point, or a ``(P, dim)`` array) as ``(P, ncoeff)``, the metric's lower
-    triangle first.  The ops of u, f and X are evaluated only once a root
-    of theirs is asked for, so that a caller checks the metric before any
-    of them can raise."""
+def _root_coeffs(geometry: "GeometryInstance", points: np.ndarray):
+    """The coefficient arrays of the chart's tape roots at ``points``, a
+    ``(P, dim)`` array, as ``(P, ncoeff)``, the metric's lower triangle
+    first.  The ops of u, f and X are evaluated only once a root of theirs
+    is asked for, so that a caller checks the metric before any of them can
+    raise."""
     tape = geometry.spec.tape
     m = geometry.dim
     metric = m * (m + 1) // 2
-
-    def coeffs(jet):
-        return jet.coeffs[None] if point.ndim == 1 else jet.coeffs.T
-
-    values = tape.evaluate(point, geometry.config.order, upto=metric)
+    values = tape.evaluate(points, geometry.config.order, upto=metric)
     for r in tape.roots[:metric]:
-        yield coeffs(values[r])
-    tape.evaluate(point, geometry.config.order, values)
+        yield values[r].coeffs.T
+    tape.evaluate(points, geometry.config.order, values)
     for r in tape.roots[metric:]:
-        yield coeffs(values[r])
+        yield values[r].coeffs.T
 
 
 def point_key(point) -> tuple[float, ...]:
@@ -326,10 +292,9 @@ class GeometryInstance:
     def __init__(self, spec: GeometrySpec, config: JetConfig | None = None):
         self.spec = spec
         self.config = config or JetConfig()
-        # The one per-point cache: point key -> {"state": PointState,
-        # "bundle": CurvatureBundle}, and, while point_blocks walks the
-        # point in a chunk, "chunk": (the Chunk, the point's row in it).  A
-        # point's entries live and die together.
+        # The cache of lone points, chunks of one: point key -> {"state":
+        # PointState, "bundle": CurvatureBundle}.  A walk of point_blocks
+        # neither reads nor fills it.
         self._points: dict[tuple[float, ...], dict[str, object]] = {}
 
     def at_order(self, order: int) -> "GeometryInstance":
@@ -374,9 +339,8 @@ class GeometryInstance:
         return value
 
     def state(self, point) -> PointState:
-        """The point's :class:`PointState`: a one-point view of its chunk's
-        when it is walked in one, else its own."""
-        return self.cached(point, "state", _point_state)
+        """The lone point's :class:`PointState`, a chunk of one."""
+        return self.cached(point, "state", PointState)
 
     # -- public chart operations ----------------------------------------------
 
@@ -394,20 +358,6 @@ class GeometryInstance:
         hi = np.array([b for _, b in self.spec.domain])
         width = hi - lo
         return lo + width * (0.05 + 0.9 * rng.random((count, self.dim)))
-
-
-def _point_state(geometry: GeometryInstance, key) -> PointState:
-    """The state of the point ``key``: from its chunk while
-    :func:`point_blocks` walks it in one that still builds (the chunk's own
-    if it holds this one point), else built here for the point alone."""
-    link = geometry._points.get(key, {}).get("chunk")
-    if link is not None:
-        chunk, j = link
-        state = chunk.build(lambda c: c.state.row(j, c) if len(c.points) > 1
-                            else c.state)
-        if state is not None:
-            return state
-    return PointState(geometry, key)
 
 
 # Largest number of (point, convolution triple) pairs in one tape block: a
@@ -439,125 +389,112 @@ def strict_errstate():
 
 
 class Chunk:
-    """Consecutive points of a walk on one geometry that share one
-    :class:`PointState` and, through :func:`ctlab.curvature.bundle`, one
-    curvature bundle; each point's own are one-point views of them.
+    """Consecutive points of a walk, with one :class:`PointState` and one
+    curvature bundle per geometry of the walk (:meth:`bundle`), each built
+    for all the points at once (vector-mode Taylor arithmetic over many
+    base points) when first read.  ``roots[n]`` are geometry ``n``'s root
+    jets at the points, from their tape block, or None to evaluate the
+    tape here."""
 
-    The state is built from the root jets of the points' tape block when a
-    point first needs it, and every quantity of the shared bundle when a
-    point first reads it, each time for all the points at once (vector-mode
-    Taylor arithmetic over many base points) and under
-    :func:`strict_errstate`.  A build that raises or would warn stops the
-    chunk: from then on its points build their own, so every error and
-    warning comes at its own point, as it would point by point."""
+    def __init__(self, geometries, points: np.ndarray, roots=None):
+        self.geometries = list(geometries)
+        self.points = np.asarray(points, float)
+        self.roots = roots or [None] * len(self.geometries)
+        self.bundles = [None] * len(self.geometries)
 
-    def __init__(self, geometry: GeometryInstance, points: np.ndarray, roots):
-        self.geometry = geometry
-        self.points = points
-        self.roots = roots
-        self.state: PointState | None = None
-        self.bundle = None  # the shared CurvatureBundle, made by curvature
-        self.failed = False
+    def __len__(self) -> int:
+        return len(self.points)
 
-    def build(self, read):
-        """``read(self)`` with the state built, under
-        :func:`strict_errstate`; None, and a stopped chunk, if it raises."""
-        if self.failed:
-            return None
-        try:
-            with strict_errstate():
-                if self.state is None:
-                    self.state = PointState(self.geometry, self.points,
-                                            self.roots)
-                    self.roots = None
-                return read(self)
-        except Exception:  # whatever it is, its point raises it again alone
-            self.failed = True
-            self.roots = self.state = self.bundle = None
-            return None
+    def bundle(self, n: int = 0):
+        """The points' :class:`~ctlab.curvature.CurvatureBundle` on
+        geometry ``n``, built with its point state on first use."""
+        if self.bundles[n] is None:
+            from .curvature import CurvatureBundle  # late: it imports us
+            self.bundles[n] = CurvatureBundle(PointState(
+                self.geometries[n], self.points, self.roots[n]))
+        return self.bundles[n]
+
+    def alone(self):
+        """Each point as a chunk of its own, with its rows of the roots."""
+        for j in range(len(self)):
+            yield Chunk(self.geometries, self.points[j:j + 1],
+                        [None if r is None else [a[j:j + 1] for a in r]
+                         for r in self.roots])
 
 
 def _evaluate_block(geometry: GeometryInstance, points: np.ndarray):
     """The jets of the tape's ops over ``points`` from one evaluation of
     the tape, coefficient arrays ``(ncoeff, P)``; ``None`` if that
-    evaluation raises or would warn, so that every point then evaluates its
-    own tape and raises or warns at its own turn."""
+    evaluation raises or would warn, so that every chunk of the block then
+    evaluates its own points' tape and the error or warning comes at its
+    point."""
     try:
         with strict_errstate():
             return geometry.spec.tape.evaluate(points, geometry.config.order)
-    except Exception:  # whatever it is, its point raises it again alone
+    except Exception:  # whatever it is, its chunk raises it again
         return None
 
 
-def _chunk_at(geometry: GeometryInstance, block: np.ndarray, start: int,
-              size: int, values) -> tuple[Chunk, list]:
-    """The chunk of ``block`` from point ``start``: up to ``size``
-    consecutive points that ``geometry`` holds no entry for, with distinct
-    keys, and their root jets from the block's tape evaluation."""
-    keys = []
-    for p in block[start:start + size]:
-        key = point_key(p)
-        if key in geometry._points or key in keys:
-            break
-        keys.append(key)
-    stop = start + len(keys)
-    roots = [values[r].coeffs[:, start:stop].T
-             for r in geometry.spec.tape.roots]
-    return Chunk(geometry, block[start:stop], roots), keys
-
-
-def _chunk_size(geometry: GeometryInstance, key) -> int:
-    """Points per chunk once the walk leaves its first point ``key``:
-    ``BLOCK_BYTES`` over the bytes of that point's state and bundle, at
-    least one."""
-    entry = geometry._points.get(key, {})
-    nbytes = held_bytes(entry.get("state"), entry.get("bundle"))
-    return max(1, BLOCK_BYTES // max(1, nbytes))
-
-
 def point_blocks(points, *geometries: GeometryInstance):
-    """Yield ``points`` in order, each in its own scope: the cache entries
-    a point gains on any of ``geometries`` are dropped when the walk moves
-    on or stops, and entries held before stay.
+    """Yield ``points`` in order as :class:`Chunk` objects on
+    ``geometries``.
 
     The points are taken a tape block at a time: on entering a block, each
     geometry's tape is evaluated over the block's points at once (a block
-    holds :func:`block_size` points of the first geometry's jet table).
-    Each geometry then walks the block's fresh points in chunks
-    (:class:`Chunk`) that share one point state and one curvature bundle,
-    each point reading a one-point view of them.  The first point of the
-    walk is a chunk of its own; once the walk leaves it, a geometry's
-    chunks hold ``max(1, BLOCK_BYTES // the bytes of that point's state
-    and bundle)`` points, so a chunk holds no more than ``BLOCK_BYTES``
-    unless one point already does.  Every point's jets, values and frames
-    are the same bit for bit as point by point.  If a block's evaluation
-    or a chunk's build raises or would warn, each of its points builds
-    alone, so errors and warnings come at the same point and in the same
-    order."""
+    holds :func:`block_size` points of the first geometry's jet table), and
+    its chunks get their rows of the root jets.  The first point of the
+    walk is a chunk of its own.  Once the walk leaves it, chunks hold
+    ``max(1, BLOCK_BYTES // the bytes of that point's state and bundle)``
+    points, the smallest such size over the geometries, cut at the end of
+    each block.  So a chunk holds no more than ``BLOCK_BYTES`` on any
+    geometry unless one point already does.  Every point's jets, values
+    and frames are the same bit for bit as point by point.  The walk
+    neither reads nor fills the geometries' per-point caches."""
     size = block_size(geometries[0].dim, geometries[0].config.order)
-    chunk_size = [1] * len(geometries)
-    first = True
+    chunk_size = None
     for start in range(0, len(points), size):
         block = np.asarray(points[start:start + size], float)
         values = [_evaluate_block(g, block) for g in geometries]
-        links = [{} for _ in geometries]  # point key -> (chunk, row)
-        for i, p in enumerate(block):
-            key = point_key(p)
-            fresh = [n for n, g in enumerate(geometries)
-                     if key not in g._points]
-            for n in fresh:
-                g = geometries[n]
-                if key not in links[n] and values[n] is not None:
-                    chunk, keys = _chunk_at(g, block, i, chunk_size[n],
-                                            values[n])
-                    links[n] = {k: (chunk, j) for j, k in enumerate(keys)}
-                link = links[n].pop(key, None)
-                g._points[key] = {} if link is None else {"chunk": link}
-            try:
-                yield p
-            finally:
-                if first:
-                    first = False
-                    chunk_size = [_chunk_size(g, key) for g in geometries]
-                for n in fresh:
-                    geometries[n]._points.pop(key, None)
+        i = 0
+        while i < len(block):
+            stop = min(i + (chunk_size or 1), len(block))
+            chunk = Chunk(geometries, block[i:stop], [
+                None if v is None else
+                [v[r].coeffs[:, i:stop].T for r in g.spec.tape.roots]
+                for g, v in zip(geometries, values)])
+            yield chunk
+            if chunk_size is None:
+                chunk_size = min(max(1, BLOCK_BYTES // max(1, held_bytes(b)))
+                                 for b in chunk.bundles)
+            i = stop
+
+
+def walk_chunks(points, geometries, read, take, flush=lambda: None):
+    """``take(chunk, read(chunk))`` for each chunk of :func:`point_blocks`,
+    in order, so that every error and warning comes at its own point, as
+    it would point by point: the walk's one failure rule.  A chunk is
+    released before the next one is built.
+
+    ``read`` is tried under :func:`strict_errstate`, where whatever would
+    warn raises too.  If it raises, ``flush()`` finishes what ``take`` has
+    kept of the points before, and the chunk's points are read again as
+    chunks of one, each by this same rule.  A chunk of one that raises is
+    read once more as it is, so its error or warnings come through.
+    ``read`` must leave no trace but the chunk's own caches, as it may run
+    twice."""
+
+    def attempt(chunk):
+        try:
+            with strict_errstate():
+                got = read(chunk)
+        except Exception:  # whatever it is, it comes again at its point
+            flush()
+            if len(chunk) > 1:
+                for one in chunk.alone():
+                    attempt(one)
+                return
+            got = read(chunk)
+        take(chunk, got)
+
+    for chunk in point_blocks(points, *geometries):
+        attempt(chunk)

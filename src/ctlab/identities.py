@@ -9,8 +9,8 @@ declared once, by a decorator on its evaluator (``@_rec(id, eq, tol_class,
 dimension floor and tolerance, and the hypothesis supplies the fields the
 record requires.  The registry is data: families can be listed, filtered
 and dumped, and the verification driver treats every record uniformly
-(certify the structural hypothesis at each sampled point in turn, evaluate
-a block of points at a time, and report the worst normalised residual,
+(certify the structural hypothesis at every sampled point, evaluate a
+block of points at a time, and report the worst normalised residual,
 where a NaN residual fails).
 
 Evaluators work on a block of points at once.  Every frame value of the
@@ -24,14 +24,14 @@ and :func:`~ctlab.curvature.tp` for ``.T`` and ``.transpose``, all on the
 tensor axes only; ``float`` is never taken of a frame value.  To add a
 record, decorate such an evaluator with ``@_rec`` and return its two
 sides, of one shape up to broadcasting: :func:`residuals` reduces them
-over the tensor axes, one residual per point.  The driver evaluates the
-first point of a pass alone and the later ones in blocks of
-``max(1, BLOCK_BYTES // the bytes of the values the first one read)``.
-The values themselves, and the ones a hypothesis is certified on, come
-from the point's curvature bundle, a view of its chunk's
-(:func:`~ctlab.geometry.point_blocks`), so each quantity is built once per
-chunk of points while every point is still certified and read at its own
-turn.
+over the tensor axes, one residual per point.  The driver walks the
+points in chunks (:func:`~ctlab.geometry.point_blocks`), each with one
+curvature bundle per geometry, so each quantity is built once per chunk.
+It certifies each hypothesis on a whole chunk in one evaluator call
+(:func:`structure_residuals`), evaluates the first point of a pass alone,
+and hands the later chunks' values over whole, in blocks of
+``max(1, BLOCK_BYTES // the bytes of the values the first one read)``
+points.
 
 Families:
 
@@ -51,6 +51,7 @@ identity among huge and among tiny tensors is judged by the same yardstick.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import Callable
@@ -60,11 +61,11 @@ import numpy as np
 from .curvature import CurvatureBundle, bundle, dot, einsum, tp
 from .geometry import (
     BLOCK_BYTES,
+    Chunk,
     GeometryInstance,
     MetricError,
-    point_blocks,
     point_key,
-    strict_errstate,
+    walk_chunks,
 )
 from .report import ReportRow
 
@@ -107,12 +108,11 @@ def worst_of(a: float, b: float) -> float:
 # evaluation context
 # ---------------------------------------------------------------------------
 
-def _as_block(values: list) -> np.ndarray:
-    """One value per point, stacked point-major and viewed with the point
-    axis last, read-only; a block of one is a view of its value."""
-    if len(values) == 1:
-        return np.asarray(values[0], float)[..., None]
-    out = np.moveaxis(np.stack(values), 0, -1)
+def _as_block(pieces: list) -> np.ndarray:
+    """Values of consecutive points, point-major pieces joined and viewed
+    with the point axis last, read-only; one piece is a view of it."""
+    out = np.moveaxis(pieces[0] if len(pieces) == 1
+                      else np.concatenate(pieces), 0, -1)
     out.flags.writeable = False
     return out
 
@@ -126,34 +126,22 @@ def _delta(m: int) -> np.ndarray:
     return out
 
 
-# A frame value's key is (side, name, d): ``b.on(name, d)`` of the
+# A frame value's key is (side, name, d): ``frames(name, d)`` of the
 # geometry's bundle (side "b") or of the rescaled one's (side "t"), and
 # ``scalar_exp(d)`` when ``name`` is None.
 
-def _value(b: CurvatureBundle, key: tuple):
-    """One point's value of ``key``, read from its bundle ``b``."""
+def _value(b: CurvatureBundle, key: tuple) -> np.ndarray:
+    """The value of ``key`` at every point of bundle ``b``, point-major."""
     _, name, d = key
-    return b.scalar_exp(d) if name is None else b.on(name, d)
-
-
-def _values_at(geometry: GeometryInstance, tilde: GeometryInstance | None,
-               point, keys: list[tuple]) -> list:
-    """The values of ``keys`` at ``point``, in their order.  The point's
-    bundle is built even when nothing is read, as a context's is."""
-    bundles = {"b": bundle(geometry, point)}
-    values = []
-    for key in keys:
-        if key[0] not in bundles:
-            bundles[key[0]] = bundle(tilde, point)
-        values.append(_value(bundles[key[0]], key))
-    return values
+    return b.scalar_exp(d) if name is None else b.frames(name, d)
 
 
 class _Frames:
     """One side's frame values over a block of points, from ``values``
     (key -> block value, shared by a context's sides).  With a live
-    ``bundle`` (a block of one) a value is read from it when first asked
-    for, so ``values`` then holds what the evaluators read, in order."""
+    ``bundle`` (over the block's points) a value is read from it when
+    first asked for, so ``values`` then holds what the evaluators read, in
+    order."""
 
     def __init__(self, side: str, values: dict, b: CurvatureBundle = None):
         self.side, self.values, self.bundle = side, values, b
@@ -187,29 +175,42 @@ class EvalContext:
     ``I`` (a trailing axis of length 1) and the structure constant
     ``lam``.  ``points`` are the block's point keys.
 
-    ``EvalContext(geometry, point[, tilde])`` is one point, a block of
-    one read from its live bundles; ``values`` then holds what its
-    evaluators read.  :meth:`stacked` is a block of later points, made
-    from their values of those keys."""
+    ``EvalContext(geometry, point[, tilde])`` is a lone point, read from
+    its live bundles; :meth:`of` is a walk's chunk, read from its live
+    bundles.  ``values`` then holds what the evaluators read.
+    :meth:`stacked` is a block of points whose values were read before."""
 
     def __init__(self, geometry: GeometryInstance, point,
                  tilde: GeometryInstance | None = None):
-        self._start(geometry, tilde, [point_key(point)], {})
-        self.b = _Frames("b", self.values, bundle(geometry, point))
-        self._t = None
+        self._live(geometry, tilde, [point_key(point)],
+                   bundle(geometry, point), lambda: bundle(tilde, point))
+
+    @classmethod
+    def of(cls, chunk: Chunk) -> "EvalContext":
+        """The points of ``chunk`` on the first geometry of its walk, with
+        the second, if there is one, as the rescaled geometry."""
+        c = cls.__new__(cls)
+        tilde = chunk.geometries[1] if len(chunk.geometries) > 1 else None
+        c._live(chunk.geometries[0], tilde,
+                [point_key(p) for p in chunk.points], chunk.bundle(0),
+                lambda: chunk.bundle(1))
+        return c
 
     @classmethod
     def stacked(cls, geometry: GeometryInstance,
                 tilde: GeometryInstance | None, points: list,
-                keys: list[tuple], rows: list[list]) -> "EvalContext":
-        """The block of ``points``; ``rows[j][n]`` is point ``j``'s value
-        of ``keys[n]``."""
+                values: dict) -> "EvalContext":
+        """The block of ``points`` with ``values``, key -> block value."""
         c = cls.__new__(cls)
-        c._start(geometry, tilde, points, {
-            key: _as_block([row[n] for row in rows])
-            for n, key in enumerate(keys)})
+        c._start(geometry, tilde, points, values)
         c.b, c._t = _Frames("b", c.values), _Frames("t", c.values)
         return c
+
+    def _live(self, geometry, tilde, points, b, tilde_bundle):
+        self._start(geometry, tilde, points, {})
+        self.b = _Frames("b", self.values, b)  # built even if nothing is read
+        self._t = None
+        self._tilde_bundle = tilde_bundle
 
     def _start(self, geometry, tilde, points, values):
         self.geometry = geometry
@@ -233,8 +234,7 @@ class EvalContext:
             raise MetricError(
                 f"no rescaled geometry given for {self.geometry.name!r}")
         if self._t is None:
-            self._t = _Frames("t", self.values,
-                              bundle(self.tilde, self.points[0]))
+            self._t = _Frames("t", self.values, self._tilde_bundle())
         return self._t
 
 
@@ -1358,18 +1358,25 @@ _STRUCTURES["base_gradient_soliton"] = _STRUCTURES["gradient_soliton"]
 _STRUCTURES["tilde_gradient_soliton"] = _STRUCTURES["conformal_gradient_soliton"]
 
 
-def structure_residual(geometry: GeometryInstance, kind: str, point,
-                       lam: float) -> float:
-    """Normalised residual of the defining equations of ``kind`` at a
-    point: the worst over its equations, NaN if any is NaN."""
+def structure_residuals(c: EvalContext, kind: str, lam: float) -> np.ndarray:
+    """Normalised residual of the defining equations of ``kind``, with
+    structure constant ``lam``, at each point of ``c``'s block: the worst
+    over its equations, NaN if any is NaN."""
     if kind not in _STRUCTURES:
         raise KeyError(f"unknown structure kind {kind!r}")
-    c = EvalContext(geometry, point)
+    c = copy.copy(c)
     c.lam = lam  # the claim's constant, not necessarily the geometry's
-    worst = 0.0
+    worst = np.zeros(len(c.points))
     for eq in _STRUCTURES[kind]:
-        worst = worst_of(worst, residual(*eq(c)))
+        worst = np.maximum(worst, residuals(*eq(c)))
     return worst
+
+
+def structure_residual(geometry: GeometryInstance, kind: str, point,
+                       lam: float) -> float:
+    """:func:`structure_residuals` at a lone point."""
+    return float(structure_residuals(EvalContext(geometry, point), kind,
+                                     lam)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1470,19 +1477,21 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     largest ``min_order`` of the runnable records; the configured order
     only caps it, through the ``needs jet order`` skips.
 
-    Evaluation is point-major: :func:`~ctlab.geometry.point_blocks` walks
-    the points, builds their point states and bundles a chunk of points
-    at a time and scopes each one's cache entries, so memory does not
-    grow with the number of points.  At each point in turn every
-    hypothesis is certified, and a failed one stops the walk there.  The
-    records are evaluated a block of points at a time: the first point
-    alone, from its live bundles, and every later point hands over the
-    frame values that the first one read, so its jets are released as the
-    walk moves on.  A block holds ``max(1, BLOCK_BYTES // the bytes of
-    those values)`` points, and its results are the same bit for bit as
-    point by point.  An error or warning raised at a point comes after
-    every earlier point was evaluated.  A NaN residual at any point makes
-    the record fail.
+    Evaluation is point-major and walks chunks of points
+    (:func:`~ctlab.geometry.walk_chunks`), each with its own point states
+    and bundles, so memory does not grow with the number of points.  Each
+    hypothesis is certified for a whole chunk in one evaluator call, one
+    residual per point, and the running worst is kept point by point: a
+    failed one stops the walk at its point, after the records have run on
+    the points before it, and names the running worst there.  The records
+    are evaluated a block of points at a time: the first point of the walk
+    alone, from its live bundles, and every later chunk hands over, whole,
+    the frame values that the first point read.  A block holds
+    ``max(1, BLOCK_BYTES // the bytes of those values)`` points, so one
+    chunk's points may fall in two blocks, and its results are the same
+    bit for bit as point by point.  An error or warning raised at a point
+    comes after every earlier point was evaluated.  A NaN residual at any
+    point makes the record fail.
     """
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
@@ -1505,74 +1514,89 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     worst = dict.fromkeys(runnable, 0.0)
     geometries = [g for g in (geometry, tilde) if g is not None]
 
-    def certify(p):
-        return {kind: structure_residual(geometry, kind, p, geometry.spec.lam)
-                for kind in cert}
-
-    def may_run(found: dict) -> list[int]:
-        """The records certified once ``found`` joins the running worst;
-        one that is not raises, unless it is a law, once the points
-        before this one are evaluated."""
-        for kind, r in found.items():
-            cert[kind] = worst_of(cert[kind], r)
+    def certified(found: dict) -> tuple[list[int], str | None]:
+        """The runnable records that the running worst ``found`` certifies,
+        and why the first identity it does not certify may not run (a law
+        is skipped instead)."""
         out = []
         for i in runnable:
-            why = _uncertified(records[i], cert)
+            why = _uncertified(records[i], found)
             if why is None:
                 out.append(i)
             elif records[i].family != "LAW":
-                flush()
-                raise CertificationError(
-                    f"{geometry.name}: {why}; required by {records[i].id}")
-        return out
+                return out, (f"{geometry.name}: {why}; required by "
+                             f"{records[i].id}")
+        return out, None
+
+    def read(chunk):
+        """The chunk's hypothesis residuals, one per point, and past the
+        first point of the walk its values of ``keys``, point-major (none
+        if its first point already stops the walk)."""
+        c = EvalContext.of(chunk)
+        found = {kind: structure_residuals(c, kind, geometry.spec.lam)
+                 for kind in cert}
+        if keys is None or certified({k: worst_of(cert[k], r[0])
+                                      for k, r in found.items()})[1]:
+            return found, None
+        return found, [_value(chunk.bundle(1 if key[0] == "t" else 0), key)
+                       for key in keys]
 
     def run(c: EvalContext):
         for i in active:
             lhs, rhs = records[i].evaluate(c)
             worst[i] = worst_of(worst[i], np.max(residuals(lhs, rhs)))
 
-    def first(p) -> tuple[list[tuple], int]:
-        """Evaluate the first point alone, from its live bundles; the keys
-        of the values it read, and the points a block of them may hold."""
-        c = EvalContext(geometry, p, tilde)
-        run(c)
-        nbytes = sum(v.nbytes for v in c.values.values())
-        return list(c.values), max(1, BLOCK_BYTES // max(1, nbytes))
+    def add(chunk, values, start: int, stop: int):
+        """Hand over ``values`` of the chunk's points ``start:stop``."""
+        while start < stop:
+            take = min(stop - start, size - len(pending))
+            pending.extend(point_key(p) for p in
+                           chunk.points[start:start + take])
+            pieces.append([v[start:start + take] for v in values])
+            start += take
+            if len(pending) == size:
+                flush()
 
     def flush():
         if pending:
-            c = EvalContext.stacked(geometry, tilde, [k for k, _ in pending],
-                                    keys, [v for _, v in pending])
-            pending.clear()  # the stacked copies are all the block keeps
+            c = EvalContext.stacked(geometry, tilde, list(pending), {
+                key: _as_block([piece[n] for piece in pieces])
+                for n, key in enumerate(keys)})
+            pending.clear()  # the joined values are all the block keeps
+            pieces.clear()
             run(c)
 
-    def at_turn(step):
-        """``step()``, raising or warning only once the points before it
-        are evaluated: tried with floating-point warnings raised, and on
-        any error again after the pending points are flushed."""
-        if not pending:
-            return step()
-        try:
-            with strict_errstate():
-                return step()
-        except Exception:  # whatever it is, it comes again at its turn
-            flush()
-            return step()
-
-    active, pending, keys = None, [], None
-    # build no point state needlessly
-    for p in point_blocks(points, *geometries) if runnable else ():
-        now = may_run(at_turn(lambda: certify(p)))
-        if now != active:
-            flush()
-            active = now
+    def take(chunk, got):
+        """Keep the running worst of the chunk's points in order, and hand
+        their values over; the walk's first point is evaluated here."""
+        nonlocal active, keys, size
+        found, values = got
+        start = 0
+        for j in range(len(chunk)):
+            for kind, r in found.items():
+                cert[kind] = worst_of(cert[kind], r[j])
+            now, stop = certified(cert)
+            if stop is not None or now != active:
+                if values is not None:
+                    add(chunk, values, start, j)
+                flush()
+                if stop is not None:
+                    raise CertificationError(stop)
+                active, start = now, j
         if keys is None:
-            keys, size = first(p)
-            continue
-        pending.append((point_key(p), at_turn(
-            lambda: _values_at(geometry, tilde, p, keys))))
-        if len(pending) == size:
-            flush()
+            # the walk's first point, alone: evaluate it from its live
+            # bundles, and learn which values later points hand over
+            c = EvalContext.of(chunk)
+            run(c)
+            keys = list(c.values)
+            nbytes = sum(v.nbytes for v in c.values.values())
+            size = max(1, BLOCK_BYTES // max(1, nbytes))
+        else:
+            add(chunk, values, start, len(chunk))
+
+    active, keys, size, pending, pieces = None, None, 0, [], []
+    if runnable:  # build no point state needlessly
+        walk_chunks(points, geometries, read, take, flush)
     flush()
     rows = []
     for i, rec in enumerate(records):
@@ -1585,4 +1609,3 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
         status = "pass" if worst[i] < tol else "fail"
         rows.append(ReportRow(rec.id, rec.family, rec.eq, worst[i], tol, status))
     return rows
-

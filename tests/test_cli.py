@@ -125,10 +125,11 @@ def test_eval_builds_its_point_at_the_quantity_depth(capsys, monkeypatch):
     orders = []
     init = geometry.PointState.__init__
 
-    def spy(self, geom, point):
-        if list(point) == [0.1, 0.2, 0.3]:  # not a certification point
+    def spy(self, geom, point, *roots):
+        # not a chunk of certification points
+        if np.reshape(point, (-1, 3)).tolist() == [[0.1, 0.2, 0.3]]:
             orders.append(geom.config.order)
-        init(self, geom, point)
+        init(self, geom, point, *roots)
 
     monkeypatch.setattr(geometry.PointState, "__init__", spy)
     for jet_order, want in [("6", 4), ("8", 4), ("3", 3), ("5", 4)]:
@@ -228,12 +229,40 @@ def test_exit_config_error(capsys):
     (["catalog", "--export", "euclidean", "--dim", "0"], "dim"),
     (["eval", "--catalog", "s2xs2", "--radius", "2", "--quantity", "scalar",
       "--point", "0,0,0,0"], "radius"),
+    # a radius the entry takes, but no sphere has
+    *[([cmd, "--catalog", name, "--radius", radius] + tail,
+       "radius must be a positive finite number")
+      for name in ("sphere", "sphere_killing")
+      for radius in ("0", "-1", "inf", "nan")
+      for cmd, tail in (("verify", ["--suite", "COMM"]),
+                        ("eval", ["--quantity", "scalar", "--point",
+                                  "0,0,0"]))],
 ])
 def test_parameter_the_entry_does_not_take_exits_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and named in err
+
+
+def test_points_too_many_to_allocate_exits_2(capsys, monkeypatch):
+    # the sample would not fit in memory: a configuration error, exit 2
+    # (the catalog's own certification grid still fits)
+    real = geometry.GeometryInstance.sample_points
+
+    def sample_points(self, count, seed):
+        if count > 1000:
+            raise MemoryError(f"Unable to allocate the sample of {count}")
+        return real(self, count, seed)
+
+    monkeypatch.setattr(geometry.GeometryInstance, "sample_points",
+                        sample_points)
+    code, out, err = run(capsys, "verify", "--catalog", "random", "--dim",
+                         "3", "--seed", "1", "--suite", "COMM", "--points",
+                         "1000000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: --points 1000000000: Unable to allocate the "
+                   "sample of 1000000000\n")
 
 
 def test_spec_with_entry_parameters_exits_2(capsys, tmp_path):
@@ -329,8 +358,8 @@ def test_malformed_spec_file_exits_2(capsys, tmp_path, doc, line):
 def test_catalog_claim_failing_certification_exits_3(capsys, monkeypatch):
     # a claim of a catalog entry that fails at load is a certification
     # failure, like a hypothesis that fails in the driver
-    monkeypatch.setattr(catalog, "structure_residual",
-                        lambda g, kind, p, lam: 1.0)
+    monkeypatch.setattr(catalog, "structure_residuals",
+                        lambda c, kind, lam: np.ones(len(c.points)))
     code, out, err = run(capsys, "verify", "--catalog", "euclidean",
                          "--suite", "COMM", "--points", "1")
     assert code == 3 and out == ""
@@ -489,14 +518,16 @@ def test_negative_points_is_a_config_error(capsys):
 
 def test_identities_and_laws_share_point_states(capsys, monkeypatch):
     # one driver pass: 4 certification points at load, then 8 base and 8
-    # rescaled states; a second pass for the laws would build 16 more
+    # rescaled points' states; a second pass for the laws would build 16
+    # more (one name per point of each chunk's state)
     from ctlab.geometry import PointState
     built = []
     init = PointState.__init__
 
-    def counting_init(self, geometry, point):
-        built.append(geometry.name)
-        init(self, geometry, point)
+    def counting_init(self, geometry, point, *roots):
+        built.extend([geometry.name] * len(np.reshape(point,
+                                                      (-1, geometry.dim))))
+        init(self, geometry, point, *roots)
 
     monkeypatch.setattr(PointState, "__init__", counting_init)
     code, out, _ = run(capsys, "verify", "--catalog", "conformal_gaussian",

@@ -1,5 +1,7 @@
 """Rescaling plus every transformation law, predicted vs recomputed."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,3 +184,27 @@ def test_per_point_cache_is_released():
         return sum(len(x._points) for x in geoms)
 
     assert cached_after(2) == cached_after(8)
+
+
+def test_memory_stays_bounded_as_points_grow():
+    # all 27 laws on a dim-3 pair: past the first full block of records
+    # (101 points here) the peak of traced allocations hardly grows with
+    # the number of points; a walker that kept each point's values, let
+    # alone its states and bundles, would add 10 KiB or more a point
+    pair = rescale(catalog.load("conformal_gaussian_plus_killing",
+                                dim=3).geometry)
+
+    def peak(n):
+        points = pair.base.sample_points(n, 1)
+        tracemalloc.start()
+        try:
+            rows = verify_transform(pair, list(LAW_REGISTRY), points)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.status != "fail" for r in rows)
+        return top
+
+    peak(128)  # fills the module-level caches (jet tables, kernel plans)
+    small, large = peak(128), peak(512)
+    assert large < 1.2 * small, (small, large)

@@ -6,7 +6,7 @@ import pytest
 
 from ctlab import catalog, conformal, curvature
 from ctlab.curvature import DimensionError, bundle
-from ctlab.geometry import Chunk, GeometryInstance, MetricError, point_key
+from ctlab.geometry import Chunk, GeometryInstance, MetricError
 from ctlab.jets import JetOrderError
 from ctlab.identities import residual
 from oracles import d_tensor_form, duf_tensor_alt, kulkarni_nomizu
@@ -369,8 +369,9 @@ def test_bundle_cache_reproducible():
     g = entry("random", dim=4, seed=14).geometry
     p = pts(g, 1, 5)[0]
     a = bundle(g, p).on("cotton", 1)
-    b = bundle(g, p).on("cotton", 1)
-    assert a is b  # cached
+    assert bundle(g, p).frames("cotton", 1) is bundle(g, p).frames(
+        "cotton", 1)  # cached
+    assert np.shares_memory(a, bundle(g, p).frames("cotton", 1))
     g2 = catalog.load("random", dim=4, seed=14, certify=False).geometry
     c = bundle(g2, p).on("cotton", 1)
     assert np.array_equal(a, c)  # bit-for-bit reproducible
@@ -397,15 +398,6 @@ QUANTITIES = [name[len("_build_"):] for name in vars(curvature.CurvatureBundle)
               if name.startswith("_build_")]
 
 
-def _chunk_bundles(g, points):
-    """The one-point bundles of one chunk of ``points``, as
-    ``point_blocks`` hands them out."""
-    chunk = Chunk(g, np.asarray(points), None)
-    for j, p in enumerate(points):
-        g._points[point_key(p)] = {"chunk": (chunk, j)}
-    return [bundle(g, p) for p in points]
-
-
 def _chunk_charts():
     """random at dims 3, 4 and 5, and both sides of a conformal pair."""
     for dim, seed, order in ((3, 1, 5), (4, 2, 4), (5, 3, 4)):
@@ -419,15 +411,15 @@ def _chunk_charts():
 @pytest.mark.parametrize("g", list(_chunk_charts()), ids=lambda g: g.name)
 def test_chunks_equal_chunks_of_one_bit_for_bit(g):
     # every quantity at every derivative count the order allows: each
-    # point of a chunk of 1, 2 or 7 reads what a fresh one-point bundle of
+    # point of a chunk of 1, 2 or 7 reads what a lone point's bundle of
     # its own gives it
     points = g.sample_points(7, 11)
     compared = 0
     for size in (1, 2, 7):
         fresh = GeometryInstance(g.spec, g.config)
-        chunked = GeometryInstance(g.spec, g.config)
-        views = _chunk_bundles(chunked, points[:size])
-        assert views[0].state.g.coeffs.shape[0] == 1
+        chunk = Chunk([g], points[:size])
+        b = chunk.bundle()
+        assert b.state.g.coeffs.shape[0] == size
         errors = []
         for name in QUANTITIES:
             for d in range(g.config.order + 1):
@@ -436,14 +428,14 @@ def test_chunks_equal_chunks_of_one_bit_for_bit(g):
                 except (DimensionError, MetricError, JetOrderError) as err:
                     errors.append((name, d, type(err)))
                     break
-                for b, w in zip(views, want):
-                    assert np.array_equal(b.on(name, d), w), (name, d, size)
+                got = b.frames(name, d)
+                assert len(got) == size
+                for j, w in enumerate(want):
+                    assert np.array_equal(got[j], w), (name, d, size)
                     compared += 1
-        if size > 1:  # every value came from the chunk
-            assert not views[0]._chunk[0].failed
         for name, d, error in errors:
             with pytest.raises(error):
-                views[-1].on(name, d)
-        for p, b in zip(points[:size], views):
-            assert b.scalar_exp(-2.0) == bundle(fresh, p).scalar_exp(-2.0)
+                b.frames(name, d)
+        assert np.array_equal(b.scalar_exp(-2.0), [
+            bundle(fresh, p).scalar_exp(-2.0)[0] for p in points[:size]])
     assert compared > 100

@@ -266,30 +266,34 @@ def test_missing_field_errors():
 
 
 def test_point_blocks_keep_earlier_entries():
+    # the walk neither reads nor changes the per-point cache: an entry held
+    # before stays as it was, and the walked points gain none
     g = euclidean()
     held, fresh = g.sample_points(2, 0)
-    g.state(held)
-    for p in point_blocks([held, fresh], g):
-        assert bundle(g, held).state is g.state(held)
-        bundle(g, p).on("ricci")
-        assert point_key(p) in g._points
-    assert point_key(held) in g._points
-    assert point_key(fresh) not in g._points
+    state = g.state(held)
+    for chunk in point_blocks([held, fresh], g):
+        chunk.bundle().frames("ricci")
+        assert chunk.bundle().state is not state
+        assert g._points == {point_key(held): {"state": state}}
+    assert g._points == {point_key(held): {"state": state}}
 
 
-def test_point_blocks_give_chunks_only_to_fresh_geometries():
+def test_point_blocks_give_each_geometry_a_chunk_state():
+    # every geometry of the walk gets its own state for each chunk, built
+    # when first read, whatever the cache holds; the first point is a chunk
+    # of its own
     held, fresh = euclidean(), euclidean()
     p = held.sample_points(1, 0)[0]
-    key = point_key(p)
     state = held.state(p)
-    for q in point_blocks([p], held, fresh):
-        assert "chunk" not in held._points[key]
-        chunk, row = fresh._points[key]["chunk"]
-        assert (len(chunk.points), row) == (1, 0)
-        # the first point is a chunk of its own, whose state is its point's
-        assert fresh.state(q) is chunk.state
-    assert held._points[key] == {"state": state}
-    assert key not in fresh._points
+    for chunk in point_blocks([p], held, fresh):
+        assert chunk.geometries == [held, fresh]
+        assert chunk.bundles == [None, None]
+        assert len(chunk) == 1 and chunk.points.tolist() == [list(p)]
+        assert chunk.bundle(1).state.geometry is fresh
+        assert chunk.bundles[0] is None
+        assert chunk.bundle(0).state is not state
+    assert held._points == {point_key(p): {"state": state}}
+    assert fresh._points == {}
 
 
 # ---------------------------------------------------------------------------
@@ -420,34 +424,33 @@ def test_point_states_in_blocks_match_states_alone():
     alone = GeometryInstance(g.spec, JetConfig(4))
     blocked = GeometryInstance(g.spec, JetConfig(4))
     seen, sizes = [], []
-    for p in point_blocks(points, blocked):
-        chunk, row = blocked._points[point_key(p)]["chunk"]
-        a, b = alone.state(p), blocked.state(p)
-        for name in ("g", "ginv", "u", "f", "x_contra", "x_lower",
-                     "christoffel"):
-            assert getattr(a, name).coeffs.tobytes() == \
-                getattr(b, name).coeffs.tobytes(), name
-        assert a.vielbein_inv.tobytes() == b.vielbein_inv.tobytes()
-        seen.append(point_key(p))
-        sizes.append(len(chunk.points))
+    for chunk in point_blocks(points, blocked):
+        b = chunk.bundle().state
+        for j, p in enumerate(chunk.points):
+            a = alone.state(p)
+            for name in ("g", "ginv", "u", "f", "x_contra", "x_lower",
+                         "christoffel"):
+                assert getattr(a, name).coeffs[0].tobytes() == \
+                    getattr(b, name).coeffs[j].tobytes(), name
+            assert a.vielbein_inv[0].tobytes() == b.vielbein_inv[j].tobytes()
+            seen.append(point_key(p))
+        sizes.append(len(chunk))
     assert seen == [point_key(p) for p in points]
-    assert sizes == [1] + [8] * 8  # the first point alone, then one chunk
+    assert sizes == [1, 8]  # the first point alone, then one chunk
     assert blocked._points == {}
 
 
 def test_chunks_hold_at_most_block_bytes(monkeypatch):
-    # each geometry's chunk holds no more than BLOCK_BYTES of state and
-    # bundle arrays, unless it is one point that alone holds more
-    held = []
-    build = Chunk.build
+    # each chunk holds no more than BLOCK_BYTES of state and bundle arrays
+    # on any geometry, unless it is one point that alone holds more
+    chunks = []
+    init = Chunk.__init__
 
-    def spy(self, read):
-        out = build(self, read)
-        held.append((self.geometry.name, len(self.points),
-                     held_bytes(self.state, self.bundle)))
-        return out
+    def spy(self, *args):
+        init(self, *args)
+        chunks.append(self)
 
-    monkeypatch.setattr(Chunk, "build", spy)
+    monkeypatch.setattr(Chunk, "__init__", spy)
     laws = conformal.select_laws()
     pair = conformal.rescale(catalog.load("conformal_gaussian", dim=4).geometry)
     rows = conformal.verify_transform(pair, laws,
@@ -456,9 +459,12 @@ def test_chunks_hold_at_most_block_bytes(monkeypatch):
     rows += identities.verify(comm, identities.select_records(["COMM"]),
                               comm.sample_points(3, 1))
     assert all(r.status != "fail" for r in rows)
+    held = [(b.geometry.name, len(c), held_bytes(b)) for c in chunks
+            for b in c.bundles if b is not None]
     sizes = {(name, n) for name, n, _ in held}
     # the laws pair walks chunks of several points on both sides
-    assert {n for name, n in sizes if name.startswith("conformal")} > {1}
+    assert {n for name, n in sizes if name == pair.base.name} > {1}
+    assert {n for name, n in sizes if name == pair.tilde.name} > {1}
     # a COMM point at dim 5 holds more than BLOCK_BYTES, so it is alone
     assert {n for name, n in sizes if name == comm.name} == {1}
     for name, n, nbytes in held:

@@ -10,7 +10,7 @@ import pytest
 from ctlab import catalog, conformal, curvature, geometry, identities
 from ctlab.conformal import select_laws
 from ctlab.exprlang import EvalDomainError, GeometrySpec
-from ctlab.geometry import GeometryInstance, MetricError, point_key
+from ctlab.geometry import Chunk, GeometryInstance, MetricError, point_key
 from ctlab.jets import JetConfig
 from ctlab.identities import (
     CertificationError,
@@ -296,40 +296,40 @@ def test_certification_failure_raises_at_first_point(monkeypatch):
     # there, before any other point is evaluated
     base = catalog.load("random", dim=3, seed=3, certify=False).spec
     g = _with_fields(base, lam=0.5)
-    real = identities.structure_residual
+    real = identities.structure_residuals
     seen = set()
 
-    def structure_residual(geometry, kind, point, lam):
-        seen.add(tuple(point))
-        return real(geometry, kind, point, lam)
+    def structure_residuals(c, kind, lam):
+        seen.update(c.points)
+        return real(c, kind, lam)
 
-    monkeypatch.setattr(identities, "structure_residual", structure_residual)
+    monkeypatch.setattr(identities, "structure_residuals", structure_residuals)
     with pytest.raises(CertificationError, match="required by sol."):
         verify(g, select_records(["SOL"]), g.sample_points(4, 1))
     assert len(seen) == 1
 
 
 def test_certification_error_mid_walk_leaves_no_entries(monkeypatch):
-    # the walker releases the entries of every point it has taken, also
-    # when the pass stops at its second point; the geometry is already at
-    # the working order of SOL, so the walk runs on the caller's instance
+    # the walk leaves no cache entry of any point it has taken, also when
+    # the pass stops at its second point; the geometry is already at the
+    # working order of SOL, so the walk runs on the caller's instance
     g = catalog.load("euclidean", dim=3, jet_order=4).geometry
     points = g.sample_points(3, 1)
-    real = identities.structure_residual
+    real = identities.structure_residuals
     walked = []
 
-    def structure_residual(geometry, kind, point, lam):
-        assert geometry is g
-        walked.append(point_key(point))
-        if walked[-1] == point_key(points[1]):
-            return 1.0
-        return real(geometry, kind, point, lam)
+    def structure_residuals(c, kind, lam):
+        assert c.geometry is g
+        walked.extend(c.points)
+        bad = np.array([p == point_key(points[1]) for p in c.points])
+        return np.where(bad, 1.0, real(c, kind, lam))
 
-    monkeypatch.setattr(identities, "structure_residual", structure_residual)
+    monkeypatch.setattr(identities, "structure_residuals", structure_residuals)
     with pytest.raises(CertificationError, match="required by sol."):
         verify(g, select_records(["SOL"]), points)
-    assert walked[-1] == point_key(points[1])
-    assert point_key(points[2]) not in walked
+    # in walk order, each point once however many hypotheses it has
+    assert list(dict.fromkeys(walked))[:2] == [point_key(p)
+                                               for p in points[:2]]
     assert not set(g._points) & {point_key(p) for p in points}
 
 
@@ -401,25 +401,24 @@ def test_nan_certification_residual_fails(monkeypatch, bad):
     # the certification, in the driver and in the catalog
     e = catalog.load("euclidean", dim=3)
     g = e.geometry
-    real = identities.structure_residual
+    real = identities.structure_residuals
 
     def poison(points):
-        nan_at = tuple(points[bad])
+        nan_at = point_key(points[bad])
 
-        def structure_residual(geometry, kind, point, lam):
-            if tuple(point) == nan_at:
-                return float("nan")
-            return real(geometry, kind, point, lam)
-        return structure_residual
+        def structure_residuals(c, kind, lam):
+            at = np.array([p == nan_at for p in c.points])
+            return np.where(at, np.nan, real(c, kind, lam))
+        return structure_residuals
 
     points = g.sample_points(3, 5)
-    monkeypatch.setattr(identities, "structure_residual", poison(points))
+    monkeypatch.setattr(identities, "structure_residuals", poison(points))
     with pytest.raises(CertificationError, match="residual nan"):
         verify(g, select_records(["SOL"]), points)
     # a LAW record is skipped instead: laws need a u and a soliton potential
     gc = catalog.load("conformal_gaussian", dim=3).geometry
     points = gc.sample_points(3, 5)
-    monkeypatch.setattr(identities, "structure_residual", poison(points))
+    monkeypatch.setattr(identities, "structure_residuals", poison(points))
     rows = {r.id: r.status for r in verify(gc, select_laws(), points)}
     for law, kind in (("d_tensor", "tilde_gradient_soliton"),
                       ("d_reverse", "base_gradient_soliton"),
@@ -430,7 +429,7 @@ def test_nan_certification_residual_fails(monkeypatch, bad):
 
     cert_points = g.sample_points(catalog.CERTIFICATION_POINTS,
                                   catalog.CERTIFICATION_SEED)
-    monkeypatch.setattr(catalog, "structure_residual", poison(cert_points))
+    monkeypatch.setattr(catalog, "structure_residuals", poison(cert_points))
     with pytest.raises(CertificationError, match="residual nan"):
         catalog.certify_entry(e)
 
@@ -588,8 +587,8 @@ BLOCK_CHARTS = [
 
 @pytest.mark.parametrize("name, params, families", BLOCK_CHARTS)
 def test_block_sides_match_blocks_of_one(name, params, families):
-    # every point of a block of 5 gets the two sides that 5 blocks of one
-    # give it, bit for bit
+    # every point of a block of 5, its values handed over by two chunks,
+    # gets the two sides that 5 blocks of one give it, bit for bit
     g = catalog.load(name, **params).geometry
     records = [r for r in select_laws() if "LAW" in families]
     records += select_records([f for f in families if f != "LAW"])
@@ -601,9 +600,12 @@ def test_block_sides_match_blocks_of_one(name, params, families):
     ones = [EvalContext(g, p, tilde) for p in points]
     alone = [[r.evaluate(c) for r in records] for c in ones]
     keys = list(ones[0].values)
-    block = EvalContext.stacked(
-        g, tilde, [point_key(p) for p in points], keys,
-        [identities._values_at(g, tilde, p, keys) for p in points])
+    chunks = [Chunk([g, tilde] if tilde else [g], points[:2]),
+              Chunk([g, tilde] if tilde else [g], points[2:])]
+    block = EvalContext.stacked(g, tilde, [point_key(p) for p in points], {
+        key: identities._as_block([
+            identities._value(c.bundle(1 if key[0] == "t" else 0), key)
+            for c in chunks]) for key in keys})
     compared = 0
     for r, sides in zip(records, zip(*alone)):
         for got, want in zip(r.evaluate(block), zip(*sides)):
@@ -625,33 +627,36 @@ def test_certification_error_names_the_running_worst(monkeypatch):
                      (1e-12, 2e-10, 5e-9, 1.0, 3e-10)))
     certified = []
 
-    def structure_residual(geometry, kind, point, lam):
-        certified.append(point_key(point))
-        return found[point_key(point)]
+    def structure_residuals(c, kind, lam):
+        certified.extend(c.points)
+        return np.array([found[p] for p in c.points])
 
-    monkeypatch.setattr(identities, "structure_residual", structure_residual)
+    monkeypatch.setattr(identities, "structure_residuals", structure_residuals)
     spy, seen = _spy(lambda c: c.points)
     spy = dataclasses.replace(spy, family="SOL", structure="gradient_soliton")
     with pytest.raises(CertificationError,
                        match=r"residual 5\.000e-09\); required by spy"):
         verify(g, [spy], points)
     assert seen == certified[:2] == [point_key(p) for p in points[:2]]
-    assert certified == [point_key(p) for p in points[:3]]
+    assert certified[:3] == [point_key(p) for p in points[:3]]
 
 
 def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
+    # the first point alone, then one chunk of the other three: each builds
+    # its bundle, and so its point state, though no record reads a value
     built = []
     init = curvature.CurvatureBundle.__init__
 
-    def spy_init(self, geometry, point):
-        built.append(point_key(point))
-        init(self, geometry, point)
+    def spy_init(self, state):
+        built.append(len(state.g.coeffs))
+        init(self, state)
 
     monkeypatch.setattr(curvature.CurvatureBundle, "__init__", spy_init)
     spy, seen = _spy(lambda c: c.points)
     points = np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 1.5], [-1.2, 0.7]])
     verify(_chart(), [spy], points)
-    assert built == seen == [point_key(p) for p in points]
+    assert seen == [point_key(p) for p in points]
+    assert built == [1, 3]
 
 
 def test_value_the_first_point_never_read_is_an_internal_error():
@@ -674,13 +679,14 @@ def test_block_of_one_is_a_view():
     c = EvalContext(g, p)
     assert np.shares_memory(c.on("f", 2), b.on("f", 2))
     assert c.on("f", 2).shape == (2, 2, 1) and c.on("scalar").shape == (1,)
-    keys = list(c.values)
-    one = EvalContext.stacked(g, None, [p], keys,
-                              [identities._values_at(g, None, p, keys)])
-    assert np.shares_memory(one.on("f", 2), b.on("f", 2))
+    # values handed over by one chunk alone are a view of its frames too
+    frames = Chunk([g], np.array([p, (0.1, 0.2)])).bundle().frames("f", 2)
+    one = identities._as_block([frames[:1]])
+    assert np.shares_memory(one, frames) and one.shape == (2, 2, 1)
+    assert not identities._as_block([frames[:1], frames[1:]]).flags.writeable
 
 
-def test_block_sizes():
+def test_block_sizes(monkeypatch):
     # a dim-3 law pair: the first point alone, then the other 31 at once
     e = catalog.load("conformal_gaussian_plus_killing", dim=3)
     pair = conformal.rescale(e.geometry)
@@ -690,14 +696,21 @@ def test_block_sizes():
     assert seen == [1, 31]
     assert [r.id for r in rows if r.status != "pass"] == ["d_reverse"]
     # COMM at dim 5: one point's values exceed BLOCK_BYTES, so every point
-    # is a block of one, a view of the values it handed over
+    # is a chunk and a block of one, a view of the values its chunk read
     g = catalog.load("random", dim=5, seed=3, certify=False).geometry
+    read = []
+    frames = curvature.CurvatureBundle.frames
 
-    def views(c):
-        b = curvature.bundle(c.geometry, c.points[0])
-        return [np.shares_memory(c.on("riemann", 3), b.on("riemann", 3))]
+    def spy_frames(self, name, d=0):
+        out = frames(self, name, d)
+        if (name, d) == ("riemann", 3):
+            read.append(out)
+        return out
 
-    spy, seen = _spy(views)
+    monkeypatch.setattr(curvature.CurvatureBundle, "frames", spy_frames)
+    spy, seen = _spy(lambda c: [len(c.points) == len(read[-1]) == 1 and
+                                np.shares_memory(c.on("riemann", 3),
+                                                 read[-1])])
     spy = dataclasses.replace(spy, min_order=5)
     rows = verify(g, select_records(["COMM"]) + [spy], g.sample_points(3, 1))
     assert seen == [True, True, True]
@@ -758,4 +771,4 @@ def test_chunk_error_comes_at_its_point(monkeypatch, fields, read, error):
     # the first point is a chunk of its own and the other six one chunk,
     # whose build fails; its points then build their own states
     assert built[:2] == [(1, 3), (6, 3)]
-    assert set(built[2:]) == {(3,)}
+    assert set(built[2:]) == {(1, 3)}

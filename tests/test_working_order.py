@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctlab import catalog, conformal, identities
@@ -23,13 +24,15 @@ RUNS_NOWHERE = {"d_reverse"}
 
 @pytest.fixture
 def built(monkeypatch):
-    """(geometry name, jet order) of every PointState built in the test."""
+    """(geometry name, jet order) of every PointState built in the test,
+    once for each of its points."""
     out = []
     init = PointState.__init__
 
-    def spy(self, geometry, point):
-        out.append((geometry.name, geometry.config.order))
-        init(self, geometry, point)
+    def spy(self, geometry, point, *roots):
+        points = np.reshape(point, (-1, geometry.dim))
+        out.extend([(geometry.name, geometry.config.order)] * len(points))
+        init(self, geometry, point, *roots)
 
     monkeypatch.setattr(PointState, "__init__", spy)
     return out
