@@ -8,11 +8,12 @@ Every entry is built by the one constructor ``_entry``: a builder states
 only its chart, its fields and its claims, and ``_entry`` derives the
 dimension, the coordinates and the domain box.  A builder's signature is
 its parameter list: ``parameters`` reads it, and ``load`` rejects a
-parameter the entry does not take with :class:`CatalogError`, so no
-parameter is dropped silently.  ``load`` re-certifies every claim
-numerically before handing the entry out, so a broken catalog entry is a
-hard error (:class:`~ctlab.identities.CertificationError`), never a
-silently wrong baseline.
+parameter the entry does not take, or a ``dim`` below the entry's least,
+with :class:`CatalogError`, so no parameter is dropped silently and no
+chart is built for a dimension it cannot have.  ``load`` re-certifies
+every claim numerically before handing the entry out, so a broken catalog
+entry is a hard error (:class:`~ctlab.identities.CertificationError`),
+never a silently wrong baseline.
 """
 
 from __future__ import annotations
@@ -230,8 +231,6 @@ def _conformal_s2xs2(seed: int = 0) -> CatalogEntry:
 
 
 def _cigar_x_flat(dim: int = 3) -> CatalogEntry:
-    if dim < 3:
-        raise CatalogError("cigar_x_flat needs dim >= 3")
     bowl = "1+x1^2+x2^2"
     return _entry(
         f"cigar_x_flat(dim={dim})",
@@ -316,6 +315,10 @@ _BUILDERS = {
     "random": _random,
 }
 
+# The least ``dim`` of each entry that takes one: a chart has at least two
+# coordinates, and the cigar_x_flat a flat factor besides its cigar.
+_LEAST_DIM = {"cigar_x_flat": 3}
+
 
 def names() -> list[str]:
     return sorted(_BUILDERS)
@@ -341,6 +344,10 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
             f"catalog entry {name!r} does not take {', '.join(extra)}; "
             f"its parameters: {', '.join(takes) or 'none'}"
         )
+    least = _LEAST_DIM.get(name, 2)
+    if "dim" in params and not params["dim"] >= least:
+        raise CatalogError(
+            f"{name} needs dim >= {least}, got dim={params['dim']!r}")
     entry = _BUILDERS[name](**params)
     if jet_order is not None:
         entry.geometry = entry.geometry.at_order(jet_order)

@@ -265,6 +265,8 @@ def main(argv=None) -> int:
         if bool(args.catalog) == bool(args.spec):
             ap.error("provide exactly one of --catalog or --spec")
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed {args.seed}: a seed must be at least 0")
         return args.fn(args)
     except identities.CertificationError as err:
         print(f"certification error: {err}", file=sys.stderr)

@@ -14,8 +14,10 @@ to the point's ``PointState``; ``bundle(g, p).on(name)`` reads its values.
 Identity evaluators get frame values from their evaluation context
 (:mod:`ctlab.identities`), stacked over a block of points with the point
 axis last, where :func:`einsum` contractions against ``delta`` reproduce
-moving-frame component formulas verbatim.  The point wrappers at the
-module's end serve ctbench's checks only.
+moving-frame component formulas verbatim.  :func:`einsum` runs a product
+of two such values as batched GEMMs written straight into the output's
+point-major layout, so sums of its results run in memory order.  The
+point wrappers at the module's end serve ctbench's checks only.
 
 Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
@@ -139,7 +141,7 @@ class CurvatureBundle:
         return self.state.x_lower
 
     def _build_lie_metric(self) -> TensorJet:
-        dx = self.state.cov_deriv(self.coord("X"))
+        dx = self.coord("X", 1)
         return tj_combine((1.0, dx), (1.0, tj_transpose(dx, (1, 0))))
 
     # -- curvature tower -----------------------------------------------------------
@@ -206,13 +208,13 @@ class CurvatureBundle:
     def _build_cotton(self) -> TensorJet:
         """C_ijk = A_ij,k - A_ik,j (obstruction to Schouten being Codazzi)."""
         _need_dim(self.m, 3, "the Cotton tensor")
-        da = self.state.cov_deriv(self.coord("schouten"))
+        da = self.coord("schouten", 1)
         return tj_combine((1.0, da), (-1.0, tj_transpose(da, (0, 2, 1))))
 
     def _build_cotton_weyl_div(self) -> TensorJet:
         """Divergence-of-Weyl construction, defined for dim >= 4."""
         _need_dim(self.m, 4, "the Weyl-divergence form of the Cotton tensor")
-        dw = self.state.cov_deriv(self.coord("weyl"))
+        dw = self.coord("weyl", 1)
         c = tj_einsum("tv,tikjv->ijk", self.state.ginv, dw)
         return tj_combine(((self.m - 2) / (self.m - 3), c))
 
@@ -220,7 +222,7 @@ class CurvatureBundle:
         """Cotton form of Bach (valid for every dim >= 3)."""
         _need_dim(self.m, 3, "the Bach tensor")
         m = self.m
-        dc = self.state.cov_deriv(self.coord("cotton"))
+        dc = self.coord("cotton", 1)
         div_c = tj_einsum("kt,jikt->ij", self.state.ginv, dc)
         return tj_combine((1.0 / (m - 2), div_c),
                           (1.0 / (m - 2), self._ricci_weyl(div_c.order)))
@@ -229,7 +231,7 @@ class CurvatureBundle:
         """Weyl-divergence form, the dim >= 4 cross-check route."""
         _need_dim(self.m, 4, "the Weyl-divergence form of the Bach tensor")
         m = self.m
-        d2w = self.state.cov_deriv(self.coord("weyl"), 2)
+        d2w = self.coord("weyl", 2)
         t1 = tj_einsum("la,ikjlab->ikjb", self.state.ginv, d2w)
         t2 = tj_einsum("kb,ikjb->ij", self.state.ginv, t1)
         return tj_combine((1.0 / (m - 3), t2),
@@ -248,9 +250,6 @@ class CurvatureBundle:
 
     # -- soliton tensors -------------------------------------------------------------
 
-    def _grad(self, name: str) -> TensorJet:
-        return self.state.cov_deriv(self.coord(name))
-
     def _raise1(self, t: TensorJet) -> TensorJet:
         return tj_einsum("ab,b->a", self.state.ginv, t)
 
@@ -260,7 +259,7 @@ class CurvatureBundle:
         m = self.m
         g = self.state.g
         ric, s = self.coord("ricci"), self.coord("scalar")
-        f1 = self._grad("f")
+        f1 = self.coord("f", 1)
         fr = tj_einsum("t,tk->k", self._raise1(f1), ric)
         sf = tj_einsum(",k->k", s, f1)
         return tj_combine(
@@ -275,7 +274,7 @@ class CurvatureBundle:
         g = self.state.g
         ric, s = self.coord("ricci"), self.coord("scalar")
         xl = self.coord("X")
-        x2 = self.state.cov_deriv(xl, 2)  # [base, d1, d2]
+        x2 = self.coord("X", 2)  # [base, d1, d2]
         xr = tj_einsum("t,tk->k", self.state.x_contra, ric)
         sx = tj_einsum(",k->k", s, xl)
         # X_{kji} - X_{jki} as [i,j,k]
@@ -298,8 +297,8 @@ class CurvatureBundle:
         """Conformal-gradient interpolation tensor (the jet-level form)."""
         m = self.m
         g = self.state.g
-        f1, u1 = self._grad("f"), self._grad("u")
-        u2 = self.state.cov_deriv(self.coord("u"), 2)
+        f1 = self.coord("f", 1)
+        u1, u2 = self.coord("u", 1), self.coord("u", 2)
         lap_u = tj_einsum("ab,ab->", self.state.ginv, u2)
         fu = tj_einsum("t,t->", self._raise1(f1), u1)
         gu2 = tj_einsum("t,t->", self._raise1(u1), u1)
@@ -322,9 +321,7 @@ class CurvatureBundle:
         """Conformal-generic interpolation tensor e^{2u} * {...}."""
         m = self.m
         g = self.state.g
-        u1 = self._grad("u")
-        xl = self.coord("X")
-        x1 = self.state.cov_deriv(xl)
+        u1, x1 = self.coord("u", 1), self.coord("X", 1)
         sym = tj_combine((1.0, x1), (1.0, tj_transpose(x1, (1, 0))))
         ux = tj_einsum("t,tk->k", self._raise1(u1), sym)
         div_x = tj_einsum("ab,ab->", self.state.ginv, x1)
@@ -356,21 +353,111 @@ def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
 # of :mod:`ctlab.identities` stacks them with the point axis last, a
 # rank-r tensor as ``(m,) * r + (P,)`` and a scalar as ``(P,)``.  The
 # helpers below contract and permute tensor axes only, so an evaluator
-# keeps the index strings of its formulas and the point axis rides along.
+# keeps the index strings of its formulas and the point axis rides along;
+# their results are point-major, as the values are.
 # ``einsum`` and ``tp`` also act on plain one-point arrays, as their numpy
 # namesakes; ``dot`` takes block values only.
 
 _SPECS: dict[str, tuple[str, int]] = {}
+_GEMMS: dict[tuple, tuple | None] = {}
 _DOTS: dict[tuple[int, int], str] = {}
+
+
+def _gemm_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple | None:
+    """How :func:`einsum` runs the two-operand ``spec`` on operands of
+    these shapes as one batched GEMM, or None to leave it to ``np.einsum``.
+
+    The output must read as a batch prefix, then a run of indices of one
+    operand X alone (the GEMM's rows), then a run of the other operand Y's
+    alone (its columns), with at least one index summed, none repeated
+    within an operand and none summed within one; the prefix is the
+    shortest that does.  X is laid out ``[point, batch, rows, summed]``
+    and Y ``[point, batch, summed, columns]``, a batch axis of length 1
+    where the operand lacks its index, with the point axis moved to the
+    front: a view on point-major memory.  The plan is X's position, X's
+    and Y's axis orders and layouts, the product's shape (point axis
+    first) and the transpose that moves its point axis last (None without
+    one)."""
+    subs, out = spec.split("->")
+    subs, shapes = subs.split(","), (shape_a, shape_b)
+    if len(subs) != 2:
+        return None
+    sa, sb = subs
+    summed = "".join(c for c in sa if c in sb and c not in out)
+    if (not summed or any(len(set(s)) < len(s) for s in (sa, sb, out))
+            or not set(sa) <= set(sb + out) or not set(sb) <= set(sa + out)
+            or not set(out) <= set(sa + sb)):
+        return None
+    points = [len(shape) - len(s) for s, shape in zip(subs, shapes)]
+    if not set(points) <= {0, 1}:
+        return None
+    size = {}
+    for s, shape in zip(subs, shapes):
+        for c, n in zip(s, shape):
+            if size.setdefault(c, n) != n:
+                return None
+    for x, y in ((0, 1), (1, 0)):
+        alone_x = [c in subs[x] and c not in subs[y] for c in out]
+        alone_y = [c in subs[y] and c not in subs[x] for c in out]
+        cols = len(out)
+        while cols and alone_y[cols - 1]:
+            cols -= 1
+        rows = cols
+        while rows and alone_x[rows - 1]:
+            rows -= 1
+        if rows < cols < len(out):
+            break
+    else:
+        return None
+    batch = out[:rows]
+
+    def lay(n, parts):
+        s, shape = subs[n], shapes[n]
+        return ((len(s),) * points[n] + tuple(
+                    s.index(c) for c in batch + "".join(parts) if c in s),
+                (shape[-1] if points[n] else 1,
+                 *(size[c] if c in s else 1 for c in batch),
+                 *(int(np.prod([size[c] for c in part])) for part in parts)))
+
+    shape, axes = tuple(size[c] for c in out), None
+    if any(points):  # the product's point axis, moved last at the end
+        shape = (max(n[-1] if p else 1 for p, n in zip(points, shapes)),
+                 *shape)
+        axes = (*range(1, len(out) + 1), 0)
+    return (x, *lay(x, (out[rows:cols], summed)),
+            *lay(y, (summed, out[cols:])), shape, axes)
+
+
+def _gemm(plan: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of :func:`_gemm_plan`'s ``plan``: one ``np.matmul`` of
+    the two laid-out operands, viewed with the point axis last."""
+    first, order_x, layout_x, order_y, layout_y, shape, axes = plan
+    x, y = (a, b) if first == 0 else (b, a)
+    out = np.matmul(x.transpose(order_x).reshape(layout_x),
+                    y.transpose(order_y).reshape(layout_y)).reshape(shape)
+    return out if axes is None else out.transpose(axes)
 
 
 def einsum(spec: str, *operands) -> np.ndarray:
     """``np.einsum(spec, *operands)`` with ``...`` appended to every
-    operand and to the output, so that trailing axes broadcast along.  A
-    result over several points is stored point-major, as its operands
-    are: numpy lays out the product of a block value and a constant (the
-    delta's point axis has length 1) in an order of its own, and sums of
-    arrays in different orders run several times slower."""
+    operand and to the output, so that trailing axes broadcast along, the
+    result stored point-major, as its operands are.
+
+    A two-operand product that :func:`_gemm_plan` can lay out runs as one
+    ``np.matmul``, a GEMM per point and batch index, written straight into
+    the output's order (contraction without transposition: Matthews,
+    SIAM J. Sci. Comput. 2018).  Every other spec runs through
+    ``np.einsum``; numpy lays out the product of a block value and a
+    constant (the delta's point axis has length 1) in an order of its
+    own, so such a result over several points is copied back point-major,
+    as sums of arrays in different orders run several times slower."""
+    if len(operands) == 2:
+        key = (spec, np.shape(operands[0]), np.shape(operands[1]))
+        gemm = _GEMMS.get(key, False)
+        if gemm is False:
+            gemm = _GEMMS[key] = _gemm_plan(spec, *key[1:])
+        if gemm is not None:
+            return _gemm(gemm, *operands)
     plan = _SPECS.get(spec)
     if plan is None:
         lhs, out = spec.split("->")

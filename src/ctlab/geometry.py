@@ -252,15 +252,15 @@ class PointState:
         """Contract every slot of ``arr``, values at this state's points as
         ``(P, m, ..., m)``, with each point's inverse Cholesky factor,
         turning coordinate components into orthonormal-coframe components.
-        Each step contracts the leading slot in one GEMM per point and
-        rotates it to the back, so after one step per slot the slots are
-        back in order."""
+        Each step contracts the leading slot in one GEMM per point, whose
+        product holds that slot last, rotated to the back with no copy,
+        so after one step per slot the slots are back in order."""
         x = np.asarray(arr, float)
         shape = x.shape
         p, m = shape[0], self.m
+        vt = self.vielbein_inv.swapaxes(-1, -2)
         for _ in range(x.ndim - 1):
-            x = (self.vielbein_inv @ x.reshape(p, m, -1)).swapaxes(-1, -2)
-            x = x.reshape(p, m, -1)
+            x = np.matmul(x.reshape(p, m, -1).swapaxes(-1, -2), vt)
         return x.reshape(shape)
 
 

@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,9 +238,28 @@ def test_exit_config_error(capsys):
       for cmd, tail in (("verify", ["--suite", "COMM"]),
                         ("eval", ["--quantity", "scalar", "--point",
                                   "0,0,0"]))],
+    # a dim below the entry's least, refused before any chart text is
+    # built (the random polynomials of an empty chart divided by zero)
+    *[(["verify", "--catalog", name, "--dim", dim, "--suite", "COMM"],
+       f"{name} needs dim >= 2, got dim={dim}")
+      for name in ("random", "euclidean", "sphere", "conformal_gaussian",
+                   "gaussian_plus_killing", "conformal_gaussian_plus_killing")
+      for dim in ("0", "-3", "1")],
+    (["verify", "--catalog", "cigar_x_flat", "--dim", "2"],
+     "cigar_x_flat needs dim >= 3, got dim=2"),
+    (["catalog", "--export", "random", "--dim", "1"], "dim=1"),
+    # a negative sampling seed, with or without an entry that takes one
+    *[([cmd, "--catalog", name, "--dim", "3", "--seed", "-1"] + tail,
+       "--seed -1")
+      for name in ("random", "euclidean")
+      for cmd, tail in (("verify", ["--suite", "COMM"]),
+                        ("eval", ["--quantity", "scalar", "--point",
+                                  "0,0,0"]))],
 ])
 def test_parameter_the_entry_does_not_take_exits_2(capsys, argv, named):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing may warn on the way
+        code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and named in err

@@ -4,12 +4,13 @@ tensors and their degenerations."""
 import numpy as np
 import pytest
 
-from ctlab import catalog, conformal, curvature
+from ctlab import catalog, conformal, curvature, identities
 from ctlab.curvature import DimensionError, bundle
 from ctlab.geometry import Chunk, GeometryInstance, MetricError
 from ctlab.jets import JetOrderError
-from ctlab.identities import residual
+from ctlab.identities import EvalContext, residual, select_records
 from oracles import d_tensor_form, duf_tensor_alt, kulkarni_nomizu
+from test_identities import BLOCK_CHARTS
 
 
 def entry(name, **kw):
@@ -439,3 +440,110 @@ def test_chunks_equal_chunks_of_one_bit_for_bit(g):
         assert np.array_equal(b.scalar_exp(-2.0), [
             bundle(fresh, p).scalar_exp(-2.0)[0] for p in points[:size]])
     assert compared > 100
+
+
+# ---------------------------------------------------------------------------
+# curvature.einsum's GEMM path and the coframe change
+# ---------------------------------------------------------------------------
+
+def _block(rng, shape, points):
+    """A random block value of tensor ``shape`` over ``points`` points,
+    point-major with the point axis last, as evaluators get them; None
+    points is a one-point array."""
+    if points is None:
+        return rng.standard_normal(shape)
+    return np.moveaxis(rng.standard_normal((points,) + shape), 0, -1)
+
+
+def _reference(spec, *operands):
+    lhs, out = spec.split("->")
+    return np.einsum(",".join(s + "..." for s in lhs.split(",")) + "->"
+                     + out + "...", *operands)
+
+
+def _evaluator_specs(monkeypatch):
+    """Every two-operand (spec, tensor shapes) that the record evaluators
+    of all families contract on the block-test charts, at one point."""
+    seen = set()
+    real = curvature.einsum
+
+    def spy(spec, *operands):
+        if len(operands) == 2:
+            lhs = spec.split("->")[0].split(",")
+            seen.add((spec, *(np.shape(o)[:len(s)]
+                              for s, o in zip(lhs, operands))))
+        return real(spec, *operands)
+
+    for module in (curvature, identities, conformal):
+        monkeypatch.setattr(module, "einsum", spy)
+    for name, params, families in BLOCK_CHARTS:
+        g = catalog.load(name, **params).geometry
+        records = conformal.select_laws() if "LAW" in families else []
+        records += select_records([f for f in families if f != "LAW"])
+        records = [r for r in records if identities._skip_reason(
+            g, r, identities._available(g)) is None]
+        g = g.at_order(max(r.min_order for r in records))
+        tilde = conformal.rescale(g).tilde if g.spec.u else None
+        c = EvalContext(g, g.sample_points(1, 3)[0], tilde)
+        for r in records:
+            r.evaluate(c)
+    monkeypatch.undo()
+    return sorted(seen)
+
+
+def test_gemm_path_agrees_with_numpy_on_every_evaluator_spec(monkeypatch):
+    # at P = 1 and 5, with a delta-shaped operand (point axis of length
+    # 1) on either side, and on one-point arrays; each point of a block
+    # gets the bits of its block of one, and each GEMM product is stored
+    # point-major, C-ordered behind its point axis
+    rng = np.random.default_rng(0)
+    specs = _evaluator_specs(monkeypatch)
+    planned = [spec for spec, *shapes in specs
+               if curvature._gemm_plan(spec, *(s + (5,) for s in shapes))]
+    assert "vjktl,virs->ijktlrs" in planned and "ab,bc->ac" in planned
+    assert len(planned) > 40
+    for spec, sa, sb in specs:
+        for pa, pb in ((1, 1), (5, 5), (5, 1), (1, 5), (None, None)):
+            a, b = _block(rng, sa, pa), _block(rng, sb, pb)
+            got, want = curvature.einsum(spec, a, b), _reference(spec, a, b)
+            assert got.shape == want.shape, spec
+            scale = np.max(np.abs(want), initial=1e-300)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale, (
+                spec, pa, pb)
+            if pa == pb == 5 and np.ndim(got) > 0:
+                if spec in planned:
+                    assert np.moveaxis(got, -1, 0).flags.c_contiguous, spec
+                for j in range(5):
+                    one = [np.moveaxis(np.moveaxis(x, -1, 0)[j:j + 1].copy(),
+                                       0, -1) for x in (a, b)]
+                    assert np.array_equal(got[..., j:j + 1],
+                                          curvature.einsum(spec, *one)), spec
+
+
+@pytest.mark.parametrize("spec, ranks", [
+    ("ikk->i", (3,)), ("ab,a,b->", (2, 1, 1)), ("i,j->ij", (1, 1))])
+def test_specs_the_planner_refuses_give_numpy_bits(spec, ranks):
+    rng = np.random.default_rng(1)
+    assert curvature._gemm_plan(spec, (3,) * ranks[0], (3,) * ranks[-1]) \
+        is None
+    for points in (1, 5, None):
+        operands = [_block(rng, (3,) * r, points) for r in ranks]
+        assert np.array_equal(curvature.einsum(spec, *operands),
+                              _reference(spec, *operands))
+
+
+def test_to_orthonormal_matches_slot_by_slot_contraction():
+    # every slot of a rank 0-7 value contracted with each point's inverse
+    # vielbein, against one tensordot per slot and point
+    g = entry("random", dim=3, seed=1).geometry
+    state = Chunk([g], g.sample_points(3, 2)).bundle().state
+    rng = np.random.default_rng(2)
+    for rank in range(8):
+        x = rng.standard_normal((3,) + (3,) * rank)
+        got = state.to_orthonormal(x)
+        for j, v in enumerate(state.vielbein_inv):
+            want = x[j]
+            for k in range(rank):
+                want = np.moveaxis(np.tensordot(v, want, axes=(1, k)), 0, k)
+            assert np.max(np.abs(got[j] - want), initial=0.0) <= 1e-14 * max(
+                1.0, np.max(np.abs(want))), rank
