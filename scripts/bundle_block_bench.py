@@ -14,6 +14,14 @@ time is the best of ``--repeat`` runs.  The passes are the 27 laws on a
 conformal pair (both sides) at dims 3 and 4, and COMM on ``random`` at dims
 3, 4 and 5.
 
+A second table times the layer under those bundles: one covariant
+derivative (``PointState._cov_deriv_once``) of a one-point tensor jet on
+``random`` at dims 3, 4 and 5, in ms per call by rank and jet order, with
+every slot stored in full and, for ranks 4 to 6, with the two leading
+antisymmetric pairs packed as Riemann-type jets are, and the time of the
+Christoffel lift that the packed calls of a chunk share
+(``PointState.pair_lift``).
+
 Usage:
     PYTHONPATH=src python scripts/bundle_block_bench.py [--repeat N]
 """
@@ -21,8 +29,11 @@ Usage:
 import argparse
 import time
 
+import numpy as np
+
 from ctlab import catalog, conformal, identities
-from ctlab.geometry import BLOCK_BYTES, Chunk, held_bytes
+from ctlab.geometry import BLOCK_BYTES, Chunk, PointState, TensorJet, held_bytes
+from ctlab.jets import table
 from ctlab.identities import EvalContext, select_records
 
 PASSES = [
@@ -33,6 +44,8 @@ PASSES = [
     ("COMM", "random", {"dim": 5, "seed": 3}),
 ]
 CHUNKS = (1, 2, 4, 8, 16, 32)
+COV_DIMS = ((3, 1), (4, 2), (5, 3))  # random (dim, seed), as COMM's passes
+COV_ORDERS = (1, 2, 3)
 MAX_BYTES = 32 << 20  # largest chunk this script builds, per geometry
 
 
@@ -79,6 +92,45 @@ def build(g, block, size: int, values, reads) -> None:
         b.frames(quantity, d)
 
 
+def cov_deriv_table(repeat: int) -> None:
+    """ms per covariant derivative of one point's jet by (dim, rank,
+    order), unpacked and, for ranks 4-6, with two packed pairs."""
+    print("cov_deriv ms per call, one point: dim rank order  unpacked  "
+          "packed  speed-up")
+    for dim, seed in COV_DIMS:
+        g = catalog.load("random", certify=False, dim=dim, seed=seed
+                         ).geometry.at_order(max(COV_ORDERS) + 1)
+        point = g.sample_points(1, 1)
+        rng = np.random.default_rng(dim)
+
+        def lift():
+            state = PointState(g, point)
+            state.christoffel  # noqa: B018  (timed apart)
+            t0 = time.perf_counter()
+            state.pair_lift(max(COV_ORDERS) - 1)
+            return time.perf_counter() - t0
+
+        print(f"dim {dim}: Christoffel lift at order {max(COV_ORDERS) - 1} "
+              f"{1e3 * min(lift() for _ in range(repeat)):7.3f} ms per chunk")
+        state = PointState(g, point)
+        for rank in range(7):
+            for order in COV_ORDERS:
+                shape = (1, table(dim, order).size) + (dim,) * rank
+                full = TensorJet(rng.standard_normal(shape), dim, order)
+                cells = [best(lambda: state._cov_deriv_once(full), repeat)]
+                if rank >= 4:
+                    a = full.coeffs - full.coeffs.swapaxes(2, 3)
+                    packed = TensorJet(a - a.swapaxes(4, 5), dim,
+                                       order).packed()
+                    state._cov_deriv_once(packed)  # builds the lift
+                    cells.append(best(lambda: state._cov_deriv_once(packed),
+                                      repeat))
+                print(f"  {dim}  {rank}  {order}  "
+                      + "  ".join(f"{1e3 * t:8.3f}" for t in cells)
+                      + (f"  {cells[0] / cells[1]:5.2f}x" if len(cells) > 1
+                         else ""), flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=int, default=3)
@@ -103,6 +155,7 @@ def main() -> None:
                   f"{per_point / 1024:7.1f} KiB/pt  1 point "
                   f"{1e3 * alone:6.2f} ms/pt  " + "  ".join(cells),
                   flush=True)
+    cov_deriv_table(args.repeat)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 evaluate quantities at points, list or export the catalog.
 
 Exit codes: 0 all pass, 1 an identity failed its tolerance (a non-finite
-residual fails), 2 bad configuration (an unknown catalog entry, or a
-parameter the entry does not take), parse error or arithmetic overflow,
-3 a structural certification failed.
+residual fails), 2 bad configuration (an unknown catalog entry, a
+parameter the entry does not take, a jet order too low to certify the
+entry's claims, or a run in which every row was skipped, so that nothing
+was checked), parse error or arithmetic overflow, 3 a structural
+certification failed.
 """
 
 from __future__ import annotations
@@ -63,8 +65,14 @@ def _load_geometry(args) -> GeometryInstance:
         with open(args.spec) as fh:
             spec = GeometrySpec.from_json(fh.read())
         return GeometryInstance(spec, JetConfig(order))
-    entry = catalog.load(args.catalog, jet_order=order,
+    entry = catalog.load(args.catalog, certify=False, jet_order=order,
                          **_entry_params(args.catalog, args))
+    if entry.claims and order < identities.STRUCTURE_ORDER:
+        raise ValueError(
+            f"--jet-order {order}: certifying the claims of {entry.name} "
+            f"({', '.join(c.kind for c in entry.claims)}) needs jet order "
+            f">= {identities.STRUCTURE_ORDER}")
+    catalog.certify_entry(entry)
     return entry.geometry
 
 
@@ -126,6 +134,16 @@ def cmd_verify(args) -> int:
     else:
         # one pass, so each point's states serve identities and laws alike
         rows = identities.verify(geometry, records + laws, points, overrides)
+    if all(r.status.startswith("skipped") for r in rows):
+        # a report of skips alone would read "overall: pass"
+        reasons = {}
+        for r in rows:
+            why = r.status[len("skipped("):-1]
+            reasons[why] = reasons.get(why, 0) + 1
+        raise ValueError(
+            f"nothing was checked: all {len(rows)} selected rows were "
+            f"skipped (" + "; ".join(f"{why}: {n}" for why, n in
+                                      reasons.items()) + ")")
     report = VerificationReport.for_geometry(geometry, args.seed,
                                              args.points, rows)
     _emit(args, report.to_json() if args.format == "json" else report.table())

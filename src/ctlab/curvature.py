@@ -23,7 +23,11 @@ Every quantity is built in coordinates at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
 can still afford is available, and each product in the tower at the order
 its result keeps; conversion to the orthonormal coframe happens only on
-extracted values.  ``K`` is the order of the bundle's geometry: in a
+extracted values.  Riemann and Weyl, and every covariant derivative of
+them, are stored with their pairs (ab)(cd) packed as a < b (see
+:class:`~ctlab.geometry.TensorJet`): :meth:`CurvatureBundle.frames`
+unpacks their values, and the Weyl-divergence builders unpack the jets
+they contract.  ``K`` is the order of the bundle's geometry: in a
 verification pass the working order, the largest ``min_order`` of the
 records that run (order 2 for catalog certification), never more than the
 configured order.
@@ -161,7 +165,7 @@ class CurvatureBundle:
 
     def _build_riemann(self) -> TensorJet:
         r13 = self.coord("riemann13")
-        return tj_einsum("is,sjkl->ijkl", self.state.g, r13)
+        return tj_einsum("is,sjkl->ijkl", self.state.g, r13).packed()
 
     def _build_ricci(self) -> TensorJet:
         r13 = self.coord("riemann13")
@@ -197,8 +201,8 @@ class CurvatureBundle:
         s_part = tj_einsum(",ijkt->ijkt", s, g_part)
         return tj_combine(
             (1.0, r4),
-            (-1.0 / (m - 2), ric_part),
-            (1.0 / ((m - 1) * (m - 2)), s_part),
+            (-1.0 / (m - 2), ric_part.packed()),
+            (1.0 / ((m - 1) * (m - 2)), s_part.packed()),
         )
 
     def _build_einstein(self) -> TensorJet:
@@ -214,7 +218,7 @@ class CurvatureBundle:
     def _build_cotton_weyl_div(self) -> TensorJet:
         """Divergence-of-Weyl construction, defined for dim >= 4."""
         _need_dim(self.m, 4, "the Weyl-divergence form of the Cotton tensor")
-        dw = self.coord("weyl", 1)
+        dw = self.coord("weyl", 1).unpacked()
         c = tj_einsum("tv,tikjv->ijk", self.state.ginv, dw)
         return tj_combine(((self.m - 2) / (self.m - 3), c))
 
@@ -231,7 +235,7 @@ class CurvatureBundle:
         """Weyl-divergence form, the dim >= 4 cross-check route."""
         _need_dim(self.m, 4, "the Weyl-divergence form of the Bach tensor")
         m = self.m
-        d2w = self.coord("weyl", 2)
+        d2w = self.coord("weyl", 2).unpacked()
         t1 = tj_einsum("la,ikjlab->ikjb", self.state.ginv, d2w)
         t2 = tj_einsum("kb,ikjb->ij", self.state.ginv, t1)
         return tj_combine((1.0 / (m - 3), t2),
@@ -246,7 +250,7 @@ class CurvatureBundle:
                       self.coord("ricci").truncate(order)),
         )
         return tj_einsum("kl,ikjl->ij", ric_up,
-                         self.coord("weyl").truncate(order))
+                         self.coord("weyl").truncate(order).unpacked())
 
     # -- soliton tensors -------------------------------------------------------------
 

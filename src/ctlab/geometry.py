@@ -9,11 +9,16 @@ own; read their derivatives as ``curvature.bundle(g, p).coord("f", k)``.
 
 Tensor fields are held as :class:`TensorJet` values at a chunk of points,
 ``(P, ncoeff, m, ..., m)``: the point axis first, then the multi-index
-coefficients (see :mod:`ctlab.jets`).  A single point is a chunk of one,
-so one covariant derivative is one call of
+coefficients (see :mod:`ctlab.jets`).  Riemann-type fields keep their two
+leading antisymmetric pairs packed as the components a < b, ``(P, ncoeff,
+M, M, m, ...)`` with M = m(m-1)/2 (``TensorJet.pairs``), and are read
+back unpacked only where values leave the jet layer.  A single point is a
+chunk of one, so one covariant derivative is one call of
 :func:`~ctlab.jets.jet_cov_deriv` for any number of points: all partials in
 one gather, then one batched GEMM per slot and point against a Christoffel
-operand gathered once, the GEMM each point runs alone.  Every covariant
+operand gathered once, the GEMM each point runs alone; a packed pair slot
+runs against the Christoffel symbols lifted to 2-forms, which the point
+state builds once (:meth:`PointState.pair_lift`).  Every covariant
 derivative consumes one jet order; derived objects therefore carry exactly
 ``config.order - (metric derivative depth)`` orders, and requests past that
 depth raise :class:`~ctlab.jets.JetOrderError` instead of silently
@@ -51,8 +56,11 @@ from .jets import (
     jet_einsum,
     jet_gradient,
     jet_inverse,
+    jet_pair_lift,
+    pack_pairs,
     table,
     truncate_coeffs,
+    unpack_pairs,
 )
 
 
@@ -71,38 +79,70 @@ class TensorValue:
 @dataclass
 class TensorJet:
     """A tensor field's jet coefficients at a chunk of points:
-    (P, ncoeff, m, ..., m)."""
+    (P, ncoeff, m, ..., m).
+
+    A Riemann-type field, antisymmetric in its slots (01) and (23), is
+    stored with those two pairs packed (``pairs`` = 2): each pair slot
+    holds the components a < b only, (P, ncoeff, M, M, m, ..., m) with
+    M = m(m-1)/2, as :func:`~ctlab.jets.pack_pairs` lays them out.  Its
+    covariant derivatives stay packed; :meth:`value` and :meth:`unpacked`
+    read it back as the full tensor, and the products :func:`tj_einsum`
+    and :func:`tj_transpose` refuse it, so the two layouts never mix."""
 
     coeffs: np.ndarray
     dim: int
     order: int
+    pairs: int = 0
 
     @property
     def rank(self) -> int:
-        return self.coeffs.ndim - 2
+        return self.coeffs.ndim - 2 + self.pairs
 
     def value(self) -> np.ndarray:
         """The field's values at the chunk's points, (P, m, ..., m)."""
-        return np.array(self.coeffs[:, 0])
+        return np.array(unpack_pairs(self.coeffs[:, :1], self.pairs,
+                                     self.dim)[:, 0])
 
     def truncate(self, order: int) -> "TensorJet":
         """The same field at jet order ``order`` or lower, a view."""
         q = min(order, self.order)
-        return TensorJet(truncate_coeffs(self.coeffs, self.dim, q), self.dim, q)
+        return TensorJet(truncate_coeffs(self.coeffs, self.dim, q), self.dim,
+                         q, self.pairs)
+
+    def packed(self) -> "TensorJet":
+        """This field, antisymmetric in its slots (01) and (23), with those
+        pairs packed."""
+        if self.pairs:
+            raise ValueError(_PACKED)
+        return TensorJet(pack_pairs(self.coeffs, 2, self.dim), self.dim,
+                         self.order, 2)
+
+    def unpacked(self) -> "TensorJet":
+        """This field with every slot stored in full."""
+        return TensorJet(unpack_pairs(self.coeffs, self.pairs, self.dim),
+                         self.dim, self.order)
+
+
+_PACKED = "a packed tensor jet needs unpacked() before a product or a transpose"
 
 
 def tj_combine(*pairs: tuple[float, TensorJet]) -> TensorJet:
-    """Linear combination of tensor jets, truncated to the lowest order."""
+    """Linear combination of tensor jets, truncated to the lowest order;
+    either all unpacked or all packed alike."""
     q = min(t.order for _, t in pairs)
-    dim = pairs[0][1].dim
+    dim, packed = pairs[0][1].dim, pairs[0][1].pairs
     out = None
     for c, t in pairs:
+        if t.pairs != packed:
+            raise ValueError("tj_combine of packed and unpacked tensor jets")
         arr = truncate_coeffs(t.coeffs, dim, q) * c
         out = arr if out is None else out + arr
-    return TensorJet(out, dim, q)
+    return TensorJet(out, dim, q, packed)
 
 
 def tj_einsum(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
+    if a.pairs or b.pairs:
+        raise ValueError(_PACKED)
     q = min(a.order, b.order)
     out = jet_einsum(spec, truncate_coeffs(a.coeffs, a.dim, q),
                      truncate_coeffs(b.coeffs, b.dim, q), a.dim, q, q)
@@ -111,6 +151,8 @@ def tj_einsum(spec: str, a: TensorJet, b: TensorJet) -> TensorJet:
 
 def tj_transpose(a: TensorJet, perm: tuple[int, ...]) -> TensorJet:
     """Permute trailing tensor axes (perm indexes trailing axes only)."""
+    if a.pairs:
+        raise ValueError(_PACKED)
     full = (0, 1) + tuple(p + 2 for p in perm)
     return TensorJet(np.transpose(a.coeffs, full), a.dim, a.order)
 
@@ -191,6 +233,7 @@ class PointState:
 
         self.ginv = TensorJet(jet_inverse(g, m, k), m, k)
         self._christoffel: TensorJet | None = None
+        self._lift: np.ndarray | None = None
 
         self.u, self.f = [
             None if e is None else TensorJet(np.ascontiguousarray(next(roots)),
@@ -212,6 +255,8 @@ class PointState:
                   self.x_lower, self._christoffel):
             if t is not None:
                 yield t.coeffs
+        if self._lift is not None:
+            yield self._lift
 
     # -- connection ----------------------------------------------------------
 
@@ -228,6 +273,16 @@ class PointState:
                                 TensorJet(b, m, k - 1))))
         return self._christoffel
 
+    def pair_lift(self, order: int) -> np.ndarray:
+        """Gamma lifted to the 2-form slots at jet order ``order`` or more
+        (:func:`~ctlab.jets.jet_pair_lift`): built at the order of the
+        first covariant derivative of a packed jet that needs it, and
+        again only if a later one needs more."""
+        n = table(self.m, order).size
+        if self._lift is None or self._lift.shape[1] < n:
+            self._lift = jet_pair_lift(self.christoffel.coeffs, self.m, order)
+        return self._lift
+
     # -- covariant differentiation -------------------------------------------
 
     def cov_deriv(self, t: TensorJet, times: int = 1) -> TensorJet:
@@ -243,8 +298,10 @@ class PointState:
                 "jet order exhausted: raise the configured jet order for this "
                 "derivative depth"
             )
-        out = jet_cov_deriv(t.coeffs, self.christoffel.coeffs, self.m, t.order)
-        return TensorJet(out, self.m, t.order - 1)
+        lift = self.pair_lift(t.order - 1) if t.pairs else None
+        out = jet_cov_deriv(t.coeffs, self.christoffel.coeffs, self.m, t.order,
+                            t.pairs, lift)
+        return TensorJet(out, self.m, t.order - 1, t.pairs)
 
     # -- frames ---------------------------------------------------------------
 

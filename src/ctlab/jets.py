@@ -25,6 +25,14 @@ Two layers live here:
   GEMM :func:`jet_einsum` would run for it, so the result is bit for bit
   the per-variable, per-slot computation.  :func:`jet_partial` is the one
   partial of one point's array, ``(ncoeffs, *tensor_shape)``.
+* packed antisymmetric pairs: a Riemann-type array keeps each of its two
+  leading antisymmetric pairs of slots as its components a < b, the
+  2-form slots (:func:`pack_pairs`, :func:`unpack_pairs`, maps cached per
+  dimension by :func:`pair_maps`).  A covariant derivative runs such a
+  pair slot's two connection terms as one GEMM against Gamma lifted to
+  2-forms (:func:`jet_pair_lift`), so the Riemann and Weyl derivative
+  chains keep M = m(m-1)/2 components per pair slot, not m^2: 100 instead
+  of 625 per (ab)(cd) block at dimension 5.
 
 A product of two jets is a convolution of their coefficients: output
 coefficient ``p`` sums ``a[i] * b[j]`` over the pairs with
@@ -49,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -318,17 +326,20 @@ def jet_gradient(a: np.ndarray, dim: int, order: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _slot_plans(a_shape: tuple[int, ...], gamma_shape: tuple[int, ...],
-                dim: int, order: int) -> tuple[_EinsumPlan, ...]:
+                lift_shape: tuple[int, ...] | None, pairs: int, dim: int,
+                order: int) -> tuple[_EinsumPlan, ...]:
     """The :func:`jet_einsum` plan of each slot's connection term in
-    :func:`jet_cov_deriv`: ``y{s}z,{a with slot s as y}->{a}z``."""
+    :func:`jet_cov_deriv`: ``y{s}z,{a with slot s as y}->{a}z``, against
+    the lift for the first ``pairs`` slots and Gamma for the others."""
     sub = "abcdefghijklmnopqrstuvwx"[:len(a_shape) - 1]
     return tuple(_einsum_plan(f"y{c}z,{sub[:s]}y{sub[s + 1:]}->{sub}z",
-                              gamma_shape, a_shape, dim, order)
+                              lift_shape if s < pairs else gamma_shape,
+                              a_shape, dim, order)
                  for s, c in enumerate(sub))
 
 
-def jet_cov_deriv(a: np.ndarray, gamma: np.ndarray, dim: int,
-                  order: int) -> np.ndarray:
+def jet_cov_deriv(a: np.ndarray, gamma: np.ndarray, dim: int, order: int,
+                  pairs: int = 0, lift: np.ndarray | None = None) -> np.ndarray:
     """Covariant derivative of a fully covariant tensor jet ``a`` of order
     ``order`` over a chunk of points, with Christoffel symbols ``gamma`` as
     ``[point, coeff, l, j, k] = Gamma^l_{jk}`` of order ``order - 1`` or
@@ -336,23 +347,143 @@ def jet_cov_deriv(a: np.ndarray, gamma: np.ndarray, dim: int,
     with slot ``s`` as ``y``.  Output order is ``order - 1``, derivative
     slot last, C-contiguous.
 
+    The first ``pairs`` slots of ``a`` may be antisymmetric pairs stored
+    packed (:func:`pack_pairs`).  A pair slot's two connection terms are
+    one, ``L[(cd), (ab), z] T_(cd)`` summed over the pairs c < d, with
+    ``lift`` the :func:`jet_pair_lift` of Gamma at order ``order - 1`` or
+    more, so the slot runs as any other with pair indices of size
+    ``m(m-1)/2``; its output stays packed.
+
     Each slot's term is the product :func:`jet_einsum` makes for its spec,
     on the same operands and in the same GEMM, subtracted in slot order, so
     the result is bit for bit :func:`jet_gradient` minus the per-slot
-    ``jet_einsum``.  Gamma's layout ``[point, coeff, y | a_s, z]`` is the
-    same in every slot, so it is gathered once per call, and the first
-    subtraction writes the gradient's view into the output's layout."""
+    ``jet_einsum``.  The layout ``[point, coeff, y | a_s, z]`` of Gamma (and
+    of the lift) is the same in every slot, so each is gathered once per
+    call, and the first subtraction writes the gradient's view into the
+    output's layout."""
     out = _gradient_view(a, dim, order)
-    plans = _slot_plans(a.shape[1:], gamma.shape[1:], dim, order - 1)
+    plans = _slot_plans(a.shape[1:], gamma.shape[1:],
+                        None if lift is None else lift.shape[1:], pairs, dim,
+                        order - 1)
     if not plans:
         return np.ascontiguousarray(out)
-    g = plans[0].a.gather(gamma).swapaxes(-1, -2)
+    ops = {}  # gathered operand by slot kind: pair (True) or plain
     dst = np.empty(out.shape)
-    for plan in plans:
-        prod = np.matmul(g, plan.b.gather(a))
+    for s, plan in enumerate(plans):
+        kind = s < pairs
+        if kind not in ops:
+            ops[kind] = plan.a.gather(lift if kind else gamma).swapaxes(-1, -2)
+        prod = np.matmul(ops[kind], plan.b.gather(a))
         out = np.subtract(out, prod.reshape(plan.shape).transpose(plan.perm),
                           out=dst)
     return out
+
+
+# ---------------------------------------------------------------------------
+# antisymmetric pairs stored packed (2-form slots)
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def pair_maps(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-form slots of dimension ``dim``: ``pairs`` is ``(M, 2)``, the
+    pairs a < b in lexicographic order, M = dim(dim-1)/2; ``index[a, b]``
+    is the pair of {a, b} (M on the diagonal, the zero slot that
+    :func:`unpack_pairs` appends), and ``sign[a, b]`` is -1 where a > b,
+    else +1.  Read-only."""
+    pairs = np.array(list(combinations(range(dim), 2)),
+                     dtype=np.int64).reshape(-1, 2)
+    index = np.full((dim, dim), len(pairs), dtype=np.int64)
+    sign = np.ones((dim, dim))
+    lo, hi = pairs.T
+    index[lo, hi] = index[hi, lo] = np.arange(len(pairs))
+    sign[hi, lo] = -1.0
+    for x in (pairs, index, sign):
+        x.setflags(write=False)
+    return pairs, index, sign
+
+
+@lru_cache(maxsize=None)
+def _pair_slots(dim: int, pairs: int) -> tuple[tuple[np.ndarray, ...],
+                                                np.ndarray, np.ndarray]:
+    """The maps of :func:`pack_pairs` and :func:`unpack_pairs` for
+    ``pairs`` leading pair slots: the index arrays that pick every pair
+    slot's components a < b at once, and for each unpacked component, the
+    flat index of its packed one among ``(M + 1)^pairs`` (index M of a
+    pair slot being the zero slot of its diagonal) and its sign."""
+    ab, index, sign = pair_maps(dim)
+    picks, flat, signs = [], np.zeros((), dtype=np.int64), np.ones(())
+    for s in range(pairs):
+        grid = (1,) * s + (-1,) + (1,) * (pairs - s - 1)
+        picks += [ab[:, 0].reshape(grid), ab[:, 1].reshape(grid)]
+        grid = (1,) * 2 * s + (dim, dim) + (1,) * 2 * (pairs - s - 1)
+        flat = flat * (len(ab) + 1) + index.reshape(grid)
+        signs = signs * sign.reshape(grid)
+    return tuple(picks), flat.ravel(), signs.ravel()
+
+
+def pack_pairs(a: np.ndarray, pairs: int, dim: int) -> np.ndarray:
+    """A chunk's jet array ``(P, ncoeff, m, m, ..., m)`` whose first
+    ``pairs`` pairs of slots are antisymmetric, with each such pair stored
+    as its components a < b: ``(P, ncoeff, M, ..., M, m, ...)``, one
+    gather."""
+    return a[(slice(None), slice(None)) + _pair_slots(dim, pairs)[0]]
+
+
+def unpack_pairs(a: np.ndarray, pairs: int, dim: int) -> np.ndarray:
+    """The inverse of :func:`pack_pairs`: each of the first ``pairs`` pair
+    slots of ``a`` read back as two slots, ``T_ba = -T_ab`` and zero on the
+    diagonal, by one gather from ``a`` with a zero slot appended to each
+    pair slot; ``a`` itself when ``pairs`` is 0."""
+    if not pairs:
+        return a
+    _, flat, signs = _pair_slots(dim, pairs)
+    p, n, rest = *a.shape[:2], a.shape[2 + pairs:]
+    padded = np.zeros((p, n) + (len(pair_maps(dim)[0]) + 1,) * pairs + rest)
+    padded[(slice(None), slice(None)) + (slice(-1),) * pairs] = a
+    out = padded.reshape((p, n, -1) + rest).take(flat, axis=2)
+    out *= signs.reshape((-1,) + (1,) * len(rest))
+    return out.reshape((p, n) + (dim,) * 2 * pairs + rest)
+
+
+@lru_cache(maxsize=None)
+def _lift_map(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`jet_pair_lift` reads each entry ``[(cd), (ab), z]``:
+    the flat Gamma indices ``l * m^2 + j * m + k`` of its two terms
+    (``m^3``, a zero slot, for a term that is absent) and their signs, each
+    ``(2, M * M * m)``."""
+    m = dim
+    pairs = pair_maps(dim)[0]
+    src = np.full((2, len(pairs), len(pairs), m), m ** 3, dtype=np.int64)
+    sign = np.zeros(src.shape)
+    for q, (c, d) in enumerate(pairs):
+        for p, (a, b) in enumerate(pairs):
+            # Gamma^c_az d_bd - Gamma^d_az d_bc + Gamma^d_bz d_ac
+            # - Gamma^c_bz d_ad, two terms at most as a < b and c < d
+            terms = [(s, l, j) for s, l, j, hit in (
+                (1.0, c, a, b == d), (-1.0, d, a, b == c),
+                (1.0, d, b, a == c), (-1.0, c, b, a == d)) if hit]
+            for t, (s, l, j) in enumerate(terms):
+                src[t, q, p] = (l * m + j) * m + np.arange(m)
+                sign[t, q, p] = s
+    return src.reshape(2, -1), sign.reshape(2, -1)
+
+
+def jet_pair_lift(gamma: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """Gamma lifted to the 2-form slots, a chunk's jet array
+    ``L[point, coeff, (cd), (ab), z]`` of order ``order`` over the pairs
+    c < d and a < b, so that for an antisymmetric pair slot
+    ``Gamma^y_{az} T_{yb} + Gamma^y_{bz} T_{ay} = sum_(cd) L[(cd), (ab), z]
+    T_(cd)``: the connection term of a packed pair slot in
+    :func:`jet_cov_deriv`.  One signed gather from ``gamma``, ``[point,
+    coeff, l, j, k] = Gamma^l_{jk}`` of order ``order`` or more."""
+    src, sign = _lift_map(dim)
+    n = table(dim, order).size
+    m, p = dim, len(gamma)
+    flat = np.zeros((p, n, m ** 3 + 1))
+    flat[:, :, :-1] = gamma[:, :n].reshape(p, n, -1)
+    terms = flat.take(src, axis=2) * sign
+    pairs = len(pair_maps(dim)[0])
+    return (terms[:, :, 0] + terms[:, :, 1]).reshape(p, n, pairs, pairs, m)
 
 
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:

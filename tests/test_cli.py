@@ -41,12 +41,20 @@ def test_verify_random_comm_json(capsys, tmp_path):
 
 
 def test_verify_sphere_sol_skips(capsys):
+    # COMM runs, so the SOL rows' skips are reported; SOL alone checks
+    # nothing on the sphere, a configuration error
     code, out, _ = run(capsys, "verify", "--catalog", "sphere", "--dim", "3",
-                       "--suite", "SOL", "--points", "2", "--format", "json")
+                       "--suite", "SOL,COMM", "--points", "2", "--format",
+                       "json")
     assert code == 0
     doc = json.loads(out)
     rows = {r["id"]: r["status"] for r in doc["rows"]}
     assert rows["sol.defining_gradient"] == "skipped(no f)"
+    code, out, err = run(capsys, "verify", "--catalog", "sphere", "--dim",
+                         "3", "--suite", "SOL", "--points", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: nothing was checked: ")
+    assert "no f: " in err
 
 
 def test_verify_laws(capsys):
@@ -522,6 +530,33 @@ def test_zero_points_is_a_config_error(capsys):
         assert code == 2
         assert out == ""
         assert "at least one point" in err
+
+
+def test_run_that_checks_nothing_exits_2(capsys):
+    # every row skipped: a report would read "overall: pass" with nothing
+    # checked, so the run is a configuration error, with one line saying why
+    code, out, err = run(capsys, "verify", "--catalog", "random", "--dim",
+                         "3", "--jet-order", "0", "--suite", "COMM")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nothing was checked: all 36 selected rows "
+                          "were skipped (")
+    assert "needs jet order >= 5: " in err and "needs dim >= 4: 1" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", ["0", "1"])
+@pytest.mark.parametrize("tail", [["verify", "--suite", "COMM"],
+                                  ["eval", "--quantity", "scalar", "--point",
+                                   "0,0,0"]])
+def test_jet_order_too_low_to_certify_names_the_flag(capsys, order, tail):
+    code, out, err = run(capsys, tail[0], "--catalog", "euclidean", "--dim",
+                         "3", "--jet-order", order, *tail[1:])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --jet-order {order}: certifying the claims of "
+                   f"euclidean(dim=3) (einstein, gradient_soliton, "
+                   f"generic_soliton) needs jet order >= 2\n")
 
 
 def test_negative_points_is_a_config_error(capsys):

@@ -6,7 +6,8 @@ import pytest
 
 from ctlab import catalog, conformal, curvature, identities
 from ctlab.curvature import DimensionError, bundle
-from ctlab.geometry import Chunk, GeometryInstance, MetricError
+from ctlab.geometry import (Chunk, GeometryInstance, MetricError, tj_combine,
+                            tj_einsum, tj_transpose)
 from ctlab.jets import JetOrderError
 from ctlab.identities import EvalContext, residual, select_records
 from oracles import d_tensor_form, duf_tensor_alt, kulkarni_nomizu
@@ -34,12 +35,41 @@ def test_riemann_flat_zero():
 def test_riemann_symmetries_and_first_bianchi(dim, seed):
     g = entry("random", dim=dim, seed=seed).geometry
     for p in pts(g, 2, seed):
-        r = bundle(g, p).on("riemann")
+        b = bundle(g, p)
+        # the bundle stores Riemann with its pairs packed, antisymmetric by
+        # construction, so the antisymmetries are checked on the lowered
+        # jet before packing, at every coefficient
+        low = tj_einsum("is,sjkl->ijkl", b.state.g,
+                        b.coord("riemann13")).coeffs[0]
+        assert np.abs(low + low.transpose(0, 2, 1, 3, 4)).max() < 1e-10
+        assert np.abs(low + low.transpose(0, 1, 2, 4, 3)).max() < 1e-10
+        r = b.on("riemann")
         assert np.abs(r + r.transpose(1, 0, 2, 3)).max() < 1e-10
         assert np.abs(r + r.transpose(0, 1, 3, 2)).max() < 1e-10
         assert np.abs(r - r.transpose(2, 3, 0, 1)).max() < 1e-10
         bianchi = r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)
         assert np.abs(bianchi).max() < 1e-10
+
+
+def test_riemann_type_jets_are_packed_and_refuse_products():
+    g = entry("random", dim=4, seed=1).geometry
+    b = bundle(g, pts(g, 1, 4)[0])
+    full = tj_einsum("is,sjkl->ijkl", b.state.g, b.coord("riemann13"))
+    r = b.coord("riemann")
+    assert (r.pairs, r.rank, r.coeffs.shape[2:]) == (2, 4, (6, 6))
+    assert np.array_equal(r.coeffs, full.packed().coeffs)
+    assert np.array_equal(r.value(), r.unpacked().value())
+    for name in ("riemann", "weyl"):
+        for d in range(3):
+            t = b.coord(name, d)
+            assert (t.pairs, t.rank, t.coeffs.shape[2:4]) == (2, 4 + d, (6, 6))
+    for refused in (lambda: tj_einsum("ijkl,ijkl->", r, full),
+                    lambda: tj_einsum("ijkl,ijkl->", full, r),
+                    lambda: tj_transpose(r, (1, 0, 2, 3)),
+                    lambda: r.packed(),
+                    lambda: tj_combine((1.0, r), (1.0, full))):
+        with pytest.raises(ValueError, match="packed"):
+            refused()
 
 
 def test_sphere_scalar_closed_form():

@@ -563,3 +563,90 @@ def test_chunk_kernels_are_chunks_of_one_bit_for_bit():
             y = jets.jet_inverse(g, dim, order)
             for j in range(size):
                 assert np.array_equal(y[j], inverse1(g[j], dim, order))
+
+
+# ---------------------------------------------------------------------------
+# antisymmetric pairs stored packed: the 2-form slots of Riemann-type jets
+# ---------------------------------------------------------------------------
+
+PAIR_BUDGET = 500_000  # elements of the unpacked rank-r operand
+PAIR_RTOL = 1e-13
+
+
+def pair_cases():
+    for dim in range(3, 6):
+        for rank in range(4, 8):
+            for order in range(1, 5):
+                if table(dim, order).size * dim ** rank <= PAIR_BUDGET:
+                    yield dim, order, rank
+
+
+def pair_operands(dim, order, rank, seed, points=1):
+    """A chunk's rank-``rank`` jet antisymmetric in its slots (01) and
+    (23), unpacked, and a Christoffel jet of order ``order - 1`` or one
+    more."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((points, table(dim, order).size) + (dim,) * rank)
+    a = a - a.swapaxes(2, 3)
+    a = a - a.swapaxes(4, 5)
+    gamma = rng.standard_normal(
+        (points, table(dim, order - 1 + seed % 2).size) + (dim,) * 3)
+    return a, gamma
+
+
+def packed_cov_deriv(a, gamma, dim, order, lift_order):
+    lift = jets.jet_pair_lift(gamma, dim, lift_order)
+    return jets.jet_cov_deriv(jets.pack_pairs(a, 2, dim), gamma, dim, order,
+                              2, lift)
+
+
+def test_pair_cases_cover_every_rank_and_dim():
+    cases = list(pair_cases())
+    assert {(d, r) for d, _, r in cases} == {
+        (d, r) for d in range(3, 6) for r in range(4, 8)}
+    assert {o for _, o, _ in cases} == set(range(1, 5))
+
+
+def test_pack_and_unpack_pairs_are_inverse():
+    for dim in range(2, 7):
+        pairs, index, sign = jets.pair_maps(dim)
+        assert len(pairs) == dim * (dim - 1) // 2
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert np.array_equal(index[pairs[:, 0], pairs[:, 1]],
+                              np.arange(len(pairs)))
+        a, _ = pair_operands(dim, 1, 5, dim, points=2)
+        packed = jets.pack_pairs(a, 2, dim)
+        assert packed.shape == (2, dim + 1, len(pairs), len(pairs), dim)
+        assert np.array_equal(jets.unpack_pairs(packed, 2, dim), a)
+        assert np.array_equal(jets.pack_pairs(jets.unpack_pairs(
+            packed, 2, dim), 2, dim), packed)
+        assert jets.unpack_pairs(a, 0, dim) is a
+
+
+def test_packed_cov_deriv_is_the_unpacked_one_packed():
+    # one GEMM per pair slot against the lift sums what the two slots'
+    # Christoffel terms sum, in another order
+    for k, (dim, order, rank) in enumerate(pair_cases()):
+        a, gamma = pair_operands(dim, order, rank, k)
+        want = jets.pack_pairs(jets.jet_cov_deriv(a, gamma, dim, order), 2,
+                               dim)
+        got = packed_cov_deriv(a, gamma, dim, order, order - 1 + k % 2)
+        assert got.shape == want.shape, (dim, order, rank)
+        assert got.flags.c_contiguous
+        err = np.abs(got - want).max()
+        assert err <= PAIR_RTOL * np.abs(want).max(), (dim, order, rank, err)
+
+
+def test_packed_cov_deriv_chunks_are_chunks_of_one_bit_for_bit():
+    for k, (dim, order, rank) in enumerate(pair_cases()):
+        if rank > 5:
+            continue
+        a, gamma = pair_operands(dim, order, rank, k, points=3)
+        lift = jets.jet_pair_lift(gamma, dim, order - 1)
+        got = packed_cov_deriv(a, gamma, dim, order, order - 1)
+        for j in range(len(a)):
+            one = slice(j, j + 1)
+            assert np.array_equal(lift[one], jets.jet_pair_lift(
+                gamma[one], dim, order - 1))
+            assert np.array_equal(got[one], packed_cov_deriv(
+                a[one], gamma[one], dim, order, order - 1)), (dim, order, j)

@@ -142,7 +142,9 @@ def test_jet_order_below_structure_order_is_a_config_error(capsys):
                  "--jet-order", "1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: jet order exhausted")
+    assert err.startswith("error: --jet-order 1: certifying the claims of "
+                          "sphere(dim=3,r=1.0) ")
+    assert err.endswith(" needs jet order >= 2\n")
 
 
 def test_structured_records_can_be_certified_at_their_order():
