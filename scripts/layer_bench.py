@@ -1,0 +1,256 @@
+#!/usr/bin/env python3
+"""Time ctlab layer by layer on the charts of the full-suite schedule.
+
+It prints five tables, each time the best of ``--repeat`` runs:
+
+- Expression-to-jet, behind ``geometry.BLOCK_TRIPLES``: the rescaled
+  chart's tape at 8 points one by one, then over blocks of 2 to 32 points
+  and of the size ``point_blocks`` uses (``block_size``, marked ``*``).
+  Each block's time per point is a speed-up over one by one, next to the
+  block's size in (point, convolution triple) pairs: a block pays while
+  its jet products fit in cache.
+- Point states and curvature bundles, behind ``geometry.BLOCK_BYTES`` for
+  chunks: for each pass, on each of its geometries, the point state, the
+  bundle and every value the pass's records read at its first point, built
+  from the tape's root jets for chunks (``geometry.Chunk``) of 1 to 32
+  points and of the size the walker takes (marked ``*``), as
+  ``point_blocks`` does.  Each chunk's time per point is a speed-up over a
+  chunk of one.  A chunk whose arrays would exceed ``MAX_BYTES`` is not
+  built (``-``).
+- One covariant derivative (``PointState._cov_deriv_once``) of a one-point
+  tensor jet, in ms per call by dim, rank and jet order, with every slot
+  stored in full and, for ranks 4 to 6, with the two leading antisymmetric
+  pairs packed as Riemann-type jets are; and the Christoffel lift that the
+  packed calls of a chunk share (``PointState.pair_lift``).
+- Each COMM record's evaluator, and each law's, in ms per point on warm
+  values (``identities.EvalContext``), over a block of the size the
+  verification driver uses: no jets are built while it is timed.
+
+The charts are those of ``run_full_suite.py``: its ``random`` COMM entries
+(dims 3, 4 and 5) and its conformal pairs (``LAW_SCHEDULE``).  Each pass is
+set up once, as the driver runs it (:func:`setup`).
+
+Usage:
+    PYTHONPATH=src python scripts/layer_bench.py [--repeat N]
+"""
+
+import argparse
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from ctlab import catalog, conformal, identities
+from ctlab.geometry import (BLOCK_BYTES, Chunk, PointState, TensorJet,
+                            block_size, held_bytes)
+from ctlab.identities import EvalContext
+from ctlab.jets import table
+from run_full_suite import LAW_SCHEDULE, SCHEDULE
+
+COMM = [(name, kw) for name, kw, fams in SCHEDULE
+        if name == "random" and "COMM" in fams]
+PASSES = ([(name, kw, "COMM") for name, kw in COMM]
+          + [(name, kw, "LAW") for name, kw in LAW_SCHEDULE])
+BLOCKS = (2, 4, 8, 16, 32)
+CHUNKS = (1, 2, 4, 8, 16, 32)
+COV_ORDERS = (1, 2, 3)
+MAX_BYTES = 32 << 20  # largest chunk the chunk table builds, per geometry
+
+
+def best(fn, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+@dataclass
+class Pass:
+    """A verification pass as the driver runs it, learned at its first
+    point: its suite, the records it runs, its geometries at the working
+    order (the base and, for the laws, the rescaled one), the (side,
+    quantity, d) values its records read, the bytes each geometry's state
+    and bundle then hold, and how many points the walker puts in a chunk
+    and the driver in a block of records after that point."""
+    suite: str
+    records: list
+    geometries: list
+    reads: list
+    nbytes: list
+    chunk: int
+    block: int
+
+
+def setup(name: str, params: dict, suite: str) -> Pass:
+    """The ``suite`` pass (``"LAW"`` or a family) on catalog entry
+    ``name``: its records are those that a one-point verification does
+    not skip."""
+    g = catalog.load(name, certify=False, **params).geometry
+    point = g.sample_points(1, 0)
+    if suite == "LAW":
+        pair = conformal.rescale(g)
+        records = conformal.select_laws()
+        rows = conformal.verify_transform(pair, records, point)
+    else:
+        records = identities.select_records([suite])
+        rows = identities.verify(g, records, point)
+    records = [r for r, row in zip(records, rows)
+               if not row.status.startswith("skipped")]
+    g = g.at_order(max(r.min_order for r in records))
+    geometries = [g] + ([pair.tilde.at_order(g.config.order)]
+                        if suite == "LAW" else [])
+    first = Chunk(geometries, point)
+    c = EvalContext.of(first)
+    for r in records:
+        r.evaluate(c)
+    nbytes = [held_bytes(b) for b in first.bundles]
+    read = sum(v.nbytes for v in c.values.values())
+    return Pass(suite, records, geometries,
+                [key for key in c.values if key[1] is not None], nbytes,
+                min(max(1, BLOCK_BYTES // n) for n in nbytes),
+                max(1, BLOCK_BYTES // read))
+
+
+def tape_table(repeat: int) -> None:
+    """Tape blocks against point by point, on the first conformal pair's
+    chart and the COMM charts, each rescaled."""
+    for name, params in LAW_SCHEDULE[:1] + COMM:
+        base = catalog.load(name, certify=False, **params).geometry
+        tape = conformal.rescale(base).tilde.spec.tape
+        for order in range(2, 7):
+            triples = len(table(base.dim, order).mul_i)
+            chosen = block_size(base.dim, order)
+            points = base.sample_points(max(max(BLOCKS), chosen), 0)
+            alone = best(lambda: [tape.evaluate(p, order) for p in points[:8]],
+                         repeat) / 8
+            cells = []
+            for size in sorted(set(BLOCKS) | {chosen}):
+                per = best(lambda: tape.evaluate(points[:size], order),
+                           repeat) / size
+                mark = "*" if size == chosen else " "
+                cells.append(f"{size:2d}:{alone / per:5.2f}x "
+                             f"({size * triples:6d}){mark}")
+            print(f"{name:18} dim {base.dim} order {order} "
+                  f"triples {triples:5d}  alone {1e3 * alone:6.2f} ms/pt  "
+                  + "  ".join(cells), flush=True)
+
+
+def build(g, points, values, reads) -> None:
+    """Every read value of a chunk of ``points``, from the tape's root
+    jets ``values`` over at least those points."""
+    roots = [values[r].coeffs[:, :len(points)].T for r in g.spec.tape.roots]
+    b = Chunk([g], points, [roots]).bundle()
+    for quantity, d in reads:
+        b.frames(quantity, d)
+
+
+def chunk_table(passes: list, repeat: int) -> None:
+    for p in passes:
+        for g, side, per_point in zip(p.geometries, "bt", p.nbytes):
+            reads = [(quantity, d) for s, quantity, d in p.reads if s == side]
+            sizes = sorted(set(CHUNKS) | {p.chunk})
+            points = g.sample_points(max(sizes), 1)
+            values = g.spec.tape.evaluate(points, g.config.order)
+            per = {size: best(lambda: build(g, points[:size], values, reads),
+                              repeat) / size
+                   for size in sizes if size * per_point <= MAX_BYTES}
+            alone = per[1]
+            cells = [f"{size:2d}:{alone / per[size]:5.2f}x"
+                     + ("*" if size == p.chunk else " ") if size in per
+                     else f"{size:2d}:    - " for size in sizes[1:]]
+            print(f"{p.suite:4} {g.name:32} order {g.config.order} "
+                  f"{per_point / 1024:7.1f} KiB/pt  1 point "
+                  f"{1e3 * alone:6.2f} ms/pt  " + "  ".join(cells),
+                  flush=True)
+
+
+def cov_deriv_table(repeat: int) -> None:
+    """ms per covariant derivative of one point's jet by (dim, rank,
+    order), unpacked and, for ranks 4-6, with two packed pairs."""
+    print("cov_deriv ms per call, one point: dim rank order  unpacked  "
+          "packed  speed-up")
+    for name, params in COMM:
+        g = catalog.load(name, certify=False, **params
+                         ).geometry.at_order(max(COV_ORDERS) + 1)
+        dim = g.dim
+        point = g.sample_points(1, 1)
+        rng = np.random.default_rng(dim)
+
+        def lift():
+            state = PointState(g, point)
+            state.christoffel  # noqa: B018  (timed apart)
+            t0 = time.perf_counter()
+            state.pair_lift(max(COV_ORDERS) - 1)
+            return time.perf_counter() - t0
+
+        print(f"dim {dim}: Christoffel lift at order {max(COV_ORDERS) - 1} "
+              f"{1e3 * min(lift() for _ in range(repeat)):7.3f} ms per chunk")
+        state = PointState(g, point)
+        for rank in range(7):
+            for order in COV_ORDERS:
+                shape = (1, table(dim, order).size) + (dim,) * rank
+                full = TensorJet(rng.standard_normal(shape), dim, order)
+                cells = [best(lambda: state._cov_deriv_once(full), repeat)]
+                if rank >= 4:
+                    a = full.coeffs - full.coeffs.swapaxes(2, 3)
+                    packed = TensorJet(a - a.swapaxes(4, 5), dim,
+                                       order).packed()
+                    state._cov_deriv_once(packed)  # builds the lift
+                    cells.append(best(lambda: state._cov_deriv_once(packed),
+                                      repeat))
+                print(f"  {dim}  {rank}  {order}  "
+                      + "  ".join(f"{1e3 * t:8.3f}" for t in cells)
+                      + (f"  {cells[0] / cells[1]:5.2f}x" if len(cells) > 1
+                         else ""), flush=True)
+
+
+def record_table(title: str, heads: list, ids: list, passes: list,
+                 repeat: int) -> None:
+    """Each record's ms per point on a block of each pass, one column per
+    pass, and each column's sum."""
+    columns = []
+    for p in passes:
+        g = p.geometries[0]
+        block = EvalContext.of(Chunk(p.geometries,
+                                     g.sample_points(p.block, 1)))
+        for r in p.records:
+            r.evaluate(block)  # reads the chunk's values, warm from now on
+        columns.append({r.id: 1e3 * best(lambda: r.evaluate(block), repeat)
+                        / p.block for r in p.records})
+    print(f"{title:30}" + "".join(f"{h:>10}" for h in heads))
+    print(f"{'points a block':30}" + "".join(f"{p.block:>10d}"
+                                             for p in passes))
+    for rid in ids:
+        print(f"{rid:30}" + "".join(
+            f"{col[rid]:>10.3f}" if rid in col else f"{'-':>10}"
+            for col in columns))
+    print(f"{'total':30}" + "".join(f"{sum(col.values()):>10.3f}"
+                                    for col in columns))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+    tape_table(args.repeat)
+    passes = [setup(*p) for p in PASSES]
+    chunk_table(passes, args.repeat)
+    cov_deriv_table(args.repeat)
+    comm, laws = passes[:len(COMM)], passes[len(COMM):]
+    record_table("COMM, ms per point",
+                 [f"dim {p.geometries[0].dim}" for p in comm],
+                 [r.id for r in identities.select_records(["COMM"])], comm,
+                 args.repeat)
+    print()
+    heads = [f"pair {n}" for n in range(1, len(laws) + 1)]
+    for head, (name, params) in zip(heads, LAW_SCHEDULE):
+        given = ", ".join(f"{k}={v}" for k, v in params.items())
+        print(f"{head}: {name}({given})")
+    record_table("laws, ms per point", heads,
+                 [r.id for r in conformal.select_laws()], laws, args.repeat)
+
+
+if __name__ == "__main__":
+    main()

@@ -419,8 +419,8 @@ class GeometryInstance:
 
 # Largest number of (point, convolution triple) pairs in one tape block: a
 # jet product over a block gathers and multiplies arrays of this many
-# floats, which stay in cache up to about 16k (128 kB);
-# scripts/tape_block_bench.py measures block sizes on both sides of it
+# floats, which stay in cache up to about 16k (128 kB); the tape-block
+# table of scripts/layer_bench.py measures block sizes on both sides of it
 # against point by point.
 BLOCK_TRIPLES = 16384
 

@@ -1,0 +1,50 @@
+"""The layer harness (``scripts/layer_bench.py``) times each pass as the
+verification driver runs it: the same records, the chunk size the walker
+takes and the block size the driver evaluates records in."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from ctlab import catalog, conformal, geometry, identities
+from ctlab.identities import EvalContext
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from layer_bench import COMM, setup  # noqa: E402
+from run_full_suite import LAW_SCHEDULE  # noqa: E402
+
+
+# conformal_gaussian dim 4 holds less a point on its base than on its
+# rescaled geometry, so the walker's chunks differ from the base's own size
+@pytest.mark.parametrize("name, params, suite",
+                         [(*LAW_SCHEDULE[0], "LAW"), (*COMM[0], "COMM")])
+def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
+                                              suite):
+    p = setup(name, params, suite)
+    chunks, blocks = [], []
+    walk, stacked = geometry.point_blocks, EvalContext.stacked
+
+    def point_blocks(points, *geometries):
+        for chunk in walk(points, *geometries):
+            chunks.append(len(chunk))
+            yield chunk
+
+    def spy(g, tilde, points, values):
+        blocks.append(len(points))
+        return stacked(g, tilde, points, values)
+
+    monkeypatch.setattr(geometry, "point_blocks", point_blocks)
+    monkeypatch.setattr(EvalContext, "stacked", spy)
+    g = catalog.load(name, certify=False, **params).geometry
+    points = g.sample_points(p.block + 2, 0)  # the first block is full
+    if suite == "LAW":
+        rows = conformal.verify_transform(
+            conformal.rescale(g), conformal.select_laws(), points)
+    else:
+        rows = identities.verify(g, identities.select_records([suite]),
+                                 points)
+    assert [r.id for r in p.records] == [
+        row.id for row in rows if not row.status.startswith("skipped")]
+    assert chunks[0] == 1 and chunks[1] == p.chunk
+    assert blocks[0] == p.block
