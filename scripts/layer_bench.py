@@ -3,12 +3,13 @@
 
 It prints five tables, each time the best of ``--repeat`` runs:
 
-- Expression-to-jet, behind ``geometry.BLOCK_TRIPLES``: the rescaled
-  chart's tape at 8 points one by one, then over blocks of 2 to 32 points
-  and of the size ``point_blocks`` uses (``block_size``, marked ``*``).
-  Each block's time per point is a speed-up over one by one, next to the
-  block's size in (point, convolution triple) pairs: a block pays while
-  its jet products fit in cache.
+- Expression-to-jet, behind ``geometry.BLOCK_TRIPLES``: each chart's
+  tape, the base one (the tape COMM walks) and the rescaled one, at 8
+  points one by one, then over blocks of 2 to 32 points and of the size
+  ``point_blocks`` uses (``block_size``, marked ``*``).  Each block's time
+  per point is a speed-up over one by one, next to the block's size in
+  (point, convolution triple) pairs of the dense table: a block pays
+  while its jet products fit in cache.
 - Point states and curvature bundles, behind ``geometry.BLOCK_BYTES`` for
   chunks: for each pass, on each of its geometries, the point state, the
   bundle and every value the pass's records read at its first point, built
@@ -21,7 +22,9 @@ It prints five tables, each time the best of ``--repeat`` runs:
   tensor jet, in ms per call by dim, rank and jet order, with every slot
   stored in full and, for ranks 4 to 6, with the two leading antisymmetric
   pairs packed as Riemann-type jets are; and the Christoffel lift that the
-  packed calls of a chunk share (``PointState.pair_lift``).
+  packed calls of a chunk share (``PointState.pair_lift``).  Each shape
+  gets one untimed call first, and the state's Christoffel symbols are
+  built before the first cell, so no cell pays a one-off cost.
 - Each COMM record's evaluator, and each law's, in ms per point on warm
   values (``identities.EvalContext``), over a block of the size the
   verification driver uses: no jets are built while it is timed.
@@ -115,26 +118,28 @@ def setup(name: str, params: dict, suite: str) -> Pass:
 
 def tape_table(repeat: int) -> None:
     """Tape blocks against point by point, on the first conformal pair's
-    chart and the COMM charts, each rescaled."""
+    chart and the COMM charts, each base and rescaled."""
     for name, params in LAW_SCHEDULE[:1] + COMM:
         base = catalog.load(name, certify=False, **params).geometry
-        tape = conformal.rescale(base).tilde.spec.tape
+        tapes = {"base": base.spec.tape,
+                 "rescaled": conformal.rescale(base).tilde.spec.tape}
         for order in range(2, 7):
             triples = len(table(base.dim, order).mul_i)
             chosen = block_size(base.dim, order)
             points = base.sample_points(max(max(BLOCKS), chosen), 0)
-            alone = best(lambda: [tape.evaluate(p, order) for p in points[:8]],
-                         repeat) / 8
-            cells = []
-            for size in sorted(set(BLOCKS) | {chosen}):
-                per = best(lambda: tape.evaluate(points[:size], order),
-                           repeat) / size
-                mark = "*" if size == chosen else " "
-                cells.append(f"{size:2d}:{alone / per:5.2f}x "
-                             f"({size * triples:6d}){mark}")
-            print(f"{name:18} dim {base.dim} order {order} "
-                  f"triples {triples:5d}  alone {1e3 * alone:6.2f} ms/pt  "
-                  + "  ".join(cells), flush=True)
+            for label, tape in tapes.items():
+                alone = best(lambda: [tape.evaluate(p, order)
+                                      for p in points[:8]], repeat) / 8
+                cells = []
+                for size in sorted(set(BLOCKS) | {chosen}):
+                    per = best(lambda: tape.evaluate(points[:size], order),
+                               repeat) / size
+                    mark = "*" if size == chosen else " "
+                    cells.append(f"{size:2d}:{alone / per:5.2f}x "
+                                 f"({size * triples:6d}){mark}")
+                print(f"{name:18} {label:8} dim {base.dim} order {order} "
+                      f"triples {triples:5d}  alone {1e3 * alone:6.2f} "
+                      f"ms/pt  " + "  ".join(cells), flush=True)
 
 
 def build(g, points, values, reads) -> None:
@@ -188,17 +193,21 @@ def cov_deriv_table(repeat: int) -> None:
         print(f"dim {dim}: Christoffel lift at order {max(COV_ORDERS) - 1} "
               f"{1e3 * min(lift() for _ in range(repeat)):7.3f} ms per chunk")
         state = PointState(g, point)
+        state.christoffel  # noqa: B018  (not timed in the first cell)
         for rank in range(7):
             for order in COV_ORDERS:
                 shape = (1, table(dim, order).size) + (dim,) * rank
                 full = TensorJet(rng.standard_normal(shape), dim, order)
-                cells = [best(lambda: state._cov_deriv_once(full), repeat)]
+                operands = [full]
                 if rank >= 4:
                     a = full.coeffs - full.coeffs.swapaxes(2, 3)
-                    packed = TensorJet(a - a.swapaxes(4, 5), dim,
-                                       order).packed()
-                    state._cov_deriv_once(packed)  # builds the lift
-                    cells.append(best(lambda: state._cov_deriv_once(packed),
+                    operands.append(TensorJet(a - a.swapaxes(4, 5), dim,
+                                              order).packed())
+                cells = []
+                for t in operands:
+                    # one-off costs of the shape, and the lift if packed
+                    state._cov_deriv_once(t)
+                    cells.append(best(lambda: state._cov_deriv_once(t),
                                       repeat))
                 print(f"  {dim}  {rank}  {order}  "
                       + "  ".join(f"{1e3 * t:8.3f}" for t in cells)

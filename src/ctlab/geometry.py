@@ -421,7 +421,8 @@ class GeometryInstance:
 # jet product over a block gathers and multiplies arrays of this many
 # floats, which stay in cache up to about 16k (128 kB); the tape-block
 # table of scripts/layer_bench.py measures block sizes on both sides of it
-# against point by point.
+# against point by point.  block_size counts the table's dense pair list,
+# an upper bound on what a degree-bounded product (jets.Jet) gathers.
 BLOCK_TRIPLES = 16384
 
 # Bytes of point-state and bundle arrays (jets, values, frames) that one

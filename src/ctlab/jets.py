@@ -45,7 +45,14 @@ pairs and the contracted indices together form the inner dimension of one
 GEMM.  That GEMM is the one the point runs alone, so a chunk's values are
 bit for bit those of its points taken one at a time.  A scalar
 :class:`Jet` has no tensor axes and multiplies by the plain Cauchy product
-over the pair list.
+over the pair list, bounded by degree: each scalar jet carries a
+``degree``, an upper bound on the total degree of its non-zero
+coefficients (0 for a constant, 1 for a coordinate, the sum of the
+factors' for a product, capped at the order), and a product gathers only
+the pairs with ``|alpha_i|`` and ``|alpha_j|`` within its factors' degrees
+(:func:`_bounded_pairs`), or the full list when those are most of it.  The
+pairs it skips multiply an exact zero, so a chart's polynomial tape runs a
+few percent of the full convolution.
 
 Multi-indices are enumerated in graded order (degree first), so the
 enumeration for a lower truncation order is always a prefix of the
@@ -486,6 +493,30 @@ def jet_pair_lift(gamma: np.ndarray, dim: int, order: int) -> np.ndarray:
     return (terms[:, :, 0] + terms[:, :, 1]).reshape(p, n, pairs, pairs, m)
 
 
+@lru_cache(maxsize=None)
+def _bounded_pairs(dim: int, order: int, da: int,
+                   db: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The convolution triples of ``table(dim, order)``, ``order <= da +
+    db``, that can be non-zero when the first factor's coefficients vanish
+    above degree ``da`` and the second's above ``db``: ``(mul_i, mul_j,
+    seg_starts)`` as in the table and in its order, every out index
+    keeping at least one pair; read-only.  When they are more than half
+    the table's triples, the table's own arrays instead: that at most
+    doubles the product's work, all of it on exact zeros, and the cache
+    holds no near copy of the table."""
+    t = table(dim, order)
+    keep = (t.degree[t.mul_i] <= da) & (t.degree[t.mul_j] <= db)
+    if 2 * np.count_nonzero(keep) > len(keep):
+        return t.mul_i, t.mul_j, t.seg_starts
+    out = np.repeat(np.arange(t.size), np.diff(t.seg_starts,
+                                               append=len(t.mul_i)))[keep]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(out)) + 1))
+    pairs = t.mul_i[keep], t.mul_j[keep], starts
+    for x in pairs:
+        x.setflags(write=False)
+    return pairs
+
+
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:
     """A chunk's jet array truncated to ``order``: a view."""
     return a[:, : table(dim, order).size]
@@ -503,6 +534,16 @@ class Jet:
     Jets are immutable; all arithmetic returns fresh jets of the same
     ``(dim, order)``.
 
+    ``degree`` bounds the total degree of the non-zero coefficients, at
+    most ``order``: every coefficient past ``table.size_by_order[degree]``
+    is exactly 0.0.  A lifted constant has degree 0 and a coordinate
+    degree 1; a sum or difference takes the larger degree, negation and
+    scaling by a float keep it, and a product's is the sum of its
+    factors', capped at ``order``.  A product gathers only the pairs its
+    factors' degrees allow (all of the table's when those are most of
+    them), so every coefficient above its own degree comes out zero.  A
+    jet built without a degree is dense (degree ``order``).
+
     ``coeffs`` may also have shape ``(ncoeff, P)``: a block of P jets of
     one function, column ``p`` at the p-th of P base points.  Every
     operation then does, column by column, the arithmetic it does on one
@@ -512,12 +553,14 @@ class Jet:
     :meth:`coefficient` read one jet only.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ("dim", "order", "coeffs", "degree")
 
-    def __init__(self, dim: int, order: int, coeffs: np.ndarray):
+    def __init__(self, dim: int, order: int, coeffs: np.ndarray,
+                 degree: int | None = None):
         self.dim = dim
         self.order = order
         self.coeffs = coeffs
+        self.degree = order if degree is None else degree
 
     # -- construction -------------------------------------------------------
 
@@ -534,17 +577,17 @@ class Jet:
                 raise JetError(f"coordinate slot {slot} out of range for dim {dim}")
             if order >= 1:
                 c[t.index[tuple(1 if v == slot else 0 for v in range(dim))]] = 1.0
-        return Jet(dim, order, c)
+        return Jet(dim, order, c, 0 if slot is None else min(1, order))
 
-    def _like(self, coeffs: np.ndarray) -> "Jet":
-        return Jet(self.dim, self.order, coeffs)
+    def _like(self, coeffs: np.ndarray, degree: int) -> "Jet":
+        return Jet(self.dim, self.order, coeffs, degree)
 
     def _const(self, value) -> "Jet":
         """The constant jet ``value`` (one float, or one per column), shaped
         like this one."""
         c = np.zeros(self.coeffs.shape)
         c[0] = value
-        return self._like(c)
+        return self._like(c, 0)
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
@@ -593,36 +636,41 @@ class Jet:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return self._like(self.coeffs + o.coeffs)
+        return self._like(self.coeffs + o.coeffs, max(self.degree, o.degree))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return self._like(self.coeffs - o.coeffs)
+        return self._like(self.coeffs - o.coeffs, max(self.degree, o.degree))
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        return self._like(o.coeffs - self.coeffs)
+        return self._like(o.coeffs - self.coeffs, max(self.degree, o.degree))
 
     def __neg__(self):
-        return self._like(-self.coeffs)
+        return self._like(-self.coeffs, self.degree)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return self._like(self.coeffs * float(other))
+            return self._like(self.coeffs * float(other), self.degree)
         o = self._coerce(other)
-        t = table(self.dim, self.order)
+        deg = min(self.degree + o.degree, self.order)
+        # the pairs of a product below the order are those of the table at
+        # its degree, so products at every order share them
+        mul_i, mul_j, starts = _bounded_pairs(self.dim, deg, self.degree,
+                                              o.degree)
         # take copies whole rows of a block, where indexing goes by entry
-        return self._like(np.add.reduceat(
-            self.coeffs.take(t.mul_i, axis=0) * o.coeffs.take(t.mul_j, axis=0),
-            t.seg_starts))
+        prod = self.coeffs.take(mul_i, axis=0) * o.coeffs.take(mul_j, axis=0)
+        c = np.zeros(self.coeffs.shape)
+        np.add.reduceat(prod, starts, axis=0, out=c[:len(starts)])
+        return self._like(c, deg)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return self._like(self.coeffs / float(other))
+            return self._like(self.coeffs / float(other), self.degree)
         return self * self._coerce(other).reciprocal()
 
     def __rtruediv__(self, other):
@@ -643,7 +691,7 @@ class Jet:
         """
         hat = self.coeffs.copy()
         hat[0] = 0.0
-        hat_jet = self._like(hat)
+        hat_jet = self._like(hat, self.degree)
         out = self._const(series[self.order])
         for n in range(self.order - 1, -1, -1):
             out = out * hat_jet + self._const(series[n])

@@ -15,22 +15,25 @@ bundle's D and D^{u,f} only on an actual soliton structure.
 import numpy as np
 
 
-def eval_expr_jet_reference(e, point, order: int):
+def eval_expr_jet_reference(e, point, order: int, lift=None):
     """Jet of expression ``e`` at ``point``, walking the tree recursively and
-    evaluating every node where it occurs."""
+    evaluating every node where it occurs.  ``lift`` makes the leaves, with
+    the signature of ``Jet.lift`` (the default); every other node is the
+    leaves' own arithmetic."""
     from ctlab import jets
     from ctlab.exprlang import (Bin, Call, Coord, EvalDomainError, Neg, Num,
                                 Pow)
     from ctlab.jets import Jet, JetDomainError
 
     dim = len(point)
+    lift = lift or Jet.lift
 
     def rec(node):
         match node:
             case Num(v):
-                return Jet.lift(v, dim, order)
+                return lift(v, dim, order)
             case Coord(slot, _):
-                return Jet.lift(float(point[slot]), dim, order, slot=slot)
+                return lift(float(point[slot]), dim, order, slot=slot)
             case Neg(a):
                 return -rec(a)
             case Bin(op, a, b):

@@ -12,7 +12,7 @@ import ctlab
 from ctlab import jets
 from ctlab.jets import Jet, JetDomainError, JetError, JetOrderError, table
 
-from oracles import fd_multi
+from oracles import eval_expr_jet_reference, fd_multi
 
 
 def random_jet(dim, order, seed):
@@ -192,6 +192,110 @@ def test_leibniz_convolution_oracle(seed):
     prod = (a * b).coeffs
     for out, val in ref.items():
         assert abs(prod[t.index[out]] - val) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# degree-bounded products against the dense Cauchy product
+# ---------------------------------------------------------------------------
+
+class DenseJet(Jet):
+    """A jet whose every product runs the full Cauchy convolution over the
+    table's pair list, as if no coefficient were known to be zero."""
+
+    __slots__ = ()
+
+    def _like(self, coeffs, degree):
+        return DenseJet(self.dim, self.order, coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return self._like(self.coeffs * float(other), self.order)
+        o = self._coerce(other)
+        t = table(self.dim, self.order)
+        return self._like(np.add.reduceat(
+            self.coeffs.take(t.mul_i, axis=0) * o.coeffs.take(t.mul_j, axis=0),
+            t.seg_starts), self.order)
+
+    __rmul__ = __mul__
+
+
+def dense_lift(value, dim, order, slot=None):
+    return DenseJet(dim, order, Jet.lift(value, dim, order, slot).coeffs)
+
+
+def subtrees(e):
+    """Every node of expression ``e``, children first."""
+    from ctlab.exprlang import Bin, Call, Neg, Pow
+    match e:
+        case Bin(_, a, b):
+            return subtrees(a) + subtrees(b) + [e]
+        case Neg(a) | Pow(a, _) | Call(_, a):
+            return subtrees(a) + [e]
+    return [e]
+
+
+@st.composite
+def polynomial_text(draw, dim):
+    """A polynomial of degree <= 4 written as the random charts write
+    theirs: a sum of constants times monomials in the coordinates."""
+    terms = draw(st.lists(st.tuples(
+        st.integers(-8, 8), st.lists(st.integers(1, dim), max_size=4)),
+        min_size=1, max_size=5))
+    return " + ".join(
+        f"({k / 4!r})" + "".join(
+            f"*x{v}" + (f"^{mono.count(v)}" if mono.count(v) > 1 else "")
+            for v in sorted(set(mono)))
+        for k, mono in terms)
+
+
+# the polynomial p itself, then p wrapped so that every domain guard holds
+WRAPS = ("{p}", "exp({p})", "log(({p})*({p}) + 1)",
+         "({q})/(({p})*({p}) + 1)", "(({p})*({p}) + 1)^0.5",
+         "(({p})*({p}) + 1)^(-1.5)")
+
+
+@given(st.data(), st.integers(2, 5), st.integers(0, 6), st.sampled_from(WRAPS),
+       st.integers(0, 10_000))
+def test_degree_bound_is_sound(data, dim, order, wrap, seed):
+    """Every value of a tape is zero above its degree, and each root is the
+    dense Cauchy product's within 1e-14 relative.  A pure polynomial is the
+    dense one bit for bit but for the sign of a zero: each of its products
+    has a constant or a coordinate as a factor, so every coefficient sums
+    at most two non-zero terms, which dropping zero terms cannot
+    re-associate, and a coefficient above the degree is written as +0.0
+    where the dense sum of zero terms may give -0.0."""
+    from ctlab.exprlang import Tape, parse_expr
+
+    coords = [f"x{v}" for v in range(1, dim + 1)]
+    text = wrap.format(p=data.draw(polynomial_text(dim)),
+                       q=data.draw(polynomial_text(dim)))
+    e = parse_expr(text, coords)
+    point = np.random.default_rng(seed).uniform(-1, 1, dim)
+    nodes = subtrees(e)
+    tape = Tape(nodes)
+    values = tape.evaluate(point, order)
+    t = table(dim, order)
+    for v in values:
+        assert 0 <= v.degree <= order
+        assert not v.coeffs[t.size_by_order[v.degree]:].any()
+    got = values[tape.roots[-1]].coeffs
+    ref = eval_expr_jet_reference(e, point, order, lift=dense_lift).coeffs
+    if wrap == "{p}":
+        assert np.array_equal(got, ref)
+    else:
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_degrees_of_lifts_sums_and_products():
+    x, y = (Jet.lift(0.5, 3, 4, slot=v) for v in (0, 1))
+    c = Jet.lift(2.0, 3, 4)
+    assert (c.degree, x.degree, Jet.lift(0.5, 3, 0, slot=0).degree) == (0, 1, 0)
+    assert ((x + c).degree, (x - c).degree, (-x).degree, (x * 3.0).degree,
+            (x / 2.0).degree) == (1, 1, 1, 1, 1)
+    assert ((x * y).degree, (x * y * x).degree,
+            (x * y * x * y * x).degree) == (2, 3, 4)
+    assert Jet(3, 4, x.coeffs).degree == 4  # built without one: dense
+    assert jets.exp(c).degree == 0 and jets.exp(x).degree == 4
 
 
 def test_partial_derivative_map():
