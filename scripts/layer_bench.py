@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Time ctlab layer by layer on the charts of the full-suite schedule.
 
-It prints five tables, each time the best of ``--repeat`` runs:
+It prints six tables, each time the best of ``--repeat`` runs:
 
 - Expression-to-jet, behind ``geometry.BLOCK_TRIPLES``: each chart's
   tape, the base one (the tape COMM walks) and the rescaled one, at 8
   points one by one, then over blocks of 2 to 32 points and of the size
-  ``point_blocks`` uses (``block_size``, marked ``*``).  Each block's time
-  per point is a speed-up over one by one, next to the block's size in
-  (point, convolution triple) pairs of the dense table: a block pays
-  while its jet products fit in cache.
+  ``block_size`` gives the tape (marked ``*``; a walk of several
+  geometries takes the least of theirs).  Each block's time per point is a
+  speed-up over one by one, next to the floats of the block's largest
+  array: the pairs of the tape's widest jet product under its degree
+  bounds (``Tape.most_pairs``) or the coefficients of one jet, whichever
+  is more, times the points.  A block pays while those fit in cache.
 - Point states and curvature bundles, behind ``geometry.BLOCK_BYTES`` for
   chunks: for each pass, on each of its geometries, the point state, the
   bundle and every value the pass's records read at its first point, built
@@ -18,6 +20,11 @@ It prints five tables, each time the best of ``--repeat`` runs:
   ``point_blocks`` does.  Each chunk's time per point is a speed-up over a
   chunk of one.  A chunk whose arrays would exceed ``MAX_BYTES`` is not
   built (``-``).
+- The curvature tower of each COMM chart at its working order, in ms per
+  chunk of one point and of the walker's chunk: the Christoffel symbols
+  (``PointState.christoffel``), then the bundle's Riemann build, its
+  Ricci, scalar and Schouten builds, and its Weyl build, each timed on its
+  own in that order.
 - One covariant derivative (``PointState._cov_deriv_once``) of a one-point
   tensor jet, in ms per call by dim, rank and jet order, with every slot
   stored in full and, for ranks 4 to 6, with the two leading antisymmetric
@@ -44,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctlab import catalog, conformal, identities
+from ctlab.curvature import CurvatureBundle
 from ctlab.geometry import (BLOCK_BYTES, Chunk, PointState, TensorJet,
                             block_size, held_bytes)
 from ctlab.identities import EvalContext
@@ -124,10 +132,11 @@ def tape_table(repeat: int) -> None:
         tapes = {"base": base.spec.tape,
                  "rescaled": conformal.rescale(base).tilde.spec.tape}
         for order in range(2, 7):
-            triples = len(table(base.dim, order).mul_i)
-            chosen = block_size(base.dim, order)
-            points = base.sample_points(max(max(BLOCKS), chosen), 0)
             for label, tape in tapes.items():
+                floats = max(table(base.dim, order).size,
+                             tape.most_pairs(base.dim, order))
+                chosen = block_size(tape, base.dim, order)
+                points = base.sample_points(max(max(BLOCKS), chosen), 0)
                 alone = best(lambda: [tape.evaluate(p, order)
                                       for p in points[:8]], repeat) / 8
                 cells = []
@@ -136,9 +145,9 @@ def tape_table(repeat: int) -> None:
                                repeat) / size
                     mark = "*" if size == chosen else " "
                     cells.append(f"{size:2d}:{alone / per:5.2f}x "
-                                 f"({size * triples:6d}){mark}")
+                                 f"({size * floats:6d}){mark}")
                 print(f"{name:18} {label:8} dim {base.dim} order {order} "
-                      f"triples {triples:5d}  alone {1e3 * alone:6.2f} "
+                      f"floats {floats:5d}  alone {1e3 * alone:6.2f} "
                       f"ms/pt  " + "  ".join(cells), flush=True)
 
 
@@ -169,6 +178,46 @@ def chunk_table(passes: list, repeat: int) -> None:
                   f"{per_point / 1024:7.1f} KiB/pt  1 point "
                   f"{1e3 * alone:6.2f} ms/pt  " + "  ".join(cells),
                   flush=True)
+
+
+TOWER = ("christoffel", "riemann", "ricci+scalar+schouten", "weyl")
+
+
+def tower_rows(passes: list, repeat: int):
+    """``(dim, order, points, ms)`` for each pass's base geometry at one
+    point and at the walker's chunk: ``ms`` the best time of each build of
+    ``TOWER`` on a fresh point state and bundle of that chunk."""
+    for p in passes:
+        g = p.geometries[0]
+        for size in sorted({1, p.chunk}):
+            points = g.sample_points(size, 1)
+            values = g.spec.tape.evaluate(points, g.config.order)
+            roots = [values[r].coeffs.T for r in g.spec.tape.roots]
+
+            def builds():
+                state = PointState(g, points, roots)
+                b = CurvatureBundle(state)
+                times = []
+                for step in (lambda: state.christoffel,
+                             lambda: b.coord("riemann"),
+                             lambda: [b.coord(q) for q in
+                                      ("ricci", "scalar", "schouten")],
+                             lambda: b.coord("weyl")):
+                    t0 = time.perf_counter()
+                    step()
+                    times.append(time.perf_counter() - t0)
+                return times
+
+            ms = 1e3 * np.min([builds() for _ in range(repeat)], axis=0)
+            yield g.dim, g.config.order, size, ms
+
+
+def tower_table(passes: list, repeat: int) -> None:
+    print("tower ms per chunk: dim order points  "
+          + "  ".join(TOWER))
+    for dim, order, size, ms in tower_rows(passes, repeat):
+        print(f"  {dim}  {order}  {size:2d}  " + "  ".join(
+            f"{t:{len(name)}.3f}" for name, t in zip(TOWER, ms)), flush=True)
 
 
 def cov_deriv_table(repeat: int) -> None:
@@ -246,8 +295,9 @@ def main() -> None:
     tape_table(args.repeat)
     passes = [setup(*p) for p in PASSES]
     chunk_table(passes, args.repeat)
-    cov_deriv_table(args.repeat)
     comm, laws = passes[:len(COMM)], passes[len(COMM):]
+    tower_table(comm, args.repeat)
+    cov_deriv_table(args.repeat)
     record_table("COMM, ms per point",
                  [f"dim {p.geometries[0].dim}" for p in comm],
                  [r.id for r in identities.select_records(["COMM"])], comm,

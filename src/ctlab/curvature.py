@@ -27,10 +27,16 @@ extracted values.  Riemann and Weyl, and every covariant derivative of
 them, are stored with their pairs (ab)(cd) packed as a < b (see
 :class:`~ctlab.geometry.TensorJet`): :meth:`CurvatureBundle.frames`
 unpacks their values, and the Weyl-divergence builders unpack the jets
-they contract.  ``K`` is the order of the bundle's geometry: in a
-verification pass the working order, the largest ``min_order`` of the
-records that run (order 2 for catalog certification), never more than the
-configured order.
+they contract.  The tower writes them packed from the start, one jet
+product each: Riemann from the Christoffel symbols of both kinds (the
+derivatives of the first kind's, one product, four packing gathers of
+transposed views), Ricci from its own Christoffel terms (two rank-2
+products), and Weyl as Riemann less the Kulkarni-Nomizu product of the
+Schouten tensor with the metric, packed from one outer product, so no
+unpacked rank-4 jet is kept.  ``K`` is the order of the bundle's
+geometry: in a verification pass the working order, the largest
+``min_order`` of the records that run (order 2 for catalog
+certification), never more than the configured order.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .geometry import (
     PointState,
     TensorJet,
     TensorValue,
+    christoffel_sum,
     tj_combine,
     tj_einsum,
     tj_skew_pair,
@@ -150,27 +157,38 @@ class CurvatureBundle:
 
     # -- curvature tower -----------------------------------------------------------
 
-    def _build_riemann13(self) -> TensorJet:
-        st = self.state
-        m = self.m
-        gam = st.christoffel
-        dgam = TensorJet(jets.jet_gradient(gam.coeffs, m, gam.order), m,
-                         gam.order - 1)  # [u, l1, l2, v] = d_v Gamma^u_{l1 l2}
-        d1 = tj_transpose(dgam, (0, 2, 3, 1))  # [i,j,k,l] = d_k Gamma^i_{lj}
-        d2 = tj_transpose(dgam, (0, 2, 1, 3))  # [i,j,k,l] = d_l Gamma^i_{kj}
-        gam = gam.truncate(dgam.order)  # the order the sum keeps
-        p1 = tj_einsum("iks,slj->ijkl", gam, gam)
-        p2 = tj_einsum("ils,skj->ijkl", gam, gam)
-        return tj_combine((1.0, d1), (-1.0, d2), (1.0, p1), (-1.0, p2))
-
     def _build_riemann(self) -> TensorJet:
-        r13 = self.coord("riemann13")
-        return tj_einsum("is,sjkl->ijkl", self.state.g, r13).packed()
+        """R_ijkl = d_k Gamma_{i,lj} - d_l Gamma_{i,kj} + Gamma^s_kj
+        Gamma_{s,il} - Gamma^s_lj Gamma_{s,ik}, written packed."""
+        m = self.m
+        low = tj_combine((0.5, christoffel_sum(self.state.g)))  # Gamma_{s,il}
+        dlow = TensorJet(jets.jet_gradient(low.coeffs, m, low.order), m,
+                         low.order - 1)  # [s, i, l, v] = d_v Gamma_{s,il}
+        # [i,j,k,l] = Gamma^s_kj Gamma_{s,il}, at the order the sum keeps
+        q = tj_einsum("skj,sil->ijkl", self.state.christoffel,
+                      low.truncate(dlow.order))
+        return tj_combine(
+            (1.0, tj_transpose(dlow, (0, 2, 3, 1)).packed()),  # d_k G_{i,lj}
+            (-1.0, tj_transpose(dlow, (0, 2, 1, 3)).packed()),  # d_l G_{i,kj}
+            (1.0, q.packed()),
+            (-1.0, tj_transpose(q, (0, 1, 3, 2)).packed()),
+        )
 
     def _build_ricci(self) -> TensorJet:
-        r13 = self.coord("riemann13")
-        return TensorJet(
-            np.einsum("zpijil->zpjl", r13.coeffs), self.m, r13.order
+        """Ric_jl = d_i Gamma^i_lj - d_l Gamma^i_ij + Gamma^i_is Gamma^s_lj
+        - Gamma^i_ls Gamma^s_ij."""
+        m = self.m
+        gam = self.state.christoffel
+        q = gam.order - 1
+        div = np.einsum("zpilji->zpjl", jets.jet_gradient(gam.coeffs, m,
+                                                           gam.order))
+        tr = TensorJet(np.einsum("zpiij->zpj", gam.coeffs), m, gam.order)
+        dtr = jets.jet_gradient(tr.coeffs, m, tr.order)  # [j, l] = d_l tr_j
+        gam = gam.truncate(q)  # the order the sum keeps
+        return tj_combine(
+            (1.0, TensorJet(div, m, q)), (-1.0, TensorJet(dtr, m, q)),
+            (1.0, tj_einsum("s,slj->jl", tr, gam)),
+            (-1.0, tj_einsum("ils,sij->jl", gam, gam)),
         )
 
     def _build_scalar(self) -> TensorJet:
@@ -184,25 +202,17 @@ class CurvatureBundle:
         )
 
     def _build_weyl(self) -> TensorJet:
+        """W = Rm - (A o g)/(m-2), with A the Schouten tensor and o the
+        Kulkarni-Nomizu product, written packed: (A o g)_ijkl = P_ijkl +
+        P_jilk - P_ijlk - P_jikl with P_ijkl = A_ik g_jl."""
         _need_dim(self.m, 3, "the Weyl tensor")
-        m = self.m
-        g = self.state.g
-        ric, s, r4 = self.coord("ricci"), self.coord("scalar"), self.coord("riemann")
-        t1 = tj_einsum("ik,jt->ijkt", ric, g)
-        t2 = tj_einsum("it,jk->ijkt", ric, g)
-        ric_part = tj_combine(
-            (1.0, t1), (-1.0, t2),
-            (1.0, tj_transpose(t1, (1, 0, 3, 2))),
-            (-1.0, tj_transpose(t2, (1, 0, 3, 2))),
-        )
-        g = g.truncate(s.order)  # the order the sum keeps
-        gg = tj_einsum("ik,jt->ijkt", g, g)
-        g_part = tj_combine((1.0, gg), (-1.0, tj_transpose(gg, (0, 1, 3, 2))))
-        s_part = tj_einsum(",ijkt->ijkt", s, g_part)
+        c = 1.0 / (self.m - 2)
+        p = tj_einsum("ik,jl->ijkl", self.coord("schouten"), self.state.g)
         return tj_combine(
-            (1.0, r4),
-            (-1.0 / (m - 2), ric_part.packed()),
-            (1.0 / ((m - 1) * (m - 2)), s_part.packed()),
+            (1.0, self.coord("riemann")),
+            (-c, p.packed()), (-c, tj_transpose(p, (1, 0, 3, 2)).packed()),
+            (c, tj_transpose(p, (0, 1, 3, 2)).packed()),
+            (c, tj_transpose(p, (1, 0, 2, 3)).packed()),
         )
 
     def _build_einstein(self) -> TensorJet:

@@ -164,6 +164,15 @@ def tj_skew_pair(a: TensorJet, b: TensorJet) -> TensorJet:
     return tj_combine((1.0, t), (-1.0, tj_transpose(t, (0, 2, 1))))
 
 
+def christoffel_sum(g: TensorJet) -> TensorJet:
+    """d_j g_rk + d_k g_rj - d_r g_jk as [r, j, k], of order one less than
+    ``g``: twice the Christoffel symbols of the first kind Gamma_{r,jk}."""
+    dg = jet_gradient(g.coeffs, g.dim, g.order)  # [a, b, v] = d_v g_ab
+    return TensorJet(
+        dg.transpose(0, 1, 2, 4, 3) + dg - dg.transpose(0, 1, 4, 2, 3),
+        g.dim, g.order - 1)
+
+
 def held_bytes(*objects) -> int:
     """Bytes of the distinct arrays that point states and curvature bundles
     hold: their jets, values and frames, each base array counted once."""
@@ -264,13 +273,9 @@ class PointState:
     def christoffel(self) -> TensorJet:
         """Gamma^l_{jk} as a jet field of order K-1 (axes [l, j, k])."""
         if self._christoffel is None:
-            m, k = self.m, self.order
-            dg = jet_gradient(self.g.coeffs, m, k)  # [a, b, v] = d_v g_ab
-            # d_j g_rk + d_k g_rj - d_r g_jk  as [r, j, k]
-            b = dg.transpose(0, 1, 2, 4, 3) + dg - dg.transpose(0, 1, 4, 2, 3)
             self._christoffel = tj_combine(
                 (0.5, tj_einsum("lr,rjk->ljk", self.ginv,
-                                TensorJet(b, m, k - 1))))
+                                christoffel_sum(self.g))))
         return self._christoffel
 
     def pair_lift(self, order: int) -> np.ndarray:
@@ -417,12 +422,14 @@ class GeometryInstance:
         return lo + width * (0.05 + 0.9 * rng.random((count, self.dim)))
 
 
-# Largest number of (point, convolution triple) pairs in one tape block: a
-# jet product over a block gathers and multiplies arrays of this many
-# floats, which stay in cache up to about 16k (128 kB); the tape-block
-# table of scripts/layer_bench.py measures block sizes on both sides of it
-# against point by point.  block_size counts the table's dense pair list,
-# an upper bound on what a degree-bounded product (jets.Jet) gathers.
+# Largest number of floats in one array of a tape block: a jet op over a
+# block makes the coefficients of its jets, and a jet product gathers and
+# multiplies its pairs, for every point, in arrays that stay in cache up to
+# about 16k (128 kB); the tape-block table of scripts/layer_bench.py
+# measures block sizes on both sides of it against point by point.
+# block_size counts the pairs each product of the tape gathers under the
+# degree bounds of its factors (exprlang.Tape.most_pairs), not the table's
+# dense pair list.
 BLOCK_TRIPLES = 16384
 
 # Bytes of point-state and bundle arrays (jets, values, frames) that one
@@ -432,11 +439,13 @@ BLOCK_TRIPLES = 16384
 BLOCK_BYTES = 1 << 20
 
 
-def block_size(dim: int, order: int) -> int:
-    """Points per tape block of :func:`point_blocks` for jets of ``(dim,
-    order)``: as many as keep a block's jet products within
-    ``BLOCK_TRIPLES``, at least one."""
-    return max(1, BLOCK_TRIPLES // len(table(dim, order).mul_i))
+def block_size(tape, dim: int, order: int) -> int:
+    """Points per block of :func:`point_blocks` in which ``tape`` (an
+    :class:`~ctlab.exprlang.Tape`) evaluates jets of ``(dim, order)``: as
+    many as keep the coefficients of each op and the pairs of its widest
+    product within ``BLOCK_TRIPLES`` floats, at least one."""
+    return max(1, BLOCK_TRIPLES // max(table(dim, order).size,
+                                       tape.most_pairs(dim, order)))
 
 
 def strict_errstate():
@@ -499,8 +508,8 @@ def point_blocks(points, *geometries: GeometryInstance):
 
     The points are taken a tape block at a time: on entering a block, each
     geometry's tape is evaluated over the block's points at once (a block
-    holds :func:`block_size` points of the first geometry's jet table), and
-    its chunks get their rows of the root jets.  The first point of the
+    holds the fewest :func:`block_size` points of the geometries' tapes),
+    and its chunks get their rows of the root jets.  The first point of the
     walk is a chunk of its own.  Once the walk leaves it, chunks hold
     ``max(1, BLOCK_BYTES // the bytes of that point's state and bundle)``
     points, the smallest such size over the geometries, cut at the end of
@@ -508,7 +517,8 @@ def point_blocks(points, *geometries: GeometryInstance):
     geometry unless one point already does.  Every point's jets, values
     and frames are the same bit for bit as point by point.  The walk
     neither reads nor fills the geometries' per-point caches."""
-    size = block_size(geometries[0].dim, geometries[0].config.order)
+    size = min(block_size(g.spec.tape, g.dim, g.config.order)
+               for g in geometries)
     chunk_size = None
     for start in range(0, len(points), size):
         block = np.asarray(points[start:start + size], float)

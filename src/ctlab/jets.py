@@ -52,7 +52,10 @@ factors' for a product, capped at the order), and a product gathers only
 the pairs with ``|alpha_i|`` and ``|alpha_j|`` within its factors' degrees
 (:func:`_bounded_pairs`), or the full list when those are most of it.  The
 pairs it skips multiply an exact zero, so a chart's polynomial tape runs a
-few percent of the full convolution.
+few percent of the full convolution.  The degrees are fixed by the
+expressions, so a tape (:class:`~ctlab.exprlang.Tape`) knows them before it
+runs, and :func:`product_pairs` and :func:`compose_pairs` count the pairs
+each of its products gathers.
 
 Multi-indices are enumerated in graded order (degree first), so the
 enumeration for a lower truncation order is always a prefix of the
@@ -493,20 +496,27 @@ def jet_pair_lift(gamma: np.ndarray, dim: int, order: int) -> np.ndarray:
     return (terms[:, :, 0] + terms[:, :, 1]).reshape(p, n, pairs, pairs, m)
 
 
+def _kept(t: MultiIndexTable, da: int, db: int) -> np.ndarray | None:
+    """The mask of the triples of ``t`` that can be non-zero when the first
+    factor's coefficients vanish above degree ``da`` and the second's above
+    ``db``, or None when they are more than half the triples: a product
+    then runs the table's own list, which at most doubles its work, all of
+    it on exact zeros, and no cache holds a near copy of the table."""
+    keep = (t.degree[t.mul_i] <= da) & (t.degree[t.mul_j] <= db)
+    return None if 2 * np.count_nonzero(keep) > len(keep) else keep
+
+
 @lru_cache(maxsize=None)
 def _bounded_pairs(dim: int, order: int, da: int,
                    db: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The convolution triples of ``table(dim, order)``, ``order <= da +
-    db``, that can be non-zero when the first factor's coefficients vanish
-    above degree ``da`` and the second's above ``db``: ``(mul_i, mul_j,
-    seg_starts)`` as in the table and in its order, every out index
-    keeping at least one pair; read-only.  When they are more than half
-    the table's triples, the table's own arrays instead: that at most
-    doubles the product's work, all of it on exact zeros, and the cache
-    holds no near copy of the table."""
+    db``, that :func:`_kept` keeps for factor degrees ``da`` and ``db``:
+    ``(mul_i, mul_j, seg_starts)`` as in the table and in its order, every
+    out index keeping at least one pair; read-only.  The table's own arrays
+    where :func:`_kept` keeps them all."""
     t = table(dim, order)
-    keep = (t.degree[t.mul_i] <= da) & (t.degree[t.mul_j] <= db)
-    if 2 * np.count_nonzero(keep) > len(keep):
+    keep = _kept(t, da, db)
+    if keep is None:
         return t.mul_i, t.mul_j, t.seg_starts
     out = np.repeat(np.arange(t.size), np.diff(t.seg_starts,
                                                append=len(t.mul_i)))[keep]
@@ -515,6 +525,29 @@ def _bounded_pairs(dim: int, order: int, da: int,
     for x in pairs:
         x.setflags(write=False)
     return pairs
+
+
+@lru_cache(maxsize=None)
+def product_pairs(dim: int, order: int, da: float, db: float) -> int:
+    """How many pairs a product of two scalar jets of ``(dim, order)``
+    gathers when its factors' degrees are ``da`` and ``db``, each capped at
+    ``order`` (``math.inf`` for a dense factor): the length of
+    :func:`_bounded_pairs`' lists, counted without building them."""
+    da, db = min(da, order), min(db, order)
+    t = table(dim, min(da + db, order))
+    keep = _kept(t, da, db)
+    return len(t.mul_i) if keep is None else int(np.count_nonzero(keep))
+
+
+def compose_pairs(dim: int, order: int, degree: float) -> int:
+    """The most pairs one product of :meth:`Jet.compose` gathers on a jet
+    of ``(dim, order)`` and degree ``degree``: its n-th Horner step, n <
+    ``order``, multiplies a sum of degree ``n * degree`` by the jet.  Not
+    the last step alone: a product below the order that keeps most of its
+    table's pairs runs that whole table, which can hold more pairs than a
+    bounded list at the order."""
+    return max((product_pairs(dim, order, n * degree if n else 0, degree)
+                for n in range(order)), default=0)
 
 
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:

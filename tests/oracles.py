@@ -280,3 +280,50 @@ def duf_tensor_alt(b):
            - np.einsum("i,j,k->ijk", f1, u1, f1)) / (m - 2)
         + np.trace(f2) * _skew(f1, eye) / ((m - 1) * (m - 2))
     )
+
+
+# ---------------------------------------------------------------------------
+# the curvature tower by its unpacked routes
+# ---------------------------------------------------------------------------
+
+def tower_reference(b) -> dict:
+    """Riemann, Ricci, scalar and Weyl of bundle ``b`` as coordinate jets by
+    the routes the packed builders replaced: the mixed tensor
+    R^i_jkl = d_k Gamma^i_lj - d_l Gamma^i_kj + Gamma^i_ks Gamma^s_lj
+    - Gamma^i_ls Gamma^s_kj in full (``riemann13``), lowered and packed
+    (``riemann``), its trace R^i_jil (``ricci``), and Weyl by the
+    Ricci/scalar decomposition, packed.  Each reads only the bundle's point
+    state (metric, inverse and Christoffel jets), never its tower."""
+    from ctlab.geometry import TensorJet, tj_combine, tj_einsum, tj_transpose
+    from ctlab.jets import jet_gradient
+
+    st, m = b.state, b.m
+    gam = st.christoffel
+    dgam = TensorJet(jet_gradient(gam.coeffs, m, gam.order), m,
+                     gam.order - 1)  # [u, l1, l2, v] = d_v Gamma^u_{l1 l2}
+    d1 = tj_transpose(dgam, (0, 2, 3, 1))  # [i,j,k,l] = d_k Gamma^i_{lj}
+    d2 = tj_transpose(dgam, (0, 2, 1, 3))  # [i,j,k,l] = d_l Gamma^i_{kj}
+    gam = gam.truncate(dgam.order)
+    r13 = tj_combine((1.0, d1), (-1.0, d2),
+                     (1.0, tj_einsum("iks,slj->ijkl", gam, gam)),
+                     (-1.0, tj_einsum("ils,skj->ijkl", gam, gam)))
+    riemann = tj_einsum("is,sjkl->ijkl", st.g, r13)
+    ricci = TensorJet(np.einsum("zpijil->zpjl", r13.coeffs), m, r13.order)
+    out = {"riemann13": r13, "riemann": riemann.packed(), "ricci": ricci,
+           "scalar": tj_einsum("jl,jl->", st.ginv, ricci)}
+    if m < 3:
+        return out
+    g, s = st.g, out["scalar"]
+    t1 = tj_einsum("ik,jt->ijkt", ricci, g)
+    t2 = tj_einsum("it,jk->ijkt", ricci, g)
+    ric_part = tj_combine((1.0, t1), (-1.0, t2),
+                          (1.0, tj_transpose(t1, (1, 0, 3, 2))),
+                          (-1.0, tj_transpose(t2, (1, 0, 3, 2))))
+    g = g.truncate(s.order)
+    gg = tj_einsum("ik,jt->ijkt", g, g)
+    g_part = tj_combine((1.0, gg), (-1.0, tj_transpose(gg, (0, 1, 3, 2))))
+    s_part = tj_einsum(",ijkt->ijkt", s, g_part)
+    out["weyl"] = tj_combine((1.0, riemann),
+                             (-1.0 / (m - 2), ric_part),
+                             (1.0 / ((m - 1) * (m - 2)), s_part)).packed()
+    return out

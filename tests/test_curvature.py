@@ -1,6 +1,8 @@
 """The curvature stack: symmetries, closed forms, dual routes, soliton
 tensors and their degenerations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from ctlab.geometry import (Chunk, GeometryInstance, MetricError, tj_combine,
                             tj_einsum, tj_transpose)
 from ctlab.jets import JetOrderError
 from ctlab.identities import EvalContext, residual, select_records
-from oracles import d_tensor_form, duf_tensor_alt, kulkarni_nomizu
+from oracles import (d_tensor_form, duf_tensor_alt, kulkarni_nomizu,
+                     tower_reference)
 from test_identities import BLOCK_CHARTS
 
 
@@ -36,13 +39,17 @@ def test_riemann_symmetries_and_first_bianchi(dim, seed):
     g = entry("random", dim=dim, seed=seed).geometry
     for p in pts(g, 2, seed):
         b = bundle(g, p)
-        # the bundle stores Riemann with its pairs packed, antisymmetric by
-        # construction, so the antisymmetries are checked on the lowered
-        # jet before packing, at every coefficient
+        # the bundle writes Riemann with its pairs packed, antisymmetric by
+        # construction, so the antisymmetries are checked on the unpacked
+        # route's lowered jet, at every coefficient, and the bundle's
+        # packed jet against it
+        ref = tower_reference(b)
         low = tj_einsum("is,sjkl->ijkl", b.state.g,
-                        b.coord("riemann13")).coeffs[0]
+                        ref["riemann13"]).coeffs[0]
         assert np.abs(low + low.transpose(0, 2, 1, 3, 4)).max() < 1e-10
         assert np.abs(low + low.transpose(0, 1, 2, 4, 3)).max() < 1e-10
+        assert np.abs(b.coord("riemann").coeffs
+                      - ref["riemann"].coeffs).max() < 1e-13
         r = b.on("riemann")
         assert np.abs(r + r.transpose(1, 0, 2, 3)).max() < 1e-10
         assert np.abs(r + r.transpose(0, 1, 3, 2)).max() < 1e-10
@@ -54,10 +61,11 @@ def test_riemann_symmetries_and_first_bianchi(dim, seed):
 def test_riemann_type_jets_are_packed_and_refuse_products():
     g = entry("random", dim=4, seed=1).geometry
     b = bundle(g, pts(g, 1, 4)[0])
-    full = tj_einsum("is,sjkl->ijkl", b.state.g, b.coord("riemann13"))
+    full = tj_einsum("is,sjkl->ijkl", b.state.g,
+                     tower_reference(b)["riemann13"])
     r = b.coord("riemann")
     assert (r.pairs, r.rank, r.coeffs.shape[2:]) == (2, 4, (6, 6))
-    assert np.array_equal(r.coeffs, full.packed().coeffs)
+    assert np.abs(r.coeffs - full.packed().coeffs).max() < 1e-13
     assert np.array_equal(r.value(), r.unpacked().value())
     for name in ("riemann", "weyl"):
         for d in range(3):
@@ -70,6 +78,54 @@ def test_riemann_type_jets_are_packed_and_refuse_products():
                     lambda: tj_combine((1.0, r), (1.0, full))):
         with pytest.raises(ValueError, match="packed"):
             refused()
+
+
+def _tower_charts():
+    """random at dims 3-5 and jet orders 2-6, and a conformal pair's
+    rescaled chart."""
+    for dim in (3, 4, 5):
+        for order in range(2, 7):
+            yield entry("random", dim=dim, seed=dim, jet_order=order).geometry
+    yield conformal.rescale(entry("conformal_gaussian", dim=4,
+                                  jet_order=5).geometry).tilde
+
+
+@pytest.mark.parametrize("g", list(_tower_charts()),
+                         ids=lambda g: f"{g.name}-{g.dim}-{g.config.order}")
+def test_tower_matches_the_unpacked_routes(g):
+    # Riemann and Weyl written into their 2-form slots and Ricci from its
+    # own Christoffel terms agree with the full mixed Riemann tensor
+    # lowered, traced and decomposed, at every jet coefficient
+    for p in pts(g, 2, 7):
+        b = bundle(g, p)
+        ref = tower_reference(b)
+        for name in ("riemann", "ricci", "scalar", "weyl"):
+            got, want = b.coord(name), ref[name]
+            assert (got.order, got.pairs, got.coeffs.shape) == (
+                want.order, want.pairs, want.coeffs.shape), name
+            assert np.abs(got.coeffs - want.coeffs).max() < 1e-13, name
+
+
+def test_lone_point_tower_memory():
+    # a lone point's Riemann, Ricci, scalar and Weyl at dim 5 and order 6,
+    # once the kernels' plans are cached by a first point: no unpacked
+    # rank-4 jet is cached or built whole in the tower's sums
+    g = entry("random", dim=5, jet_order=6).geometry
+    first, p = pts(g, 2, 0)
+    names = ("riemann", "ricci", "scalar", "weyl")
+    for name in names:
+        bundle(g, first).on(name)
+    g.state(p).christoffel  # noqa: B018  (the point state's, not the tower's)
+    tracemalloc.start()
+    try:
+        b = bundle(g, p)
+        for name in names:
+            b.on(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak / 2**20
+    assert all(t.pairs == 2 for t in b._coord.values() if t.rank == 4)
 
 
 def test_sphere_scalar_closed_form():
@@ -157,7 +213,8 @@ def test_weyl_s2xs2_nonzero_tracefree():
 
 
 def test_weyl_both_routes_agree():
-    # decomposition via Ricci/scalar vs Kulkarni-Nomizu with Schouten
+    # Kulkarni-Nomizu with Schouten (the bundle's) vs the decomposition via
+    # Ricci and scalar (the oracle's), and vs Kulkarni-Nomizu on frame values
     g = entry("random", dim=4, seed=8).geometry
     p = pts(g, 1, 4)[0]
     m = 4
@@ -165,6 +222,8 @@ def test_weyl_both_routes_agree():
     r = b.on("riemann")
     a = b.on("schouten")
     w_direct = b.on("weyl")
+    w_decomposed = b.state.to_orthonormal(tower_reference(b)["weyl"].value())
+    assert np.abs(w_direct - w_decomposed[0]).max() < 1e-11
     w_kn = r - kulkarni_nomizu(a, np.eye(m)) / (m - 2)
     assert np.abs(w_direct - w_kn).max() < 1e-11
     # decomposition closure

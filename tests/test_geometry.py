@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from ctlab import catalog, conformal, identities, jets
-from ctlab.exprlang import EvalDomainError, GeometrySpec
+from ctlab.exprlang import EvalDomainError, GeometrySpec, Tape
 from ctlab.curvature import bundle
 from ctlab.geometry import (
     BLOCK_BYTES,
     Chunk,
     GeometryInstance,
     MetricError,
+    block_size,
     held_bytes,
     point_blocks,
     point_key,
@@ -263,6 +264,35 @@ def test_missing_field_errors():
         b.coord("f", 1)
     with pytest.raises(MetricError, match="no field X"):
         b.coord("lie_metric")
+
+
+def test_tape_blocks_are_sized_by_the_bounded_products(monkeypatch):
+    # random at dim 5, order 5: the widest product of the tape gathers 441
+    # pairs where the dense list has 3003, so 8 points are one tape block;
+    # a conformal pair takes the least of its two tapes' blocks, here the
+    # rescaled one's, whose products are dense
+    sizes = []
+    evaluate = Tape.evaluate
+
+    def spy(self, points, *args, **kwargs):
+        sizes.append(len(points))
+        return evaluate(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "evaluate", spy)
+    g = catalog.load("random", dim=5, seed=3, jet_order=5,
+                     certify=False).geometry
+    assert g.spec.tape.most_pairs(5, 5) == 441 < len(jets.table(5, 5).mul_i)
+    sizes.clear()
+    assert sum(len(c) for c in point_blocks(g.sample_points(8, 1), g)) == 8
+    assert sizes == [8]
+    pair = conformal.rescale(catalog.load("random", dim=4, seed=5,
+                                          jet_order=4).geometry)
+    blocks = [block_size(x.spec.tape, 4, 4) for x in (pair.base, pair.tilde)]
+    assert blocks == [72, 33]
+    sizes.clear()
+    assert sum(len(c) for c in point_blocks(pair.base.sample_points(40, 1),
+                                            pair.base, pair.tilde)) == 40
+    assert sizes == [33, 33, 7, 7]
 
 
 def test_point_blocks_keep_earlier_entries():

@@ -11,7 +11,7 @@ from ctlab import catalog, conformal, geometry, identities
 from ctlab.identities import EvalContext
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from layer_bench import COMM, setup  # noqa: E402
+from layer_bench import COMM, TOWER, setup, tower_rows  # noqa: E402
 from run_full_suite import LAW_SCHEDULE  # noqa: E402
 
 
@@ -48,3 +48,14 @@ def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
         row.id for row in rows if not row.status.startswith("skipped")]
     assert chunks[0] == 1 and chunks[1] == p.chunk
     assert blocks[0] == p.block
+
+
+def test_tower_rows_time_each_build_at_one_point_and_the_walkers_chunk():
+    passes = [setup(name, params, "COMM") for name, params in COMM]
+    rows = list(tower_rows(passes, 1))
+    assert [(dim, order, size) for dim, order, size, _ in rows] == [
+        (p.geometries[0].dim, p.geometries[0].config.order, size)
+        for p in passes for size in sorted({1, p.chunk})]
+    assert {dim for dim, *_ in rows} == {3, 4, 5}
+    for *_, ms in rows:
+        assert len(ms) == len(TOWER) and (ms > 0).all()
