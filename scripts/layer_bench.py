@@ -34,7 +34,10 @@ It prints six tables, each time the best of ``--repeat`` runs:
   built before the first cell, so no cell pays a one-off cost.
 - Each COMM record's evaluator, and each law's, in ms per point on warm
   values (``identities.EvalContext``), over a block of the size the
-  verification driver uses: no jets are built while it is timed.
+  verification driver uses: no jets are built while it is timed.  Next
+  to it, its ``curvature.einsum`` calls on a block by the path each
+  takes: a GEMM, a product with the Kronecker delta written on its
+  diagonal, or ``np.einsum``.
 
 The charts are those of ``run_full_suite.py``: its ``random`` COMM entries
 (dims 3, 4 and 5) and its conformal pairs (``LAW_SCHEDULE``).  Each pass is
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctlab import catalog, conformal, identities
+from ctlab import catalog, conformal, curvature, identities
 from ctlab.curvature import CurvatureBundle
 from ctlab.geometry import (BLOCK_BYTES, Chunk, PointState, TensorJet,
                             block_size, held_bytes)
@@ -264,26 +267,59 @@ def cov_deriv_table(repeat: int) -> None:
                          else ""), flush=True)
 
 
+PATHS = {curvature._gemm: "GEMM", curvature._delta_product: "delta",
+         curvature._numpy: "numpy"}
+
+
+def einsum_paths(evaluate, c) -> dict:
+    """``evaluate(c)``'s calls of ``curvature.einsum`` (evaluators call it
+    by the name each module imports), counted by the path each takes:
+    GEMM, delta or numpy."""
+    counts = dict.fromkeys(PATHS.values(), 0)
+    real = curvature.einsum
+
+    def spy(spec, *operands):
+        counts[PATHS[curvature._plan(spec, operands)[0]]] += 1
+        return real(spec, *operands)
+
+    modules = (curvature, identities, conformal)
+    for module in modules:
+        module.einsum = spy
+    try:
+        evaluate(c)
+    finally:
+        for module in modules:
+            module.einsum = real
+    return counts
+
+
 def record_table(title: str, heads: list, ids: list, passes: list,
                  repeat: int) -> None:
     """Each record's ms per point on a block of each pass, one column per
-    pass, and each column's sum."""
-    columns = []
+    pass, and each column's sum; then its ``curvature.einsum`` calls on a
+    block by path (:func:`einsum_paths`), GEMM/delta/numpy, on each pass
+    that runs it if they differ, else once."""
+    columns, paths = [], {}
     for p in passes:
         g = p.geometries[0]
         block = EvalContext.of(Chunk(p.geometries,
                                      g.sample_points(p.block, 1)))
         for r in p.records:
-            r.evaluate(block)  # reads the chunk's values, warm from now on
+            # reads the chunk's values, warm from now on
+            counts = "/".join(map(str, einsum_paths(r.evaluate,
+                                                    block).values()))
+            if counts not in paths.setdefault(r.id, []):
+                paths[r.id].append(counts)
         columns.append({r.id: 1e3 * best(lambda: r.evaluate(block), repeat)
                         / p.block for r in p.records})
-    print(f"{title:30}" + "".join(f"{h:>10}" for h in heads))
+    print(f"{title:30}" + "".join(f"{h:>10}" for h in heads)
+          + "  einsum GEMM/delta/numpy")
     print(f"{'points a block':30}" + "".join(f"{p.block:>10d}"
                                              for p in passes))
     for rid in ids:
         print(f"{rid:30}" + "".join(
             f"{col[rid]:>10.3f}" if rid in col else f"{'-':>10}"
-            for col in columns))
+            for col in columns) + "  " + ", ".join(paths.get(rid, ["-"])))
     print(f"{'total':30}" + "".join(f"{sum(col.values()):>10.3f}"
                                     for col in columns))
 

@@ -13,9 +13,10 @@ by the same constructor, memoised in the geometry's per-point cache next
 to the point's ``PointState``; ``bundle(g, p).on(name)`` reads its values.
 Identity evaluators get frame values from their evaluation context
 (:mod:`ctlab.identities`), stacked over a block of points with the point
-axis last, where :func:`einsum` contractions against ``delta`` reproduce
-moving-frame component formulas verbatim.  :func:`einsum` runs a product
-of two such values as batched GEMMs written straight into the output's
+axis last, where :func:`einsum` contractions against :func:`delta`
+reproduce moving-frame component formulas verbatim.  :func:`einsum`
+writes a product with the delta on its diagonal, runs a product of two
+such values as batched GEMMs, each straight into the output's
 point-major layout, so sums of its results run in memory order.  The
 point wrappers at the module's end serve ctbench's checks only.
 
@@ -40,6 +41,8 @@ certification), never more than the configured order.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -180,10 +183,13 @@ class CurvatureBundle:
         m = self.m
         gam = self.state.christoffel
         q = gam.order - 1
-        div = np.einsum("zpilji->zpjl", jets.jet_gradient(gam.coeffs, m,
-                                                           gam.order))
         tr = TensorJet(np.einsum("zpiij->zpj", gam.coeffs), m, gam.order)
         dtr = jets.jet_gradient(tr.coeffs, m, tr.order)  # [j, l] = d_l tr_j
+        t = jets.table(m, gam.order)
+        # [i, l, j] = d_i of Gamma^i_lj, the only partials the trace reads,
+        # summed in order from +0 as np.einsum sums a trace
+        part = gam.coeffs[:, t.dsrc, np.arange(m)] * t.dmul[:, :, None, None]
+        div = np.add.reduce(part, axis=2, initial=0.0).transpose(0, 1, 3, 2)
         gam = gam.truncate(q)  # the order the sum keeps
         return tj_combine(
             (1.0, TensorJet(div, m, q)), (-1.0, TensorJet(dtr, m, q)),
@@ -370,11 +376,39 @@ def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
 # keeps the index strings of its formulas and the point axis rides along;
 # their results are point-major, as the values are.
 # ``einsum`` and ``tp`` also act on plain one-point arrays, as their numpy
-# namesakes; ``dot`` takes block values only.
+# namesakes; ``dot`` takes block values only.  ``einsum`` knows the
+# Kronecker delta by identity: the shared value :func:`delta` returns,
+# which is an evaluation context's ``I``.
 
-_SPECS: dict[str, tuple[str, int]] = {}
-_GEMMS: dict[tuple, tuple | None] = {}
+_PLANS: dict[tuple, tuple] = {}
 _DOTS: dict[tuple[int, int], str] = {}
+_DELTAS: set[int] = set()  # ids of delta()'s values, which are never freed
+
+
+@functools.lru_cache(maxsize=None)
+def delta(m: int) -> np.ndarray:
+    """The Kronecker delta of dimension ``m`` as a block value, a trailing
+    point axis of length 1; read-only, as every evaluation context of
+    dimension ``m`` shares it, and :func:`einsum` knows it by identity."""
+    out = np.eye(m)[..., None]
+    out.flags.writeable = False
+    _DELTAS.add(id(out))
+    return out
+
+
+def _lengths(subs: list, shapes) -> tuple | None:
+    """Each operand's count of trailing point axes and each index's
+    length, for operands with subscripts ``subs`` and these shapes; None
+    if an operand has two trailing axes or an index two lengths."""
+    points = [len(shape) - len(s) for s, shape in zip(subs, shapes)]
+    if not set(points) <= {0, 1}:
+        return None
+    size = {}
+    for s, shape in zip(subs, shapes):
+        for c, n in zip(s, shape):
+            if size.setdefault(c, n) != n:
+                return None
+    return points, size
 
 
 def _gemm_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple | None:
@@ -402,14 +436,10 @@ def _gemm_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple | None:
             or not set(sa) <= set(sb + out) or not set(sb) <= set(sa + out)
             or not set(out) <= set(sa + sb)):
         return None
-    points = [len(shape) - len(s) for s, shape in zip(subs, shapes)]
-    if not set(points) <= {0, 1}:
+    lengths = _lengths(subs, shapes)
+    if lengths is None:
         return None
-    size = {}
-    for s, shape in zip(subs, shapes):
-        for c, n in zip(s, shape):
-            if size.setdefault(c, n) != n:
-                return None
+    points, size = lengths
     for x, y in ((0, 1), (1, 0)):
         alone_x = [c in subs[x] and c not in subs[y] for c in out]
         alone_y = [c in subs[y] and c not in subs[x] for c in out]
@@ -452,38 +482,155 @@ def _gemm(plan: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out if axes is None else out.transpose(axes)
 
 
-def einsum(spec: str, *operands) -> np.ndarray:
-    """``np.einsum(spec, *operands)`` with ``...`` appended to every
-    operand and to the output, so that trailing axes broadcast along, the
-    result stored point-major, as its operands are.
+def _delta_plan(spec: str, shapes: tuple, deltas: list) -> tuple | None:
+    """How :func:`einsum` runs ``spec`` on operands of these shapes, those
+    at positions ``deltas`` being :func:`delta`'s values, as a product
+    written on a diagonal of a zeroed output; None to leave it to the
+    other paths.
 
-    A two-operand product that :func:`_gemm_plan` can lay out runs as one
-    ``np.matmul``, a GEMM per point and batch index, written straight into
-    the output's order (contraction without transposition: Matthews,
-    SIAM J. Sci. Comput. 2018).  Every other spec runs through
-    ``np.einsum``; numpy lays out the product of a block value and a
-    constant (the delta's point axis has length 1) in an order of its
-    own, so such a result over several points is copied back point-major,
-    as sums of arrays in different orders run several times slower."""
-    if len(operands) == 2:
-        key = (spec, np.shape(operands[0]), np.shape(operands[1]))
-        gemm = _GEMMS.get(key, False)
-        if gemm is False:
-            gemm = _GEMMS[key] = _gemm_plan(spec, *key[1:])
-        if gemm is not None:
-            return _gemm(gemm, *operands)
-    plan = _SPECS.get(spec)
-    if plan is None:
-        lhs, out = spec.split("->")
-        plan = _SPECS[spec] = (
-            ",".join(s + "..." for s in lhs.split(",")) + "->" + out + "...",
-            len(out))
-    full, rank = plan
-    out = np.einsum(full, *operands)
+    A delta both of whose indices are output indices factors out: the
+    output is zero off the diagonal where the two coincide, and on it the
+    product of the other operands with one index renamed as the other.
+    That product is written into a strided view of a point-major output.
+    When the other operands sum no index, the view is laid out as
+    ``[point, indices they lack, indices they read]`` and the product is
+    a broadcast multiply of them, each laid out against it.  When they
+    do, it is one ``np.einsum`` of every operand as it is, each factored
+    delta on its diagonal of ones, so that its kernel and its order of
+    sums are those of ``np.einsum`` on the whole spec, and the view is
+    laid out as its result, the point axis last.  Either product is made
+    compact, then copied (written into the strided view, it runs slower).
+    The plan is the output's shape (point axis first), the transpose that
+    moves its point axis last, the view's shape and byte strides, and
+    either the ``np.einsum`` spec or, for the multiply, each other
+    operand's position, transpose and shape."""
+    subs, out = spec.split("->")
+    subs = subs.split(",")
+    if ("." in spec or len(subs) != len(shapes) or len(set(out)) < len(out)
+            or not set(out) <= set("".join(subs))):
+        return None  # np.einsum says what is wrong
+    lengths = _lengths(subs, shapes)
+    if lengths is None:
+        return None
+    points, size = lengths
+    name = {c: c for c in out}  # each output index's name on the diagonal
+    rest = []
+    for n, s in enumerate(subs):
+        if (n in deltas and len(s) == 2 and s[0] != s[1]
+                and set(s) <= set(out)):
+            a, b = name[s[0]], name[s[1]]
+            name = {c: a if k == b else k for c, k in name.items()}
+        else:
+            rest.append(n)
+    if len(rest) == len(subs):
+        return None
+    renamed = ["".join(name.get(c, c) for c in s) for s in subs]
+    diag = list(dict.fromkeys(name[c] for c in out))
+    sizes = [size[c] for c in out]
+    steps = [int(np.prod(sizes[k + 1:])) for k in range(len(out))]
+    step = {d: 8 * sum(st for c, st in zip(out, steps) if name[c] == d)
+            for d in diag}  # in bytes
+    shape = (max((shape[-1] for p, shape in zip(points, shapes) if p),
+                 default=1), *sizes)
+    plan = (shape, (*range(1, len(shape)), 0))
+    point = 8 * int(np.prod(sizes))
+    if any(len(set(renamed[n])) < len(renamed[n])
+           or not set(renamed[n]) <= set(diag) for n in rest):
+        return (*plan, (*(size[d] for d in diag), shape[0]),
+                (*(step[d] for d in diag), point),
+                ",".join(s + "..." for s in renamed) + "->" + "".join(diag)
+                + "...")
+    read = [d for d in diag if any(d in renamed[n] for n in rest)]
+    lack = [d for d in diag if d not in read]
+    lays = []
+    for n in rest:
+        s = renamed[n]
+        own = sorted(range(len(s)), key=lambda k: read.index(s[k]))
+        lays.append((n, (len(s),) * points[n] + tuple(own), (
+            shapes[n][-1] if points[n] else 1, *(1,) * len(lack),
+            *(size[d] if d in s else 1 for d in read))))
+    return (*plan, (shape[0], *(size[d] for d in lack + read)),
+            (point, *(step[d] for d in lack + read)), lays)
+
+
+def _delta_product(plan: tuple, *operands) -> np.ndarray:
+    """The product of :func:`_delta_plan`'s ``plan``: a zeroed point-major
+    output with the product copied onto its diagonal, viewed with the
+    point axis last."""
+    shape, axes, view, strides, how = plan
+    if isinstance(how, str):  # the other operands sum an index
+        prod = np.einsum(how, *operands)
+    else:
+        xs = [operands[n].transpose(order).reshape(lay)
+              for n, order, lay in how]
+        prod = xs[0] if xs else 1.0
+        if len(xs) > 1:
+            with np.errstate(all="ignore"):  # as np.einsum, which checks none
+                for x in xs[1:]:
+                    prod = prod * x
+    out = np.zeros(shape)
+    np.copyto(np.ndarray(view, float, out, 0, strides), prod)
+    return out.transpose(axes)
+
+
+def _numpy(plan: tuple, *operands) -> np.ndarray:
+    """``np.einsum`` of the ``spec, rank`` of ``plan``: ``spec`` with
+    ``...`` appended and the output's ``rank``.  numpy lays out the
+    product of a block value and a constant (a point axis of length 1) in
+    an order of its own, so such a result over several points is copied
+    back point-major, as sums of arrays in different orders run several
+    times slower."""
+    spec, rank = plan
+    out = np.einsum(spec, *operands)
     if out.ndim > rank and out.shape[-1] > 1 and out.strides[-1] < max(
             out.strides):
         out = np.moveaxis(np.ascontiguousarray(np.moveaxis(out, -1, 0)), 0, -1)
     return out
+
+
+def _plan(spec: str, operands: tuple) -> tuple:
+    """How :func:`einsum` runs ``spec`` on ``operands``: the function that
+    does and its plan, cached per spec, operand shapes and positions of
+    :func:`delta`'s values among the operands (per spec alone for a spec
+    that only ``np.einsum`` can run: not of two operands, and without the
+    delta)."""
+    if len(operands) != 2 and _DELTAS.isdisjoint(map(id, operands)):
+        key = spec  # np.einsum's, whatever the shapes
+    else:
+        key = (spec, *[(x.shape, id(x) in _DELTAS) for x in operands])
+    got = _PLANS.get(key)
+    if got is None:
+        shapes = [x.shape for x in operands]
+        deltas = [n for n, x in enumerate(operands) if id(x) in _DELTAS]
+        plan = _delta_plan(spec, shapes, deltas) if deltas else None
+        if plan is not None:
+            got = (_delta_product, plan)
+        elif len(shapes) == 2 and (plan := _gemm_plan(spec, *shapes)):
+            got = (_gemm, plan)
+        else:
+            lhs, out = spec.split("->")
+            got = (_numpy, (",".join(s + "..." for s in lhs.split(","))
+                            + "->" + out + "...", len(out)))
+        _PLANS[key] = got
+    return got
+
+
+def einsum(spec: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, *operands)`` with ``...`` appended to every
+    operand and to the output, so that trailing axes broadcast along, the
+    result stored point-major, as its operands are (arrays, each a block
+    value or a one-point array).
+
+    A product with :func:`delta`'s value (the value itself, shared: not
+    ``lam * I`` nor a copy) on two output indices is written on its
+    diagonal (:func:`_delta_plan`): no product by 0 or 1 is taken.  A
+    two-operand product that :func:`_gemm_plan` can lay out runs as one
+    ``np.matmul``, a GEMM per point and batch index, written straight into
+    the output's order (contraction without transposition: Matthews,
+    SIAM J. Sci. Comput. 2018).  Every other spec runs through
+    ``np.einsum`` (:func:`_numpy`)."""
+    run, plan = _plan(spec, operands)
+    return run(plan, *operands)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

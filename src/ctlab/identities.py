@@ -17,9 +17,10 @@ Evaluators work on a block of points at once.  Every frame value of the
 context (``c.on``, ``c.b.on``, ``c.t.on``) carries the point axis last: a
 rank-r tensor is ``(m,) * r + (P,)``, a scalar and ``c.e(k)`` are
 ``(P,)``, and ``c.I`` is the Kronecker delta with a trailing axis of
-length 1.  A formula keeps the index strings of its moving-frame
-components: :func:`~ctlab.curvature.einsum` appends ``...`` to every
-operand and to the output, :func:`~ctlab.curvature.dot` stands for ``@``
+length 1, which :func:`~ctlab.curvature.einsum` knows by identity.  A
+formula keeps the index strings of its moving-frame components:
+:func:`~ctlab.curvature.einsum` appends ``...`` to every operand and to
+the output, :func:`~ctlab.curvature.dot` stands for ``@``
 and :func:`~ctlab.curvature.tp` for ``.T`` and ``.transpose``, all on the
 tensor axes only; ``float`` is never taken of a frame value.  To add a
 record, decorate such an evaluator with ``@_rec`` and return its two
@@ -52,13 +53,12 @@ identity among huge and among tiny tensors is judged by the same yardstick.
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .curvature import CurvatureBundle, bundle, dot, einsum, tp
+from .curvature import CurvatureBundle, bundle, delta, dot, einsum, tp
 from .geometry import (
     BLOCK_BYTES,
     Chunk,
@@ -117,15 +117,6 @@ def _as_block(pieces: list) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _delta(m: int) -> np.ndarray:
-    """The Kronecker delta as a block value; read-only, as every context
-    of dimension ``m`` shares it."""
-    out = np.eye(m)[..., None]
-    out.flags.writeable = False
-    return out
-
-
 # A frame value's key is (side, name, d): ``frames(name, d)`` of the
 # geometry's bundle (side "b") or of the rescaled one's (side "t"), and
 # ``scalar_exp(d)`` when ``name`` is None.
@@ -173,7 +164,11 @@ class EvalContext:
     shorthands) and of the rescaled geometry ``tilde`` (``t``), each with
     the point axis last; with the dimension ``m``, the Kronecker delta
     ``I`` (a trailing axis of length 1) and the structure constant
-    ``lam``.  ``points`` are the block's point keys.
+    ``lam``.  ``points`` are the block's point keys.  ``I`` is
+    :func:`~ctlab.curvature.delta`'s value, shared by identity, so that
+    :func:`~ctlab.curvature.einsum` writes a product with it on its
+    diagonal; arithmetic on it (``lam * I``) or a copy makes an ordinary
+    operand, multiplied out in full.
 
     ``EvalContext(geometry, point[, tilde])`` is a lone point, read from
     its live bundles; :meth:`of` is a walk's chunk, read from its live
@@ -218,7 +213,7 @@ class EvalContext:
         self.points = points
         self.values = values
         self.m = geometry.dim
-        self.I = _delta(self.m)
+        self.I = delta(self.m)
         self.lam = geometry.spec.lam
 
     def on(self, name: str, d: int = 0) -> np.ndarray:

@@ -327,3 +327,23 @@ def tower_reference(b) -> dict:
                              (-1.0 / (m - 2), ric_part),
                              (1.0 / ((m - 1) * (m - 2)), s_part)).packed()
     return out
+
+
+def ricci_by_gradient(b):
+    """Ricci of bundle ``b`` as a coordinate jet by the route its builder
+    replaced: d_i Gamma^i_lj read off the gradient of every Christoffel
+    component, taken whole and traced."""
+    from ctlab.geometry import TensorJet, tj_combine, tj_einsum
+    from ctlab.jets import jet_gradient
+
+    m, gam = b.m, b.state.christoffel
+    q = gam.order - 1
+    div = np.einsum("zpilji->zpjl", jet_gradient(gam.coeffs, m, gam.order))
+    tr = TensorJet(np.einsum("zpiij->zpj", gam.coeffs), m, gam.order)
+    dtr = jet_gradient(tr.coeffs, m, tr.order)
+    gam = gam.truncate(q)
+    return tj_combine(
+        (1.0, TensorJet(div, m, q)), (-1.0, TensorJet(dtr, m, q)),
+        (1.0, tj_einsum("s,slj->jl", tr, gam)),
+        (-1.0, tj_einsum("ils,sij->jl", gam, gam)),
+    )

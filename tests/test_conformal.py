@@ -158,6 +158,26 @@ def test_predict_matches_direct():
     assert abs(direct - 6.0) < 1e-9
 
 
+def test_nan_frame_value_fails_the_laws_through_delta_products(
+        monkeypatch):
+    # a NaN in the base's du reaches the right sides of the laws through
+    # their products with the delta (curvature.einsum's diagonal writes),
+    # and every law that reads it fails with a NaN residual
+    pair = pair_for("conformal_gaussian", dim=4, seed=0)
+    real = curvature.CurvatureBundle.frames
+
+    def frames(self, name, d=0):
+        out = real(self, name, d)
+        return out * np.nan if (name, d) == ("u", 1) else out
+
+    monkeypatch.setattr(curvature.CurvatureBundle, "frames", frames)
+    rows = {r.id: r for r in _run_all(pair, n=3)}
+    for law in ("riemann04", "ricci", "nabla_ricci", "nabla2_ricci",
+                "schouten", "nabla2_schouten"):
+        assert rows[law].status == "fail", law
+        assert np.isnan(rows[law].max_residual), law
+
+
 def test_law_registry_complete():
     ids = {law.id for law in LAW_REGISTRY}
     assert len(ids) == len(LAW_REGISTRY) == 27

@@ -2,6 +2,7 @@
 tensors and their degenerations."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ctlab.geometry import (Chunk, GeometryInstance, MetricError, tj_combine,
 from ctlab.jets import JetOrderError
 from ctlab.identities import EvalContext, residual, select_records
 from oracles import (d_tensor_form, duf_tensor_alt, kulkarni_nomizu,
-                     tower_reference)
+                     ricci_by_gradient, tower_reference)
 from test_identities import BLOCK_CHARTS
 
 
@@ -104,6 +105,22 @@ def test_tower_matches_the_unpacked_routes(g):
             assert (got.order, got.pairs, got.coeffs.shape) == (
                 want.order, want.pairs, want.coeffs.shape), name
             assert np.abs(got.coeffs - want.coeffs).max() < 1e-13, name
+
+
+@pytest.mark.parametrize("g", list(_tower_charts()),
+                         ids=lambda g: f"{g.name}-{g.dim}-{g.config.order}")
+def test_ricci_sums_the_partials_its_trace_reads(g):
+    # d_i Gamma^i_lj from the m partials the trace reads gives the bits of
+    # the gradient of every Christoffel component traced, signs of zeros
+    # too, on a lone point and on a chunk
+    points = pts(g, 3, 7)
+    for got in [bundle(g, p) for p in points[:2]] + [Chunk([g], points)
+                                                     .bundle()]:
+        want = ricci_by_gradient(got).coeffs
+        got = got.coord("ricci").coeffs
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_lone_point_tower_memory():
@@ -551,16 +568,17 @@ def _reference(spec, *operands):
 
 
 def _evaluator_specs(monkeypatch):
-    """Every two-operand (spec, tensor shapes) that the record evaluators
-    of all families contract on the block-test charts, at one point."""
+    """Every (spec, positions of the delta, tensor shapes) that the record
+    evaluators of all families contract on the block-test charts, at one
+    point."""
     seen = set()
     real = curvature.einsum
 
     def spy(spec, *operands):
-        if len(operands) == 2:
-            lhs = spec.split("->")[0].split(",")
-            seen.add((spec, *(np.shape(o)[:len(s)]
-                              for s, o in zip(lhs, operands))))
+        lhs = spec.split("->")[0].split(",")
+        seen.add((spec, tuple(n for n, o in enumerate(operands)
+                              if id(o) in curvature._DELTAS),
+                  *(np.shape(o)[:len(s)] for s, o in zip(lhs, operands))))
         return real(spec, *operands)
 
     for module in (curvature, identities, conformal):
@@ -586,7 +604,8 @@ def test_gemm_path_agrees_with_numpy_on_every_evaluator_spec(monkeypatch):
     # gets the bits of its block of one, and each GEMM product is stored
     # point-major, C-ordered behind its point axis
     rng = np.random.default_rng(0)
-    specs = _evaluator_specs(monkeypatch)
+    specs = sorted({(spec, *shapes) for spec, _, *shapes
+                    in _evaluator_specs(monkeypatch) if len(shapes) == 2})
     planned = [spec for spec, *shapes in specs
                if curvature._gemm_plan(spec, *(s + (5,) for s in shapes))]
     assert "vjktl,virs->ijktlrs" in planned and "ab,bc->ac" in planned
@@ -609,6 +628,50 @@ def test_gemm_path_agrees_with_numpy_on_every_evaluator_spec(monkeypatch):
                                           curvature.einsum(spec, *one)), spec
 
 
+def _delta_operands(rng, spec, deltas, shapes, points):
+    """The delta at positions ``deltas`` and random block values of the
+    other ``shapes``, their points from the cycle ``points``."""
+    points = iter(points * len(shapes))
+    return [curvature.delta(shape[0]) if n in deltas
+            else _block(rng, shape, next(points))
+            for n, shape in enumerate(shapes)]
+
+
+def test_delta_products_match_numpy_on_every_evaluator_spec(monkeypatch):
+    # every spec an evaluator contracts with the delta, on blocks of 1 and
+    # 5 points, mixed, and on one-point arrays: numpy's bits, the product
+    # stored point-major, and each point of a block with the bits of its
+    # block of one
+    rng = np.random.default_rng(4)
+    specs = [(spec, deltas, shapes) for spec, deltas, *shapes
+             in _evaluator_specs(monkeypatch) if deltas]
+    on_diagonal = {spec for spec, deltas, shapes in specs
+                   if curvature._plan(spec, _delta_operands(
+                       rng, spec, deltas, shapes, [5]))[0]
+                   is curvature._delta_product}
+    assert {"i,t,jk->ijkt", "jt,ik->ijkt", "ik,jt->ijkt", "l,ijl,kt->ijkt",
+            "s,it,k,sj->ijkt", ",vr,xs->vxrs"} <= on_diagonal
+    assert len(on_diagonal) > 40
+    for spec, deltas, shapes in specs:
+        for points in ([1], [5], [5, 1], [1, 5], [None], [None, 5]):
+            ops = _delta_operands(rng, spec, deltas, shapes, points)
+            got, want = curvature.einsum(spec, *ops), _reference(spec, *ops)
+            assert got.shape == want.shape and np.array_equal(got, want), (
+                spec, points)
+            if got.shape[-1] != 5:
+                continue
+            if spec in on_diagonal:
+                assert np.moveaxis(got, -1, 0).flags.c_contiguous, spec
+            for j in range(5):
+                one = [x if x.shape[-1] == 1 or x.ndim == len(sub) else
+                       np.moveaxis(np.moveaxis(x, -1, 0)[j:j + 1].copy(),
+                                   0, -1)
+                       for x, sub in zip(ops, spec.split("->")[0]
+                                         .split(","))]
+                assert np.array_equal(got[..., j:j + 1],
+                                      curvature.einsum(spec, *one)), spec
+
+
 @pytest.mark.parametrize("spec, ranks", [
     ("ikk->i", (3,)), ("ab,a,b->", (2, 1, 1)), ("i,j->ij", (1, 1))])
 def test_specs_the_planner_refuses_give_numpy_bits(spec, ranks):
@@ -619,6 +682,64 @@ def test_specs_the_planner_refuses_give_numpy_bits(spec, ranks):
         operands = [_block(rng, (3,) * r, points) for r in ranks]
         assert np.array_equal(curvature.einsum(spec, *operands),
                               _reference(spec, *operands))
+
+
+@pytest.mark.parametrize("spec, ranks, delta", [
+    ("ij,jk->ik", (2, 2), lambda i: i),  # the delta sums an index
+    ("ii->", (2,), lambda i: i),
+    ("jk,it->ijkt", (2, 2), lambda i: 2.0 * i),  # lam * I
+    ("jk,it->ijkt", (2, 2), np.copy)])
+def test_deltas_the_planner_refuses_give_numpy_bits(spec, ranks, delta):
+    rng = np.random.default_rng(2)
+    for points in (1, 5, None):
+        operands = [_block(rng, (3,) * r, points) for r in ranks[:-1]]
+        operands.append(delta(curvature.delta(3)))
+        assert curvature._plan(spec, operands)[0] \
+            is not curvature._delta_product
+        assert np.array_equal(curvature.einsum(spec, *operands),
+                              _reference(spec, *operands))
+
+
+def _fp_outcome(errors: str, fn):
+    """What ``fn()`` raises and warns under ``np.errstate(all=errors)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            with np.errstate(all=errors):
+                fn()
+            raised = None
+        except FloatingPointError as err:
+            raised = str(err)
+    return raised, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("spec, at", [
+    ("i,t,jk->ijkt", 2), ("jt,ik->ijkt", 1), ("k,ij->ijk", 1),
+    ("ik,jt->ijkt", 0), ("l,ijl,kt->ijkt", 2), ("s,it,k,sj->ijkt", 1)])
+def test_delta_products_keep_non_finite_values_and_numpy_flags(spec, at):
+    # inf, NaN, 0 and values whose products overflow: on the delta's
+    # diagonal numpy's values, non-finite ones included, and 0 off it; and
+    # under any errstate, the errors and warnings of np.einsum, which
+    # checks no floating-point flag
+    rng = np.random.default_rng(3)
+    subs = spec.split("->")[0].split(",")
+    for points in (5, None):
+        ops = [_block(rng, (3,) * len(s), points) for s in subs]
+        for x in ops:
+            k = min(4, x.size)
+            x[np.unravel_index(rng.choice(x.size, k, replace=False),
+                               x.shape)] = [np.inf, np.nan, 0.0, 1e300][:k]
+        ops[at] = curvature.delta(3)
+        ones = [x if n == at else np.ones_like(x) for n, x in enumerate(ops)]
+        diagonal = _reference(spec, *ones) != 0
+        got, want = curvature.einsum(spec, *ops), _reference(spec, *ops)
+        assert curvature._plan(spec, ops)[0] is curvature._delta_product
+        assert not np.isfinite(want[diagonal]).all()
+        assert np.array_equal(got[diagonal], want[diagonal], equal_nan=True)
+        assert (got[~diagonal] == 0).all()
+        for errors in ("raise", "warn"):
+            assert _fp_outcome(errors, lambda: curvature.einsum(spec, *ops)) \
+                == _fp_outcome(errors, lambda: _reference(spec, *ops)), errors
 
 
 def test_to_orthonormal_matches_slot_by_slot_contraction():

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from ctlab import catalog, conformal, geometry, identities
+from ctlab import catalog, conformal, curvature, geometry, identities
 from ctlab.identities import EvalContext
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from layer_bench import COMM, TOWER, setup, tower_rows  # noqa: E402
+from layer_bench import (COMM, TOWER, record_table, setup,  # noqa: E402
+                         tower_rows)
 from run_full_suite import LAW_SCHEDULE  # noqa: E402
 
 
@@ -59,3 +60,14 @@ def test_tower_rows_time_each_build_at_one_point_and_the_walkers_chunk():
     assert {dim for dim, *_ in rows} == {3, 4, 5}
     for *_, ms in rows:
         assert len(ms) == len(TOWER) and (ms > 0).all()
+
+
+def test_law_table_counts_each_evaluators_products_by_path(capsys):
+    p = setup(*LAW_SCHEDULE[0], "LAW")
+    record_table("laws", ["pair 1"], ["nabla2_ricci", "scalar"], [p], 1)
+    rows = {line.split()[0]: line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()}
+    gemm, delta, numpy = map(int, rows["nabla2_ricci"].split("/"))
+    assert delta > 40 and gemm > 0 and numpy > 0
+    assert rows["scalar"] == "0/0/1"  # dot(u1, u1)
+    assert conformal.einsum is curvature.einsum  # the count's spy is gone
