@@ -13,10 +13,12 @@ It prints six tables, each time the best of ``--repeat`` runs:
   bounds (``Tape.most_pairs``) or the coefficients of one jet, whichever
   is more, times the points.  A block pays while those fit in cache.
 - Point states and curvature bundles, behind ``geometry.BLOCK_BYTES`` for
-  chunks: for each pass, on each of its geometries, the point state, the
-  bundle and every value the pass's records read at its first point, built
-  from the tape's root jets for chunks (``geometry.Chunk``) of 1 to 32
-  points and of the size the walker takes (marked ``*``), as
+  chunks: for each pass, on each of its geometries, the walker's first
+  chunk (``geometry.first_chunk`` points) and the KiB its state and bundle
+  hold once the pass's records have read it, then the point state, the
+  bundle and every value those records read, built from the tape's root
+  jets for chunks (``geometry.Chunk``) of 1 to 32 points and of the size
+  the walker takes after the first chunk (marked ``*``), as
   ``point_blocks`` does.  Each chunk's time per point is a speed-up over a
   chunk of one.  A chunk whose arrays would exceed ``MAX_BYTES`` is not
   built (``-``).
@@ -56,7 +58,7 @@ import numpy as np
 from ctlab import catalog, conformal, curvature, identities
 from ctlab.curvature import CurvatureBundle
 from ctlab.geometry import (BLOCK_BYTES, Chunk, PointState, TensorJet,
-                            block_size, held_bytes)
+                            block_size, first_chunk, held_bytes)
 from ctlab.identities import EvalContext
 from ctlab.jets import table
 from run_full_suite import LAW_SCHEDULE, SCHEDULE
@@ -83,16 +85,18 @@ def best(fn, repeat: int) -> float:
 @dataclass
 class Pass:
     """A verification pass as the driver runs it, learned at its first
-    point: its suite, the records it runs, its geometries at the working
+    chunk: its suite, the records it runs, its geometries at the working
     order (the base and, for the laws, the rescaled one), the (side,
-    quantity, d) values its records read, the bytes each geometry's state
-    and bundle then hold, and how many points the walker puts in a chunk
-    and the driver in a block of records after that point."""
+    quantity, d) values its records read, the points of the walker's first
+    chunk, the bytes each geometry's state and bundle then hold, and how
+    many points the walker puts in a chunk and the driver in a block of
+    records after that chunk."""
     suite: str
     records: list
     geometries: list
     reads: list
-    nbytes: list
+    first: int
+    held: list
     chunk: int
     block: int
 
@@ -115,16 +119,16 @@ def setup(name: str, params: dict, suite: str) -> Pass:
     g = g.at_order(max(r.min_order for r in records))
     geometries = [g] + ([pair.tilde.at_order(g.config.order)]
                         if suite == "LAW" else [])
-    first = Chunk(geometries, point)
+    n = first_chunk(*geometries)
+    first = Chunk(geometries, g.sample_points(n, 0))
     c = EvalContext.of(first)
     for r in records:
         r.evaluate(c)
-    nbytes = [held_bytes(b) for b in first.bundles]
     read = sum(v.nbytes for v in c.values.values())
     return Pass(suite, records, geometries,
-                [key for key in c.values if key[1] is not None], nbytes,
-                min(max(1, BLOCK_BYTES // n) for n in nbytes),
-                max(1, BLOCK_BYTES // read))
+                [key for key in c.values if key[1] is not None], n,
+                [held_bytes(b) for b in first.bundles], first.fit(),
+                max(1, BLOCK_BYTES * n // max(1, read)))
 
 
 def tape_table(repeat: int) -> None:
@@ -165,7 +169,8 @@ def build(g, points, values, reads) -> None:
 
 def chunk_table(passes: list, repeat: int) -> None:
     for p in passes:
-        for g, side, per_point in zip(p.geometries, "bt", p.nbytes):
+        for g, side, held in zip(p.geometries, "bt", p.held):
+            per_point = held / p.first
             reads = [(quantity, d) for s, quantity, d in p.reads if s == side]
             sizes = sorted(set(CHUNKS) | {p.chunk})
             points = g.sample_points(max(sizes), 1)
@@ -177,7 +182,8 @@ def chunk_table(passes: list, repeat: int) -> None:
             cells = [f"{size:2d}:{alone / per[size]:5.2f}x"
                      + ("*" if size == p.chunk else " ") if size in per
                      else f"{size:2d}:    - " for size in sizes[1:]]
-            print(f"{p.suite:4} {g.name:32} order {g.config.order} "
+            print(f"{p.suite:4} {g.name:32} order {g.config.order} first "
+                  f"{p.first:2d} pts {held / 1024:7.1f} KiB "
                   f"{per_point / 1024:7.1f} KiB/pt  1 point "
                   f"{1e3 * alone:6.2f} ms/pt  " + "  ".join(cells),
                   flush=True)

@@ -360,10 +360,11 @@ def certify_entry(entry: CatalogEntry):
     """Check every claim's defining residual on a fixed sample grid, and
     positive definiteness for claim-free (random) entries, at jet order
     ``STRUCTURE_ORDER`` (or the configured order, if lower).  The grid is
-    walked in chunks of points (:func:`~ctlab.geometry.walk_chunks`), and
-    each claim is checked for a whole chunk in one evaluator call, one
-    residual per point.  A claim whose worst residual over the grid is not
-    below ``CERTIFICATION_TOL`` raises :class:`CertificationError`."""
+    walked in chunks of points (:func:`~ctlab.geometry.walk_chunks`), the
+    first of :func:`~ctlab.geometry.first_chunk` points, and each claim is
+    checked for a whole chunk in one evaluator call, one residual per
+    point.  A claim whose worst residual over the grid is not below
+    ``CERTIFICATION_TOL`` raises :class:`CertificationError`."""
     g = entry.geometry.at_order(min(STRUCTURE_ORDER,
                                     entry.geometry.config.order))
 

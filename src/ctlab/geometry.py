@@ -30,11 +30,13 @@ the working order; the configured order is the cap.  It walks its points
 in chunks (:func:`point_blocks`): the chart's tape is evaluated a block of
 points at a time, and each chunk of a block builds one point state (and,
 through :mod:`ctlab.curvature`, one curvature bundle) per geometry for all
-its points at once.  After the walk's first point, a chunk holds
-``max(1, BLOCK_BYTES // the bytes of that point's states and bundles)``
-points.  :func:`walk_chunks` holds the walk's one failure rule, under
-which every error and warning comes at its own point.  A lone point is a
-chunk of one, kept in the geometry's per-point cache.
+its points at once.  The walk's first chunk is sized from the dimension
+and the working order alone (:func:`first_chunk`); after it, a chunk
+holds ``max(1, BLOCK_BYTES // the bytes a point of the first chunk held
+in its states and bundles)`` points.  :func:`walk_chunks` holds the walk's
+one failure rule, under which every error and warning comes at its own
+point.  A lone point is a chunk of one, kept in the geometry's per-point
+cache.
 
 Orthonormal-frame components are produced by contracting value arrays with
 the inverse Cholesky factor of the metric at each point (the vielbein);
@@ -194,8 +196,8 @@ class PointState:
     ``(P, ncoeff)`` arrays when :func:`point_blocks` hands them over from
     its tape block, else the tape evaluated here.  Either way they are the
     same bit for bit, and so are the Cholesky factors, the jet-ring inverse
-    and the Christoffel symbols, which every point gets from the kernels as
-    it would alone.
+    (``ginv``, to order K-1) and the Christoffel symbols, which every point
+    gets from the kernels as it would alone.
     """
 
     def __init__(self, geometry: "GeometryInstance", point: np.ndarray,
@@ -240,7 +242,11 @@ class PointState:
         self.cholesky = chol
         self.vielbein_inv = np.linalg.inv(chol)
 
-        self.ginv = TensorJet(jet_inverse(g, m, k), m, k)
+        # every reader contracts the inverse with a derivative of order K-1
+        # or below, and the inverse is truncation-exact, so order K-1 reads
+        # the same bits as order K would
+        q = max(k - 1, 0)
+        self.ginv = TensorJet(jet_inverse(g, m, q), m, q)
         self._christoffel: TensorJet | None = None
         self._lift: np.ndarray | None = None
 
@@ -434,8 +440,8 @@ BLOCK_TRIPLES = 16384
 
 # Bytes of point-state and bundle arrays (jets, values, frames) that one
 # chunk of points holds per geometry, and of frame values that one block of
-# records holds: after the first point of a walk, the later ones go in
-# chunks and blocks of max(1, BLOCK_BYTES // what the first one held).
+# records holds: after the first chunk of a walk, the later points go in
+# chunks and blocks of max(1, BLOCK_BYTES // what a point of it held).
 BLOCK_BYTES = 1 << 20
 
 
@@ -446,6 +452,18 @@ def block_size(tape, dim: int, order: int) -> int:
     product within ``BLOCK_TRIPLES`` floats, at least one."""
     return max(1, BLOCK_TRIPLES // max(table(dim, order).size,
                                        tape.most_pairs(dim, order)))
+
+
+def first_chunk(*geometries: GeometryInstance) -> int:
+    """Points in the first chunk of a walk of :func:`point_blocks` on
+    ``geometries``, sized before any point is built: the fewest over them
+    of the tape block and of ``max(1, BLOCK_TRIPLES // m ** (K + 2))``,
+    with ``K`` the working order.  No tensor a pass can form has more than
+    m^(K+2) components a point (Riemann's four slots and K - 2 covariant
+    derivatives), so wherever a point is large the chunk is one point."""
+    return min(min(block_size(g.spec.tape, g.dim, g.config.order),
+                   max(1, BLOCK_TRIPLES // g.dim ** (g.config.order + 2)))
+               for g in geometries)
 
 
 def strict_errstate():
@@ -468,6 +486,7 @@ class Chunk:
         self.points = np.asarray(points, float)
         self.roots = roots or [None] * len(self.geometries)
         self.bundles = [None] * len(self.geometries)
+        self._fit = None  # the least fit of its points read alone
 
     def __len__(self) -> int:
         return len(self.points)
@@ -481,12 +500,25 @@ class Chunk:
                 self.geometries[n], self.points, self.roots[n]))
         return self.bundles[n]
 
+    def fit(self) -> int:
+        """How many points fit in ``BLOCK_BYTES`` on every geometry at the
+        bytes a point of this chunk holds in its state and bundle, at least
+        one: the held bytes over the chunk's length, or, once the walk has
+        read its points alone (:meth:`alone`), the most one of them held."""
+        if self._fit is not None:
+            return self._fit
+        return min(max(1, BLOCK_BYTES * len(self) // max(1, held_bytes(b)))
+                   for b in self.bundles)
+
     def alone(self):
-        """Each point as a chunk of its own, with its rows of the roots."""
+        """Each point as a chunk of its own, with its rows of the roots;
+        once the walk leaves one, its :meth:`fit` bounds this chunk's."""
         for j in range(len(self)):
-            yield Chunk(self.geometries, self.points[j:j + 1],
+            one = Chunk(self.geometries, self.points[j:j + 1],
                         [None if r is None else [a[j:j + 1] for a in r]
                          for r in self.roots])
+            yield one
+            self._fit = min(self._fit or BLOCK_BYTES, one.fit())
 
 
 def _evaluate_block(geometry: GeometryInstance, points: np.ndarray):
@@ -509,31 +541,35 @@ def point_blocks(points, *geometries: GeometryInstance):
     The points are taken a tape block at a time: on entering a block, each
     geometry's tape is evaluated over the block's points at once (a block
     holds the fewest :func:`block_size` points of the geometries' tapes),
-    and its chunks get their rows of the root jets.  The first point of the
-    walk is a chunk of its own.  Once the walk leaves it, chunks hold
-    ``max(1, BLOCK_BYTES // the bytes of that point's state and bundle)``
-    points, the smallest such size over the geometries, cut at the end of
-    each block.  So a chunk holds no more than ``BLOCK_BYTES`` on any
-    geometry unless one point already does.  Every point's jets, values
-    and frames are the same bit for bit as point by point.  The walk
-    neither reads nor fills the geometries' per-point caches."""
+    and its chunks get their rows of the root jets.  The walk's first chunk
+    holds :func:`first_chunk` points, or the points there are.  Once the
+    walk leaves it, chunks hold :meth:`Chunk.fit` of it points: ``max(1,
+    BLOCK_BYTES // the bytes a point of its state and bundle held)``, the
+    smallest such size over the geometries, cut at the end of each block.
+    So a later chunk holds no more than ``BLOCK_BYTES`` on any geometry
+    unless one point already does.  The first chunk is bounded by its
+    points' components instead: on the passes of the full-suite schedule
+    and of the benchmark, a first chunk of several points holds at most
+    1029 KiB (COMM and SOL on ``euclidean`` dim 3, 7 points), and no more
+    than ``BLOCK_BYTES`` on every other.  Every point's jets, values and
+    frames are the same bit for bit as point by point.  The walk neither reads nor fills the
+    geometries' per-point caches."""
     size = min(block_size(g.spec.tape, g.dim, g.config.order)
                for g in geometries)
-    chunk_size = None
+    first, chunk_size = first_chunk(*geometries), None
     for start in range(0, len(points), size):
         block = np.asarray(points[start:start + size], float)
         values = [_evaluate_block(g, block) for g in geometries]
         i = 0
         while i < len(block):
-            stop = min(i + (chunk_size or 1), len(block))
+            stop = min(i + (chunk_size or first), len(block))
             chunk = Chunk(geometries, block[i:stop], [
                 None if v is None else
                 [v[r].coeffs[:, i:stop].T for r in g.spec.tape.roots]
                 for g, v in zip(geometries, values)])
             yield chunk
             if chunk_size is None:
-                chunk_size = min(max(1, BLOCK_BYTES // max(1, held_bytes(b)))
-                                 for b in chunk.bundles)
+                chunk_size = chunk.fit()
             i = stop
 
 
@@ -546,10 +582,12 @@ def walk_chunks(points, geometries, read, take, flush=lambda: None):
     ``read`` is tried under :func:`strict_errstate`, where whatever would
     warn raises too.  If it raises, ``flush()`` finishes what ``take`` has
     kept of the points before, and the chunk's points are read again as
-    chunks of one, each by this same rule.  A chunk of one that raises is
-    read once more as it is, so its error or warnings come through.
-    ``read`` must leave no trace but the chunk's own caches, as it may run
-    twice."""
+    chunks of one, each by this same rule; the walk's first chunk among
+    them, of several points, then sizes the later chunks by its points
+    read alone (:meth:`Chunk.fit`).  A chunk of one that raises is read
+    once more as it is, so its error or warnings come through.  ``read``
+    must leave no trace but the chunk's own caches, as it may run twice;
+    it may raise to have a chunk's points read alone."""
 
     def attempt(chunk):
         try:

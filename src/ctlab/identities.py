@@ -29,10 +29,10 @@ over the tensor axes, one residual per point.  The driver walks the
 points in chunks (:func:`~ctlab.geometry.point_blocks`), each with one
 curvature bundle per geometry, so each quantity is built once per chunk.
 It certifies each hypothesis on a whole chunk in one evaluator call
-(:func:`structure_residuals`), evaluates the first point of a pass alone,
-and hands the later chunks' values over whole, in blocks of
-``max(1, BLOCK_BYTES // the bytes of the values the first one read)``
-points.
+(:func:`structure_residuals`), evaluates the first chunk of a pass on its
+live bundles, and hands the later chunks' values over whole, in blocks of
+``max(1, BLOCK_BYTES // the bytes of the values a point of the first chunk
+read)`` points.
 
 Families:
 
@@ -153,7 +153,7 @@ class _Frames:
                         else f"c.{side}.on({name!r}, {d})")
                 raise RuntimeError(
                     f"internal error: {what} was not read at the first "
-                    f"point of the pass, so no later point handed it over")
+                    f"chunk of the pass, so no later point handed it over")
             out = self.values[key] = _as_block([_value(self.bundle, key)])
         return out
 
@@ -1451,6 +1451,11 @@ def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
     return f"hypothesis {kind} not certified (residual {cert[kind]:.3e})"
 
 
+class _CertificationChanges(Exception):
+    """The running certification of a walk's first chunk changes past its
+    first point, so the records may not run on all its points at once."""
+
+
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
            points: np.ndarray, tol_overrides: dict[str, float] | None = None,
            tilde: GeometryInstance | None = None) -> list[ReportRow]:
@@ -1478,15 +1483,18 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     hypothesis is certified for a whole chunk in one evaluator call, one
     residual per point, and the running worst is kept point by point: a
     failed one stops the walk at its point, after the records have run on
-    the points before it, and names the running worst there.  The records
-    are evaluated a block of points at a time: the first point of the walk
-    alone, from its live bundles, and every later chunk hands over, whole,
-    the frame values that the first point read.  A block holds
-    ``max(1, BLOCK_BYTES // the bytes of those values)`` points, so one
-    chunk's points may fall in two blocks, and its results are the same
-    bit for bit as point by point.  An error or warning raised at a point
-    comes after every earlier point was evaluated.  A NaN residual at any
-    point makes the record fail.
+    the points before it and on no other, and names the running worst
+    there.  The records are evaluated a block of points at a time: the
+    walk's first chunk (:func:`~ctlab.geometry.first_chunk` points) from
+    its live bundles, under the walk's failure rule, and every later chunk
+    hands over, whole, the frame values that the first chunk read.  A
+    block holds ``max(1, BLOCK_BYTES // the bytes of those values a
+    point)`` points, so one chunk's points may fall in two blocks, and its
+    results are the same bit for bit as point by point.  A first chunk
+    whose running certification changes past its first point is read
+    point by point.  An error or warning raised at a point comes after
+    every earlier point was evaluated.  A NaN residual at any point makes
+    the record fail.
     """
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
@@ -1524,22 +1532,44 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
         return out, None
 
     def read(chunk):
-        """The chunk's hypothesis residuals, one per point, and past the
-        first point of the walk its values of ``keys``, point-major (none
-        if its first point already stops the walk)."""
+        """The chunk's hypothesis residuals, one per point, its values of
+        ``keys``, point-major (none if its first point already stops the
+        walk), and None.  On the walk's first chunk, whose ``keys`` are not
+        known yet, the records it certifies run here, on its live bundles,
+        so that whatever they raise or warn comes at its point: its values
+        are then the dict they read, key -> block value, and each record's
+        worst residual over the chunk comes last.  A first chunk whose
+        certification changes past its first point raises, so the walk
+        reads its points alone."""
         c = EvalContext.of(chunk)
         found = {kind: structure_residuals(c, kind, geometry.spec.lam)
                  for kind in cert}
-        if keys is None or certified({k: worst_of(cert[k], r[0])
-                                      for k, r in found.items()})[1]:
-            return found, None
-        return found, [_value(chunk.bundle(1 if key[0] == "t" else 0), key)
-                       for key in keys]
+        running, states = dict(cert), []
+        for j in range(len(chunk) if keys is None else 1):
+            for k, r in found.items():
+                running[k] = worst_of(running[k], r[j])
+            states.append(certified(running))
+        if states[0][1] is not None:
+            return found, None, None
+        if keys is not None:
+            return found, [_value(chunk.bundle(1 if key[0] == "t" else 0),
+                                  key) for key in keys], None
+        if any(state != states[0] for state in states):
+            raise _CertificationChanges
+        c = EvalContext.of(chunk)
+        return found, c.values, run(c, states[0][0])
 
-    def run(c: EvalContext):
-        for i in active:
+    def run(c: EvalContext, ids: list[int]) -> dict[int, float]:
+        """Each record of ``ids`` run on ``c``: its worst residual."""
+        out = {}
+        for i in ids:
             lhs, rhs = records[i].evaluate(c)
-            worst[i] = worst_of(worst[i], np.max(residuals(lhs, rhs)))
+            out[i] = np.max(residuals(lhs, rhs))
+        return out
+
+    def keep(ran: dict[int, float]):
+        for i, w in ran.items():
+            worst[i] = worst_of(worst[i], w)
 
     def add(chunk, values, start: int, stop: int):
         """Hand over ``values`` of the chunk's points ``start:stop``."""
@@ -1559,13 +1589,15 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
                 for n, key in enumerate(keys)})
             pending.clear()  # the joined values are all the block keeps
             pieces.clear()
-            run(c)
+            keep(run(c, active))
 
     def take(chunk, got):
         """Keep the running worst of the chunk's points in order, and hand
-        their values over; the walk's first point is evaluated here."""
+        their values over; the walk's first chunk keeps what its records
+        found in ``read``, and learns which values later points hand
+        over."""
         nonlocal active, keys, size
-        found, values = got
+        found, values, ran = got
         start = 0
         for j in range(len(chunk)):
             for kind, r in found.items():
@@ -1578,16 +1610,13 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
                 if stop is not None:
                     raise CertificationError(stop)
                 active, start = now, j
-        if keys is None:
-            # the walk's first point, alone: evaluate it from its live
-            # bundles, and learn which values later points hand over
-            c = EvalContext.of(chunk)
-            run(c)
-            keys = list(c.values)
-            nbytes = sum(v.nbytes for v in c.values.values())
-            size = max(1, BLOCK_BYTES // max(1, nbytes))
-        else:
+        if ran is None:
             add(chunk, values, start, len(chunk))
+        else:  # the walk's first chunk: value bytes a point size the blocks
+            keep(ran)
+            keys = list(values)
+            nbytes = sum(v.nbytes for v in values.values())
+            size = max(1, BLOCK_BYTES * len(chunk) // max(1, nbytes))
 
     active, keys, size, pending, pieces = None, None, 0, [], []
     if runnable:  # build no point state needlessly

@@ -347,3 +347,17 @@ def ricci_by_gradient(b):
         (1.0, tj_einsum("s,slj->jl", tr, gam)),
         (-1.0, tj_einsum("ils,sij->jl", gam, gam)),
     )
+
+
+def bundle_with_full_inverse(geometry, points):
+    """A curvature bundle at ``points`` whose point state holds the metric's
+    jet-ring inverse at the full order K, as point states held it before
+    they inverted to order K - 1, the most any reader takes."""
+    from ctlab.curvature import CurvatureBundle
+    from ctlab.geometry import PointState, TensorJet
+    from ctlab.jets import jet_inverse
+
+    st = PointState(geometry, points)
+    st.ginv = TensorJet(jet_inverse(st.g.coeffs, st.m, st.order), st.m,
+                        st.order)
+    return CurvatureBundle(st)

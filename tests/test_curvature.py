@@ -13,8 +13,9 @@ from ctlab.geometry import (Chunk, GeometryInstance, MetricError, tj_combine,
                             tj_einsum, tj_transpose)
 from ctlab.jets import JetOrderError
 from ctlab.identities import EvalContext, residual, select_records
-from oracles import (d_tensor_form, duf_tensor_alt, kulkarni_nomizu,
-                     ricci_by_gradient, tower_reference)
+from oracles import (bundle_with_full_inverse, d_tensor_form,
+                     duf_tensor_alt, kulkarni_nomizu, ricci_by_gradient,
+                     tower_reference)
 from test_identities import BLOCK_CHARTS
 
 
@@ -121,6 +122,37 @@ def test_ricci_sums_the_partials_its_trace_reads(g):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+QUANTITIES = [n[len("_build_"):] for n in vars(curvature.CurvatureBundle)
+              if n.startswith("_build_")]
+
+
+@pytest.mark.parametrize("name, params, families", BLOCK_CHARTS)
+def test_metric_inverse_to_order_k_minus_1(name, params, families):
+    # the point state inverts the metric jet to order K - 1, the most any
+    # reader takes: every bundle quantity and its first covariant
+    # derivative, jets and frames, keep the bits the order-K inverse gave
+    for order in (2, 4, 6):
+        g = entry(name, **params).geometry.at_order(order)
+        points = pts(g, 3, 1)
+        got = Chunk([g], points).bundle()
+        want = bundle_with_full_inverse(g, points)
+        assert got.state.ginv.order == order - 1
+        assert want.state.ginv.order == order
+        for q in QUANTITIES:
+            for d in (0, 1):
+                try:
+                    w = want.coord(q, d).coeffs
+                except (ValueError, JetOrderError) as err:
+                    with pytest.raises(type(err)):
+                        got.coord(q, d)
+                    continue
+                c = got.coord(q, d).coeffs
+                assert c.shape == w.shape, (q, d)
+                assert np.array_equal(c, w), (q, d)
+                assert np.array_equal(np.signbit(c), np.signbit(w)), (q, d)
+                assert np.array_equal(got.frames(q, d), want.frames(q, d))
 
 
 def test_lone_point_tower_memory():

@@ -22,7 +22,7 @@ from ctlab.identities import (
     structure_residual,
     verify,
 )
-from ctlab.report import VerificationReport
+from ctlab.report import ReportRow, VerificationReport
 
 
 def run_family(entry_name, families, n=2, seed=4, **kw):
@@ -293,20 +293,25 @@ def test_certification_failure_raises():
 
 def test_certification_failure_raises_at_first_point(monkeypatch):
     # a hypothesis that fails at the first point stops the strict driver
-    # there, before any other point is evaluated
+    # there: the walk's first chunk, all four points, is certified in one
+    # call per hypothesis, and no record runs on any point
     base = catalog.load("random", dim=3, seed=3, certify=False).spec
     g = _with_fields(base, lam=0.5)
+    points = g.sample_points(4, 1)
     real = identities.structure_residuals
-    seen = set()
+    certified = []
 
     def structure_residuals(c, kind, lam):
-        seen.update(c.points)
+        certified.append(c.points)
         return real(c, kind, lam)
 
     monkeypatch.setattr(identities, "structure_residuals", structure_residuals)
+    spy, seen = _spy(lambda c: c.points)
     with pytest.raises(CertificationError, match="required by sol."):
-        verify(g, select_records(["SOL"]), g.sample_points(4, 1))
-    assert len(seen) == 1
+        verify(g, [spy] + select_records(["SOL"]), points)
+    assert certified
+    assert all(c == [point_key(p) for p in points] for c in certified)
+    assert seen == []
 
 
 def test_certification_error_mid_walk_leaves_no_entries(monkeypatch):
@@ -386,6 +391,18 @@ def test_verify_report_round_trip():
     assert rep.overall == "pass"
     back = VerificationReport.from_json(rep.to_json())
     assert back.to_json() == rep.to_json()
+
+
+def test_report_rows_serialise_as_dataclasses_asdict(monkeypatch):
+    # a row with a float, a NaN, no residual and a skip status: the report's
+    # JSON is byte for byte the one the deep copy of dataclasses.asdict gave
+    rows = [ReportRow("a", "COMM", "eq_a", 1.25e-15, 1e-9, "pass"),
+            ReportRow("b", "SOL", "eq_b", float("nan"), 1e-7, "fail"),
+            ReportRow("c", "LAW", "eq_c", None, 1e-5, "skipped(no u)")]
+    rep = VerificationReport("0.1.0", "chart", "h", 3, 4, 0, 2, rows)
+    text = rep.to_json()
+    monkeypatch.setattr(ReportRow, "as_dict", dataclasses.asdict)
+    assert rep.to_json() == text
 
 
 def test_unknown_selection_errors():
@@ -553,6 +570,32 @@ def test_block_warnings_come_at_their_point():
     assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
 
 
+def test_first_chunk_warning_comes_at_its_point():
+    # e^{2u} overflows at the third point of a first chunk of five, in the
+    # chunk's bundle, not in its tape: the warning comes at that point,
+    # once, after the records ran on the points before it
+    g = _chart(u="400*x1")
+    points = np.array([[0.1, 0.0], [0.2, 0.1], [0.95, 0.0], [0.3, 0.3],
+                       [0.4, 0.4]])
+    assert geometry.first_chunk(g) >= len(points)
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        curvature.bundle(g, points[2]).scalar_exp(2)
+    assert [w.category for w in alone] == [RuntimeWarning]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+
+        def note(c):
+            c.e(2)
+            return [len(caught)] * len(c.points)
+
+        spy, seen = _spy(note)
+        rows = verify(_chart(u="400*x1"), [spy], points)
+    assert seen == [0, 0, 1, 1, 1]
+    assert [str(w.message) for w in caught] == [str(w.message) for w in alone]
+    assert rows[0].status == "pass"
+
+
 def test_rescaled_spec_compiled_only_when_a_record_reads_it(monkeypatch):
     g = catalog.load("random", dim=4, seed=2, certify=False).geometry
     assert g.spec.u is not None
@@ -619,8 +662,9 @@ def test_block_sides_match_blocks_of_one(name, params, families):
 
 
 def test_certification_error_names_the_running_worst(monkeypatch):
-    # the hypothesis fails at the third point; the error names the worst
-    # up to it, not the block's, after the points before it are evaluated
+    # the hypothesis fails at the third point of the walk's first chunk;
+    # the error names the worst up to it, not the chunk's, after the
+    # records ran on the points before it and on no other
     g = catalog.load("euclidean", dim=3).geometry
     points = g.sample_points(5, 2)
     found = dict(zip((point_key(p) for p in points),
@@ -639,11 +683,17 @@ def test_certification_error_names_the_running_worst(monkeypatch):
         verify(g, [spy], points)
     assert seen == certified[:2] == [point_key(p) for p in points[:2]]
     assert certified[:3] == [point_key(p) for p in points[:3]]
+    # the first chunk held all five points; its certification changes past
+    # its first point, so the walk read its points alone up to the third
+    keys = [point_key(p) for p in points]
+    assert certified == keys + keys[:3]
 
 
 def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
-    # the first point alone, then one chunk of the other three: each builds
-    # its bundle, and so its point state, though no record reads a value
+    # at working order 4 in dim 3 the first chunk holds
+    # BLOCK_TRIPLES // 3 ** 6 = 22 points, then one chunk holds the other
+    # three: each builds its bundle, and so its point state, though no
+    # record reads a value
     built = []
     init = curvature.CurvatureBundle.__init__
 
@@ -653,23 +703,31 @@ def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
 
     monkeypatch.setattr(curvature.CurvatureBundle, "__init__", spy_init)
     spy, seen = _spy(lambda c: c.points)
-    points = np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 1.5], [-1.2, 0.7]])
-    verify(_chart(), [spy], points)
+    g = _chart3(order=4)
+    points = g.sample_points(25, 0)
+    verify(g, [dataclasses.replace(spy, min_order=4)], points)
     assert seen == [point_key(p) for p in points]
-    assert built == [1, 3]
+    assert built == [22, 3]
 
 
 def test_value_the_first_point_never_read_is_an_internal_error():
+    # a record that reads a value only past the walk's first chunk (22
+    # points, as above): no point hands that value over
+    g = _chart3(order=4)
+    points = g.sample_points(25, 0)
+    late = {point_key(p) for p in points[22:]}
+
     def evaluate(c):
-        if len(c.points) > 1:
+        if late & set(c.points):
             c.on("ricci")
         return np.zeros(1), np.zeros(1)
 
-    rec = IdentityRecord("late", "COMM", "late", frozenset(), None, 2, 2,
+    rec = IdentityRecord("late", "COMM", "late", frozenset(), None, 2, 4,
                          "A", None, evaluate)
-    with pytest.raises(RuntimeError, match=r"internal error: "
-                       r"c\.b\.on\('ricci', 0\) was not read at the first"):
-        verify(_chart(), [rec], np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]))
+    assert geometry.first_chunk(g) == 22
+    with pytest.raises(RuntimeError, match=r"internal error: c\.b\.on\("
+                       r"'ricci', 0\) was not read at the first chunk"):
+        verify(g, [rec], points)
 
 
 def test_block_of_one_is_a_view():
@@ -687,13 +745,15 @@ def test_block_of_one_is_a_view():
 
 
 def test_block_sizes(monkeypatch):
-    # a dim-3 law pair: the first point alone, then the other 31 at once
+    # a dim-3 law pair at working order 4: the first chunk,
+    # BLOCK_TRIPLES // 3 ** 6 = 22 points, evaluated on its live bundles,
+    # then the other 10 at once
     e = catalog.load("conformal_gaussian_plus_killing", dim=3)
     pair = conformal.rescale(e.geometry)
     spy, seen = _spy(lambda c: [len(c.points)])
     rows = conformal.verify_transform(pair, select_laws() + [spy],
                                       pair.base.sample_points(32, 1))
-    assert seen == [1, 31]
+    assert seen == [22, 10]
     assert [r.id for r in rows if r.status != "pass"] == ["d_reverse"]
     # COMM at dim 5: one point's values exceed BLOCK_BYTES, so every point
     # is a chunk and a block of one, a view of the values its chunk read
@@ -721,12 +781,13 @@ def test_block_sizes(monkeypatch):
 # chunks of points: a build that fails at one point of a chunk
 # ---------------------------------------------------------------------------
 
-def _chart3(metric=(("1",), ("0", "1"), ("0", "0", "1")), **fields):
-    """A flat-by-default dim-3 chart at jet order 2."""
+def _chart3(metric=(("1",), ("0", "1"), ("0", "0", "1")), order=2,
+            **fields):
+    """A flat-by-default dim-3 chart at jet order ``order``."""
     return GeometryInstance(GeometrySpec(
         name="chart", dim=3, coords=["x1", "x2", "x3"],
         domain=[(-2.0, 2.0)] * 3, metric=[list(row) for row in metric],
-        **fields), JetConfig(2))
+        **fields), JetConfig(order))
 
 
 @pytest.mark.parametrize("fields, read, error", [
@@ -768,7 +829,7 @@ def test_chunk_error_comes_at_its_point(monkeypatch, fields, read, error):
                          "A", None, evaluate)
     assert _error(lambda: verify(_chart3(**fields), [rec], points)) == alone[4]
     assert seen == [point_key(p) for p in points[:4]]
-    # the first point is a chunk of its own and the other six one chunk,
-    # whose build fails; its points then build their own states
-    assert built[:2] == [(1, 3), (6, 3)]
-    assert set(built[2:]) == {(1, 3)}
+    # the walk's first chunk holds all seven points, and its build fails;
+    # its points then build their own states
+    assert built[0] == (7, 3)
+    assert set(built[1:]) == {(1, 3)}

@@ -38,7 +38,8 @@ def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
     monkeypatch.setattr(geometry, "point_blocks", point_blocks)
     monkeypatch.setattr(EvalContext, "stacked", spy)
     g = catalog.load(name, certify=False, **params).geometry
-    points = g.sample_points(p.block + 2, 0)  # the first block is full
+    # the first chunk by its rule, then a full block of records
+    points = g.sample_points(p.first + p.block + 2, 0)
     if suite == "LAW":
         rows = conformal.verify_transform(
             conformal.rescale(g), conformal.select_laws(), points)
@@ -47,7 +48,9 @@ def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
                                  points)
     assert [r.id for r in p.records] == [
         row.id for row in rows if not row.status.startswith("skipped")]
-    assert chunks[0] == 1 and chunks[1] == p.chunk
+    dim, order = p.geometries[0].dim, p.geometries[0].config.order
+    assert p.first == max(1, geometry.BLOCK_TRIPLES // dim ** (order + 2))
+    assert chunks[0] == p.first and chunks[1] == p.chunk
     assert blocks[0] == p.block
 
 
