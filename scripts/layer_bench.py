@@ -6,12 +6,10 @@ It prints six tables, each time the best of ``--repeat`` runs:
 - Expression-to-jet, behind ``geometry.BLOCK_TRIPLES``: each chart's
   tape, the base one (the tape COMM walks) and the rescaled one, at 8
   points one by one, then over blocks of 2 to 32 points and of the size
-  ``block_size`` gives the tape (marked ``*``; a walk of several
-  geometries takes the least of theirs).  Each block's time per point is a
-  speed-up over one by one, next to the floats of the block's largest
-  array: the pairs of the tape's widest jet product under its degree
-  bounds (``Tape.most_pairs``) or the coefficients of one jet, whichever
-  is more, times the points.  A block pays while those fit in cache.
+  ``block_size(dim, order)`` gives (marked ``*``).  Each block's time per
+  point is a speed-up over one by one, next to the floats of one jet of
+  the block: its coefficients times the points.  A block pays while those
+  fit in cache.
 - Point states and curvature bundles, behind ``geometry.BLOCK_BYTES`` for
   chunks: for each pass, on each of its geometries, the walker's first
   chunk (``geometry.first_chunk`` points) and the KiB its state and bundle
@@ -61,7 +59,7 @@ from ctlab.geometry import (BLOCK_BYTES, Chunk, PointState, TensorJet,
                             block_size, first_chunk, held_bytes)
 from ctlab.identities import EvalContext
 from ctlab.jets import table
-from run_full_suite import LAW_SCHEDULE, SCHEDULE
+from run_full_suite import LAW_SCHEDULE, SCHEDULE, positive
 
 COMM = [(name, kw) for name, kw, fams in SCHEDULE
         if name == "random" and "COMM" in fams]
@@ -140,9 +138,8 @@ def tape_table(repeat: int) -> None:
                  "rescaled": conformal.rescale(base).tilde.spec.tape}
         for order in range(2, 7):
             for label, tape in tapes.items():
-                floats = max(table(base.dim, order).size,
-                             tape.most_pairs(base.dim, order))
-                chosen = block_size(tape, base.dim, order)
+                floats = table(base.dim, order).size
+                chosen = block_size(base.dim, order)
                 points = base.sample_points(max(max(BLOCKS), chosen), 0)
                 alone = best(lambda: [tape.evaluate(p, order)
                                       for p in points[:8]], repeat) / 8
@@ -332,7 +329,7 @@ def record_table(title: str, heads: list, ids: list, passes: list,
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--repeat", type=positive, default=3)
     args = ap.parse_args()
     tape_table(args.repeat)
     passes = [setup(*p) for p in PASSES]

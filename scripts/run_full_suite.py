@@ -50,6 +50,14 @@ LAW_SCHEDULE = [
 ]
 
 
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def summarise(args, k, geometry, suite, rows) -> int:
     """Print entry ``k``'s summary line and its failures, write its report
     if ``--json-dir`` is given, and return how many rows failed."""
@@ -74,7 +82,7 @@ def summarise(args, k, geometry, suite, rows) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--points", type=int, default=4)
+    ap.add_argument("--points", type=positive, default=4)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json-dir", help="also write each entry's report JSON "
                                        "to a file in this directory")

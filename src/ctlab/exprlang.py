@@ -302,15 +302,11 @@ class Tape:
     ``(fn, a)`` for the names in ``FUNCTION_NAMES``, where ``a`` and ``b``
     are op indices.
 
-    The degree bounds of the jets (:attr:`~ctlab.jets.Jet.degree`) are
-    fixed by the ops, so the tape holds them: ``degrees[i]`` is op ``i``'s
-    before the cap at the order, and ``products`` the distinct jet
-    products the ops make, by their factors' degrees (:func:`_op_degree`).
-    :meth:`most_pairs` sizes the blocks of :func:`ctlab.geometry.point_blocks`
-    by them.
+    Each jet carries its own degree bound (:attr:`~ctlab.jets.Jet.degree`),
+    set by the jet arithmetic the ops run.
     """
 
-    __slots__ = ("ops", "roots", "ends", "frees", "degrees", "products")
+    __slots__ = ("ops", "roots", "ends", "frees")
 
     def __init__(self, exprs):
         ops: list[tuple] = []
@@ -358,22 +354,6 @@ class Tape:
         for a in last.keys() - set(roots):
             frees[last[a]].append(a)
         self.frees = tuple(tuple(f) for f in frees)
-        degrees, products = [], set()
-        for op in ops:
-            degree, made = _op_degree(op, degrees)
-            degrees.append(degree)
-            products.update(made)
-        self.degrees = tuple(degrees)
-        self.products = frozenset(products)
-
-    def most_pairs(self, dim: int, order: int) -> int:
-        """The most convolution pairs that one jet product of
-        :meth:`evaluate` gathers per point at jets of ``(dim, order)``
-        (:func:`~ctlab.jets.product_pairs`,
-        :func:`~ctlab.jets.compose_pairs`); 0 for a tape with none."""
-        return max((jets.product_pairs(dim, order, da, db) if da is not None
-                    else jets.compose_pairs(dim, order, db)
-                    for da, db in self.products), default=0)
 
     def evaluate(self, points: np.ndarray, order: int,
                  values: list[Jet | None] | None = None,
@@ -418,40 +398,6 @@ class Tape:
         except JetDomainError as err:
             raise EvalDomainError(str(err)) from err
         return values
-
-
-def _op_degree(op: tuple, degrees: list) -> tuple[float, tuple]:
-    """The degree bound that :class:`~ctlab.jets.Jet` gives ``op``'s jet,
-    before the cap at the order, from its operands' ``degrees``, and the
-    jet products it makes: ``(da, db)`` for a product of factors of those
-    degrees, ``(None, a)`` for the Horner products of ``Jet.compose`` on a
-    jet of degree ``a`` (a function, a reciprocal, a fractional or negative
-    power), whose sum is dense (``math.inf``) unless ``a`` is 0."""
-    code = op[0]
-    if code == "num":
-        return 0, ()
-    if code == "coord":
-        return 1, ()
-    a = degrees[op[1]]
-    composed = 0 if a == 0 else math.inf
-    if code == "neg":
-        return a, ()
-    if code in ("+", "-"):
-        return max(a, degrees[op[2]]), ()
-    if code == "*":
-        b = degrees[op[2]]
-        return a + b, ((a, b),)
-    if code == "/":  # a times the reciprocal of b
-        b = degrees[op[2]]
-        inv = 0 if b == 0 else math.inf
-        return a + inv, ((None, b), (a, inv))
-    if code == "pow" and float(op[2]).is_integer():
-        r = int(op[2])
-        base, steps = (a, ()) if r >= 0 else (composed, ((None, a),))
-        # |r| - 1 products of the power so far by the base
-        return (abs(r) * base if r else 0,
-                steps + tuple((n * base, base) for n in range(1, abs(r))))
-    return composed, ((None, a),)
 
 
 def eval_expr_jet(e: Expr, point: np.ndarray, order: int) -> Jet:

@@ -428,14 +428,13 @@ class GeometryInstance:
         return lo + width * (0.05 + 0.9 * rng.random((count, self.dim)))
 
 
-# Largest number of floats in one array of a tape block: a jet op over a
-# block makes the coefficients of its jets, and a jet product gathers and
-# multiplies its pairs, for every point, in arrays that stay in cache up to
-# about 16k (128 kB); the tape-block table of scripts/layer_bench.py
-# measures block sizes on both sides of it against point by point.
-# block_size counts the pairs each product of the tape gathers under the
-# degree bounds of its factors (exprlang.Tape.most_pairs), not the table's
-# dense pair list.
+# Largest number of floats in one jet of a tape block, and so in each of
+# the block's root jets, which its chunks keep: a jet op makes its jet's
+# coefficients for every point of the block, in arrays that stay in cache
+# up to about 16k (128 kB).  A product's gathered pairs are not bounded by
+# it (a dense one gathers 8-17 times a jet's coefficients at orders 5-6);
+# the tape-block table of scripts/layer_bench.py measures block sizes on
+# both sides of it against point by point.
 BLOCK_TRIPLES = 16384
 
 # Bytes of point-state and bundle arrays (jets, values, frames) that one
@@ -445,24 +444,23 @@ BLOCK_TRIPLES = 16384
 BLOCK_BYTES = 1 << 20
 
 
-def block_size(tape, dim: int, order: int) -> int:
-    """Points per block of :func:`point_blocks` in which ``tape`` (an
-    :class:`~ctlab.exprlang.Tape`) evaluates jets of ``(dim, order)``: as
-    many as keep the coefficients of each op and the pairs of its widest
-    product within ``BLOCK_TRIPLES`` floats, at least one."""
-    return max(1, BLOCK_TRIPLES // max(table(dim, order).size,
-                                       tape.most_pairs(dim, order)))
+def block_size(dim: int, order: int) -> int:
+    """Points per block of :func:`point_blocks` in which a tape evaluates
+    jets of ``(dim, order)``: as many as keep one jet of the block within
+    ``BLOCK_TRIPLES`` floats, at least one."""
+    return max(1, BLOCK_TRIPLES // table(dim, order).size)
 
 
 def first_chunk(*geometries: GeometryInstance) -> int:
     """Points in the first chunk of a walk of :func:`point_blocks` on
     ``geometries``, sized before any point is built: the fewest over them
-    of the tape block and of ``max(1, BLOCK_TRIPLES // m ** (K + 2))``,
-    with ``K`` the working order.  No tensor a pass can form has more than
-    m^(K+2) components a point (Riemann's four slots and K - 2 covariant
-    derivatives), so wherever a point is large the chunk is one point."""
-    return min(min(block_size(g.spec.tape, g.dim, g.config.order),
-                   max(1, BLOCK_TRIPLES // g.dim ** (g.config.order + 2)))
+    of ``max(1, BLOCK_TRIPLES // m ** (K + 2))``, with ``K`` the working
+    order.  No tensor a pass can form has more than m^(K+2) components a
+    point (Riemann's four slots and K - 2 covariant derivatives), so
+    wherever a point is large the chunk is one point.  For m >= 2 that is
+    never more than :func:`block_size`, since m^(K+2) >= C(m+K, K), the
+    coefficients of one jet."""
+    return min(max(1, BLOCK_TRIPLES // g.dim ** (g.config.order + 2))
                for g in geometries)
 
 
@@ -540,7 +538,7 @@ def point_blocks(points, *geometries: GeometryInstance):
 
     The points are taken a tape block at a time: on entering a block, each
     geometry's tape is evaluated over the block's points at once (a block
-    holds the fewest :func:`block_size` points of the geometries' tapes),
+    holds the fewest :func:`block_size` points over the geometries),
     and its chunks get their rows of the root jets.  The walk's first chunk
     holds :func:`first_chunk` points, or the points there are.  Once the
     walk leaves it, chunks hold :meth:`Chunk.fit` of it points: ``max(1,
@@ -554,8 +552,7 @@ def point_blocks(points, *geometries: GeometryInstance):
     than ``BLOCK_BYTES`` on every other.  Every point's jets, values and
     frames are the same bit for bit as point by point.  The walk neither reads nor fills the
     geometries' per-point caches."""
-    size = min(block_size(g.spec.tape, g.dim, g.config.order)
-               for g in geometries)
+    size = min(block_size(g.dim, g.config.order) for g in geometries)
     first, chunk_size = first_chunk(*geometries), None
     for start in range(0, len(points), size):
         block = np.asarray(points[start:start + size], float)

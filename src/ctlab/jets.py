@@ -52,10 +52,9 @@ factors' for a product, capped at the order), and a product gathers only
 the pairs with ``|alpha_i|`` and ``|alpha_j|`` within its factors' degrees
 (:func:`_bounded_pairs`), or the full list when those are most of it.  The
 pairs it skips multiply an exact zero, so a chart's polynomial tape runs a
-few percent of the full convolution.  The degrees are fixed by the
-expressions, so a tape (:class:`~ctlab.exprlang.Tape`) knows them before it
-runs, and :func:`product_pairs` and :func:`compose_pairs` count the pairs
-each of its products gathers.
+few percent of the full convolution.  The bound is the jet's own, set by
+the arithmetic that makes the jet; tape blocks are sized by one jet's
+coefficients (:func:`ctlab.geometry.block_size`), not by it.
 
 Multi-indices are enumerated in graded order (degree first), so the
 enumeration for a lower truncation order is always a prefix of the
@@ -525,29 +524,6 @@ def _bounded_pairs(dim: int, order: int, da: int,
     for x in pairs:
         x.setflags(write=False)
     return pairs
-
-
-@lru_cache(maxsize=None)
-def product_pairs(dim: int, order: int, da: float, db: float) -> int:
-    """How many pairs a product of two scalar jets of ``(dim, order)``
-    gathers when its factors' degrees are ``da`` and ``db``, each capped at
-    ``order`` (``math.inf`` for a dense factor): the length of
-    :func:`_bounded_pairs`' lists, counted without building them."""
-    da, db = min(da, order), min(db, order)
-    t = table(dim, min(da + db, order))
-    keep = _kept(t, da, db)
-    return len(t.mul_i) if keep is None else int(np.count_nonzero(keep))
-
-
-def compose_pairs(dim: int, order: int, degree: float) -> int:
-    """The most pairs one product of :meth:`Jet.compose` gathers on a jet
-    of ``(dim, order)`` and degree ``degree``: its n-th Horner step, n <
-    ``order``, multiplies a sum of degree ``n * degree`` by the jet.  Not
-    the last step alone: a product below the order that keeps most of its
-    table's pairs runs that whole table, which can hold more pairs than a
-    bounded list at the order."""
-    return max((product_pairs(dim, order, n * degree if n else 0, degree)
-                for n in range(order)), default=0)
 
 
 def truncate_coeffs(a: np.ndarray, dim: int, order: int) -> np.ndarray:

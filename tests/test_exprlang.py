@@ -2,13 +2,11 @@
 
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ctlab import jets
 from ctlab.exprlang import (
     Bin,
     Call,
@@ -270,79 +268,6 @@ def test_tape_block_matches_each_point(seed, dim, order, size):
             assert got in errors
         else:
             assert got == alone
-
-
-def _evaluated(tape, points, order):
-    """Each op's ``Jet.degree`` as ``tape`` evaluates it at ``points`` up to
-    the first op that raises, and the most pairs one jet product gathered
-    per point."""
-    degrees, most = [], [0]
-    bounded = jets._bounded_pairs
-
-    def spy(*args):
-        out = bounded(*args)
-        most[0] = max(most[0], len(out[0]))
-        return out
-
-    class Seen(list):
-        def append(self, v):
-            degrees.append(v.degree)
-            super().append(v)
-
-    with mock.patch.object(jets, "_bounded_pairs", spy), \
-            np.errstate(all="ignore"):
-        try:
-            tape.evaluate(points, order, Seen())
-        except (EvalDomainError, ArithmeticError):
-            pass
-    return degrees, most[0]
-
-
-def _check_static_degrees(tape, points, order):
-    degrees, most = _evaluated(tape, points, order)
-    assert degrees == [min(d, order) for d in tape.degrees[:len(degrees)]]
-    assert most <= tape.most_pairs(points.shape[-1], order)
-
-
-@settings(max_examples=100)
-@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 6))
-def test_tape_degrees_match_the_jets(seed, dim, order):
-    # every op of trees with divisions, logs, square roots and integer and
-    # fractional powers, up to the first op that raises
-    coords = [f"x{i + 1}" for i in range(dim)]
-    rng = np.random.default_rng(seed)
-    _check_static_degrees(Tape(shared_exprs(rng, coords)),
-                          rng.uniform(-1.0, 1.0, (2, dim)), order)
-
-
-def test_tape_degrees_on_the_catalog():
-    # each entry's chart and its rescaled chart (by its own u, else by a
-    # random one), at every order: the static degree of every op is the
-    # one its jet gets, and no product gathers more pairs than most_pairs
-    from ctlab import catalog, conformal
-
-    for name in catalog.names():
-        g = catalog.load(name, certify=False).geometry
-        pair = conformal.rescale(
-            g, None if g.spec.u else catalog.random_u(g.spec.coords, 0))
-        points = g.sample_points(2, 0)
-        for spec in (pair.base.spec, pair.tilde.spec):
-            for order in range(9):
-                _check_static_degrees(spec.tape, points, order)
-
-
-def test_tape_degree_rules():
-    coords = ["x1", "x2"]
-    tape = Tape([parse_expr(t, coords) for t in (
-        "3*x1*x2^2", "x1/2", "x1/x2", "exp(1)*x1", "exp(x1)", "x1^-1",
-        "2^-2", "x1^0", "(x1+x2)^1", "sqrt(x1)")])
-    assert [tape.degrees[r] for r in tape.roots] == [
-        3, 1, math.inf, 1, math.inf, math.inf, 0, 0, 1, math.inf]
-    # x1*x2 at order 6 is a product of degree 2, on the table of order 2
-    square = Tape([parse_expr("x1*x2", coords)])
-    assert square.products == {(1, 1)}
-    assert square.most_pairs(2, 6) == len(jets.table(2, 2).mul_i)
-    assert Tape([parse_expr("x1+1", coords)]).most_pairs(2, 6) == 0
 
 
 def test_tape_drops_op_values_after_their_last_use():

@@ -266,11 +266,12 @@ def test_missing_field_errors():
         b.coord("lie_metric")
 
 
-def test_tape_blocks_are_sized_by_the_bounded_products(monkeypatch):
-    # random at dim 5, order 5: the widest product of the tape gathers 441
-    # pairs where the dense list has 3003, so 8 points are one tape block;
-    # a conformal pair takes the least of its two tapes' blocks, here the
-    # rescaled one's, whose products are dense
+def test_tape_blocks_hold_one_jet_within_block_triples(monkeypatch):
+    # a block holds as many points as keep one jet of its (dim, order)
+    # within BLOCK_TRIPLES floats: 70 coefficients at dim 4, order 4, 252
+    # at dim 5, order 5 and 462 at dim 5, order 6
+    assert [block_size(4, 4), block_size(5, 5), block_size(5, 6)] == [
+        234, 65, 35]
     sizes = []
     evaluate = Tape.evaluate
 
@@ -279,20 +280,42 @@ def test_tape_blocks_are_sized_by_the_bounded_products(monkeypatch):
         return evaluate(self, points, *args, **kwargs)
 
     monkeypatch.setattr(Tape, "evaluate", spy)
-    g = catalog.load("random", dim=5, seed=3, jet_order=5,
-                     certify=False).geometry
-    assert g.spec.tape.most_pairs(5, 5) == 441 < len(jets.table(5, 5).mul_i)
-    sizes.clear()
-    assert sum(len(c) for c in point_blocks(g.sample_points(8, 1), g)) == 8
-    assert sizes == [8]
     pair = conformal.rescale(catalog.load("random", dim=4, seed=5,
                                           jet_order=4).geometry)
-    blocks = [block_size(x.spec.tape, 4, 4) for x in (pair.base, pair.tilde)]
-    assert blocks == [72, 33]
     sizes.clear()
-    assert sum(len(c) for c in point_blocks(pair.base.sample_points(40, 1),
-                                            pair.base, pair.tilde)) == 40
-    assert sizes == [33, 33, 7, 7]
+    assert sum(len(c) for c in point_blocks(pair.base.sample_points(300, 1),
+                                            pair.base, pair.tilde)) == 300
+    # each block evaluates the base tape, then the rescaled one
+    assert sizes == [234, 234, 66, 66]
+
+
+def test_every_pass_evaluates_each_tape_once(monkeypatch):
+    # at 32 points no pass of the full suite walks more than one tape
+    # block: each tape it reads is evaluated once, over all the points
+    passes = SCHEDULE + [(name, kw, "LAW") for name, kw in LAW_SCHEDULE]
+    entries = [catalog.load(name, **kw) for name, kw, _ in passes]
+    calls = []
+    evaluate = Tape.evaluate
+
+    def spy(self, points, *args, **kwargs):
+        calls.append((id(self), np.shape(points)))
+        return evaluate(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "evaluate", spy)
+    for e, (name, kw, fams) in zip(entries, passes):
+        g = e.geometry
+        points = g.sample_points(32, 0)
+        calls.clear()
+        if fams == "LAW":
+            rows = conformal.verify_transform(conformal.rescale(g),
+                                              conformal.select_laws(), points)
+        else:
+            rows = identities.verify(g, identities.select_records(fams),
+                                     points)
+        assert all(r.status != "fail" for r in rows), name
+        tapes = [tape for tape, _ in calls]
+        assert len(set(tapes)) == len(tapes) >= 1, (name, kw, fams)
+        assert {shape for _, shape in calls} == {(32, g.dim)}, (name, kw)
 
 
 def test_point_blocks_keep_earlier_entries():

@@ -298,6 +298,22 @@ def test_degrees_of_lifts_sums_and_products():
     assert jets.exp(c).degree == 0 and jets.exp(x).degree == 4
 
 
+@pytest.mark.parametrize("order", range(7))
+def test_degrees_of_the_tape_ops(order):
+    # each kind of op a chart's tape runs, as its root jet gets it: a
+    # division, a function, a negative or fractional power is dense unless
+    # its operand is a constant, and every degree is capped at the order
+    from ctlab.exprlang import Tape, parse_expr
+
+    cases = {"3*x1*x2^2": 3, "x1/2": 1, "x1/x2": math.inf, "exp(1)*x1": 1,
+             "exp(x1)": math.inf, "x1^-1": math.inf, "2^-2": 0, "x1^0": 0,
+             "(x1+x2)^1": 1, "sqrt(x1)": math.inf}
+    tape = Tape([parse_expr(t, ["x1", "x2"]) for t in cases])
+    values = tape.evaluate(np.array([0.5, 0.7]), order)
+    assert [values[r].degree for r in tape.roots] == [
+        min(d, order) for d in cases.values()]
+
+
 def test_partial_derivative_map():
     from ctlab.jets import jet_partial
     a = random_jet(2, 4, 9)

@@ -11,6 +11,8 @@ from ctlab import catalog, conformal, curvature, geometry, identities
 from ctlab.identities import EvalContext
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import layer_bench  # noqa: E402
+import run_full_suite  # noqa: E402
 from layer_bench import (COMM, TOWER, record_table, setup,  # noqa: E402
                          tower_rows)
 from run_full_suite import LAW_SCHEDULE  # noqa: E402
@@ -74,3 +76,16 @@ def test_law_table_counts_each_evaluators_products_by_path(capsys):
     assert delta > 40 and gemm > 0 and numpy > 0
     assert rows["scalar"] == "0/0/1"  # dot(u1, u1)
     assert conformal.einsum is curvature.einsum  # the count's spy is gone
+
+
+@pytest.mark.parametrize("script, option", [(layer_bench, "--repeat"),
+                                            (run_full_suite, "--points")])
+def test_counts_below_one_are_usage_errors(monkeypatch, capsys, script,
+                                           option):
+    # rejected by argparse before any work, not a traceback from the run
+    for value in ("0", "-3"):
+        monkeypatch.setattr(sys, "argv", ["script", option, value])
+        with pytest.raises(SystemExit) as exit_:
+            script.main()
+        assert exit_.value.code == 2
+        assert f"{option}: must be at least 1" in capsys.readouterr().err
