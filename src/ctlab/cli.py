@@ -79,7 +79,8 @@ def _load_geometry(args) -> GeometryInstance:
 def _tol_overrides(text: str | None) -> dict[str, float]:
     """Class tolerances from ``A=1e-8,B=1e-6``.  Each must be positive and
     finite: a tolerance of 0, below 0 or NaN fails every row, and one of
-    inf passes every row, so no check could go the other way."""
+    inf passes every row, so no check could go the other way; nor may a
+    class be given twice."""
     if not text:
         return {}
     out = {}
@@ -87,6 +88,8 @@ def _tol_overrides(text: str | None) -> dict[str, float]:
         key, _, val = part.partition("=")
         if key not in identities.TOL_CLASS or not val:
             raise ValueError(f"bad tolerance override {part!r}")
+        if key in out:
+            raise ValueError(f"tolerance override {part!r}: {key} given twice")
         try:
             tol = float(val)
         except ValueError:
@@ -184,9 +187,6 @@ def cmd_eval(args) -> int:
         point = np.array([float(x) for x in args.point.split(",")])
     except ValueError:
         raise ValueError(f"bad --point {args.point!r}") from None
-    if len(point) != geometry.dim:
-        raise ValueError(
-            f"point has {len(point)} components, chart has {geometry.dim}")
     depth, quantity = _QUANTITIES[args.quantity]
     value = quantity(geometry.at_depth(depth), point)
     lines = [f"# {args.quantity} on {geometry.name} at "

@@ -9,8 +9,8 @@ array with the point axis first.  A walk of
 each quantity is built once for all the chunk's points, and
 :meth:`CurvatureBundle.frames` reads a quantity's orthonormal-frame values
 at all of them.  ``bundle(g, p)`` is a lone point's, a chunk of one built
-by the same constructor, memoised in the geometry's per-point cache next
-to the point's ``PointState``; ``bundle(g, p).on(name)`` reads its values.
+afresh by the same constructor on a new ``PointState``, and freed with
+the caller's reference; ``bundle(g, p).on(name)`` reads its values.
 Identity evaluators get frame values from their evaluation context
 (:mod:`ctlab.identities`), stacked over a block of points with the point
 axis last, where :func:`einsum` contractions against :func:`delta`
@@ -358,10 +358,8 @@ class CurvatureBundle:
 
 
 def bundle(geometry: GeometryInstance, point) -> CurvatureBundle:
-    """The lone point's CurvatureBundle, a chunk of one, memoised in the
-    geometry's per-point cache."""
-    return geometry.cached(point, "bundle",
-                           lambda g, key: CurvatureBundle(g.state(key)))
+    """The lone point's CurvatureBundle, a chunk of one, built afresh."""
+    return CurvatureBundle(PointState(geometry, point))
 
 
 # ---------------------------------------------------------------------------

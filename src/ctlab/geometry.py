@@ -35,8 +35,8 @@ and the working order alone (:func:`first_chunk`); after it, a chunk
 holds ``max(1, BLOCK_BYTES // the bytes a point of the first chunk held
 in its states and bundles)`` points.  :func:`walk_chunks` holds the walk's
 one failure rule, under which every error and warning comes at its own
-point.  A lone point is a chunk of one, kept in the geometry's per-point
-cache.
+point.  A lone point is a chunk of one, built afresh when it is read, so
+the chart keeps nothing of its points.
 
 Orthonormal-frame components are produced by contracting value arrays with
 the inverse Cholesky factor of the metric at each point (the vielbein);
@@ -190,14 +190,14 @@ def held_bytes(*objects) -> int:
 class PointState:
     """All metric-level jet data of one geometry at a chunk of points.
 
-    ``point`` is one point or a ``(P, dim)`` array of points; every jet
-    array carries the point axis first.  The jets of the chart's
-    expressions are ``roots``, the tape's root jets at the points as
-    ``(P, ncoeff)`` arrays when :func:`point_blocks` hands them over from
-    its tape block, else the tape evaluated here.  Either way they are the
-    same bit for bit, and so are the Cholesky factors, the jet-ring inverse
-    (``ginv``, to order K-1) and the Christoffel symbols, which every point
-    gets from the kernels as it would alone.
+    ``point`` is one point or a ``(P, dim)`` array of points, its last axis
+    the chart's dimension; every jet array carries the point axis first.
+    The jets of the chart's expressions are ``roots``, the tape's root jets
+    at the points as ``(P, ncoeff)`` arrays when :func:`point_blocks` hands
+    them over from its tape block, else the tape evaluated here.  Either
+    way they are the same bit for bit, and so are the Cholesky factors, the
+    jet-ring inverse (``ginv``, to order K-1) and the Christoffel symbols,
+    which every point gets from the kernels as it would alone.
     """
 
     def __init__(self, geometry: "GeometryInstance", point: np.ndarray,
@@ -207,7 +207,11 @@ class PointState:
         self.m = spec.dim
         self.order = geometry.config.order
         m, k = self.m, self.order
-        points = np.asarray(point, float).reshape(-1, m)
+        points = np.atleast_1d(np.asarray(point, float))
+        if points.shape[-1] != m:
+            raise ValueError(f"point has {points.shape[-1]} components, "
+                             f"chart has {m}")
+        points = points.reshape(-1, m)
         for x in points:
             if not spec.contains(x):
                 raise MetricError(
@@ -350,7 +354,7 @@ def _root_coeffs(geometry: "GeometryInstance", points: np.ndarray):
 
 
 def point_key(point) -> tuple[float, ...]:
-    """The hashable form of a point, used as the per-point cache key."""
+    """The hashable form of a point, as contexts and errors name it."""
     return tuple(float(x) for x in np.asarray(point, float))
 
 
@@ -360,18 +364,14 @@ class GeometryInstance:
     def __init__(self, spec: GeometrySpec, config: JetConfig | None = None):
         self.spec = spec
         self.config = config or JetConfig()
-        # The cache of lone points, chunks of one: point key -> {"state":
-        # PointState, "bundle": CurvatureBundle}.  A walk of point_blocks
-        # neither reads nor fills it.
-        self._points: dict[tuple[float, ...], dict[str, object]] = {}
 
     def at_order(self, order: int) -> "GeometryInstance":
         """This chart at jet order ``order``: ``self`` at the configured
         order, else a fresh instance on the same spec (and so the same
-        tape) with its own empty cache.  Truncation is a prefix of the
-        graded enumeration, so every quantity the lower order still carries
-        has the same jet coefficients up to the last bits; see
-        :meth:`at_depth` for when they agree bit for bit."""
+        tape).  Truncation is a prefix of the graded enumeration, so every
+        quantity the lower order still carries has the same jet
+        coefficients up to the last bits; see :meth:`at_depth` for when
+        they agree bit for bit."""
         if order == self.config.order:
             return self
         return GeometryInstance(self.spec, JetConfig(order))
@@ -396,27 +396,9 @@ class GeometryInstance:
     def name(self) -> str:
         return self.spec.name
 
-    def cached(self, point, kind: str, build):
-        """The ``kind`` entry of ``point`` in the per-point cache, made by
-        ``build(self, key)`` on first use."""
-        key = point_key(point)
-        value = self._points.get(key, {}).get(kind)
-        if value is None:
-            value = build(self, key)
-            self._points.setdefault(key, {})[kind] = value
-        return value
-
-    def state(self, point) -> PointState:
-        """The lone point's :class:`PointState`, a chunk of one."""
-        return self.cached(point, "state", PointState)
-
-    # -- public chart operations ----------------------------------------------
-
     def christoffel(self, point) -> TensorValue:
-        st = self.state(point)
-        return TensorValue(st.christoffel.value()[0])
-
-    # -- sampling --------------------------------------------------------------
+        """Gamma^l_{jk} at a lone point, from a point state built afresh."""
+        return TensorValue(PointState(self, point).christoffel.value()[0])
 
     def sample_points(self, count: int, seed: int) -> np.ndarray:
         """Uniform draws from the domain box shrunk 10% away from the
@@ -550,8 +532,7 @@ def point_blocks(points, *geometries: GeometryInstance):
     and of the benchmark, a first chunk of several points holds at most
     1029 KiB (COMM and SOL on ``euclidean`` dim 3, 7 points), and no more
     than ``BLOCK_BYTES`` on every other.  Every point's jets, values and
-    frames are the same bit for bit as point by point.  The walk neither reads nor fills the
-    geometries' per-point caches."""
+    frames are the same bit for bit as point by point."""
     size = min(block_size(g.dim, g.config.order) for g in geometries)
     first, chunk_size = first_chunk(*geometries), None
     for start in range(0, len(points), size):

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import CurvatureBundle, bundle, delta, dot, einsum, tp
+from .curvature import CurvatureBundle, delta, dot, einsum, tp
 from .geometry import (
     BLOCK_BYTES,
     Chunk,
@@ -170,15 +170,15 @@ class EvalContext:
     diagonal; arithmetic on it (``lam * I``) or a copy makes an ordinary
     operand, multiplied out in full.
 
-    ``EvalContext(geometry, point[, tilde])`` is a lone point, read from
-    its live bundles; :meth:`of` is a walk's chunk, read from its live
-    bundles.  ``values`` then holds what the evaluators read.
-    :meth:`stacked` is a block of points whose values were read before."""
+    :meth:`of` is a walk's chunk, and ``EvalContext(geometry, point[,
+    tilde])`` a lone point, a chunk of one: both read its live bundles, and
+    ``values`` then holds what the evaluators read.  :meth:`stacked` is a
+    block of points whose values were read before."""
 
     def __init__(self, geometry: GeometryInstance, point,
                  tilde: GeometryInstance | None = None):
-        self._live(geometry, tilde, [point_key(point)],
-                   bundle(geometry, point), lambda: bundle(tilde, point))
+        geometries = [geometry] if tilde is None else [geometry, tilde]
+        self.__dict__.update(vars(self.of(Chunk(geometries, [point]))))
 
     @classmethod
     def of(cls, chunk: Chunk) -> "EvalContext":
@@ -186,9 +186,10 @@ class EvalContext:
         the second, if there is one, as the rescaled geometry."""
         c = cls.__new__(cls)
         tilde = chunk.geometries[1] if len(chunk.geometries) > 1 else None
-        c._live(chunk.geometries[0], tilde,
-                [point_key(p) for p in chunk.points], chunk.bundle(0),
-                lambda: chunk.bundle(1))
+        c._start(chunk.geometries[0], tilde,
+                 [point_key(p) for p in chunk.points], {})
+        c.b = _Frames("b", c.values, chunk.bundle(0))  # built, read or not
+        c._t, c._chunk = None, chunk
         return c
 
     @classmethod
@@ -200,12 +201,6 @@ class EvalContext:
         c._start(geometry, tilde, points, values)
         c.b, c._t = _Frames("b", c.values), _Frames("t", c.values)
         return c
-
-    def _live(self, geometry, tilde, points, b, tilde_bundle):
-        self._start(geometry, tilde, points, {})
-        self.b = _Frames("b", self.values, b)  # built even if nothing is read
-        self._t = None
-        self._tilde_bundle = tilde_bundle
 
     def _start(self, geometry, tilde, points, values):
         self.geometry = geometry
@@ -229,7 +224,7 @@ class EvalContext:
             raise MetricError(
                 f"no rescaled geometry given for {self.geometry.name!r}")
         if self._t is None:
-            self._t = _Frames("t", self.values, self._tilde_bundle())
+            self._t = _Frames("t", self.values, self._chunk.bundle(1))
         return self._t
 
 
@@ -1369,7 +1364,7 @@ def structure_residuals(c: EvalContext, kind: str, lam: float) -> np.ndarray:
 
 def structure_residual(geometry: GeometryInstance, kind: str, point,
                        lam: float) -> float:
-    """:func:`structure_residuals` at a lone point."""
+    """:func:`structure_residuals` at a lone point, a chunk of one."""
     return float(structure_residuals(EvalContext(geometry, point), kind,
                                      lam)[0])
 

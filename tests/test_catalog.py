@@ -8,7 +8,7 @@ import pytest
 from ctlab import catalog, curvature
 from ctlab.catalog import CatalogError
 from ctlab.exprlang import GeometrySpec
-from ctlab.geometry import GeometryInstance
+from ctlab.geometry import GeometryInstance, PointState
 from ctlab.identities import CertificationError
 
 
@@ -75,7 +75,8 @@ def test_random_metric_eigenvalue_window():
     for dim in (3, 4, 5):
         e = catalog.load("random", dim=dim, seed=dim)
         for p in e.geometry.sample_points(8, 0):
-            w = np.linalg.eigvalsh(e.geometry.state(p).g.value()[0])
+            w = np.linalg.eigvalsh(
+                PointState(e.geometry, p).g.value()[0])
             assert w.min() > 0.5 and w.max() < 1.5
 
 
@@ -125,7 +126,7 @@ def test_certification_error_comes_at_its_grid_point():
     grid = g.sample_points(CERTIFICATION_POINTS, CERTIFICATION_SEED)
     assert [p[0] ** 2 > 0.01 for p in grid[:3]] == [True, True, False]
     with pytest.raises(MetricError) as alone:
-        g.state(grid[2])
+        PointState(g, grid[2])
     with pytest.raises(MetricError) as got:
         certify_entry(CatalogEntry(name="pinched", geometry=g, claims=()))
     assert str(got.value) == str(alone.value)

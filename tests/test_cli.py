@@ -522,6 +522,27 @@ def test_tolerance_override_that_decides_every_row_is_rejected(capsys,
     assert err.count("\n") == 1
 
 
+def test_tolerance_class_given_twice_is_rejected(capsys):
+    # A=1e-9,A=2 would silently keep the last value
+    code, out, err = run(capsys, "verify", "--catalog", "euclidean", "--dim",
+                         "3", "--suite", "COMM", "--points", "1",
+                         "--tol-class", "A=1e-9,B=1e-7,A=2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: tolerance override 'A=2': A given twice\n"
+
+
+def test_eval_point_of_the_wrong_length_is_a_config_error(capsys):
+    for point, n in (("0.1,0.2", 2), ("0.1,0.2,0.3,0,0,0", 6)):
+        for quantity in ("scalar", "christoffel"):
+            code, out, err = run(capsys, "eval", "--catalog", "random",
+                                 "--dim", "3", "--quantity", quantity,
+                                 "--point", point)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: point has {n} components, chart has 3\n"
+
+
 def test_zero_points_is_a_config_error(capsys):
     # nothing would be checked, so no row may pass
     for extra in (["--suite", "COMM"], ["--law", "all"]):

@@ -8,7 +8,7 @@ import pytest
 from ctlab import catalog, conformal, curvature
 from ctlab.conformal import LAW_REGISTRY, LAWS, rescale, verify_transform
 from ctlab.curvature import einsum
-from ctlab.geometry import point_key
+from ctlab.geometry import PointState
 from ctlab.identities import EvalContext, residual, select_records, verify
 
 
@@ -20,8 +20,8 @@ def pair_for(name, u_text=None, **kw):
 def test_rescale_u_zero_is_identity():
     pair = pair_for("random", u_text="0", dim=3, seed=1)
     p = pair.base.sample_points(1, 1)[0]
-    g0 = pair.base.state(p).g.value()[0]
-    g1 = pair.tilde.state(p).g.value()[0]
+    g0 = PointState(pair.base, p).g.value()[0]
+    g1 = PointState(pair.tilde, p).g.value()[0]
     assert np.abs(g0 - g1).max() < 1e-15
 
 
@@ -186,9 +186,9 @@ def test_law_registry_complete():
 
 
 def test_per_point_cache_is_released():
-    # the driver frees each sampled point once every record has run there,
-    # so what stays cached does not grow with the number of points
-    def cached_after(n):
+    # the driver keeps nothing of the sampled points on the geometries: no
+    # attribute is added to them, however many points it walks
+    for n in (2, 8):
         g = catalog.load("conformal_gaussian", dim=3).geometry
         pair = rescale(g)
         geoms = (pair.base, pair.tilde)
@@ -197,13 +197,8 @@ def test_per_point_cache_is_released():
         rows = verify(g, select_records(["CGRS"]), points)
         rows += verify_transform(pair, list(LAW_REGISTRY), points)
         assert all(r.status != "fail" for r in rows)
-        keys = {point_key(p) for p in points}
         for x, before in zip(geoms, attrs):
             assert set(vars(x)) == before
-            assert not keys & set(x._points)
-        return sum(len(x._points) for x in geoms)
-
-    assert cached_after(2) == cached_after(8)
 
 
 def test_memory_stays_bounded_as_points_grow():

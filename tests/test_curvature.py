@@ -9,8 +9,8 @@ import pytest
 
 from ctlab import catalog, conformal, curvature, identities
 from ctlab.curvature import DimensionError, bundle
-from ctlab.geometry import (Chunk, GeometryInstance, MetricError, tj_combine,
-                            tj_einsum, tj_transpose)
+from ctlab.geometry import (Chunk, GeometryInstance, MetricError, PointState,
+                            tj_combine, tj_einsum, tj_transpose)
 from ctlab.jets import JetOrderError
 from ctlab.identities import EvalContext, residual, select_records
 from oracles import (bundle_with_full_inverse, d_tensor_form,
@@ -164,10 +164,11 @@ def test_lone_point_tower_memory():
     names = ("riemann", "ricci", "scalar", "weyl")
     for name in names:
         bundle(g, first).on(name)
-    g.state(p).christoffel  # noqa: B018  (the point state's, not the tower's)
+    state = PointState(g, p)
+    state.christoffel  # noqa: B018  (the state's, not the tower's)
     tracemalloc.start()
     try:
-        b = bundle(g, p)
+        b = curvature.CurvatureBundle(state)
         for name in names:
             b.on(name)
         peak = tracemalloc.get_traced_memory()[1]
@@ -175,6 +176,27 @@ def test_lone_point_tower_memory():
         tracemalloc.stop()
     assert peak < 8 << 20, peak / 2**20
     assert all(t.pairs == 2 for t in b._coord.values() if t.rank == 4)
+
+
+def test_lone_reads_keep_nothing():
+    # a lone point is a chunk of one, freed with the caller's reference:
+    # once 8 points have filled the module-level caches (jet tables, kernel
+    # plans), 56 more leave the traced memory where it was.  A chart that
+    # kept each point's state and bundle would hold about 157 KiB more a
+    # point here
+    g = entry("random", dim=4, jet_order=6).geometry
+    tracemalloc.start()
+    try:
+        for n, p in enumerate(pts(g, 64, 0), 1):
+            curvature.riemann(g, p)
+            curvature.ricci(g, p)
+            g.christoffel(p)
+            if n == 8:
+                after_8 = tracemalloc.get_traced_memory()[0]
+        grown = tracemalloc.get_traced_memory()[0] - after_8
+    finally:
+        tracemalloc.stop()
+    assert grown <= 64 << 10, grown / 1024
 
 
 def test_sphere_scalar_closed_form():
@@ -454,7 +476,7 @@ def test_duf_rescaled_metric_oracle():
     pair = conformal.rescale(e.geometry)
     for p in pts(e.geometry, 2, 7):
         duf = bundle(e.geometry, p).on("duf_tensor")
-        u_val = e.geometry.state(p).u.value()[0]
+        u_val = PointState(e.geometry, p).u.value()[0]
         d_tilde = bundle(pair.tilde, tuple(p)).on("d_tensor")
         assert residual(duf, np.exp(3 * u_val) * d_tilde) < 1e-7
 
@@ -490,7 +512,7 @@ def test_dux_rescaled_metric_oracle():
     pair = conformal.rescale(e.geometry)
     for p in pts(e.geometry, 2, 2):
         dux = bundle(e.geometry, p).on("dux_tensor")
-        u_val = e.geometry.state(p).u.value()[0]
+        u_val = PointState(e.geometry, p).u.value()[0]
         dx_tilde = bundle(pair.tilde, tuple(p)).on("dx_tensor")
         assert residual(dux, np.exp(3 * u_val) * dx_tilde) < 1e-9
 
@@ -507,10 +529,10 @@ def test_missing_ingredient_errors():
 def test_bundle_cache_reproducible():
     g = entry("random", dim=4, seed=14).geometry
     p = pts(g, 1, 5)[0]
-    a = bundle(g, p).on("cotton", 1)
-    assert bundle(g, p).frames("cotton", 1) is bundle(g, p).frames(
-        "cotton", 1)  # cached
-    assert np.shares_memory(a, bundle(g, p).frames("cotton", 1))
+    b = bundle(g, p)
+    a = b.on("cotton", 1)
+    assert b.frames("cotton", 1) is b.frames("cotton", 1)  # cached
+    assert np.shares_memory(a, b.frames("cotton", 1))
     g2 = catalog.load("random", dim=4, seed=14, certify=False).geometry
     c = bundle(g2, p).on("cotton", 1)
     assert np.array_equal(a, c)  # bit-for-bit reproducible
@@ -555,7 +577,7 @@ def test_chunks_equal_chunks_of_one_bit_for_bit(g):
     points = g.sample_points(7, 11)
     compared = 0
     for size in (1, 2, 7):
-        fresh = GeometryInstance(g.spec, g.config)
+        lone = [bundle(g, p) for p in points[:size]]
         chunk = Chunk([g], points[:size])
         b = chunk.bundle()
         assert b.state.g.coeffs.shape[0] == size
@@ -563,7 +585,7 @@ def test_chunks_equal_chunks_of_one_bit_for_bit(g):
         for name in QUANTITIES:
             for d in range(g.config.order + 1):
                 try:
-                    want = [bundle(fresh, p).on(name, d) for p in points[:size]]
+                    want = [one.on(name, d) for one in lone]
                 except (DimensionError, MetricError, JetOrderError) as err:
                     errors.append((name, d, type(err)))
                     break
@@ -576,7 +598,7 @@ def test_chunks_equal_chunks_of_one_bit_for_bit(g):
             with pytest.raises(error):
                 b.frames(name, d)
         assert np.array_equal(b.scalar_exp(-2.0), [
-            bundle(fresh, p).scalar_exp(-2.0)[0] for p in points[:size]])
+            one.scalar_exp(-2.0)[0] for one in lone])
     assert compared > 100
 
 

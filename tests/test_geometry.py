@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctlab import catalog, conformal, geometry, identities, jets
+from ctlab import catalog, conformal, curvature, geometry, identities, jets
 from ctlab.exprlang import EvalDomainError, GeometrySpec, Tape
 from ctlab.curvature import bundle
 from ctlab.geometry import (
@@ -15,6 +15,7 @@ from ctlab.geometry import (
     Chunk,
     GeometryInstance,
     MetricError,
+    PointState,
     block_size,
     held_bytes,
     point_blocks,
@@ -50,8 +51,8 @@ def hessian(geometry, p):
 
 
 def laplacian(geometry, p):
-    return float(np.einsum("ab,ab->", geometry.state(p).ginv.value()[0],
-                           hessian(geometry, p)))
+    ginv = PointState(geometry, p).ginv.value()[0]
+    return float(np.einsum("ab,ab->", ginv, hessian(geometry, p)))
 
 
 def test_christoffel_flat_vanishes():
@@ -84,7 +85,7 @@ def test_metric_compatibility():
                      ("random", {"dim": 5, "seed": 3})):
         g = catalog.load(name, certify=False, **kw).geometry
         for p in g.sample_points(2, 8):
-            st = g.state(p)
+            st = PointState(g, p)
             dg = st.cov_deriv(st.g).value()[0]
             assert np.abs(dg).max() < 1e-11
 
@@ -154,7 +155,7 @@ def test_divergence_is_trace_of_nabla_x():
     from ctlab.exprlang import eval_expr_jet
     g = catalog.load("random", dim=3, seed=4, certify=False).geometry
     p = g.sample_points(1, 2)[0]
-    st = g.state(p)
+    st = PointState(g, p)
     dx = st.cov_deriv(st.x_lower).value()[0]
     div_trace = float(np.einsum("ab,ab->", st.ginv.value()[0], dx))
 
@@ -175,14 +176,14 @@ def test_divergence_is_trace_of_nabla_x():
 
 def test_orthonormal_euclidean_is_identity():
     g = euclidean()
-    st = g.state([0.1, 0.2, 0.3])
+    st = PointState(g, [0.1, 0.2, 0.3])
     arr = np.arange(27.0).reshape(3, 3, 3)
     assert np.abs(st.to_orthonormal(arr[None])[0] - arr).max() < 1e-14
 
 
 def test_orthonormal_metric_is_delta():
     g = catalog.load("random", dim=4, seed=9, certify=False).geometry
-    st = g.state(g.sample_points(1, 1)[0])
+    st = PointState(g, g.sample_points(1, 1)[0])
     assert np.abs(st.to_orthonormal(st.g.value())[0] - np.eye(4)).max() < 1e-13
 
 
@@ -192,7 +193,7 @@ def test_orthonormal_preserves_invariants():
     p = g.sample_points(1, 6)[0]
     b = curvature.bundle(g, p)
     ric_coord = b.coord("ricci").value()[0]
-    ginv = g.state(p).ginv.value()[0]
+    ginv = PointState(g, p).ginv.value()[0]
     inv_coord = np.einsum("ij,kl,ik,jl->", ric_coord, ric_coord, ginv, ginv)
     ric_on = b.on("ricci")
     assert abs(inv_coord - np.sum(ric_on ** 2)) < 1e-10
@@ -200,7 +201,7 @@ def test_orthonormal_preserves_invariants():
 
 def test_vielbein_inverse_relation():
     g = catalog.load("random", dim=5, seed=1, certify=False).geometry
-    st = g.state(g.sample_points(1, 3)[0])
+    st = PointState(g, g.sample_points(1, 3)[0])
     e = st.cholesky[0].T  # coframe rows
     ginv = st.ginv.value()[0]
     assert np.abs(e @ ginv @ e.T - np.eye(5)).max() < 1e-12
@@ -208,7 +209,7 @@ def test_vielbein_inverse_relation():
 
 def test_frame_conversion_involutive():
     g = catalog.load("random", dim=3, seed=13, certify=False).geometry
-    st = g.state(g.sample_points(1, 4)[0])
+    st = PointState(g, g.sample_points(1, 4)[0])
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((3, 3))
     on = st.to_orthonormal(arr[None])[0]
@@ -221,7 +222,7 @@ def test_frame_conversion_involutive():
 def test_orthonormal_matches_per_slot_contraction():
     # reference: contract one slot at a time with the inverse Cholesky factor
     g = catalog.load("random", dim=4, seed=9, certify=False).geometry
-    st = g.state(g.sample_points(1, 2)[0])
+    st = PointState(g, g.sample_points(1, 2)[0])
     rng = np.random.default_rng(5)
     for rank in range(7):
         arr = rng.standard_normal((4,) * rank)
@@ -240,19 +241,19 @@ def test_positive_definiteness_enforced():
                         metric=[["x1"], ["0", "1"]])
     g = GeometryInstance(spec)
     with pytest.raises(MetricError, match="positive definite"):
-        g.state([-1.0, 0.0])
+        PointState(g, [-1.0, 0.0])
 
 
 def test_point_outside_domain():
     g = euclidean()
     with pytest.raises(MetricError, match=r"point \(5\.0, 0\.0, 0\.0\) outside"):
-        g.state([5.0, 0.0, 0.0])
+        PointState(g, [5.0, 0.0, 0.0])
 
 
 def test_jet_order_exhaustion_fails_fast():
     g = GeometryInstance(catalog.load("sphere", dim=3, certify=False).spec,
                          JetConfig(2))
-    st = g.state([0.1, 0.0, 0.0])
+    st = PointState(g, [0.1, 0.0, 0.0])
     with pytest.raises(JetOrderError, match="exhausted"):
         st.cov_deriv(st.g, 3)
 
@@ -319,25 +320,23 @@ def test_every_pass_evaluates_each_tape_once(monkeypatch):
 
 
 def test_point_blocks_keep_earlier_entries():
-    # the walk neither reads nor changes the per-point cache: an entry held
-    # before stays as it was, and the walked points gain none
+    # the walk does not read a state held before at one of its points: each
+    # chunk builds its own
     g = euclidean()
     held, fresh = g.sample_points(2, 0)
-    state = g.state(held)
+    state = PointState(g, held)
     for chunk in point_blocks([held, fresh], g):
         chunk.bundle().frames("ricci")
         assert chunk.bundle().state is not state
-        assert g._points == {point_key(held): {"state": state}}
-    assert g._points == {point_key(held): {"state": state}}
 
 
 def test_point_blocks_give_each_geometry_a_chunk_state():
     # every geometry of the walk gets its own state for each chunk, built
-    # when first read, whatever the cache holds; the first point is a chunk
-    # of its own
+    # when first read, whatever state is held elsewhere; the first point is
+    # a chunk of its own
     held, fresh = euclidean(), euclidean()
     p = held.sample_points(1, 0)[0]
-    state = held.state(p)
+    state = PointState(held, p)
     for chunk in point_blocks([p], held, fresh):
         assert chunk.geometries == [held, fresh]
         assert chunk.bundles == [None, None]
@@ -345,8 +344,6 @@ def test_point_blocks_give_each_geometry_a_chunk_state():
         assert chunk.bundle(1).state.geometry is fresh
         assert chunk.bundles[0] is None
         assert chunk.bundle(0).state is not state
-    assert held._points == {point_key(p): {"state": state}}
-    assert fresh._points == {}
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +366,7 @@ def test_point_state_evaluates_each_exp_once(monkeypatch):
             eval_expr_jet_reference(spec.metric_exprs[i][j], p, 4)
     assert len(calls) == 8
     calls.clear()
-    GeometryInstance(spec, JetConfig(4)).state(p)
+    PointState(GeometryInstance(spec, JetConfig(4)), p)
     assert len(calls) == 2
     assert sum(op[0] == "exp" for op in spec.tape.ops) == 2
 
@@ -378,7 +375,7 @@ def test_point_state_matches_reference_walker():
     base = catalog.load("random", dim=4, seed=5, certify=False).geometry
     g = conformal.rescale(base).base
     p = g.sample_points(1, 0)[0]
-    st = g.state(p)
+    st = PointState(g, p)
     k = g.config.order
     spec = g.spec
 
@@ -422,13 +419,31 @@ def _flat_with(metric, **fields):
         domain=[(-2.0, 2.0), (-2.0, 2.0)], metric=metric, **fields))
 
 
+def test_point_of_the_wrong_length_is_refused():
+    # a point's last axis must be the chart's dimension: six numbers on a
+    # dim-3 chart are not two points, and two numbers are not a point, read
+    # alone or walked by a pass
+    g = catalog.load("random", dim=3, seed=1, certify=False).geometry
+    for point in ([0.1, 0.2, 0.3, 0.0, 0.0, 0.0], [0.1, 0.2]):
+        message = f"point has {len(point)} components, chart has 3"
+        with pytest.raises(ValueError, match=message):
+            curvature.scalar(g, point)
+        with pytest.raises(ValueError, match=message):
+            g.christoffel(point)
+    for shape in ((2, 6), (2, 2)):
+        with pytest.raises(ValueError, match=f"point has {shape[1]} "
+                           f"components, chart has 3"):
+            identities.verify(g, identities.select_records(["COMM"]),
+                              np.full(shape, 0.1))
+
+
 def test_metric_error_precedes_field_domain_errors():
     # at x1 = -1 the metric is not positive definite and every field raises
     # a domain error; the metric is checked first
     g = _flat_with([["x1"], ["0", "1"]], u="log(x1)", f="sqrt(x1)",
                    x_components=["x1^0.5", "1"])
     with pytest.raises(MetricError, match="not positive definite"):
-        g.state([-1.0, 0.0])
+        PointState(g, [-1.0, 0.0])
     # with a positive metric the fields raise in the order u, f, X
     for fields, message in [
         (dict(u="log(x1)", f="sqrt(x1)"), "log of non-positive"),
@@ -438,7 +453,7 @@ def test_metric_error_precedes_field_domain_errors():
     ]:
         g = _flat_with([["1"], ["0", "1"]], **fields)
         with pytest.raises(EvalDomainError, match=message):
-            g.state([-1.0, 0.0])
+            PointState(g, [-1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +495,7 @@ def test_point_states_in_blocks_match_states_alone():
     for chunk in point_blocks(points, blocked):
         b = chunk.bundle().state
         for j, p in enumerate(chunk.points):
-            a = alone.state(p)
+            a = PointState(alone, p)
             for name in ("g", "ginv", "u", "f", "x_contra", "x_lower",
                          "christoffel"):
                 assert getattr(a, name).coeffs[0].tobytes() == \
@@ -492,7 +507,6 @@ def test_point_states_in_blocks_match_states_alone():
     # the first chunk by its rule, BLOCK_TRIPLES // 4 ** 6 points, then one
     # chunk of the rest
     assert sizes == [4, 5]
-    assert blocked._points == {}
 
 
 def test_chunk_read_alone_fits_as_its_points_did():

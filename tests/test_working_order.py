@@ -90,7 +90,7 @@ def test_comm_builds_at_its_largest_min_order(built):
                              g.sample_points(1, 0))
     assert built == [(g.name, 5)]
     assert all(r.status == "pass" for r in rows)
-    assert g.config.order == 6 and not g._points
+    assert g.config.order == 6
 
 
 def test_laws_build_base_and_rescaled_states_at_order_4(built):
