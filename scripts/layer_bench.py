@@ -104,19 +104,13 @@ def setup(name: str, params: dict, suite: str) -> Pass:
     ``name``: its records are those that a one-point verification does
     not skip."""
     g = catalog.load(name, certify=False, **params).geometry
-    point = g.sample_points(1, 0)
-    if suite == "LAW":
-        pair = conformal.rescale(g)
-        records = conformal.select_laws()
-        rows = conformal.verify_transform(pair, records, point)
-    else:
-        records = identities.select_records([suite])
-        rows = identities.verify(g, records, point)
+    records = (conformal.select_laws() if suite == "LAW"
+               else identities.select_records([suite]))
+    rows = identities.verify(g, records, g.sample_points(1, 0))
     records = [r for r, row in zip(records, rows)
                if not row.status.startswith("skipped")]
     g = g.at_order(max(r.min_order for r in records))
-    geometries = [g] + ([pair.tilde.at_order(g.config.order)]
-                        if suite == "LAW" else [])
+    geometries = [g] + ([g.rescaled] if suite == "LAW" else [])
     n = first_chunk(*geometries)
     first = Chunk(geometries, g.sample_points(n, 0))
     c = EvalContext.of(first)
@@ -135,7 +129,7 @@ def tape_table(repeat: int) -> None:
     for name, params in LAW_SCHEDULE[:1] + COMM:
         base = catalog.load(name, certify=False, **params).geometry
         tapes = {"base": base.spec.tape,
-                 "rescaled": conformal.rescale(base).tilde.spec.tape}
+                 "rescaled": base.spec.rescaled.tape}
         for order in range(2, 7):
             for label, tape in tapes.items():
                 floats = table(base.dim, order).size

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import stretched_metric
-from .exprlang import GeometrySpec
+from .exprlang import GeometrySpec, stretched_metric
 from .geometry import GeometryInstance, walk_chunks
 from .identities import (
     CERTIFICATION_TOL,

@@ -12,6 +12,7 @@ certification failed.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -207,7 +208,6 @@ def cmd_catalog(args) -> int:
         _emit(args, entry.spec.to_json())
         return EXIT_PASS
     if args.list_identities:
-        import json
         fam = args.list_identities
         records = (conformal.select_laws() if fam == "LAW" else
                    identities.select_records(None if fam == "all" else [fam]))
@@ -222,7 +222,6 @@ def cmd_catalog(args) -> int:
                      "note": entry.note})
         lines.append(f"{name:34} {claims}")
     if args.format == "json":
-        import json
         _emit(args, json.dumps(rows, indent=2))
     else:
         _emit(args, "\n".join(lines))

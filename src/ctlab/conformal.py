@@ -1,13 +1,15 @@
 """Conformal rescaling and the closed-form transformation laws.
 
-``rescale`` builds the pointwise-rescaled geometry directly at the
-expression level (metric entries multiplied by ``exp(2u)``), giving a
-*direct* route: any curvature quantity can simply be recomputed in the new
-metric.  The law registry below implements the *predicted* route: each
-quantity of the rescaled metric written in closed form purely in terms of
-base-metric data.  Agreement of the two routes at sample points is the
-entire reason this module exists; because jets differentiate exactly, any
-transcription or derivation error shows up as a fat residual, not as noise.
+A chart's rescaling by its own u field is built once, by its spec, at the
+expression level (metric entries multiplied by ``exp(2u)``,
+:attr:`~ctlab.exprlang.GeometrySpec.rescaled`), and ``rescale`` pairs it
+with its base.  That gives a *direct* route: any curvature quantity can
+simply be recomputed in the new metric.  The law registry below
+implements the *predicted* route: each quantity of the rescaled metric
+written in closed form purely in terms of base-metric data.  Agreement
+of the two routes at sample points is the entire reason this module
+exists; because jets differentiate exactly, any transcription or
+derivation error shows up as a fat residual, not as noise.
 
 Conventions: both routes are compared in orthonormal-coframe components
 (the rescaled frame is ``e^u`` times the base one, which the Cholesky
@@ -16,8 +18,8 @@ vielbein reproduces exactly), and each law carries the power ``k`` in
 
 Each law is an :class:`~ctlab.identities.IdentityRecord` of family ``LAW``,
 declared by ``@_law`` on its evaluator; ``verify_transform`` runs them
-through the one driver, :func:`ctlab.identities.verify`, against the pair's
-rescaled geometry.  A law evaluator follows the convention of every
+through the one driver, :func:`ctlab.identities.verify`, against the base's
+own rescaling.  A law evaluator follows the convention of every
 record (see :mod:`ctlab.identities`): it reads base values as
 ``c.b.on(...)`` and rescaled ones as ``c.t.on(...)`` over a block of
 points, the point axis last, and writes its closed form with the index
@@ -39,38 +41,20 @@ from .identities import EvalContext, IdentityRecord, declare, verify
 @dataclass
 class ConformalPair:
     """A base geometry carrying the rescaling exponent u as its u field,
-    and the rescaled geometry."""
+    and its rescaled geometry, ``base.rescaled``."""
 
     base: GeometryInstance
     tilde: GeometryInstance
 
 
-def stretched_metric(metric: list[list[str]], u_text: str,
-                     power: int) -> list[list[str]]:
-    """The metric entries times ``exp(power*u)``: ``power`` 2 rescales a
-    base metric, -2 undoes a rescaling."""
-    return [[f"exp({power}*({u_text}))*({e})" if e != "0" else "0"
-             for e in row] for row in metric]
-
-
 def rescale(geometry: GeometryInstance, u_text: str | None = None) -> ConformalPair:
-    """Build the conformal pair for ``u_text`` (defaults to the geometry's
-    own u field).  The base side always carries u as its u field so that
-    predictions can differentiate it."""
-    spec = geometry.spec
-    if u_text is None:
-        u_text = spec.u
-    if u_text is None:
-        raise ValueError(f"geometry {geometry.name!r} has no u field to rescale by")
-    if spec.u == u_text:
-        base = geometry
-    else:
-        base = GeometryInstance(replace(spec, u=u_text), geometry.config)
-    tilde = GeometryInstance(
-        replace(base.spec, name=base.spec.name + "~", u=None,
-                metric=stretched_metric(base.spec.metric, u_text, 2)),
-        geometry.config)
-    return ConformalPair(base, tilde)
+    """The conformal pair for ``u_text`` (by default the geometry's own u):
+    a base carrying u as its u field, so that predictions can differentiate
+    it, and the base's own rescaling, ``base.rescaled``."""
+    if u_text is not None and u_text != geometry.spec.u:
+        geometry = GeometryInstance(replace(geometry.spec, u=u_text),
+                                    geometry.config)
+    return ConformalPair(geometry, geometry.rescaled)
 
 
 def _d_form1(f1, ric, s, m):
@@ -702,6 +686,6 @@ def verify_transform(pair: ConformalPair, laws: list[IdentityRecord],
                      points, tol_overrides: dict[str, float] | None = None):
     """Evaluate predicted-vs-direct agreement for each law at each point;
     one report row per law.  Laws whose structural hypothesis does not hold
-    on this pair are reported as skipped.  The laws read the pair's own
-    rescaled geometry, so its metric is not parsed again."""
-    return verify(pair.base, laws, points, tol_overrides, pair.tilde)
+    on this pair are reported as skipped.  The laws read the base's own
+    rescaling, which its spec compiled once, when the pair was made."""
+    return verify(pair.base, laws, points, tol_overrides)

@@ -33,7 +33,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,10 @@ from . import jets
 from .jets import Jet, JetDomainError
 
 FUNCTION_NAMES = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
+
+# Deepest nesting of parentheses, calls, minus signs and exponents: a level
+# takes the parser up to six stack frames, far inside the recursion limit.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -128,6 +133,7 @@ class _Parser:
     def __init__(self, text: str, coords: list[str]):
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.coords = {name: i for i, name in enumerate(coords)}
 
     def peek(self):
@@ -142,6 +148,15 @@ class _Parser:
         kind, text, off = self.next()
         if text != value:
             raise ParseError(f"expected {value!r}, found {text or 'end'!r}", off)
+
+    def nest(self, off: int, parse):
+        """``parse()`` one nesting level deeper, opened at byte ``off``."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -166,8 +181,7 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.peek()[1] == "-":
-            self.next()
-            return Neg(self.unary())
+            return Neg(self.nest(self.next()[2], self.unary))
         return self.power()
 
     def power(self) -> Expr:
@@ -183,8 +197,7 @@ class _Parser:
             self.next()
             sign = -1.0
         if self.peek()[1] == "(":
-            self.next()
-            val = self.exponent()
+            val = self.nest(self.next()[2], self.exponent)
             self.expect(")")
         else:
             kind, text, off = self.next()
@@ -192,8 +205,7 @@ class _Parser:
                 raise ParseError("exponent must be a numeric literal", off)
             val = float(text)
         if self.peek()[1] == "^":  # right-associative literal towers
-            self.next()
-            val = val ** self.exponent()
+            val = val ** self.nest(self.next()[2], self.exponent)
         return sign * val
 
     def atom(self) -> Expr:
@@ -201,13 +213,13 @@ class _Parser:
         if kind == "num":
             return Num(float(text))
         if text == "(":
-            e = self.expr()
+            e = self.nest(off, self.expr)
             self.expect(")")
             return e
         if kind == "name":
             if text in FUNCTION_NAMES:
                 self.expect("(")
-                arg = self.expr()
+                arg = self.nest(off, self.expr)
                 self.expect(")")
                 return Call(text, arg)
             if text == "pi":
@@ -419,7 +431,8 @@ class GeometrySpec:
     construction.  ``x_components`` are contravariant (the geometry layer
     lowers the index internally).  ``tape`` compiles the metric's lower
     triangle (row by row), then u, f and the X components, whichever are
-    present, so the metric's ops are a prefix of it.
+    present, so the metric's ops are a prefix of it.  ``rescaled``, the
+    chart rescaled by its u field, is compiled at most once, on first use.
     """
 
     name: str
@@ -442,11 +455,15 @@ class GeometrySpec:
             raise ParseError("dim must be at least 2", 0)
         if len(self.coords) != self.dim:
             raise ParseError("coords length must equal dim", 0)
+        if len(set(self.coords)) < self.dim:
+            raise ParseError(f"coords repeat a name: {self.coords}", 0)
         if len(self.domain) != self.dim:
             raise ParseError("domain length must equal dim", 0)
         for lo, hi in self.domain:
             if not lo < hi:
                 raise ParseError(f"empty domain interval [{lo}, {hi}]", 0)
+            if not math.isfinite(hi - lo):
+                raise ParseError(f"domain interval [{lo}, {hi}] is not finite", 0)
         self.metric = _mirror_metric(self.metric, self.dim, self.coords)
         self.metric_exprs = [
             [parse_expr(t, self.coords) for t in row] for row in self.metric
@@ -461,6 +478,15 @@ class GeometrySpec:
         fields = [e for e in (self.u_expr, self.f_expr) if e is not None]
         self.tape = Tape([e for row in lower for e in row] + fields
                          + (self.x_exprs or []))
+
+    @cached_property
+    def rescaled(self) -> "GeometrySpec":
+        """This chart, named with a trailing ``~``, with metric ``exp(2u) g``
+        and no u field: the other side of the conformal transformation laws."""
+        if self.u is None:
+            raise ValueError(f"geometry {self.name!r} has no u field to rescale by")
+        return replace(self, name=self.name + "~", u=None,
+                       metric=stretched_metric(self.metric, self.u, 2))
 
     # -- JSON wire format ----------------------------------------------------
 
@@ -530,6 +556,14 @@ class GeometrySpec:
         return all(
             lo <= x <= hi for x, (lo, hi) in zip(point, self.domain)
         )
+
+
+def stretched_metric(metric: list[list[str]], u_text: str,
+                     power: int) -> list[list[str]]:
+    """The metric entries times ``exp(power*u)``: ``power`` 2 rescales a
+    base metric, -2 undoes a rescaling."""
+    return [[f"exp({power}*({u_text}))*({e})" if e != "0" else "0"
+             for e in row] for row in metric]
 
 
 def _mirror_metric(rows: list[list[str]], dim: int,

@@ -389,6 +389,12 @@ class GeometryInstance:
         return self.at_order(min(self.config.order, max(depth + 1, 4)))
 
     @property
+    def rescaled(self) -> "GeometryInstance":
+        """The chart rescaled by its u field at this instance's order, on
+        the spec's own :attr:`~ctlab.exprlang.GeometrySpec.rescaled`."""
+        return GeometryInstance(self.spec.rescaled, self.config)
+
+    @property
     def dim(self) -> int:
         return self.spec.dim
 

@@ -25,14 +25,9 @@ and :func:`~ctlab.curvature.tp` for ``.T`` and ``.transpose``, all on the
 tensor axes only; ``float`` is never taken of a frame value.  To add a
 record, decorate such an evaluator with ``@_rec`` and return its two
 sides, of one shape up to broadcasting: :func:`residuals` reduces them
-over the tensor axes, one residual per point.  The driver walks the
-points in chunks (:func:`~ctlab.geometry.point_blocks`), each with one
-curvature bundle per geometry, so each quantity is built once per chunk.
-It certifies each hypothesis on a whole chunk in one evaluator call
-(:func:`structure_residuals`), evaluates the first chunk of a pass on its
-live bundles, and hands the later chunks' values over whole, in blocks of
-``max(1, BLOCK_BYTES // the bytes of the values a point of the first chunk
-read)`` points.
+over the tensor axes, one residual per point.  The driver,
+:func:`verify`, walks the points in chunks, each with one curvature
+bundle per geometry, so each quantity is built once per chunk.
 
 Families:
 
@@ -161,7 +156,7 @@ class _Frames:
 class EvalContext:
     """The view handed to record evaluators: over a block of points, the
     frame values of the geometry (``b``, with ``on`` and ``e`` as its
-    shorthands) and of the rescaled geometry ``tilde`` (``t``), each with
+    shorthands) and of its rescaling by its own u field (``t``), each with
     the point axis last; with the dimension ``m``, the Kronecker delta
     ``I`` (a trailing axis of length 1) and the structure constant
     ``lam``.  ``points`` are the block's point keys.  ``I`` is
@@ -170,46 +165,42 @@ class EvalContext:
     diagonal; arithmetic on it (``lam * I``) or a copy makes an ordinary
     operand, multiplied out in full.
 
-    :meth:`of` is a walk's chunk, and ``EvalContext(geometry, point[,
-    tilde])`` a lone point, a chunk of one: both read its live bundles, and
-    ``values`` then holds what the evaluators read.  :meth:`stacked` is a
-    block of points whose values were read before."""
+    :meth:`of` is a walk's chunk, and ``EvalContext(geometry, point)`` a
+    lone point, a chunk of one, on ``geometry.rescaled`` too if the chart
+    has u: both read its live bundles, and ``values`` then holds what the
+    evaluators read.  :meth:`stacked` is a block of points whose values
+    were read before."""
 
-    def __init__(self, geometry: GeometryInstance, point,
-                 tilde: GeometryInstance | None = None):
-        geometries = [geometry] if tilde is None else [geometry, tilde]
+    def __init__(self, geometry: GeometryInstance, point):
+        geometries = [geometry] + ([geometry.rescaled]
+                                   if geometry.spec.u is not None else [])
         self.__dict__.update(vars(self.of(Chunk(geometries, [point]))))
 
     @classmethod
     def of(cls, chunk: Chunk) -> "EvalContext":
         """The points of ``chunk`` on the first geometry of its walk, with
         the second, if there is one, as the rescaled geometry."""
-        c = cls.__new__(cls)
-        tilde = chunk.geometries[1] if len(chunk.geometries) > 1 else None
-        c._start(chunk.geometries[0], tilde,
-                 [point_key(p) for p in chunk.points], {})
+        c = cls._new(chunk.geometries[0], [point_key(p) for p in chunk.points],
+                     {})
         c.b = _Frames("b", c.values, chunk.bundle(0))  # built, read or not
         c._t, c._chunk = None, chunk
         return c
 
     @classmethod
-    def stacked(cls, geometry: GeometryInstance,
-                tilde: GeometryInstance | None, points: list,
+    def stacked(cls, geometry: GeometryInstance, points: list,
                 values: dict) -> "EvalContext":
         """The block of ``points`` with ``values``, key -> block value."""
-        c = cls.__new__(cls)
-        c._start(geometry, tilde, points, values)
-        c.b, c._t = _Frames("b", c.values), _Frames("t", c.values)
+        c = cls._new(geometry, points, values)
+        c.b, c._t = _Frames("b", values), _Frames("t", values)
         return c
 
-    def _start(self, geometry, tilde, points, values):
-        self.geometry = geometry
-        self.tilde = tilde
-        self.points = points
-        self.values = values
-        self.m = geometry.dim
-        self.I = delta(self.m)
-        self.lam = geometry.spec.lam
+    @classmethod
+    def _new(cls, geometry, points, values) -> "EvalContext":
+        c = cls.__new__(cls)
+        c.geometry, c.points, c.values = geometry, points, values
+        c.m, c.lam = geometry.dim, geometry.spec.lam
+        c.I = delta(c.m)
+        return c
 
     def on(self, name: str, d: int = 0) -> np.ndarray:
         return self.b.on(name, d)
@@ -220,10 +211,9 @@ class EvalContext:
 
     @property
     def t(self) -> _Frames:
-        if self.tilde is None:
-            raise MetricError(
-                f"no rescaled geometry given for {self.geometry.name!r}")
         if self._t is None:
+            if len(self._chunk.geometries) < 2:
+                raise MetricError(f"no rescaled geometry for {self.geometry.name!r}")
             self._t = _Frames("t", self.values, self._chunk.bundle(1))
         return self._t
 
@@ -1413,17 +1403,10 @@ def select_records(families: list[str] | None = None,
 
 
 def _available(geometry: GeometryInstance) -> set[str]:
-    spec = geometry.spec
-    have = set()
-    if spec.u is not None:
-        have.add("u")
-    if spec.f is not None:
-        have.add("f")
-    if spec.x_exprs is not None:
-        have.add("X")
-    if spec.lam is not None:
-        have.add("lam")
-    return have
+    """The fields (and constant) the chart carries."""
+    s = geometry.spec
+    return {name for name, v in (("u", s.u), ("f", s.f), ("X", s.x_exprs),
+                                 ("lam", s.lam)) if v is not None}
 
 
 def _skip_reason(geometry: GeometryInstance, rec: IdentityRecord,
@@ -1452,8 +1435,8 @@ class _CertificationChanges(Exception):
 
 
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
-           points: np.ndarray, tol_overrides: dict[str, float] | None = None,
-           tilde: GeometryInstance | None = None) -> list[ReportRow]:
+           points: np.ndarray, tol_overrides: dict[str, float] | None = None
+           ) -> list[ReportRow]:
     """Evaluate records at the given points; returns one row per record.
 
     Conditional records count only after their structural hypothesis is
@@ -1463,10 +1446,9 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     is reported as skipped.  Zero points is an error whenever a record can
     run, since nothing would be checked.  LAW records and the
     ``*_vs_tilde`` conditions (``reads_tilde``) compare against the
-    geometry rescaled by its own u field: ``tilde`` when the caller has it
-    (a :class:`~ctlab.conformal.ConformalPair`'s), else built here, and
-    only when a runnable record reads it; no point state of it is built
-    unless a record reads it.
+    geometry rescaled by its own u field, ``geometry.rescaled``, which its
+    spec compiles once; the walk takes it only when a runnable record
+    reads it, and no point state of it is built unless a record reads it.
 
     Point states of both geometries are built at the working order, the
     largest ``min_order`` of the runnable records; the configured order
@@ -1499,18 +1481,13 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     order = max((records[i].min_order for i in runnable),
                 default=geometry.config.order)
     geometry = geometry.at_order(order)
-    if (geometry.spec.u is None
-            or not any(records[i].reads_tilde for i in runnable)):
-        tilde = None
-    elif tilde is None:
-        from .conformal import rescale  # late: conformal imports this module
-        tilde = rescale(geometry).tilde
-    else:
-        tilde = tilde.at_order(order)
+    geometries = [geometry]
+    if (geometry.spec.u is not None
+            and any(records[i].reads_tilde for i in runnable)):
+        geometries.append(geometry.rescaled)
     cert = {records[i].structure: 0.0 for i in runnable
             if records[i].structure is not None}
     worst = dict.fromkeys(runnable, 0.0)
-    geometries = [g for g in (geometry, tilde) if g is not None]
 
     def certified(found: dict) -> tuple[list[int], str | None]:
         """The runnable records that the running worst ``found`` certifies,
@@ -1579,7 +1556,7 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
 
     def flush():
         if pending:
-            c = EvalContext.stacked(geometry, tilde, list(pending), {
+            c = EvalContext.stacked(geometry, list(pending), {
                 key: _as_block([piece[n] for piece in pieces])
                 for n, key in enumerate(keys)})
             pending.clear()  # the joined values are all the block keeps

@@ -1,6 +1,7 @@
 """Command-line harness: flags, exit codes, formats, determinism."""
 
 import json
+import math
 import re
 import shlex
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from ctlab import catalog, geometry
 from ctlab.cli import _QUANTITIES, main
 from ctlab.curvature import DimensionError
+from ctlab.exprlang import MAX_DEPTH
 from ctlab.jets import JetOrderError
 
 
@@ -354,6 +356,39 @@ _GAUSSIAN3 = {
 }
 
 
+def _gaussian3_with(tmp_path, entry: str) -> str:
+    """A path to ``_GAUSSIAN3`` with ``entry`` as its first metric entry."""
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps(
+        {**_GAUSSIAN3, "metric": [[entry], ["0", "1"], ["0", "0", "1"]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("entry, offset", [
+    ("(" * 200 + "1" + ")" * 200, 100),
+    ("-" * 1000 + "1+2", 100),
+    ("(x1^2+2)" + "^1" * 1000, 210),
+], ids=["parentheses", "minus-signs", "exponents"])
+def test_nesting_past_the_limit_exits_2(capsys, tmp_path, entry, offset):
+    # refused by the parser with the offset of the level past the limit,
+    # not a RecursionError's traceback
+    code, out, err = run(capsys, "verify", "--spec",
+                         _gaussian3_with(tmp_path, entry), "--suite", "SOL",
+                         "--points", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: expression nested deeper than {MAX_DEPTH} "
+                   f"levels (at offset {offset})\n")
+
+
+def test_nesting_at_the_limit_parses(capsys, tmp_path):
+    entry = "exp(" + "(" * (MAX_DEPTH - 2) + "-0" + ")" * (MAX_DEPTH - 1)
+    code, out, err = run(capsys, "verify", "--spec",
+                         _gaussian3_with(tmp_path, entry), "--suite", "SOL",
+                         "--points", "2")
+    assert (code, err) == (0, "")
+    assert "overall: pass" in out
+
+
 @pytest.mark.parametrize("doc,line", [
     ({**_GAUSSIAN3, "lambda": "half"},
      "geometry field 'lambda' must be a number, got 'half'"),
@@ -371,8 +406,12 @@ _GAUSSIAN3 = {
      "geometry field 'coords' must be 3 strings, got ['x1', 'x2', 3]"),
     ({**_GAUSSIAN3, "name": 5},
      "geometry field 'name' must be a string, got 5"),
+    ({**_GAUSSIAN3, "coords": ["x1", "x2", "x1"]},
+     "coords repeat a name: ['x1', 'x2', 'x1'] (at offset 0)"),
+    ({**_GAUSSIAN3, "domain": [[-1, 1], [-1, math.inf], [-1, 1]]},
+     "domain interval [-1.0, inf] is not finite (at offset 0)"),
 ], ids=["lambda", "dim", "list", "no-metric", "number-for-expression",
-        "domain", "coords", "name"])
+        "domain", "coords", "name", "repeated-coords", "infinite-domain"])
 def test_malformed_spec_file_exits_2(capsys, tmp_path, doc, line):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(doc))

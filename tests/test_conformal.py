@@ -1,5 +1,6 @@
 """Rescaling plus every transformation law, predicted vs recomputed."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -91,7 +92,7 @@ def test_d_reverse_on_base_soliton():
 def test_weyl13_invariance_random_m4():
     pair = pair_for("random", dim=4, seed=4)
     for p in pair.base.sample_points(2, 7):
-        c = EvalContext(pair.base, p, pair.tilde)
+        c = EvalContext(pair.base, p)
         lhs, rhs = conformal.law_weyl13(c)
         assert residual(lhs, rhs) < 1e-9
 
@@ -99,7 +100,7 @@ def test_weyl13_invariance_random_m4():
 def test_hessian_f_constant_u():
     pair = pair_for("euclidean", u_text="0.7", dim=3)
     p = pair.base.sample_points(1, 1)[0]
-    c = EvalContext(pair.base, p, pair.tilde)
+    c = EvalContext(pair.base, p)
     lhs, rhs = conformal.law_hessian_f(c)
     assert residual(lhs, rhs) < 1e-12
     # derivative terms vanish: prediction equals the base Hessian
@@ -128,7 +129,7 @@ def test_composition_of_rescalings():
 def test_traced_laws_equal_traces_of_untraced():
     pair = pair_for("conformal_gaussian_plus_killing", dim=4, seed=1)
     for p in pair.base.sample_points(2, 4):
-        c = EvalContext(pair.base, p, pair.tilde)
+        c = EvalContext(pair.base, p)
         _, hess = conformal.law_hess_scalar(c)
         _, lap = conformal.law_lap_scalar(c)
         assert abs(np.trace(hess) - lap) / (1 + abs(lap)) < 1e-8
@@ -144,7 +145,7 @@ def test_predict_matches_direct():
     # a law's evaluator returns (direct, predicted): the rescaled quantity
     # recomputed in the rescaled metric, and its closed form in base data
     def sides(pair, law_id, p):
-        return LAWS[law_id].evaluate(EvalContext(pair.base, p, pair.tilde))
+        return LAWS[law_id].evaluate(EvalContext(pair.base, p))
 
     pair = pair_for("conformal_gaussian", dim=3, seed=2)
     p = pair.base.sample_points(1, 1)[0]
@@ -185,20 +186,25 @@ def test_law_registry_complete():
         conformal.select_laws(["not_a_law"])
 
 
-def test_per_point_cache_is_released():
-    # the driver keeps nothing of the sampled points on the geometries: no
-    # attribute is added to them, however many points it walks
-    for n in (2, 8):
-        g = catalog.load("conformal_gaussian", dim=3).geometry
-        pair = rescale(g)
-        geoms = (pair.base, pair.tilde)
-        attrs = [set(vars(x)) for x in geoms]
-        points = g.sample_points(n, 3)
-        rows = verify(g, select_records(["CGRS"]), points)
-        rows += verify_transform(pair, list(LAW_REGISTRY), points)
-        assert all(r.status != "fail" for r in rows)
-        for x, before in zip(geoms, attrs):
-            assert set(vars(x)) == before
+def test_reads_leave_no_point_state_alive():
+    # once a verification or a lone read returns, no point state of the
+    # chart or of its rescaling is left for a later read to find: a
+    # geometry, or a spec with its cached rescaling, that kept a state per
+    # point would still hold one here
+    g = catalog.load("conformal_gaussian", dim=3).geometry
+    pair = rescale(g)
+    points = g.sample_points(8, 3)
+    rows = verify(g, select_records(["CGRS"]), points)
+    rows += verify_transform(pair, list(LAW_REGISTRY), points)
+    assert all(r.status != "fail" for r in rows)
+    for p in points[:2]:
+        g.christoffel(p)
+        curvature.ricci(pair.tilde, p)
+        EvalContext(g, p).t.on("ricci")
+    gc.collect()
+    specs = (g.spec, g.spec.rescaled)
+    assert not [x for x in gc.get_objects() if isinstance(x, PointState)
+                and any(x.geometry.spec is s for s in specs)]
 
 
 def test_memory_stays_bounded_as_points_grow():

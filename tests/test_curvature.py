@@ -644,8 +644,7 @@ def _evaluator_specs(monkeypatch):
         records = [r for r in records if identities._skip_reason(
             g, r, identities._available(g)) is None]
         g = g.at_order(max(r.min_order for r in records))
-        tilde = conformal.rescale(g).tilde if g.spec.u else None
-        c = EvalContext(g, g.sample_points(1, 3)[0], tilde)
+        c = EvalContext(g, g.sample_points(1, 3)[0])
         for r in records:
             r.evaluate(c)
     monkeypatch.undo()

@@ -319,31 +319,18 @@ def test_every_pass_evaluates_each_tape_once(monkeypatch):
         assert {shape for _, shape in calls} == {(32, g.dim)}, (name, kw)
 
 
-def test_point_blocks_keep_earlier_entries():
-    # the walk does not read a state held before at one of its points: each
-    # chunk builds its own
-    g = euclidean()
-    held, fresh = g.sample_points(2, 0)
-    state = PointState(g, held)
-    for chunk in point_blocks([held, fresh], g):
-        chunk.bundle().frames("ricci")
-        assert chunk.bundle().state is not state
-
-
 def test_point_blocks_give_each_geometry_a_chunk_state():
     # every geometry of the walk gets its own state for each chunk, built
-    # when first read, whatever state is held elsewhere; the first point is
-    # a chunk of its own
+    # when first read; the first point is a chunk of its own
     held, fresh = euclidean(), euclidean()
     p = held.sample_points(1, 0)[0]
-    state = PointState(held, p)
     for chunk in point_blocks([p], held, fresh):
         assert chunk.geometries == [held, fresh]
         assert chunk.bundles == [None, None]
         assert len(chunk) == 1 and chunk.points.tolist() == [list(p)]
         assert chunk.bundle(1).state.geometry is fresh
         assert chunk.bundles[0] is None
-        assert chunk.bundle(0).state is not state
+        assert chunk.bundle(0).state.geometry is held
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 degeneration lattice, and the verification driver's bookkeeping."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,6 +616,27 @@ def test_rescaled_spec_compiled_only_when_a_record_reads_it(monkeypatch):
     rows = conformal.verify_transform(pair, select_laws(["ricci"]), points)
     assert compiled == [pair.tilde.name]
     assert rows[0].status == "pass"
+    # a *_vs_tilde condition compiles its chart's rescaling on its first
+    # pass, and every later pass on that chart reuses it
+    g = catalog.load("conformal_gaussian", dim=4, certify=False).geometry
+    compiled.clear()
+    records = select_records(ids=["cgrs.duf_vs_tilde"])
+    for _ in range(2):
+        rows = verify(g, records, points)
+        assert compiled == [g.name + "~"]
+        assert rows[0].status == "pass"
+
+
+def test_catalog_and_identities_do_not_import_conformal():
+    # the rescaled chart is the spec's own, so neither module needs
+    # the law registry's module
+    code = ("import sys, ctlab.catalog, ctlab.identities; "
+            "print('ctlab.conformal' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +664,13 @@ def test_block_sides_match_blocks_of_one(name, params, families):
     records = [r for r in records if identities._skip_reason(
         g, r, identities._available(g)) is None]
     g = g.at_order(max(r.min_order for r in records))
-    tilde = conformal.rescale(g).tilde if g.spec.u else None
     points = g.sample_points(5, 3)
-    ones = [EvalContext(g, p, tilde) for p in points]
+    ones = [EvalContext(g, p) for p in points]
     alone = [[r.evaluate(c) for r in records] for c in ones]
     keys = list(ones[0].values)
-    chunks = [Chunk([g, tilde] if tilde else [g], points[:2]),
-              Chunk([g, tilde] if tilde else [g], points[2:])]
-    block = EvalContext.stacked(g, tilde, [point_key(p) for p in points], {
+    geometries = [g, g.rescaled] if g.spec.u else [g]
+    chunks = [Chunk(geometries, points[:2]), Chunk(geometries, points[2:])]
+    block = EvalContext.stacked(g, [point_key(p) for p in points], {
         key: identities._as_block([
             identities._value(c.bundle(1 if key[0] == "t" else 0), key)
             for c in chunks]) for key in keys})

@@ -33,9 +33,9 @@ def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
             chunks.append(len(chunk))
             yield chunk
 
-    def spy(g, tilde, points, values):
+    def spy(g, points, values):
         blocks.append(len(points))
-        return stacked(g, tilde, points, values)
+        return stacked(g, points, values)
 
     monkeypatch.setattr(geometry, "point_blocks", point_blocks)
     monkeypatch.setattr(EvalContext, "stacked", spy)
