@@ -102,6 +102,16 @@ def _tol_overrides(text: str | None) -> dict[str, float]:
     return out
 
 
+def _listed(flag: str, text: str | None) -> list[str]:
+    """The comma-separated ids given to ``flag``; none may be given twice,
+    which would run and report its record twice."""
+    items = text.split(",") if text else []
+    for n, item in enumerate(items):
+        if item in items[:n]:
+            raise ValueError(f"{flag} {text}: {item} given twice")
+    return items
+
+
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -117,8 +127,7 @@ def cmd_verify(args) -> int:
     geometry = _load_geometry(args)
     overrides = _tol_overrides(args.tol_class)
     suites = args.suite.split(",") if args.suite else []
-    ids = args.id.split(",") if args.id else []
-    law_ids = args.law.split(",") if args.law else []
+    ids, law_ids = _listed("--id", args.id), _listed("--law", args.law)
     records, laws = [], []
     if suites or ids or not law_ids:
         records = identities.select_records(suites or None, ids or None)

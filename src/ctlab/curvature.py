@@ -276,6 +276,7 @@ class CurvatureBundle:
     def _build_d_tensor(self) -> TensorJet:
         """Skew trace-free gradient-soliton 3-tensor, built from Ricci,
         scalar curvature and the potential's gradient."""
+        _need_dim(self.m, 3, "the D tensor")
         m = self.m
         g = self.state.g
         ric, s = self.coord("ricci"), self.coord("scalar")
@@ -290,6 +291,7 @@ class CurvatureBundle:
 
     def _build_dx_tensor(self) -> TensorJet:
         """The vector-field soliton 3-tensor before any conformal factor."""
+        _need_dim(self.m, 3, "the D^X tensor")
         m = self.m
         g = self.state.g
         ric, s = self.coord("ricci"), self.coord("scalar")
@@ -315,6 +317,7 @@ class CurvatureBundle:
 
     def _build_duf_tensor(self) -> TensorJet:
         """Conformal-gradient interpolation tensor (the jet-level form)."""
+        _need_dim(self.m, 3, "the D^{u,f} tensor")
         m = self.m
         g = self.state.g
         f1 = self.coord("f", 1)
@@ -339,6 +342,7 @@ class CurvatureBundle:
 
     def _build_dux_tensor(self) -> TensorJet:
         """Conformal-generic interpolation tensor e^{2u} * {...}."""
+        _need_dim(self.m, 3, "the D^{u,X} tensor")
         m = self.m
         g = self.state.g
         u1, x1 = self.coord("u", 1), self.coord("X", 1)

@@ -47,6 +47,13 @@ FUNCTION_NAMES = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt")
 # takes the parser up to six stack frames, far inside the recursion limit.
 MAX_DEPTH = 100
 
+# Most nodes on a path from a parsed tree's root to a leaf.  A chain such as
+# ``1+1+...+1`` nests no level but parses as a tree as deep as it is long,
+# and the tape, ``eval_expr`` and ``pretty`` take a stack frame a level.  A
+# chart's rescaling is one level deeper than its metric entries and three
+# deeper than its u, so it is refused within three levels of the limit.
+MAX_LEVELS = 500
+
 
 class ParseError(ValueError):
     """Syntax or name-resolution failure, carrying the byte offset."""
@@ -163,6 +170,10 @@ class _Parser:
         kind, text, off = self.peek()
         if kind != "eof":
             raise ParseError(f"trailing input {text!r}", off)
+        levels = _levels(e)
+        if levels > MAX_LEVELS:
+            raise ParseError(f"expression tree {levels} levels deep, past "
+                             f"the limit of {MAX_LEVELS}", 0)
         return e
 
     def expr(self) -> Expr:
@@ -228,6 +239,24 @@ class _Parser:
                 return Coord(self.coords[text], text)
             raise ParseError(f"unknown identifier {text!r}", off)
         raise ParseError(f"unexpected token {text or 'end'!r}", off)
+
+
+def _levels(e: Expr) -> int:
+    """Nodes on the longest path from ``e``'s root to a leaf, counted a
+    level at a time rather than by recursion."""
+    levels, row = 0, [e]
+    while row:
+        levels += 1
+        below = []
+        for node in row:
+            if type(node) is Bin:
+                below += (node.left, node.right)
+            elif type(node) is Pow:
+                below.append(node.base)
+            elif type(node) in (Neg, Call):
+                below.append(node.arg)
+        row = below
+    return levels
 
 
 def parse_expr(text: str, coords: list[str]) -> Expr:
@@ -583,9 +612,11 @@ def _mirror_metric(rows: list[list[str]], dim: int,
         for j in range(i + 1, dim):
             if full[i][j] is None:
                 full[i][j] = full[j][i]
-            elif full[j][i] is not None and parse_expr(
+            # the renderings are equal just when the trees are; the trees'
+            # own == takes three stack frames a level, pretty one
+            elif full[j][i] not in (None, full[i][j]) and pretty(parse_expr(
                 full[i][j], coords
-            ) != parse_expr(full[j][i], coords):
+            )) != pretty(parse_expr(full[j][i], coords)):
                 raise ParseError(
                     f"metric entries ({i},{j}) and ({j},{i}) are not mirror images", 0
                 )

@@ -378,14 +378,18 @@ class GeometryInstance:
 
     def at_depth(self, depth: int) -> "GeometryInstance":
         """This chart at the lowest order that reads a quantity of metric
-        derivative depth ``depth`` bit for bit as the configured order
-        does: ``max(depth + 1, 4)``, capped at the configured order.  The
-        jet-ring inverse is truncation-exact, but a jet product's padded
+        derivative depth ``depth`` as the configured order does, up to its
+        last bits: ``max(depth + 1, 4)``, capped at the configured order.
+        The jet-ring inverse is truncation-exact, but a jet product's padded
         GEMM is as wide as its order's largest pair count, and a narrower
         one can sum the same terms in another order: a quantity read at its
         own top order moves in its last bits, and so can one built at order
-        3 (``duf_tensor``, which vanishes identically on some charts).  A
-        depth past the configured order still raises as it did."""
+        3 (``duf_tensor``, which vanishes identically on some charts).  On
+        the ``random`` charts the values are the same bit for bit; on the
+        catalog's other charts, at order 6, some move by up to 1.5e-15 of
+        their largest component, and a component that vanishes can read 0
+        against 3e-18.  A depth past the configured order still raises as
+        it did."""
         return self.at_order(min(self.config.order, max(depth + 1, 4)))
 
     @property
@@ -569,9 +573,9 @@ def walk_chunks(points, geometries, read, take, flush=lambda: None):
     chunks of one, each by this same rule; the walk's first chunk among
     them, of several points, then sizes the later chunks by its points
     read alone (:meth:`Chunk.fit`).  A chunk of one that raises is read
-    once more as it is, so its error or warnings come through.  ``read``
-    must leave no trace but the chunk's own caches, as it may run twice;
-    it may raise to have a chunk's points read alone."""
+    once more as it is, so its error or warnings come through.  A chunk's
+    points are read alone only then.  ``read`` must leave no trace but the
+    chunk's own caches, as it may run twice."""
 
     def attempt(chunk):
         try:

@@ -1389,17 +1389,20 @@ def list_identities(records: list[IdentityRecord]) -> list[dict]:
 
 def select_records(families: list[str] | None = None,
                    ids: list[str] | None = None) -> list[IdentityRecord]:
-    if ids:
-        missing = [i for i in ids if i not in BY_ID]
-        if missing:
-            raise KeyError(f"unknown identity ids: {missing}")
-        return [BY_ID[i] for i in ids]
-    if families:
-        bad = [f for f in families if f not in FAMILIES]
-        if bad:
-            raise KeyError(f"unknown families: {bad}")
-        return [r for r in REGISTRY if r.family in families]
-    return list(REGISTRY)
+    """The records of ``families`` in registry order, then those of
+    ``ids`` not among them, in their order; every record if neither is
+    given."""
+    families, ids = families or [], ids or []
+    missing = [i for i in ids if i not in BY_ID]
+    if missing:
+        raise KeyError(f"unknown identity ids: {missing}")
+    bad = [f for f in families if f not in FAMILIES]
+    if bad:
+        raise KeyError(f"unknown families: {bad}")
+    if not families and not ids:
+        return list(REGISTRY)
+    out = [r for r in REGISTRY if r.family in families]
+    return out + [BY_ID[i] for i in ids if BY_ID[i].family not in families]
 
 
 def _available(geometry: GeometryInstance) -> set[str]:
@@ -1429,11 +1432,6 @@ def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
     return f"hypothesis {kind} not certified (residual {cert[kind]:.3e})"
 
 
-class _CertificationChanges(Exception):
-    """The running certification of a walk's first chunk changes past its
-    first point, so the records may not run on all its points at once."""
-
-
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
            points: np.ndarray, tol_overrides: dict[str, float] | None = None
            ) -> list[ReportRow]:
@@ -1459,19 +1457,19 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     and bundles, so memory does not grow with the number of points.  Each
     hypothesis is certified for a whole chunk in one evaluator call, one
     residual per point, and the running worst is kept point by point: a
-    failed one stops the walk at its point, after the records have run on
-    the points before it and on no other, and names the running worst
-    there.  The records are evaluated a block of points at a time: the
-    walk's first chunk (:func:`~ctlab.geometry.first_chunk` points) from
-    its live bundles, under the walk's failure rule, and every later chunk
-    hands over, whole, the frame values that the first chunk read.  A
-    block holds ``max(1, BLOCK_BYTES // the bytes of those values a
-    point)`` points, so one chunk's points may fall in two blocks, and its
-    results are the same bit for bit as point by point.  A first chunk
-    whose running certification changes past its first point is read
-    point by point.  An error or warning raised at a point comes after
-    every earlier point was evaluated.  A NaN residual at any point makes
-    the record fail.
+    failed one stops the walk at its point and names the running worst
+    there, and no residual past that point counts.  The records are
+    evaluated a block of points at a time: the walk's first chunk
+    (:func:`~ctlab.geometry.first_chunk` points) runs the records its
+    first point certifies on its live bundles, at all its points, under
+    the walk's failure rule, and every later chunk hands over, whole, the
+    frame values that the first chunk read.  A block holds ``max(1,
+    BLOCK_BYTES // the bytes of those values a point)`` points, so one
+    chunk's points may fall in two blocks, and its results are the same
+    bit for bit as point by point.  An error or warning raised at a point
+    comes after every earlier point was evaluated, and never before a
+    hypothesis that fails at an earlier point.  A NaN residual at any
+    point makes the record fail.
     """
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
@@ -1507,29 +1505,24 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
         """The chunk's hypothesis residuals, one per point, its values of
         ``keys``, point-major (none if its first point already stops the
         walk), and None.  On the walk's first chunk, whose ``keys`` are not
-        known yet, the records it certifies run here, on its live bundles,
-        so that whatever they raise or warn comes at its point: its values
-        are then the dict they read, key -> block value, and each record's
-        worst residual over the chunk comes last.  A first chunk whose
-        certification changes past its first point raises, so the walk
-        reads its points alone."""
+        known yet, the records its first point certifies run here, on its
+        live bundles at all its points, so that whatever they raise or warn
+        comes at its point: its values are then the dict they read, key ->
+        block value, and each record's worst residual over the chunk comes
+        last.  A change of certification past the first point is
+        ``take``'s, at its point."""
         c = EvalContext.of(chunk)
         found = {kind: structure_residuals(c, kind, geometry.spec.lam)
                  for kind in cert}
-        running, states = dict(cert), []
-        for j in range(len(chunk) if keys is None else 1):
-            for k, r in found.items():
-                running[k] = worst_of(running[k], r[j])
-            states.append(certified(running))
-        if states[0][1] is not None:
+        ids, stop = certified({k: worst_of(cert[k], r[0])
+                               for k, r in found.items()})
+        if stop is not None:
             return found, None, None
         if keys is not None:
             return found, [_value(chunk.bundle(1 if key[0] == "t" else 0),
                                   key) for key in keys], None
-        if any(state != states[0] for state in states):
-            raise _CertificationChanges
         c = EvalContext.of(chunk)
-        return found, c.values, run(c, states[0][0])
+        return found, c.values, run(c, ids)
 
     def run(c: EvalContext, ids: list[int]) -> dict[int, float]:
         """Each record of ``ids`` run on ``c``: its worst residual."""
@@ -1567,7 +1560,7 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
         """Keep the running worst of the chunk's points in order, and hand
         their values over; the walk's first chunk keeps what its records
         found in ``read``, and learns which values later points hand
-        over."""
+        over.  A failed hypothesis raises, or drops its laws, at its point."""
         nonlocal active, keys, size
         found, values, ran = got
         start = 0
@@ -1576,7 +1569,7 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
                 cert[kind] = worst_of(cert[kind], r[j])
             now, stop = certified(cert)
             if stop is not None or now != active:
-                if values is not None:
+                if ran is None:  # the first chunk's records ran in read
                     add(chunk, values, start, j)
                 flush()
                 if stop is not None:

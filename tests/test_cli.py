@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctlab import catalog, geometry
+from ctlab import catalog, geometry, identities
 from ctlab.cli import _QUANTITIES, main
 from ctlab.curvature import DimensionError
-from ctlab.exprlang import MAX_DEPTH
+from ctlab.exprlang import MAX_DEPTH, MAX_LEVELS
+from ctlab.geometry import MetricError
 from ctlab.jets import JetOrderError
 
 
@@ -109,9 +110,9 @@ def test_eval_cotton_tracefree(capsys):
 def test_eval_quantity_depth(quantity):
     # the table's depth is exactly what the quantity reads, and at_depth
     # gives the configured order's values bit for bit at every configured
-    # order (on these charts Bach read at its own depth, and duf_tensor,
-    # which vanishes on the seed-1 chart, read at order 3, differ from
-    # order 6 in the last bits)
+    # order on the random charts (on these charts Bach read at its own
+    # depth, and duf_tensor, which vanishes on the seed-1 chart, read at
+    # order 3, differ from order 6 in the last bits)
     depth, value = _QUANTITIES[quantity]
 
     def outcome(g, p):
@@ -130,6 +131,32 @@ def test_eval_quantity_depth(quantity):
     value(chart.at_order(depth), p)
     with pytest.raises(JetOrderError):
         value(chart.at_order(depth - 1), p)
+    # on the catalog's charts at the default order the values move in their
+    # last bits only: by at most 2e-15 of the largest component or of 1,
+    # so a component that vanishes may print 0 against 3e-18
+    for name in catalog.names():
+        g = catalog.load(name, certify=False, jet_order=6).geometry
+        for p in g.sample_points(3, 1):
+            try:
+                want = np.asarray(value(g, p))
+            except (DimensionError, MetricError) as err:  # dim, fields
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    value(g.at_depth(depth), p)
+                continue
+            got = np.asarray(value(g.at_depth(depth), p))
+            assert np.abs(got - want).max() <= 2e-15 * max(
+                np.abs(want).max(), 1.0), (name, p)
+
+
+@pytest.mark.parametrize("quantity, name", [
+    ("d_tensor", "D"), ("dx_tensor", "D^X"), ("duf_tensor", "D^{u,f}"),
+    ("dux_tensor", "D^{u,X}")])
+def test_eval_d_tensors_need_dim_3(capsys, quantity, name):
+    # each divides by m - 2, as Schouten does
+    code, out, err = run(capsys, "eval", "--catalog", "random", "--dim", "2",
+                         "--quantity", quantity, "--point", "0.1,0.2")
+    assert (code, out) == (2, "")
+    assert err == f"error: the {name} tensor requires dim >= 3, got 2\n"
 
 
 def test_eval_builds_its_point_at_the_quantity_depth(capsys, monkeypatch):
@@ -389,6 +416,41 @@ def test_nesting_at_the_limit_parses(capsys, tmp_path):
     assert "overall: pass" in out
 
 
+def test_long_flat_chain_exits_2(capsys, tmp_path):
+    # a sum of 1000 terms nests no level but parses as a tree 1000 levels
+    # deep: refused by the parser, not a RecursionError's traceback
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "name": "chain", "dim": 2, "coords": ["x1", "x2"],
+        "domain": [[-1, 1], [-1, 1]],
+        "metric": [["+".join(["1"] * 1000)], ["0", "1"]]}))
+    code, out, err = run(capsys, "verify", "--spec", str(path), "--suite",
+                         "COMM", "--points", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: expression tree 1000 levels deep, past the limit "
+                   f"of {MAX_LEVELS} (at offset 0)\n")
+
+
+def test_chains_at_the_level_limit_run(capsys, tmp_path):
+    # f at the limit, and the metric entries and u short of it by as much
+    # as the rescaling adds, so that the rescaled entries are at it too
+    def chain(term, n):
+        return "*".join([term] * n)
+
+    one, zero = chain("1", MAX_LEVELS - 1), chain("0", MAX_LEVELS - 1)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        **_GAUSSIAN3,
+        "metric": [[one, zero, "0"], [zero.replace("*", " * "), "1", "0"],
+                   ["0", "0", "1"]],
+        "u": "0.1*" + chain("x1", MAX_LEVELS - 4),
+        "f": chain("x2", MAX_LEVELS)}))
+    code, out, err = run(capsys, "verify", "--spec", str(path), "--suite",
+                         "COMM", "--law", "ricci,scalar", "--points", "2")
+    assert (code, err) == (0, "")
+    assert "overall: pass" in out
+
+
 @pytest.mark.parametrize("doc,line", [
     ({**_GAUSSIAN3, "lambda": "half"},
      "geometry field 'lambda' must be a number, got 'half'"),
@@ -559,6 +621,30 @@ def test_tolerance_override_that_decides_every_row_is_rejected(capsys,
     assert err.startswith("error: tolerance override ")
     assert "must be a positive finite number" in err
     assert err.count("\n") == 1
+
+
+def test_suite_with_id_runs_both(capsys):
+    # the suite's records in registry order, then the ids not among them;
+    # an id of a chosen suite is not run twice
+    code, out, err = run(capsys, "verify", "--catalog", "sphere", "--suite",
+                         "CE", "--id", "comm.bianchi1,ce.single_eq",
+                         "--points", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    ids = [r["id"] for r in json.loads(out)["rows"]]
+    assert ids == [r.id for r in identities.select_records(["CE"])] + [
+        "comm.bianchi1"]
+
+
+@pytest.mark.parametrize("flag, given, twice", [
+    ("--id", "comm.bianchi1,comm.bianchi1", "comm.bianchi1"),
+    ("--law", "ricci,scalar,ricci", "ricci"),
+])
+def test_id_given_twice_is_rejected(capsys, flag, given, twice):
+    # it would run its record twice and print its row twice
+    code, out, err = run(capsys, "verify", "--catalog", "sphere", flag,
+                         given, "--points", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {given}: {twice} given twice\n"
 
 
 def test_tolerance_class_given_twice_is_rejected(capsys):

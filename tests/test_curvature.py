@@ -349,6 +349,12 @@ def test_cotton_two_routes_dim4():
     with pytest.raises(DimensionError):
         bundle(entry("random", dim=3, seed=1).geometry,
                [0.1, 0.0, 0.0]).on("cotton_weyl_div")
+    # Bach's two routes, which no record compares, agree to about 1e-16
+    for dim in (4, 5, 6):
+        g = entry("random", dim=dim, seed=11).geometry
+        for p in pts(g, 2, 8):
+            b = bundle(g, p)
+            assert residual(b.on("bach"), b.on("bach_weyl_div")) < 1e-13
 
 
 def test_bach_einstein_and_flat_zero():

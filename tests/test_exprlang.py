@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctlab.exprlang import (
+    MAX_LEVELS,
     Bin,
     Call,
     Coord,
@@ -335,6 +336,24 @@ def test_json_round_trip():
     assert s2.metric == s.metric
     assert s2.u == s.u and s2.f == s.f and s2.x_components == s.x_components
     assert s2.to_json() == s.to_json()
+
+
+def test_chain_at_the_level_limit():
+    # a flat chain nests no level but parses as a tree as deep as it is
+    # long: at the limit the tape, eval_expr, pretty and the mirror check
+    # all run, and one term more is refused
+    coords = ["x1", "x2"]
+    text = "*".join(["x1"] * MAX_LEVELS)
+    e = parse_expr(text, coords)
+    p = np.array([0.999, 0.0])
+    tape = Tape([e])
+    assert tape.evaluate(p, 0)[tape.roots[0]].coeffs[0] == eval_expr(e, p)
+    assert pretty(e) == "(" * (MAX_LEVELS - 1) + "x1" + "*x1)" * (
+        MAX_LEVELS - 1)
+    s = _spec(metric=[["1", text], [text.replace("*", " * "), "1"]])
+    assert s.metric[0][1] == text
+    with pytest.raises(ParseError, match=f"tree {MAX_LEVELS + 1} levels deep"):
+        parse_expr(text + "*x2", coords)
 
 
 def test_bad_dim_rejected():

@@ -686,12 +686,9 @@ def test_block_sides_match_blocks_of_one(name, params, families):
     assert compared == 10 * len(records)
 
 
-def test_certification_error_names_the_running_worst(monkeypatch):
-    # the hypothesis fails at the third point of the walk's first chunk;
-    # the error names the worst up to it, not the chunk's, after the
-    # records ran on the points before it and on no other
-    g = catalog.load("euclidean", dim=3).geometry
-    points = g.sample_points(5, 2)
+def _failing_at_third_point(monkeypatch, points):
+    """Hypothesis residuals that fail at the third of ``points``; returns
+    the list of the points certified, in the order they were."""
     found = dict(zip((point_key(p) for p in points),
                      (1e-12, 2e-10, 5e-9, 1.0, 3e-10)))
     certified = []
@@ -701,17 +698,79 @@ def test_certification_error_names_the_running_worst(monkeypatch):
         return np.array([found[p] for p in c.points])
 
     monkeypatch.setattr(identities, "structure_residuals", structure_residuals)
+    return certified
+
+
+def test_certification_error_names_the_running_worst(monkeypatch):
+    # the hypothesis fails at the third point of the walk's first chunk,
+    # which holds all five: the error names the worst up to it, not the
+    # chunk's, and each point is certified once
+    g = catalog.load("euclidean", dim=3).geometry
+    points = g.sample_points(5, 2)
+    certified = _failing_at_third_point(monkeypatch, points)
     spy, seen = _spy(lambda c: c.points)
     spy = dataclasses.replace(spy, family="SOL", structure="gradient_soliton")
     with pytest.raises(CertificationError,
                        match=r"residual 5\.000e-09\); required by spy"):
         verify(g, [spy], points)
-    assert seen == certified[:2] == [point_key(p) for p in points[:2]]
-    assert certified[:3] == [point_key(p) for p in points[:3]]
-    # the first chunk held all five points; its certification changes past
-    # its first point, so the walk read its points alone up to the third
     keys = [point_key(p) for p in points]
+    assert certified == keys
+    # the first point certifies the record, so it ran on the whole chunk;
+    # the walk raised at the third point, so no residual of it counted
+    assert seen == keys
+
+
+def test_record_raising_past_a_failed_hypothesis_does_not_preempt_it(
+        monkeypatch):
+    # the record raises at the fourth point of the first chunk, past the
+    # hypothesis failing at the third: the chunk is read again point by
+    # point, and the certification error comes first, at its point
+    g = catalog.load("euclidean", dim=3).geometry
+    points = g.sample_points(5, 2)
+    keys = [point_key(p) for p in points]
+    certified = _failing_at_third_point(monkeypatch, points)
+    seen = []
+
+    def evaluate(c):
+        seen.append(list(c.points))
+        if set(keys[3:]) & set(c.points):
+            raise ZeroDivisionError("past the failed hypothesis")
+        return np.zeros(1), np.zeros(1)
+
+    rec = IdentityRecord("late", "SOL", "late", frozenset(),
+                         "gradient_soliton", 2, 2, "A", None, evaluate)
+    with pytest.raises(CertificationError,
+                       match=r"residual 5\.000e-09\); required by late"):
+        verify(g, [rec], points)
+    assert seen == [keys, keys[:1], keys[1:2]]
     assert certified == keys + keys[:3]
+
+
+def test_law_hypothesis_failing_in_the_first_chunk(monkeypatch):
+    # with f moved by 2e-9 x1^4, the tilde_gradient_soliton hypothesis
+    # fails partway through the walk's first chunk: the walk reads that
+    # chunk once, and its rows are those of the same walk read a point at
+    # a time, residual for residual
+    s = catalog.load("conformal_gaussian_plus_killing", dim=3).spec
+    g = _with_fields(s, f=f"{s.f} + 2e-9*x1^4")
+    points = g.sample_points(32, 0)
+    built = []
+    init = PointState.__init__
+
+    def spy_init(self, geometry, points, roots=None):
+        built.append(len(points))
+        init(self, geometry, points, roots)
+
+    with monkeypatch.context() as m:
+        m.setattr(PointState, "__init__", spy_init)
+        rows = verify(g, select_laws(), points)
+    assert built == [22, 22, 10, 10]
+    monkeypatch.setattr(geometry, "first_chunk", lambda *gs: 1)
+    monkeypatch.setattr(Chunk, "fit", lambda self: 1)
+    assert rows == verify(g, select_laws(), points)
+    skipped = {r.id: r.status for r in rows if r.status != "pass"}
+    assert set(skipped) == {"d_tensor", "d_reverse", "nabla_d"}
+    assert "tilde_gradient_soliton not certified" in skipped["d_tensor"]
 
 
 def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
