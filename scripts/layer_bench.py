@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time ctlab layer by layer on the charts of the full-suite schedule.
 
-It prints six tables, each time the best of ``--repeat`` runs:
+It prints seven tables, each time the best of ``--repeat`` runs:
 
 - Expression-to-jet, behind ``geometry.BLOCK_TRIPLES``: each chart's
   tape, the base one (the tape COMM walks) and the rescaled one, at 8
@@ -38,10 +38,17 @@ It prints six tables, each time the best of ``--repeat`` runs:
   to it, its ``curvature.einsum`` calls on a block by the path each
   takes: a GEMM, a product with the Kronecker delta written on its
   diagonal, or ``np.einsum``.
+- Certification: each hypothesis of each conditional pass,
+  ``identities.structure_residuals`` in ms per point on a chunk of the
+  size the walker takes after its first, with the chunk's point states
+  built untimed and the quantities the hypothesis reads built in the
+  timing, as the walk builds them.
 
 The charts are those of ``run_full_suite.py``: its ``random`` COMM entries
-(dims 3, 4 and 5) and its conformal pairs (``LAW_SCHEDULE``).  Each pass is
-set up once, as the driver runs it (:func:`setup`).
+(dims 3, 4 and 5) and its conformal pairs (``LAW_SCHEDULE``), and for the
+certification table each entry with a conditional family.  Each pass is
+set up once, as ``identities.verify`` runs it (:func:`setup`), its
+geometries planned for what its records and hypotheses read.
 
 Usage:
     PYTHONPATH=src python scripts/layer_bench.py [--repeat N]
@@ -67,6 +74,8 @@ PASSES = ([(name, kw, "COMM") for name, kw in COMM]
           + [(name, kw, "LAW") for name, kw in LAW_SCHEDULE])
 BLOCKS = (2, 4, 8, 16, 32)
 CHUNKS = (1, 2, 4, 8, 16, 32)
+CONDITIONAL = [(name, kw, "+".join(fams)) for name, kw, fams in SCHEDULE
+               if set(fams) - {"COMM"}]
 COV_ORDERS = (1, 2, 3)
 MAX_BYTES = 32 << 20  # largest chunk the chunk table builds, per geometry
 
@@ -84,11 +93,11 @@ def best(fn, repeat: int) -> float:
 class Pass:
     """A verification pass as the driver runs it, learned at its first
     chunk: its suite, the records it runs, its geometries at the working
-    order (the base and, for the laws, the rescaled one), the (side,
-    quantity, d) values its records read, the points of the walker's first
-    chunk, the bytes each geometry's state and bundle then hold, and how
-    many points the walker puts in a chunk and the driver in a block of
-    records after that chunk."""
+    order, planned (the base and, if a record reads it, the rescaled one),
+    the (side, quantity, d) values its records read, the points of the
+    walker's first chunk, the bytes each geometry's state and bundle then
+    hold, and how many points the walker puts in a chunk and
+    ``identities.verify`` in a block of records after that chunk."""
     suite: str
     records: list
     geometries: list
@@ -100,17 +109,23 @@ class Pass:
 
 
 def setup(name: str, params: dict, suite: str) -> Pass:
-    """The ``suite`` pass (``"LAW"`` or a family) on catalog entry
-    ``name``: its records are those that a one-point verification does
-    not skip."""
+    """The ``suite`` pass (``"LAW"``, or families joined by ``+``) on
+    catalog entry ``name``: its records are those that a one-point
+    verification does not skip."""
     g = catalog.load(name, certify=False, **params).geometry
     records = (conformal.select_laws() if suite == "LAW"
-               else identities.select_records([suite]))
+               else identities.select_records(suite.split("+")))
+    have = identities._available(g)
+    runnable = [r for r in records
+                if identities._skip_reason(g, r, have) is None]
     rows = identities.verify(g, records, g.sample_points(1, 0))
     records = [r for r, row in zip(records, rows)
                if not row.status.startswith("skipped")]
-    g = g.at_order(max(r.min_order for r in records))
-    geometries = [g] + ([g.rescaled] if suite == "LAW" else [])
+    # identities.verify plans for every record it may run, certified or not
+    g = g.at_order(max(r.min_order for r in runnable))
+    geometries = identities.planned(
+        [g] + ([g.rescaled] if any(r.reads_tilde for r in runnable) else []),
+        runnable)
     n = first_chunk(*geometries)
     first = Chunk(geometries, g.sample_points(n, 0))
     c = EvalContext.of(first)
@@ -121,6 +136,12 @@ def setup(name: str, params: dict, suite: str) -> Pass:
                 [key for key in c.values if key[1] is not None], n,
                 [held_bytes(b) for b in first.bundles], first.fit(),
                 max(1, BLOCK_BYTES * n // max(1, read)))
+
+
+def tape_roots(g, points) -> list:
+    """The root jets of ``g``'s tape at ``points``, as a chunk takes them."""
+    values = g.spec.tape.evaluate(points, g.config.order)
+    return [values[r].coeffs.T for r in g.spec.tape.roots]
 
 
 def tape_table(repeat: int) -> None:
@@ -191,8 +212,7 @@ def tower_rows(passes: list, repeat: int):
         g = p.geometries[0]
         for size in sorted({1, p.chunk}):
             points = g.sample_points(size, 1)
-            values = g.spec.tape.evaluate(points, g.config.order)
-            roots = [values[r].coeffs.T for r in g.spec.tape.roots]
+            roots = tape_roots(g, points)
 
             def builds():
                 state = PointState(g, points, roots)
@@ -321,6 +341,33 @@ def record_table(title: str, heads: list, ids: list, passes: list,
                                     for col in columns))
 
 
+def cert_rows(passes: list, repeat: int):
+    """``(pass, kind, ms)`` for each hypothesis ``kind`` of each pass:
+    the best time per point of ``structure_residuals`` on a fresh chunk of
+    the walker's size, its point states built before the clock starts."""
+    for p in passes:
+        g = p.geometries[0]
+        points = g.sample_points(p.chunk, 1)
+        roots = [tape_roots(geo, points) for geo in p.geometries]
+        for kind in dict.fromkeys(r.structure for r in p.records
+                                  if r.structure):
+            def once():
+                c = EvalContext.of(Chunk(p.geometries, points, roots))
+                t0 = time.perf_counter()
+                identities.structure_residuals(c, kind, g.spec.lam)
+                return time.perf_counter() - t0
+
+            yield p, kind, 1e3 * min(once() for _ in range(repeat)) / p.chunk
+
+
+def cert_table(passes: list, repeat: int) -> None:
+    print("certification ms per point: chart, suite, hypothesis, points a "
+          "chunk")
+    for p, kind, ms in cert_rows(passes, repeat):
+        print(f"  {p.geometries[0].name:46} {p.suite:13} {kind:27} "
+              f"{p.chunk:3d}  {ms:7.3f}", flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeat", type=positive, default=3)
@@ -342,6 +389,8 @@ def main() -> None:
         print(f"{head}: {name}({given})")
     record_table("laws, ms per point", heads,
                  [r.id for r in conformal.select_laws()], laws, args.repeat)
+    print()
+    cert_table([setup(*p) for p in CONDITIONAL] + laws, args.repeat)
 
 
 if __name__ == "__main__":

@@ -171,14 +171,13 @@ def _reader(name: str):
     return lambda g, p: curvature.bundle(g, p).on(name)
 
 
-# each quantity with the metric derivative depth it reads, so that
-# ``ctlab eval`` builds its point at no more jet order than it needs
-_QUANTITIES = {name: (depth, _reader(name)) for name, depth in {
-    "riemann": 2, "ricci": 2, "scalar": 2, "schouten": 2, "weyl": 2,
-    "einstein": 2, "cotton": 3, "cotton_weyl_div": 3, "bach": 4,
-    "bach_weyl_div": 4, "d_tensor": 2, "dx_tensor": 2, "duf_tensor": 2,
-    "dux_tensor": 2, "christoffel": 1, "lie_metric": 1,
-}.items()}
+# each quantity with the metric derivative depth it reads (the bundle's
+# from curvature.QUANTITIES, the fields aside), so that ``ctlab eval``
+# builds its point at no more jet order than it needs
+_QUANTITIES = {name: (depth, _reader(name)) for name, depth in [
+    *((name, q.depth) for name, q in curvature.QUANTITIES.items()
+      if name not in curvature.FIELDS),
+    ("christoffel", 1)]}
 
 
 def _fmt(v: float) -> str:

@@ -20,11 +20,17 @@ such values as batched GEMMs, each straight into the output's
 point-major layout, so sums of its results run in memory order.  The
 point wrappers at the module's end serve ctbench's checks only.
 
-Every quantity is built in coordinates at its canonical jet order
+Every quantity is built in coordinates, at its canonical jet order
 (``K - metric derivative depth``) so that any covariant derivative a caller
-can still afford is available, and each product in the tower at the order
-its result keeps; conversion to the orthonormal coframe happens only on
-extracted values.  Riemann and Weyl, and every covariant derivative of
+can still afford is available, or at the lower order its geometry's plan
+gives it (:meth:`~ctlab.geometry.GeometryInstance.planned`): a
+verification pass knows the frame values its records read before it
+walks, and :func:`plan` closes them over the jets each ``_build_*``
+method reads (:data:`QUANTITIES`).  A quantity planned ``s`` orders below its
+canonical order is built as at a working order ``s`` lower, each product
+of the tower at the order its result keeps; a lone point's bundle keeps
+the canonical orders.  Conversion to the orthonormal coframe happens only
+on extracted values.  Riemann and Weyl, and every covariant derivative of
 them, are stored with their pairs (ab)(cd) packed as a < b (see
 :class:`~ctlab.geometry.TensorJet`): :meth:`CurvatureBundle.frames`
 unpacks their values, and the Weyl-divergence builders unpack the jets
@@ -37,12 +43,15 @@ Schouten tensor with the metric, packed from one outer product, so no
 unpacked rank-4 jet is kept.  ``K`` is the order of the bundle's
 geometry: in a verification pass the working order, the largest
 ``min_order`` of the records that run (order 2 for catalog
-certification), never more than the configured order.
+certification), never more than the configured order.  The point state's
+metric, inverse and Christoffel symbols stay at orders ``K``, ``K - 1``
+and ``K - 1`` whatever the plan.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +80,66 @@ def _need_dim(m: int, least: int, what: str):
         raise DimensionError(f"{what} requires dim >= {least}, got {m}")
 
 
+class Quantity(NamedTuple):
+    """A quantity of the bundle: its tensor rank, its metric derivative
+    depth (its canonical jet order is ``K - depth``) and the jets its
+    ``_build_*`` method reads through :meth:`CurvatureBundle.coord`, as pairs
+    (quantity, covariant derivative count).  Riemann and Ricci read the
+    point state's metric and Christoffel symbols alone, and the fields
+    are the point state's own jets."""
+
+    rank: int
+    depth: int
+    reads: tuple = ()
+
+
+QUANTITIES = {
+    "u": Quantity(0, 0),
+    "f": Quantity(0, 0),
+    "X": Quantity(1, 0),
+    "lie_metric": Quantity(2, 1, (("X", 1),)),
+    "riemann": Quantity(4, 2),
+    "ricci": Quantity(2, 2),
+    "scalar": Quantity(0, 2, (("ricci", 0),)),
+    "schouten": Quantity(2, 2, (("scalar", 0), ("ricci", 0))),
+    "weyl": Quantity(4, 2, (("schouten", 0), ("riemann", 0))),
+    "einstein": Quantity(2, 2, (("scalar", 0), ("ricci", 0))),
+    "cotton": Quantity(3, 3, (("schouten", 1),)),
+    "cotton_weyl_div": Quantity(3, 3, (("weyl", 1),)),
+    "bach": Quantity(2, 4, (("cotton", 1), ("ricci", 0), ("weyl", 0))),
+    "bach_weyl_div": Quantity(2, 4, (("weyl", 2), ("ricci", 0),
+                                     ("weyl", 0))),
+    "d_tensor": Quantity(3, 2, (("ricci", 0), ("scalar", 0), ("f", 1))),
+    "dx_tensor": Quantity(3, 2, (("ricci", 0), ("scalar", 0), ("X", 0),
+                                 ("X", 2))),
+    "duf_tensor": Quantity(3, 2, (("f", 1), ("u", 1), ("u", 2),
+                                  ("d_tensor", 0))),
+    "dux_tensor": Quantity(3, 2, (("u", 1), ("X", 1), ("dx_tensor", 0),
+                                  ("u", 0))),
+}
+FIELDS = ("u", "f", "X")
+
+
+def plan(reads) -> dict[str, int]:
+    """The jet order each quantity must be built to for the frame values
+    ``reads``, pairs (quantity, covariant derivative count), to be read:
+    a value of ``d`` derivatives needs its quantity to order ``d``, and a
+    quantity built to order ``q`` needs each jet its build reads to order
+    ``q`` (:data:`QUANTITIES`).  Quantities no value needs are
+    absent."""
+    need: dict[str, int] = {}
+
+    def visit(name: str, order: int):
+        if need.get(name, -1) < order:
+            need[name] = order
+            for dep, d in QUANTITIES[name].reads:
+                visit(dep, order + d)
+
+    for name, d in reads:
+        visit(name, d)
+    return need
+
+
 class CurvatureBundle:
     """Cache of curvature and soliton tensors as jet fields at the points
     of a :class:`~ctlab.geometry.PointState`, a chunk of points, every
@@ -81,28 +150,63 @@ class CurvatureBundle:
         self.geometry = state.geometry
         self.state = state
         self.m = self.geometry.dim
+        planned = self.geometry.orders or {}
+        self._canonical = {name: state.order - q.depth
+                           for name, q in QUANTITIES.items()}
+        self.orders = {name: min(planned.get(name, k), k)
+                       for name, k in self._canonical.items()}
         self._coord: dict[tuple[str, int], TensorJet] = {}
         self._frames: dict[tuple[str, int], np.ndarray] = {}
+        self._shift: int | None = None  # of the build under way
 
     def arrays(self):
         """Every array this bundle and its state hold, for
-        :func:`~ctlab.geometry.held_bytes`."""
-        yield from (t.coeffs for t in self._coord.values())
-        yield from self._frames.values()
+        :func:`~ctlab.geometry.held_bytes`, each with the bytes it counts
+        for: a jet the bundle built, at its canonical order, as if it had
+        no plan, so that a plan changes no walk's chunk sizes; any other
+        array (a field's jet is its state's) as its base array is."""
+        for (name, d), t in self._coord.items():
+            n = None
+            if name not in FIELDS or d:
+                x = t.coeffs
+                n = (x.nbytes // x.shape[1]
+                     * jets.table(self.m, self._canonical[name] - d).size)
+            yield t.coeffs, n
+        for x in self._frames.values():
+            yield x, None
         yield from self.state.arrays()
 
     # -- access ----------------------------------------------------------------
 
     def coord(self, name: str, d: int = 0) -> TensorJet:
+        """The jet of ``name``'s ``d``-th covariant derivative at the
+        bundle's points, at order ``orders[name] - d``, built on first use.
+
+        A quantity planned ``s`` orders below its canonical order is built
+        as at a working order ``s`` lower: its build reads every jet
+        (through this method, or the point state's metric and connection
+        where it reads them alone) truncated ``s`` orders below the jet's
+        canonical order, all the build needs of it, since a jet
+        coefficient needs only the coefficients of its factors up to its
+        own degree.  So every product of a build runs at the order its
+        canonical build runs at, less ``s``; unplanned, at the same."""
         key = (name, d)
         t = self._coord.get(key)
         if t is None:
-            if d > 0:
-                t = self.state.cov_deriv(self.coord(name, d - 1))
-            else:
-                t = getattr(self, f"_build_{name}")()
+            outer, self._shift = self._shift, None
+            try:
+                if d > 0:
+                    t = self.state.cov_deriv(self.coord(name, d - 1))
+                else:
+                    self._shift = self._canonical[name] - self.orders[name]
+                    t = getattr(self, f"_build_{name}")().truncate(
+                        self.orders[name])
+            finally:
+                self._shift = outer
             self._coord[key] = t
-        return t
+        if self._shift is None:
+            return t
+        return t.truncate(self._canonical[name] - d - self._shift)
 
     def frames(self, name: str, d: int = 0) -> np.ndarray:
         """Orthonormal-coframe components at every point of the bundle,
@@ -164,12 +268,13 @@ class CurvatureBundle:
         """R_ijkl = d_k Gamma_{i,lj} - d_l Gamma_{i,kj} + Gamma^s_kj
         Gamma_{s,il} - Gamma^s_lj Gamma_{s,ik}, written packed."""
         m = self.m
-        low = tj_combine((0.5, christoffel_sum(self.state.g)))  # Gamma_{s,il}
+        gam = self.state.christoffel  # first: it refuses a non-finite one
+        g = self.state.g.truncate(self.state.order - self._shift)
+        low = tj_combine((0.5, christoffel_sum(g)))  # Gamma_{s,il}
         dlow = TensorJet(jets.jet_gradient(low.coeffs, m, low.order), m,
                          low.order - 1)  # [s, i, l, v] = d_v Gamma_{s,il}
         # [i,j,k,l] = Gamma^s_kj Gamma_{s,il}, at the order the sum keeps
-        q = tj_einsum("skj,sil->ijkl", self.state.christoffel,
-                      low.truncate(dlow.order))
+        q = tj_einsum("skj,sil->ijkl", gam, low.truncate(dlow.order))
         return tj_combine(
             (1.0, tj_transpose(dlow, (0, 2, 3, 1)).packed()),  # d_k G_{i,lj}
             (-1.0, tj_transpose(dlow, (0, 2, 1, 3)).packed()),  # d_l G_{i,kj}
@@ -181,7 +286,8 @@ class CurvatureBundle:
         """Ric_jl = d_i Gamma^i_lj - d_l Gamma^i_ij + Gamma^i_is Gamma^s_lj
         - Gamma^i_ls Gamma^s_ij."""
         m = self.m
-        gam = self.state.christoffel
+        gam = self.state.christoffel.truncate(self.state.order - 1
+                                              - self._shift)
         q = gam.order - 1
         tr = TensorJet(np.einsum("zpiij->zpj", gam.coeffs), m, gam.order)
         dtr = jets.jet_gradient(tr.coeffs, m, tr.order)  # [j, l] = d_l tr_j
@@ -356,8 +462,9 @@ class CurvatureBundle:
             (1.0 / (m - 1), tj_skew_pair(tj_einsum(",k->k", div_x, u1), g)),
         )
         # a block of scalar jets holds one column per point
-        uj = Jet(self.m, self.state.order, self.coord("u").coeffs.T)
-        e2u = TensorJet(jets.exp(uj * 2.0).coeffs.T, self.m, self.state.order)
+        u = self.coord("u")
+        e2u = TensorJet(jets.exp(Jet(m, u.order, u.coeffs.T) * 2.0).coeffs.T,
+                        m, u.order)
         return tj_einsum(",ijk->ijk", e2u, inner)
 
 
@@ -411,6 +518,14 @@ def _lengths(subs: list, shapes) -> tuple | None:
             if size.setdefault(c, n) != n:
                 return None
     return points, size
+
+
+def _point_axis(points: list, shapes) -> int:
+    """The length of the point axis that operands with ``points`` trailing
+    point axes (0 or 1 each) and these shapes broadcast to: an axis of
+    length 1 gives way to any other, so a block of no points stays one."""
+    lengths = {shape[-1] for p, shape in zip(points, shapes) if p} - {1}
+    return lengths.pop() if lengths else 1
 
 
 def _gemm_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple | None:
@@ -467,8 +582,7 @@ def _gemm_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple | None:
 
     shape, axes = tuple(size[c] for c in out), None
     if any(points):  # the product's point axis, moved last at the end
-        shape = (max(n[-1] if p else 1 for p, n in zip(points, shapes)),
-                 *shape)
+        shape = (_point_axis(points, shapes), *shape)
         axes = (*range(1, len(out) + 1), 0)
     return (x, *lay(x, (out[rows:cols], summed)),
             *lay(y, (summed, out[cols:])), shape, axes)
@@ -532,8 +646,7 @@ def _delta_plan(spec: str, shapes: tuple, deltas: list) -> tuple | None:
     steps = [int(np.prod(sizes[k + 1:])) for k in range(len(out))]
     step = {d: 8 * sum(st for c, st in zip(out, steps) if name[c] == d)
             for d in diag}  # in bytes
-    shape = (max((shape[-1] for p, shape in zip(points, shapes) if p),
-                 default=1), *sizes)
+    shape = (_point_axis(points, shapes), *sizes)
     plan = (shape, (*range(1, len(shape)), 0))
     point = 8 * int(np.prod(sizes))
     if any(len(set(renamed[n])) < len(renamed[n])

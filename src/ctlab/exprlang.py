@@ -266,23 +266,46 @@ def parse_expr(text: str, coords: list[str]) -> Expr:
     return _Parser(text, list(coords)).parse()
 
 
+# The grammar's levels, loosest first: a sum, a product, a minus sign, a
+# power, an atom.  An operand sits at the level its position takes or a
+# tighter one, and only a looser one is parenthesised.
+_SUM, _PRODUCT, _MINUS, _POWER, _ATOM = range(5)
+_OP_LEVEL = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT}
+
+
 def pretty(e: Expr) -> str:
-    """Fully parenthesised rendering; reparsing gives an identical tree."""
+    """A rendering that parses back to ``e``, for every tree the parser
+    accepts, with a parenthesis only where the grammar needs one: a chain
+    of one level's operators, such as ``1+1+...+1``, renders flat, and no
+    rendering nests deeper than a text that parses to ``e``."""
+    return _render(e, _SUM)
+
+
+def _literal(v: float) -> str:
+    """A non-negative number as the tokenizer reads it back."""
+    return repr(v) if math.isfinite(v) else "1e999"
+
+
+def _render(e: Expr, least: int) -> str:
+    """``e`` at a position of level ``least`` or tighter."""
     match e:
         case Num(v):
-            return repr(v) if v >= 0 else f"({v!r})"
+            level, text = _ATOM, _literal(v) if v >= 0 else f"({v!r})"
         case Coord(_, name):
-            return name
+            level, text = _ATOM, name
         case Neg(a):
-            return f"(-{pretty(a)})"
+            level, text = _MINUS, "-" + _render(a, _MINUS)
         case Bin(op, a, b):
-            return f"({pretty(a)}{op}{pretty(b)})"
+            level = _OP_LEVEL[op]
+            text = _render(a, level) + op + _render(b, level + 1)
         case Pow(base, r):
-            exp = f"{r!r}" if r >= 0 else f"({r!r})"
-            return f"({pretty(base)}^{exp})"
+            exp = "-" + _literal(-r) if r < 0 else _literal(r)
+            level, text = _POWER, f"{_render(base, _ATOM)}^{exp}"
         case Call(fn, a):
-            return f"{fn}({pretty(a)})"
-    raise TypeError(e)
+            level, text = _ATOM, f"{fn}({_render(a, _SUM)})"
+        case _:
+            raise TypeError(e)
+    return f"({text})" if level < least else text
 
 
 def eval_expr(e: Expr, point: np.ndarray) -> float:

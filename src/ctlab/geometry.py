@@ -19,10 +19,11 @@ one gather, then one batched GEMM per slot and point against a Christoffel
 operand gathered once, the GEMM each point runs alone; a packed pair slot
 runs against the Christoffel symbols lifted to 2-forms, which the point
 state builds once (:meth:`PointState.pair_lift`).  Every covariant
-derivative consumes one jet order; derived objects therefore carry exactly
-``config.order - (metric derivative depth)`` orders, and requests past that
-depth raise :class:`~ctlab.jets.JetOrderError` instead of silently
-truncating.
+derivative consumes one jet order; derived objects therefore carry at most
+``config.order - (metric derivative depth)`` orders (exactly that unless
+the geometry is planned, :meth:`GeometryInstance.planned`), and requests
+past what they carry raise :class:`~ctlab.jets.JetOrderError` instead of
+silently truncating.
 
 A verification pass works on :meth:`GeometryInstance.at_order` of the
 chart, at the lowest order its records need, so ``config.order`` there is
@@ -33,7 +34,8 @@ through :mod:`ctlab.curvature`, one curvature bundle) per geometry for all
 its points at once.  The walk's first chunk is sized from the dimension
 and the working order alone (:func:`first_chunk`); after it, a chunk
 holds ``max(1, BLOCK_BYTES // the bytes a point of the first chunk held
-in its states and bundles)`` points.  :func:`walk_chunks` holds the walk's
+in its states and bundles)`` points, a planned jet counted at its
+canonical order's bytes.  :func:`walk_chunks` holds the walk's
 one failure rule, under which every error and warning comes at its own
 point.  A lone point is a chunk of one, built afresh when it is read, so
 the chart keeps nothing of its points.
@@ -177,13 +179,15 @@ def christoffel_sum(g: TensorJet) -> TensorJet:
 
 def held_bytes(*objects) -> int:
     """Bytes of the distinct arrays that point states and curvature bundles
-    hold: their jets, values and frames, each base array counted once."""
+    hold: their jets, values and frames, each base array counted once, and
+    a jet a bundle built to a planned order at its canonical order's bytes
+    (:meth:`~ctlab.curvature.CurvatureBundle.arrays`)."""
     bases = {}
     for obj in objects:
-        for x in (obj.arrays() if obj is not None else ()):
+        for x, nbytes in (obj.arrays() if obj is not None else ()):
             while isinstance(x.base, np.ndarray):
                 x = x.base
-            bases[id(x)] = x.nbytes
+            bases[id(x)] = x.nbytes if nbytes is None else nbytes
     return sum(bases.values())
 
 
@@ -219,6 +223,7 @@ class PointState:
                     f"{spec.name!r}"
                 )
 
+        self.points = points
         roots = (_root_coeffs(geometry, points) if roots is None
                  else iter(roots))
         g = np.zeros((len(points), table(m, k).size, m, m))
@@ -228,6 +233,7 @@ class PointState:
                 g[:, :, i, j] = c
                 g[:, :, j, i] = c
         self.g = TensorJet(g, m, k)
+        self._finite(g, "metric jet")
 
         g0 = g[:, 0]
         try:
@@ -250,7 +256,9 @@ class PointState:
         # or below, and the inverse is truncation-exact, so order K-1 reads
         # the same bits as order K would
         q = max(k - 1, 0)
-        self.ginv = TensorJet(jet_inverse(g, m, q), m, q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ginv = jet_inverse(g, m, q)
+        self.ginv = TensorJet(self._finite(ginv, "inverse metric jet"), m, q)
         self._christoffel: TensorJet | None = None
         self._lift: np.ndarray | None = None
 
@@ -268,14 +276,29 @@ class PointState:
             self.x_lower = None
 
     def arrays(self):
-        """Every array this state holds, for :func:`held_bytes`."""
-        yield from (self.cholesky, self.vielbein_inv)
+        """Every array this state holds, for :func:`held_bytes`, each to
+        be counted as its base array is."""
+        yield self.cholesky, None
+        yield self.vielbein_inv, None
         for t in (self.g, self.ginv, self.u, self.f, self.x_contra,
                   self.x_lower, self._christoffel):
             if t is not None:
-                yield t.coeffs
+                yield t.coeffs, None
         if self._lift is not None:
-            yield self._lift
+            yield self._lift, None
+
+    def _finite(self, arr: np.ndarray, what: str) -> np.ndarray:
+        """``arr``, the state's ``what`` at its points, point axis first,
+        if every entry is finite; else a :class:`MetricError` naming the
+        first point where one is not, where the chart leaves floating-point
+        range and no identity can be judged."""
+        bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+        if bad.any():
+            raise MetricError(
+                f"{what} of {self.geometry.name!r} not finite at "
+                f"{point_key(self.points[np.argmax(bad)])}: the chart leaves "
+                f"floating-point range")
+        return arr
 
     # -- connection ----------------------------------------------------------
 
@@ -283,18 +306,23 @@ class PointState:
     def christoffel(self) -> TensorJet:
         """Gamma^l_{jk} as a jet field of order K-1 (axes [l, j, k])."""
         if self._christoffel is None:
-            self._christoffel = tj_combine(
-                (0.5, tj_einsum("lr,rjk->ljk", self.ginv,
-                                christoffel_sum(self.g))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                gam = tj_combine((0.5, tj_einsum("lr,rjk->ljk", self.ginv,
+                                                 christoffel_sum(self.g))))
+            self._finite(gam.coeffs, "Christoffel symbols")
+            self._christoffel = gam
         return self._christoffel
 
     def pair_lift(self, order: int) -> np.ndarray:
         """Gamma lifted to the 2-form slots at jet order ``order`` or more
-        (:func:`~ctlab.jets.jet_pair_lift`): built at the order of the
-        first covariant derivative of a packed jet that needs it, and
-        again only if a later one needs more."""
-        n = table(self.m, order).size
-        if self._lift is None or self._lift.shape[1] < n:
+        (:func:`~ctlab.jets.jet_pair_lift`), and never below K - 3, the
+        order of the first covariant derivative of a Riemann-type jet at
+        its canonical order K - 2, so a planned lower order builds the
+        lift an unplanned one does: built when first needed, and again
+        only if a later one needs more."""
+        order = max(order, self.order - 3)
+        if (self._lift is None
+                or self._lift.shape[1] < table(self.m, order).size):
             self._lift = jet_pair_lift(self.christoffel.coeffs, self.m, order)
         return self._lift
 
@@ -361,9 +389,19 @@ def point_key(point) -> tuple[float, ...]:
 class GeometryInstance:
     """A validated chart plus jet configuration; immutable after parse."""
 
-    def __init__(self, spec: GeometrySpec, config: JetConfig | None = None):
+    def __init__(self, spec: GeometrySpec, config: JetConfig | None = None,
+                 orders: dict[str, int] | None = None):
         self.spec = spec
         self.config = config or JetConfig()
+        self.orders = orders
+
+    def planned(self, orders: dict[str, int]) -> "GeometryInstance":
+        """This chart with each curvature quantity's jet built only to its
+        order in ``orders`` (:func:`~ctlab.curvature.plan`), never past its
+        canonical order, by every bundle of its points; a quantity ``orders``
+        lacks keeps its canonical order.  A chart without a plan builds
+        every quantity at its canonical order."""
+        return GeometryInstance(self.spec, self.config, orders)
 
     def at_order(self, order: int) -> "GeometryInstance":
         """This chart at jet order ``order``: ``self`` at the configured
@@ -559,6 +597,9 @@ def point_blocks(points, *geometries: GeometryInstance):
             if chunk_size is None:
                 chunk_size = chunk.fit()
             i = stop
+        # no jet of this block, and no chunk of it, is kept while the next
+        # block's tapes run
+        values = chunk = None
 
 
 def walk_chunks(points, geometries, read, take, flush=lambda: None):
@@ -592,3 +633,4 @@ def walk_chunks(points, geometries, read, take, flush=lambda: None):
 
     for chunk in point_blocks(points, *geometries):
         attempt(chunk)
+        del chunk  # released before the next one is built

@@ -48,12 +48,14 @@ identity among huge and among tiny tensors is judged by the same yardstick.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .curvature import CurvatureBundle, delta, dot, einsum, tp
+from .curvature import (QUANTITIES, CurvatureBundle, delta, dot, einsum,
+                        plan, tp)
 from .geometry import (
     BLOCK_BYTES,
     Chunk,
@@ -142,15 +144,52 @@ class _Frames:
     def _get(self, key: tuple) -> np.ndarray:
         out = self.values.get(key)
         if out is None:
-            if self.bundle is None:
-                side, name, d = key
-                what = (f"c.{side}.e({d!r})" if name is None
-                        else f"c.{side}.on({name!r}, {d})")
-                raise RuntimeError(
-                    f"internal error: {what} was not read at the first "
-                    f"chunk of the pass, so no later point handed it over")
-            out = self.values[key] = _as_block([_value(self.bundle, key)])
+            out = self.values[key] = self._read(key)
         return out
+
+    def _read(self, key: tuple) -> np.ndarray:
+        if self.bundle is None:
+            side, name, d = key
+            what = (f"c.{side}.e({d!r})" if name is None
+                    else f"c.{side}.on({name!r}, {d})")
+            raise RuntimeError(
+                f"internal error: {what} was not read when the pass was "
+                f"planned, so no point handed it over")
+        return _as_block([_value(self.bundle, key)])
+
+
+class _Stand(_Frames):
+    """One side's stand-in values over a block of no points: for each key
+    an array of its value's rank, so an evaluator runs on them and
+    ``values`` holds what it read."""
+
+    def __init__(self, side: str, values: dict, m: int):
+        super().__init__(side, values)
+        self.m = m
+
+    def _read(self, key: tuple) -> np.ndarray:
+        _, name, d = key
+        rank = 0 if name is None else QUANTITIES[name].rank + d
+        return np.zeros((self.m,) * rank + (0,))
+
+
+# evaluator -> the keys of the frame values it reads, in order
+_READS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reads(evaluate: Callable, geometry: GeometryInstance) -> tuple:
+    """The keys of the frame values that ``evaluate``, a record evaluator
+    or a structure's equation, reads on ``geometry``: found by running it
+    once on stand-ins over a block of no points, and kept per evaluator.
+    No evaluator chooses what to read by a value or by the dimension, so
+    what it reads on stand-ins it reads at every point of every chart."""
+    got = _READS.get(evaluate)
+    if got is None:
+        c = EvalContext._new(geometry, [], {})
+        c.b, c._t = (_Stand(side, c.values, c.m) for side in "bt")
+        evaluate(c)
+        got = _READS[evaluate] = tuple(c.values)
+    return got
 
 
 class EvalContext:
@@ -1432,6 +1471,24 @@ def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
     return f"hypothesis {kind} not certified (residual {cert[kind]:.3e})"
 
 
+def planned(geometries: list[GeometryInstance],
+            records: list[IdentityRecord]) -> list[GeometryInstance]:
+    """A pass's geometries, the base and, if it has one, the rescaled,
+    each planned (:meth:`~ctlab.geometry.GeometryInstance.planned`) for
+    the frame values that ``records`` and their hypotheses read on its
+    side (:func:`reads`, :func:`~ctlab.curvature.plan`)."""
+    base = geometries[0]
+    kinds = dict.fromkeys(r.structure for r in records if r.structure)
+    keys = [key for r in records for key in reads(r.evaluate, base)] + [
+        key for kind in kinds for eq in _STRUCTURES[kind]
+        for key in reads(eq, base)]
+    if len(geometries) < 2 and any(side == "t" for side, *_ in keys):
+        raise MetricError(f"no rescaled geometry for {base.name!r}")
+    return [g.planned(plan({(name, d) for s, name, d in keys
+                            if s == side and name is not None}))
+            for side, g in zip("bt", geometries)]
+
+
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
            points: np.ndarray, tol_overrides: dict[str, float] | None = None
            ) -> list[ReportRow]:
@@ -1450,7 +1507,12 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
 
     Point states of both geometries are built at the working order, the
     largest ``min_order`` of the runnable records; the configured order
-    only caps it, through the ``needs jet order`` skips.
+    only caps it, through the ``needs jet order`` skips.  The pass is
+    planned before it walks: the frame values that each runnable record
+    and each hypothesis reads are found on stand-ins (:func:`reads`), and
+    each geometry's bundles build every quantity only to the jet order
+    those values need (:func:`~ctlab.curvature.plan`), at most its
+    canonical order.
 
     Evaluation is point-major and walks chunks of points
     (:func:`~ctlab.geometry.walk_chunks`), each with its own point states
@@ -1458,18 +1520,17 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     hypothesis is certified for a whole chunk in one evaluator call, one
     residual per point, and the running worst is kept point by point: a
     failed one stops the walk at its point and names the running worst
-    there, and no residual past that point counts.  The records are
-    evaluated a block of points at a time: the walk's first chunk
-    (:func:`~ctlab.geometry.first_chunk` points) runs the records its
-    first point certifies on its live bundles, at all its points, under
-    the walk's failure rule, and every later chunk hands over, whole, the
-    frame values that the first chunk read.  A block holds ``max(1,
-    BLOCK_BYTES // the bytes of those values a point)`` points, so one
-    chunk's points may fall in two blocks, and its results are the same
-    bit for bit as point by point.  An error or warning raised at a point
-    comes after every earlier point was evaluated, and never before a
-    hypothesis that fails at an earlier point.  A NaN residual at any
-    point makes the record fail.
+    there, and no residual past that point counts.  Every chunk hands
+    over, whole, the frame values that the records its first point
+    certifies read, and the records are evaluated once per block of
+    points, on the values of the records still certified: a law dropped
+    partway has its values handed over no more.  A block holds ``max(1,
+    BLOCK_BYTES // the bytes of the walk's first chunk's values a point)``
+    points, so one chunk's points may fall in two blocks, and its results
+    are the same bit for bit as point by point.  An error or warning
+    raised at a point comes after every earlier point was evaluated, and
+    never before a hypothesis that fails at an earlier point.  A NaN
+    residual at any point makes the record fail.
     """
     have = _available(geometry)
     skips = [_skip_reason(geometry, rec, have) for rec in records]
@@ -1486,6 +1547,9 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     cert = {records[i].structure: 0.0 for i in runnable
             if records[i].structure is not None}
     worst = dict.fromkeys(runnable, 0.0)
+    read_by = {i: reads(records[i].evaluate, geometry) for i in runnable}
+    geometries = planned(geometries, [records[i] for i in runnable])
+    geometry = geometries[0]
 
     def certified(found: dict) -> tuple[list[int], str | None]:
         """The runnable records that the running worst ``found`` certifies,
@@ -1501,89 +1565,73 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
                              f"{records[i].id}")
         return out, None
 
+    def wanted(ids: list[int]) -> list[tuple]:
+        """The keys of the values that the records ``ids`` read."""
+        return list(dict.fromkeys(key for i in ids for key in read_by[i]))
+
     def read(chunk):
-        """The chunk's hypothesis residuals, one per point, its values of
-        ``keys``, point-major (none if its first point already stops the
-        walk), and None.  On the walk's first chunk, whose ``keys`` are not
-        known yet, the records its first point certifies run here, on its
-        live bundles at all its points, so that whatever they raise or warn
-        comes at its point: its values are then the dict they read, key ->
-        block value, and each record's worst residual over the chunk comes
-        last.  A change of certification past the first point is
-        ``take``'s, at its point."""
+        """The chunk's hypothesis residuals, one per point, and its values
+        of the keys that the records its first point certifies read, key
+        -> point-major value (None if its first point already stops the
+        walk)."""
         c = EvalContext.of(chunk)
         found = {kind: structure_residuals(c, kind, geometry.spec.lam)
                  for kind in cert}
         ids, stop = certified({k: worst_of(cert[k], r[0])
                                for k, r in found.items()})
         if stop is not None:
-            return found, None, None
-        if keys is not None:
-            return found, [_value(chunk.bundle(1 if key[0] == "t" else 0),
-                                  key) for key in keys], None
-        c = EvalContext.of(chunk)
-        return found, c.values, run(c, ids)
-
-    def run(c: EvalContext, ids: list[int]) -> dict[int, float]:
-        """Each record of ``ids`` run on ``c``: its worst residual."""
-        out = {}
-        for i in ids:
-            lhs, rhs = records[i].evaluate(c)
-            out[i] = np.max(residuals(lhs, rhs))
-        return out
-
-    def keep(ran: dict[int, float]):
-        for i, w in ran.items():
-            worst[i] = worst_of(worst[i], w)
+            return found, None
+        return found, {key: _value(chunk.bundle(1 if key[0] == "t" else 0),
+                                   key) for key in wanted(ids)}
 
     def add(chunk, values, start: int, stop: int):
-        """Hand over ``values`` of the chunk's points ``start:stop``."""
+        """Hand over the values of ``keys`` at the chunk's points
+        ``start:stop``."""
         while start < stop:
             take = min(stop - start, size - len(pending))
             pending.extend(point_key(p) for p in
                            chunk.points[start:start + take])
-            pieces.append([v[start:start + take] for v in values])
+            pieces.append({key: values[key][start:start + take]
+                           for key in keys})
             start += take
             if len(pending) == size:
                 flush()
 
     def flush():
+        """Run the active records once on the points handed over."""
         if pending:
             c = EvalContext.stacked(geometry, list(pending), {
-                key: _as_block([piece[n] for piece in pieces])
-                for n, key in enumerate(keys)})
+                key: _as_block([piece[key] for piece in pieces])
+                for key in keys})
             pending.clear()  # the joined values are all the block keeps
             pieces.clear()
-            keep(run(c, active))
+            for i in active:
+                lhs, rhs = records[i].evaluate(c)
+                worst[i] = worst_of(worst[i], np.max(residuals(lhs, rhs)))
 
     def take(chunk, got):
         """Keep the running worst of the chunk's points in order, and hand
-        their values over; the walk's first chunk keeps what its records
-        found in ``read``, and learns which values later points hand
-        over.  A failed hypothesis raises, or drops its laws, at its point."""
+        their values over; the walk's first values size the blocks.  A
+        failed hypothesis raises, or drops its laws, at its point."""
         nonlocal active, keys, size
-        found, values, ran = got
+        found, values = got
+        if not size and values is not None:
+            nbytes = sum(v.nbytes for v in values.values())
+            size = max(1, BLOCK_BYTES * len(chunk) // max(1, nbytes))
         start = 0
         for j in range(len(chunk)):
             for kind, r in found.items():
                 cert[kind] = worst_of(cert[kind], r[j])
             now, stop = certified(cert)
             if stop is not None or now != active:
-                if ran is None:  # the first chunk's records ran in read
-                    add(chunk, values, start, j)
+                add(chunk, values, start, j)
                 flush()
                 if stop is not None:
                     raise CertificationError(stop)
-                active, start = now, j
-        if ran is None:
-            add(chunk, values, start, len(chunk))
-        else:  # the walk's first chunk: value bytes a point size the blocks
-            keep(ran)
-            keys = list(values)
-            nbytes = sum(v.nbytes for v in values.values())
-            size = max(1, BLOCK_BYTES * len(chunk) // max(1, nbytes))
+                active, keys, start = now, wanted(now), j
+        add(chunk, values, start, len(chunk))
 
-    active, keys, size, pending, pieces = None, None, 0, [], []
+    active, keys, size, pending, pieces = None, [], 0, [], []
     if runnable:  # build no point state needlessly
         walk_chunks(points, geometries, read, take, flush)
     flush()

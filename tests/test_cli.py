@@ -451,6 +451,31 @@ def test_chains_at_the_level_limit_run(capsys, tmp_path):
     assert "overall: pass" in out
 
 
+def test_chart_leaving_float_range_exits_2(capsys, tmp_path):
+    # 1e308*x1^2 + 1 is finite at every sample point, but its partials
+    # overflow: no identity is wrong, the chart leaves floating-point
+    # range, so the run exits 2 with one line naming the chart and the
+    # point, and no numpy warning, where it printed NaN rows and exited 1
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow", "dim": 2, "coords": ["x1", "x2"],
+        "domain": [[-1, 1], [-1, 1]],
+        "metric": [["1e308*x1^2+1"], ["0", "1"]]}))
+    line = (r"error: Christoffel symbols of 'overflow' not finite at "
+            r"\({}\): the chart leaves floating-point range\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--spec", str(path), "--suite",
+                             "COMM", "--points", "2")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(line.format(r"\S+, \S+"), err)
+        code, out, err = run(capsys, "eval", "--spec", str(path),
+                             "--quantity", "riemann", "--point", "0.5,0.5")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(line.format(r"0\.5, 0\.5"), err)
+    assert caught == []
+
+
 @pytest.mark.parametrize("doc,line", [
     ({**_GAUSSIAN3, "lambda": "half"},
      "geometry field 'lambda' must be a number, got 'half'"),

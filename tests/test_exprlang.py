@@ -148,6 +148,42 @@ def test_pretty_reparse_round_trip():
         assert parse_expr(pretty(tree), coords) == tree
 
 
+# every tree the parser makes: numbers are non-negative (a minus sign is a
+# Neg), an exponent is any number, infinite ones included ("1e999")
+_NUMBERS = st.floats(min_value=0.0, allow_nan=False).map(Num)
+_LEAVES = st.one_of(_NUMBERS, st.sampled_from([Coord(0, "x1"), Coord(1, "x2")]))
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    kids.map(Neg),
+    st.builds(Bin, st.sampled_from("+-*/"), kids, kids),
+    st.builds(Pow, kids, st.floats(allow_nan=False)),
+    st.builds(Call, st.sampled_from(["exp", "log", "sin", "sqrt"]), kids),
+), max_leaves=24)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_TREES, _TREES)
+def test_pretty_round_trips_every_parsed_tree(a, b):
+    coords = ["x1", "x2"]
+    assert parse_expr(pretty(a), coords) == a
+    # the mirror check compares renderings: equal just when the trees are
+    mirrored = [["1", pretty(a)], [pretty(b), "1"]]
+    if a == b:
+        assert _spec(metric=mirrored).metric == mirrored
+    else:
+        with pytest.raises(ParseError, match="not mirror images"):
+            _spec(metric=mirrored)
+
+
+@pytest.mark.parametrize("op, terms", [("+", 120), ("*", 500), ("-", 300),
+                                       ("/", 200)])
+def test_pretty_renders_a_long_chain_flat(op, terms):
+    # a parenthesis per operator would nest past MAX_DEPTH and not parse
+    coords = ["x1", "x2"]
+    text = op.join(["x1"] * terms)
+    e = parse_expr(text, coords)
+    assert pretty(e) == text  # so it parses back to e
+
+
 # seeds where ``eval_expr`` rounds differently from the ring (x**n as
 # repeated products, x/y as x*(1/y), amplified by an outer sin, sinh or
 # exp), and seeds where it overflows
@@ -348,8 +384,7 @@ def test_chain_at_the_level_limit():
     p = np.array([0.999, 0.0])
     tape = Tape([e])
     assert tape.evaluate(p, 0)[tape.roots[0]].coeffs[0] == eval_expr(e, p)
-    assert pretty(e) == "(" * (MAX_LEVELS - 1) + "x1" + "*x1)" * (
-        MAX_LEVELS - 1)
+    assert pretty(e) == text  # so it parses back to e
     s = _spec(metric=[["1", text], [text.replace("*", " * "), "1"]])
     assert s.metric[0][1] == text
     with pytest.raises(ParseError, match=f"tree {MAX_LEVELS + 1} levels deep"):

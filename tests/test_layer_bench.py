@@ -13,8 +13,8 @@ from ctlab.identities import EvalContext
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import layer_bench  # noqa: E402
 import run_full_suite  # noqa: E402
-from layer_bench import (COMM, TOWER, record_table, setup,  # noqa: E402
-                         tower_rows)
+from layer_bench import (COMM, CONDITIONAL, TOWER, cert_rows,  # noqa: E402
+                         record_table, setup, tower_rows)
 from run_full_suite import LAW_SCHEDULE  # noqa: E402
 
 
@@ -25,10 +25,11 @@ from run_full_suite import LAW_SCHEDULE  # noqa: E402
 def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
                                               suite):
     p = setup(name, params, suite)
-    chunks, blocks = [], []
+    chunks, blocks, plans = [], [], []
     walk, stacked = geometry.point_blocks, EvalContext.stacked
 
     def point_blocks(points, *geometries):
+        plans.append([g.orders for g in geometries])
         for chunk in walk(points, *geometries):
             chunks.append(len(chunk))
             yield chunk
@@ -54,6 +55,19 @@ def test_pass_is_set_up_as_the_driver_runs_it(monkeypatch, name, params,
     assert p.first == max(1, geometry.BLOCK_TRIPLES // dim ** (order + 2))
     assert chunks[0] == p.first and chunks[1] == p.chunk
     assert blocks[0] == p.block
+    # its geometries are planned as identities.verify plans them
+    assert plans == [[g.orders for g in p.geometries]]
+    assert all(g.orders for g in p.geometries)
+
+
+def test_cert_rows_time_each_hypothesis_at_the_walkers_chunk():
+    passes = [setup(*CONDITIONAL[-1]), setup(*LAW_SCHEDULE[0], "LAW")]
+    rows = list(cert_rows(passes, 1))
+    assert [(p.suite, kind) for p, kind, _ in rows] == [
+        ("CGERS+CGRS", "conformal_gradient_soliton"),
+        ("CGERS+CGRS", "conformal_generic_soliton"),
+        ("LAW", "tilde_gradient_soliton")]
+    assert all(ms > 0 for *_, ms in rows)
 
 
 def test_tower_rows_time_each_build_at_one_point_and_the_walkers_chunk():
