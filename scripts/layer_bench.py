@@ -122,10 +122,7 @@ def setup(name: str, params: dict, suite: str) -> Pass:
     records = [r for r, row in zip(records, rows)
                if not row.status.startswith("skipped")]
     # identities.verify plans for every record it may run, certified or not
-    g = g.at_order(max(r.min_order for r in runnable))
-    geometries = identities.planned(
-        [g] + ([g.rescaled] if any(r.reads_tilde for r in runnable) else []),
-        runnable)
+    geometries = identities.pass_geometries(g, runnable)
     n = first_chunk(*geometries)
     first = Chunk(geometries, g.sample_points(n, 0))
     c = EvalContext.of(first)

@@ -90,10 +90,9 @@ _DECLARED: list[IdentityRecord] = []
 
 
 def _law(id_: str, eq: str, tol_class: str, **meta):
-    """Declare the decorated evaluator as law ``id_``: family LAW, dim >= 3,
-    reading the rescaled geometry; ``meta`` as for :func:`declare`."""
-    return declare(_DECLARED, id_, "LAW", eq, tol_class, min_dim=3,
-                   reads_tilde=True, **meta)
+    """Declare the decorated evaluator as law ``id_``: family LAW, dim >= 3;
+    ``meta`` as for :func:`declare`."""
+    return declare(_DECLARED, id_, "LAW", eq, tol_class, min_dim=3, **meta)
 
 
 @_law("riemann04", "Riemannexp", "A")
@@ -129,7 +128,7 @@ def law_scalar(c: EvalContext):
     return c.e(2) * c.t.on("scalar"), rhs
 
 
-@_law("nabla_ricci", "NablaRicciexpComponents", "B", min_order=3)
+@_law("nabla_ricci", "NablaRicciexpComponents", "B")
 def law_nabla_ricci(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -154,7 +153,7 @@ def law_nabla_ricci(c: EvalContext):
     return c.e(3) * c.t.on("ricci", 1), rhs
 
 
-@_law("nabla2_ricci", "ExpochangenablasquaredRicci", "B", min_order=4)
+@_law("nabla2_ricci", "ExpochangenablasquaredRicci", "B")
 def law_nabla2_ricci(c: EvalContext):
     """Second covariant derivative of the Ricci tensor, transcribed line by
     line from its closed form."""
@@ -245,7 +244,7 @@ def law_nabla2_ricci(c: EvalContext):
     return c.e(4) * c.t.on("ricci", 2), rhs
 
 
-@_law("nabla_scalar", "NablascalarExp", "B", min_order=3)
+@_law("nabla_scalar", "NablascalarExp", "B")
 def law_nabla_scalar(c: EvalContext):
     m = c.m
     e = einsum
@@ -259,7 +258,7 @@ def law_nabla_scalar(c: EvalContext):
     return c.e(3) * c.t.on("scalar", 1), rhs
 
 
-@_law("hess_scalar", "HessianscalarExp", "B", min_order=4)
+@_law("hess_scalar", "HessianscalarExp", "B")
 def law_hess_scalar(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -285,7 +284,7 @@ def law_hess_scalar(c: EvalContext):
     return c.e(4) * c.t.on("scalar", 2), rhs
 
 
-@_law("lap_scalar", "LaplacianscalarExp", "B", min_order=4)
+@_law("lap_scalar", "LaplacianscalarExp", "B")
 def law_lap_scalar(c: EvalContext):
     m = c.m
     e = einsum
@@ -322,7 +321,7 @@ def law_laplacian_f(c: EvalContext):
     return c.e(2) * np.trace(c.t.on("f", 2)), rhs
 
 
-@_law("third_f", "thirdDerivFunctExpComp", "B", requires=("f",), min_order=3)
+@_law("third_f", "thirdDerivFunctExpComp", "B", requires=("f",))
 def law_third_f(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -345,8 +344,7 @@ def law_third_f(c: EvalContext):
     return c.e(3) * c.t.on("f", 3), rhs
 
 
-@_law("third_f_traced", "thirdDerivFunctExpCompTraced", "B", requires=("f",),
-      min_order=3)
+@_law("third_f_traced", "thirdDerivFunctExpCompTraced", "B", requires=("f",))
 def law_third_f_traced(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -366,7 +364,7 @@ def law_schouten(c: EvalContext):
     return c.e(2) * c.t.on("schouten"), rhs
 
 
-@_law("nabla_schouten", "ExpochangenablaSchouten", "B", min_order=3)
+@_law("nabla_schouten", "ExpochangenablaSchouten", "B")
 def law_nabla_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -389,7 +387,7 @@ def law_nabla_schouten(c: EvalContext):
     return c.e(3) * c.t.on("schouten", 1), rhs
 
 
-@_law("nabla2_schouten", "ExpochangenablasquaredSchouten", "B", min_order=4)
+@_law("nabla2_schouten", "ExpochangenablasquaredSchouten", "B")
 def law_nabla2_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -472,7 +470,7 @@ def law_weyl13(c: EvalContext):
     return c.e(2) * c.t.on("weyl"), c.b.on("weyl")
 
 
-@_law("cotton", "Cottonlexp", "B", min_order=3)
+@_law("cotton", "Cottonlexp", "B")
 def law_cotton(c: EvalContext):
     m = c.m
     rhs = c.b.on("cotton") - (m - 2) * einsum(
@@ -480,7 +478,7 @@ def law_cotton(c: EvalContext):
     return c.e(3) * c.t.on("cotton"), rhs
 
 
-@_law("bach", "BachExpComp", "B", min_order=4)
+@_law("bach", "BachExpComp", "B")
 def law_bach(c: EvalContext):
     m = c.m
     e = einsum
@@ -514,8 +512,7 @@ def law_d_reverse(c: EvalContext):
     return lhs, rhs
 
 
-@_law("nabla_d", "CovDerivDExpComp", "B", structure="tilde_gradient_soliton",
-      min_order=4)
+@_law("nabla_d", "CovDerivDExpComp", "B", structure="tilde_gradient_soliton")
 def law_nabla_d(c: EvalContext):
     """Covariant derivative of the gradient-soliton 3-tensor, the longest
     law in the registry; output slots [i,j,k,t]."""
@@ -640,7 +637,7 @@ def law_div_x(c: EvalContext):
     return np.trace(c.t.on("X", 1)), rhs
 
 
-@_law("nabla2_X", "secondCovDerivVFExp", "B", requires=("X",), min_order=3)
+@_law("nabla2_X", "secondCovDerivVFExp", "B", requires=("X",))
 def law_nabla2_x(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -658,8 +655,7 @@ def law_nabla2_x(c: EvalContext):
     return c.e(1) * c.t.on("X", 2), rhs
 
 
-@_law("nabla2_X_traced", "secondCovDerivVFExpTraced", "B", requires=("X",),
-      min_order=3)
+@_law("nabla2_X_traced", "secondCovDerivVFExpTraced", "B", requires=("X",))
 def law_nabla2_x_traced(c: EvalContext):
     m = c.m
     x2 = c.b.on("X", 2)

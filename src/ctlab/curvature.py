@@ -41,11 +41,11 @@ transposed views), Ricci from its own Christoffel terms (two rank-2
 products), and Weyl as Riemann less the Kulkarni-Nomizu product of the
 Schouten tensor with the metric, packed from one outer product, so no
 unpacked rank-4 jet is kept.  ``K`` is the order of the bundle's
-geometry: in a verification pass the working order, the largest
-``min_order`` of the records that run (order 2 for catalog
-certification), never more than the configured order.  The point state's
-metric, inverse and Christoffel symbols stay at orders ``K``, ``K - 1``
-and ``K - 1`` whatever the plan.
+geometry: in a verification pass the working order, the least at which
+its plan can be built (:func:`~ctlab.identities.jet_order`; order 2 for
+catalog certification), never more than the configured order.  The point
+state's metric, inverse and Christoffel symbols stay at orders ``K``,
+``K - 1`` and ``K - 1`` whatever the plan.
 """
 
 from __future__ import annotations

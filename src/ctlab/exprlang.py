@@ -566,7 +566,7 @@ class GeometrySpec:
         if not isinstance(doc, dict):
             raise ValueError("a geometry file must hold one JSON object")
         for key in ("name", "dim", "coords", "domain", "metric"):
-            if key not in doc:
+            if doc.get(key) is None:
                 raise ValueError(f"geometry file has no {key!r} field")
         for key, types, what in (("name", (str,), "a string"),
                                  ("dim", (int,), "an integer"),
@@ -588,7 +588,8 @@ class GeometrySpec:
                 ("coords", lambda c: isinstance(c, str), "strings"),
                 ("domain", lambda d: (isinstance(d, list) and len(d) == 2
                                       and all(map(number, d))),
-                 "pairs of numbers")):
+                 "pairs of numbers"),
+                ("metric", lambda row: isinstance(row, list), "rows")):
             if not dim_list(doc[key], item):
                 raise ValueError(f"geometry field {key!r} must be {dim} "
                                  f"{what}, got {doc[key]!r}")

@@ -50,6 +50,7 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -160,12 +161,12 @@ class _Frames:
 
 class _Stand(_Frames):
     """One side's stand-in values over a block of no points: for each key
-    an array of its value's rank, so an evaluator runs on them and
-    ``values`` holds what it read."""
+    an array of its value's rank in dimension ``m``, so an evaluator runs
+    on them and ``values`` holds what it read."""
 
-    def __init__(self, side: str, values: dict, m: int):
-        super().__init__(side, values)
-        self.m = m
+    # the least dimension at which every family's floor holds and nothing
+    # divides by m - 1, m - 2 or m - 3
+    m = 4
 
     def _read(self, key: tuple) -> np.ndarray:
         _, name, d = key
@@ -177,19 +178,36 @@ class _Stand(_Frames):
 _READS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def reads(evaluate: Callable, geometry: GeometryInstance) -> tuple:
+def reads(evaluate: Callable) -> tuple:
     """The keys of the frame values that ``evaluate``, a record evaluator
-    or a structure's equation, reads on ``geometry``: found by running it
-    once on stand-ins over a block of no points, and kept per evaluator.
-    No evaluator chooses what to read by a value or by the dimension, so
-    what it reads on stand-ins it reads at every point of every chart."""
+    or a structure's equation, reads: found by running it once on
+    stand-ins (:class:`_Stand`) with no chart and a float ``lam``, and
+    kept per evaluator.  No evaluator chooses what to read by a value, by
+    the dimension or by the chart, so what it reads on stand-ins it reads
+    at every point of every chart."""
     got = _READS.get(evaluate)
     if got is None:
-        c = EvalContext._new(geometry, [], {})
-        c.b, c._t = (_Stand(side, c.values, c.m) for side in "bt")
+        c = EvalContext._new([], {}, _Stand.m, 0.0)
+        c.b, c._t = (_Stand(side, c.values) for side in "bt")
         evaluate(c)
         got = _READS[evaluate] = tuple(c.values)
     return got
+
+
+def _plan(keys, side: str) -> dict[str, int]:
+    """The jet order each quantity must be built to on ``side`` for the
+    frame values ``keys`` read there (:func:`~ctlab.curvature.plan`)."""
+    return plan((name, d) for s, name, d in keys
+                if s == side and name is not None)
+
+
+def jet_order(keys: tuple) -> int:
+    """The least working order ``K`` at which the frame values ``keys``
+    can be read: a quantity of metric derivative depth ``depth`` is built
+    to order ``K - depth`` at most, so one planned to order ``q`` on
+    either side needs ``K >= q + depth``, and nothing else raises ``K``."""
+    return max((q + QUANTITIES[name].depth for side in "bt"
+                for name, q in _plan(keys, side).items()), default=0)
 
 
 class EvalContext:
@@ -219,8 +237,9 @@ class EvalContext:
     def of(cls, chunk: Chunk) -> "EvalContext":
         """The points of ``chunk`` on the first geometry of its walk, with
         the second, if there is one, as the rescaled geometry."""
-        c = cls._new(chunk.geometries[0], [point_key(p) for p in chunk.points],
-                     {})
+        g = chunk.geometries[0]
+        c = cls._new([point_key(p) for p in chunk.points], {}, g.dim,
+                     g.spec.lam, g)
         c.b = _Frames("b", c.values, chunk.bundle(0))  # built, read or not
         c._t, c._chunk = None, chunk
         return c
@@ -229,16 +248,15 @@ class EvalContext:
     def stacked(cls, geometry: GeometryInstance, points: list,
                 values: dict) -> "EvalContext":
         """The block of ``points`` with ``values``, key -> block value."""
-        c = cls._new(geometry, points, values)
+        c = cls._new(points, values, geometry.dim, geometry.spec.lam, geometry)
         c.b, c._t = _Frames("b", values), _Frames("t", values)
         return c
 
     @classmethod
-    def _new(cls, geometry, points, values) -> "EvalContext":
+    def _new(cls, points, values, m: int, lam, geometry=None) -> "EvalContext":
         c = cls.__new__(cls)
         c.geometry, c.points, c.values = geometry, points, values
-        c.m, c.lam = geometry.dim, geometry.spec.lam
-        c.I = delta(c.m)
+        c.m, c.lam, c.I = m, lam, delta(m)
         return c
 
     def on(self, name: str, d: int = 0) -> np.ndarray:
@@ -265,11 +283,27 @@ class IdentityRecord:
     requires: frozenset[str]       # subset of {"f", "X", "u", "lam"}
     structure: str | None          # certified hypothesis, if conditional
     min_dim: int
-    min_order: int
     tol_class: str
     tol: float | None              # explicit override of the class default
     evaluate: Callable[[EvalContext], tuple]
-    reads_tilde: bool = False      # reads the rescaled geometry (``c.t``)
+
+    @cached_property
+    def keys(self) -> tuple:
+        """The keys of the frame values that the record and its
+        hypothesis's equations read (:func:`reads`)."""
+        eqs = _STRUCTURES[self.structure] if self.structure else ()
+        return tuple(dict.fromkeys(key for fn in (self.evaluate, *eqs)
+                                   for key in reads(fn)))
+
+    @cached_property
+    def min_order(self) -> int:
+        """The least jet order of what it reads (:func:`jet_order`)."""
+        return jet_order(self.keys)
+
+    @property
+    def reads_tilde(self) -> bool:
+        """Whether the record reads the rescaled geometry (``c.t``)."""
+        return any(side == "t" for side, *_ in self.keys)
 
     def tolerance(self, overrides: dict[str, float] | None = None) -> float:
         """A class override first, then the family's pin, then the class."""
@@ -318,18 +352,16 @@ FAMILIES = tuple(family for family, *_ in _FAMILY.values())
 
 def declare(into: list, id_: str, family: str, eq: str, tol_class: str, *,
             min_dim: int, structure: str | None = None,
-            min_order: int = 2, tol: float | None = None,
-            requires: tuple[str, ...] | None = None,
-            reads_tilde: bool = False):
+            tol: float | None = None, requires: tuple[str, ...] | None = None):
     """Decorator that appends the evaluator's :class:`IdentityRecord` to
-    ``into``; ``requires`` defaults to the fields its hypothesis reads."""
+    ``into``; ``requires`` defaults to the fields its hypothesis reads, and
+    what it reads gives its jet order (:attr:`IdentityRecord.min_order`)."""
     if requires is None:
         requires = _HYPOTHESIS_FIELDS.get(structure, ())
 
     def register(fn):
         into.append(IdentityRecord(id_, family, eq, frozenset(requires),
-                                   structure, min_dim, min_order, tol_class,
-                                   tol, fn, reads_tilde))
+                                   structure, min_dim, tol_class, tol, fn))
         return fn
     return register
 
@@ -370,15 +402,13 @@ def comm_hess_sym(c):
     return f2, tp(f2, 1, 0)
 
 
-@_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B", requires=("f",),
-      min_order=3)
+@_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B", requires=("f",))
 def comm_third_first_pair(c):
     f3 = c.on("f", 3)
     return f3, tp(f3, 1, 0, 2)
 
 
-@_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B", requires=("f",),
-      min_order=3)
+@_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B", requires=("f",))
 def comm_third_riemann(c):
     f3 = c.on("f", 3)
     rhs = tp(f3, 0, 2, 1) + einsum("t,tijk->ijk", c.on("f", 1),
@@ -387,7 +417,7 @@ def comm_third_riemann(c):
 
 
 @_rec("comm.third_weyl", "ThirdDerivFunctionWeyl", "B", requires=("f",),
-      min_dim=3, min_order=3)
+      min_dim=3)
 def comm_third_weyl(c):
     m, I = c.m, c.I
     e = einsum
@@ -402,7 +432,7 @@ def comm_third_weyl(c):
 
 
 @_rec("comm.third_weyl_schouten", "commutatioThirdDerFunctWeilSchouten", "B",
-      requires=("f",), min_dim=3, min_order=3)
+      requires=("f",), min_dim=3)
 def comm_third_weyl_schouten(c):
     m, I = c.m, c.I
     e = einsum
@@ -415,8 +445,7 @@ def comm_third_weyl_schouten(c):
     return f3, rhs
 
 
-@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B", requires=("f",),
-      min_order=4)
+@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B", requires=("f",))
 def comm_fourth_last_pair(c):
     e = einsum
     f2, f4 = c.on("f", 2), c.on("f", 4)
@@ -426,8 +455,7 @@ def comm_fourth_last_pair(c):
     return f4, rhs
 
 
-@_rec("comm.fourth_23", "ThirdDerivinfourth", "B", requires=("f",),
-      min_order=4)
+@_rec("comm.fourth_23", "ThirdDerivinfourth", "B", requires=("f",))
 def comm_fourth_23(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -436,8 +464,7 @@ def comm_fourth_23(c):
     return f4, rhs
 
 
-@_rec("comm.fourth_12_34", "Function12with34", "B", requires=("f",),
-      min_order=4)
+@_rec("comm.fourth_12_34", "Function12with34", "B", requires=("f",))
 def comm_fourth_12_34(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -450,7 +477,7 @@ def comm_fourth_12_34(c):
 
 
 @_rec("comm.traced_third", "TracedThirdDerivFunctionRicci", "B",
-      requires=("f",), min_order=3)
+      requires=("f",))
 def comm_traced_third(c):
     f1, f3 = c.on("f", 1), c.on("f", 3)
     lhs = einsum("itt->i", f3)
@@ -458,8 +485,7 @@ def comm_traced_third(c):
     return lhs, rhs
 
 
-@_rec("comm.traced_fourth", "TracedFourthDerivFct", "B", requires=("f",),
-      min_order=4)
+@_rec("comm.traced_fourth", "TracedFourthDerivFct", "B", requires=("f",))
 def comm_traced_fourth(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -473,7 +499,7 @@ def comm_traced_fourth(c):
 
 
 @_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion", "B",
-      requires=("f",), min_order=4)
+      requires=("f",))
 def comm_traced_fourth_v2(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -487,8 +513,7 @@ def comm_traced_fourth_v2(c):
     return lhs, rhs
 
 
-@_rec("comm.vec_third", "VectorFieldThirdComm", "B", requires=("X",),
-      min_order=3)
+@_rec("comm.vec_third", "VectorFieldThirdComm", "B", requires=("X",))
 def comm_vec_third(c):
     x2 = c.on("X", 2)
     rhs = tp(x2, 0, 2, 1) + einsum("t,tijk->ijk", c.on("X"),
@@ -496,8 +521,7 @@ def comm_vec_third(c):
     return x2, rhs
 
 
-@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B", requires=("X",),
-      min_order=4)
+@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B", requires=("X",))
 def comm_vec_fourth_23(c):
     e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -507,8 +531,7 @@ def comm_vec_fourth_23(c):
     return lhs, rhs
 
 
-@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B", requires=("X",),
-      min_order=4)
+@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B", requires=("X",))
 def comm_vec_fourth_34(c):
     e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -524,14 +547,14 @@ def comm_bianchi1(c):
     return r4 + tp(r4, 0, 2, 3, 1) + tp(r4, 0, 3, 1, 2), 0.0 * r4
 
 
-@_rec("comm.bianchi2", "SecondBianchiRiem", "B", min_order=3)
+@_rec("comm.bianchi2", "SecondBianchiRiem", "B")
 def comm_bianchi2(c):
     r1 = c.on("riemann", 1)
     lhs = r1 + tp(r1, 0, 1, 3, 4, 2) + tp(r1, 0, 1, 4, 2, 3)
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.riem_second", "SecondDerivRiem", "B", min_order=4)
+@_rec("comm.riem_second", "SecondDerivRiem", "B")
 def comm_riem_second(c):
     e = einsum
     r4, r2 = c.on("riemann"), c.on("riemann", 2)
@@ -541,7 +564,7 @@ def comm_riem_second(c):
     return lhs, rhs
 
 
-@_rec("comm.riem_third", "ThirdDerivRiem", "C", min_order=5)
+@_rec("comm.riem_third", "ThirdDerivRiem", "C")
 def comm_riem_third(c):
     e = einsum
     r4, r1, r3 = c.on("riemann"), c.on("riemann", 1), c.on("riemann", 3)
@@ -552,7 +575,7 @@ def comm_riem_third(c):
     return lhs, rhs
 
 
-@_rec("comm.ricci_first", "RicciFirstComm", "B", min_order=3)
+@_rec("comm.ricci_first", "RicciFirstComm", "B")
 def comm_ricci_first(c):
     r1 = c.on("ricci", 1)
     lhs = r1 - tp(r1, 0, 2, 1)
@@ -560,7 +583,7 @@ def comm_ricci_first(c):
     return lhs, rhs
 
 
-@_rec("comm.ricci_second", "RicciSecondComm", "B", min_order=4)
+@_rec("comm.ricci_second", "RicciSecondComm", "B")
 def comm_ricci_second(c):
     e = einsum
     ric, r4 = c.on("ricci"), c.on("riemann")
@@ -570,7 +593,7 @@ def comm_ricci_second(c):
     return lhs, rhs
 
 
-@_rec("comm.ricci_third", "RicciThirdComm", "C", min_order=5)
+@_rec("comm.ricci_third", "RicciThirdComm", "C")
 def comm_ricci_third(c):
     e = einsum
     r1, r4 = c.on("ricci", 1), c.on("riemann")
@@ -581,22 +604,20 @@ def comm_ricci_third(c):
     return lhs, rhs
 
 
-@_rec("comm.schur", "SchurIdentity", "B", min_order=3)
+@_rec("comm.schur", "SchurIdentity", "B")
 def comm_schur(c):
     """Contracted second Bianchi: the divergence of Ricci is half the
     scalar gradient."""
     return c.on("scalar", 1), 2 * einsum("ikk->i", c.on("ricci", 1))
 
 
-@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B", min_dim=3,
-      min_order=3)
+@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B", min_dim=3)
 def comm_schouten_codazzi(c):
     a1 = c.on("schouten", 1)
     return a1 - tp(a1, 0, 2, 1), c.on("cotton")
 
 
-@_rec("comm.schouten_second", "SchoutenSecondComm", "B", min_dim=3,
-      min_order=4)
+@_rec("comm.schouten_second", "SchoutenSecondComm", "B", min_dim=3)
 def comm_schouten_second(c):
     e = einsum
     a, r4 = c.on("schouten"), c.on("riemann")
@@ -606,7 +627,7 @@ def comm_schouten_second(c):
     return lhs, rhs
 
 
-@_rec("comm.schouten_third", "SchoutenThirdComm", "C", min_dim=3, min_order=5)
+@_rec("comm.schouten_third", "SchoutenThirdComm", "C", min_dim=3)
 def comm_schouten_third(c):
     e = einsum
     a1, r4 = c.on("schouten", 1), c.on("riemann")
@@ -617,8 +638,7 @@ def comm_schouten_third(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl", "B", min_dim=3,
-      min_order=3)
+@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl", "B", min_dim=3)
 def comm_weyl_deriv_cyclic(c):
     m, I = c.m, c.I
     e = einsum
@@ -630,8 +650,7 @@ def comm_weyl_deriv_cyclic(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B", min_dim=3,
-      min_order=4)
+@_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B", min_dim=3)
 def comm_weyl_second(c):
     e = einsum
     w, r4 = c.on("weyl"), c.on("riemann")
@@ -642,8 +661,7 @@ def comm_weyl_second(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B", min_dim=3,
-      min_order=4)
+@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B", min_dim=3)
 def comm_weyl_second_expanded(c):
     e = einsum
     w, q = c.on("weyl"), _riemann_split(c)
@@ -654,8 +672,7 @@ def comm_weyl_second_expanded(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced", "B", min_dim=3,
-      min_order=4)
+@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced", "B", min_dim=3)
 def comm_weyl_second_traced(c):
     m = c.m
     e = einsum
@@ -672,8 +689,7 @@ def comm_weyl_second_traced(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C", min_dim=3,
-      min_order=5)
+@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C", min_dim=3)
 def comm_weyl_third(c):
     e = einsum
     w1, r4 = c.on("weyl", 1), c.on("riemann")
@@ -685,8 +701,7 @@ def comm_weyl_third(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C", min_dim=3,
-      min_order=5)
+@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C", min_dim=3)
 def comm_weyl_third_expanded(c):
     e = einsum
     w1, q = c.on("weyl", 1), _riemann_split(c)
@@ -698,14 +713,14 @@ def comm_weyl_third_expanded(c):
     return lhs, rhs
 
 
-@_rec("comm.cotton_cyclic", "PermutCiclCotton", "B", min_dim=3, min_order=3)
+@_rec("comm.cotton_cyclic", "PermutCiclCotton", "B", min_dim=3)
 def comm_cotton_cyclic(c):
     ct = c.on("cotton")
     lhs = ct + tp(ct, 2, 0, 1) + tp(ct, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.cotton_divergence", "DiverCotton", "B", min_dim=3, min_order=4)
+@_rec("comm.cotton_divergence", "DiverCotton", "B", min_dim=3)
 def comm_cotton_divergence(c):
     m, I = c.m, c.I
     e = einsum
@@ -718,20 +733,19 @@ def comm_cotton_divergence(c):
     return lhs, rhs
 
 
-@_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B", min_dim=3,
-      min_order=4)
+@_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B", min_dim=3)
 def comm_cotton_div_symmetric(c):
     div = einsum("ijkk->ij", c.on("cotton", 1))
     return div, tp(div, 1, 0)
 
 
-@_rec("comm.cotton_null_div", "NullDiverCotton", "B", min_dim=3, min_order=4)
+@_rec("comm.cotton_null_div", "NullDiverCotton", "B", min_dim=3)
 def comm_cotton_null_div(c):
     lhs = einsum("kijk->ij", c.on("cotton", 1))
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.bach_divergence", "diverBach", "C", min_dim=4, min_order=5)
+@_rec("comm.bach_divergence", "diverBach", "C", min_dim=4)
 def comm_bach_divergence(c):
     m = c.m
     lhs = einsum("ijj->i", c.on("bach", 1))
@@ -754,12 +768,12 @@ def sol_trace_gradient(c):
     return c.on("scalar") + np.trace(c.on("f", 2)), c.m * c.lam
 
 
-@_rec("sol.scalar_gradient", "eq3g", "B", min_order=3)
+@_rec("sol.scalar_gradient", "eq3g", "B")
 def sol_scalar_gradient(c):
     return c.on("scalar", 1), 2 * dot(c.on("f", 1), c.on("ricci"))
 
 
-@_rec("sol.ricci_skew_gradient", "eq6g", "B", min_order=3)
+@_rec("sol.ricci_skew_gradient", "eq6g", "B")
 def sol_ricci_skew_gradient(c):
     # gradient specialisation of the vector-field skew rule; the printed
     # form pairs this right side with the R_ij,k - R_kj,i pattern, which
@@ -771,7 +785,7 @@ def sol_ricci_skew_gradient(c):
     return lhs, rhs
 
 
-@_rec("sol.hamilton", "HamiltonId", "B", min_order=3)
+@_rec("sol.hamilton", "HamiltonId", "B")
 def sol_hamilton(c):
     # gradient form of the conserved quantity: its gradient vanishes
     lhs = (c.on("scalar", 1) + 2 * dot(c.on("f", 1), c.on("f", 2))
@@ -779,7 +793,7 @@ def sol_hamilton(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("sol.scalar_evolution_gradient", "scalGrad", "B", min_order=4)
+@_rec("sol.scalar_evolution_gradient", "scalGrad", "B")
 def sol_scalar_evolution_gradient(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
@@ -799,20 +813,19 @@ def sol_trace_generic(c):
     return c.on("scalar") + np.trace(c.on("X", 1)), c.m * c.lam
 
 
-@_rec("sol.div_nabla_x", "eq3", "B", structure="generic_soliton", min_order=3)
+@_rec("sol.div_nabla_x", "eq3", "B", structure="generic_soliton")
 def sol_div_nabla_x(c):
     return c.on("scalar", 1), -einsum("iik->k", c.on("X", 2))
 
 
-@_rec("sol.ric_x", "eq4", "B", structure="generic_soliton", min_order=3)
+@_rec("sol.ric_x", "eq4", "B", structure="generic_soliton")
 def sol_ric_x(c):
     lhs = dot(c.on("X"), c.on("ricci"))
     rhs = -einsum("ktt->k", c.on("X", 2))
     return lhs, rhs
 
 
-@_rec("sol.ricci_skew_x1", "eq5", "B", structure="generic_soliton",
-      min_order=3)
+@_rec("sol.ricci_skew_x1", "eq5", "B", structure="generic_soliton")
 def sol_ricci_skew_x1(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
@@ -822,8 +835,7 @@ def sol_ricci_skew_x1(c):
     return lhs, rhs
 
 
-@_rec("sol.ricci_skew_x2", "eq6", "B", structure="generic_soliton",
-      min_order=3)
+@_rec("sol.ricci_skew_x2", "eq6", "B", structure="generic_soliton")
 def sol_ricci_skew_x2(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
@@ -834,7 +846,7 @@ def sol_ricci_skew_x2(c):
 
 
 @_rec("sol.scalar_evolution_generic", "scalGen", "B",
-      structure="generic_soliton", min_order=4)
+      structure="generic_soliton")
 def sol_scalar_evolution_generic(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
@@ -843,13 +855,13 @@ def sol_scalar_evolution_generic(c):
     return lhs, rhs
 
 
-@_rec("sol.cao_chen_first", "firstCaoChen", "B", min_dim=3, min_order=3)
+@_rec("sol.cao_chen_first", "firstCaoChen", "B", min_dim=3)
 def sol_cao_chen_first(c):
     lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("f", 1), c.on("weyl"))
     return lhs, c.on("d_tensor")
 
 
-@_rec("sol.cao_chen_second", "secondCaoChen", "B", min_dim=3, min_order=4)
+@_rec("sol.cao_chen_second", "secondCaoChen", "B", min_dim=3)
 def sol_cao_chen_second(c):
     m = c.m
     rhs = (einsum("ijkk->ij", c.on("d_tensor", 1))
@@ -858,7 +870,7 @@ def sol_cao_chen_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("sol.fc_equals_fd", "fCfD_remark", "B", min_dim=3, min_order=3)
+@_rec("sol.fc_equals_fd", "fCfD_remark", "B", min_dim=3)
 def sol_fc_equals_fd(c):
     f1 = c.on("f", 1)
     lhs = einsum("t,tij->ij", f1, c.on("cotton"))
@@ -873,8 +885,7 @@ def sol_d_cyclic(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C", "B", min_dim=3,
-      min_order=3)
+@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C", "B", min_dim=3)
 def sol_d_deriv_cyclic_cotton(c):
     m, I = c.m, c.I
     e = einsum
@@ -887,8 +898,7 @@ def sol_d_deriv_cyclic_cotton(c):
     return lhs, rhs
 
 
-@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D", "B", min_dim=3,
-      min_order=3)
+@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D", "B", min_dim=3)
 def sol_d_deriv_cyclic_d(c):
     m, I = c.m, c.I
     e = einsum
@@ -902,8 +912,7 @@ def sol_d_deriv_cyclic_d(c):
     return lhs, rhs
 
 
-@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B", min_dim=3,
-      min_order=4)
+@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B", min_dim=3)
 def sol_cotton_deriv_cyclic(c):
     e = einsum
     ric, w = c.on("ricci"), c.on("weyl")
@@ -913,8 +922,7 @@ def sol_cotton_deriv_cyclic(c):
     return lhs, rhs
 
 
-@_rec("sol.d_deriv_cyclic_mixed", "D_lemma_div_cyclic_mixed", "B", min_dim=4,
-      min_order=4)
+@_rec("sol.d_deriv_cyclic_mixed", "D_lemma_div_cyclic_mixed", "B", min_dim=4)
 def sol_d_deriv_cyclic_mixed(c):
     m = c.m
     e = einsum
@@ -960,7 +968,7 @@ def ce_single_eq(c):
     return lhs, rhs
 
 
-@_rec("ce.first_gn", "FirstCond_GN", "B", min_order=3)
+@_rec("ce.first_gn", "FirstCond_GN", "B")
 def ce_first_gn(c):
     m = c.m
     lhs = c.on("cotton") - (m - 2) * einsum("t,tijk->ijk", c.on("u", 1),
@@ -968,7 +976,7 @@ def ce_first_gn(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("ce.second_gn", "SecondCond_GN", "B", min_order=4)
+@_rec("ce.second_gn", "SecondCond_GN", "B")
 def ce_second_gn(c):
     m = c.m
     u1 = c.on("u", 1)
@@ -977,7 +985,7 @@ def ce_second_gn(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("ce.nabla_delta_u", "CE_nablaDeltau", "B", min_order=3)
+@_rec("ce.nabla_delta_u", "CE_nablaDeltau", "B")
 def ce_nabla_delta_u(c):
     m = c.m
     u1, u3 = c.on("u", 1), c.on("u", 3)
@@ -991,7 +999,7 @@ def ce_nabla_delta_u(c):
     return lhs, rhs
 
 
-@_rec("ce.grad_u_grad_lap_u", "CE_gnablaunabladeltau", "B", min_order=3)
+@_rec("ce.grad_u_grad_lap_u", "CE_gnablaunabladeltau", "B")
 def ce_grad_u_grad_lap_u(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1006,7 +1014,7 @@ def ce_grad_u_grad_lap_u(c):
     return lhs, rhs
 
 
-@_rec("ce.lap_scalar", "CE_LaplacianScalarEq", "B", min_order=4)
+@_rec("ce.lap_scalar", "CE_LaplacianScalarEq", "B")
 def ce_lap_scalar(c):
     m = c.m
     e = einsum
@@ -1023,8 +1031,7 @@ def ce_lap_scalar(c):
     return lhs, rhs
 
 
-@_rec("ce.lap_scalar_lambda", "CE_LaplacianScalarEqwithLambda", "B",
-      min_order=4)
+@_rec("ce.lap_scalar_lambda", "CE_LaplacianScalarEqwithLambda", "B")
 def ce_lap_scalar_lambda(c):
     m = c.m
     e = einsum
@@ -1082,12 +1089,12 @@ def cgrs_schouten_eq(c):
     return lhs, rhs
 
 
-@_rec("cgrs.duf_vs_tilde", "CGRS_D_ufvsTildeD", "A", reads_tilde=True)
+@_rec("cgrs.duf_vs_tilde", "CGRS_D_ufvsTildeD", "A")
 def cgrs_duf_vs_tilde(c):
     return c.on("duf_tensor"), c.e(3) * c.t.on("d_tensor")
 
 
-@_rec("cgrs.first", "Eq_FirstCondition_CGRSCompNewD", "B", min_order=3)
+@_rec("cgrs.first", "Eq_FirstCondition_CGRSCompNewD", "B")
 def cgrs_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.on("f", 1)
@@ -1095,7 +1102,7 @@ def cgrs_first(c):
     return lhs, c.on("duf_tensor")
 
 
-@_rec("cgrs.second", "Eq_SecondConditionBach", "B", min_order=4)
+@_rec("cgrs.second", "Eq_SecondConditionBach", "B")
 def cgrs_second(c):
     m = c.m
     e = einsum
@@ -1109,8 +1116,7 @@ def cgrs_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("cgrs.second_equivalent", "Eq_SecondConditionBach_equivalent", "B",
-      min_order=4)
+@_rec("cgrs.second_equivalent", "Eq_SecondConditionBach_equivalent", "B")
 def cgrs_second_equivalent(c):
     m = c.m
     e = einsum
@@ -1126,7 +1132,7 @@ def cgrs_second_equivalent(c):
     return c.on("bach"), rhs
 
 
-@_rec("cgrs.sk_uttk_fttk", "CGRS_SkUttkFttk", "B", min_order=3)
+@_rec("cgrs.sk_uttk_fttk", "CGRS_SkUttkFttk", "B")
 def cgrs_sk_uttk_fttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1143,7 +1149,7 @@ def cgrs_sk_uttk_fttk(c):
     return lhs, rhs
 
 
-@_rec("cgrs.fttk", "CGRS_Fttk", "B", min_order=3)
+@_rec("cgrs.fttk", "CGRS_Fttk", "B")
 def cgrs_fttk(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1162,7 +1168,7 @@ def cgrs_fttk(c):
     return lhs, rhs
 
 
-@_rec("cgrs.uttk", "CGRS_Uttk", "B", min_order=3)
+@_rec("cgrs.uttk", "CGRS_Uttk", "B")
 def cgrs_uttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1187,13 +1193,13 @@ def cgrs_uttk(c):
 # GRS family
 # ---------------------------------------------------------------------------
 
-@_rec("grs.first", "firstGenericRSIntCondition", "B", min_order=3)
+@_rec("grs.first", "firstGenericRSIntCondition", "B")
 def grs_first(c):
     lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("X"), c.on("weyl"))
     return lhs, c.on("dx_tensor")
 
 
-@_rec("grs.second", "secondGenericRSIntCondition", "B", min_order=4)
+@_rec("grs.second", "secondGenericRSIntCondition", "B")
 def grs_second(c):
     m = c.m
     e = einsum
@@ -1204,7 +1210,7 @@ def grs_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("grs.xc_equals_xd", "XCXD_remark", "B", min_order=3)
+@_rec("grs.xc_equals_xd", "XCXD_remark", "B")
 def grs_xc_equals_xd(c):
     x = c.on("X")
     lhs = einsum("t,tij->ij", x, c.on("cotton"))
@@ -1255,13 +1261,12 @@ def cgers_schouten_eq(c):
     return lhs, rhs
 
 
-@_rec("cgers.dux_vs_tilde", "CGeRS_EqDuXe3uDX", "A", reads_tilde=True)
+@_rec("cgers.dux_vs_tilde", "CGeRS_EqDuXe3uDX", "A")
 def cgers_dux_vs_tilde(c):
     return c.on("dux_tensor"), c.e(3) * c.t.on("dx_tensor")
 
 
-@_rec("cgers.first", "Eq_FirstCondition_CGenericRSComponents", "B",
-      min_order=3)
+@_rec("cgers.first", "Eq_FirstCondition_CGenericRSComponents", "B")
 def cgers_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.e(2) * c.on("X")
@@ -1269,7 +1274,7 @@ def cgers_first(c):
     return lhs, c.on("dux_tensor")
 
 
-@_rec("cgers.second", "Eq_SecondConditionBach_GENERIC", "B", min_order=4)
+@_rec("cgers.second", "Eq_SecondConditionBach_GENERIC", "B")
 def cgers_second(c):
     m = c.m
     e = einsum
@@ -1285,7 +1290,7 @@ def cgers_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("cgers.sk_uttk_xttk", "CGeRS_SkUttkXttk", "B", min_order=3)
+@_rec("cgers.sk_uttk_xttk", "CGeRS_SkUttkXttk", "B")
 def cgers_sk_uttk_xttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1312,7 +1317,7 @@ def cgers_sk_uttk_xttk(c):
 # HIGH family
 # ---------------------------------------------------------------------------
 
-@_rec("high.third_1", "thirdCond1", "C", min_order=4)
+@_rec("high.third_1", "thirdCond1", "C")
 def high_third_1(c):
     m = c.m
     lhs = einsum("kt,kti->i", c.on("ricci"), c.on("cotton"))
@@ -1320,7 +1325,7 @@ def high_third_1(c):
     return lhs, rhs
 
 
-@_rec("high.third_2", "thirdCond2", "C", min_order=5)
+@_rec("high.third_2", "thirdCond2", "C")
 def high_third_2(c):
     m = c.m
     lhs = einsum("ikk->i", c.on("bach", 1))
@@ -1328,7 +1333,7 @@ def high_third_2(c):
     return lhs, rhs
 
 
-@_rec("high.fourth_1", "fourthCond1", "C", min_order=5)
+@_rec("high.fourth_1", "fourthCond1", "C")
 def high_fourth_1(c):
     m = c.m
     e = einsum
@@ -1340,7 +1345,7 @@ def high_fourth_1(c):
     return lhs, rhs
 
 
-@_rec("high.fourth_2", "fourthCond2", "C", min_order=6)
+@_rec("high.fourth_2", "fourthCond2", "C")
 def high_fourth_2(c):
     m = c.m
     lhs = einsum("ikki->", c.on("bach", 2))
@@ -1361,8 +1366,8 @@ def _einstein_eq(c):
 # the worst over them.  Einstein, gradient and generic solitons and the
 # conformally Einstein structure are the special cases of the conformal
 # solitons, so one table serves hypotheses, claims and records alike.
-# Every equation is second order in the metric and the fields, so the
-# structures are certified at jet order STRUCTURE_ORDER.
+# What each kind's equations read has jet order STRUCTURE_ORDER
+# (:func:`jet_order`), the order the structures are certified at.
 STRUCTURE_ORDER = 2
 _STRUCTURES = {
     "einstein": (_einstein_eq,),
@@ -1471,22 +1476,23 @@ def _uncertified(rec: IdentityRecord, cert: dict[str, float]) -> str | None:
     return f"hypothesis {kind} not certified (residual {cert[kind]:.3e})"
 
 
-def planned(geometries: list[GeometryInstance],
-            records: list[IdentityRecord]) -> list[GeometryInstance]:
-    """A pass's geometries, the base and, if it has one, the rescaled,
-    each planned (:meth:`~ctlab.geometry.GeometryInstance.planned`) for
-    the frame values that ``records`` and their hypotheses read on its
-    side (:func:`reads`, :func:`~ctlab.curvature.plan`)."""
-    base = geometries[0]
-    kinds = dict.fromkeys(r.structure for r in records if r.structure)
-    keys = [key for r in records for key in reads(r.evaluate, base)] + [
-        key for kind in kinds for eq in _STRUCTURES[kind]
-        for key in reads(eq, base)]
-    if len(geometries) < 2 and any(side == "t" for side, *_ in keys):
-        raise MetricError(f"no rescaled geometry for {base.name!r}")
-    return [g.planned(plan({(name, d) for s, name, d in keys
-                            if s == side and name is not None}))
-            for side, g in zip("bt", geometries)]
+def pass_geometries(geometry: GeometryInstance,
+                    records: list[IdentityRecord]) -> list[GeometryInstance]:
+    """The geometries a pass of ``records`` on ``geometry`` walks: the
+    geometry and, if a record reads it, its rescaling, at the working
+    order, the largest ``min_order`` of ``records`` (the configured order
+    if there are none), each planned for the frame values that ``records``
+    and their hypotheses read on its side (:func:`~ctlab.curvature.plan`,
+    :meth:`~ctlab.geometry.GeometryInstance.planned`)."""
+    geometry = geometry.at_order(max((r.min_order for r in records),
+                                     default=geometry.config.order))
+    geometries = [geometry]
+    if any(r.reads_tilde for r in records):
+        if geometry.spec.u is None:
+            raise MetricError(f"no rescaled geometry for {geometry.name!r}")
+        geometries.append(geometry.rescaled)
+    keys = [key for r in records for key in r.keys]
+    return [g.planned(_plan(keys, side)) for side, g in zip("bt", geometries)]
 
 
 def verify(geometry: GeometryInstance, records: list[IdentityRecord],
@@ -1500,19 +1506,17 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     point where its hypothesis fails; a LAW record whose hypothesis fails
     is reported as skipped.  Zero points is an error whenever a record can
     run, since nothing would be checked.  LAW records and the
-    ``*_vs_tilde`` conditions (``reads_tilde``) compare against the
-    geometry rescaled by its own u field, ``geometry.rescaled``, which its
-    spec compiles once; the walk takes it only when a runnable record
-    reads it, and no point state of it is built unless a record reads it.
+    ``*_vs_tilde`` conditions compare against the geometry rescaled by its
+    own u field, ``geometry.rescaled``, which its spec compiles once; the
+    walk takes it only when a runnable record reads it (``c.t``).
 
-    Point states of both geometries are built at the working order, the
-    largest ``min_order`` of the runnable records; the configured order
-    only caps it, through the ``needs jet order`` skips.  The pass is
-    planned before it walks: the frame values that each runnable record
-    and each hypothesis reads are found on stand-ins (:func:`reads`), and
-    each geometry's bundles build every quantity only to the jet order
-    those values need (:func:`~ctlab.curvature.plan`), at most its
-    canonical order.
+    The pass is set up before it walks (:func:`pass_geometries`): the
+    frame values each runnable record and hypothesis reads are found on
+    stand-ins (:func:`reads`); both geometries' point states are built at
+    the working order, the largest ``min_order`` of the runnable records,
+    which the configured order only caps, through the ``needs jet order``
+    skips; and each geometry's bundles build every quantity only to the
+    jet order those values need (:func:`~ctlab.curvature.plan`).
 
     Evaluation is point-major and walks chunks of points
     (:func:`~ctlab.geometry.walk_chunks`), each with its own point states
@@ -1537,19 +1541,12 @@ def verify(geometry: GeometryInstance, records: list[IdentityRecord],
     runnable = [i for i, why in enumerate(skips) if why is None]
     if runnable and not len(points):
         raise ValueError("verification needs at least one point")
-    order = max((records[i].min_order for i in runnable),
-                default=geometry.config.order)
-    geometry = geometry.at_order(order)
-    geometries = [geometry]
-    if (geometry.spec.u is not None
-            and any(records[i].reads_tilde for i in runnable)):
-        geometries.append(geometry.rescaled)
+    geometries = pass_geometries(geometry, [records[i] for i in runnable])
+    geometry = geometries[0]
     cert = {records[i].structure: 0.0 for i in runnable
             if records[i].structure is not None}
     worst = dict.fromkeys(runnable, 0.0)
-    read_by = {i: reads(records[i].evaluate, geometry) for i in runnable}
-    geometries = planned(geometries, [records[i] for i in runnable])
-    geometry = geometries[0]
+    read_by = {i: reads(records[i].evaluate) for i in runnable}
 
     def certified(found: dict) -> tuple[list[int], str | None]:
         """The runnable records that the running worst ``found`` certifies,

@@ -497,16 +497,26 @@ def test_chart_leaving_float_range_exits_2(capsys, tmp_path):
      "coords repeat a name: ['x1', 'x2', 'x1'] (at offset 0)"),
     ({**_GAUSSIAN3, "domain": [[-1, 1], [-1, math.inf], [-1, 1]]},
      "domain interval [-1.0, inf] is not finite (at offset 0)"),
+    ({**_GAUSSIAN3, "name": None}, "geometry file has no 'name' field"),
+    ({**_GAUSSIAN3, "dim": None}, "geometry file has no 'dim' field"),
+    ({**_GAUSSIAN3, "metric": 5},
+     "geometry field 'metric' must be 3 rows, got 5"),
+    ({**_GAUSSIAN3, "metric": [["1"], ["0", "1"], None]},
+     "geometry field 'metric' must be 3 rows, got [['1'], ['0', '1'], None]"),
 ], ids=["lambda", "dim", "list", "no-metric", "number-for-expression",
-        "domain", "coords", "name", "repeated-coords", "infinite-domain"])
+        "domain", "coords", "name", "repeated-coords", "infinite-domain",
+        "null-name", "null-dim", "number-metric", "null-metric-row"])
 def test_malformed_spec_file_exits_2(capsys, tmp_path, doc, line):
     path = tmp_path / "chart.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", "--spec", str(path), "--suite",
-                         "SOL", "--points", "2")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {line}\n"
+    # refused before any pass runs, whether or not it runs the laws, which
+    # compile the chart's rescaling
+    for suite in (["--suite", "SOL"], ["--suite", "COMM"], ["--law", "all"]):
+        code, out, err = run(capsys, "verify", "--spec", str(path), *suite,
+                             "--points", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {line}\n"
 
 
 def test_catalog_claim_failing_certification_exits_3(capsys, monkeypatch):

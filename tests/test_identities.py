@@ -380,7 +380,7 @@ def test_list_identities_registry():
     assert {r.family for r in identities.REGISTRY} == set(identities.FAMILIES)
     for id_, requires, structure, min_dim, min_order, tol in (
             ("d_tensor", ["f", "lam"], "tilde_gradient_soliton", 3, 2, 1e-9),
-            ("nabla2_X", ["X"], None, 3, 3, 1e-7)):
+            ("nabla2_X", ["X"], None, 3, 2, 1e-7)):
         law = conformal.LAWS[id_]
         assert (sorted(law.requires), law.structure, law.min_dim,
                 law.min_order, law.tolerance(), law.family,
@@ -507,16 +507,21 @@ def test_expanded_weyl_rules_fail_without_the_split(monkeypatch):
 # blocks of points: errors and warnings at their own point
 # ---------------------------------------------------------------------------
 
-def _spy(note):
-    """A record that runs everywhere and records ``note(context)``, one
-    entry per point of the block it is called on."""
+def _spy(note, read=("ricci", 0)):
+    """A record that runs everywhere, reads ``read`` (nothing if None), so
+    that it runs at that value's jet order (Ricci's, 2, by default), and
+    records ``note(context)``, one entry per point of the block it is
+    called on."""
     seen = []
 
     def evaluate(c):
+        if read is not None:
+            c.on(*read)
         seen.extend(note(c))
         return np.zeros(1), np.zeros(1)
-    return IdentityRecord("spy", "COMM", "spy", frozenset(), None, 2, 2, "A",
-                          None, evaluate), seen
+    return IdentityRecord(id="spy", family="COMM", eq="spy",
+                          requires=frozenset(), structure=None, min_dim=2,
+                          tol_class="A", tol=None, evaluate=evaluate), seen
 
 
 def _chart(metric=(("1",), ("0", "1")), **fields):
@@ -737,8 +742,10 @@ def test_record_raising_past_a_failed_hypothesis_does_not_preempt_it(
             raise ZeroDivisionError("past the failed hypothesis")
         return np.zeros(1), np.zeros(1)
 
-    rec = IdentityRecord("late", "SOL", "late", frozenset(),
-                         "gradient_soliton", 2, 2, "A", None, evaluate)
+    rec = IdentityRecord(id="late", family="SOL", eq="late",
+                         requires=frozenset(), structure="gradient_soliton",
+                         min_dim=2, tol_class="A", tol=None,
+                         evaluate=evaluate)
     with pytest.raises(CertificationError,
                        match=r"residual 5\.000e-09\); required by late"):
         verify(g, [rec], points)
@@ -801,10 +808,10 @@ def test_dropped_law_hands_its_values_over_no_more(monkeypatch):
 
 
 def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
-    # at working order 4 in dim 3 the first chunk holds
-    # BLOCK_TRIPLES // 3 ** 6 = 22 points, then one chunk holds the other
-    # three: each builds its bundle, and so its point state, though no
-    # record reads a value
+    # a record that reads nothing runs at working order 0, where in dim 3
+    # the first chunk holds BLOCK_TRIPLES // 3 ** 2 = 1820 points, then one
+    # chunk holds the other three: each builds its bundle, and so its
+    # point state, though no record reads a value
     built = []
     init = curvature.CurvatureBundle.__init__
 
@@ -813,29 +820,34 @@ def test_later_points_build_their_bundles_when_nothing_is_read(monkeypatch):
         init(self, state)
 
     monkeypatch.setattr(curvature.CurvatureBundle, "__init__", spy_init)
-    spy, seen = _spy(lambda c: c.points)
+    spy, seen = _spy(lambda c: c.points, read=None)
     g = _chart3(order=4)
-    points = g.sample_points(25, 0)
-    verify(g, [dataclasses.replace(spy, min_order=4)], points)
+    points = g.sample_points(1823, 0)
+    verify(g, [spy], points)
     assert seen == [point_key(p) for p in points]
-    assert built == [22, 3]
+    assert built == [1820, 3]
 
 
 def test_value_the_first_point_never_read_is_an_internal_error():
     # a record that reads a value only at the points past the walk's first
-    # chunk (22 points, as above), so not on the block of no points its
-    # reads are found on: no point hands that value over
+    # chunk, so not on the block of no points its reads are found on: no
+    # point hands that value over.  It reads Riemann's second derivative
+    # everywhere, so it runs at working order 4, where in dim 3 the first
+    # chunk holds BLOCK_TRIPLES // 3 ** 6 = 22 points
     g = _chart3(order=4)
     points = g.sample_points(25, 0)
     late = {point_key(p) for p in points[22:]}
 
     def evaluate(c):
+        c.on("riemann", 2)
         if late & set(c.points):
             c.on("ricci")
         return np.zeros(1), np.zeros(1)
 
-    rec = IdentityRecord("late", "COMM", "late", frozenset(), None, 2, 4,
-                         "A", None, evaluate)
+    rec = IdentityRecord(id="late", family="COMM", eq="late",
+                         requires=frozenset(), structure=None, min_dim=2,
+                         tol_class="A", tol=None, evaluate=evaluate)
+    assert rec.min_order == 4
     assert geometry.first_chunk(g) == 22
     with pytest.raises(RuntimeError, match=r"internal error: c\.b\.on\("
                        r"'ricci', 0\) was not read when the pass was planned"):
@@ -880,10 +892,13 @@ def test_block_sizes(monkeypatch):
         return out
 
     monkeypatch.setattr(curvature.CurvatureBundle, "frames", spy_frames)
-    spy, seen = _spy(lambda c: [len(c.points) == len(read[-1]) == 1 and
-                                np.shares_memory(c.on("riemann", 3),
-                                                 read[-1])] if c.points else [])
-    spy = dataclasses.replace(spy, min_order=5)
+    def note(c):
+        if not c.points:
+            return []
+        return [len(c.points) == len(read[-1]) == 1
+                and np.shares_memory(c.on("riemann", 3), read[-1])]
+
+    spy, seen = _spy(note, read=("riemann", 3))
     rows = verify(g, select_records(["COMM"]) + [spy], g.sample_points(3, 1))
     assert seen == [True, True, True]
     assert all(r.status == "pass" for r in rows)
@@ -937,8 +952,9 @@ def test_chunk_error_comes_at_its_point(monkeypatch, fields, read, error):
         seen.extend(c.points)
         return np.zeros(1), np.zeros(1)
 
-    rec = IdentityRecord("reads", "COMM", "reads", frozenset(), None, 2, 2,
-                         "A", None, evaluate)
+    rec = IdentityRecord(id="reads", family="COMM", eq="reads",
+                         requires=frozenset(), structure=None, min_dim=2,
+                         tol_class="A", tol=None, evaluate=evaluate)
     assert _error(lambda: verify(_chart3(**fields), [rec], points)) == alone[4]
     assert seen == [point_key(p) for p in points[:4]]
     # the walk's first chunk holds all seven points, and its build fails;

@@ -64,7 +64,7 @@ def test_probed_reads_are_the_live_reads():
             eq for kind in sorted(kinds)
             for eq in identities._STRUCTURES[kind]]
         for evaluate in evaluators:
-            assert reads(evaluate, g) == _live_reads(g, point, evaluate)
+            assert reads(evaluate) == _live_reads(g, point, evaluate)
             seen.add(evaluate)
     assert {r.evaluate for r in identities.REGISTRY} - seen == set()
     assert {law.evaluate for law in conformal.select_laws()} <= seen
@@ -72,7 +72,7 @@ def test_probed_reads_are_the_live_reads():
     g = catalog.load("sphere", dim=3).geometry
     for eq in {eq for eqs in identities._STRUCTURES.values()
                for eq in eqs} - seen:
-        assert reads(eq, g) == _live_reads(g, g.sample_points(1, 0)[0], eq)
+        assert reads(eq) == _live_reads(g, g.sample_points(1, 0)[0], eq)
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5])

@@ -1,7 +1,10 @@
-"""Demand-driven jet order: each verification pass builds its point states
-at the largest ``min_order`` its runnable records need, capped by the
-configured order, and the catalog certifies at ``STRUCTURE_ORDER``."""
+"""Demand-driven jet order: each record's ``min_order`` is the least order
+at which what it and its hypothesis read can be built, each verification
+pass builds its point states at the largest ``min_order`` its runnable
+records need, capped by the configured order, and the catalog certifies
+at ``STRUCTURE_ORDER``."""
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -11,8 +14,10 @@ import pytest
 
 from ctlab import catalog, conformal, identities
 from ctlab.cli import main
-from ctlab.geometry import PointState
-from ctlab.identities import REGISTRY, STRUCTURE_ORDER
+from ctlab.geometry import GeometryInstance, JetConfig, PointState
+from ctlab.identities import (REGISTRY, STRUCTURE_ORDER, EvalContext,
+                              jet_order, reads)
+from ctlab.jets import JetOrderError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from run_full_suite import LAW_SCHEDULE, SCHEDULE  # noqa: E402
@@ -39,7 +44,10 @@ def built(monkeypatch):
 
 
 def _rows(name, kw, records, order, laws):
-    entry = catalog.load(name, jet_order=order, **kw)
+    # a catalog claim is certified at STRUCTURE_ORDER, so below it the
+    # entry loads uncertified; the driver still certifies each hypothesis
+    entry = catalog.load(name, jet_order=order,
+                         certify=order >= STRUCTURE_ORDER, **kw)
     g = entry.geometry
     point = g.sample_points(1, 0)
     if laws:
@@ -84,6 +92,41 @@ def test_every_record_runs_at_its_min_order():
                 assert abs(row.max_residual - ref.max_residual) <= 1e-14
                 todo.discard((laws, rec.id))
     assert {rid for _, rid in todo} == RUNS_NOWHERE
+
+
+def test_every_record_is_tight_at_its_min_order():
+    # on a dim-4 chart with u, f, X and lambda, each record and its
+    # hypothesis's equations evaluate on a lone point's canonical bundles
+    # at the record's min_order, and run out of jet order one below it
+    spec = dataclasses.replace(
+        catalog.load("random", dim=4, seed=1, certify=False).spec, lam=0.5)
+    point = GeometryInstance(spec, JetConfig(6)).sample_points(1, 0)[0]
+
+    def run(rec, order):
+        c = EvalContext(GeometryInstance(spec, JetConfig(order)), point)
+        eqs = identities._STRUCTURES[rec.structure] if rec.structure else ()
+        for evaluate in (rec.evaluate, *eqs):
+            evaluate(c)
+
+    for rec in REGISTRY + conformal.LAW_REGISTRY:
+        run(rec, rec.min_order)
+        with pytest.raises(JetOrderError):
+            run(rec, rec.min_order - 1)
+
+
+def test_a_replaced_evaluator_gets_the_order_of_its_own_reads():
+    # dataclasses.replace(rec, evaluate=...) is how a caller wraps a
+    # record: the copy derives its order afresh
+    rec = identities.BY_ID["comm.riem_third"]
+    spy = dataclasses.replace(rec, evaluate=lambda c: (c.on("ricci"),) * 2)
+    assert (rec.min_order, spy.min_order) == (5, 2)
+    assert not spy.reads_tilde
+
+
+def test_every_structure_is_certified_at_structure_order():
+    for kind, eqs in identities._STRUCTURES.items():
+        assert jet_order([key for eq in eqs for key in reads(eq)]) == \
+            STRUCTURE_ORDER, kind
 
 
 def test_comm_builds_at_its_largest_min_order(built):
