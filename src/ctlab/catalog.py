@@ -46,6 +46,10 @@ class CatalogError(ValueError):
     cannot take."""
 
 
+class CertificationOrderError(CatalogError):
+    """A jet order too low to certify an entry's claims."""
+
+
 @dataclass(frozen=True)
 class StructureClaim:
     """One certified structure on an entry.
@@ -356,16 +360,22 @@ def load(name: str, certify: bool = True, jet_order: int | None = None,
 
 
 def certify_entry(entry: CatalogEntry):
-    """Check every claim's defining residual on a fixed sample grid, and
-    positive definiteness for claim-free (random) entries, at jet order
-    ``STRUCTURE_ORDER`` (or the configured order, if lower).  The grid is
-    walked in chunks of points (:func:`~ctlab.geometry.walk_chunks`), the
-    first of :func:`~ctlab.geometry.first_chunk` points, and each claim is
-    checked for a whole chunk in one evaluator call, one residual per
-    point.  A claim whose worst residual over the grid is not below
-    ``CERTIFICATION_TOL`` raises :class:`CertificationError`."""
-    g = entry.geometry.at_order(min(STRUCTURE_ORDER,
-                                    entry.geometry.config.order))
+    """Check every claim's defining residual on a fixed sample grid at jet
+    order ``STRUCTURE_ORDER``, refusing a lower configured order
+    (:class:`CertificationOrderError`), and positive definiteness for
+    claim-free (random) entries, at the configured order if lower.  The grid is
+    walked in chunks of points (:func:`~ctlab.geometry.walk_chunks`), the first
+    of :func:`~ctlab.geometry.first_chunk` points, and each claim is checked
+    for a whole chunk in one evaluator call, one residual per point.  A claim
+    whose worst residual over the grid is not below ``CERTIFICATION_TOL``
+    raises :class:`CertificationError`."""
+    order = entry.geometry.config.order
+    if entry.claims and order < STRUCTURE_ORDER:
+        raise CertificationOrderError(
+            f"certifying the claims of {entry.name} "
+            f"({', '.join(c.kind for c in entry.claims)}) needs jet order "
+            f">= {STRUCTURE_ORDER}")
+    g = entry.geometry.at_order(min(STRUCTURE_ORDER, order))
 
     def read(chunk):
         c = EvalContext.of(chunk)  # raises MetricError if not positive definite

@@ -66,15 +66,11 @@ def _load_geometry(args) -> GeometryInstance:
         with open(args.spec) as fh:
             spec = GeometrySpec.from_json(fh.read())
         return GeometryInstance(spec, JetConfig(order))
-    entry = catalog.load(args.catalog, certify=False, jet_order=order,
-                         **_entry_params(args.catalog, args))
-    if entry.claims and order < identities.STRUCTURE_ORDER:
-        raise ValueError(
-            f"--jet-order {order}: certifying the claims of {entry.name} "
-            f"({', '.join(c.kind for c in entry.claims)}) needs jet order "
-            f">= {identities.STRUCTURE_ORDER}")
-    catalog.certify_entry(entry)
-    return entry.geometry
+    try:
+        return catalog.load(args.catalog, jet_order=order,
+                            **_entry_params(args.catalog, args)).geometry
+    except catalog.CertificationOrderError as err:
+        raise ValueError(f"--jet-order {order}: {err}") from None
 
 
 def _tol_overrides(text: str | None) -> dict[str, float]:

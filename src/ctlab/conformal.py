@@ -305,7 +305,7 @@ def law_lap_scalar(c: EvalContext):
     return c.e(4) * np.trace(c.t.on("scalar", 2)), rhs
 
 
-@_law("hessian_f", "HessianExpComp", "A", requires=("f",))
+@_law("hessian_f", "HessianExpComp", "A")
 def law_hessian_f(c: EvalContext):
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
     rhs = (f2 - (einsum("i,j->ij", f1, u1) + einsum("i,j->ij", u1, f1))
@@ -313,7 +313,7 @@ def law_hessian_f(c: EvalContext):
     return c.e(2) * c.t.on("f", 2), rhs
 
 
-@_law("laplacian_f", "LaplacianExpComp", "A", requires=("f",))
+@_law("laplacian_f", "LaplacianExpComp", "A")
 def law_laplacian_f(c: EvalContext):
     m = c.m
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
@@ -321,7 +321,7 @@ def law_laplacian_f(c: EvalContext):
     return c.e(2) * np.trace(c.t.on("f", 2)), rhs
 
 
-@_law("third_f", "thirdDerivFunctExpComp", "B", requires=("f",))
+@_law("third_f", "thirdDerivFunctExpComp", "B")
 def law_third_f(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -344,7 +344,7 @@ def law_third_f(c: EvalContext):
     return c.e(3) * c.t.on("f", 3), rhs
 
 
-@_law("third_f_traced", "thirdDerivFunctExpCompTraced", "B", requires=("f",))
+@_law("third_f_traced", "thirdDerivFunctExpCompTraced", "B")
 def law_third_f_traced(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -608,14 +608,14 @@ def law_nabla_d(c: EvalContext):
     return c.e(4) * c.t.on("d_tensor", 1), rhs
 
 
-@_law("lie_metric", "eq_conformalchangeLieDeriv", "A", requires=("X",))
+@_law("lie_metric", "eq_conformalchangeLieDeriv", "A")
 def law_lie_metric(c: EvalContext):
     xu = dot(c.b.on("X"), c.b.on("u", 1))
     rhs = c.b.on("lie_metric") + 2 * xu * c.I
     return c.t.on("lie_metric"), rhs
 
 
-@_law("nabla_X", "tildeXik", "A", requires=("X",))
+@_law("nabla_X", "tildeXik", "A")
 def law_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     rhs = (x1 + einsum("i,j->ij", x, u1) + dot(x, u1) * c.I
@@ -623,7 +623,7 @@ def law_nabla_x(c: EvalContext):
     return c.t.on("X", 1), rhs
 
 
-@_law("sym_nabla_X", "tildeXiktildeXki", "A", requires=("X",))
+@_law("sym_nabla_X", "tildeXiktildeXki", "A")
 def law_sym_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     tx1 = c.t.on("X", 1)
@@ -631,13 +631,13 @@ def law_sym_nabla_x(c: EvalContext):
     return tx1 + tp(tx1, 1, 0), rhs
 
 
-@_law("div_X", "divergenzatilde", "A", requires=("X",))
+@_law("div_X", "divergenzatilde", "A")
 def law_div_x(c: EvalContext):
     rhs = np.trace(c.b.on("X", 1)) + c.m * dot(c.b.on("X"), c.b.on("u", 1))
     return np.trace(c.t.on("X", 1)), rhs
 
 
-@_law("nabla2_X", "secondCovDerivVFExp", "B", requires=("X",))
+@_law("nabla2_X", "secondCovDerivVFExp", "B")
 def law_nabla2_x(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -655,7 +655,7 @@ def law_nabla2_x(c: EvalContext):
     return c.e(1) * c.t.on("X", 2), rhs
 
 
-@_law("nabla2_X_traced", "secondCovDerivVFExpTraced", "B", requires=("X",))
+@_law("nabla2_X_traced", "secondCovDerivVFExpTraced", "B")
 def law_nabla2_x_traced(c: EvalContext):
     m = c.m
     x2 = c.b.on("X", 2)

@@ -75,22 +75,25 @@ class DimensionError(ValueError):
     """The requested quantity needs a higher chart dimension."""
 
 
-def _need_dim(m: int, least: int, what: str):
-    if m < least:
-        raise DimensionError(f"{what} requires dim >= {least}, got {m}")
-
-
 class Quantity(NamedTuple):
     """A quantity of the bundle: its tensor rank, its metric derivative
     depth (its canonical jet order is ``K - depth``) and the jets its
     ``_build_*`` method reads through :meth:`CurvatureBundle.coord`, as pairs
     (quantity, covariant derivative count).  Riemann and Ricci read the
     point state's metric and Christoffel symbols alone, and the fields
-    are the point state's own jets."""
+    are the point state's own jets.  ``min_dim`` is its dimension floor."""
 
     rank: int
     depth: int
     reads: tuple = ()
+    min_dim: int = 0
+    title: str = ""
+
+
+def _need_dim(m: int, q: Quantity):
+    if m < q.min_dim:
+        raise DimensionError(
+            f"the {q.title} tensor requires dim >= {q.min_dim}, got {m}")
 
 
 QUANTITIES = {
@@ -101,21 +104,24 @@ QUANTITIES = {
     "riemann": Quantity(4, 2),
     "ricci": Quantity(2, 2),
     "scalar": Quantity(0, 2, (("ricci", 0),)),
-    "schouten": Quantity(2, 2, (("scalar", 0), ("ricci", 0))),
-    "weyl": Quantity(4, 2, (("schouten", 0), ("riemann", 0))),
+    "schouten": Quantity(2, 2, (("scalar", 0), ("ricci", 0)), 3, "Schouten"),
+    "weyl": Quantity(4, 2, (("schouten", 0), ("riemann", 0)), 3, "Weyl"),
     "einstein": Quantity(2, 2, (("scalar", 0), ("ricci", 0))),
-    "cotton": Quantity(3, 3, (("schouten", 1),)),
-    "cotton_weyl_div": Quantity(3, 3, (("weyl", 1),)),
-    "bach": Quantity(2, 4, (("cotton", 1), ("ricci", 0), ("weyl", 0))),
-    "bach_weyl_div": Quantity(2, 4, (("weyl", 2), ("ricci", 0),
-                                     ("weyl", 0))),
-    "d_tensor": Quantity(3, 2, (("ricci", 0), ("scalar", 0), ("f", 1))),
+    "cotton": Quantity(3, 3, (("schouten", 1),), 3, "Cotton"),
+    "cotton_weyl_div": Quantity(3, 3, (("weyl", 1),), 4,
+                                "Weyl-divergence form of the Cotton"),
+    "bach": Quantity(2, 4, (("cotton", 1), ("ricci", 0), ("weyl", 0)), 3,
+                     "Bach"),
+    "bach_weyl_div": Quantity(2, 4, (("weyl", 2), ("ricci", 0), ("weyl", 0)),
+                              4, "Weyl-divergence form of the Bach"),
+    "d_tensor": Quantity(3, 2, (("ricci", 0), ("scalar", 0), ("f", 1)), 3,
+                         "D"),
     "dx_tensor": Quantity(3, 2, (("ricci", 0), ("scalar", 0), ("X", 0),
-                                 ("X", 2))),
+                                 ("X", 2)), 3, "D^X"),
     "duf_tensor": Quantity(3, 2, (("f", 1), ("u", 1), ("u", 2),
-                                  ("d_tensor", 0))),
+                                  ("d_tensor", 0)), 3, "D^{u,f}"),
     "dux_tensor": Quantity(3, 2, (("u", 1), ("X", 1), ("dx_tensor", 0),
-                                  ("u", 0))),
+                                  ("u", 0)), 3, "D^{u,X}"),
 }
 FIELDS = ("u", "f", "X")
 
@@ -198,6 +204,7 @@ class CurvatureBundle:
                 if d > 0:
                     t = self.state.cov_deriv(self.coord(name, d - 1))
                 else:
+                    _need_dim(self.m, QUANTITIES[name])
                     self._shift = self._canonical[name] - self.orders[name]
                     t = getattr(self, f"_build_{name}")().truncate(
                         self.orders[name])
@@ -307,7 +314,6 @@ class CurvatureBundle:
         return tj_einsum("jl,jl->", self.state.ginv, self.coord("ricci"))
 
     def _build_schouten(self) -> TensorJet:
-        _need_dim(self.m, 3, "the Schouten tensor")
         sg = tj_einsum(",ab->ab", self.coord("scalar"), self.state.g)
         return tj_combine(
             (1.0, self.coord("ricci")), (-1.0 / (2 * (self.m - 1)), sg)
@@ -317,7 +323,6 @@ class CurvatureBundle:
         """W = Rm - (A o g)/(m-2), with A the Schouten tensor and o the
         Kulkarni-Nomizu product, written packed: (A o g)_ijkl = P_ijkl +
         P_jilk - P_ijlk - P_jikl with P_ijkl = A_ik g_jl."""
-        _need_dim(self.m, 3, "the Weyl tensor")
         c = 1.0 / (self.m - 2)
         p = tj_einsum("ik,jl->ijkl", self.coord("schouten"), self.state.g)
         return tj_combine(
@@ -333,20 +338,17 @@ class CurvatureBundle:
 
     def _build_cotton(self) -> TensorJet:
         """C_ijk = A_ij,k - A_ik,j (obstruction to Schouten being Codazzi)."""
-        _need_dim(self.m, 3, "the Cotton tensor")
         da = self.coord("schouten", 1)
         return tj_combine((1.0, da), (-1.0, tj_transpose(da, (0, 2, 1))))
 
     def _build_cotton_weyl_div(self) -> TensorJet:
         """Divergence-of-Weyl construction, defined for dim >= 4."""
-        _need_dim(self.m, 4, "the Weyl-divergence form of the Cotton tensor")
         dw = self.coord("weyl", 1).unpacked()
         c = tj_einsum("tv,tikjv->ijk", self.state.ginv, dw)
         return tj_combine(((self.m - 2) / (self.m - 3), c))
 
     def _build_bach(self) -> TensorJet:
         """Cotton form of Bach (valid for every dim >= 3)."""
-        _need_dim(self.m, 3, "the Bach tensor")
         m = self.m
         dc = self.coord("cotton", 1)
         div_c = tj_einsum("kt,jikt->ij", self.state.ginv, dc)
@@ -355,7 +357,6 @@ class CurvatureBundle:
 
     def _build_bach_weyl_div(self) -> TensorJet:
         """Weyl-divergence form, the dim >= 4 cross-check route."""
-        _need_dim(self.m, 4, "the Weyl-divergence form of the Bach tensor")
         m = self.m
         d2w = self.coord("weyl", 2).unpacked()
         t1 = tj_einsum("la,ikjlab->ikjb", self.state.ginv, d2w)
@@ -382,7 +383,6 @@ class CurvatureBundle:
     def _build_d_tensor(self) -> TensorJet:
         """Skew trace-free gradient-soliton 3-tensor, built from Ricci,
         scalar curvature and the potential's gradient."""
-        _need_dim(self.m, 3, "the D tensor")
         m = self.m
         g = self.state.g
         ric, s = self.coord("ricci"), self.coord("scalar")
@@ -397,7 +397,6 @@ class CurvatureBundle:
 
     def _build_dx_tensor(self) -> TensorJet:
         """The vector-field soliton 3-tensor before any conformal factor."""
-        _need_dim(self.m, 3, "the D^X tensor")
         m = self.m
         g = self.state.g
         ric, s = self.coord("ricci"), self.coord("scalar")
@@ -423,7 +422,6 @@ class CurvatureBundle:
 
     def _build_duf_tensor(self) -> TensorJet:
         """Conformal-gradient interpolation tensor (the jet-level form)."""
-        _need_dim(self.m, 3, "the D^{u,f} tensor")
         m = self.m
         g = self.state.g
         f1 = self.coord("f", 1)
@@ -448,7 +446,6 @@ class CurvatureBundle:
 
     def _build_dux_tensor(self) -> TensorJet:
         """Conformal-generic interpolation tensor e^{2u} * {...}."""
-        _need_dim(self.m, 3, "the D^{u,X} tensor")
         m = self.m
         g = self.state.g
         u1, x1 = self.coord("u", 1), self.coord("X", 1)

@@ -3,15 +3,15 @@
 Each :class:`IdentityRecord` names one identity -- a commutation rule, a
 Bianchi-type identity, a soliton structure equation, or an integrability
 condition -- and carries an evaluator that produces its two sides as
-orthonormal-frame arrays from an :class:`EvalContext`.  Each record is
-declared once, by a decorator on its evaluator (``@_rec(id, eq, tol_class,
-...)``); the id's prefix names the family, which supplies the hypothesis,
-dimension floor and tolerance, and the hypothesis supplies the fields the
-record requires.  The registry is data: families can be listed, filtered
-and dumped, and the verification driver treats every record uniformly
-(certify the structural hypothesis at every sampled point, evaluate a
-block of points at a time, and report the worst normalised residual,
-where a NaN residual fails).
+orthonormal-frame arrays from an :class:`EvalContext`.  Each record is declared
+once, by a decorator on its evaluator (``@_rec(id, eq, tol_class, ...)``); the
+id's prefix names the family, which supplies the hypothesis, dimension floor
+and tolerance; what it reads (:func:`reads`) gives its fields, its quantities'
+floors and its jet order.  The registry is data: families can be listed,
+filtered and dumped, and the verification driver treats every record uniformly
+(certify the structural hypothesis at every sampled point, evaluate a block of
+points at a time, and report the worst normalised residual, where a NaN
+residual fails).
 
 Evaluators work on a block of points at once.  Every frame value of the
 context (``c.on``, ``c.b.on``, ``c.t.on``) carries the point axis last: a
@@ -55,8 +55,8 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import (QUANTITIES, CurvatureBundle, delta, dot, einsum,
-                        plan, tp)
+from .curvature import (FIELDS, QUANTITIES, CurvatureBundle, delta, dot,
+                        einsum, plan, tp)
 from .geometry import (
     BLOCK_BYTES,
     Chunk,
@@ -280,12 +280,11 @@ class IdentityRecord:
     id: str
     family: str
     eq: str
-    requires: frozenset[str]       # subset of {"f", "X", "u", "lam"}
     structure: str | None          # certified hypothesis, if conditional
-    min_dim: int
     tol_class: str
     tol: float | None              # explicit override of the class default
     evaluate: Callable[[EvalContext], tuple]
+    dim_floor: int = 2             # declared: its family's, or its own
 
     @cached_property
     def keys(self) -> tuple:
@@ -294,6 +293,24 @@ class IdentityRecord:
         eqs = _STRUCTURES[self.structure] if self.structure else ()
         return tuple(dict.fromkeys(key for fn in (self.evaluate, *eqs)
                                    for key in reads(fn)))
+
+    @cached_property
+    def _built(self) -> set[str]:
+        """The quantities built, on either side, for what it reads."""
+        return {name for side in "bt" for name in _plan(self.keys, side)}
+
+    @cached_property
+    def requires(self) -> frozenset[str]:
+        """Its reads' fields, u if it reads ``c.t``, ``lam`` if conditional."""
+        return frozenset(self._built & set(FIELDS)
+                         | ({"u"} if self.reads_tilde else set())
+                         | ({"lam"} if self.structure else set()))
+
+    @cached_property
+    def min_dim(self) -> int:
+        """The highest of its declared floor and its quantities' floors."""
+        return max([self.dim_floor,
+                    *(QUANTITIES[name].min_dim for name in self._built)])
 
     @cached_property
     def min_order(self) -> int:
@@ -324,19 +341,6 @@ def _cyc_last3(t4: np.ndarray) -> np.ndarray:
 # declaring records
 # ---------------------------------------------------------------------------
 
-# The fields (and constant) each hypothesis reads: a conditional record
-# requires them.  A law's base always carries u, the rescaling, so the law
-# hypotheses do not list it.
-_HYPOTHESIS_FIELDS = {
-    "gradient_soliton": ("f", "lam"),
-    "generic_soliton": ("X", "lam"),
-    "conformally_einstein": ("u", "lam"),
-    "conformal_gradient_soliton": ("u", "f", "lam"),
-    "conformal_generic_soliton": ("u", "X", "lam"),
-    "base_gradient_soliton": ("f", "lam"),
-    "tilde_gradient_soliton": ("f", "lam"),
-}
-
 # id prefix -> (family, default hypothesis, dimension floor, pinned tolerance)
 _FAMILY = {
     "comm": ("COMM", None, 2, None),
@@ -352,16 +356,14 @@ FAMILIES = tuple(family for family, *_ in _FAMILY.values())
 
 def declare(into: list, id_: str, family: str, eq: str, tol_class: str, *,
             min_dim: int, structure: str | None = None,
-            tol: float | None = None, requires: tuple[str, ...] | None = None):
+            tol: float | None = None):
     """Decorator that appends the evaluator's :class:`IdentityRecord` to
-    ``into``; ``requires`` defaults to the fields its hypothesis reads, and
-    what it reads gives its jet order (:attr:`IdentityRecord.min_order`)."""
-    if requires is None:
-        requires = _HYPOTHESIS_FIELDS.get(structure, ())
-
+    ``into``, with ``min_dim`` its declared dimension floor.  What the
+    record and its hypothesis read gives the rest: the fields it requires,
+    the floors of the quantities it reads and its jet order."""
     def register(fn):
-        into.append(IdentityRecord(id_, family, eq, frozenset(requires),
-                                   structure, min_dim, tol_class, tol, fn))
+        into.append(IdentityRecord(id_, family, eq, structure, tol_class,
+                                   tol, fn, min_dim))
         return fn
     return register
 
@@ -396,19 +398,19 @@ def _riemann_split(c):
     return w + kn_ric / (m - 2) - s_gg / ((m - 1) * (m - 2))
 
 
-@_rec("comm.hess_sym", "SecondDerivFunction", "A", requires=("f",))
+@_rec("comm.hess_sym", "SecondDerivFunction", "A")
 def comm_hess_sym(c):
     f2 = c.on("f", 2)
     return f2, tp(f2, 1, 0)
 
 
-@_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B", requires=("f",))
+@_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B")
 def comm_third_first_pair(c):
     f3 = c.on("f", 3)
     return f3, tp(f3, 1, 0, 2)
 
 
-@_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B", requires=("f",))
+@_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B")
 def comm_third_riemann(c):
     f3 = c.on("f", 3)
     rhs = tp(f3, 0, 2, 1) + einsum("t,tijk->ijk", c.on("f", 1),
@@ -416,8 +418,7 @@ def comm_third_riemann(c):
     return f3, rhs
 
 
-@_rec("comm.third_weyl", "ThirdDerivFunctionWeyl", "B", requires=("f",),
-      min_dim=3)
+@_rec("comm.third_weyl", "ThirdDerivFunctionWeyl", "B")
 def comm_third_weyl(c):
     m, I = c.m, c.I
     e = einsum
@@ -431,8 +432,7 @@ def comm_third_weyl(c):
     return f3, rhs
 
 
-@_rec("comm.third_weyl_schouten", "commutatioThirdDerFunctWeilSchouten", "B",
-      requires=("f",), min_dim=3)
+@_rec("comm.third_weyl_schouten", "commutatioThirdDerFunctWeilSchouten", "B")
 def comm_third_weyl_schouten(c):
     m, I = c.m, c.I
     e = einsum
@@ -445,7 +445,7 @@ def comm_third_weyl_schouten(c):
     return f3, rhs
 
 
-@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B", requires=("f",))
+@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B")
 def comm_fourth_last_pair(c):
     e = einsum
     f2, f4 = c.on("f", 2), c.on("f", 4)
@@ -455,7 +455,7 @@ def comm_fourth_last_pair(c):
     return f4, rhs
 
 
-@_rec("comm.fourth_23", "ThirdDerivinfourth", "B", requires=("f",))
+@_rec("comm.fourth_23", "ThirdDerivinfourth", "B")
 def comm_fourth_23(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -464,7 +464,7 @@ def comm_fourth_23(c):
     return f4, rhs
 
 
-@_rec("comm.fourth_12_34", "Function12with34", "B", requires=("f",))
+@_rec("comm.fourth_12_34", "Function12with34", "B")
 def comm_fourth_12_34(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -476,8 +476,7 @@ def comm_fourth_12_34(c):
     return f4, rhs
 
 
-@_rec("comm.traced_third", "TracedThirdDerivFunctionRicci", "B",
-      requires=("f",))
+@_rec("comm.traced_third", "TracedThirdDerivFunctionRicci", "B")
 def comm_traced_third(c):
     f1, f3 = c.on("f", 1), c.on("f", 3)
     lhs = einsum("itt->i", f3)
@@ -485,7 +484,7 @@ def comm_traced_third(c):
     return lhs, rhs
 
 
-@_rec("comm.traced_fourth", "TracedFourthDerivFct", "B", requires=("f",))
+@_rec("comm.traced_fourth", "TracedFourthDerivFct", "B")
 def comm_traced_fourth(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -498,8 +497,7 @@ def comm_traced_fourth(c):
     return lhs, rhs
 
 
-@_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion", "B",
-      requires=("f",))
+@_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion", "B")
 def comm_traced_fourth_v2(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -513,7 +511,7 @@ def comm_traced_fourth_v2(c):
     return lhs, rhs
 
 
-@_rec("comm.vec_third", "VectorFieldThirdComm", "B", requires=("X",))
+@_rec("comm.vec_third", "VectorFieldThirdComm", "B")
 def comm_vec_third(c):
     x2 = c.on("X", 2)
     rhs = tp(x2, 0, 2, 1) + einsum("t,tijk->ijk", c.on("X"),
@@ -521,7 +519,7 @@ def comm_vec_third(c):
     return x2, rhs
 
 
-@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B", requires=("X",))
+@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B")
 def comm_vec_fourth_23(c):
     e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -531,7 +529,7 @@ def comm_vec_fourth_23(c):
     return lhs, rhs
 
 
-@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B", requires=("X",))
+@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B")
 def comm_vec_fourth_34(c):
     e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -611,13 +609,13 @@ def comm_schur(c):
     return c.on("scalar", 1), 2 * einsum("ikk->i", c.on("ricci", 1))
 
 
-@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B", min_dim=3)
+@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B")
 def comm_schouten_codazzi(c):
     a1 = c.on("schouten", 1)
     return a1 - tp(a1, 0, 2, 1), c.on("cotton")
 
 
-@_rec("comm.schouten_second", "SchoutenSecondComm", "B", min_dim=3)
+@_rec("comm.schouten_second", "SchoutenSecondComm", "B")
 def comm_schouten_second(c):
     e = einsum
     a, r4 = c.on("schouten"), c.on("riemann")
@@ -627,7 +625,7 @@ def comm_schouten_second(c):
     return lhs, rhs
 
 
-@_rec("comm.schouten_third", "SchoutenThirdComm", "C", min_dim=3)
+@_rec("comm.schouten_third", "SchoutenThirdComm", "C")
 def comm_schouten_third(c):
     e = einsum
     a1, r4 = c.on("schouten", 1), c.on("riemann")
@@ -638,7 +636,7 @@ def comm_schouten_third(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl", "B", min_dim=3)
+@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl", "B")
 def comm_weyl_deriv_cyclic(c):
     m, I = c.m, c.I
     e = einsum
@@ -650,7 +648,7 @@ def comm_weyl_deriv_cyclic(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B", min_dim=3)
+@_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B")
 def comm_weyl_second(c):
     e = einsum
     w, r4 = c.on("weyl"), c.on("riemann")
@@ -661,7 +659,7 @@ def comm_weyl_second(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B", min_dim=3)
+@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B")
 def comm_weyl_second_expanded(c):
     e = einsum
     w, q = c.on("weyl"), _riemann_split(c)
@@ -672,7 +670,7 @@ def comm_weyl_second_expanded(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced", "B", min_dim=3)
+@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced", "B")
 def comm_weyl_second_traced(c):
     m = c.m
     e = einsum
@@ -689,7 +687,7 @@ def comm_weyl_second_traced(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C", min_dim=3)
+@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C")
 def comm_weyl_third(c):
     e = einsum
     w1, r4 = c.on("weyl", 1), c.on("riemann")
@@ -701,7 +699,7 @@ def comm_weyl_third(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C", min_dim=3)
+@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C")
 def comm_weyl_third_expanded(c):
     e = einsum
     w1, q = c.on("weyl", 1), _riemann_split(c)
@@ -713,14 +711,14 @@ def comm_weyl_third_expanded(c):
     return lhs, rhs
 
 
-@_rec("comm.cotton_cyclic", "PermutCiclCotton", "B", min_dim=3)
+@_rec("comm.cotton_cyclic", "PermutCiclCotton", "B")
 def comm_cotton_cyclic(c):
     ct = c.on("cotton")
     lhs = ct + tp(ct, 2, 0, 1) + tp(ct, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.cotton_divergence", "DiverCotton", "B", min_dim=3)
+@_rec("comm.cotton_divergence", "DiverCotton", "B")
 def comm_cotton_divergence(c):
     m, I = c.m, c.I
     e = einsum
@@ -733,13 +731,13 @@ def comm_cotton_divergence(c):
     return lhs, rhs
 
 
-@_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B", min_dim=3)
+@_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B")
 def comm_cotton_div_symmetric(c):
     div = einsum("ijkk->ij", c.on("cotton", 1))
     return div, tp(div, 1, 0)
 
 
-@_rec("comm.cotton_null_div", "NullDiverCotton", "B", min_dim=3)
+@_rec("comm.cotton_null_div", "NullDiverCotton", "B")
 def comm_cotton_null_div(c):
     lhs = einsum("kijk->ij", c.on("cotton", 1))
     return lhs, 0.0 * lhs
@@ -855,13 +853,13 @@ def sol_scalar_evolution_generic(c):
     return lhs, rhs
 
 
-@_rec("sol.cao_chen_first", "firstCaoChen", "B", min_dim=3)
+@_rec("sol.cao_chen_first", "firstCaoChen", "B")
 def sol_cao_chen_first(c):
     lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("f", 1), c.on("weyl"))
     return lhs, c.on("d_tensor")
 
 
-@_rec("sol.cao_chen_second", "secondCaoChen", "B", min_dim=3)
+@_rec("sol.cao_chen_second", "secondCaoChen", "B")
 def sol_cao_chen_second(c):
     m = c.m
     rhs = (einsum("ijkk->ij", c.on("d_tensor", 1))
@@ -870,7 +868,7 @@ def sol_cao_chen_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("sol.fc_equals_fd", "fCfD_remark", "B", min_dim=3)
+@_rec("sol.fc_equals_fd", "fCfD_remark", "B")
 def sol_fc_equals_fd(c):
     f1 = c.on("f", 1)
     lhs = einsum("t,tij->ij", f1, c.on("cotton"))
@@ -878,14 +876,14 @@ def sol_fc_equals_fd(c):
     return lhs, rhs
 
 
-@_rec("sol.d_cyclic", "D_lemma_cyclic", "A", min_dim=3)
+@_rec("sol.d_cyclic", "D_lemma_cyclic", "A")
 def sol_d_cyclic(c):
     d = c.on("d_tensor")
     lhs = d + tp(d, 2, 0, 1) + tp(d, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
-@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C", "B", min_dim=3)
+@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C", "B")
 def sol_d_deriv_cyclic_cotton(c):
     m, I = c.m, c.I
     e = einsum
@@ -898,7 +896,7 @@ def sol_d_deriv_cyclic_cotton(c):
     return lhs, rhs
 
 
-@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D", "B", min_dim=3)
+@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D", "B")
 def sol_d_deriv_cyclic_d(c):
     m, I = c.m, c.I
     e = einsum
@@ -912,7 +910,7 @@ def sol_d_deriv_cyclic_d(c):
     return lhs, rhs
 
 
-@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B", min_dim=3)
+@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B")
 def sol_cotton_deriv_cyclic(c):
     e = einsum
     ric, w = c.on("ricci"), c.on("weyl")
@@ -1488,8 +1486,6 @@ def pass_geometries(geometry: GeometryInstance,
                                      default=geometry.config.order))
     geometries = [geometry]
     if any(r.reads_tilde for r in records):
-        if geometry.spec.u is None:
-            raise MetricError(f"no rescaled geometry for {geometry.name!r}")
         geometries.append(geometry.rescaled)
     keys = [key for r in records for key in r.keys]
     return [g.planned(_plan(keys, side)) for side, g in zip("bt", geometries)]

@@ -150,13 +150,25 @@ def test_eval_quantity_depth(quantity):
 
 @pytest.mark.parametrize("quantity, name", [
     ("d_tensor", "D"), ("dx_tensor", "D^X"), ("duf_tensor", "D^{u,f}"),
-    ("dux_tensor", "D^{u,X}")])
+    ("dux_tensor", "D^{u,X}"), ("schouten", "Schouten"), ("weyl", "Weyl"),
+    ("cotton", "Cotton"), ("bach", "Bach")])
 def test_eval_d_tensors_need_dim_3(capsys, quantity, name):
-    # each divides by m - 2, as Schouten does
+    # each divides by m - 2, as Weyl does, or reads Schouten
     code, out, err = run(capsys, "eval", "--catalog", "random", "--dim", "2",
                          "--quantity", quantity, "--point", "0.1,0.2")
     assert (code, out) == (2, "")
     assert err == f"error: the {name} tensor requires dim >= 3, got 2\n"
+
+
+@pytest.mark.parametrize("quantity, name", [
+    ("cotton_weyl_div", "Cotton"), ("bach_weyl_div", "Bach")])
+def test_eval_weyl_divergence_forms_need_dim_4(capsys, quantity, name):
+    # each divides by m - 3
+    code, out, err = run(capsys, "eval", "--catalog", "random", "--dim", "3",
+                         "--quantity", quantity, "--point", "0.1,0.2,0.3")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the Weyl-divergence form of the {name} tensor "
+                   f"requires dim >= 4, got 3\n")
 
 
 def test_eval_builds_its_point_at_the_quantity_depth(capsys, monkeypatch):

@@ -46,6 +46,16 @@ def test_rescale_requires_u():
         rescale(g)
 
 
+def test_laws_skip_a_chart_without_u():
+    # a law reads the rescaled geometry, which only a chart with u has: on
+    # a chart without u every law is skipped, as a record that needs f is
+    # skipped on a chart without f
+    g = catalog.load("euclidean", dim=3).geometry
+    assert g.spec.u is None and g.spec.f and g.spec.x_components and g.spec.lam
+    rows = verify(g, conformal.select_laws(), g.sample_points(2, 0))
+    assert [r.status for r in rows] == ["skipped(no u)"] * len(LAW_REGISTRY)
+
+
 def _run_all(pair, n=2, seed=5):
     pts = pair.base.sample_points(n, seed)
     return verify_transform(pair, list(LAW_REGISTRY), pts)

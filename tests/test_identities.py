@@ -379,8 +379,9 @@ def test_list_identities_registry():
         assert identities.BY_ID[id_].reads_tilde is tilde, id_
     assert {r.family for r in identities.REGISTRY} == set(identities.FAMILIES)
     for id_, requires, structure, min_dim, min_order, tol in (
-            ("d_tensor", ["f", "lam"], "tilde_gradient_soliton", 3, 2, 1e-9),
-            ("nabla2_X", ["X"], None, 3, 2, 1e-7)):
+            ("d_tensor", ["f", "lam", "u"], "tilde_gradient_soliton", 3, 2,
+             1e-9),
+            ("nabla2_X", ["X", "u"], None, 3, 2, 1e-7)):
         law = conformal.LAWS[id_]
         assert (sorted(law.requires), law.structure, law.min_dim,
                 law.min_order, law.tolerance(), law.family,
@@ -519,8 +520,7 @@ def _spy(note, read=("ricci", 0)):
             c.on(*read)
         seen.extend(note(c))
         return np.zeros(1), np.zeros(1)
-    return IdentityRecord(id="spy", family="COMM", eq="spy",
-                          requires=frozenset(), structure=None, min_dim=2,
+    return IdentityRecord(id="spy", family="COMM", eq="spy", structure=None,
                           tol_class="A", tol=None, evaluate=evaluate), seen
 
 
@@ -743,9 +743,9 @@ def test_record_raising_past_a_failed_hypothesis_does_not_preempt_it(
         return np.zeros(1), np.zeros(1)
 
     rec = IdentityRecord(id="late", family="SOL", eq="late",
-                         requires=frozenset(), structure="gradient_soliton",
-                         min_dim=2, tol_class="A", tol=None,
-                         evaluate=evaluate)
+                         structure="gradient_soliton", tol_class="A",
+                         tol=None, evaluate=evaluate)
+    assert rec.requires == {"f", "lam"}  # its hypothesis's, which g carries
     with pytest.raises(CertificationError,
                        match=r"residual 5\.000e-09\); required by late"):
         verify(g, [rec], points)
@@ -844,8 +844,7 @@ def test_value_the_first_point_never_read_is_an_internal_error():
             c.on("ricci")
         return np.zeros(1), np.zeros(1)
 
-    rec = IdentityRecord(id="late", family="COMM", eq="late",
-                         requires=frozenset(), structure=None, min_dim=2,
+    rec = IdentityRecord(id="late", family="COMM", eq="late", structure=None,
                          tol_class="A", tol=None, evaluate=evaluate)
     assert rec.min_order == 4
     assert geometry.first_chunk(g) == 22
@@ -953,8 +952,8 @@ def test_chunk_error_comes_at_its_point(monkeypatch, fields, read, error):
         return np.zeros(1), np.zeros(1)
 
     rec = IdentityRecord(id="reads", family="COMM", eq="reads",
-                         requires=frozenset(), structure=None, min_dim=2,
-                         tol_class="A", tol=None, evaluate=evaluate)
+                         structure=None, tol_class="A", tol=None,
+                         evaluate=evaluate)
     assert _error(lambda: verify(_chart3(**fields), [rec], points)) == alone[4]
     assert seen == [point_key(p) for p in points[:4]]
     # the walk's first chunk holds all seven points, and its build fails;

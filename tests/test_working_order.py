@@ -2,18 +2,22 @@
 at which what it and its hypothesis read can be built, each verification
 pass builds its point states at the largest ``min_order`` its runnable
 records need, capped by the configured order, and the catalog certifies
-at ``STRUCTURE_ORDER``."""
+at ``STRUCTURE_ORDER``.  Each record's ``min_dim`` follows from the same
+reads: the highest dimension floor of the quantities they are built
+from, or its family's."""
 
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctlab import catalog, conformal, identities
+from ctlab import catalog, conformal, curvature, identities
 from ctlab.cli import main
+from ctlab.curvature import FIELDS, QUANTITIES
 from ctlab.geometry import GeometryInstance, JetConfig, PointState
 from ctlab.identities import (REGISTRY, STRUCTURE_ORDER, EvalContext,
                               jet_order, reads)
@@ -114,6 +118,63 @@ def test_every_record_is_tight_at_its_min_order():
             run(rec, rec.min_order - 1)
 
 
+def test_every_record_evaluates_at_its_min_dim():
+    # on a lone point of a random chart of the record's min_dim with u, f,
+    # X and lambda, each record and its hypothesis's equations evaluate:
+    # no quantity they read is refused there
+    contexts = {}
+    for rec in REGISTRY + conformal.LAW_REGISTRY:
+        c = contexts.get(rec.min_dim)
+        if c is None:
+            spec = dataclasses.replace(catalog.load(
+                "random", dim=rec.min_dim, seed=1, certify=False).spec,
+                lam=0.5)
+            g = GeometryInstance(spec, JetConfig(6))
+            c = contexts[rec.min_dim] = EvalContext(
+                g, g.sample_points(1, 0)[0])
+        eqs = identities._STRUCTURES[rec.structure] if rec.structure else ()
+        for evaluate in (rec.evaluate, *eqs):
+            evaluate(c)
+    assert sorted(contexts) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("name", [n for n in QUANTITIES if n not in FIELDS])
+def test_every_quantity_floor_is_tight(capsys, name):
+    # ctlab eval builds a quantity at its dimension floor (2 without one)
+    # and refuses it one below
+    floor = QUANTITIES[name].min_dim
+
+    def eval_at(dim: int) -> int:
+        return main(["eval", "--catalog", "random", "--dim", str(dim),
+                     "--quantity", name, "--point", ",".join(["0.1"] * dim)])
+
+    assert eval_at(max(floor, 2)) == 0
+    if floor:
+        assert eval_at(floor - 1) == 2
+        assert capsys.readouterr().err == (
+            f"error: the {QUANTITIES[name].title} tensor requires dim >= "
+            f"{floor}, got {floor - 1}\n")
+
+
+def test_only_two_records_declare_a_floor_of_their_own():
+    # a record's min_dim is its family's floor or the highest floor of the
+    # quantities its reads are built from; only comm.bach_divergence and
+    # sol.d_deriv_cyclic_mixed, which divides by m - 3, declare more, so a
+    # new hand-declared floor fails here
+    own = set()
+    for rec in REGISTRY + conformal.LAW_REGISTRY:
+        family = (3 if rec.family == "LAW"
+                  else identities._FAMILY[rec.id.split(".")[0]][2])
+        built = curvature.plan((name, d) for _, name, d in rec.keys
+                               if name is not None)
+        read = max((QUANTITIES[name].min_dim for name in built), default=0)
+        assert rec.min_dim >= max(family, read), rec.id
+        if rec.min_dim > read and rec.min_dim != family:
+            own.add(rec.id)
+    assert own == {"comm.bach_divergence", "sol.d_deriv_cyclic_mixed"}
+    assert {identities.BY_ID[i].min_dim for i in own} == {4}
+
+
 def test_a_replaced_evaluator_gets_the_order_of_its_own_reads():
     # dataclasses.replace(rec, evaluate=...) is how a caller wraps a
     # record: the copy derives its order afresh
@@ -121,6 +182,15 @@ def test_a_replaced_evaluator_gets_the_order_of_its_own_reads():
     spy = dataclasses.replace(rec, evaluate=lambda c: (c.on("ricci"),) * 2)
     assert (rec.min_order, spy.min_order) == (5, 2)
     assert not spy.reads_tilde
+    # and its fields and dimension floor afresh, keeping the declared floor
+    for rec, was, now in (
+            (identities.BY_ID["comm.third_weyl"], ({"f"}, 3), (set(), 2)),
+            (identities.BY_ID["sol.d_deriv_cyclic_mixed"], ({"f", "lam"}, 4),
+             ({"f", "lam"}, 4)),
+            (conformal.LAWS["hessian_f"], ({"f", "u"}, 3), (set(), 3))):
+        spy = dataclasses.replace(rec, evaluate=lambda c: (c.on("ricci"),) * 2)
+        assert (rec.requires, rec.min_dim) == was, rec.id
+        assert (spy.requires, spy.min_dim) == now, rec.id
 
 
 def test_every_structure_is_certified_at_structure_order():
@@ -193,6 +263,19 @@ def test_jet_order_below_structure_order_is_a_config_error(capsys):
     assert err.startswith("error: --jet-order 1: certifying the claims of "
                           "sphere(dim=3,r=1.0) ")
     assert err.endswith(" needs jet order >= 2\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_catalog_refuses_to_certify_below_structure_order(order):
+    # an entry with claims is refused before any point state is built; a
+    # claim-free one has none to certify, and loads at that order
+    with pytest.raises(catalog.CatalogError, match=re.escape(
+            "certifying the claims of sphere(dim=3,r=1.0) (einstein, "
+            "conformally_einstein) needs jet order >= 2")):
+        catalog.load("sphere", jet_order=order)
+    entry = catalog.load("random", dim=3, jet_order=order)
+    assert entry.geometry.config.order == order
 
 
 def test_structured_records_can_be_certified_at_their_order():
