@@ -5,13 +5,15 @@ Rows are matched by file and position.  A file is keyed by its name
 without the leading ``NN-`` schedule index that ``run_full_suite.py``
 gives it, that is by geometry and suite, so a schedule entry added before
 it does not unmatch it.  The script prints how many rows it compared,
-every status change, every moved residual, and how many residuals moved
-and by how much at most.  It exits 1 on any status change or on trees
-whose reports do not match (a file, a row id or a tolerance present on
-one side only, two files of one tree with one key, a report header field
-of ``HEADER`` that differs, or no rows at all); with ``--exact`` also
-when any residual moved, and with ``--max-delta D`` when any residual
-moved by more than ``D``; else it exits 0.
+every row mismatch with what differs (``tol 1e-07 -> 1e-09``, or the
+tree that lacks the row), every status change, every moved residual, and
+how many residuals moved and by how much at most.  It exits 1 on any
+status change or on trees whose reports do not match (a file, a row id,
+a tolerance or a residual present on one side only, two files of one
+tree with one key, a report header field of ``HEADER`` that differs, or
+no rows at all); with ``--exact`` also when any residual moved, and with
+``--max-delta D`` when any residual moved by more than ``D``; else it
+exits 0.
 
 Usage:
     python scripts/compare_reports.py A B [--exact] [--max-delta D]
@@ -48,6 +50,10 @@ def _rows(reports: dict[str, dict]) -> dict[tuple[str, int], dict]:
             for k, row in enumerate(doc["rows"])}
 
 
+def _change(field: str, x: dict, y: dict) -> str:
+    return f"{field} {x[field]!r} -> {y[field]!r}"
+
+
 def compare(a: Path, b: Path) -> dict:
     """Rows compared, mismatches, status changes and moved residuals
     (as ``(where, before, after)``) of tree ``b`` against tree ``a``."""
@@ -63,8 +69,13 @@ def compare(a: Path, b: Path) -> dict:
     for key in sorted(ra.keys() | rb.keys()):
         x, y = ra.get(key), rb.get(key)
         where = f"{key[0]}:{(x or y)['id']}"
-        if x is None or y is None or (x["id"], x["tol"]) != (y["id"], y["tol"]):
-            out["mismatches"].append(where)
+        if x is None or y is None:
+            out["mismatches"].append(f"{where} not in {a if x is None else b}")
+            continue
+        differ = [_change(field, x, y) for field in ("id", "tol")
+                  if x[field] != y[field]]
+        if differ:
+            out["mismatches"].append(f"{where} {', '.join(differ)}")
             continue
         out["compared"] += 1
         if x["status"] != y["status"]:
@@ -73,7 +84,8 @@ def compare(a: Path, b: Path) -> dict:
         if x["max_residual"] is None and y["max_residual"] is None:
             continue
         if x["max_residual"] is None or y["max_residual"] is None:
-            out["mismatches"].append(where)
+            out["mismatches"].append(
+                f"{where} {_change('max_residual', x, y)}")
             continue
         out["with_residual"] += 1
         if abs(y["max_residual"] - x["max_residual"]):

@@ -17,7 +17,8 @@ vielbein reproduces exactly), and each law carries the power ``k`` in
 ``e^{k u} * (rescaled quantity) = formula(base quantities)``.
 
 Each law is an :class:`~ctlab.identities.IdentityRecord` of family ``LAW``,
-declared by ``@_law`` on its evaluator; ``verify_transform`` runs them
+declared by ``@_law(id, eq)`` on its evaluator (what it reads gives its
+fields, jet order and tolerance class); ``verify_transform`` runs them
 through the one driver, :func:`ctlab.identities.verify`, against the base's
 own rescaling.  A law evaluator follows the convention of every
 record (see :mod:`ctlab.identities`): it reads base values as
@@ -89,13 +90,13 @@ def _duf_correction(c: EvalContext):
 _DECLARED: list[IdentityRecord] = []
 
 
-def _law(id_: str, eq: str, tol_class: str, **meta):
-    """Declare the decorated evaluator as law ``id_``: family LAW, dim >= 3;
-    ``meta`` as for :func:`declare`."""
-    return declare(_DECLARED, id_, "LAW", eq, tol_class, min_dim=3, **meta)
+def _law(id_: str, eq: str, **meta):
+    """Declare the decorated evaluator as law ``id_`` of formula ``eq``:
+    family LAW, dim >= 3, no pin; ``meta`` as for :func:`declare`."""
+    return declare(_DECLARED, id_, "LAW", eq, min_dim=3, **meta)
 
 
-@_law("riemann04", "Riemannexp", "A")
+@_law("riemann04", "Riemannexp")
 def law_riemann04(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -109,7 +110,7 @@ def law_riemann04(c: EvalContext):
     return c.e(2) * c.t.on("riemann"), rhs
 
 
-@_law("ricci", "RicciexpComponents", "A")
+@_law("ricci", "RicciexpComponents")
 def law_ricci(c: EvalContext):
     m, I = c.m, c.I
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -119,7 +120,7 @@ def law_ricci(c: EvalContext):
     return c.e(2) * c.t.on("ricci"), rhs
 
 
-@_law("scalar", "scalarExp", "A")
+@_law("scalar", "scalarExp")
 def law_scalar(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -128,7 +129,7 @@ def law_scalar(c: EvalContext):
     return c.e(2) * c.t.on("scalar"), rhs
 
 
-@_law("nabla_ricci", "NablaRicciexpComponents", "B")
+@_law("nabla_ricci", "NablaRicciexpComponents")
 def law_nabla_ricci(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -153,7 +154,7 @@ def law_nabla_ricci(c: EvalContext):
     return c.e(3) * c.t.on("ricci", 1), rhs
 
 
-@_law("nabla2_ricci", "ExpochangenablasquaredRicci", "B")
+@_law("nabla2_ricci", "ExpochangenablasquaredRicci")
 def law_nabla2_ricci(c: EvalContext):
     """Second covariant derivative of the Ricci tensor, transcribed line by
     line from its closed form."""
@@ -244,7 +245,7 @@ def law_nabla2_ricci(c: EvalContext):
     return c.e(4) * c.t.on("ricci", 2), rhs
 
 
-@_law("nabla_scalar", "NablascalarExp", "B")
+@_law("nabla_scalar", "NablascalarExp")
 def law_nabla_scalar(c: EvalContext):
     m = c.m
     e = einsum
@@ -258,7 +259,7 @@ def law_nabla_scalar(c: EvalContext):
     return c.e(3) * c.t.on("scalar", 1), rhs
 
 
-@_law("hess_scalar", "HessianscalarExp", "B")
+@_law("hess_scalar", "HessianscalarExp")
 def law_hess_scalar(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -284,7 +285,7 @@ def law_hess_scalar(c: EvalContext):
     return c.e(4) * c.t.on("scalar", 2), rhs
 
 
-@_law("lap_scalar", "LaplacianscalarExp", "B")
+@_law("lap_scalar", "LaplacianscalarExp")
 def law_lap_scalar(c: EvalContext):
     m = c.m
     e = einsum
@@ -305,7 +306,7 @@ def law_lap_scalar(c: EvalContext):
     return c.e(4) * np.trace(c.t.on("scalar", 2)), rhs
 
 
-@_law("hessian_f", "HessianExpComp", "A")
+@_law("hessian_f", "HessianExpComp")
 def law_hessian_f(c: EvalContext):
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
     rhs = (f2 - (einsum("i,j->ij", f1, u1) + einsum("i,j->ij", u1, f1))
@@ -313,7 +314,7 @@ def law_hessian_f(c: EvalContext):
     return c.e(2) * c.t.on("f", 2), rhs
 
 
-@_law("laplacian_f", "LaplacianExpComp", "A")
+@_law("laplacian_f", "LaplacianExpComp")
 def law_laplacian_f(c: EvalContext):
     m = c.m
     u1, f1, f2 = c.b.on("u", 1), c.b.on("f", 1), c.b.on("f", 2)
@@ -321,7 +322,7 @@ def law_laplacian_f(c: EvalContext):
     return c.e(2) * np.trace(c.t.on("f", 2)), rhs
 
 
-@_law("third_f", "thirdDerivFunctExpComp", "B")
+@_law("third_f", "thirdDerivFunctExpComp")
 def law_third_f(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -344,7 +345,7 @@ def law_third_f(c: EvalContext):
     return c.e(3) * c.t.on("f", 3), rhs
 
 
-@_law("third_f_traced", "thirdDerivFunctExpCompTraced", "B")
+@_law("third_f_traced", "thirdDerivFunctExpCompTraced")
 def law_third_f_traced(c: EvalContext):
     m = c.m
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -354,7 +355,7 @@ def law_third_f_traced(c: EvalContext):
     return c.e(3) * einsum("ttk->k", c.t.on("f", 3)), rhs
 
 
-@_law("schouten", "SchoutenexpComponents", "A")
+@_law("schouten", "SchoutenexpComponents")
 def law_schouten(c: EvalContext):
     m, I = c.m, c.I
     u1, u2 = c.b.on("u", 1), c.b.on("u", 2)
@@ -364,7 +365,7 @@ def law_schouten(c: EvalContext):
     return c.e(2) * c.t.on("schouten"), rhs
 
 
-@_law("nabla_schouten", "ExpochangenablaSchouten", "B")
+@_law("nabla_schouten", "ExpochangenablaSchouten")
 def law_nabla_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -387,7 +388,7 @@ def law_nabla_schouten(c: EvalContext):
     return c.e(3) * c.t.on("schouten", 1), rhs
 
 
-@_law("nabla2_schouten", "ExpochangenablasquaredSchouten", "B")
+@_law("nabla2_schouten", "ExpochangenablasquaredSchouten")
 def law_nabla2_schouten(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -465,12 +466,12 @@ def law_nabla2_schouten(c: EvalContext):
     return c.e(4) * c.t.on("schouten", 2), rhs
 
 
-@_law("weyl13", "Weylexp", "A")
+@_law("weyl13", "Weylexp")
 def law_weyl13(c: EvalContext):
     return c.e(2) * c.t.on("weyl"), c.b.on("weyl")
 
 
-@_law("cotton", "Cottonlexp", "B")
+@_law("cotton", "Cottonlexp")
 def law_cotton(c: EvalContext):
     m = c.m
     rhs = c.b.on("cotton") - (m - 2) * einsum(
@@ -478,7 +479,7 @@ def law_cotton(c: EvalContext):
     return c.e(3) * c.t.on("cotton"), rhs
 
 
-@_law("bach", "BachExpComp", "B")
+@_law("bach", "BachExpComp")
 def law_bach(c: EvalContext):
     m = c.m
     e = einsum
@@ -490,7 +491,7 @@ def law_bach(c: EvalContext):
     return c.e(4) * c.t.on("bach"), rhs
 
 
-@_law("d_tensor", "DExpComp", "A", structure="tilde_gradient_soliton")
+@_law("d_tensor", "DExpComp", structure="tilde_gradient_soliton")
 def law_d_tensor(c: EvalContext):
     m = c.m
     rhs = _d_form1(c.b.on("f", 1), c.b.on("ricci"), c.b.on("scalar"), m)
@@ -498,8 +499,7 @@ def law_d_tensor(c: EvalContext):
     return c.e(3) * c.t.on("d_tensor"), rhs
 
 
-@_law("d_reverse", "DExpCompStartingFrom", "A",
-      structure="base_gradient_soliton")
+@_law("d_reverse", "DExpCompStartingFrom", structure="base_gradient_soliton")
 def law_d_reverse(c: EvalContext):
     """The reverse direction: the gradient-soliton 3-tensor pattern built
     from rescaled ingredients, against base-side data (valid when the BASE
@@ -512,7 +512,7 @@ def law_d_reverse(c: EvalContext):
     return lhs, rhs
 
 
-@_law("nabla_d", "CovDerivDExpComp", "B", structure="tilde_gradient_soliton")
+@_law("nabla_d", "CovDerivDExpComp", structure="tilde_gradient_soliton")
 def law_nabla_d(c: EvalContext):
     """Covariant derivative of the gradient-soliton 3-tensor, the longest
     law in the registry; output slots [i,j,k,t]."""
@@ -608,14 +608,14 @@ def law_nabla_d(c: EvalContext):
     return c.e(4) * c.t.on("d_tensor", 1), rhs
 
 
-@_law("lie_metric", "eq_conformalchangeLieDeriv", "A")
+@_law("lie_metric", "eq_conformalchangeLieDeriv")
 def law_lie_metric(c: EvalContext):
     xu = dot(c.b.on("X"), c.b.on("u", 1))
     rhs = c.b.on("lie_metric") + 2 * xu * c.I
     return c.t.on("lie_metric"), rhs
 
 
-@_law("nabla_X", "tildeXik", "A")
+@_law("nabla_X", "tildeXik")
 def law_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     rhs = (x1 + einsum("i,j->ij", x, u1) + dot(x, u1) * c.I
@@ -623,7 +623,7 @@ def law_nabla_x(c: EvalContext):
     return c.t.on("X", 1), rhs
 
 
-@_law("sym_nabla_X", "tildeXiktildeXki", "A")
+@_law("sym_nabla_X", "tildeXiktildeXki")
 def law_sym_nabla_x(c: EvalContext):
     x, x1, u1 = c.b.on("X"), c.b.on("X", 1), c.b.on("u", 1)
     tx1 = c.t.on("X", 1)
@@ -631,13 +631,13 @@ def law_sym_nabla_x(c: EvalContext):
     return tx1 + tp(tx1, 1, 0), rhs
 
 
-@_law("div_X", "divergenzatilde", "A")
+@_law("div_X", "divergenzatilde")
 def law_div_x(c: EvalContext):
     rhs = np.trace(c.b.on("X", 1)) + c.m * dot(c.b.on("X"), c.b.on("u", 1))
     return np.trace(c.t.on("X", 1)), rhs
 
 
-@_law("nabla2_X", "secondCovDerivVFExp", "B")
+@_law("nabla2_X", "secondCovDerivVFExp")
 def law_nabla2_x(c: EvalContext):
     m, I = c.m, c.I
     e = einsum
@@ -655,7 +655,7 @@ def law_nabla2_x(c: EvalContext):
     return c.e(1) * c.t.on("X", 2), rhs
 
 
-@_law("nabla2_X_traced", "secondCovDerivVFExpTraced", "B")
+@_law("nabla2_X_traced", "secondCovDerivVFExpTraced")
 def law_nabla2_x_traced(c: EvalContext):
     m = c.m
     x2 = c.b.on("X", 2)

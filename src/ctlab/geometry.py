@@ -578,7 +578,7 @@ def point_blocks(points, *geometries: GeometryInstance):
     unless one point already does.  The first chunk is bounded by its
     points' components instead: on the passes of the full-suite schedule
     and of the benchmark, a first chunk of several points holds at most
-    1029 KiB (COMM and SOL on ``euclidean`` dim 3, 7 points), and no more
+    1032 KiB (COMM and SOL on ``euclidean`` dim 3, 7 points), and no more
     than ``BLOCK_BYTES`` on every other.  Every point's jets, values and
     frames are the same bit for bit as point by point."""
     size = min(block_size(g.dim, g.config.order) for g in geometries)

@@ -4,10 +4,11 @@ Each :class:`IdentityRecord` names one identity -- a commutation rule, a
 Bianchi-type identity, a soliton structure equation, or an integrability
 condition -- and carries an evaluator that produces its two sides as
 orthonormal-frame arrays from an :class:`EvalContext`.  Each record is declared
-once, by a decorator on its evaluator (``@_rec(id, eq, tol_class, ...)``); the
-id's prefix names the family, which supplies the hypothesis, dimension floor
-and tolerance; what it reads (:func:`reads`) gives its fields, its quantities'
-floors and its jet order.  The registry is data: families can be listed,
+once, by a decorator on its evaluator (``@_rec(id, eq)``); the id's prefix
+names the family, which supplies the hypothesis, dimension floor and any
+pinned tolerance; what it reads (:func:`reads`) gives its fields, its
+quantities' floors and its jet order, and the order its tolerance class
+(:data:`TOL_CLASS`).  The registry is data: families can be listed,
 filtered and dumped, and the verification driver treats every record uniformly
 (certify the structural hypothesis at every sampled point, evaluate a block of
 points at a time, and report the worst normalised residual, where a NaN
@@ -67,6 +68,7 @@ from .geometry import (
 )
 from .report import ReportRow
 
+# a record's class is that of its jet order: A up to 2, B up to 4, C above
 TOL_CLASS = {"A": 1e-9, "B": 1e-7, "C": 1e-5}
 CERTIFICATION_TOL = 1e-9
 
@@ -281,8 +283,6 @@ class IdentityRecord:
     family: str
     eq: str
     structure: str | None          # certified hypothesis, if conditional
-    tol_class: str
-    tol: float | None              # explicit override of the class default
     evaluate: Callable[[EvalContext], tuple]
     dim_floor: int = 2             # declared: its family's, or its own
 
@@ -322,13 +322,19 @@ class IdentityRecord:
         """Whether the record reads the rescaled geometry (``c.t``)."""
         return any(side == "t" for side, *_ in self.keys)
 
+    @property
+    def tol_class(self) -> str:
+        """The class of its jet order (:data:`TOL_CLASS`)."""
+        order = self.min_order
+        return "A" if order <= 2 else "B" if order <= 4 else "C"
+
     def tolerance(self, overrides: dict[str, float] | None = None) -> float:
         """A class override first, then the family's pin, then the class."""
         if overrides and self.tol_class in overrides:
             return overrides[self.tol_class]
-        if self.tol is not None:
-            return self.tol
-        return TOL_CLASS[self.tol_class]
+        pin = next((pin for family, *_, pin in _FAMILY.values()
+                    if family == self.family), None)
+        return TOL_CLASS[self.tol_class] if pin is None else pin
 
 
 def _cyc_last3(t4: np.ndarray) -> np.ndarray:
@@ -354,16 +360,14 @@ _FAMILY = {
 FAMILIES = tuple(family for family, *_ in _FAMILY.values())
 
 
-def declare(into: list, id_: str, family: str, eq: str, tol_class: str, *,
-            min_dim: int, structure: str | None = None,
-            tol: float | None = None):
+def declare(into: list, id_: str, family: str, eq: str, *, min_dim: int,
+            structure: str | None = None):
     """Decorator that appends the evaluator's :class:`IdentityRecord` to
     ``into``, with ``min_dim`` its declared dimension floor.  What the
-    record and its hypothesis read gives the rest: the fields it requires,
-    the floors of the quantities it reads and its jet order."""
+    record and its hypothesis read gives the rest: its fields, its
+    quantities' floors, its jet order and so its tolerance class."""
     def register(fn):
-        into.append(IdentityRecord(id_, family, eq, structure, tol_class,
-                                   tol, fn, min_dim))
+        into.append(IdentityRecord(id_, family, eq, structure, fn, min_dim))
         return fn
     return register
 
@@ -371,13 +375,13 @@ def declare(into: list, id_: str, family: str, eq: str, tol_class: str, *,
 _DECLARED: list[IdentityRecord] = []
 
 
-def _rec(id_: str, eq: str, tol_class: str, **meta):
-    """Declare the decorated evaluator as identity ``id_``.  The id's prefix
-    names its family, which supplies the hypothesis, dimension floor and
-    tolerance; ``meta`` overrides them where the record differs."""
-    family, structure, min_dim, tol = _FAMILY[id_.split(".")[0]]
-    return declare(_DECLARED, id_, family, eq, tol_class, **{
-        "structure": structure, "min_dim": min_dim, "tol": tol, **meta})
+def _rec(id_: str, eq: str, **meta):
+    """Declare the decorated evaluator as identity ``id_`` of formula
+    ``eq``.  The id's prefix names its family, which supplies the
+    hypothesis, dimension floor (``meta`` overrides them) and any pin."""
+    family, structure, min_dim, _ = _FAMILY[id_.split(".")[0]]
+    return declare(_DECLARED, id_, family, eq, **{
+        "structure": structure, "min_dim": min_dim, **meta})
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +402,19 @@ def _riemann_split(c):
     return w + kn_ric / (m - 2) - s_gg / ((m - 1) * (m - 2))
 
 
-@_rec("comm.hess_sym", "SecondDerivFunction", "A")
+@_rec("comm.hess_sym", "SecondDerivFunction")
 def comm_hess_sym(c):
     f2 = c.on("f", 2)
     return f2, tp(f2, 1, 0)
 
 
-@_rec("comm.third_first_pair", "CovDerivSecondDerivFct", "B")
+@_rec("comm.third_first_pair", "CovDerivSecondDerivFct")
 def comm_third_first_pair(c):
     f3 = c.on("f", 3)
     return f3, tp(f3, 1, 0, 2)
 
 
-@_rec("comm.third_riemann", "ThirdDerivFunctionRiem", "B")
+@_rec("comm.third_riemann", "ThirdDerivFunctionRiem")
 def comm_third_riemann(c):
     f3 = c.on("f", 3)
     rhs = tp(f3, 0, 2, 1) + einsum("t,tijk->ijk", c.on("f", 1),
@@ -418,7 +422,7 @@ def comm_third_riemann(c):
     return f3, rhs
 
 
-@_rec("comm.third_weyl", "ThirdDerivFunctionWeyl", "B")
+@_rec("comm.third_weyl", "ThirdDerivFunctionWeyl")
 def comm_third_weyl(c):
     m, I = c.m, c.I
     e = einsum
@@ -432,7 +436,7 @@ def comm_third_weyl(c):
     return f3, rhs
 
 
-@_rec("comm.third_weyl_schouten", "commutatioThirdDerFunctWeilSchouten", "B")
+@_rec("comm.third_weyl_schouten", "commutatioThirdDerFunctWeilSchouten")
 def comm_third_weyl_schouten(c):
     m, I = c.m, c.I
     e = einsum
@@ -445,7 +449,7 @@ def comm_third_weyl_schouten(c):
     return f3, rhs
 
 
-@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem", "B")
+@_rec("comm.fourth_last_pair", "FourthDerivFunctionRiem")
 def comm_fourth_last_pair(c):
     e = einsum
     f2, f4 = c.on("f", 2), c.on("f", 4)
@@ -455,7 +459,7 @@ def comm_fourth_last_pair(c):
     return f4, rhs
 
 
-@_rec("comm.fourth_23", "ThirdDerivinfourth", "B")
+@_rec("comm.fourth_23", "ThirdDerivinfourth")
 def comm_fourth_23(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -464,7 +468,7 @@ def comm_fourth_23(c):
     return f4, rhs
 
 
-@_rec("comm.fourth_12_34", "Function12with34", "B")
+@_rec("comm.fourth_12_34", "Function12with34")
 def comm_fourth_12_34(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -476,7 +480,7 @@ def comm_fourth_12_34(c):
     return f4, rhs
 
 
-@_rec("comm.traced_third", "TracedThirdDerivFunctionRicci", "B")
+@_rec("comm.traced_third", "TracedThirdDerivFunctionRicci")
 def comm_traced_third(c):
     f1, f3 = c.on("f", 1), c.on("f", 3)
     lhs = einsum("itt->i", f3)
@@ -484,7 +488,7 @@ def comm_traced_third(c):
     return lhs, rhs
 
 
-@_rec("comm.traced_fourth", "TracedFourthDerivFct", "B")
+@_rec("comm.traced_fourth", "TracedFourthDerivFct")
 def comm_traced_fourth(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -497,7 +501,7 @@ def comm_traced_fourth(c):
     return lhs, rhs
 
 
-@_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion", "B")
+@_rec("comm.traced_fourth_v2", "TracedFourthDerivFctSecondVersion")
 def comm_traced_fourth_v2(c):
     e = einsum
     f1, f2, f4 = c.on("f", 1), c.on("f", 2), c.on("f", 4)
@@ -511,7 +515,7 @@ def comm_traced_fourth_v2(c):
     return lhs, rhs
 
 
-@_rec("comm.vec_third", "VectorFieldThirdComm", "B")
+@_rec("comm.vec_third", "VectorFieldThirdComm")
 def comm_vec_third(c):
     x2 = c.on("X", 2)
     rhs = tp(x2, 0, 2, 1) + einsum("t,tijk->ijk", c.on("X"),
@@ -519,7 +523,7 @@ def comm_vec_third(c):
     return x2, rhs
 
 
-@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23", "B")
+@_rec("comm.vec_fourth_23", "VectorFieldFourthComm23")
 def comm_vec_fourth_23(c):
     e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -529,7 +533,7 @@ def comm_vec_fourth_23(c):
     return lhs, rhs
 
 
-@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34", "B")
+@_rec("comm.vec_fourth_34", "VectorFieldFourthComm34")
 def comm_vec_fourth_34(c):
     e = einsum
     x1, x3 = c.on("X", 1), c.on("X", 3)
@@ -539,20 +543,20 @@ def comm_vec_fourth_34(c):
     return lhs, rhs
 
 
-@_rec("comm.bianchi1", "FirstBianchiRiem", "A")
+@_rec("comm.bianchi1", "FirstBianchiRiem")
 def comm_bianchi1(c):
     r4 = c.on("riemann")
     return r4 + tp(r4, 0, 2, 3, 1) + tp(r4, 0, 3, 1, 2), 0.0 * r4
 
 
-@_rec("comm.bianchi2", "SecondBianchiRiem", "B")
+@_rec("comm.bianchi2", "SecondBianchiRiem")
 def comm_bianchi2(c):
     r1 = c.on("riemann", 1)
     lhs = r1 + tp(r1, 0, 1, 3, 4, 2) + tp(r1, 0, 1, 4, 2, 3)
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.riem_second", "SecondDerivRiem", "B")
+@_rec("comm.riem_second", "SecondDerivRiem")
 def comm_riem_second(c):
     e = einsum
     r4, r2 = c.on("riemann"), c.on("riemann", 2)
@@ -562,7 +566,7 @@ def comm_riem_second(c):
     return lhs, rhs
 
 
-@_rec("comm.riem_third", "ThirdDerivRiem", "C")
+@_rec("comm.riem_third", "ThirdDerivRiem")
 def comm_riem_third(c):
     e = einsum
     r4, r1, r3 = c.on("riemann"), c.on("riemann", 1), c.on("riemann", 3)
@@ -573,7 +577,7 @@ def comm_riem_third(c):
     return lhs, rhs
 
 
-@_rec("comm.ricci_first", "RicciFirstComm", "B")
+@_rec("comm.ricci_first", "RicciFirstComm")
 def comm_ricci_first(c):
     r1 = c.on("ricci", 1)
     lhs = r1 - tp(r1, 0, 2, 1)
@@ -581,7 +585,7 @@ def comm_ricci_first(c):
     return lhs, rhs
 
 
-@_rec("comm.ricci_second", "RicciSecondComm", "B")
+@_rec("comm.ricci_second", "RicciSecondComm")
 def comm_ricci_second(c):
     e = einsum
     ric, r4 = c.on("ricci"), c.on("riemann")
@@ -591,7 +595,7 @@ def comm_ricci_second(c):
     return lhs, rhs
 
 
-@_rec("comm.ricci_third", "RicciThirdComm", "C")
+@_rec("comm.ricci_third", "RicciThirdComm")
 def comm_ricci_third(c):
     e = einsum
     r1, r4 = c.on("ricci", 1), c.on("riemann")
@@ -602,20 +606,20 @@ def comm_ricci_third(c):
     return lhs, rhs
 
 
-@_rec("comm.schur", "SchurIdentity", "B")
+@_rec("comm.schur", "SchurIdentity")
 def comm_schur(c):
     """Contracted second Bianchi: the divergence of Ricci is half the
     scalar gradient."""
     return c.on("scalar", 1), 2 * einsum("ikk->i", c.on("ricci", 1))
 
 
-@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton", "B")
+@_rec("comm.schouten_codazzi", "SchoutenCodazziCotton")
 def comm_schouten_codazzi(c):
     a1 = c.on("schouten", 1)
     return a1 - tp(a1, 0, 2, 1), c.on("cotton")
 
 
-@_rec("comm.schouten_second", "SchoutenSecondComm", "B")
+@_rec("comm.schouten_second", "SchoutenSecondComm")
 def comm_schouten_second(c):
     e = einsum
     a, r4 = c.on("schouten"), c.on("riemann")
@@ -625,7 +629,7 @@ def comm_schouten_second(c):
     return lhs, rhs
 
 
-@_rec("comm.schouten_third", "SchoutenThirdComm", "C")
+@_rec("comm.schouten_third", "SchoutenThirdComm")
 def comm_schouten_third(c):
     e = einsum
     a1, r4 = c.on("schouten", 1), c.on("riemann")
@@ -636,7 +640,7 @@ def comm_schouten_third(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl", "B")
+@_rec("comm.weyl_deriv_cyclic", "fake2ndBianchiWeyl")
 def comm_weyl_deriv_cyclic(c):
     m, I = c.m, c.I
     e = einsum
@@ -648,7 +652,7 @@ def comm_weyl_deriv_cyclic(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second", "SecondDerivWeylusingRiem", "B")
+@_rec("comm.weyl_second", "SecondDerivWeylusingRiem")
 def comm_weyl_second(c):
     e = einsum
     w, r4 = c.on("weyl"), c.on("riemann")
@@ -659,7 +663,7 @@ def comm_weyl_second(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded", "B")
+@_rec("comm.weyl_second_expanded", "SecondDerivWeylExpanded")
 def comm_weyl_second_expanded(c):
     e = einsum
     w, q = c.on("weyl"), _riemann_split(c)
@@ -670,7 +674,7 @@ def comm_weyl_second_expanded(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced", "B")
+@_rec("comm.weyl_second_traced", "SecondDerivWeylTraced")
 def comm_weyl_second_traced(c):
     m = c.m
     e = einsum
@@ -687,7 +691,7 @@ def comm_weyl_second_traced(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem", "C")
+@_rec("comm.weyl_third", "ThirdDerivWeylusingRiem")
 def comm_weyl_third(c):
     e = einsum
     w1, r4 = c.on("weyl", 1), c.on("riemann")
@@ -699,7 +703,7 @@ def comm_weyl_third(c):
     return lhs, rhs
 
 
-@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded", "C")
+@_rec("comm.weyl_third_expanded", "ThirdDerivWeylExpanded")
 def comm_weyl_third_expanded(c):
     e = einsum
     w1, q = c.on("weyl", 1), _riemann_split(c)
@@ -711,14 +715,14 @@ def comm_weyl_third_expanded(c):
     return lhs, rhs
 
 
-@_rec("comm.cotton_cyclic", "PermutCiclCotton", "B")
+@_rec("comm.cotton_cyclic", "PermutCiclCotton")
 def comm_cotton_cyclic(c):
     ct = c.on("cotton")
     lhs = ct + tp(ct, 2, 0, 1) + tp(ct, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.cotton_divergence", "DiverCotton", "B")
+@_rec("comm.cotton_divergence", "DiverCotton")
 def comm_cotton_divergence(c):
     m, I = c.m, c.I
     e = einsum
@@ -731,19 +735,19 @@ def comm_cotton_divergence(c):
     return lhs, rhs
 
 
-@_rec("comm.cotton_div_symmetric", "SymmDivCotton", "B")
+@_rec("comm.cotton_div_symmetric", "SymmDivCotton")
 def comm_cotton_div_symmetric(c):
     div = einsum("ijkk->ij", c.on("cotton", 1))
     return div, tp(div, 1, 0)
 
 
-@_rec("comm.cotton_null_div", "NullDiverCotton", "B")
+@_rec("comm.cotton_null_div", "NullDiverCotton")
 def comm_cotton_null_div(c):
     lhs = einsum("kijk->ij", c.on("cotton", 1))
     return lhs, 0.0 * lhs
 
 
-@_rec("comm.bach_divergence", "diverBach", "C", min_dim=4)
+@_rec("comm.bach_divergence", "diverBach")
 def comm_bach_divergence(c):
     m = c.m
     lhs = einsum("ijj->i", c.on("bach", 1))
@@ -756,22 +760,22 @@ def comm_bach_divergence(c):
 # SOL family
 # ---------------------------------------------------------------------------
 
-@_rec("sol.defining_gradient", "eq1g", "A")
+@_rec("sol.defining_gradient", "eq1g")
 def sol_defining_gradient(c):
     return c.on("ricci") + c.on("f", 2), c.lam * c.I
 
 
-@_rec("sol.trace_gradient", "eq2g", "A")
+@_rec("sol.trace_gradient", "eq2g")
 def sol_trace_gradient(c):
     return c.on("scalar") + np.trace(c.on("f", 2)), c.m * c.lam
 
 
-@_rec("sol.scalar_gradient", "eq3g", "B")
+@_rec("sol.scalar_gradient", "eq3g")
 def sol_scalar_gradient(c):
     return c.on("scalar", 1), 2 * dot(c.on("f", 1), c.on("ricci"))
 
 
-@_rec("sol.ricci_skew_gradient", "eq6g", "B")
+@_rec("sol.ricci_skew_gradient", "eq6g")
 def sol_ricci_skew_gradient(c):
     # gradient specialisation of the vector-field skew rule; the printed
     # form pairs this right side with the R_ij,k - R_kj,i pattern, which
@@ -783,7 +787,7 @@ def sol_ricci_skew_gradient(c):
     return lhs, rhs
 
 
-@_rec("sol.hamilton", "HamiltonId", "B")
+@_rec("sol.hamilton", "HamiltonId")
 def sol_hamilton(c):
     # gradient form of the conserved quantity: its gradient vanishes
     lhs = (c.on("scalar", 1) + 2 * dot(c.on("f", 1), c.on("f", 2))
@@ -791,7 +795,7 @@ def sol_hamilton(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("sol.scalar_evolution_gradient", "scalGrad", "B")
+@_rec("sol.scalar_evolution_gradient", "scalGrad")
 def sol_scalar_evolution_gradient(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
@@ -800,30 +804,30 @@ def sol_scalar_evolution_gradient(c):
     return lhs, rhs
 
 
-@_rec("sol.defining_generic", "eq1", "A", structure="generic_soliton")
+@_rec("sol.defining_generic", "eq1", structure="generic_soliton")
 def sol_defining_generic(c):
     x1 = c.on("X", 1)
     return c.on("ricci") + 0.5 * (x1 + tp(x1, 1, 0)), c.lam * c.I
 
 
-@_rec("sol.trace_generic", "eq2", "A", structure="generic_soliton")
+@_rec("sol.trace_generic", "eq2", structure="generic_soliton")
 def sol_trace_generic(c):
     return c.on("scalar") + np.trace(c.on("X", 1)), c.m * c.lam
 
 
-@_rec("sol.div_nabla_x", "eq3", "B", structure="generic_soliton")
+@_rec("sol.div_nabla_x", "eq3", structure="generic_soliton")
 def sol_div_nabla_x(c):
     return c.on("scalar", 1), -einsum("iik->k", c.on("X", 2))
 
 
-@_rec("sol.ric_x", "eq4", "B", structure="generic_soliton")
+@_rec("sol.ric_x", "eq4", structure="generic_soliton")
 def sol_ric_x(c):
     lhs = dot(c.on("X"), c.on("ricci"))
     rhs = -einsum("ktt->k", c.on("X", 2))
     return lhs, rhs
 
 
-@_rec("sol.ricci_skew_x1", "eq5", "B", structure="generic_soliton")
+@_rec("sol.ricci_skew_x1", "eq5", structure="generic_soliton")
 def sol_ricci_skew_x1(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
@@ -833,7 +837,7 @@ def sol_ricci_skew_x1(c):
     return lhs, rhs
 
 
-@_rec("sol.ricci_skew_x2", "eq6", "B", structure="generic_soliton")
+@_rec("sol.ricci_skew_x2", "eq6", structure="generic_soliton")
 def sol_ricci_skew_x2(c):
     r1 = c.on("ricci", 1)
     x2 = c.on("X", 2)
@@ -843,8 +847,7 @@ def sol_ricci_skew_x2(c):
     return lhs, rhs
 
 
-@_rec("sol.scalar_evolution_generic", "scalGen", "B",
-      structure="generic_soliton")
+@_rec("sol.scalar_evolution_generic", "scalGen", structure="generic_soliton")
 def sol_scalar_evolution_generic(c):
     ric = c.on("ricci")
     lhs = 0.5 * np.trace(c.on("scalar", 2))
@@ -853,13 +856,13 @@ def sol_scalar_evolution_generic(c):
     return lhs, rhs
 
 
-@_rec("sol.cao_chen_first", "firstCaoChen", "B")
+@_rec("sol.cao_chen_first", "firstCaoChen")
 def sol_cao_chen_first(c):
     lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("f", 1), c.on("weyl"))
     return lhs, c.on("d_tensor")
 
 
-@_rec("sol.cao_chen_second", "secondCaoChen", "B")
+@_rec("sol.cao_chen_second", "secondCaoChen")
 def sol_cao_chen_second(c):
     m = c.m
     rhs = (einsum("ijkk->ij", c.on("d_tensor", 1))
@@ -868,7 +871,7 @@ def sol_cao_chen_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("sol.fc_equals_fd", "fCfD_remark", "B")
+@_rec("sol.fc_equals_fd", "fCfD_remark")
 def sol_fc_equals_fd(c):
     f1 = c.on("f", 1)
     lhs = einsum("t,tij->ij", f1, c.on("cotton"))
@@ -876,14 +879,14 @@ def sol_fc_equals_fd(c):
     return lhs, rhs
 
 
-@_rec("sol.d_cyclic", "D_lemma_cyclic", "A")
+@_rec("sol.d_cyclic", "D_lemma_cyclic")
 def sol_d_cyclic(c):
     d = c.on("d_tensor")
     lhs = d + tp(d, 2, 0, 1) + tp(d, 1, 2, 0)
     return lhs, 0.0 * lhs
 
 
-@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C", "B")
+@_rec("sol.d_deriv_cyclic_cotton", "D_lemma_div_cyclic_C")
 def sol_d_deriv_cyclic_cotton(c):
     m, I = c.m, c.I
     e = einsum
@@ -896,7 +899,7 @@ def sol_d_deriv_cyclic_cotton(c):
     return lhs, rhs
 
 
-@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D", "B")
+@_rec("sol.d_deriv_cyclic_d", "D_lemma_div_cyclic_D")
 def sol_d_deriv_cyclic_d(c):
     m, I = c.m, c.I
     e = einsum
@@ -910,7 +913,7 @@ def sol_d_deriv_cyclic_d(c):
     return lhs, rhs
 
 
-@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW", "B")
+@_rec("sol.cotton_deriv_cyclic", "C_div_cyclic_RW")
 def sol_cotton_deriv_cyclic(c):
     e = einsum
     ric, w = c.on("ricci"), c.on("weyl")
@@ -920,7 +923,7 @@ def sol_cotton_deriv_cyclic(c):
     return lhs, rhs
 
 
-@_rec("sol.d_deriv_cyclic_mixed", "D_lemma_div_cyclic_mixed", "B", min_dim=4)
+@_rec("sol.d_deriv_cyclic_mixed", "D_lemma_div_cyclic_mixed", min_dim=4)
 def sol_d_deriv_cyclic_mixed(c):
     m = c.m
     e = einsum
@@ -938,7 +941,7 @@ def sol_d_deriv_cyclic_mixed(c):
 # CE family
 # ---------------------------------------------------------------------------
 
-@_rec("ce.ricci_eq", "CE_comp_Riccii", "A")
+@_rec("ce.ricci_eq", "CE_comp_Riccii")
 def ce_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -948,7 +951,7 @@ def ce_ricci_eq(c):
     return lhs, rhs
 
 
-@_rec("ce.traced_lambda", "CE_tracedlambda", "A")
+@_rec("ce.traced_lambda", "CE_tracedlambda")
 def ce_traced_lambda(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -957,7 +960,7 @@ def ce_traced_lambda(c):
     return lhs, c.lam * m * c.e(2)
 
 
-@_rec("ce.single_eq", "CE_singleEq", "A")
+@_rec("ce.single_eq", "CE_singleEq")
 def ce_single_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -966,7 +969,7 @@ def ce_single_eq(c):
     return lhs, rhs
 
 
-@_rec("ce.first_gn", "FirstCond_GN", "B")
+@_rec("ce.first_gn", "FirstCond_GN")
 def ce_first_gn(c):
     m = c.m
     lhs = c.on("cotton") - (m - 2) * einsum("t,tijk->ijk", c.on("u", 1),
@@ -974,7 +977,7 @@ def ce_first_gn(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("ce.second_gn", "SecondCond_GN", "B")
+@_rec("ce.second_gn", "SecondCond_GN")
 def ce_second_gn(c):
     m = c.m
     u1 = c.on("u", 1)
@@ -983,7 +986,7 @@ def ce_second_gn(c):
     return lhs, 0.0 * lhs
 
 
-@_rec("ce.nabla_delta_u", "CE_nablaDeltau", "B")
+@_rec("ce.nabla_delta_u", "CE_nablaDeltau")
 def ce_nabla_delta_u(c):
     m = c.m
     u1, u3 = c.on("u", 1), c.on("u", 3)
@@ -997,7 +1000,7 @@ def ce_nabla_delta_u(c):
     return lhs, rhs
 
 
-@_rec("ce.grad_u_grad_lap_u", "CE_gnablaunabladeltau", "B")
+@_rec("ce.grad_u_grad_lap_u", "CE_gnablaunabladeltau")
 def ce_grad_u_grad_lap_u(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1012,7 +1015,7 @@ def ce_grad_u_grad_lap_u(c):
     return lhs, rhs
 
 
-@_rec("ce.lap_scalar", "CE_LaplacianScalarEq", "B")
+@_rec("ce.lap_scalar", "CE_LaplacianScalarEq")
 def ce_lap_scalar(c):
     m = c.m
     e = einsum
@@ -1029,7 +1032,7 @@ def ce_lap_scalar(c):
     return lhs, rhs
 
 
-@_rec("ce.lap_scalar_lambda", "CE_LaplacianScalarEqwithLambda", "B")
+@_rec("ce.lap_scalar_lambda", "CE_LaplacianScalarEqwithLambda")
 def ce_lap_scalar_lambda(c):
     m = c.m
     e = einsum
@@ -1049,7 +1052,7 @@ def ce_lap_scalar_lambda(c):
 # CGRS family
 # ---------------------------------------------------------------------------
 
-@_rec("cgrs.ricci_eq", "CGRS_comp_Ricci", "A")
+@_rec("cgrs.ricci_eq", "CGRS_comp_Ricci")
 def cgrs_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1073,7 +1076,7 @@ def _cgrs_traced(c):
     return lhs, c.lam * m * c.e(2)
 
 
-@_rec("cgrs.schouten_eq", "CGRS_comp_Schouten", "A")
+@_rec("cgrs.schouten_eq", "CGRS_comp_Schouten")
 def cgrs_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1087,12 +1090,12 @@ def cgrs_schouten_eq(c):
     return lhs, rhs
 
 
-@_rec("cgrs.duf_vs_tilde", "CGRS_D_ufvsTildeD", "A")
+@_rec("cgrs.duf_vs_tilde", "CGRS_D_ufvsTildeD")
 def cgrs_duf_vs_tilde(c):
     return c.on("duf_tensor"), c.e(3) * c.t.on("d_tensor")
 
 
-@_rec("cgrs.first", "Eq_FirstCondition_CGRSCompNewD", "B")
+@_rec("cgrs.first", "Eq_FirstCondition_CGRSCompNewD")
 def cgrs_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.on("f", 1)
@@ -1100,7 +1103,7 @@ def cgrs_first(c):
     return lhs, c.on("duf_tensor")
 
 
-@_rec("cgrs.second", "Eq_SecondConditionBach", "B")
+@_rec("cgrs.second", "Eq_SecondConditionBach")
 def cgrs_second(c):
     m = c.m
     e = einsum
@@ -1114,7 +1117,7 @@ def cgrs_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("cgrs.second_equivalent", "Eq_SecondConditionBach_equivalent", "B")
+@_rec("cgrs.second_equivalent", "Eq_SecondConditionBach_equivalent")
 def cgrs_second_equivalent(c):
     m = c.m
     e = einsum
@@ -1130,7 +1133,7 @@ def cgrs_second_equivalent(c):
     return c.on("bach"), rhs
 
 
-@_rec("cgrs.sk_uttk_fttk", "CGRS_SkUttkFttk", "B")
+@_rec("cgrs.sk_uttk_fttk", "CGRS_SkUttkFttk")
 def cgrs_sk_uttk_fttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1147,7 +1150,7 @@ def cgrs_sk_uttk_fttk(c):
     return lhs, rhs
 
 
-@_rec("cgrs.fttk", "CGRS_Fttk", "B")
+@_rec("cgrs.fttk", "CGRS_Fttk")
 def cgrs_fttk(c):
     m = c.m
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1166,7 +1169,7 @@ def cgrs_fttk(c):
     return lhs, rhs
 
 
-@_rec("cgrs.uttk", "CGRS_Uttk", "B")
+@_rec("cgrs.uttk", "CGRS_Uttk")
 def cgrs_uttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1191,13 +1194,13 @@ def cgrs_uttk(c):
 # GRS family
 # ---------------------------------------------------------------------------
 
-@_rec("grs.first", "firstGenericRSIntCondition", "B")
+@_rec("grs.first", "firstGenericRSIntCondition")
 def grs_first(c):
     lhs = c.on("cotton") + einsum("t,tijk->ijk", c.on("X"), c.on("weyl"))
     return lhs, c.on("dx_tensor")
 
 
-@_rec("grs.second", "secondGenericRSIntCondition", "B")
+@_rec("grs.second", "secondGenericRSIntCondition")
 def grs_second(c):
     m = c.m
     e = einsum
@@ -1208,7 +1211,7 @@ def grs_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("grs.xc_equals_xd", "XCXD_remark", "B")
+@_rec("grs.xc_equals_xd", "XCXD_remark")
 def grs_xc_equals_xd(c):
     x = c.on("X")
     lhs = einsum("t,tij->ij", x, c.on("cotton"))
@@ -1220,7 +1223,7 @@ def grs_xc_equals_xd(c):
 # CGERS family
 # ---------------------------------------------------------------------------
 
-@_rec("cgers.ricci_eq", "CGenericRS_comp_Ricci", "A")
+@_rec("cgers.ricci_eq", "CGenericRS_comp_Ricci")
 def cgers_ricci_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1244,7 +1247,7 @@ def _cgers_traced(c):
     return lhs, c.lam * m * e2u
 
 
-@_rec("cgers.schouten_eq", "CGenericRS_comp_Schouten", "A")
+@_rec("cgers.schouten_eq", "CGenericRS_comp_Schouten")
 def cgers_schouten_eq(c):
     m, I = c.m, c.I
     u1, u2 = c.on("u", 1), c.on("u", 2)
@@ -1259,12 +1262,12 @@ def cgers_schouten_eq(c):
     return lhs, rhs
 
 
-@_rec("cgers.dux_vs_tilde", "CGeRS_EqDuXe3uDX", "A")
+@_rec("cgers.dux_vs_tilde", "CGeRS_EqDuXe3uDX")
 def cgers_dux_vs_tilde(c):
     return c.on("dux_tensor"), c.e(3) * c.t.on("dx_tensor")
 
 
-@_rec("cgers.first", "Eq_FirstCondition_CGenericRSComponents", "B")
+@_rec("cgers.first", "Eq_FirstCondition_CGenericRSComponents")
 def cgers_first(c):
     m = c.m
     v = (m - 2) * c.on("u", 1) - c.e(2) * c.on("X")
@@ -1272,7 +1275,7 @@ def cgers_first(c):
     return lhs, c.on("dux_tensor")
 
 
-@_rec("cgers.second", "Eq_SecondConditionBach_GENERIC", "B")
+@_rec("cgers.second", "Eq_SecondConditionBach_GENERIC")
 def cgers_second(c):
     m = c.m
     e = einsum
@@ -1288,7 +1291,7 @@ def cgers_second(c):
     return c.on("bach"), rhs
 
 
-@_rec("cgers.sk_uttk_xttk", "CGeRS_SkUttkXttk", "B")
+@_rec("cgers.sk_uttk_xttk", "CGeRS_SkUttkXttk")
 def cgers_sk_uttk_xttk(c):
     m = c.m
     u1, u2, u3 = c.on("u", 1), c.on("u", 2), c.on("u", 3)
@@ -1315,7 +1318,7 @@ def cgers_sk_uttk_xttk(c):
 # HIGH family
 # ---------------------------------------------------------------------------
 
-@_rec("high.third_1", "thirdCond1", "C")
+@_rec("high.third_1", "thirdCond1")
 def high_third_1(c):
     m = c.m
     lhs = einsum("kt,kti->i", c.on("ricci"), c.on("cotton"))
@@ -1323,7 +1326,7 @@ def high_third_1(c):
     return lhs, rhs
 
 
-@_rec("high.third_2", "thirdCond2", "C")
+@_rec("high.third_2", "thirdCond2")
 def high_third_2(c):
     m = c.m
     lhs = einsum("ikk->i", c.on("bach", 1))
@@ -1331,7 +1334,7 @@ def high_third_2(c):
     return lhs, rhs
 
 
-@_rec("high.fourth_1", "fourthCond1", "C")
+@_rec("high.fourth_1", "fourthCond1")
 def high_fourth_1(c):
     m = c.m
     e = einsum
@@ -1343,7 +1346,7 @@ def high_fourth_1(c):
     return lhs, rhs
 
 
-@_rec("high.fourth_2", "fourthCond2", "C")
+@_rec("high.fourth_2", "fourthCond2")
 def high_fourth_2(c):
     m = c.m
     lhs = einsum("ikki->", c.on("bach", 2))

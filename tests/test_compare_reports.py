@@ -88,6 +88,22 @@ def test_row_mismatches_fail(capsys, tmp_path):
         assert "MISMATCH b-LAW.json:" in out, k
 
 
+def test_row_mismatches_say_what_differs(capsys, tmp_path):
+    changed = {"00-a-COMM.json": [("x", "COMM", "x", 1e-15, 1e-9, "pass"),
+                                  ("y", "COMM", "y", 6.6e-17, None, "pass")],
+               "01-b-LAW.json": [("w", "LAW", "w", 2e-16, 1e-10, "pass"),
+                                 ("v", "LAW", "v", 2e-16, 1e-10, "pass")]}
+    code, out = _run(capsys, tmp_path, changed)
+    assert code == 1
+    assert [line for line in out.splitlines()
+            if line.startswith(("MISMATCH", "STATUS"))] == [
+        "MISMATCH a-COMM.json:x tol 1e-10 -> 1e-09",
+        "MISMATCH a-COMM.json:y max_residual None -> 6.6e-17",
+        "MISMATCH b-LAW.json:z id 'z' -> 'w'",
+        f"MISMATCH b-LAW.json:v not in {tmp_path / 'a'}",
+        "STATUS a-COMM.json:y: skipped(dim) -> pass"]
+
+
 def test_files_match_by_geometry_and_suite(capsys, tmp_path):
     # an entry scheduled before both renumbers them; they still match
     renumbered = {"03-a-COMM.json": BASE["00-a-COMM.json"],

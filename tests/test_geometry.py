@@ -552,9 +552,9 @@ def test_chunks_hold_at_most_block_bytes(monkeypatch):
 # the bytes its state and bundle hold on each geometry when the walk leaves
 # it.  The benchmark's passes of 4 and 8 points take as many of them.
 FIRST_CHUNKS = [
-    ("euclidean", {"dim": 3}, ["COMM", "SOL"], 7, [1053304]),
+    ("euclidean", {"dim": 3}, ["COMM", "SOL"], 7, [1056328]),
     ("euclidean", {"dim": 4}, ["SOL", "HIGH"], 1, [789576]),
-    ("sphere", {"dim": 3}, ["COMM", "CE"], 7, [852880]),
+    ("sphere", {"dim": 3}, ["COMM", "CE"], 7, [855904]),
     ("sphere", {"dim": 4, "radius": 2.0}, ["CE"], 4, [263360]),
     ("sphere_killing", {"dim": 3}, ["SOL", "GRS"], 22, [618640]),
     ("hyperbolic", {"dim": 3}, ["CE"], 22, [420992]),
@@ -566,7 +566,7 @@ FIRST_CHUNKS = [
     ("gaussian_plus_killing", {"dim": 3}, ["SOL", "GRS"], 22, [791120]),
     ("conformal_gaussian_plus_killing", {"dim": 3}, ["CGERS", "CGRS"], 22,
      [914496, 441936]),
-    ("random", {"dim": 3, "seed": 1}, ["COMM"], 7, [972272]),
+    ("random", {"dim": 3, "seed": 1}, ["COMM"], 7, [977312]),
     ("random", {"dim": 4, "seed": 2}, ["COMM"], 1, [768832]),
     ("random", {"dim": 5, "seed": 3}, ["COMM"], 1, [3133648]),
     ("euclidean", {"dim": 3}, ["SOL"], 22, [667568]),

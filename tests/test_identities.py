@@ -381,7 +381,7 @@ def test_list_identities_registry():
     for id_, requires, structure, min_dim, min_order, tol in (
             ("d_tensor", ["f", "lam", "u"], "tilde_gradient_soliton", 3, 2,
              1e-9),
-            ("nabla2_X", ["X", "u"], None, 3, 2, 1e-7)):
+            ("nabla2_X", ["X", "u"], None, 3, 2, 1e-9)):
         law = conformal.LAWS[id_]
         assert (sorted(law.requires), law.structure, law.min_dim,
                 law.min_order, law.tolerance(), law.family,
@@ -521,7 +521,7 @@ def _spy(note, read=("ricci", 0)):
         seen.extend(note(c))
         return np.zeros(1), np.zeros(1)
     return IdentityRecord(id="spy", family="COMM", eq="spy", structure=None,
-                          tol_class="A", tol=None, evaluate=evaluate), seen
+                          evaluate=evaluate), seen
 
 
 def _chart(metric=(("1",), ("0", "1")), **fields):
@@ -743,8 +743,7 @@ def test_record_raising_past_a_failed_hypothesis_does_not_preempt_it(
         return np.zeros(1), np.zeros(1)
 
     rec = IdentityRecord(id="late", family="SOL", eq="late",
-                         structure="gradient_soliton", tol_class="A",
-                         tol=None, evaluate=evaluate)
+                         structure="gradient_soliton", evaluate=evaluate)
     assert rec.requires == {"f", "lam"}  # its hypothesis's, which g carries
     with pytest.raises(CertificationError,
                        match=r"residual 5\.000e-09\); required by late"):
@@ -845,7 +844,7 @@ def test_value_the_first_point_never_read_is_an_internal_error():
         return np.zeros(1), np.zeros(1)
 
     rec = IdentityRecord(id="late", family="COMM", eq="late", structure=None,
-                         tol_class="A", tol=None, evaluate=evaluate)
+                         evaluate=evaluate)
     assert rec.min_order == 4
     assert geometry.first_chunk(g) == 22
     with pytest.raises(RuntimeError, match=r"internal error: c\.b\.on\("
@@ -952,8 +951,7 @@ def test_chunk_error_comes_at_its_point(monkeypatch, fields, read, error):
         return np.zeros(1), np.zeros(1)
 
     rec = IdentityRecord(id="reads", family="COMM", eq="reads",
-                         structure=None, tol_class="A", tol=None,
-                         evaluate=evaluate)
+                         structure=None, evaluate=evaluate)
     assert _error(lambda: verify(_chart3(**fields), [rec], points)) == alone[4]
     assert seen == [point_key(p) for p in points[:4]]
     # the walk's first chunk holds all seven points, and its build fails;

@@ -156,11 +156,11 @@ def test_every_quantity_floor_is_tight(capsys, name):
             f"{floor}, got {floor - 1}\n")
 
 
-def test_only_two_records_declare_a_floor_of_their_own():
+def test_only_one_record_declares_a_floor_of_its_own():
     # a record's min_dim is its family's floor or the highest floor of the
-    # quantities its reads are built from; only comm.bach_divergence and
-    # sol.d_deriv_cyclic_mixed, which divides by m - 3, declare more, so a
-    # new hand-declared floor fails here
+    # quantities its reads are built from; only sol.d_deriv_cyclic_mixed,
+    # which divides by m - 3, declares more, so a new hand-declared floor
+    # fails here
     own = set()
     for rec in REGISTRY + conformal.LAW_REGISTRY:
         family = (3 if rec.family == "LAW"
@@ -171,8 +171,9 @@ def test_only_two_records_declare_a_floor_of_their_own():
         assert rec.min_dim >= max(family, read), rec.id
         if rec.min_dim > read and rec.min_dim != family:
             own.add(rec.id)
-    assert own == {"comm.bach_divergence", "sol.d_deriv_cyclic_mixed"}
-    assert {identities.BY_ID[i].min_dim for i in own} == {4}
+    assert own == {"sol.d_deriv_cyclic_mixed"}
+    assert identities.BY_ID["sol.d_deriv_cyclic_mixed"].min_dim == 4
+    assert identities.BY_ID["comm.bach_divergence"].min_dim == 3
 
 
 def test_a_replaced_evaluator_gets_the_order_of_its_own_reads():
@@ -191,6 +192,29 @@ def test_a_replaced_evaluator_gets_the_order_of_its_own_reads():
         spy = dataclasses.replace(rec, evaluate=lambda c: (c.on("ricci"),) * 2)
         assert (rec.requires, rec.min_dim) == was, rec.id
         assert (spy.requires, spy.min_dim) == now, rec.id
+
+
+def test_a_record_takes_the_tolerance_class_of_its_jet_order():
+    # A up to jet order 2, B up to 4, C above: Ricci is read at order 2
+    # and each covariant derivative adds one
+    rec = identities.BY_ID["comm.riem_third"]
+    for d, order, cls in ((0, 2, "A"), (2, 4, "B"), (3, 5, "C")):
+        spy = dataclasses.replace(
+            rec, evaluate=lambda c, d=d: (c.on("ricci", d),) * 2)
+        assert (spy.min_order, spy.tol_class) == (order, cls), d
+        assert spy.tolerance() == identities.TOL_CLASS[cls], d
+    # a class override first, then the family's pin, then the class
+    sol = dataclasses.replace(identities.BY_ID["sol.ric_x"],
+                              evaluate=lambda c: (c.on("ricci"),) * 2)
+    assert sol.tol_class == "A"
+    assert sol.tolerance({"A": 1e-3}) == 1e-3
+    assert sol.tolerance({"B": 1e-3}) == sol.tolerance() == 1e-8
+    # a law has no pin: it takes its class
+    for id_, cls in (("nabla2_X", "A"), ("nabla_d", "B")):
+        law = conformal.LAWS[id_]
+        assert (law.tol_class, law.tolerance()) == (
+            cls, identities.TOL_CLASS[cls]), id_
+        assert law.tolerance({cls: 1e-3}) == 1e-3, id_
 
 
 def test_every_structure_is_certified_at_structure_order():
